@@ -5,7 +5,9 @@ The headline guarantee of the raw-speed overhaul: the overhauled stack
 ``VectorAccounting``) produces **byte-identical** event traces, PFC
 frame logs and final metrics to the reference heap stack — across the
 paper's deadlock reproductions (Fig. 10/11/12), detection and watchdog
-runs, and Hypothesis-generated Clos/Jellyfish/BCube fabrics.
+runs, dynamic thresholds, ECN marking, a mid-run link flap, multi-class
+round-robin, an untraced jittered run, and Hypothesis-generated
+Clos/Jellyfish/BCube fabrics.
 
 Each named scenario also has a golden fingerprint under
 ``tests/golden/sim-equivalence.json`` pinning the (shared) behavior
@@ -24,15 +26,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import TaggerPlan
+from repro.core.pipeline import QueueMap
+from repro.core.tags import LOSSY_TAG
 from repro.fuzz.scenarios import ScenarioGenerator
 from repro.routing import install_loop, shortest_path_tables
 from repro.simulator import (
+    DcqcnFlow,
     DeadlockDetector,
     Flow,
     PacketTracer,
     PfcWatchdog,
+    SimConfig,
     SimNetwork,
     make_simulator,
+    passthrough_pipeline,
     pin_path,
 )
 from repro.topology import testbed_clos
@@ -51,11 +58,14 @@ TRACE_CAPACITY = 400_000
 
 
 def _canonical_lines(net, tracer):
-    """The byte streams the equivalence claim is made over."""
+    """The byte streams the equivalence claim is made over.
+
+    ``tracer`` is ``None`` for the untraced scenario (empty trace).
+    """
     trace = [
         f"{e.time!r}|{e.kind}|{e.node}|{e.flow_id}|{e.packet_id}"
         f"|{e.tag}|{e.detail}"
-        for e in tracer.events
+        for e in (tracer.events if tracer is not None else ())
     ]
     pfc = [
         f"{e.time!r}|{e.sender}|{e.receiver}|{e.queue}|{int(e.pause)}"
@@ -209,7 +219,7 @@ def scenario_watchdog_demotion(engine):
 
 
 def scenario_tagged_incast(engine):
-    """A tagged testbed under incast — Tagger pipeline + ECN exercised."""
+    """A tagged testbed under incast — the Tagger pipeline exercised."""
     topo = testbed_clos()
     plan = TaggerPlan.for_clos(topo, max_bounces=1)
     net = SimNetwork.with_plan(
@@ -224,6 +234,138 @@ def scenario_tagged_incast(engine):
     return net, tracer, {}
 
 
+INCAST_SOURCES = ("H5", "H9", "H13", "H15")
+
+
+def _delivered(net):
+    """Per-flow delivered (packets, bytes), in flow-id order."""
+    metrics = net.metrics
+    return {
+        str(flow): [metrics.delivered_packets[flow], metrics.delivered_bytes[flow]]
+        for flow in sorted(metrics.delivered_packets)
+    }
+
+
+def scenario_dynamic_thresholds(engine):
+    """Incast under Broadcom-style alpha thresholds (XOFF moves per charge)."""
+    topo = testbed_clos()
+    config = SimConfig(
+        dynamic_thresholds=True, dt_alpha=0.25, shared_buffer_bytes=128 * 1024
+    )
+    net = SimNetwork(
+        topo, shortest_path_tables(topo), config=config, engine=engine
+    )
+    for i, src in enumerate(INCAST_SOURCES):
+        net.add_flow(Flow(src=src, dst="H1", flow_id=7140 + i))
+    net.at(0.02, lambda: net.set_receiver_rate("H1", 1e8))
+    net.at(0.06, lambda: net.set_receiver_rate("H1", None))
+    tracer = PacketTracer(capacity=TRACE_CAPACITY).attach(net)
+    net.run(0.1)
+    return net, tracer, {"delivered": _delivered(net)}
+
+
+def scenario_ecn_marking(engine):
+    """ECN marks at egress enqueue, observed through DCQCN's CNP loop."""
+    topo = testbed_clos()
+    config = SimConfig(ecn_threshold_bytes=20_000)
+    net = SimNetwork(
+        topo, shortest_path_tables(topo), config=config, engine=engine
+    )
+    senders = [
+        DcqcnFlow(src=src, dst="H1", flow_id=7150 + i).attach(net)
+        for i, src in enumerate(INCAST_SOURCES)
+    ]
+    net.add_flow(Flow(src="H6", dst="H1", flow_id=7155))
+    tracer = PacketTracer(capacity=TRACE_CAPACITY).attach(net)
+    net.run(0.05)
+    return net, tracer, {
+        "cnps_sent": [s.cnps_sent for s in senders],
+        "cnps_received": [s.cnps_received for s in senders],
+        "rates": [repr(s.rate) for s in senders],
+    }
+
+
+def scenario_link_flap_midrun(engine):
+    """A loaded link fails and comes back while its queues hold packets."""
+    topo = testbed_clos()
+    net = SimNetwork(topo, shortest_path_tables(topo), engine=engine)
+    net.add_flow(
+        Flow(src="H1", dst="H13", pinned_next_hops=pin_path(BLUE), flow_id=7160)
+    )
+    net.add_flow(
+        Flow(
+            src="H2",
+            dst="H14",
+            pinned_next_hops=pin_path(
+                ("H2", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H14")
+            ),
+            flow_id=7161,
+        )
+    )
+    net.add_flow(Flow(src="H9", dst="H5", flow_id=7162))
+    lost = []
+    net.at(0.01, lambda: lost.append(net.fail_link("L1", "S1")))
+    # Pinned traffic keeps arriving at the dead port: restore finds its
+    # queues non-empty and must restart the transmit loop.
+    net.at(0.02, lambda: net.restore_link("L1", "S1"))
+    net.at(0.03, lambda: lost.append(net.fail_link("S1", "L3")))
+    net.at(0.035, lambda: net.restore_link("S1", "L3"))
+    tracer = PacketTracer(capacity=TRACE_CAPACITY).attach(net)
+    net.run(0.06)
+    return net, tracer, {"lost": lost, "delivered": _delivered(net)}
+
+
+def scenario_multiclass_rr(engine):
+    """Two lossless classes and a lossy flow share one egress port.
+
+    Every flow leaves T1 toward H1, so the round-robin pick at that port
+    has three candidate queues; throttling H1 pauses the lossless two
+    while the lossy one keeps draining (and tail-drops).
+    """
+    topo = testbed_clos()
+    pipeline = passthrough_pipeline(num_lossless_tags=2)
+    net = SimNetwork(
+        topo,
+        shortest_path_tables(topo),
+        pipelines={name: pipeline for name in topo.switches},
+        host_queue_map=QueueMap.identity(2),
+        engine=engine,
+    )
+    net.add_flow(Flow(src="H5", dst="H1", initial_tag=1, flow_id=7170))
+    net.add_flow(Flow(src="H9", dst="H1", initial_tag=2, flow_id=7171))
+    net.add_flow(Flow(src="H13", dst="H1", initial_tag=2, flow_id=7172))
+    net.add_flow(
+        Flow(src="H15", dst="H1", initial_tag=LOSSY_TAG, rate_bps=4e8,
+             flow_id=7173)
+    )
+    net.at(0.02, lambda: net.set_receiver_rate("H1", 2e8))
+    net.at(0.05, lambda: net.set_receiver_rate("H1", None))
+    tracer = PacketTracer(capacity=TRACE_CAPACITY).attach(net)
+    net.run(0.08)
+    return net, tracer, {"delivered": _delivered(net)}
+
+
+def scenario_untraced_jitter(engine):
+    """No tracer attached: the hosts' untraced delivery path, with jitter.
+
+    Every other scenario attaches a :class:`PacketTracer`; this one
+    compares the PFC log, per-flow deliveries, drops, clock and event
+    count only, so the ``net.tracer is None`` branches get diffed too.
+    """
+    topo = testbed_clos()
+    config = SimConfig(injection_jitter=2e-6, seed=11)
+    net = SimNetwork(
+        topo, shortest_path_tables(topo), config=config, engine=engine
+    )
+    for i, src in enumerate(INCAST_SOURCES):
+        net.add_flow(Flow(src=src, dst="H1", flow_id=7180 + i))
+    net.add_flow(Flow(src="H2", dst="H10", rate_bps=3e8, flow_id=7185))
+    net.at(0.02, lambda: net.set_receiver_rate("H1", 1e8))
+    net.at(0.05, lambda: net.set_receiver_rate("H1", None))
+    net.run(0.08)
+    return net, None, {"delivered": _delivered(net)}
+
+
 SCENARIOS = {
     "fig10-bounce-deadlock": scenario_fig10_bounce_deadlock,
     "fig11-routing-loop": scenario_fig11_routing_loop,
@@ -231,6 +373,11 @@ SCENARIOS = {
     "detect-on": scenario_detect_on,
     "watchdog-demotion": scenario_watchdog_demotion,
     "tagged-incast": scenario_tagged_incast,
+    "dynamic-thresholds": scenario_dynamic_thresholds,
+    "ecn-marking": scenario_ecn_marking,
+    "link-flap-midrun": scenario_link_flap_midrun,
+    "multiclass-rr": scenario_multiclass_rr,
+    "untraced-jitter": scenario_untraced_jitter,
 }
 
 
@@ -268,7 +415,7 @@ def test_wheel_is_byte_identical_to_reference(name, request):
 
 
 def test_scenarios_exercise_distinct_behavior():
-    """The six scenarios are not six copies of one workload."""
+    """The scenarios are not copies of one workload."""
     golden = json.loads(GOLDEN_PATH.read_text())
     assert set(golden) == set(SCENARIOS)
     shas = {entry["trace_sha256"] for entry in golden.values()}
