@@ -19,11 +19,6 @@ from typing import Dict, List, Tuple
 from repro.core.pipeline import LOSSY_QUEUE
 from repro.simulator.packet import SimConfig
 
-try:  # numpy is a declared dependency; degrade gracefully without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    _np = None  # type: ignore[assignment]
-
 AccountKey = Tuple[int, int]  # (ingress port, priority queue)
 
 # Int result codes for the allocation-free fast path (VectorAccounting).
@@ -156,13 +151,12 @@ class VectorAccounting(IngressAccounting):
 
     Account ``(port, queue)`` lives at index ``port * stride + queue`` in
     flat parallel arrays — no tuple hashing and no dict growth on the
-    per-packet path, and the storage doubles as the numpy view the bulk
-    queries read (``occupancy_matrix``, ``accounts_over``). Semantics are
-    transcribed from the reference, including the dynamic-threshold
-    evaluation order (cap computed *before* the charge lands,
-    XOFF re-evaluated *after* ``lossless_total`` moves), so both classes
-    produce byte-identical decisions — the engine equivalence suite runs
-    one fabric on each and diffs the traces.
+    per-packet path. Semantics are transcribed from the reference,
+    including the dynamic-threshold evaluation order (cap computed
+    *before* the charge lands, XOFF re-evaluated *after*
+    ``lossless_total`` moves), so both classes produce byte-identical
+    decisions — the engine equivalence suite runs one fabric on each and
+    diffs the traces.
 
     The fast switch calls the int-code entry points (:meth:`charge_code`
     / :meth:`release_code`); ``charge``/``release`` wrap them for the
@@ -183,13 +177,6 @@ class VectorAccounting(IngressAccounting):
         self._xon = config.xon_bytes
         self._cap_bytes = config.xoff_bytes + config.headroom_bytes
         self._lossy_cap = config.lossy_cap_bytes
-        # Dynamic-mode scalars, cached so the fast switch can evaluate
-        # the alpha threshold inline (pure arithmetic, no frames).
-        self._headroom = config.headroom_bytes
-        self._shared = config.shared_buffer_bytes
-        self._alpha = config.dt_alpha
-        self._floor = config.dt_floor_bytes
-        self._xon_off = config.dt_xon_offset_bytes
 
     def _grow(self, idx: int) -> None:
         need = idx + 1 - len(self._occ)
@@ -202,9 +189,11 @@ class VectorAccounting(IngressAccounting):
     def charge_code(self, port: int, queue: int, size: int) -> int:
         idx = port * self._stride + queue
         occ_list = self._occ
-        if idx >= len(occ_list):
+        try:
+            occ = occ_list[idx]
+        except IndexError:
             self._grow(idx)
-        occ = occ_list[idx]
+            occ = 0
         if queue == LOSSY_QUEUE:
             if occ + size > self._lossy_cap:
                 return CHARGE_REJECT
@@ -234,9 +223,11 @@ class VectorAccounting(IngressAccounting):
     def release_code(self, port: int, queue: int, size: int) -> int:
         idx = port * self._stride + queue
         occ_list = self._occ
-        if idx >= len(occ_list):
+        try:
+            occ = occ_list[idx]
+        except IndexError:
             self._grow(idx)
-        occ = occ_list[idx]
+            occ = 0
         if size > occ:
             raise AssertionError(
                 f"ingress accounting underflow on {(port, queue)}: {occ} - {size}"
@@ -283,31 +274,3 @@ class VectorAccounting(IngressAccounting):
             for idx, sent in enumerate(self._paused)
             if sent
         }
-
-    # ------------------------------------------------------------------
-    # Vectorized bulk views (telemetry / analysis across all accounts)
-    # ------------------------------------------------------------------
-    def occupancy_matrix(self) -> "_np.ndarray":
-        """All accounts as a ``(ports, stride)`` int64 array."""
-        if _np is None:  # pragma: no cover - broken-install fallback
-            raise RuntimeError("numpy unavailable: occupancy_matrix disabled")
-        return _np.asarray(self._occ, dtype=_np.int64).reshape(
-            -1, self._stride
-        )
-
-    def accounts_over(self, threshold: int) -> List[AccountKey]:
-        """Accounts at or above ``threshold`` bytes, ascending key order.
-
-        One vectorized comparison across every account — what the
-        observability samplers use instead of a per-account scan.
-        """
-        stride = self._stride
-        if _np is None:  # pragma: no cover - broken-install fallback
-            return [
-                (idx // stride, idx % stride)
-                for idx, occ in enumerate(self._occ)
-                if occ >= threshold
-            ]
-        flat = _np.asarray(self._occ, dtype=_np.int64)
-        hits = _np.nonzero(flat >= threshold)[0]
-        return [(int(i) // stride, int(i) % stride) for i in hits]

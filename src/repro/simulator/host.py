@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, TYPE_CHECKING
 
-from repro.obs.events import EV_SIM_DELIVER
 from repro.simulator.flow import Flow
 from repro.simulator.packet import Packet
 from repro.simulator.txport import TxPort
@@ -260,27 +259,15 @@ class FastSimHost(SimHost):
     def receive(self, packet: Packet, in_port: int = 0) -> None:
         net = self.net
         if net.tracer is None and self._rx_rate_bps is None and not self._rx_queue:
-            # Unthrottled delivery: _deliver and record_delivery both
-            # inlined (two frames per delivered packet otherwise).
-            metrics = net.metrics
-            now = net.sim.now
-            flow_id = packet.flow_id
-            size = packet.size
-            metrics.delivered_bytes[flow_id] += size
-            metrics.delivered_packets[flow_id] += 1
-            bucket = int(now / metrics.bucket_width)
-            flow_buckets = metrics._buckets[flow_id]
-            flow_buckets[bucket] = flow_buckets.get(bucket, 0) + size
-            created_at = packet.created_at
-            if created_at is not None:
-                metrics._latencies[flow_id].append(now - created_at)
-            if metrics.telemetry is not None:
-                metrics.telemetry.emit(
-                    EV_SIM_DELIVER, time=now, flow=flow_id, size=size
-                )
-                metrics._handles["delivered"].inc()
-                metrics._handles["delivered_bytes"].inc(size)
-            transport = net.transports.get(flow_id)
+            # Unthrottled, untraced delivery: _deliver without the two
+            # frames above it.
+            net.metrics.record_delivery(
+                net.sim.now,
+                packet.flow_id,
+                packet.size,
+                created_at=packet.created_at,
+            )
+            transport = net.transports.get(packet.flow_id)
             if transport is not None:
                 transport.on_delivery(packet, self.name)
             return

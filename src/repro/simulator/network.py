@@ -187,9 +187,6 @@ class SimNetwork:
             host.nic = port
         if isinstance(port, FastTxPort):
             port.bind_receiver(receive, dst_port)
-            if src_node.is_switch and isinstance(switch, FastSimSwitch):
-                # Fuse the per-transmit ingress release into the port.
-                port.bind_sender(switch._acct, self.send_pfc)
 
     def new_packet_id(self) -> int:
         """Next packet id for this fabric (per-network, not per-process)."""

@@ -16,18 +16,15 @@ Packet life inside a switch:
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
-from heapq import heappush
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.pipeline import LOSSY_QUEUE, PipelineConfig
 from repro.core.tags import LOSSY_TAG
 from repro.exceptions import RoutingError
 from repro.simulator.buffers import (
-    CHARGE_ACCEPT,
     CHARGE_ACCEPT_PAUSE,
     CHARGE_REJECT,
+    RELEASE_RESUME,
     IngressAccounting,
     VectorAccounting,
 )
@@ -38,7 +35,7 @@ from repro.simulator.metrics import (
     DROP_TTL,
 )
 from repro.simulator.packet import Packet
-from repro.simulator.txport import FastTxPort, TxPort
+from repro.simulator.txport import TxPort
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.network import SimNetwork
@@ -188,50 +185,37 @@ class SimSwitch:
         return f"SimSwitch({self.name}, buffered={self.accounting.total_bytes}B)"
 
 
-#: Cache-miss sentinel (``None`` is a legal cached answer: "no route").
-_MISS = object()
-
-
-#: Cached decision: next hop, egress port, ingress queue, rewritten tag,
-#: egress queue. ``None`` caches "no route".
-Decision = Optional[Tuple[str, int, int, int, int, int, Optional["FastTxPort"]]]
+#: Cached decision: next hop, egress port number, ingress queue,
+#: rewritten tag, egress queue, egress port object. ``None`` caches
+#: "no route".
+Decision = Optional[Tuple[str, int, int, int, int, TxPort]]
 
 
 class FastSimSwitch(SimSwitch):
-    """Hot-path :class:`SimSwitch` used by the overhauled engine.
+    """Hot-path :class:`SimSwitch` for the wheel engine.
 
-    The data path is a faithful transcription of the reference
-    ``receive``/``on_sent`` with the per-packet overheads removed:
+    ``receive`` is the reference data path with one substitution: the
+    route lookup, egress-port resolution, both queue classifications and
+    the tag rewrite collapse into a *decision cache* probe keyed on
+    ``(dst, flow_id, tag, in_port)``. Charge, release and enqueue are
+    calls into :class:`VectorAccounting` and the egress port, as in the
+    reference. What the code does not show:
 
-    - one *decision cache*: ``(dst, flow_id, tag, in_port)`` maps to the
-      precomputed ``(next_hop, out_port, in_queue, new_tag,
-      egress_queue)`` tuple (``None`` caches "no route"), collapsing the
-      route lookup, egress-port resolution, both queue classifications
-      and the tag rewrite into a single dict probe. The cache is keyed
-      on the forwarding table's ``version``, the network's
-      ``_pinned_version`` and the live pipeline object, so mid-run table
-      edits (convergence replays, injected loops), flow re-pins and
-      pipeline swaps (recovery rollouts, rule rollout epochs — the only
-      sanctioned ways to change rules mid-run) all behave exactly as
-      uncached lookups;
-    - flat-indexed :class:`VectorAccounting` with the charge/release
-      arithmetic for both threshold modes inlined into the packet path
-      (no :class:`CrossingResult`, no call frame) — the dynamic alpha
-      formula evaluates against the accounting's cached scalars in the
-      reference order (cap pre-charge, XOFF post-charge);
-    - quarantine demotion stays a per-packet check — recovery mutates
-      ``net.quarantined`` mid-run.
-
-    Every metrics, tracer and PFC side effect fires in the reference
-    order — the equivalence suite diffs full traces to hold this class
-    to byte-identity.
+    - the cache is valid only for one forwarding-table ``version``, one
+      ``net._pinned_version`` and one live pipeline object, so mid-run
+      table edits, flow re-pins and pipeline swaps (recovery rollouts —
+      the only sanctioned way to change rules mid-run) behave exactly as
+      uncached lookups; ports never change after wiring;
+    - demotion accounting and the quarantine check are *not* cached:
+      the first has a per-packet side effect, and recovery mutates
+      ``net.quarantined`` mid-run;
+    - every metrics, tracer and PFC side effect fires in the reference
+      order — the equivalence suite diffs full traces to hold this class
+      to byte-identity.
     """
 
     __slots__ = (
-        "_acct", "_decisions", "_table_version", "_pinned_seen",
-        "_cls_pipeline", "_occ_list", "_paused_list", "_stride", "_static",
-        "_cap_bytes", "_xoff", "_lossy_cap", "_alpha", "_shared", "_floor",
-        "_headroom",
+        "_decisions", "_table_version", "_pinned_seen", "_cls_pipeline",
     )
 
     def __init__(
@@ -241,23 +225,7 @@ class FastSimSwitch(SimSwitch):
         pipeline: PipelineConfig,
     ) -> None:
         super().__init__(net, name, pipeline)
-        self._acct = VectorAccounting(net.config)
-        self.accounting = self._acct
-        # Accounting arrays and threshold scalars, re-cached on the
-        # switch itself: ``_grow`` extends the lists in place (identity
-        # is stable) and the config is frozen, so these never go stale.
-        acct = self._acct
-        self._occ_list = acct._occ
-        self._paused_list = acct._paused
-        self._stride = acct._stride
-        self._static = acct._static
-        self._cap_bytes = acct._cap_bytes
-        self._xoff = acct._xoff
-        self._lossy_cap = acct._lossy_cap
-        self._alpha = acct._alpha
-        self._shared = acct._shared
-        self._floor = acct._floor
-        self._headroom = acct._headroom
+        self.accounting: VectorAccounting = VectorAccounting(net.config)
         self._decisions: Dict[Tuple[str, int, int, int], Decision] = {}
         self._table_version = -1
         self._pinned_seen = -1
@@ -289,17 +257,10 @@ class FastSimSwitch(SimSwitch):
         else:
             new_tag = pipeline.rewrite(tag, in_port, out_port)
         egress_queue = pipeline.classify_egress(tag, new_tag)
-        # Flat accounting index and egress port object, resolved once
-        # per cached decision: the accounting arrays only ever grow in
-        # place and ports never change after wiring, so both stay valid
-        # for the cache's lifetime (the cache clears on table/pipeline
-        # swaps anyway).
-        idx = in_port * self._stride + in_queue
-        if idx >= len(self._occ_list):
-            self._acct._grow(idx)
-        port = self.tx_ports[out_port]
-        fport = port if type(port) is FastTxPort else None
-        return (next_hop, out_port, in_queue, new_tag, egress_queue, idx, fport)
+        return (
+            next_hop, out_port, in_queue, new_tag, egress_queue,
+            self.tx_ports[out_port],
+        )
 
     def receive(self, packet: Packet, in_port: int) -> None:
         net = self.net
@@ -330,64 +291,20 @@ class FastSimSwitch(SimSwitch):
             decisions.clear()
         tag = packet.tag
         key = (packet.dst, packet.flow_id, tag, in_port)
-        hit = decisions.get(key, _MISS)
-        if hit is _MISS:
-            hit = self._decide(packet.dst, packet.flow_id, tag, in_port)
-            decisions[key] = hit
+        try:
+            hit = decisions[key]
+        except KeyError:
+            hit = decisions[key] = self._decide(
+                packet.dst, packet.flow_id, tag, in_port
+            )
         if hit is None:
             metrics.record_drop(DROP_NO_ROUTE, packet.flow_id)
             if tracer is not None:
                 self._trace(packet, "drop", DROP_NO_ROUTE)
             return
-        next_hop, out_port, in_queue, new_tag, egress_queue, idx, fport = hit
+        next_hop, out_port, in_queue, new_tag, egress_queue, port = hit
 
-        # Ingress charge, inlined from VectorAccounting.charge_code.
-        # Static thresholds read the cached scalars; dynamic thresholds
-        # evaluate the alpha formula inline with the reference's exact
-        # order (cap from the pre-charge pool, XOFF re-evaluated after
-        # ``lossless_total`` moves). ``idx`` was resolved (and the
-        # arrays grown past it) when the decision was cached.
-        acct = self._acct
-        size = packet.size
-        occ_list = self._occ_list
-        occ = occ_list[idx] + size
-        if in_queue == LOSSY_QUEUE:
-            if occ > self._lossy_cap:
-                code = CHARGE_REJECT
-            else:
-                occ_list[idx] = occ
-                code = CHARGE_ACCEPT
-        else:
-            static = self._static
-            base_xoff = self._xoff
-            if static:
-                cap = self._cap_bytes
-            else:
-                free = self._shared - acct.lossless_total
-                dyn = int(self._alpha * free)
-                xoff = dyn if dyn < base_xoff else base_xoff
-                if xoff < self._floor:
-                    xoff = self._floor
-                cap = xoff + self._headroom
-            if occ > cap:
-                code = CHARGE_REJECT
-            else:
-                occ_list[idx] = occ
-                acct.lossless_total += size
-                if static:
-                    xoff = base_xoff
-                else:
-                    free = self._shared - acct.lossless_total
-                    dyn = int(self._alpha * free)
-                    xoff = dyn if dyn < base_xoff else base_xoff
-                    if xoff < self._floor:
-                        xoff = self._floor
-                paused = self._paused_list
-                if occ >= xoff and not paused[idx]:
-                    paused[idx] = True
-                    code = CHARGE_ACCEPT_PAUSE
-                else:
-                    code = CHARGE_ACCEPT
+        code = self.accounting.charge_code(in_port, in_queue, packet.size)
         if code == CHARGE_REJECT:
             reason = DROP_LOSSY if in_queue == LOSSY_QUEUE else DROP_LOSSLESS
             metrics.record_drop(reason, packet.flow_id)
@@ -420,96 +337,12 @@ class FastSimSwitch(SimSwitch):
                 "forward",
                 f"-> {next_hop} tag {tag}->{new_tag} q{egress_queue}",
             )
-        port = fport
-        if port is None:
-            self.tx_ports[out_port].enqueue(packet, egress_queue)
-            return
-        # FastTxPort.enqueue, inlined (the per-hop handoff is the
-        # hottest cross-object call in the simulator).
-        packet.egress_queue = egress_queue
-        queues = port.queues
-        fifo = queues.get(egress_queue)
-        if fifo is None:
-            fifo = deque()
-            queues[egress_queue] = fifo
-            port.queued_bytes[egress_queue] = 0
-            port._qids.append(egress_queue)
-            port._qids.sort()
-        queued = port.queued_bytes[egress_queue]
-        threshold = port._ecn_threshold
-        if threshold is not None and queued > threshold:
-            packet.ecn = True
-        fifo.append(packet)
-        port.queued_bytes[egress_queue] = queued + size
-        if port.busy or not port.link_up:
-            return
-        paused = port._pauseset
-        rr_last = port._rr_last
-        pick = -1
-        first = -1
-        for q in port._qids:
-            if not queues[q] or q in paused:
-                continue
-            if q > rr_last:
-                pick = q
-                break
-            if first < 0:
-                first = q
-        if pick < 0:
-            if first < 0:
-                return
-            pick = first
-        head = queues[pick].popleft()
-        port.queued_bytes[pick] -= head.size
-        port._rr_last = pick
-        port.busy = True
-        port._tx_packet = head
-        wsim = port._wsim
-        if wsim is None:
-            port._schedule(head.size * 8.0 / port._bw, port._complete_cb)
-            return
-        # WheelSimulator.schedule, inlined.
-        time = wsim.now + head.size * 8.0 / port._bw
-        seq = wsim._seq
-        wsim._seq = seq + 1
-        event = (time, seq, port._complete_cb)
-        slot = int(time / wsim._res)
-        cur = wsim._cur_slot
-        if slot <= cur:
-            insort(wsim._active, event, wsim._active_pos)
-        elif slot < cur + wsim._nslots:
-            cell = wsim._ring[slot % wsim._nslots]
-            if not cell:
-                heappush(wsim._slot_heap, slot)
-            cell.append(event)
-            wsim._ring_count += 1
-        else:
-            heappush(wsim._overflow, event)
+        port.enqueue(packet, egress_queue)
 
     def on_sent(self, packet: Packet) -> None:
         in_port = packet.in_port
         in_queue = packet.in_queue
         assert in_port is not None and in_queue is not None
-        # Release, inlined from VectorAccounting.release_code.
-        acct = self._acct
-        size = packet.size
-        idx = in_port * acct._stride + in_queue
-        occ_list = acct._occ
-        if idx >= len(occ_list):
-            acct._grow(idx)
-        occ = occ_list[idx]
-        if size > occ:
-            raise AssertionError(
-                f"ingress accounting underflow on {(in_port, in_queue)}: "
-                f"{occ} - {size}"
-            )
-        occ_list[idx] = occ - size
-        if in_queue != LOSSY_QUEUE:
-            acct.lossless_total -= size
-            if acct._paused[idx]:
-                xon = acct._xon if acct._static else acct.current_xon()
-                if occ - size <= xon:
-                    acct._paused[idx] = False
-                    self.net.send_pfc(
-                        self.name, in_port, in_queue, pause=False
-                    )
+        code = self.accounting.release_code(in_port, in_queue, packet.size)
+        if code == RELEASE_RESUME:
+            self.net.send_pfc(self.name, in_port, in_queue, pause=False)

@@ -12,15 +12,12 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from heapq import heappush
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
-from repro.core.pipeline import LOSSY_QUEUE
+from repro.exceptions import SimulationError
 from repro.simulator.engine import Callback, Simulator, WheelSimulator
 from repro.simulator.packet import Packet, SimConfig
 from repro.simulator.pfc import PauseState
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.simulator.buffers import VectorAccounting
 
 DeliverFn = Callable[[Packet], None]
 SentFn = Callable[[Packet], None]
@@ -188,23 +185,24 @@ class TxPort:
 
 
 class FastTxPort(TxPort):
-    """Allocation-light :class:`TxPort` for the overhauled engine.
+    """Allocation-light :class:`TxPort` for the wheel engine.
 
-    Behaviour-identical to the reference (the equivalence suite diffs
-    the two), with the per-packet overheads removed:
+    Same behaviour as the reference (the equivalence suite diffs the
+    two) without a closure per transmit, delivery or hop, and without a
+    ``sorted()`` per round-robin pick. What the code does not show:
 
-    - no closure per transmit/delivery — the in-flight packet rides in
-      ``_tx_packet`` and a bound method completes it; delivered packets
-      ride a wire FIFO (propagation delay is constant per port, so the
-      wire drains in schedule order);
-    - no closure per *hop* either — :meth:`bind_receiver` stores the
-      downstream ``receive`` bound method plus its ingress port, so a
-      delivery is one direct call instead of a lambda trampoline;
-    - no ``sorted()`` per round-robin pick — queue ids are kept in a
-      sorted registry maintained on first use, and the pick loop is
-      inlined into :meth:`_try_send`;
-    - the ECN threshold, link rate and ``sim.schedule`` are cached
-      locals instead of attribute chains.
+    - delivered packets ride ``_wire`` and are popped in FIFO order by
+      one pre-bound callback — sound only because the propagation delay
+      is constant per port, so deliveries fire in booking order;
+    - :meth:`_complete_tx` calls the sender hook *before* booking the
+      delivery, as the reference does: a host's closed-loop refill may
+      inject from inside the hook, and the sequence numbers the two
+      bookings draw decide same-instant tie order;
+    - ``WheelSimulator.schedule`` is written out in :meth:`_try_send`
+      and :meth:`_complete_tx` (1.25 M pushes per 100 k-packet storm,
+      about 3 % of its run time as a call — see docs/PERFORMANCE.md).
+      It is the only inlining left in the stack, hence the exact-type
+      check on ``sim``: a subclass could override scheduling.
 
     ``queues``/``queued_bytes``/``pause``/``pause_started`` stay fully
     authoritative — detection, recovery and the deadlock probes read and
@@ -212,9 +210,9 @@ class FastTxPort(TxPort):
     """
 
     __slots__ = (
-        "_bw", "_prop", "_ecn_threshold", "_schedule", "_wsim", "_qids",
-        "_tx_packet", "_wire", "_complete_cb", "_deliver_cb", "_pauseset",
-        "_recv_fn", "_recv_port", "_src_acct", "_src_pfc",
+        "_bw", "_prop", "_ecn_threshold", "_wsim", "_qids", "_tx_packet",
+        "_wire", "_complete_cb", "_deliver_cb", "_pauseset", "_recv_fn",
+        "_recv_port",
     )
 
     def __init__(
@@ -227,16 +225,15 @@ class FastTxPort(TxPort):
         deliver: DeliverFn,
         on_sent: Optional[SentFn] = None,
     ) -> None:
+        if type(sim) is not WheelSimulator:
+            raise SimulationError(
+                f"FastTxPort needs a WheelSimulator, got {type(sim).__name__}"
+            )
         super().__init__(sim, config, owner, port, peer, deliver, on_sent)
         self._bw = config.bandwidth_bps
         self._prop = config.prop_delay
         self._ecn_threshold = config.ecn_threshold_bytes
-        self._schedule = sim.schedule
-        # Exact-type check: a WheelSimulator subclass could override
-        # scheduling, so only the stock wheel gets the inline fast path.
-        self._wsim: Optional[WheelSimulator] = (
-            sim if type(sim) is WheelSimulator else None
-        )
+        self._wsim: WheelSimulator = sim
         self._qids: List[int] = []  # sorted registry of known queue ids
         self._pauseset = self.pause.paused  # PauseState mutates in place
         self._tx_packet: Optional[Packet] = None
@@ -247,8 +244,6 @@ class FastTxPort(TxPort):
         self._deliver_cb: Callback = self._deliver_next
         self._recv_fn: Optional[Callable[[Packet, int], None]] = None
         self._recv_port = 0
-        self._src_acct: Optional["VectorAccounting"] = None
-        self._src_pfc: Optional[Callable[..., None]] = None
 
     def bind_receiver(
         self, receive: Callable[[Packet, int], None], port: int
@@ -257,27 +252,12 @@ class FastTxPort(TxPort):
         self._recv_fn = receive
         self._recv_port = port
 
-    def bind_sender(
-        self, acct: "VectorAccounting", send_pfc: Callable[..., None]
-    ) -> None:
-        """Fuse the owning switch's per-transmit ingress release.
-
-        With the accounting object and the fabric's ``send_pfc`` bound
-        here, :meth:`_complete_tx` performs the release inline instead of
-        bouncing through the switch's ``on_sent`` callback — one less
-        frame per transmitted packet. Only switch-owned ports bind this;
-        host NICs keep the ``on_sent`` closed-loop refill callback.
-        """
-        self._src_acct = acct
-        self._src_pfc = send_pfc
-
     def enqueue(self, packet: Packet, queue: int) -> None:
         packet.egress_queue = queue
-        queues = self.queues
-        fifo = queues.get(queue)
-        if fifo is None:
-            fifo = deque()
-            queues[queue] = fifo
+        try:
+            fifo = self.queues[queue]
+        except KeyError:
+            fifo = self.queues[queue] = deque()
             self.queued_bytes[queue] = 0
             self._qids.append(queue)
             self._qids.sort()
@@ -287,70 +267,13 @@ class FastTxPort(TxPort):
             packet.ecn = True
         fifo.append(packet)
         self.queued_bytes[queue] = queued + packet.size
-        if self.busy or not self.link_up:
-            return
-        # _try_send, inlined (one enqueue per packet-hop).
-        paused = self._pauseset
-        rr_last = self._rr_last
-        pick = -1
-        first = -1
-        for q in self._qids:
-            if not queues[q] or q in paused:
-                continue
-            if q > rr_last:
-                pick = q
-                break
-            if first < 0:
-                first = q
-        if pick < 0:
-            if first < 0:
-                return
-            pick = first
-        head = queues[pick].popleft()
-        self.queued_bytes[pick] -= head.size
-        self._rr_last = pick
-        self.busy = True
-        self._tx_packet = head
-        wsim = self._wsim
-        if wsim is None:
-            self._schedule(head.size * 8.0 / self._bw, self._complete_cb)
-            return
-        # WheelSimulator.schedule, inlined (delay is always positive).
-        time = wsim.now + head.size * 8.0 / self._bw
-        seq = wsim._seq
-        wsim._seq = seq + 1
-        event = (time, seq, self._complete_cb)
-        slot = int(time / wsim._res)
-        cur = wsim._cur_slot
-        if slot <= cur:
-            insort(wsim._active, event, wsim._active_pos)
-        elif slot < cur + wsim._nslots:
-            cell = wsim._ring[slot % wsim._nslots]
-            if not cell:
-                heappush(wsim._slot_heap, slot)
-            cell.append(event)
-            wsim._ring_count += 1
-        else:
-            heappush(wsim._overflow, event)
-
-    def _pick_queue(self) -> Optional[int]:
-        queues = self.queues
-        paused = self._pauseset
-        rr_last = self._rr_last
-        first = -1
-        for q in self._qids:
-            if not queues[q] or q in paused:
-                continue
-            if q > rr_last:
-                return q
-            if first < 0:
-                first = q
-        return first if first >= 0 else None
+        if not self.busy:
+            self._try_send()
 
     def _try_send(self) -> None:
         if self.busy or not self.link_up:
             return
-        # Round-robin pick, inlined (this is the per-transmit hot loop).
+        # Round-robin over non-empty, non-paused queues.
         queues = self.queues
         paused = self._pauseset
         rr_last = self._rr_last
@@ -373,112 +296,9 @@ class FastTxPort(TxPort):
         self._rr_last = queue
         self.busy = True
         self._tx_packet = packet
-        self._schedule(packet.size * 8.0 / self._bw, self._complete_cb)
-
-    def _complete_tx(self) -> None:
-        packet = self._tx_packet
-        assert packet is not None
-        self._tx_packet = None
-        self.busy = False
-        size = packet.size
-        self.bytes_sent += size
-        self.packets_sent += 1
-        # Keep the reference schedule order: the sender hook may start
-        # the next transmit (closed-loop refill) *before* the delivery
-        # is booked. Switch ports run the ingress release inline here
-        # (bind_sender); host NICs call back into the host.
-        src_acct = self._src_acct
-        if src_acct is not None:
-            # FastSimSwitch.on_sent, inlined.
-            in_port = packet.in_port
-            in_queue = packet.in_queue
-            assert in_port is not None and in_queue is not None
-            idx = in_port * src_acct._stride + in_queue
-            occ_list = src_acct._occ
-            if idx >= len(occ_list):
-                src_acct._grow(idx)
-            occ = occ_list[idx]
-            if size > occ:
-                raise AssertionError(
-                    f"ingress accounting underflow on {(in_port, in_queue)}: "
-                    f"{occ} - {size}"
-                )
-            occ_list[idx] = occ - size
-            if in_queue != LOSSY_QUEUE:
-                src_acct.lossless_total -= size
-                if src_acct._paused[idx]:
-                    if src_acct._static:
-                        xon = src_acct._xon
-                    else:
-                        # current_xon(), inlined: alpha threshold on the
-                        # post-release pool, clamped, minus the offset.
-                        free = src_acct._shared - src_acct.lossless_total
-                        dyn = int(src_acct._alpha * free)
-                        xoff = dyn if dyn < src_acct._xoff else src_acct._xoff
-                        if xoff < src_acct._floor:
-                            xoff = src_acct._floor
-                        xon = xoff - src_acct._xon_off
-                        if xon < 0:
-                            xon = 0
-                    if occ - size <= xon:
-                        src_acct._paused[idx] = False
-                        assert self._src_pfc is not None
-                        self._src_pfc(
-                            self.owner, in_port, in_queue, pause=False
-                        )
-        elif self._on_sent is not None:
-            self._on_sent(packet)
-        self._wire.append(packet)
+        # WheelSimulator.schedule, inlined (the delay is always positive).
         wsim = self._wsim
-        if wsim is None:
-            self._schedule(self._prop, self._deliver_cb)
-        else:
-            # WheelSimulator.schedule, inlined.
-            time = wsim.now + self._prop
-            seq = wsim._seq
-            wsim._seq = seq + 1
-            event = (time, seq, self._deliver_cb)
-            slot = int(time / wsim._res)
-            cur = wsim._cur_slot
-            if slot <= cur:
-                insort(wsim._active, event, wsim._active_pos)
-            elif slot < cur + wsim._nslots:
-                cell = wsim._ring[slot % wsim._nslots]
-                if not cell:
-                    heappush(wsim._slot_heap, slot)
-                cell.append(event)
-                wsim._ring_count += 1
-            else:
-                heappush(wsim._overflow, event)
-        if self.busy or not self.link_up:
-            return
-        # _try_send, inlined (one completion per packet-hop).
-        queues = self.queues
-        paused = self._pauseset
-        rr_last = self._rr_last
-        pick = -1
-        first = -1
-        for q in self._qids:
-            if not queues[q] or q in paused:
-                continue
-            if q > rr_last:
-                pick = q
-                break
-            if first < 0:
-                first = q
-        if pick < 0:
-            if first < 0:
-                return
-            pick = first
-        head = queues[pick].popleft()
-        self.queued_bytes[pick] -= head.size
-        self._rr_last = pick
-        self.busy = True
-        self._tx_packet = head
-        if wsim is None:
-            self._schedule(head.size * 8.0 / self._bw, self._complete_cb)
-            return
-        time = wsim.now + head.size * 8.0 / self._bw
+        time = wsim.now + packet.size * 8.0 / self._bw
         seq = wsim._seq
         wsim._seq = seq + 1
         event = (time, seq, self._complete_cb)
@@ -494,6 +314,36 @@ class FastTxPort(TxPort):
             wsim._ring_count += 1
         else:
             heappush(wsim._overflow, event)
+
+    def _complete_tx(self) -> None:
+        packet = self._tx_packet
+        assert packet is not None
+        self._tx_packet = None
+        self.busy = False
+        self.bytes_sent += packet.size
+        self.packets_sent += 1
+        if self._on_sent is not None:
+            self._on_sent(packet)
+        self._wire.append(packet)
+        # WheelSimulator.schedule, inlined.
+        wsim = self._wsim
+        time = wsim.now + self._prop
+        seq = wsim._seq
+        wsim._seq = seq + 1
+        event = (time, seq, self._deliver_cb)
+        slot = int(time / wsim._res)
+        cur = wsim._cur_slot
+        if slot <= cur:
+            insort(wsim._active, event, wsim._active_pos)
+        elif slot < cur + wsim._nslots:
+            cell = wsim._ring[slot % wsim._nslots]
+            if not cell:
+                heappush(wsim._slot_heap, slot)
+            cell.append(event)
+            wsim._ring_count += 1
+        else:
+            heappush(wsim._overflow, event)
+        self._try_send()
 
     def _deliver_next(self) -> None:
         recv = self._recv_fn

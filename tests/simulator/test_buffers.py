@@ -168,19 +168,3 @@ class TestVectorAccountingDifferential:
         assert result.accepted
         assert fast.occupancy_of(40, 1) == 1_000
         assert fast.occupancy_of(39, 1) == 0
-
-    def test_vectorized_views(self, config):
-        from repro.simulator.buffers import VectorAccounting, _np
-
-        fast = VectorAccounting(config)
-        fast.charge(0, 1, 9_000)
-        fast.charge(2, 2, 3_000)
-        fast.charge(1, 0, 500)
-        assert fast.accounts_over(3_000) == [(0, 1), (2, 2)]
-        assert fast.accounts_over(100_000) == []
-        if _np is not None:
-            matrix = fast.occupancy_matrix()
-            assert matrix.shape[1] == fast._stride
-            assert int(matrix[0, 1]) == 9_000
-            assert int(matrix[2, 2]) == 3_000
-            assert int(matrix.sum()) == fast.total_bytes

@@ -1,8 +1,12 @@
 """Tests for the egress-port transmit machinery."""
 
+import pytest
+
+from repro.exceptions import SimulationError
 from repro.simulator import SimConfig, Simulator
+from repro.simulator.engine import WheelSimulator
 from repro.simulator.packet import Packet
-from repro.simulator.txport import TxPort
+from repro.simulator.txport import FastTxPort, TxPort
 
 
 def make_port(sim, delivered, sent=None, bandwidth=1e9):
@@ -133,3 +137,26 @@ class TestScheduling:
         port.enqueue(packet, 1)
         assert port.held_packets(1) == [packet]
         assert port.depth(1) == 1
+
+
+class TestFastTxPort:
+    def test_refuses_any_simulator_but_the_stock_wheel(self):
+        class Subclassed(WheelSimulator):
+            pass
+
+        config = SimConfig()
+        for sim in (Simulator(), Subclassed()):
+            with pytest.raises(SimulationError, match="WheelSimulator"):
+                FastTxPort(sim, config, "A", 0, "B", deliver=lambda p: None)
+
+    def test_unbound_port_delivers_through_the_constructor_callback(self):
+        sim = WheelSimulator()
+        delivered = []
+        config = SimConfig(bandwidth_bps=1e9, prop_delay=1e-6)
+        port = FastTxPort(sim, config, "A", 0, "B", deliver=delivered.append)
+        packets = [pkt(size=1000), pkt(size=1000)]
+        for packet in packets:
+            port.enqueue(packet, 1)
+        sim.run()
+        assert delivered == packets
+        assert abs(sim.now - 17e-6) < 1e-12
