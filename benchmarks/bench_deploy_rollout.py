@@ -1,21 +1,34 @@
 """Rollout perf — what a certified fleet-wide deployment costs.
 
-The transitional-safety verifier is the rollout's only pre-RPC cost
-that scales with fabric size (union graph builds + verification + wave
+The transitional-safety verifier is where a rollout's wall time goes
+before the first RPC (one union-graph verification plus ``W+1`` wave
 boundary lints), so this benchmark pins its stage timings next to the
-planner's: a leaf-spine link-down is re-planned incrementally on a
-16-ToR Clos, then the resulting diff is rolled onto a fault-free agent
-fleet and, separately, swept through seeded chaos schedules. The
-fault-free run's stage split (``plan-waves`` / ``certify`` / ``execute``
-/ ``verify-final``) is recorded into ``BENCH_pipeline.json`` as the
-``deploy`` entry.
+planner's: a leaf-spine link-down is re-planned incrementally, then the
+resulting diff is rolled onto a fault-free agent fleet. The fault-free
+run's stage split (``plan-waves`` / ``certify`` / ``execute`` /
+``verify-final``) is recorded into ``BENCH_pipeline.json``:
+
+- ``deploy`` — a 16-ToR Clos (26 switches), plus a sweep through seeded
+  chaos schedules;
+- ``deploy-clos64-linkflap`` — a 64-ToR Clos (100 switches) where the
+  flap touches 2 switches. The small fabric hides what certification
+  costs per switch; this one asserts in-run that the rollout's four
+  fabric-wide lints (three boundaries and the final readback) plus the
+  union-graph work cost less than *three* one-shot lints of the same
+  fabric — i.e. that lints of one rollout share their per-switch stage.
 """
 
 import time
 
 from conftest import format_table
 from repro.core import IncrementalPlanner, UpDownElpProvider, diff_tables
-from repro.deploy import SAFE_OUTCOMES, random_fault_plan, run_rollout
+from repro.deploy import (
+    SAFE_OUTCOMES,
+    random_fault_plan,
+    run_rollout,
+    transition_queue_map,
+)
+from repro.lint import lint_tables
 from repro.topology import ClosParams, TopologyDelta, clos3
 
 #: 4 pods x 4 ToRs = 16 ToRs; 28 switches. Big enough that certify
@@ -28,12 +41,24 @@ CLOS16 = ClosParams(
     hosts_per_tor=1,
 )
 
+#: 8 pods x 8 ToRs = 64 ToRs; 100 switches (the e2e churn fabric).
+CLOS64 = ClosParams(
+    num_pods=8,
+    tors_per_pod=8,
+    leaves_per_pod=4,
+    num_spines=4,
+    hosts_per_tor=1,
+)
+
 FLAP = ("L1", "S1")
 CHAOS_RUNS = 40
+#: Fault-free rollouts (and one-shot lints) timed per entry; the fastest
+#: of each is compared, which is what makes the in-run bound noise-proof.
+REPEATS = 3
 
 
-def build_transition():
-    topo = clos3(CLOS16)
+def build_transition(params=CLOS16):
+    topo = clos3(params)
     planner = IncrementalPlanner(topo, UpDownElpProvider())
     old = {
         switch: table.__class__(
@@ -89,3 +114,50 @@ def test_deploy_rollout_baseline(report, baseline_entry):
         + f"\nchaos outcomes over {CHAOS_RUNS} seeded schedules: "
         + ", ".join(f"{k}: {v}" for k, v in sorted(outcomes.items())),
     )
+
+
+def test_deploy_clos64_linkflap(report, baseline_entry):
+    topo, old, new = build_transition(CLOS64)
+    diffs = diff_tables(old, new)
+    assert len(topo.switches) == 100 and len(diffs) == 2
+
+    def lints_seconds(rollout):
+        return rollout.timings["certify"] + rollout.timings["verify-final"]
+
+    rollouts = [run_rollout(topo, old, new) for _ in range(REPEATS)]
+    for rollout in rollouts:
+        assert rollout.outcome == "converged", rollout.detail
+        assert rollout.final_lint_ok and rollout.final_matches_target
+    clean = min(rollouts, key=lints_seconds)
+
+    queue_map = transition_queue_map(old, new)
+    one_shot = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        assert lint_tables(topo, new, queue_map).ok
+        one_shot.append(time.perf_counter() - start)
+
+    # Two waves: three boundary lints and the final readback lint, all
+    # fabric-wide, must cost less than three cold ones.
+    assert len(clean.waves) == 2
+    assert lints_seconds(clean) < 3 * min(one_shot), (
+        f"certify + verify-final took {lints_seconds(clean) * 1000.0:.1f} ms, "
+        f"three one-shot lints take {3 * min(one_shot) * 1000.0:.1f} ms"
+    )
+
+    baseline_entry(
+        "deploy-clos64-linkflap",
+        clean.timings,
+        switches=len(topo.switches),
+        diff_switches=len(diffs),
+        waves=len(clean.waves),
+        rpcs=clean.rpc_count,
+        states_covered=clean.certificate.states_covered,
+        one_shot_lint_ms=round(min(one_shot) * 1000.0, 2),
+    )
+    rows = [
+        (stage, f"{seconds * 1000.0:.2f}")
+        for stage, seconds in clean.timings.items()
+    ]
+    rows.append(("one-shot lint_tables", f"{min(one_shot) * 1000.0:.2f}"))
+    report("deploy_rollout_clos64", format_table(("stage", "ms"), rows))

@@ -82,8 +82,11 @@ class TaggedGraph:
             raise TaggingError(
                 f"tag-decreasing edge {src} -> {dst} violates monotonicity"
             )
-        self.add_node(src)
-        self.add_node(dst)
+        nodes = self.nodes
+        if src not in nodes:
+            self.add_node(src)
+        if dst not in nodes:
+            self.add_node(dst)
         self._out[src].add(dst)
         self._in[dst].add(src)
 

@@ -41,6 +41,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.pipeline import QueueMap
 from repro.core.rules import MatchKey, RuleDiff, RuleTable, diff_tables, tables_equal
 from repro.deploy.agent import (
     ACK_STALE,
@@ -60,7 +61,7 @@ from repro.deploy.verifier import (
     transition_queue_map,
 )
 from repro.exceptions import DeploymentError
-from repro.lint import lint_tables
+from repro.lint import LintSections, lint_tables
 from repro.obs.events import (
     EV_DEPLOY_BREAKER_CLOSE,
     EV_DEPLOY_BREAKER_OPEN,
@@ -531,13 +532,19 @@ class RolloutOrchestrator:
             s: SwitchOutcome(switch=s) for wave in waves for s in wave
         }
 
+        # One rollout lints the same fabric W+2 times or more; every
+        # lint below shares its per-switch stage through this object.
+        sections = LintSections(self.topo)
         with timer.stage("certify"):
+            queue_map = transition_queue_map(self.old, self.new)
             cert = certify_rollout(
                 self.topo,
                 self.old,
                 self.new,
                 waves,
                 lint_boundaries=self.config.lint_boundaries,
+                sections=sections,
+                queue_map=queue_map,
             )
             if not cert.ok and any(len(w) > 1 for w in waves):
                 singleton = [[s] for wave in waves for s in wave]
@@ -547,6 +554,8 @@ class RolloutOrchestrator:
                     self.new,
                     singleton,
                     lint_boundaries=self.config.lint_boundaries,
+                    sections=sections,
+                    queue_map=queue_map,
                 )
                 if retry.ok:
                     waves, cert = singleton, retry
@@ -560,14 +569,14 @@ class RolloutOrchestrator:
             report.timings = timer.timings()
             report.rpc_count = self.network.rpc_count
             report.retries = self._retries
-            self._publish_outcome(report)
+            self._publish_outcome(report, sections)
             return report
 
         if not waves:
             report.outcome = CONVERGED
             report.detail = "already at target; nothing to deploy"
             report.rpc_count = self.network.rpc_count
-            self._finalize(report, timer)
+            self._finalize(report, timer, sections, queue_map)
             return report
 
         with timer.stage("execute"):
@@ -622,11 +631,17 @@ class RolloutOrchestrator:
             report.outcome = CONVERGED
             report.detail = "every switch acked and readback-verified"
 
-        self._finalize(report, timer)
+        self._finalize(report, timer, sections, queue_map)
         return report
 
     # ------------------------------------------------------------------
-    def _finalize(self, report: RolloutReport, timer: StageTimer) -> None:
+    def _finalize(
+        self,
+        report: RolloutReport,
+        timer: StageTimer,
+        sections: LintSections,
+        queue_map: QueueMap,
+    ) -> None:
         """Ground-truth verification: what do the agents actually hold?"""
         with timer.stage("verify-final"):
             self.network.flush_deferred()
@@ -634,21 +649,20 @@ class RolloutOrchestrator:
             for switch, agent in self.agents.items():
                 if agent.rules:
                     final[switch] = agent.table()
-            queue_map = transition_queue_map(self.old, self.new)
-            lint = lint_tables(self.topo, final, queue_map)
-            report.final_lint_ok = lint.ok
-            expected = (
-                dict(self.old)
-                if report.outcome == ROLLED_BACK
-                else dict(self.new)
+            lint = lint_tables(
+                self.topo, final, queue_map, sections=sections
             )
+            report.final_lint_ok = lint.ok
+            quarantined = set(report.quarantined)
             expected = {
                 s: t
-                for s, t in expected.items()
-                if s not in set(report.quarantined)
+                for s, t in (
+                    self.old if report.outcome == ROLLED_BACK else self.new
+                ).items()
+                if s not in quarantined
             }
             observed = {
-                s: t for s, t in final.items() if s not in set(report.quarantined)
+                s: t for s, t in final.items() if s not in quarantined
             }
             report.final_matches_target = tables_equal(observed, expected)
             if not lint.ok:
@@ -668,9 +682,11 @@ class RolloutOrchestrator:
         report.retries = self._retries
         report.virtual_time = self._clock
         report.timings = timer.timings()
-        self._publish_outcome(report)
+        self._publish_outcome(report, sections)
 
-    def _publish_outcome(self, report: RolloutReport) -> None:
+    def _publish_outcome(
+        self, report: RolloutReport, sections: LintSections
+    ) -> None:
         if self.telemetry is None:
             return
         self._emit(
@@ -686,6 +702,13 @@ class RolloutOrchestrator:
             "Virtual seconds the last rollout consumed.",
         ).set(report.virtual_time)
         observe_timings(self.telemetry.registry, "deploy", report.timings)
+        lint_sections = self.telemetry.registry.counter(
+            "deploy_lint_sections_total",
+            "Per-switch lint sections a rollout built vs reused.",
+            labelnames=("result",),
+        )
+        lint_sections.inc(sections.built, result="built")
+        lint_sections.inc(sections.reused, result="reused")
 
     # ------------------------------------------------------------------
     def final_tables(self) -> Tables:

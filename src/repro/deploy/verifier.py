@@ -25,17 +25,26 @@ The proof leans on one structural fact:
 Hence: if the **union graph** — old edges ∪ new edges across the
 relevant switches — certifies R1/R2, then *every* reachable transitional
 state does, including arbitrary per-key partial batches, reorderings,
-and stragglers. :func:`certify_rollout` checks
+and stragglers. :func:`certify_rollout` checks, in this order,
 
 - the **global union** (old ∪ new everywhere): when safe, any
   old/new/partial mixture whatsoever is safe, which is what lets the
-  orchestrator quarantine an unreachable switch instead of wedging;
-- a **per-wave union** for each wave (prefix new, wave old∪new, suffix
-  old): a finer certificate that can pass when the global union fails,
-  at the price of requiring the wave barriers to be respected;
+  orchestrator quarantine an unreachable switch instead of wedging.
+  Every boundary graph and every per-wave union below is a subgraph of
+  it, so by fact 2 a safe global union settles them all and they are
+  not built;
+- only when the global union fails, a **per-wave union** for each wave
+  (prefix new, wave old∪new, suffix old) and the R1/R2 verdict of every
+  boundary graph: a finer certificate that can pass when the global
+  union fails, at the price of requiring the wave barriers to be
+  respected;
 - every **wave-boundary fleet state** (a concrete, quiescent table set)
   through the full deployment linter — T001–T004 graph certification
-  plus the S/R/B families — reusing :mod:`repro.lint` verbatim.
+  plus the S/R/B families — reusing :mod:`repro.lint` verbatim. By fact
+  1 the linter's per-switch findings depend on one switch's table only,
+  so the ``W+1`` boundaries (and the orchestrator's final ground-truth
+  lint) share one :class:`~repro.lint.LintSections`: a switch is
+  validated and compiled once per distinct rule content per rollout.
 
 The certificate is a value: the orchestrator embeds it in its report,
 and refuses to execute when :attr:`TransitionCertificate.ok` is false.
@@ -47,11 +56,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.pipeline import QueueMap
-from repro.core.rules import RuleTable
+from repro.core.rules import RuleTable, rules_to_tagged_graph
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.core.verification import VerificationReport, verify_tagged_graph
 from repro.exceptions import ReproError
-from repro.lint import lint_tables
+from repro.lint import LintSections, lint_tables
 from repro.topology.base import Topology
 
 Tables = Dict[str, RuleTable]
@@ -95,22 +104,42 @@ def _graph_or_error(
     A tag-decreasing rule makes graph reconstruction raise — that *is*
     an R2 violation, reported as such rather than propagated.
     """
-    from repro.core.rules import rules_to_tagged_graph
-
     try:
         return rules_to_tagged_graph(topo, tables), None
     except ReproError as exc:
         return None, f"R2 violated while rebuilding graph: {exc}"
 
 
+def _merge(into: TaggedGraph, graph: TaggedGraph) -> None:
+    for node in graph.nodes:
+        into.add_node(node)
+    for src, dst in graph.edges():
+        into.add_edge(src, dst)
+
+
 def _union(graphs: Sequence[TaggedGraph]) -> TaggedGraph:
     union = TaggedGraph()
     for graph in graphs:
-        for node in graph.nodes:
-            union.add_node(node)
-        for src, dst in graph.edges():
-            union.add_edge(src, dst)
+        _merge(union, graph)
     return union
+
+
+def _global_union_certifies(topo: Topology, old: Tables, new: Tables) -> bool:
+    """R1/R2 on the old ∪ new graph, at the cost of one graph build plus
+    the transition's delta: a table both plans share contributes the
+    same edges twice, so only ``new`` tables whose rules differ are
+    added on top of the old graph."""
+    changed = {
+        switch: table
+        for switch, table in new.items()
+        if switch not in old or table.rules != old[switch].rules
+    }
+    try:
+        union = rules_to_tagged_graph(topo, old)
+        _merge(union, rules_to_tagged_graph(topo, changed))
+    except ReproError:
+        return False
+    return verify_tagged_graph(union).deadlock_free
 
 
 def _verdict(report: VerificationReport) -> Optional[str]:
@@ -200,28 +229,85 @@ def certify_rollout(
     new: Tables,
     waves: Sequence[Sequence[str]],
     lint_boundaries: bool = True,
+    sections: Optional[LintSections] = None,
+    queue_map: Optional[QueueMap] = None,
 ) -> TransitionCertificate:
     """Certify every state reachable under ``waves`` ordering.
+
+    The global union (old ∪ new everywhere) is verified first: every
+    boundary graph and every per-wave union is a subgraph of it, and
+    R1/R2 are downward closed, so when it certifies they are all safe by
+    implication and none of them is built. Only when it fails does the
+    fine-grained path run: one graph per boundary, one union per wave.
 
     ``lint_boundaries=False`` skips the full linter at quiescent
     boundaries and keeps only the (sound and much faster) union-graph
     R1/R2 certification — the fuzz harness uses it for throughput.
+    ``sections`` and ``queue_map`` (:func:`transition_queue_map` of the
+    two plans) let a caller that lints this transition again share the
+    boundary lints' per-switch stage and skip the map's recomputation;
+    without them the boundaries share among themselves.
     """
     cert = TransitionCertificate(waves=[list(w) for w in waves])
     cert.switches_touched = sum(len(w) for w in waves)
-    queue_map = transition_queue_map(old, new)
 
-    # Wave-boundary quiescent states: graphs always, full lint optionally.
-    boundary_graphs: List[Optional[TaggedGraph]] = []
     updated: Set[str] = set()
     boundaries = [set(updated)]
     for wave in waves:
         updated = updated | set(wave)
         boundaries.append(set(updated))
-    for k, done in enumerate(boundaries):
-        tables = mixed_tables(old, new, done)
-        graph, graph_error = _graph_or_error(topo, tables)
-        boundary_graphs.append(graph)
+
+    if _global_union_certifies(topo, old, new):
+        graph_errors: List[List[str]] = [[] for _ in boundaries]
+        cert.wave_errors = [None] * len(waves)
+    else:
+        graph_errors = _certify_wave_order(topo, old, new, boundaries, cert)
+
+    # Wave-boundary quiescent states through the full linter.
+    if lint_boundaries:
+        if queue_map is None:
+            queue_map = transition_queue_map(old, new)
+        if sections is None:
+            sections = LintSections(topo)
+        for done, errors in zip(boundaries, graph_errors):
+            if not errors:
+                report = lint_tables(
+                    topo,
+                    mixed_tables(old, new, done),
+                    queue_map,
+                    sections=sections,
+                )
+                errors.extend(d.render() for d in report.errors)
+    cert.boundary_errors = graph_errors
+
+    if cert.covers_stragglers:
+        cert.states_covered = 2 ** min(cert.switches_touched, 62)
+    else:
+        cert.states_covered = len(boundaries) + sum(
+            2 ** min(len(wave), 62) - 2 for wave in waves if len(wave) > 1
+        )
+    return cert
+
+
+def _certify_wave_order(
+    topo: Topology,
+    old: Tables,
+    new: Tables,
+    boundaries: Sequence[Set[str]],
+    cert: TransitionCertificate,
+) -> List[List[str]]:
+    """The fine-grained certificate, for a transition whose global union
+    does not certify: R1/R2 on every boundary graph and every per-wave
+    union, and the global union's own verdict for the record. Fills
+    ``cert.wave_errors`` and ``cert.global_error``; returns the
+    per-boundary graph verdicts."""
+    built = [
+        _graph_or_error(topo, mixed_tables(old, new, done))
+        for done in boundaries
+    ]
+    boundary_graphs = [graph for graph, _ in built]
+    boundary_errors: List[List[str]] = []
+    for graph, graph_error in built:
         errors: List[str] = []
         if graph_error is not None:
             errors.append(graph_error)
@@ -229,15 +315,11 @@ def certify_rollout(
             verdict = _verdict(verify_tagged_graph(graph))
             if verdict is not None:
                 errors.append(verdict)
-        if lint_boundaries and not errors:
-            report = lint_tables(topo, tables, queue_map)
-            errors.extend(d.render() for d in report.errors)
-        cert.boundary_errors.append(errors)
-        del k
+        boundary_errors.append(errors)
 
     # Per-wave unions: cover every in-flight subset (and, via per-key
     # subgraph closure, every partial batch) between two boundaries.
-    for k in range(len(waves)):
+    for k in range(len(boundaries) - 1):
         before, after = boundary_graphs[k], boundary_graphs[k + 1]
         if before is None or after is None:
             cert.wave_errors.append(
@@ -251,9 +333,9 @@ def certify_rollout(
             continue
         cert.wave_errors.append(_verdict(verify_tagged_graph(union)))
 
-    # Global union: certifies arbitrary straggler mixes, not just the
-    # wave-ordered prefix states.
-    old_graph, old_error = _graph_or_error(topo, mixed_tables(old, new, set()))
+    # Global union: why arbitrary straggler mixes are not covered.
+    # Boundary 0 is the old fleet.
+    old_graph, old_error = built[0]
     new_graph, new_error = _graph_or_error(
         topo, mixed_tables(old, new, set(old) | set(new))
     )
@@ -266,11 +348,4 @@ def certify_rollout(
             )
         except ReproError as exc:
             cert.global_error = f"R2 violated in global union: {exc}"
-
-    if cert.covers_stragglers:
-        cert.states_covered = 2 ** min(cert.switches_touched, 62)
-    else:
-        cert.states_covered = len(boundaries) + sum(
-            2 ** min(len(wave), 62) - 2 for wave in waves if len(wave) > 1
-        )
-    return cert
+    return boundary_errors

@@ -16,7 +16,13 @@ from repro.lint.diagnostics import (
     Severity,
     make_diagnostic,
 )
-from repro.lint.linter import LintConfig, lint_artifact, lint_plan, lint_tables
+from repro.lint.linter import (
+    LintConfig,
+    LintSections,
+    lint_artifact,
+    lint_plan,
+    lint_tables,
+)
 
 __all__ = [
     "CATALOG",
@@ -25,6 +31,7 @@ __all__ = [
     "Diagnostic",
     "LintConfig",
     "LintReport",
+    "LintSections",
     "Severity",
     "lint_artifact",
     "lint_plan",

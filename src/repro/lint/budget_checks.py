@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Mapping, Optional, Sequence, Set
 
 from repro.core.compression import TcamEntry
 from repro.core.pipeline import QueueMap
@@ -19,7 +19,7 @@ from repro.lint.diagnostics import Diagnostic, make_diagnostic
 
 
 def check_budget(
-    programs: Dict[str, List[TcamEntry]],
+    programs: Mapping[str, Sequence[TcamEntry]],
     tcam_budget: Optional[int],
 ) -> List[Diagnostic]:
     """B301 on every switch's program; no-op when no budget is set."""

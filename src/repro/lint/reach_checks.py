@@ -20,13 +20,13 @@ From the reachable set the linter flags:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.pipeline import QueueMap
 from repro.core.rules import RuleTable
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG
-from repro.exceptions import TopologyError
 from repro.lint.diagnostics import Diagnostic, make_diagnostic
+from repro.lint.graph_checks import RuleSection, rule_sections
 from repro.topology.base import Topology
 
 #: A packet state: (switch, ingress port, carried tag).
@@ -48,82 +48,112 @@ def injection_states(topo: Topology) -> Set[State]:
     return states
 
 
-def explore(
-    topo: Topology, tables: Dict[str, RuleTable]
-) -> Tuple[Set[State], Set[Tuple[str, int, int, int]], Set[int]]:
-    """BFS closure over the rules from the injection points.
+def _closure(
+    topo: Topology, sections: Mapping[str, RuleSection]
+) -> Tuple[Set[State], Set[int]]:
+    """BFS closure over the sections' transitions from the injection
+    points; returns ``(reachable states, live tags)``.
 
-    Returns ``(reachable states, fired rule keys as (switch, tag,
-    in_port, out_port), live tags)``. Live tags include every tag a
-    reachable state carries plus rewrite results applied on delivery
-    hops (the packet occupies an egress queue under the new tag even
-    when the far end is a host).
+    Each state costs one index lookup plus its own continuations — the
+    whole closure is linear in the rules that can fire, not in
+    ``states x rules per switch``.
     """
     reachable: Set[State] = set()
-    fired: Set[Tuple[str, int, int, int]] = set()
     live_tags: Set[int] = set()
     queue = deque(sorted(injection_states(topo)))
     reachable.update(queue)
     while queue:
         switch, in_port, tag = queue.popleft()
         live_tags.add(tag)
-        table = tables.get(switch)
-        if table is None:
+        section = sections.get(switch)
+        if section is None:
             continue
-        for (rule_tag, rule_in, out_port), new_tag in table.rules.items():
-            if rule_tag != tag or rule_in != in_port:
-                continue
-            fired.add((switch, rule_tag, rule_in, out_port))
+        for _, new_tag, far_end in section.transitions.get(
+            (tag, in_port), ()
+        ):
             if new_tag == LOSSY_TAG:
                 continue
             live_tags.add(new_tag)
-            try:
-                peer = topo.peer_on_port(switch, out_port)
-            except TopologyError:  # unknown port: T004's business, not ours
+            if far_end is None:  # host delivery, or T004's unknown port
                 continue
-            if not topo.node(peer).is_switch:
-                continue
-            state = (peer, topo.port_to(peer, switch), new_tag)
+            state = (far_end[0], far_end[1], new_tag)
             if state not in reachable:
                 reachable.add(state)
                 queue.append(state)
+    return reachable, live_tags
+
+
+def explore(
+    topo: Topology, tables: Mapping[str, RuleTable]
+) -> Tuple[Set[State], Set[Tuple[str, int, int, int]], Set[int]]:
+    """Closure over the rules from the injection points.
+
+    Returns ``(reachable states, fired rule keys as (switch, tag,
+    in_port, out_port), live tags)``. A rule fires exactly when its
+    match state is reachable. Live tags include every tag a reachable
+    state carries plus rewrite results applied on delivery hops (the
+    packet occupies an egress queue under the new tag even when the far
+    end is a host).
+    """
+    sections = rule_sections(topo, tables)
+    reachable, live_tags = _closure(topo, sections)
+    fired = {
+        (switch, tag, in_port, out_port)
+        for switch, in_port, tag in reachable
+        if switch in sections
+        for out_port, _, _ in sections[switch].transitions.get(
+            (tag, in_port), ()
+        )
+    }
     return reachable, fired, live_tags
 
 
 def check_reachability(
     topo: Topology,
-    tables: Dict[str, RuleTable],
+    tables: Mapping[str, RuleTable],
     queue_map: Optional[QueueMap] = None,
+    sections: Optional[Mapping[str, RuleSection]] = None,
 ) -> Tuple[List[Diagnostic], Dict[str, int], Set[int]]:
-    """Run the R-family checks; returns (diagnostics, stats, live tags)."""
-    diagnostics: List[Diagnostic] = []
-    reachable, fired, live_tags = explore(topo, tables)
+    """Run the R-family checks; returns (diagnostics, stats, live tags).
 
-    # R201 — rules that can never fire.
+    ``sections`` are the tables' per-switch sections when the caller
+    already holds them (sorted switch order); otherwise built here.
+    """
+    if sections is None:
+        sections = rule_sections(topo, tables)
+    diagnostics: List[Diagnostic] = []
+    reachable, live_tags = _closure(topo, sections)
+
+    # R201 — rules whose match state never occurs.
     dead_rules = 0
-    for switch in sorted(tables):
-        for key in sorted(tables[switch].rules):
-            tag, in_port, out_port = key
-            if (switch, tag, in_port, out_port) not in fired:
-                dead_rules += 1
-                diagnostics.append(
+    for switch, section in sections.items():
+        for state, continuations in section.transitions.items():
+            tag, in_port = state
+            if (switch, in_port, tag) in reachable:
+                continue
+            dead_rules += len(continuations)
+            findings = section.dead_rule_findings.get(state)
+            if findings is None:
+                message = (
+                    f"no packet injected at a host ever arrives on port "
+                    f"{in_port} carrying tag {tag}; the rule is dead TCAM "
+                    "space"
+                )
+                findings = section.dead_rule_findings[state] = tuple(
                     make_diagnostic(
                         "R201",
-                        f"no packet injected at a host ever arrives on "
-                        f"port {in_port} carrying tag {tag}; the rule is "
-                        "dead TCAM space",
+                        message,
                         switch=switch,
                         location=f"({tag},{in_port},{out_port})",
                     )
+                    for out_port, _, _ in continuations
                 )
+            diagnostics.extend(findings)
 
     # R202 — tags nobody can ever carry.
     mentioned: Set[int] = set()
-    for table in tables.values():
-        for (tag, _, _), new_tag in table.rules.items():
-            mentioned.add(tag)
-            if new_tag != LOSSY_TAG:
-                mentioned.add(new_tag)
+    for section in sections.values():
+        mentioned.update(section.tags)
     if queue_map is not None:
         mentioned.update(tag for tag, _ in queue_map.mapping)
     for tag in sorted(mentioned - live_tags):
@@ -140,18 +170,21 @@ def check_reachability(
     # without hosts the delivery points are unknowable from the rules).
     dead_ends = 0
     if topo.hosts:
+        delivers: Dict[str, bool] = {}
         for switch, in_port, tag in sorted(reachable):
-            if any(
-                topo.node(peer).is_host
-                for peer in topo.ports(switch).values()
-            ):
+            if switch not in delivers:
+                delivers[switch] = any(
+                    topo.node(peer).is_host
+                    for peer in topo.ports(switch).values()
+                )
+            if delivers[switch]:
                 continue  # local delivery is possible
-            table = tables.get(switch)
-            has_lossless_exit = table is not None and any(
-                rule_tag == tag
-                and rule_in == in_port
-                and new_tag != LOSSY_TAG
-                for (rule_tag, rule_in, _), new_tag in table.rules.items()
+            section = sections.get(switch)
+            has_lossless_exit = section is not None and any(
+                new_tag != LOSSY_TAG
+                for _, new_tag, _ in section.transitions.get(
+                    (tag, in_port), ()
+                )
             )
             if not has_lossless_exit:
                 dead_ends += 1

@@ -15,11 +15,24 @@ output. It therefore checks the program as the hardware would read it:
   reference rules (plus the implicit demote-by-default);
 - **S105** the final entry must be a catch-all wildcard demote — the
   paper's safeguard rule, "always the last one in the TCAM rule list".
+
+The whole family is per-switch: :func:`program_section` reads one
+program, that switch's reference rules and its port set, nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    AbstractSet,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.compression import TcamEntry, first_match
 from repro.core.rules import RuleTable
@@ -174,7 +187,7 @@ def _check_roundtrip(
     for key in reference:
         checked.add(key)
         observe(key, first_match(program, *key))
-    for entry in program:
+    for index, entry in enumerate(program):
         if entry.tag is None:
             if entry.new_tag != LOSSY_TAG:
                 diagnostics.append(
@@ -184,9 +197,7 @@ def _check_roundtrip(
                         f"(-> {entry.new_tag}) promotes unmatched packets; "
                         "the reference semantics demote them",
                         switch=switch,
-                        location=_entry_location(
-                            list(program).index(entry), entry
-                        ),
+                        location=_entry_location(index, entry),
                     )
                 )
             continue
@@ -210,7 +221,7 @@ def _check_roundtrip(
 def _check_safeguard(
     switch: str,
     program: Sequence[TcamEntry],
-    ports: Set[int],
+    ports: AbstractSet[int],
     diagnostics: List[Diagnostic],
 ) -> None:
     """S105: the last entry must be a catch-all demote over all ports."""
@@ -241,21 +252,54 @@ def _check_safeguard(
         )
 
 
+@dataclass(frozen=True)
+class ProgramSection:
+    """One switch's ordered program and its S101-S105 findings."""
+
+    program: Sequence[TcamEntry]
+    diagnostics: Tuple[Diagnostic, ...]
+
+
+def program_section(
+    switch: str,
+    table: RuleTable,
+    program: Sequence[TcamEntry],
+    ports: AbstractSet[int],
+) -> ProgramSection:
+    """Per-switch stage: check ``program`` as the hardware would read it,
+    against ``table`` (the exact-match reference) and the switch's
+    ``ports``."""
+    diagnostics: List[Diagnostic] = []
+    _check_order(switch, program, diagnostics)
+    _check_roundtrip(switch, table, program, diagnostics)
+    _check_safeguard(switch, program, ports, diagnostics)
+    return ProgramSection(program=program, diagnostics=tuple(diagnostics))
+
+
 def check_tcam(
-    topo_ports: Dict[str, Set[int]],
-    tables: Dict[str, RuleTable],
-    programs: Dict[str, List[TcamEntry]],
+    topo_ports: Mapping[str, AbstractSet[int]],
+    tables: Mapping[str, RuleTable],
+    programs: Mapping[str, Sequence[TcamEntry]],
+    sections: Optional[Mapping[str, ProgramSection]] = None,
 ) -> Tuple[List[Diagnostic], Dict[str, int]]:
-    """Run the S-family checks on every switch's ordered program."""
+    """Run the S-family checks on every switch's ordered program.
+
+    ``sections`` are the programs' per-switch sections when the caller
+    already holds them; otherwise built here.
+    """
     diagnostics: List[Diagnostic] = []
     total_entries = 0
     for switch in sorted(programs):
-        program = programs[switch]
-        total_entries += len(program)
-        _check_order(switch, program, diagnostics)
-        table = tables.get(switch, RuleTable(switch=switch))
-        _check_roundtrip(switch, table, program, diagnostics)
-        _check_safeguard(
-            switch, program, topo_ports.get(switch, set()), diagnostics
+        section = (
+            sections[switch]
+            if sections is not None
+            else program_section(
+                switch,
+                tables.get(switch, RuleTable(switch=switch)),
+                programs[switch],
+                topo_ports.get(switch, frozenset()),
+            )
         )
+        total_entries += len(section.program)
+        diagnostics.extend(section.diagnostics)
     return diagnostics, {"tcam_entries": total_entries}

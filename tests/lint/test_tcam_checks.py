@@ -128,6 +128,22 @@ class TestS104RoundtripMismatch:
         diagnostics, _ = run(rules, program)
         assert "S104" in codes(diagnostics)
 
+    def test_identical_wildcard_promotes_located_separately(self):
+        """``TcamEntry`` compares by value: two equal entries are still
+        two TCAM slots, and each is reported at its own index."""
+        promote = entry(None, PORTS["A"], PORTS["A"], 1)
+        program = [promote, entry(None, PORTS["A"], PORTS["A"], 1)]
+        assert program[0] == program[1]
+        diagnostics, _ = run({}, program + [safeguard_entry(PORTS["A"])])
+        locations = [
+            d.location
+            for d in diagnostics
+            if d.code == "S104" and d.location is not None
+        ]
+        assert len(locations) == 2
+        assert locations[0].startswith("entry#0(")
+        assert locations[1].startswith("entry#1(")
+
 
 class TestS105MissingSafeguard:
     def test_program_without_safeguard(self):

@@ -160,6 +160,11 @@ class TestDeployUnperturbed:
         telemetry = Telemetry()
         assert rollout(None) == rollout(telemetry)
         assert telemetry.bus.count("deploy.rpc") > 0
+        # What the rollout's lints cost: every switch is built once, then
+        # reused by the later boundaries and the final ground-truth lint.
+        sections = telemetry.registry.get("deploy_lint_sections_total")
+        assert sections.value(result="built") >= len(old_tables)
+        assert sections.value(result="reused") >= len(old_tables)
 
 
 class TestFuzzUnperturbed:
