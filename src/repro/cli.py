@@ -20,6 +20,15 @@ Usage (also available as ``python -m repro``)::
 
     # Run the Fig. 10 deadlock demo in the simulator.
     repro-tagger demo fig10
+
+    # Differential fuzz campaign. --workers fans independent scenarios
+    # over a fork pool; fuzz is the only command that takes it, and the
+    # report is identical at every worker count.
+    repro-tagger fuzz --seed 7 --iterations 200 --workers 4
+
+Malformed input — a bad ``--delta``/``--faults``/``--stuck`` spec, a
+plan file that is not an exported plan — fails closed: one ``error:``
+line naming the flag or file and the offending value, exit 1.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
+    from repro.core import PairwiseElpProvider
     from repro.lint import LintReport
     from repro.obs import Telemetry
     from repro.topology import TopologyDelta
@@ -93,23 +103,22 @@ def _strategy(args: argparse.Namespace) -> str:
     return STRATEGY_EXHAUSTIVE
 
 
+def _pairwise_provider(args: argparse.Namespace) -> "PairwiseElpProvider":
+    """The pairwise ELP provider matching the topology family."""
+    from repro.core import ShortestPathElpProvider, UpDownElpProvider
+
+    if args.topology == "clos":
+        return UpDownElpProvider()
+    return ShortestPathElpProvider()
+
+
 def build_plan(args: argparse.Namespace, topo: Topology) -> TaggerPlan:
     if getattr(args, "elp", "clos") == "updown":
         # Pairwise-provider planning: Algorithm 1 over the enumerated
         # ELP, symmetry-accelerated by default (--no-symmetry forces
         # exhaustive enumeration).
-        from repro.core import ShortestPathElpProvider, UpDownElpProvider
-
-        provider = (
-            UpDownElpProvider()
-            if args.topology == "clos"
-            else ShortestPathElpProvider()
-        )
         return TaggerPlan.from_provider(
-            topo,
-            provider,
-            strategy=_strategy(args),
-            workers=getattr(args, "workers", 1),
+            topo, _pairwise_provider(args), strategy=_strategy(args)
         )
     if args.topology == "clos":
         return TaggerPlan.for_clos(topo, max_bounces=args.bounces)
@@ -154,13 +163,41 @@ def plan_to_dict(args: argparse.Namespace, plan: TaggerPlan) -> Dict[str, Any]:
 
 
 def dict_to_tables(blob: Dict[str, Any]) -> Dict[str, RuleTable]:
+    rules_blob = blob.get("rules")
+    if not isinstance(rules_blob, dict):
+        raise ReproError('no "rules" object mapping switches to rule rows')
     tables: Dict[str, RuleTable] = {}
-    for switch, rules in blob["rules"].items():
+    for switch, rules in rules_blob.items():
+        if not isinstance(rules, list):
+            raise ReproError(
+                f"switch {switch!r}: rules must be a list of rows, "
+                f"got {rules!r}"
+            )
         table = RuleTable(switch=switch)
-        for tag, in_port, out_port, new_tag in rules:
+        for row in rules:
+            if (
+                not isinstance(row, list)
+                or len(row) != 4
+                or not all(type(value) is int for value in row)
+            ):
+                raise ReproError(
+                    f"switch {switch!r}: rule row {row!r} is not "
+                    f"[tag, in_port, out_port, new_tag] (four integers)"
+                )
+            tag, in_port, out_port, new_tag = row
             table.rules[(tag, in_port, out_port)] = new_tag
         tables[switch] = table
     return tables
+
+
+def _write_json_report(
+    path: str, blob: Dict[str, Any], telemetry: Optional["Telemetry"]
+) -> None:
+    """Dump ``blob`` as JSON, embedding the telemetry snapshot if any."""
+    if telemetry is not None:
+        blob["telemetry"] = telemetry.snapshot()
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(blob, handle, indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +218,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"verification: {report.summary()}")
     if args.out:
         blob = plan_to_dict(args, plan)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(blob, handle, indent=2, sort_keys=True)
+        _write_json_report(args.out, blob, None)
         print(f"exported rules for {len(blob['rules'])} switches to {args.out}")
     if not report.deadlock_free:
         print("ERROR: plan failed verification", file=sys.stderr)
@@ -195,9 +231,22 @@ def _load_plan_artifacts(
 ) -> Tuple[Dict[str, Any], Topology, Dict[str, RuleTable]]:
     with open(plan_file, "r", encoding="utf-8") as handle:
         blob = json.load(handle)
-    generator = argparse.Namespace(**blob["generator"])
-    topo = build_topology(generator)
-    return blob, topo, dict_to_tables(blob)
+    generator = blob.get("generator") if isinstance(blob, dict) else None
+    if not isinstance(generator, dict):
+        raise ReproError(
+            f'{plan_file}: not an exported plan (no "generator" object '
+            f"describing the topology)"
+        )
+    try:
+        topo = build_topology(argparse.Namespace(**generator))
+        tables = dict_to_tables(blob)
+    except AttributeError as exc:
+        raise ReproError(
+            f'{plan_file}: incomplete "generator": {exc}'
+        ) from exc
+    except ReproError as exc:
+        raise ReproError(f"{plan_file}: {exc}") from exc
+    return blob, topo, tables
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -253,8 +302,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     print(f"fabric: {topo}")
     print(report.render_text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+        _write_json_report(args.json, report.to_dict(), None)
         print(f"machine-readable report written to {args.json}")
     if not report.ok:
         return EXIT_ERROR
@@ -295,11 +343,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
         observe_selfcheck(telemetry, report)
     if args.json:
-        blob = report.to_dict()
-        if telemetry is not None:
-            blob["telemetry"] = telemetry.snapshot()
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(blob, handle, indent=2, sort_keys=True)
+        _write_json_report(args.json, report.to_dict(), telemetry)
         print(f"machine-readable report written to {args.json}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -402,28 +446,17 @@ def cmd_replan(args: argparse.Namespace) -> int:
     """
     import time
 
-    from repro.core import (
-        IncrementalPlanner,
-        ShortestPathElpProvider,
-        UpDownElpProvider,
-        tables_equal,
-    )
+    from repro.core import IncrementalPlanner, tables_equal
 
     topo = build_topology(args)
-    provider = (
-        UpDownElpProvider()
-        if args.topology == "clos"
-        else ShortestPathElpProvider()
-    )
     deltas = [_parse_delta(spec) for spec in (args.delta or [])]
     telemetry = _make_telemetry(args)
     planner = IncrementalPlanner(
         topo,
-        provider,
+        _pairwise_provider(args),
         minimize=args.minimize,
         telemetry=telemetry,
         strategy=_strategy(args),
-        workers=getattr(args, "workers", 1),
     )
     print(f"fabric: {topo}")
     print(f"initial build: {planner.plan.summary()}")
@@ -464,10 +497,7 @@ def cmd_replan(args: argparse.Namespace) -> int:
         blob = plan_to_dict(args, planner.plan)
         blob["deltas"] = [delta.describe() for delta in deltas]
         blob["failed_links"] = sorted(topo.failed_links)
-        if telemetry is not None:
-            blob["telemetry"] = telemetry.snapshot()
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(blob, handle, indent=2, sort_keys=True)
+        _write_json_report(args.out, blob, telemetry)
         print(f"exported rules for {len(blob['rules'])} switches to {args.out}")
     _export_telemetry(args, telemetry)
     return EXIT_OK
@@ -601,11 +631,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     for entry in report.corpus_entries:
         print(f"  shrunk counterexample written: {entry.path}")
     if args.report:
-        blob = report.to_dict()
-        if telemetry is not None:
-            blob["telemetry"] = telemetry.snapshot()
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(blob, handle, indent=2, sort_keys=True)
+        _write_json_report(args.report, report.to_dict(), telemetry)
         print(f"report written to {args.report}")
     _export_telemetry(args, telemetry)
     if args.inject_fault:
@@ -644,30 +670,23 @@ def _parse_stuck_spec(spec: str) -> Tuple[str, int]:
     switch, _, index = spec.partition(":")
     if not switch:
         raise ReproError(f"bad stuck spec {spec!r}; expected SWITCH[:K]")
-    return switch, int(index) if index else 0
+    try:
+        return switch, int(index) if index else 0
+    except ValueError:
+        raise ReproError(
+            f"bad stuck spec {spec!r}; expected SWITCH[:K] with integer K"
+        ) from None
 
 
 def _deploy_transition(
     args: argparse.Namespace,
 ) -> Tuple[Topology, Dict[str, RuleTable], Dict[str, RuleTable]]:
     """Build (topo, old tables, new tables) for the requested deltas."""
-    from repro.core import (
-        IncrementalPlanner,
-        ShortestPathElpProvider,
-        UpDownElpProvider,
-    )
+    from repro.core import IncrementalPlanner
 
     topo = build_topology(args)
-    provider = (
-        UpDownElpProvider()
-        if args.topology == "clos"
-        else ShortestPathElpProvider()
-    )
     planner = IncrementalPlanner(
-        topo,
-        provider,
-        strategy=_strategy(args),
-        workers=getattr(args, "workers", 1),
+        topo, _pairwise_provider(args), strategy=_strategy(args)
     )
     old = dict(planner.plan.tables)
     deltas = [_parse_delta(spec) for spec in (args.delta or [])]
@@ -785,10 +804,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
                 "rollbacks": total_rollbacks,
                 "elapsed_seconds": round(elapsed, 3),
             }
-            if telemetry is not None:
-                chaos_blob["telemetry"] = telemetry.snapshot()
-            with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(chaos_blob, handle, indent=2, sort_keys=True)
+            _write_json_report(args.report, chaos_blob, telemetry)
             print(f"report written to {args.report}")
         _export_telemetry(args, telemetry)
         if unsafe:
@@ -816,11 +832,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
     print(report.describe())
     print(f"  {_format_timings(report.timings)}")
     if args.report:
-        blob = report.to_dict()
-        if telemetry is not None:
-            blob["telemetry"] = telemetry.snapshot()
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(blob, handle, indent=2, sort_keys=True)
+        _write_json_report(args.report, report.to_dict(), telemetry)
         print(f"report written to {args.report}")
     _export_telemetry(args, telemetry)
     return _deploy_exit_code(report.outcome)
@@ -846,15 +858,18 @@ def make_parser() -> argparse.ArgumentParser:
             "forces exhaustive per-pair ELP enumeration — the escape "
             "hatch when the closed form is in doubt",
         )
+
+    def add_topology_args(command: argparse.ArgumentParser) -> None:
         command.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="fan per-tag acyclicity verification out over N "
-            "forked processes (default 1 = serial); the verdict is "
-            "identical at every worker count",
+            "--topology", choices=("clos", "jellyfish"), default="clos"
         )
+        command.add_argument("--pods", type=int, default=2)
+        command.add_argument("--tors", type=int, default=2)
+        command.add_argument("--leaves", type=int, default=2)
+        command.add_argument("--spines", type=int, default=2)
+        command.add_argument("--hosts", type=int, default=4)
+        command.add_argument("--switches", type=int, default=50)
+        command.add_argument("--ports", type=int, default=12)
 
     def add_telemetry_arg(command: argparse.ArgumentParser) -> None:
         command.add_argument(
@@ -867,15 +882,8 @@ def make_parser() -> argparse.ArgumentParser:
         )
 
     plan = sub.add_parser("plan", help="compute and export a Tagger plan")
-    plan.add_argument("--topology", choices=("clos", "jellyfish"), default="clos")
-    plan.add_argument("--pods", type=int, default=2)
-    plan.add_argument("--tors", type=int, default=2)
-    plan.add_argument("--leaves", type=int, default=2)
-    plan.add_argument("--spines", type=int, default=2)
-    plan.add_argument("--hosts", type=int, default=4)
+    add_topology_args(plan)
     plan.add_argument("--bounces", type=int, default=1)
-    plan.add_argument("--switches", type=int, default=50)
-    plan.add_argument("--ports", type=int, default=12)
     plan.add_argument("--extra-paths", type=int, default=0, dest="extra_paths")
     plan.add_argument("--seed", type=int, default=1)
     plan.add_argument(
@@ -969,16 +977,7 @@ def make_parser() -> argparse.ArgumentParser:
         "replan",
         help="incrementally re-plan across topology deltas",
     )
-    replan.add_argument(
-        "--topology", choices=("clos", "jellyfish"), default="clos"
-    )
-    replan.add_argument("--pods", type=int, default=2)
-    replan.add_argument("--tors", type=int, default=2)
-    replan.add_argument("--leaves", type=int, default=2)
-    replan.add_argument("--spines", type=int, default=2)
-    replan.add_argument("--hosts", type=int, default=4)
-    replan.add_argument("--switches", type=int, default=50)
-    replan.add_argument("--ports", type=int, default=12)
+    add_topology_args(replan)
     replan.add_argument("--seed", type=int, default=1)
     replan.add_argument(
         "--minimize",
@@ -1110,16 +1109,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="roll a re-planned transition onto a simulated agent fleet "
         "with injectable management-plane faults",
     )
-    deploy.add_argument(
-        "--topology", choices=("clos", "jellyfish"), default="clos"
-    )
-    deploy.add_argument("--pods", type=int, default=2)
-    deploy.add_argument("--tors", type=int, default=2)
-    deploy.add_argument("--leaves", type=int, default=2)
-    deploy.add_argument("--spines", type=int, default=2)
-    deploy.add_argument("--hosts", type=int, default=4)
-    deploy.add_argument("--switches", type=int, default=50)
-    deploy.add_argument("--ports", type=int, default=12)
+    add_topology_args(deploy)
     deploy.add_argument("--seed", type=int, default=7)
     deploy.add_argument(
         "--delta",

@@ -71,7 +71,6 @@ from repro.core.rules import (
     rules_to_tagged_graph,
     tables_equal,
 )
-from repro.core.parallel import find_first_tag_cycle
 from repro.core.symmetry import (
     STRATEGIES,
     STRATEGY_EXHAUSTIVE,
@@ -163,7 +162,6 @@ __all__ = [
     "VerificationReport",
     "assert_deadlock_free",
     "verify_tagged_graph",
-    "find_first_tag_cycle",
     "STRATEGIES",
     "STRATEGY_EXHAUSTIVE",
     "STRATEGY_SYMMETRY",

@@ -102,8 +102,6 @@ class TaggerPlan:
         max_lossless_queues: int = 8,
         on_conflict: str = "max",
         timer: Optional[StageTimer] = None,
-        workers: int = 1,
-        seed: int = 0,
     ) -> "TaggerPlan":
         """Generic construction: Algorithm 1, then tag minimization.
 
@@ -117,11 +115,6 @@ class TaggerPlan:
                 given, records wall-clock per pipeline stage
                 (``bruteforce``, ``minimize``, ``verify``, ``queue-map``)
                 for the perf baselines in ``BENCH_pipeline.json``.
-            workers: Fan the verify stage's per-tag acyclicity checks
-                out over this many forked processes (> 1); the plan is
-                identical at every worker count
-                (:mod:`repro.core.parallel`).
-            seed: Shuffles parallel dispatch order only; result-neutral.
 
         Raises :class:`~repro.exceptions.CapacityError` if the resulting
         tag count exceeds ``max_lossless_queues`` — the paper's practical
@@ -140,8 +133,6 @@ class TaggerPlan:
             max_lossless_queues=max_lossless_queues,
             on_conflict=on_conflict,
             timer=timer,
-            workers=workers,
-            seed=seed,
         )
 
     @staticmethod
@@ -152,8 +143,6 @@ class TaggerPlan:
         max_lossless_queues: int,
         on_conflict: str,
         timer: StageTimer,
-        workers: int = 1,
-        seed: int = 0,
         meta: Optional[Dict[str, Any]] = None,
     ) -> "TaggerPlan":
         """Minimize + verify + queue-map a brute-force tagged graph.
@@ -169,13 +158,13 @@ class TaggerPlan:
             tables = result.tables
             graph = result.graph
             with timer.stage("verify"):
-                assert_deadlock_free(graph, workers=workers, seed=seed)
+                assert_deadlock_free(graph)
         else:
             with timer.stage("minimize"):
                 if minimize == "paper":
                     graph = greedy_minimize(graph)
             with timer.stage("verify"):
-                assert_deadlock_free(graph, workers=workers, seed=seed)
+                assert_deadlock_free(graph)
                 rule_report = rules_from_tagged_graph(
                     topo, graph, on_conflict=on_conflict
                 )
@@ -184,9 +173,7 @@ class TaggerPlan:
                     # Conflict resolution changed semantics; re-verify
                     # what the rules actually deploy.
                     effective = rules_to_tagged_graph(topo, tables)
-                    assert_deadlock_free(
-                        effective, workers=workers, seed=seed
-                    )
+                    assert_deadlock_free(effective)
                     graph = effective
         with timer.stage("queue-map"):
             queue_map = QueueMap.identity(graph.max_tag, max_lossless_queues)
@@ -210,8 +197,6 @@ class TaggerPlan:
         extra_paths: Sequence[Sequence[str]] = (),
         timer: Optional[StageTimer] = None,
         strategy: str = STRATEGY_SYMMETRY,
-        workers: int = 1,
-        seed: int = 0,
     ) -> "TaggerPlan":
         """From-scratch plan via a pairwise ELP provider (+ pinned extras).
 
@@ -232,8 +217,6 @@ class TaggerPlan:
                 non-up-down provider — it degrades to ``"exhaustive"``,
                 which streams the provider's paths lazily into
                 Algorithm 1. Both paths compile byte-identical plans.
-            workers: Verify-stage fan-out (see :meth:`from_elp`).
-            seed: Parallel dispatch shuffle; result-neutral.
         """
         check_strategy(strategy)
         if timer is None:
@@ -275,8 +258,6 @@ class TaggerPlan:
                 max_lossless_queues=max_lossless_queues,
                 on_conflict=on_conflict,
                 timer=timer,
-                workers=workers,
-                seed=seed,
                 meta=meta,
             )
         # Exhaustive enumeration (explicit, or symmetry degraded):
@@ -305,8 +286,6 @@ class TaggerPlan:
             max_lossless_queues=max_lossless_queues,
             on_conflict=on_conflict,
             timer=timer,
-            workers=workers,
-            seed=seed,
             meta=meta,
         )
 

@@ -275,8 +275,6 @@ class IncrementalPlanner:
         extra_paths: Tuple[Path, ...] = (),
         telemetry: Optional[Telemetry] = None,
         strategy: str = STRATEGY_SYMMETRY,
-        workers: int = 1,
-        seed: int = 0,
     ) -> None:
         if minimize not in ("deterministic", "paper", "off"):
             raise TaggingError(f"unknown minimize mode {minimize!r}")
@@ -290,10 +288,6 @@ class IncrementalPlanner:
         #: Enumeration strategy; part of the memo key, so memoized plans
         #: are never served across strategies.
         self.strategy = strategy
-        #: Verify-stage fan-out + dispatch seed (result-neutral; see
-        #: :mod:`repro.core.parallel`).
-        self.workers = workers
-        self.seed = seed
         #: Closed-form pair enumeration certificate; non-None only under
         #: the symmetry strategy while the topology stays a healthy
         #: symmetric Clos.
@@ -710,9 +704,7 @@ class IncrementalPlanner:
                     else graph
                 )
         with timer.stage("verify"):
-            assert_deadlock_free(
-                final_graph, workers=self.workers, seed=self.seed
-            )
+            assert_deadlock_free(final_graph)
             if self.minimize != "deterministic":
                 rule_report = rules_from_tagged_graph(
                     self.topo, final_graph, on_conflict=self.on_conflict
@@ -720,9 +712,7 @@ class IncrementalPlanner:
                 tables = rule_report.tables
                 if rule_report.conflicts:
                     effective = rules_to_tagged_graph(self.topo, tables)
-                    assert_deadlock_free(
-                        effective, workers=self.workers, seed=self.seed
-                    )
+                    assert_deadlock_free(effective)
                     final_graph = effective
         with timer.stage("queue-map"):
             queue_map = QueueMap.identity(

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.parallel import find_first_tag_cycle
 from repro.core.tags import TaggedGraph, TEdge, TNode
 from repro.exceptions import VerificationError
 
@@ -55,16 +54,11 @@ class VerificationReport:
         )
 
 
-def verify_tagged_graph(
-    graph: TaggedGraph, workers: int = 1, seed: int = 0
-) -> VerificationReport:
+def verify_tagged_graph(graph: TaggedGraph) -> VerificationReport:
     """Check requirements R1 and R2; never raises on violation.
 
-    Args:
-        workers: Per-tag acyclicity checks fan out over this many
-            forked processes when > 1 (see :mod:`repro.core.parallel`);
-            the verdict is identical at every worker count.
-        seed: Shuffles the parallel dispatch order only; result-neutral.
+    The R1 witness, when there is one, comes from the lowest violating
+    tag (tags are scanned in ascending order).
     """
     decreasing: Optional[TEdge] = None
     cross = 0
@@ -77,12 +71,14 @@ def verify_tagged_graph(
 
     nodes_per_tag: Dict[int, int] = {}
     intra_per_tag: Dict[int, int] = {}
+    tag_cycle: Optional[List[TNode]] = None
     for tag in graph.tags():
         nodes_per_tag[tag] = len(graph.nodes_with_tag(tag))
         intra_per_tag[tag] = len(graph.tag_subgraph_edges(tag))
-    tag_cycle: Optional[List[TNode]] = find_first_tag_cycle(
-        graph, workers=workers, seed=seed
-    )
+    for tag in graph.tags():
+        tag_cycle = graph.find_tag_cycle(tag)
+        if tag_cycle is not None:
+            break
 
     return VerificationReport(
         deadlock_free=decreasing is None and tag_cycle is None,
@@ -95,11 +91,9 @@ def verify_tagged_graph(
     )
 
 
-def assert_deadlock_free(
-    graph: TaggedGraph, workers: int = 1, seed: int = 0
-) -> VerificationReport:
+def assert_deadlock_free(graph: TaggedGraph) -> VerificationReport:
     """Verify and raise :class:`VerificationError` with diagnostics on failure."""
-    report = verify_tagged_graph(graph, workers=workers, seed=seed)
+    report = verify_tagged_graph(graph)
     if report.decreasing_edge is not None:
         src, dst = report.decreasing_edge
         raise VerificationError(

@@ -27,6 +27,7 @@ from repro.detect.coordinator import RecoveryCoordinator
 from repro.exceptions import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fuzz.oracle import Trigger
     from repro.fuzz.scenarios import Scenario
     from repro.simulator.detection import DetectorConfig
 
@@ -152,7 +153,7 @@ def run_cell(
 ) -> CellResult:
     """Run one fabric with detector + sampler and collect the facts."""
     from repro.detect.rollback import RolloutDriver
-    from repro.fuzz.oracle import _drive
+    from repro.fuzz.oracle import drive_trigger
     from repro.routing.shortest import shortest_path_tables
     from repro.simulator.deadlock import OracleSampler
     from repro.simulator.detection import DeadlockDetector, DetectorConfig
@@ -195,7 +196,7 @@ def run_cell(
 
         detector.on_confirm = _observe_confirm
     detector.install()
-    _drive(net, legs, duration)
+    drive_trigger(net, legs, duration)
 
     result.oracle_deadlocked = sampler.deadlock_seen
     result.oracle_first_cycle_time = sampler.first_cycle_time
@@ -223,34 +224,30 @@ def detection_matrix(
     oracle_period: float = 0.005,
     max_pairs: int = 8,
     seed: int = 0,
+    triggers: Optional[List["Trigger"]] = None,
 ) -> MatrixOutcome:
     """Run the full head-to-head matrix for one fuzz scenario.
 
-    Candidate CBD pairs are tried through the ``detect`` cell until one
-    actually deadlocks (matching the dynamic oracle's search); the
-    Tagger cells then replay that trigger. The ``transient`` cell
-    always runs when any viable pair exists.
+    The viable triggers (the dynamic oracle's search,
+    :func:`repro.fuzz.oracle.viable_triggers`, handed in through
+    ``triggers`` when the caller already ran it) are tried through the
+    ``detect`` cell until one actually deadlocks; the Tagger cells then
+    replay that trigger. The ``transient`` cell always runs when any
+    viable pair exists.
     """
-    from repro.fuzz.oracle import _host_endpoints, _plan_for, find_cbd_pairs
+    from repro.fuzz.oracle import plan_for, viable_triggers
     from repro.simulator.detection import DetectorConfig
 
     config = detector_config or DetectorConfig()
     topo = scenario.build_topology()
     elp = scenario.build_elp(topo)
-    pairs = find_cbd_pairs(topo, list(elp.paths), max_pairs=max_pairs)
-    if not pairs:
-        return MatrixOutcome(
-            ran=False, reason="no CBD-forming path pair in ELP"
+    if triggers is None:
+        triggers, skip_reason = viable_triggers(
+            topo, elp.paths, max_pairs=max_pairs
         )
-    viable = []
-    for pair in pairs:
-        legs = [_host_endpoints(topo, path) for path in pair]
-        if all(leg is not None for leg in legs):
-            viable.append(legs)
-    if not viable:
-        return MatrixOutcome(
-            ran=False, reason="no CBD pair with hosts at both endpoints"
-        )
+        if not triggers:
+            return MatrixOutcome(ran=False, reason=skip_reason)
+    viable = [legs for _pair, legs in triggers]
 
     outcome = MatrixOutcome(
         ran=True,
@@ -295,7 +292,7 @@ def detection_matrix(
 
     if trigger_legs is not None:
         try:
-            plan = _plan_for(scenario, topo, elp)
+            plan = plan_for(scenario, topo, elp)
         except ReproError as exc:
             outcome.reason = f"no plan for scenario: {exc}"
             return outcome

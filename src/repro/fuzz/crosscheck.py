@@ -87,6 +87,30 @@ from repro.lint import DeploymentArtifact, lint_artifact
 from repro.routing.base import count_bounces
 from repro.topology.failures import TopologyDelta
 
+#: Names of the static invariants :func:`cross_check` evaluates (the
+#: table in the module docstring); every :class:`Violation` it records
+#: carries one of them, and the harness counts ``len()`` of this tuple
+#: as the checks evaluated per scenario.
+STATIC_INVARIANTS: Tuple[str, ...] = (
+    "bruteforce-unsafe",
+    "greedy-unsafe",
+    "greedy-dominance",
+    "greedy-coverage",
+    "deterministic-unsafe",
+    "deterministic-dominance",
+    "deterministic-coverage",
+    "rules-inconsistent",
+    "rules-unsafe",
+    "rules-coverage",
+    "clos-unsafe",
+    "clos-tag-count",
+    "clos-coverage",
+    "lint-dirty",
+    "incremental-divergence",
+    "symmetry-divergence",
+    "deployment-divergence",
+)
+
 
 @dataclass(frozen=True)
 class Violation:

@@ -20,18 +20,19 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.fuzz.corpus import CorpusEntry, save_entry
-from repro.fuzz.crosscheck import cross_check
+from repro.fuzz.crosscheck import STATIC_INVARIANTS, cross_check
 from repro.fuzz.faults import check_fault_name
 from repro.fuzz.oracle import (
     OracleOutcome,
-    _host_endpoints,
-    find_cbd_pairs,
+    Trigger,
     run_oracle,
+    viable_triggers,
 )
 from repro.fuzz.scenarios import Scenario, ScenarioGenerator
 from repro.fuzz.shrink import shrink_scenario
 from repro.obs.events import EV_FUZZ_SCENARIO, EV_FUZZ_VIOLATION
 from repro.obs.telemetry import Telemetry
+from repro.simulator.sweep import run_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.detect.matrix import MatrixOutcome
@@ -58,7 +59,7 @@ class FuzzConfig:
     iterations: int = 50
     #: Max scenarios replayed through the simulator (0 disables the stage).
     oracle_budget: int = 3
-    #: Wall-clock cap in seconds (None = unlimited); checked per iteration.
+    #: Wall-clock cap in seconds (None = unlimited); checked per chunk.
     time_budget: Optional[float] = None
     shrink: bool = True
     #: Artificial bug injected into every iteration (harness self-test).
@@ -72,11 +73,11 @@ class FuzzConfig:
     #: (Tagger-on vs detection-only vs both; 0 disables the stage).
     detect_budget: int = 0
     detect_duration: float = 0.3
-    #: Worker processes for the scenario sweep (1 = the serial loop).
+    #: Worker processes the scenario sweep fans out over (1 = inline).
     #: Any count produces the identical report (modulo
     #: ``elapsed_seconds``); with more than one worker the wall-clock
     #: time budget is enforced at chunk boundaries rather than per
-    #: iteration.
+    #: scenario.
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -188,8 +189,64 @@ class FuzzReport:
         )
 
 
-#: Static invariants evaluated per scenario (for the checks counter).
-_CHECKS_PER_SCENARIO = 17
+#: Static-phase task: (scenario, injected fault, search for triggers?).
+_StaticTask = Tuple[Scenario, Optional[str], bool]
+#: Dynamic-phase task: ("oracle" | "detect", scenario, config, triggers).
+_DynamicTask = Tuple[str, Scenario, FuzzConfig, List[Trigger]]
+
+
+def _static_worker(task: _StaticTask) -> Dict[str, Any]:
+    """Static-phase sweep worker: cross-check plus the viable triggers.
+
+    Module-level (fork-pool discipline); returns a compact picklable
+    dict. A ``ReproError`` is a harness error reported with its own
+    text; any other exception reaches the fold as the sweep's
+    structured worker-error. The trigger search runs only when a
+    dynamic stage still has budget (``want_triggers``) and the scenario
+    passed the static checks.
+    """
+    scenario, fault, want_triggers = task
+    try:
+        result = cross_check(scenario, fault=fault)
+    except ReproError as exc:
+        return {"error": str(exc)}
+    triggers: List[Trigger] = []
+    if want_triggers and result.ok:
+        topo = scenario.build_topology()
+        elp = scenario.build_elp(topo)
+        triggers, _ = viable_triggers(topo, elp.paths)
+    return {
+        "error": None,
+        "ok": result.ok,
+        "invariants": result.invariants_violated(),
+        "details": [str(v) for v in result.violations],
+        "triggers": triggers,
+    }
+
+
+def _dynamic_worker(task: _DynamicTask) -> Any:
+    """Dynamic-phase sweep worker: one oracle or detection-matrix replay.
+
+    The matrix's ``ReproError`` is a harness error reported with its
+    own text (returned as a dict); every other exception reaches the
+    fold as the sweep's structured worker-error.
+    """
+    kind, scenario, config, triggers = task
+    if kind == "oracle":
+        return run_oracle(
+            scenario, duration=config.oracle_duration, triggers=triggers
+        )
+    from repro.detect.matrix import detection_matrix
+
+    try:
+        return detection_matrix(
+            scenario,
+            duration=config.detect_duration,
+            seed=config.seed,
+            triggers=triggers,
+        )
+    except ReproError as exc:
+        return {"harness_error": str(exc)}
 
 
 def run_fuzz(
@@ -197,55 +254,146 @@ def run_fuzz(
 ) -> FuzzReport:
     """Run the full differential fuzzing loop.
 
-    With ``config.workers > 1`` the scenario sweep fans out over a
-    forked pool (:mod:`repro.simulator.sweep`); the report is identical
-    to the serial run's, modulo ``elapsed_seconds``.
+    One chunked loop serves every worker count. Each chunk runs:
+
+    1. **static phase** — the cross-check (plus the trigger search) of
+       every scenario in the chunk, through
+       :func:`repro.simulator.sweep.run_sweep`;
+    2. **assignment** — one pass over the static results, in scenario
+       order, that spends the oracle / detection budgets: a scenario
+       that passed the static checks takes a stage's budget when its
+       viable-trigger list is non-empty and counts as a skip otherwise;
+    3. **dynamic phase** — the assigned simulator replays, through
+       ``run_sweep`` again;
+    4. **fold** — one pass in scenario order that owns *every* report
+       mutation.
+
+    Because the fold owns all mutations and runs in scenario order, the
+    report does not depend on ``config.workers`` (modulo
+    ``elapsed_seconds``); ``tests/fuzz/test_parallel.py`` pins this. At
+    ``workers=1`` the sweep runs inline and a chunk is one scenario, so
+    the time budget is checked before every scenario; with more workers
+    a chunk is ``4 * workers`` scenarios and the budget is checked at
+    chunk boundaries. An exception escaping a worker is recorded as a
+    ``harness-error`` violation at every worker count.
     """
-    if config.workers > 1:
-        return _run_fuzz_parallel(config, telemetry)
     started = time.monotonic()
     report = FuzzReport(config=config, telemetry=telemetry)
     generator = ScenarioGenerator(config.seed)
-    oracle_left = config.oracle_budget
-    detect_left = config.detect_budget
+    budget_left = {
+        "oracle": config.oracle_budget,
+        "detect": config.detect_budget,
+    }
+    chunk_size = 1 if config.workers <= 1 else 4 * config.workers
+    produced = 0
 
-    for iteration in range(config.iterations):
-        elapsed = time.monotonic() - started
-        if config.time_budget is not None and elapsed > config.time_budget:
+    while produced < config.iterations:
+        if (
+            config.time_budget is not None
+            and time.monotonic() - started > config.time_budget
+        ):
             break
-        scenario = next(generator)
-        _note_scenario(report, scenario, elapsed)
+        count = min(chunk_size, config.iterations - produced)
+        scenarios = [next(generator) for _ in range(count)]
+        want_triggers = any(left > 0 for left in budget_left.values())
+        static_results = run_sweep(
+            _static_worker,
+            [(s, config.inject_fault, want_triggers) for s in scenarios],
+            workers=config.workers,
+            seed=config.seed + produced,
+        )
 
-        try:
-            result = cross_check(scenario, fault=config.inject_fault)
-        except ReproError as exc:
-            report.note_violation(
-                scenario.scenario_id, "harness-error", str(exc), now=elapsed
+        # Assignment pass: the only place the budgets are spent. A key
+        # in ``slot`` means the stage had budget when the scenario came
+        # up; its value is the replay's task index, or None for a skip.
+        dynamic_tasks: List[_DynamicTask] = []
+        slot: Dict[Tuple[str, int], Optional[int]] = {}
+        for i, static in enumerate(static_results):
+            if not (
+                static.ok
+                and static.value["error"] is None
+                and static.value["ok"]
+            ):
+                continue  # a statically broken scenario feeds no replay
+            triggers = static.value["triggers"]
+            for kind in ("oracle", "detect"):
+                if budget_left[kind] <= 0:
+                    continue
+                if not triggers:
+                    slot[(kind, i)] = None
+                    continue
+                budget_left[kind] -= 1
+                slot[(kind, i)] = len(dynamic_tasks)
+                dynamic_tasks.append((kind, scenarios[i], config, triggers))
+        dynamic_results = run_sweep(
+            _dynamic_worker,
+            dynamic_tasks,
+            workers=config.workers,
+            seed=config.seed + produced,
+        )
+
+        # Fold: one pass in scenario order owns every report mutation.
+        for i, scenario in enumerate(scenarios):
+            iteration = produced + i
+            elapsed = time.monotonic() - started
+            _note_scenario(report, scenario, elapsed)
+            static = static_results[i]
+            error = (
+                static.value["error"]
+                if static.ok
+                else f"{static.error_kind}: {static.error}"
             )
-            continue
-        report.invariant_checks += _CHECKS_PER_SCENARIO
-        if not result.ok:
-            _record_failure(report, scenario, result.invariants_violated(),
-                            [str(v) for v in result.violations], iteration,
-                            now=elapsed)
-            continue  # don't feed a statically-broken scenario to the oracle
-
-        if oracle_left > 0:
-            outcome = run_oracle(scenario, duration=config.oracle_duration)
-            if not outcome.ran:
-                report.oracle_skips += 1
-                if outcome.control_deadlocked:
-                    report.oracle_control_deadlocks += 1
-            else:
-                oracle_left -= 1
-                _apply_oracle_outcome(
-                    report, scenario, outcome, iteration, now=elapsed
+            if error is not None:
+                report.note_violation(
+                    scenario.scenario_id, "harness-error", error, now=elapsed
                 )
+                continue
+            report.invariant_checks += len(STATIC_INVARIANTS)
+            if not static.value["ok"]:
+                _record_failure(
+                    report,
+                    scenario,
+                    static.value["invariants"],
+                    static.value["details"],
+                    iteration,
+                    now=elapsed,
+                )
+                continue
 
-        if detect_left > 0:
-            detect_left -= _run_detect_stage(
-                report, scenario, now=elapsed
-            )
+            for kind in ("oracle", "detect"):
+                if (kind, i) not in slot:
+                    continue  # the stage's budget is spent
+                index = slot[(kind, i)]
+                if index is None:
+                    if kind == "oracle":
+                        report.oracle_skips += 1
+                    else:
+                        report.detect_skips += 1
+                    continue
+                res = dynamic_results[index]
+                if not res.ok:
+                    report.note_violation(
+                        scenario.scenario_id,
+                        "harness-error",
+                        f"{kind} {res.error_kind}: {res.error}",
+                        now=elapsed,
+                    )
+                elif isinstance(res.value, dict):
+                    report.note_violation(
+                        scenario.scenario_id,
+                        "harness-error",
+                        res.value["harness_error"],
+                        now=elapsed,
+                    )
+                elif kind == "oracle":
+                    _apply_oracle_outcome(
+                        report, scenario, res.value, iteration, now=elapsed
+                    )
+                else:
+                    _apply_matrix_outcome(
+                        report, scenario, res.value, now=elapsed
+                    )
+        produced += count
 
     return _finalize_report(report, telemetry, started)
 
@@ -295,11 +443,7 @@ def _apply_oracle_outcome(
     iteration: int,
     now: float = 0.0,
 ) -> None:
-    """Fold one *ran* oracle outcome into the report.
-
-    Shared verbatim by the serial loop and the parallel fold so the two
-    paths cannot drift.
-    """
+    """Fold one oracle outcome into the report."""
     config = report.config
     report.oracle_runs += 1
     if outcome.control_deadlocked:
@@ -331,10 +475,13 @@ def _apply_oracle_outcome(
         )
 
 
-def _run_detect_stage(
-    report: FuzzReport, scenario: Scenario, now: float = 0.0
-) -> int:
-    """Run one scenario through the detection matrix; returns budget used.
+def _apply_matrix_outcome(
+    report: FuzzReport,
+    scenario: Scenario,
+    outcome: "MatrixOutcome",
+    now: float = 0.0,
+) -> None:
+    """Fold one detection-matrix outcome into the report.
 
     Evaluates the two dynamic detection invariants:
 
@@ -344,39 +491,8 @@ def _run_detect_stage(
       truth stayed cycle-free (including the dedicated
       transient-congestion cell).
     """
-    from repro.detect.matrix import detection_matrix
-
-    config = report.config
-    try:
-        outcome = detection_matrix(
-            scenario,
-            duration=config.detect_duration,
-            seed=config.seed,
-        )
-    except ReproError as exc:
-        report.note_violation(
-            scenario.scenario_id, "harness-error", str(exc), now=now
-        )
-        return 1
-    return _apply_matrix_outcome(report, scenario, outcome, now=now)
-
-
-def _apply_matrix_outcome(
-    report: FuzzReport,
-    scenario: Scenario,
-    outcome: "MatrixOutcome",
-    now: float = 0.0,
-) -> int:
-    """Fold one detection-matrix outcome into the report; budget used.
-
-    Shared verbatim by the serial loop and the parallel fold so the two
-    paths cannot drift.
-    """
     from repro.detect.matrix import false_positive_cells
 
-    if not outcome.ran:
-        report.detect_skips += 1
-        return 0
     report.detect_runs += 1
     report.invariant_checks += 2
     summary = outcome.to_dict()
@@ -424,244 +540,6 @@ def _apply_matrix_outcome(
                 f"ground-truth cycle",
                 now=now,
             )
-    return 1
-
-
-# ---------------------------------------------------------------------------
-# Parallel sweep path (config.workers > 1)
-# ---------------------------------------------------------------------------
-
-
-def _scenario_eligible(scenario: Scenario) -> bool:
-    """Would the dynamic stages actually run this scenario?
-
-    Transcribes the shared skip conditions of :func:`run_oracle` and
-    ``detection_matrix`` — a purely static predicate (no simulation):
-    the ELP must contain a CBD-forming path pair, and at least one such
-    pair must have hosts at both endpoints. Static predictability is
-    what lets the parallel planner replicate the serial loop's budget
-    arithmetic without running any simulator first.
-    """
-    topo = scenario.build_topology()
-    elp = scenario.build_elp(topo)
-    for pair in find_cbd_pairs(topo, list(elp.paths)):
-        if all(_host_endpoints(topo, path) is not None for path in pair):
-            return True
-    return False
-
-
-def _static_worker(
-    task: Tuple[Scenario, Optional[str], bool]
-) -> Dict[str, Any]:
-    """Phase-A sweep worker: cross-check plus dynamic-stage eligibility.
-
-    Module-level (fork-pool discipline); returns a compact picklable
-    dict. ``ReproError`` is caught here so the fold can replay the
-    serial loop's harness-error text byte for byte.
-    """
-    scenario, fault, need_eligibility = task
-    try:
-        result = cross_check(scenario, fault=fault)
-    except ReproError as exc:
-        return {"error": str(exc)}
-    out: Dict[str, Any] = {
-        "error": None,
-        "ok": result.ok,
-        "invariants": result.invariants_violated(),
-        "details": [str(v) for v in result.violations],
-        "eligible": False,
-    }
-    if need_eligibility and result.ok:
-        out["eligible"] = _scenario_eligible(scenario)
-    return out
-
-
-def _dynamic_worker(task: Tuple[str, Scenario, FuzzConfig]) -> Any:
-    """Phase-B sweep worker: one oracle or detection-matrix replay.
-
-    Mirrors the serial loop's exception asymmetry: ``run_oracle``
-    exceptions propagate (structured worker-error), while the matrix's
-    ``ReproError`` is caught and consumed as a harness error.
-    """
-    kind, scenario, config = task
-    if kind == "oracle":
-        return run_oracle(scenario, duration=config.oracle_duration)
-    from repro.detect.matrix import detection_matrix
-
-    try:
-        return detection_matrix(
-            scenario, duration=config.detect_duration, seed=config.seed
-        )
-    except ReproError as exc:
-        return {"harness_error": str(exc)}
-
-
-def _run_fuzz_parallel(
-    config: FuzzConfig, telemetry: Optional[Telemetry]
-) -> FuzzReport:
-    """Chunked parallel sweep with a serial fold.
-
-    Each chunk runs three steps:
-
-    1. **Phase A** — fan the static cross-check (plus the eligibility
-       predicate) over the worker pool;
-    2. **assignment** — replay the serial loop's budget arithmetic over
-       the phase-A results, in scenario order, without touching the
-       report, to decide which scenarios the oracle / detection stages
-       would have run;
-    3. **Phase B + fold** — fan the planned simulator replays out, then
-       apply *every* report mutation in one serial pass in scenario
-       order.
-
-    Because the fold owns all mutations and runs in scenario order, the
-    report matches the ``workers=1`` run field for field (modulo
-    ``elapsed_seconds``); ``tests/fuzz/test_parallel.py`` pins this.
-    The wall-clock time budget is enforced at chunk boundaries.
-    """
-    from repro.simulator.sweep import run_sweep
-
-    started = time.monotonic()
-    report = FuzzReport(config=config, telemetry=telemetry)
-    generator = ScenarioGenerator(config.seed)
-    oracle_left = config.oracle_budget
-    detect_left = config.detect_budget
-    chunk_size = max(1, config.workers) * 4
-    produced = 0
-
-    while produced < config.iterations:
-        if (
-            config.time_budget is not None
-            and time.monotonic() - started > config.time_budget
-        ):
-            break
-        count = min(chunk_size, config.iterations - produced)
-        scenarios = [next(generator) for _ in range(count)]
-        need_eligibility = oracle_left > 0 or detect_left > 0
-        static_results = run_sweep(
-            _static_worker,
-            [(s, config.inject_fault, need_eligibility) for s in scenarios],
-            workers=config.workers,
-            seed=config.seed + produced,
-        )
-
-        # Assignment pass: pure budget arithmetic, no report mutation.
-        oracle_plan = [False] * count
-        detect_plan = [False] * count
-        o_left, d_left = oracle_left, detect_left
-        for i, static in enumerate(static_results):
-            if not static.ok:
-                continue  # worker crash/error: no dynamic stage
-            info = static.value
-            if info["error"] is not None or not info["ok"]:
-                continue
-            if o_left > 0 and info["eligible"]:
-                o_left -= 1
-                oracle_plan[i] = True
-            if d_left > 0 and info["eligible"]:
-                d_left -= 1
-                detect_plan[i] = True
-
-        dynamic_tasks: List[Tuple[str, Scenario, FuzzConfig]] = []
-        slot: Dict[Tuple[str, int], int] = {}
-        for i, scenario in enumerate(scenarios):
-            if oracle_plan[i]:
-                slot[("oracle", i)] = len(dynamic_tasks)
-                dynamic_tasks.append(("oracle", scenario, config))
-            if detect_plan[i]:
-                slot[("detect", i)] = len(dynamic_tasks)
-                dynamic_tasks.append(("detect", scenario, config))
-        dynamic_results = (
-            run_sweep(
-                _dynamic_worker,
-                dynamic_tasks,
-                workers=config.workers,
-                seed=config.seed + produced,
-            )
-            if dynamic_tasks
-            else []
-        )
-
-        # Fold: one serial pass in scenario order owns every mutation.
-        for i, scenario in enumerate(scenarios):
-            iteration = produced + i
-            elapsed = time.monotonic() - started
-            _note_scenario(report, scenario, elapsed)
-            static = static_results[i]
-            if not static.ok:
-                report.note_violation(
-                    scenario.scenario_id,
-                    "harness-error",
-                    f"{static.error_kind}: {static.error}",
-                    now=elapsed,
-                )
-                continue
-            info = static.value
-            if info["error"] is not None:
-                report.note_violation(
-                    scenario.scenario_id,
-                    "harness-error",
-                    info["error"],
-                    now=elapsed,
-                )
-                continue
-            report.invariant_checks += _CHECKS_PER_SCENARIO
-            if not info["ok"]:
-                _record_failure(
-                    report,
-                    scenario,
-                    info["invariants"],
-                    info["details"],
-                    iteration,
-                    now=elapsed,
-                )
-                continue
-
-            if oracle_left > 0:
-                if not oracle_plan[i]:
-                    report.oracle_skips += 1
-                else:
-                    oracle_left -= 1
-                    res = dynamic_results[slot[("oracle", i)]]
-                    if not res.ok:
-                        report.note_violation(
-                            scenario.scenario_id,
-                            "harness-error",
-                            f"oracle {res.error_kind}: {res.error}",
-                            now=elapsed,
-                        )
-                    else:
-                        _apply_oracle_outcome(
-                            report, scenario, res.value, iteration,
-                            now=elapsed,
-                        )
-
-            if detect_left > 0:
-                if not detect_plan[i]:
-                    report.detect_skips += 1
-                else:
-                    detect_left -= 1
-                    res = dynamic_results[slot[("detect", i)]]
-                    if not res.ok:
-                        report.note_violation(
-                            scenario.scenario_id,
-                            "harness-error",
-                            f"detect {res.error_kind}: {res.error}",
-                            now=elapsed,
-                        )
-                    elif isinstance(res.value, dict):
-                        report.note_violation(
-                            scenario.scenario_id,
-                            "harness-error",
-                            res.value["harness_error"],
-                            now=elapsed,
-                        )
-                    else:
-                        _apply_matrix_outcome(
-                            report, scenario, res.value, now=elapsed
-                        )
-        produced += count
-
-    return _finalize_report(report, telemetry, started)
 
 
 def _record_failure(

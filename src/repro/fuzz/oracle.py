@@ -37,6 +37,8 @@ from repro.topology.base import Topology
 
 #: One flow leg: (src_host, dst_host, host-to-host pinned path).
 Leg = Tuple[str, str, Path]
+#: One candidate trigger: a CBD path pair and the flow leg along each path.
+Trigger = Tuple[Tuple[Path, Path], List[Leg]]
 
 
 @dataclass
@@ -86,7 +88,7 @@ def find_cbd_pairs(
     return found
 
 
-def _host_endpoints(topo: Topology, path: Path) -> Optional[Leg]:
+def host_endpoints(topo: Topology, path: Path) -> Optional[Leg]:
     """Extend a switch-level path with attached hosts on both ends.
 
     Returns ``(src_host, dst_host, host_to_host_path)`` or None when an
@@ -122,7 +124,32 @@ def _host_endpoints(topo: Topology, path: Path) -> Optional[Leg]:
     return src, dst, tuple(full)
 
 
-def _drive(
+def viable_triggers(
+    topo: Topology, paths: Sequence[Path], max_pairs: int = 8
+) -> Tuple[List[Trigger], str]:
+    """The CBD pairs the simulator can actually drive, in search order.
+
+    A pair is viable when both of its paths have a host at each end
+    (the simulator needs hosts to source and sink traffic). Returns the
+    viable triggers and, when there are none, the reason the dynamic
+    stages skip the scenario (``""`` otherwise). Both dynamic stages
+    consume this one list, so the :func:`find_cbd_pairs` search runs
+    once per scenario.
+    """
+    pairs = find_cbd_pairs(topo, paths, max_pairs=max_pairs)
+    if not pairs:
+        return [], "no CBD-forming path pair in ELP"
+    viable: List[Trigger] = []
+    for pair in pairs:
+        first, second = (host_endpoints(topo, path) for path in pair)
+        if first is not None and second is not None:
+            viable.append((pair, [first, second]))
+    if not viable:
+        return [], "no CBD pair with hosts at both endpoints"
+    return viable, ""
+
+
+def drive_trigger(
     net: SimNetwork, legs: Sequence[Leg], duration: float
 ) -> None:
     """Pin one closed-loop flow per leg and run the throttle trigger."""
@@ -144,7 +171,8 @@ def _drive(
     net.run(duration)
 
 
-def _plan_for(scenario: Scenario, topo: Topology, elp: ElpSet) -> TaggerPlan:
+def plan_for(scenario: Scenario, topo: Topology, elp: ElpSet) -> TaggerPlan:
+    """The Tagger plan the scenario's fabric would deploy."""
     budget = scenario.clos_bounce_budget
     if budget is not None:
         return TaggerPlan.for_clos(topo, max_bounces=budget)
@@ -153,49 +181,41 @@ def _plan_for(scenario: Scenario, topo: Topology, elp: ElpSet) -> TaggerPlan:
 
 def run_oracle(
     scenario: Scenario,
-    topo: Optional[Topology] = None,
-    elp: Optional[ElpSet] = None,
     duration: float = 0.2,
     max_pairs: int = 8,
+    triggers: Optional[List[Trigger]] = None,
 ) -> OracleOutcome:
     """Replay one scenario through the simulator, control then tagged.
 
-    Control runs (plain PFC) are tried over up to ``max_pairs`` candidate
-    CBD pairs until one deadlocks; the tagged run replays every tried
-    pair and must never deadlock. Skips (with a reason) when no CBD pair
-    exists in the ELP or no pair's endpoints have hosts.
+    Control runs (plain PFC) are tried over the viable triggers (at most
+    ``max_pairs`` candidate CBD pairs) until one deadlocks; the tagged
+    run replays every tried pair and must never deadlock. Skips (with a
+    reason) when no CBD pair exists in the ELP or no pair's endpoints
+    have hosts. ``triggers`` hands in an already computed
+    :func:`viable_triggers` list for the scenario.
     """
-    if topo is None:
-        topo = scenario.build_topology()
-    if elp is None:
-        elp = scenario.build_elp(topo)
-    pairs = find_cbd_pairs(topo, list(elp.paths), max_pairs=max_pairs)
-    if not pairs:
-        return OracleOutcome(ran=False, reason="no CBD-forming path pair in ELP")
-
-    viable: List[Tuple[Tuple[Path, Path], List[Leg]]] = []
-    for pair in pairs:
-        legs = [_host_endpoints(topo, path) for path in pair]
-        if all(leg is not None for leg in legs):
-            viable.append((pair, legs))
-    if not viable:
-        return OracleOutcome(
-            ran=False, reason="no CBD pair with hosts at both endpoints"
+    topo = scenario.build_topology()
+    elp = scenario.build_elp(topo)
+    if triggers is None:
+        triggers, skip_reason = viable_triggers(
+            topo, elp.paths, max_pairs=max_pairs
         )
+        if not triggers:
+            return OracleOutcome(ran=False, reason=skip_reason)
 
     table = shortest_path_tables(topo)
     trigger_pair: Optional[Tuple[Path, Path]] = None
-    tried: List[Tuple[Tuple[Path, Path], List[Leg]]] = []
-    for pair, legs in viable:
+    tried: List[Trigger] = []
+    for pair, legs in triggers:
         tried.append((pair, legs))
         control = SimNetwork(topo, table)
-        _drive(control, legs, duration)
+        drive_trigger(control, legs, duration)
         if find_deadlock_cycle(control) is not None:
             trigger_pair = pair
             break
 
     try:
-        plan = _plan_for(scenario, topo, elp)
+        plan = plan_for(scenario, topo, elp)
     except ReproError as exc:
         return OracleOutcome(
             ran=True,
@@ -208,7 +228,7 @@ def run_oracle(
     lossless_drops = 0
     for pair, legs in tried:
         tagged = SimNetwork.with_plan(topo, shortest_path_tables(topo), plan)
-        _drive(tagged, legs, duration)
+        drive_trigger(tagged, legs, duration)
         tagged_deadlocks.append(find_deadlock_cycle(tagged) is not None)
         lossless_drops += tagged.metrics.drops.get("lossless_overflow", 0)
     return OracleOutcome(

@@ -3,8 +3,8 @@
 Fuzz, chaos and detection campaigns are embarrassingly parallel at the
 scenario granularity: each scenario builds its own fabric, runs its own
 simulation and produces a self-contained result. :func:`run_sweep` fans
-a batch of such tasks across a forked worker pool with the PR-6
-discipline from :mod:`repro.core.parallel`:
+a batch of such tasks across a forked worker pool under this
+discipline:
 
 - **serial-identical results** — results come back indexed by task
   position, so the caller folds them in submission order and the

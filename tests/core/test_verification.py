@@ -44,6 +44,17 @@ class TestVerify:
         assert len(report.tag_cycle) == 3
         assert "UNSAFE" in report.summary()
 
+    def test_two_violations_report_the_lowest_tag(self):
+        graph = build_r1_violation()
+        p, q = node("P", 0, 3), node("Q", 0, 3)
+        graph.add_edge(p, q)
+        graph.add_edge(q, p)
+        report = verify_tagged_graph(graph)
+        assert report.tag_cycle is not None
+        assert {tag for _port, tag in report.tag_cycle} == {1}
+        with pytest.raises(VerificationError, match="tag 1 contains"):
+            assert_deadlock_free(graph)
+
     def test_r2_violation_detected(self):
         graph = build_safe_graph()
         # Bypass add_edge's guard to simulate a corrupted scheme.

@@ -10,7 +10,7 @@ the deployment analogue of the artifact-fault self-tests.
 
 import pytest
 
-from repro.fuzz.crosscheck import cross_check
+from repro.fuzz.crosscheck import STATIC_INVARIANTS, cross_check
 from repro.fuzz.faults import DEPLOY_FAULTS, FAULTS
 from repro.fuzz.scenarios import ScenarioGenerator
 
@@ -51,6 +51,7 @@ def test_buggy_agent_is_caught(deploy_scenario, fault):
     assert "deployment-divergence" in result.invariants_violated(), (
         f"{fault} escaped the deployment invariant"
     )
+    assert set(result.invariants_violated()) <= set(STATIC_INVARIANTS)
 
 
 @pytest.mark.parametrize("fault", sorted(DEPLOY_FAULTS))

@@ -10,12 +10,8 @@ import pytest
 
 from repro.detect import detection_matrix, false_positive_cells
 from repro.fuzz import FuzzConfig, Scenario, run_fuzz
-from repro.fuzz.harness import (
-    DETECT_FALSE_POSITIVE,
-    DETECT_LATENCY,
-    FuzzReport,
-    _run_detect_stage,
-)
+from repro.fuzz.crosscheck import STATIC_INVARIANTS
+from repro.fuzz.harness import DETECT_FALSE_POSITIVE, DETECT_LATENCY
 
 GREEN_SWITCH_PATH = ("T3", "L3", "S2", "L1", "S1", "L2", "T1")
 BLUE_SWITCH_PATH = ("T1", "L1", "S1", "L3", "S2", "L4", "T4")
@@ -109,23 +105,78 @@ class TestDetectionMatrix:
         assert "CBD" in outcome.reason
 
 
+def fuzz_scenarios(monkeypatch, scenarios, **config):
+    """Drive ``run_fuzz`` over exactly these scenarios, inline."""
+    monkeypatch.setattr(
+        "repro.fuzz.harness.ScenarioGenerator", lambda seed: iter(scenarios)
+    )
+    return run_fuzz(
+        FuzzConfig(iterations=len(scenarios), shrink=False, **config)
+    )
+
+
 class TestHarnessStage:
-    def test_stage_scores_fig10_clean(self):
-        report = FuzzReport(config=FuzzConfig(detect_duration=0.3))
-        used = _run_detect_stage(report, fig10_scenario())
-        assert used == 1
+    def test_stage_scores_fig10_clean(self, monkeypatch):
+        report = fuzz_scenarios(
+            monkeypatch,
+            [fig10_scenario(), fig10_scenario()],
+            oracle_budget=0,
+            detect_budget=1,
+            detect_duration=0.3,
+        )
+        # The first scenario spends the whole budget; the second is not
+        # even counted as a skip.
         assert report.detect_runs == 1
+        assert report.detect_skips == 0
         assert report.detect_deadlocks == 1
-        assert report.invariant_checks == 2
+        assert report.invariant_checks == 2 * len(STATIC_INVARIANTS) + 2
         assert report.violations == []
         assert report.detect_matrix[0]["scenario_id"] == "fig10-testbed"
 
-    def test_stage_skips_without_consuming_budget(self):
-        report = FuzzReport(config=FuzzConfig(detect_duration=0.1))
-        used = _run_detect_stage(report, cbd_free_scenario())
-        assert used == 0
+    def test_stage_skips_without_consuming_budget(self, monkeypatch):
+        report = fuzz_scenarios(
+            monkeypatch,
+            [cbd_free_scenario(), fig10_scenario()],
+            oracle_budget=0,
+            detect_budget=1,
+            detect_duration=0.3,
+        )
         assert report.detect_skips == 1
-        assert report.invariant_checks == 0
+        assert report.detect_runs == 1
+        assert report.invariant_checks == 2 * len(STATIC_INVARIANTS) + 2
+
+    def test_both_dynamic_stages_share_one_cbd_pair_search(
+        self, monkeypatch, fig10_outcome
+    ):
+        """Oracle + matrix on one scenario: one ``find_cbd_pairs`` call."""
+        from repro.fuzz import oracle
+
+        calls = []
+        real = oracle.find_cbd_pairs
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "find_cbd_pairs", counting)
+        report = fuzz_scenarios(
+            monkeypatch,
+            [fig10_scenario()],
+            seed=0,  # the matrix's sampler seed; the fixture uses 0 too
+            oracle_budget=1,
+            detect_budget=1,
+            detect_duration=0.3,
+        )
+        assert len(calls) == 1
+        assert report.oracle_runs == 1
+        assert report.oracle_control_deadlocks == 1
+        assert report.detect_runs == 1
+        assert report.violations == []
+        # Handed-in triggers change nothing: the harness's matrix is the
+        # one a direct ``detection_matrix(scenario)`` call computes.
+        summary = dict(report.detect_matrix[0])
+        assert summary.pop("scenario_id") == "fig10-testbed"
+        assert summary == fig10_outcome.to_dict()
 
     def test_invariant_names_are_distinct(self):
         assert DETECT_LATENCY != DETECT_FALSE_POSITIVE

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.fuzz import FuzzConfig, load_corpus, replay_entry, run_fuzz
+from repro.fuzz.crosscheck import STATIC_INVARIANTS
 from repro.fuzz.faults import FAULTS, FaultError
 
 
@@ -20,7 +21,8 @@ def test_smoke_run_is_clean():
     )
     assert report.ok, report.violations
     assert report.iterations_run == 15
-    assert report.invariant_checks == 15 * 17
+    assert len(STATIC_INVARIANTS) == 17
+    assert report.invariant_checks == 15 * len(STATIC_INVARIANTS)
     # Several topology kinds must actually be exercised.
     assert len(report.scenarios_by_kind) >= 2
     # The report must be JSON-serializable (CI consumes it).
@@ -65,6 +67,11 @@ def test_injected_fault_caught_and_shrunk(fault, tmp_path):
         )
     )
     assert report.fault_caught, f"fault {fault} escaped detection"
+    # No oracle stage and no harness error here, so every violation is
+    # one of the declared static invariants.
+    assert {v["invariant"] for v in report.violations} <= set(
+        STATIC_INVARIANTS
+    )
     assert report.corpus_entries, f"fault {fault} was not shrunk to corpus"
     for entry in load_corpus(str(corpus_dir)):
         replay = replay_entry(entry)

@@ -8,7 +8,7 @@ tag 2 rules exist), independent of the randomized harness runs.
 import pytest
 
 from repro.core import TaggerPlan
-from repro.fuzz.crosscheck import cross_check
+from repro.fuzz.crosscheck import STATIC_INVARIANTS, cross_check
 from repro.fuzz.faults import ARTIFACT_FAULTS
 from repro.fuzz.scenarios import ScenarioGenerator
 from repro.lint import DeploymentArtifact, lint_artifact
@@ -65,3 +65,4 @@ def test_cross_check_reports_lint_dirty():
     assert "lint_diagnostics" in clean.stats
     dirty = cross_check(scenario, fault="rule-tag-cycle")
     assert "lint-dirty" in dirty.invariants_violated()
+    assert set(dirty.invariants_violated()) <= set(STATIC_INVARIANTS)

@@ -1,7 +1,8 @@
-"""Parallel fuzz sweep: any worker count, the identical report.
+"""Fuzz sweep: one loop, any worker count, the identical report.
 
-``run_fuzz(workers=N)`` fans scenarios over the forked sweep pool but
-must reproduce the serial run's report *field for field* — same
+``run_fuzz`` runs the same chunked loop at every worker count: with
+``workers=1`` the sweep runs inline, with more it fans scenarios over
+the forked pool. The report must agree *field for field* — same
 violations in the same order, same oracle/detect budget consumption,
 same corpus decisions — modulo only ``elapsed_seconds``.
 """
@@ -74,11 +75,44 @@ class TestSerialIdentity:
         parallel = run(4, tmp_path / "parallel")
         assert parallel == serial
 
-    def test_workers_one_uses_serial_loop(self):
-        report = run_fuzz(
-            FuzzConfig(seed=1, iterations=3, oracle_budget=0, shrink=False)
+    @needs_fork
+    def test_escaping_exception_is_one_harness_error_everywhere(
+        self, monkeypatch
+    ):
+        """A crash inside ``run_oracle`` is the same violation at any count.
+
+        Patched before the pool forks, so the workers inherit it.
+        """
+
+        def boom(scenario, **kwargs):
+            raise RuntimeError("oracle exploded")
+
+        monkeypatch.setattr("repro.fuzz.harness.run_oracle", boom)
+        # Seed 1's second scenario is the first one the oracle can drive.
+        base = dict(seed=1, iterations=4, oracle_budget=1, shrink=False)
+        serial = run_fuzz(FuzzConfig(**base, workers=1))
+        assert [v["invariant"] for v in serial.violations] == ["harness-error"]
+        assert serial.violations[0]["detail"] == (
+            "oracle worker-error: RuntimeError: oracle exploded"
         )
-        assert report.iterations_run == 3
+        # The failed replay still spent the oracle budget.
+        assert serial.oracle_runs == 0 and serial.oracle_skips == 1
+        parallel = run_fuzz(FuzzConfig(**base, workers=2))
+        assert parallel.violations == serial.violations
+        assert parallel.oracle_skips == serial.oracle_skips
+
+    def test_time_budget_is_checked_before_every_scenario_inline(self):
+        report = run_fuzz(
+            FuzzConfig(
+                seed=2,
+                iterations=500,
+                oracle_budget=0,
+                time_budget=0.0,
+                workers=1,
+                shrink=False,
+            )
+        )
+        assert report.iterations_run <= 1
 
 
 @needs_fork

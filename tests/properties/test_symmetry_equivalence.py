@@ -13,9 +13,7 @@ graph, queue map and description. The suite sweeps:
 - leaf-spine (2-layer) and express-augmented Clos (certified — express
   links are invisible to up-down routing);
 - asymmetric states — failed links, drained switches, endpoint subsets,
-  pinned extra paths — where symmetry must *safely* degrade;
-- multiprocessing verify fan-out at worker counts 1, 2 and 8, which
-  must never change a plan.
+  pinned extra paths — where symmetry must *safely* degrade.
 
 The same oracle runs continuously inside the fuzz harness as the
 ``symmetry-divergence`` invariant (:mod:`repro.fuzz.crosscheck`).
@@ -58,7 +56,6 @@ def assert_strategies_equivalent(
     label: str,
     extra_paths=(),
     expect_certified=None,
-    workers: int = 1,
 ):
     """Plan twice (symmetry vs exhaustive) and demand identical bytes.
 
@@ -74,7 +71,6 @@ def assert_strategies_equivalent(
             provider_factory(),
             extra_paths=extra_paths,
             strategy=STRATEGY_SYMMETRY,
-            workers=workers,
         )
     except TaggingError as exc:
         sym_exc = str(exc)
@@ -316,33 +312,3 @@ def test_bcube_degrades_to_exhaustive(n):
         expect_certified=False,
     )
 
-
-# ----------------------------------------------------------------------
-# Multiprocessing verify fan-out: result-neutral at any worker count
-# ----------------------------------------------------------------------
-@given(
-    clos_params(),
-    st.sampled_from([2, 8]),
-    st.integers(min_value=0, max_value=2**20),
-)
-@settings(
-    max_examples=min(5, settings.default.max_examples),
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_worker_fanout_never_changes_the_plan(params, workers, seed):
-    try:
-        serial = TaggerPlan.from_provider(
-            clos3(params), UpDownElpProvider(), workers=1
-        )
-        fanned = TaggerPlan.from_provider(
-            clos3(params),
-            UpDownElpProvider(),
-            workers=workers,
-            seed=seed,
-        )
-    except TaggingError:
-        return
-    assert tables_equal(serial.tables, fanned.tables)
-    assert serial.graph == fanned.graph
-    assert serial.description == fanned.description

@@ -209,6 +209,52 @@ class TestErrors:
         assert main(["lint", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "plan_blob, argv, names",
+        [
+            # --stuck with a non-integer send index.
+            (
+                None,
+                ["deploy", "--delta", "down:L1:S1", "--stuck", "S1:abc"],
+                ["'S1:abc'"],
+            ),
+            # A JSON object that is not an exported plan.
+            ({"rules": {}}, ["lint", "PLAN"], ["PLAN", "generator"]),
+            ({"rules": {}}, ["verify", "PLAN"], ["PLAN", "generator"]),
+            # A generator block that cannot rebuild the topology.
+            (
+                {"generator": {"topology": "clos"}, "rules": {}},
+                ["lint", "PLAN"],
+                ["PLAN", "generator"],
+            ),
+            # A rule row that is not [tag, in_port, out_port, new_tag].
+            (
+                {
+                    "generator": {
+                        "topology": "clos", "pods": 2, "tors": 2,
+                        "leaves": 2, "spines": 2, "hosts": 4,
+                    },
+                    "rules": {"L1": [[1, 0, 1]]},
+                },
+                ["lint", "PLAN"],
+                ["PLAN", "'L1'", "[1, 0, 1]"],
+            ),
+        ],
+    )
+    def test_malformed_input_exits_1_with_one_line_diagnosis(
+        self, plan_blob, argv, names, tmp_path, capsys
+    ):
+        plan_file = str(tmp_path / "plan.json")
+        if plan_blob is not None:
+            (tmp_path / "plan.json").write_text(json.dumps(plan_blob))
+        argv = [plan_file if arg == "PLAN" else arg for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for name in names:
+            assert name.replace("PLAN", plan_file) in err
+
 
 class TestDeploy:
     """Exit-code contract: 0 converged, 2 degraded, 3 rolled back,
