@@ -29,10 +29,7 @@ from repro.simulator import (
     find_deadlock_cycle,
     pin_path,
 )
-from repro.topology import testbed_clos
-
-GREEN = ("H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H2")
-BLUE = ("H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13")
+from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH, testbed_clos
 
 
 def incast(with_dcqcn: bool):
@@ -65,12 +62,12 @@ def cbd_scenario(mode: str, ids):
         net = SimNetwork(topo, table, config=config)
     if use_ecn:
         DcqcnFlow(src="H1", dst="H13", flow_id=ids[0]).attach(net)
-        net.pin_flow(ids[0], pin_path(BLUE), dst="H13")
+        net.pin_flow(ids[0], pin_path(TESTBED_BLUE_PATH), dst="H13")
         DcqcnFlow(src="H9", dst="H2", start=0.01, flow_id=ids[1]).attach(net)
-        net.pin_flow(ids[1], pin_path(GREEN), dst="H2")
+        net.pin_flow(ids[1], pin_path(TESTBED_GREEN_PATH), dst="H2")
     else:
         net.add_flow(
-            Flow(src="H1", dst="H13", flow_id=ids[0], pinned_next_hops=pin_path(BLUE))
+            Flow(src="H1", dst="H13", flow_id=ids[0], pinned_next_hops=pin_path(TESTBED_BLUE_PATH))
         )
         net.add_flow(
             Flow(
@@ -78,7 +75,7 @@ def cbd_scenario(mode: str, ids):
                 dst="H2",
                 start=0.01,
                 flow_id=ids[1],
-                pinned_next_hops=pin_path(GREEN),
+                pinned_next_hops=pin_path(TESTBED_GREEN_PATH),
             )
         )
     net.at(0.05, lambda: net.set_receiver_rate("H2", 5e7))

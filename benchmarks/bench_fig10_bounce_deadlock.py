@@ -17,10 +17,8 @@ from conftest import format_series
 from repro.core import TaggerPlan
 from repro.routing import shortest_path_tables
 from repro.simulator import Flow, SimNetwork, find_deadlock_cycle, pin_path
-from repro.topology import testbed_clos
+from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH, testbed_clos
 
-GREEN = ("H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H2")
-BLUE = ("H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13")
 
 DURATION = 0.4
 SLOW_START, SLOW_END = 0.05, 0.08
@@ -35,10 +33,10 @@ def run_scenario(with_tagger: bool):
     else:
         net = SimNetwork(topo, table, metrics_bucket=0.01)
     blue = net.add_flow(
-        Flow(src="H1", dst="H13", pinned_next_hops=pin_path(BLUE))
+        Flow(src="H1", dst="H13", pinned_next_hops=pin_path(TESTBED_BLUE_PATH))
     )
     green = net.add_flow(
-        Flow(src="H9", dst="H2", start=0.01, pinned_next_hops=pin_path(GREEN))
+        Flow(src="H9", dst="H2", start=0.01, pinned_next_hops=pin_path(TESTBED_GREEN_PATH))
     )
     net.at(SLOW_START, lambda: net.set_receiver_rate("H2", 5e7))
     net.at(SLOW_END, lambda: net.set_receiver_rate("H2", None))

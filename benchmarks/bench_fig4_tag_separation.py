@@ -11,10 +11,10 @@ import pytest
 from conftest import format_table
 from repro.analysis import cbd_graph, find_cbd
 from repro.core import ClosTagger
-from repro.topology import testbed_clos
+from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH, testbed_clos
 
-GREEN = ("T3", "L3", "S2", "L1", "S1", "L2", "T1")
-BLUE = ("T1", "L1", "S1", "L3", "S2", "L4", "T4")
+GREEN = TESTBED_GREEN_PATH[1:-1]  # switch-only form
+BLUE = TESTBED_BLUE_PATH[1:-1]
 
 
 def run_analysis():

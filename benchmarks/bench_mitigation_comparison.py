@@ -29,10 +29,8 @@ from repro.simulator import (
     find_deadlock_cycle,
     pin_path,
 )
-from repro.topology import testbed_clos
+from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH, testbed_clos
 
-GREEN = ("H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H2")
-BLUE = ("H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13")
 
 MODES = ("pfc-only", "watchdog", "detect-and-break", "tagger")
 
@@ -55,14 +53,14 @@ def build(mode: str):
 def scenario_deadlock(mode: str):
     net = build(mode)
     net.add_flow(
-        Flow(src="H1", dst="H13", pinned_next_hops=pin_path(BLUE), flow_id=7501)
+        Flow(src="H1", dst="H13", pinned_next_hops=pin_path(TESTBED_BLUE_PATH), flow_id=7501)
     )
     net.add_flow(
         Flow(
             src="H9",
             dst="H2",
             start=0.01,
-            pinned_next_hops=pin_path(GREEN),
+            pinned_next_hops=pin_path(TESTBED_GREEN_PATH),
             flow_id=7502,
         )
     )

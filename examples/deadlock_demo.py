@@ -14,9 +14,8 @@ Run:  python examples/deadlock_demo.py
 from repro import Flow, SimNetwork, TaggerPlan, testbed_clos
 from repro.routing import shortest_path_tables
 from repro.simulator import find_deadlock_cycle, pin_path
+from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH
 
-GREEN = ("H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H2")
-BLUE = ("H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13")
 
 DURATION = 0.4  # seconds of simulated time
 
@@ -31,10 +30,10 @@ def run(with_tagger: bool) -> None:
         net = SimNetwork(topo, table, metrics_bucket=0.02)
 
     blue = net.add_flow(
-        Flow(src="H1", dst="H13", pinned_next_hops=pin_path(BLUE))
+        Flow(src="H1", dst="H13", pinned_next_hops=pin_path(TESTBED_BLUE_PATH))
     )
     green = net.add_flow(
-        Flow(src="H9", dst="H2", start=0.01, pinned_next_hops=pin_path(GREEN))
+        Flow(src="H9", dst="H2", start=0.01, pinned_next_hops=pin_path(TESTBED_GREEN_PATH))
     )
     # Transient trigger: H2's NIC processes at 50 Mb/s for 30 ms.
     net.at(0.05, lambda: net.set_receiver_rate("H2", 5e7))

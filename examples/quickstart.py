@@ -15,11 +15,12 @@ Run:  python examples/quickstart.py
 from repro import ClosTagger, TaggerPlan, testbed_clos
 from repro.analysis import cbd_graph, find_cbd
 from repro.core import clos_bounce_elp, compress_joint
+from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH
 
 # The Fig. 3 scenario: both flows are loop-free but each bounces once
 # (green at L1, blue at L3) after a link failure reroute.
-GREEN = ("T3", "L3", "S2", "L1", "S1", "L2", "T1")
-BLUE = ("T1", "L1", "S1", "L3", "S2", "L4", "T4")
+GREEN = TESTBED_GREEN_PATH[1:-1]  # switch-only form
+BLUE = TESTBED_BLUE_PATH[1:-1]
 
 
 def main() -> None:

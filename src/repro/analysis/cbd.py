@@ -76,11 +76,10 @@ def cbd_graph(
 def find_cbd(graph: nx.DiGraph) -> Optional[List[Buffer]]:
     """One dependency cycle, or None if the graph is CBD-free."""
     try:
-        return nx.find_cycle(graph, orientation="original") and [
-            edge[0] for edge in nx.find_cycle(graph, orientation="original")
-        ]
+        cycle = nx.find_cycle(graph, orientation="original")
     except nx.NetworkXNoCycle:
         return None
+    return [edge[0] for edge in cycle]
 
 
 def has_cbd(

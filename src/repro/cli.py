@@ -54,7 +54,14 @@ from repro.core import (
 )
 from repro.core.rules import RuleTable
 from repro.exceptions import ReproError
-from repro.topology import ClosParams, Topology, clos3, jellyfish
+from repro.topology import (
+    TESTBED_BLUE_PATH,
+    TESTBED_GREEN_PATH,
+    ClosParams,
+    Topology,
+    clos3,
+    jellyfish,
+)
 
 # ----------------------------------------------------------------------
 # Exit codes — uniform across every subcommand (see docs/DEPLOYMENT.md):
@@ -542,17 +549,20 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print(f"runtime deadlock detector armed ({mode})")
 
     if args.scenario == "fig10":
-        green = ("H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H2")
-        blue = ("H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13")
         f1 = net.add_flow(
-            Flow(src="H1", dst="H13", pinned_next_hops=pin_path(blue), flow_id=6001)
+            Flow(
+                src="H1",
+                dst="H13",
+                pinned_next_hops=pin_path(TESTBED_BLUE_PATH),
+                flow_id=6001,
+            )
         )
         f2 = net.add_flow(
             Flow(
                 src="H9",
                 dst="H2",
                 start=0.01,
-                pinned_next_hops=pin_path(green),
+                pinned_next_hops=pin_path(TESTBED_GREEN_PATH),
                 flow_id=6002,
             )
         )

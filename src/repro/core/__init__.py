@@ -31,6 +31,7 @@ from repro.core.elp import (
     ShortestPathElpProvider,
     UpDownElpProvider,
     bcube_elp,
+    canonical_elp_path,
     clos_bounce_elp,
     clos_updown_elp,
     jellyfish_elp,
@@ -56,7 +57,7 @@ from repro.core.queuefit import (
     merge_is_safe,
     remap_tables,
 )
-from repro.core.planner import TaggerPlan
+from repro.core.planner import TaggerPlan, compile_plan
 from repro.core.replan import IncrementalPlanner, ReplanResult
 from repro.core.rules import (
     MatchActionRule,
@@ -67,6 +68,8 @@ from repro.core.rules import (
     coverage_report,
     diff_tables,
     materialize_policy_rules,
+    policy_tagged_graph,
+    policy_tags_along_path,
     rules_from_tagged_graph,
     rules_to_tagged_graph,
     tables_equal,
@@ -87,6 +90,7 @@ from repro.core.tags import (
     TaggedGraph,
     TNode,
     ingress_hops,
+    tagged_walk,
     tnode,
     transit_triples,
 )
@@ -114,6 +118,7 @@ __all__ = [
     "ShortestPathElpProvider",
     "UpDownElpProvider",
     "bcube_elp",
+    "canonical_elp_path",
     "clos_bounce_elp",
     "clos_updown_elp",
     "jellyfish_elp",
@@ -140,6 +145,7 @@ __all__ = [
     "apply_tag_mapping",
     "remap_tables",
     "TaggerPlan",
+    "compile_plan",
     "MatchActionRule",
     "RuleGenerationReport",
     "RuleTable",
@@ -149,6 +155,8 @@ __all__ = [
     "tables_equal",
     "RuleDiff",
     "materialize_policy_rules",
+    "policy_tagged_graph",
+    "policy_tags_along_path",
     "rules_from_tagged_graph",
     "rules_to_tagged_graph",
     "INITIAL_TAG",
@@ -157,6 +165,7 @@ __all__ = [
     "TaggedGraph",
     "TNode",
     "ingress_hops",
+    "tagged_walk",
     "tnode",
     "transit_triples",
     "VerificationReport",

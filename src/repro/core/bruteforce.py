@@ -18,10 +18,21 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.tags import INITIAL_TAG, TaggedGraph, ingress_hops
+from repro.core.tags import TaggedGraph, ingress_hops, tagged_walk
 from repro.exceptions import TaggingError
 from repro.routing.base import is_loop_free
 from repro.topology.base import Topology
+
+
+def add_tagged_path(
+    graph: TaggedGraph, topo: Topology, path: Sequence[str]
+) -> None:
+    """Add one path's Algorithm-1 nodes and edges to ``graph``."""
+    nodes = tagged_walk(topo, path)
+    if nodes:
+        graph.add_node(nodes[0])
+    for src, dst in zip(nodes, nodes[1:]):
+        graph.add_edge(src, dst)
 
 
 def bruteforce_tagging(
@@ -51,16 +62,7 @@ def bruteforce_tagging(
         saw_path = True
         if require_loop_free and not is_loop_free(path):
             raise TaggingError(f"ELP path revisits a node: {tuple(path)}")
-        hops = ingress_hops(topo, path)
-        tag = INITIAL_TAG
-        last_node = None
-        for port in hops:
-            node = (port, tag)
-            graph.add_node(node)
-            if last_node is not None:
-                graph.add_edge(last_node, node)
-            last_node = node
-            tag += 1
+        add_tagged_path(graph, topo, path)
     if not saw_path:
         raise TaggingError("empty ELP: nothing to tag")
     return graph

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.core.rules import policy_tagged_graph, policy_tags_along_path
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.exceptions import TaggingError
 from repro.topology.base import Topology
@@ -96,20 +97,7 @@ class ClosTagger:
         has ``len(path) - 1`` entries. The packet is injected with
         :data:`INITIAL_TAG`; once demoted, it stays :data:`LOSSY_TAG`.
         """
-        tags: List[int] = []
-        tag = INITIAL_TAG
-        for i in range(len(path) - 1):
-            if i == 0:
-                tags.append(tag)
-                continue
-            prev_node, node, next_node = path[i - 1], path[i], path[i + 1]
-            if not self.topo.node(node).is_switch:
-                raise TaggingError(f"non-switch transit node {node!r}")
-            in_port = self.topo.port_to(node, prev_node)
-            out_port = self.topo.port_to(node, next_node)
-            tag = self.rewrite(node, in_port, out_port, tag)
-            tags.append(tag)
-        return tags
+        return policy_tags_along_path(self.topo, self.rewrite, path)
 
     def path_stays_lossless(self, path: Sequence[str]) -> bool:
         """True iff no hop of ``path`` is demoted to the lossy class."""
@@ -119,39 +107,12 @@ class ClosTagger:
     # Tagged-graph export (for verification and CBD analysis)
     # ------------------------------------------------------------------
     def tagged_graph(self, host_tags: Sequence[int] = (INITIAL_TAG,)) -> TaggedGraph:
-        """The complete tagged graph induced by this policy.
-
-        Covers *every* physical trajectory the fabric allows (not just an
-        enumerated ELP): for each transit pattern ``A -> B -> C`` and each
-        live tag, an edge with the rewritten tag — unless the rewrite
-        demotes the packet, in which case it leaves the lossless world and
-        contributes no dependency. Host-facing ingress ports appear with
-        ``host_tags`` only (hosts inject fresh packets; multi-class
-        deployments inject one staggered tag per class).
-        """
-        graph = TaggedGraph()
-        for switch in self.topo.switches:
-            ports = self.topo.ports(switch)
-            for in_port, in_peer in ports.items():
-                in_is_host = self.topo.node(in_peer).is_host
-                live_tags = (
-                    list(host_tags)
-                    if in_is_host
-                    else list(range(INITIAL_TAG, self.max_lossless_tag + 1))
-                )
-                for tag in live_tags:
-                    node = ((switch, in_port), tag)
-                    graph.add_node(node)
-                    for out_port, out_peer in ports.items():
-                        if out_port == in_port:
-                            continue
-                        if not self.topo.node(out_peer).is_switch:
-                            continue
-                        new_tag = self.rewrite(switch, in_port, out_port, tag)
-                        if new_tag == LOSSY_TAG:
-                            continue
-                        peer_in_port = self.topo.port_to(out_peer, switch)
-                        graph.add_edge(
-                            node, ((out_peer, peer_in_port), new_tag)
-                        )
-        return graph
+        """The complete tagged graph induced by this policy
+        (:func:`~repro.core.rules.policy_tagged_graph` over
+        :meth:`rewrite` and every lossless tag)."""
+        return policy_tagged_graph(
+            self.topo,
+            self.rewrite,
+            range(INITIAL_TAG, self.max_lossless_tag + 1),
+            host_tags,
+        )

@@ -18,18 +18,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import RoutingError, TaggingError
+from repro.exceptions import TaggingError
 from repro.routing.base import Path, is_loop_free, validate_path
 from repro.routing.bounce import all_bounce_paths
 from repro.routing.shortest import (
-    all_shortest_paths,
     bfs_distances,
-    pairwise_shortest_paths,
+    downhill_paths,
+    iter_pairwise_shortest_paths,
     random_loopfree_paths,
 )
-from repro.routing.updown import all_updown_paths, updown_paths
+from repro.routing.updown import reachable_updown_paths
 from repro.topology.base import Topology
 from repro.topology.bcube import bcube_default_route, bcube_servers
+
+
+def canonical_elp_path(topo: Topology, path: Sequence[str]) -> Path:
+    """The canonical tuple of a valid ELP path, or raise.
+
+    A valid ELP path exists in ``topo`` (links may currently be failed —
+    the ELP is a declaration, not a routing state) and is loop-free, the
+    paper's only restriction on ELP membership (§6). Every entry point
+    that accepts an ELP path — :meth:`ElpSet.add`, provider streams, the
+    re-planner's pinned extras — checks it here.
+    """
+    canonical = validate_path(topo, path, allow_failed=True)
+    if not is_loop_free(canonical):
+        raise TaggingError(f"ELP paths must be loop-free: {canonical}")
+    return canonical
 
 
 @dataclass
@@ -42,10 +57,7 @@ class ElpSet:
 
     def add(self, path: Sequence[str]) -> None:
         """Validate (exists in topology, loop-free) and append a path."""
-        canonical = validate_path(self.topo, path, allow_failed=True)
-        if not is_loop_free(canonical):
-            raise TaggingError(f"ELP paths must be loop-free: {canonical}")
-        self.paths.append(canonical)
+        self.paths.append(canonical_elp_path(self.topo, path))
 
     def extend(self, paths: Iterable[Sequence[str]]) -> None:
         for path in paths:
@@ -73,9 +85,7 @@ class ElpSet:
 
 def clos_updown_elp(topo: Topology, endpoints: Optional[Sequence[str]] = None) -> ElpSet:
     """ELP = all shortest up-down ToR-to-ToR paths (paper's baseline)."""
-    elp = ElpSet(topo, description="shortest up-down paths")
-    elp.extend(all_updown_paths(topo, endpoints=endpoints))
-    return elp
+    return UpDownElpProvider(explicit_endpoints=endpoints).build(topo)
 
 
 def clos_bounce_elp(
@@ -111,11 +121,9 @@ def shortest_path_elp(
     per_pair: int = 1,
 ) -> ElpSet:
     """ELP = shortest paths between endpoint pairs (Jellyfish default)."""
-    if endpoints is None:
-        endpoints = sorted(topo.switches)
-    elp = ElpSet(topo, description="pairwise shortest paths")
-    elp.extend(pairwise_shortest_paths(topo, endpoints, per_pair=per_pair))
-    return elp
+    return ShortestPathElpProvider(
+        explicit_endpoints=endpoints, per_pair=per_pair
+    ).build(topo)
 
 
 def jellyfish_elp(
@@ -172,11 +180,15 @@ class PairwiseElpProvider:
         names = self.endpoints(topo)
         return [(s, d) for s in names for d in names if s != d]
 
+    def enumerate_paths(self, topo: Topology) -> Iterator[Path]:
+        """Every pair's paths, concatenated in :meth:`ordered_pairs` order."""
+        for src, dst in self.ordered_pairs(topo):
+            yield from self.pair_paths(topo, src, dst)
+
     def build(self, topo: Topology) -> ElpSet:
         """From-scratch ELP: concatenation over all ordered pairs."""
         elp = ElpSet(topo, description=self.description)
-        for src, dst in self.ordered_pairs(topo):
-            elp.extend(self.pair_paths(topo, src, dst))
+        elp.extend(self.enumerate_paths(topo))
         return elp
 
     def iter_paths(self, topo: Topology) -> Iterator[Path]:
@@ -188,14 +200,8 @@ class PairwiseElpProvider:
         consume the stream incrementally, so at hyperscale the planner
         avoids materializing the full path list up front.
         """
-        for src, dst in self.ordered_pairs(topo):
-            for path in self.pair_paths(topo, src, dst):
-                canonical = validate_path(topo, path, allow_failed=True)
-                if not is_loop_free(canonical):
-                    raise TaggingError(
-                        f"ELP paths must be loop-free: {canonical}"
-                    )
-                yield canonical
+        for path in self.enumerate_paths(topo):
+            yield canonical_elp_path(topo, path)
 
 
 @dataclass
@@ -220,22 +226,21 @@ class UpDownElpProvider(PairwiseElpProvider):
         return sorted(topo.switches_at_layer(0))
 
     def pair_paths(self, topo: Topology, src: str, dst: str) -> Tuple[Path, ...]:
-        try:
-            return tuple(
-                updown_paths(topo, src, dst, shortest_only=self.shortest_only)
-            )
-        except RoutingError:
-            return ()
+        return tuple(
+            reachable_updown_paths(topo, src, dst, self.shortest_only)
+        )
 
 
 @dataclass
 class ShortestPathElpProvider(PairwiseElpProvider):
     """Per-pair view of :func:`shortest_path_elp` (Jellyfish default).
 
-    Reproduces :func:`repro.routing.shortest.pairwise_shortest_paths`
-    pair by pair: with ``per_pair == 1`` the deterministic greedy
-    downhill walk, otherwise the first ``per_pair`` ECMP alternatives in
-    DFS order.
+    The enumeration is :func:`repro.routing.shortest.pairwise_shortest_paths`:
+    with ``per_pair == 1`` the deterministic greedy downhill walk,
+    otherwise the first ``per_pair`` ECMP alternatives in DFS order.
+    :meth:`build` and :meth:`iter_paths` run its batch form (one BFS per
+    destination); :meth:`pair_paths` runs the same per-pair step on one
+    fresh BFS.
     """
 
     explicit_endpoints: Optional[Sequence[str]] = None
@@ -248,32 +253,19 @@ class ShortestPathElpProvider(PairwiseElpProvider):
         return sorted(topo.switches)
 
     def ordered_pairs(self, topo: Topology) -> List[Tuple[str, str]]:
-        # pairwise_shortest_paths iterates destinations in the outer
-        # loop; mirror it so build() preserves the exact path order.
+        # The batch enumeration iterates destinations in the outer loop
+        # (one BFS each); the pair order must say the same.
         names = self.endpoints(topo)
         return [(s, d) for d in names for s in names if s != d]
 
     def pair_paths(self, topo: Topology, src: str, dst: str) -> Tuple[Path, ...]:
         dist = bfs_distances(topo, dst)
-        if src not in dist:
-            return ()
-        if self.per_pair == 1:
-            node = src
-            path = [src]
-            while node != dst:
-                node = min(
-                    peer
-                    for peer in topo.neighbors(node)
-                    if dist.get(peer, float("inf")) == dist[node] - 1
-                )
-                path.append(node)
-            return (tuple(path),)
-        try:
-            return tuple(
-                all_shortest_paths(topo, src, dst, limit=self.per_pair)
-            )
-        except RoutingError:
-            return ()
+        return tuple(downhill_paths(topo, dist, src, dst, self.per_pair))
+
+    def enumerate_paths(self, topo: Topology) -> Iterator[Path]:
+        return iter_pairwise_shortest_paths(
+            topo, self.endpoints(topo), self.per_pair
+        )
 
 
 def bcube_elp(topo: Topology, n: int, k: int) -> ElpSet:

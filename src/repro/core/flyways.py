@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.core.rules import policy_tagged_graph, policy_tags_along_path
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.exceptions import TaggingError
 from repro.topology.base import Topology
@@ -120,54 +121,20 @@ class FlywaysTagger:
         return new_tag
 
     # ------------------------------------------------------------------
-    # Path helpers (mirror ClosTagger's API)
+    # Path helpers and tagged-graph export (same API as ClosTagger)
     # ------------------------------------------------------------------
     def tag_along_path(self, path: Sequence[str]) -> List[int]:
         """Arriving tag per hop (see ClosTagger.tag_along_path)."""
-        tags: List[int] = []
-        tag = INITIAL_TAG
-        for i in range(len(path) - 1):
-            if i == 0:
-                tags.append(tag)
-                continue
-            prev_node, node, next_node = path[i - 1], path[i], path[i + 1]
-            if not self.topo.node(node).is_switch:
-                raise TaggingError(f"non-switch transit node {node!r}")
-            tag = self.rewrite(
-                node,
-                self.topo.port_to(node, prev_node),
-                self.topo.port_to(node, next_node),
-                tag,
-            )
-            tags.append(tag)
-        return tags
+        return policy_tags_along_path(self.topo, self.rewrite, path)
 
     def path_stays_lossless(self, path: Sequence[str]) -> bool:
         return all(tag != LOSSY_TAG for tag in self.tag_along_path(path))
 
     def tagged_graph(self, host_tags: Sequence[int] = (INITIAL_TAG,)) -> TaggedGraph:
         """Complete induced tagged graph (see ClosTagger.tagged_graph)."""
-        graph = TaggedGraph()
-        for switch in self.topo.switches:
-            ports = self.topo.ports(switch)
-            for in_port, in_peer in ports.items():
-                in_is_host = self.topo.node(in_peer).is_host
-                live_tags = (
-                    list(host_tags)
-                    if in_is_host
-                    else list(range(INITIAL_TAG, self.max_lossless_tag + 1))
-                )
-                for tag in live_tags:
-                    node = ((switch, in_port), tag)
-                    graph.add_node(node)
-                    for out_port, out_peer in ports.items():
-                        if out_port == in_port:
-                            continue
-                        if not self.topo.node(out_peer).is_switch:
-                            continue
-                        new_tag = self.rewrite(switch, in_port, out_port, tag)
-                        if new_tag == LOSSY_TAG:
-                            continue
-                        peer_in = self.topo.port_to(out_peer, switch)
-                        graph.add_edge(node, ((out_peer, peer_in), new_tag))
-        return graph
+        return policy_tagged_graph(
+            self.topo,
+            self.rewrite,
+            range(INITIAL_TAG, self.max_lossless_tag + 1),
+            host_tags,
+        )

@@ -76,23 +76,13 @@ class _Sandbox:
                 self.out.setdefault(pred, set()).add(port)
 
 
-def greedy_minimize(bruteforce: TaggedGraph) -> TaggedGraph:
-    """Run Algorithm 2 on a brute-force tagged graph.
-
-    Returns a new :class:`TaggedGraph` over the same ports whose tag count
-    is at most (usually much less than) the input's. Every brute-force
-    node maps to exactly one output node and every brute-force edge to one
-    output edge, so ELP coverage is preserved exactly.
-    """
-    if bruteforce.num_nodes == 0:
-        raise TaggingError("cannot minimize an empty tagged graph")
-
-    largest = bruteforce.max_tag
+def _greedy_classes(bruteforce: TaggedGraph) -> Dict[TNode, int]:
+    """Algorithm 2's scan: the new tag of every brute-force node."""
     new_tag: Dict[TNode, int] = {}
     current = INITIAL_TAG
     sandbox = _Sandbox()
 
-    for old_tag in range(INITIAL_TAG, largest + 1):
+    for old_tag in range(INITIAL_TAG, bruteforce.max_tag + 1):
         bumped: Set[PortKey] = set()
         for node in sorted(bruteforce.nodes_with_tag(old_tag)):
             port = node[0]
@@ -113,7 +103,20 @@ def greedy_minimize(bruteforce: TaggedGraph) -> TaggedGraph:
             # between them yet and the fresh sandbox starts acyclic.
             current += 1
             sandbox = _Sandbox(bumped)
+    return new_tag
 
+
+def greedy_minimize(bruteforce: TaggedGraph) -> TaggedGraph:
+    """Run Algorithm 2 on a brute-force tagged graph.
+
+    Returns a new :class:`TaggedGraph` over the same ports whose tag count
+    is at most (usually much less than) the input's. Every brute-force
+    node maps to exactly one output node and every brute-force edge to one
+    output edge, so ELP coverage is preserved exactly.
+    """
+    if bruteforce.num_nodes == 0:
+        raise TaggingError("cannot minimize an empty tagged graph")
+    new_tag = _greedy_classes(bruteforce)
     result = TaggedGraph()
     for node in bruteforce.nodes:
         result.add_node((node[0], new_tag[node]))
@@ -131,28 +134,7 @@ def tag_mapping(
     Provided for diagnostics/tests; :func:`greedy_minimize` is
     deterministic so the mapping is well-defined.
     """
-    largest = bruteforce.max_tag
-    new_tag: Dict[TNode, int] = {}
-    current = INITIAL_TAG
-    sandbox = _Sandbox()
-    for old_tag in range(INITIAL_TAG, largest + 1):
-        bumped: Set[PortKey] = set()
-        for node in sorted(bruteforce.nodes_with_tag(old_tag)):
-            port = node[0]
-            intra_preds = [
-                pred[0]
-                for pred in bruteforce.predecessors(node)
-                if new_tag.get(pred) == current
-            ]
-            if sandbox.would_cycle(port, intra_preds):
-                new_tag[node] = current + 1
-                bumped.add(port)
-            else:
-                sandbox.add(port, intra_preds)
-                new_tag[node] = current
-        if bumped:
-            current += 1
-            sandbox = _Sandbox(bumped)
+    new_tag = _greedy_classes(bruteforce)
     mapping = {node: (node[0], new_tag[node]) for node in bruteforce.nodes}
     for target in mapping.values():
         if not minimized.has_node(target):

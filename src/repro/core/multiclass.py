@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.clos import ClosTagger
+from repro.core.rules import policy_tags_along_path
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.exceptions import TaggingError
 from repro.topology.base import Topology
@@ -98,23 +99,9 @@ class MultiClassClosTagger:
 
     def tag_along_path(self, name: str, path: Sequence[str]) -> List[int]:
         """Arriving tag per hop for a packet of class ``name`` on ``path``."""
-        tags: List[int] = []
-        tag = self.initial_tag(name)
-        for i in range(len(path) - 1):
-            if i == 0:
-                tags.append(tag)
-                continue
-            prev_node, node, next_node = path[i - 1], path[i], path[i + 1]
-            if not self.topo.node(node).is_switch:
-                raise TaggingError(f"non-switch transit node {node!r}")
-            tag = self.rewrite(
-                node,
-                self.topo.port_to(node, prev_node),
-                self.topo.port_to(node, next_node),
-                tag,
-            )
-            tags.append(tag)
-        return tags
+        return policy_tags_along_path(
+            self.topo, self.rewrite, path, initial_tag=self.initial_tag(name)
+        )
 
     def path_stays_lossless(self, name: str, path: Sequence[str]) -> bool:
         return all(tag != LOSSY_TAG for tag in self.tag_along_path(name, path))

@@ -14,6 +14,12 @@ Three constructors mirror the paper:
 - :meth:`TaggerPlan.for_clos` — the topology-aware Clos scheme (§4.3),
   no enumeration needed;
 - :meth:`TaggerPlan.for_multiclass_clos` — §6's staggered classes.
+
+They mirror it in code as well: every Algorithm-1 plan — ``from_elp``,
+:meth:`TaggerPlan.from_provider` on either enumeration strategy, and
+every :class:`~repro.core.replan.IncrementalPlanner` compile — is
+finished by the one :func:`compile_plan` tail (minimize, verify, rules,
+queue map), and both policy plans by one materialise-and-wrap body.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.core.bruteforce import bruteforce_tagging
+from repro.core.bruteforce import add_tagged_path, bruteforce_tagging
 from repro.core.clos import ClosTagger
-from repro.core.determinize import deterministic_minimize
+from repro.core.determinize import DeterministicTagging, deterministic_minimize
 from repro.core.elp import ElpSet, PairwiseElpProvider
 from repro.core.greedy import greedy_minimize
 from repro.core.symmetry import STRATEGY_SYMMETRY, certify, check_strategy
@@ -39,7 +45,7 @@ from repro.core.rules import (
     rules_from_tagged_graph,
     rules_to_tagged_graph,
 )
-from repro.core.tags import INITIAL_TAG, TaggedGraph, ingress_hops
+from repro.core.tags import INITIAL_TAG, TaggedGraph
 from repro.core.verification import VerificationReport, assert_deadlock_free, verify_tagged_graph
 from repro.exceptions import TaggingError
 from repro.perf.timing import StageTimer
@@ -126,65 +132,8 @@ class TaggerPlan:
             timer = StageTimer()
         with timer.stage("bruteforce"):
             graph = bruteforce_tagging(topo, elp)
-        return TaggerPlan._finish(
-            topo,
-            graph,
-            minimize=minimize,
-            max_lossless_queues=max_lossless_queues,
-            on_conflict=on_conflict,
-            timer=timer,
-        )
-
-    @staticmethod
-    def _finish(
-        topo: Topology,
-        graph: TaggedGraph,
-        minimize: str,
-        max_lossless_queues: int,
-        on_conflict: str,
-        timer: StageTimer,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> "TaggerPlan":
-        """Minimize + verify + queue-map a brute-force tagged graph.
-
-        Shared tail of every Algorithm-1 construction path — explicit
-        ELP, streamed provider, or symmetry-certified closed form — so
-        all of them compile byte-identical plans from equal graphs.
-        """
-        rule_report: Optional[RuleGenerationReport] = None
-        if minimize == "deterministic":
-            with timer.stage("minimize"):
-                result = deterministic_minimize(topo, graph)
-            tables = result.tables
-            graph = result.graph
-            with timer.stage("verify"):
-                assert_deadlock_free(graph)
-        else:
-            with timer.stage("minimize"):
-                if minimize == "paper":
-                    graph = greedy_minimize(graph)
-            with timer.stage("verify"):
-                assert_deadlock_free(graph)
-                rule_report = rules_from_tagged_graph(
-                    topo, graph, on_conflict=on_conflict
-                )
-                tables = rule_report.tables
-                if rule_report.conflicts:
-                    # Conflict resolution changed semantics; re-verify
-                    # what the rules actually deploy.
-                    effective = rules_to_tagged_graph(topo, tables)
-                    assert_deadlock_free(effective)
-                    graph = effective
-        with timer.stage("queue-map"):
-            queue_map = QueueMap.identity(graph.max_tag, max_lossless_queues)
-        return TaggerPlan(
-            topo=topo,
-            graph=graph,
-            tables=tables,
-            queue_map=queue_map,
-            description=f"algorithm-1+{minimize} ({graph.num_tags} tags)",
-            rule_report=rule_report,
-            meta=dict(meta or {}),
+        return compile_plan(
+            topo, graph, minimize, max_lossless_queues, on_conflict, timer
         )
 
     @staticmethod
@@ -225,68 +174,38 @@ class TaggerPlan:
         if strategy == STRATEGY_SYMMETRY:
             with timer.stage("certify"):
                 cert = certify(topo, provider)
-        if cert is not None:
-            with timer.stage("elp"):
-                extras = ElpSet(topo, description=provider.description)
-                extras.extend(extra_paths)
-            with timer.stage("bruteforce"):
-                graph = TaggedGraph()
-                cert.populate_graph(graph)
-                saw_path = graph.num_nodes > 0
-                for path in extras:
-                    tag = INITIAL_TAG
-                    last_node = None
-                    for port_key in ingress_hops(topo, path):
-                        node = (port_key, tag)
-                        graph.add_node(node)
-                        if last_node is not None:
-                            graph.add_edge(last_node, node)
-                        last_node = node
-                        tag += 1
-                    saw_path = True
-                if not saw_path:
-                    raise TaggingError("empty ELP: nothing to tag")
-            meta: Dict[str, Any] = {
-                "strategy": strategy,
-                "certified": True,
-                "elp_paths": cert.path_count() + len(extras),
-            }
-            return TaggerPlan._finish(
-                topo,
-                graph,
-                minimize=minimize,
-                max_lossless_queues=max_lossless_queues,
-                on_conflict=on_conflict,
-                timer=timer,
-                meta=meta,
-            )
-        # Exhaustive enumeration (explicit, or symmetry degraded):
-        # stream the provider's paths lazily into Algorithm 1 so the
-        # full path list is never materialized.
         with timer.stage("elp"):
             extras = ElpSet(topo, description=provider.description)
             extras.extend(extra_paths)
-        counter = {"paths": 0}
-        stream = _timed_stream(provider.iter_paths(topo), timer, counter)
-        with timer.stage("bruteforce"):
-            graph = bruteforce_tagging(
-                topo,
-                itertools.chain(stream, extras.paths),
-                require_loop_free=False,
-            )
+        if cert is not None:
+            with timer.stage("bruteforce"):
+                graph = TaggedGraph()
+                cert.populate_graph(graph)
+                for path in extras:
+                    add_tagged_path(graph, topo, path)
+                if not graph.nodes and not extras.paths:
+                    raise TaggingError("empty ELP: nothing to tag")
+            enumerated = cert.path_count()
+        else:
+            # Exhaustive enumeration (explicit, or symmetry degraded):
+            # stream the provider's paths lazily into Algorithm 1 so the
+            # full path list is never materialized.
+            counter = {"paths": 0}
+            stream = _timed_stream(provider.iter_paths(topo), timer, counter)
+            with timer.stage("bruteforce"):
+                graph = bruteforce_tagging(
+                    topo,
+                    itertools.chain(stream, extras.paths),
+                    require_loop_free=False,
+                )
+            enumerated = counter["paths"]
         meta = {
             "strategy": strategy,
-            "certified": False,
-            "elp_paths": counter["paths"] + len(extras),
+            "certified": cert is not None,
+            "elp_paths": enumerated + len(extras),
         }
-        return TaggerPlan._finish(
-            topo,
-            graph,
-            minimize=minimize,
-            max_lossless_queues=max_lossless_queues,
-            on_conflict=on_conflict,
-            timer=timer,
-            meta=meta,
+        return compile_plan(
+            topo, graph, minimize, max_lossless_queues, on_conflict, timer, meta
         )
 
     @staticmethod
@@ -302,26 +221,12 @@ class TaggerPlan:
         (policy-backed) — preferable for very large fabrics.
         """
         tagger = ClosTagger(topo, max_bounces=max_bounces)
-        graph = tagger.tagged_graph()
-        assert_deadlock_free(graph)
-        tags = list(range(INITIAL_TAG, tagger.max_lossless_tag + 1))
-        tables: Dict[str, RuleTable] = {}
-        for switch in topo.switches:
-            if materialize:
-                tables[switch] = materialize_policy_rules(
-                    topo, switch, tagger.rewrite, tags
-                )
-            else:
-                tables[switch] = RuleTable(switch=switch, policy=tagger.rewrite)
-        queue_map = QueueMap.identity(
-            tagger.num_lossless_tags, max_lossless_queues
-        )
-        return TaggerPlan(
-            topo=topo,
-            graph=graph,
-            tables=tables,
-            queue_map=queue_map,
-            description=f"clos k={max_bounces} ({tagger.num_lossless_tags} tags)",
+        return _policy_plan(
+            topo,
+            tagger,
+            max_lossless_queues,
+            materialize,
+            f"clos k={max_bounces} ({tagger.num_lossless_tags} tags)",
         )
 
     @staticmethod
@@ -332,23 +237,13 @@ class TaggerPlan:
     ) -> "TaggerPlan":
         """§6's staggered multi-class plan over a layered fabric."""
         tagger = MultiClassClosTagger(topo, classes)
-        graph = tagger.tagged_graph()
-        assert_deadlock_free(graph)
-        tags = list(range(INITIAL_TAG, INITIAL_TAG + tagger.num_lossless_tags))
-        tables = {
-            switch: materialize_policy_rules(topo, switch, tagger.rewrite, tags)
-            for switch in topo.switches
-        }
-        queue_map = QueueMap.identity(tagger.num_lossless_tags, max_lossless_queues)
-        return TaggerPlan(
-            topo=topo,
-            graph=graph,
-            tables=tables,
-            queue_map=queue_map,
-            description=(
-                f"multiclass clos ({len(classes)} classes, "
-                f"{tagger.num_lossless_tags} tags)"
-            ),
+        return _policy_plan(
+            topo,
+            tagger,
+            max_lossless_queues,
+            True,
+            f"multiclass clos ({len(classes)} classes, "
+            f"{tagger.num_lossless_tags} tags)",
         )
 
     # ------------------------------------------------------------------
@@ -413,6 +308,7 @@ class TaggerPlan:
             ),
             description=f"{self.description} fused to {fused.num_tags} tags",
             rule_report=self.rule_report,
+            meta=dict(self.meta),
         )
 
     def summary(self) -> str:
@@ -422,3 +318,98 @@ class TaggerPlan:
             f"{self.total_rules} rules total, "
             f"max {self.max_rules_per_switch} rules/switch"
         )
+
+
+def compile_plan(
+    topo: Topology,
+    graph: TaggedGraph,
+    minimize: str,
+    max_lossless_queues: int,
+    on_conflict: str,
+    timer: StageTimer,
+    meta: Optional[Dict[str, Any]] = None,
+    merge: Optional[Callable[[TaggedGraph], DeterministicTagging]] = None,
+) -> TaggerPlan:
+    """Minimize + verify + queue-map a brute-force tagged graph.
+
+    The one tail of every Algorithm-1 construction path — explicit ELP,
+    streamed provider, symmetry-certified closed form, and every
+    :class:`~repro.core.replan.IncrementalPlanner` compile — so all of
+    them produce byte-identical plans from equal graphs because they run
+    the same code, not because two copies are kept in step.
+
+    Args:
+        graph: The brute-force (Algorithm 1) tagged graph.
+        minimize: ``"deterministic"``, ``"paper"`` or ``"off"`` (see
+            :meth:`TaggerPlan.from_elp`).
+        merge: The deterministic merge to run on ``graph``; defaults to
+            a from-scratch :func:`deterministic_minimize`. The
+            re-planner hands in its resumable
+            :meth:`DeterministicMinimizer.run`. Only called in
+            ``"deterministic"`` mode.
+    """
+    rule_report: Optional[RuleGenerationReport] = None
+    if minimize == "deterministic":
+        with timer.stage("minimize"):
+            result = merge(graph) if merge else deterministic_minimize(topo, graph)
+        tables = result.tables
+        graph = result.graph
+        with timer.stage("verify"):
+            assert_deadlock_free(graph)
+    else:
+        with timer.stage("minimize"):
+            if minimize == "paper":
+                graph = greedy_minimize(graph)
+        with timer.stage("verify"):
+            assert_deadlock_free(graph)
+            rule_report = rules_from_tagged_graph(
+                topo, graph, on_conflict=on_conflict
+            )
+            tables = rule_report.tables
+            if rule_report.conflicts:
+                # Conflict resolution changed semantics; re-verify
+                # what the rules actually deploy.
+                effective = rules_to_tagged_graph(topo, tables)
+                assert_deadlock_free(effective)
+                graph = effective
+    with timer.stage("queue-map"):
+        queue_map = QueueMap.identity(graph.max_tag, max_lossless_queues)
+    return TaggerPlan(
+        topo=topo,
+        graph=graph,
+        tables=tables,
+        queue_map=queue_map,
+        description=f"algorithm-1+{minimize} ({graph.num_tags} tags)",
+        rule_report=rule_report,
+        meta=dict(meta or {}),
+    )
+
+
+def _policy_plan(
+    topo: Topology,
+    tagger: Union[ClosTagger, MultiClassClosTagger],
+    max_lossless_queues: int,
+    materialize: bool,
+    description: str,
+) -> TaggerPlan:
+    """Verify a topology-aware tagger's induced graph and wrap its rules."""
+    graph = tagger.tagged_graph()
+    assert_deadlock_free(graph)
+    tags = range(INITIAL_TAG, INITIAL_TAG + tagger.num_lossless_tags)
+    tables: Dict[str, RuleTable] = {}
+    for switch in topo.switches:
+        if materialize:
+            tables[switch] = materialize_policy_rules(
+                topo, switch, tagger.rewrite, tags
+            )
+        else:
+            tables[switch] = RuleTable(switch=switch, policy=tagger.rewrite)
+    return TaggerPlan(
+        topo=topo,
+        graph=graph,
+        tables=tables,
+        queue_map=QueueMap.identity(
+            tagger.num_lossless_tags, max_lossless_queues
+        ),
+        description=description,
+    )

@@ -17,10 +17,10 @@ the generic pipeline plus merging matches the hand-crafted Clos tagger.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Tuple
 
 from repro.core.rules import RuleTable
-from repro.core.tags import INITIAL_TAG, PortKey, TaggedGraph
+from repro.core.tags import INITIAL_TAG, TaggedGraph
 from repro.core.verification import verify_tagged_graph
 from repro.exceptions import CapacityError, TaggingError
 
@@ -34,45 +34,14 @@ def merge_is_safe(graph: TaggedGraph, low: int, high: int) -> bool:
     """
     if high <= low:
         raise TaggingError("merge targets must satisfy low < high")
-    member_tags = {low, high}
-    ports: Set[PortKey] = set()
-    edges: List[Tuple[PortKey, PortKey]] = []
-    for tag in member_tags:
+    fused = TaggedGraph()
+    for tag in (low, high):
         for node in graph.nodes_with_tag(tag):
-            ports.add(node[0])
+            fused.add_node((node[0], low))
             for succ in graph.successors(node):
-                if succ[1] in member_tags:
-                    edges.append((node[0], succ[0]))
-    # Cycle check over the port-level fused graph.
-    out: Dict[PortKey, Set[PortKey]] = {}
-    for src, dst in edges:
-        if src == dst:
-            return False
-        out.setdefault(src, set()).add(dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {port: WHITE for port in ports}
-    for root in ports:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(sorted(out.get(root, ()))))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for succ in it:
-                if succ not in color:
-                    continue
-                if color[succ] == GRAY:
-                    return False
-                if color[succ] == WHITE:
-                    color[succ] = GRAY
-                    stack.append((succ, iter(sorted(out.get(succ, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return True
+                if succ[1] in (low, high):
+                    fused.add_edge((node[0], low), (succ[0], low))
+    return fused.tag_subgraph_is_acyclic(low)
 
 
 def apply_tag_mapping(graph: TaggedGraph, mapping: Dict[int, int]) -> TaggedGraph:

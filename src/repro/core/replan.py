@@ -45,44 +45,38 @@ minimizer state is cold after a memo hit — the engine falls back to a
 full recompute of the affected stage rather than guessing. In **every**
 mode the resulting plan is certifiably equivalent to
 :meth:`TaggerPlan.from_elp` on the same topology and path set: identical
-rule tables, tagged graph, and queue map (property-tested in
-``tests/properties/test_incremental.py`` and fuzz-checked as the
-``incremental-divergence`` invariant).
+rule tables, tagged graph, and queue map. It is so by construction where
+that is possible — each path is counted through the same
+:func:`~repro.core.tags.tagged_walk` Algorithm 1 adds, and the graph is
+compiled by the same :func:`~repro.core.planner.compile_plan` — and by
+test where it is not (the refcounts, the pair cache and the checkpoint
+resume: property-tested in ``tests/properties/test_incremental.py`` and
+fuzz-checked as the ``incremental-divergence`` invariant).
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.determinize import DeterministicMinimizer
-from repro.core.elp import PairwiseElpProvider
-from repro.core.greedy import greedy_minimize
-from repro.core.pipeline import QueueMap
-from repro.core.planner import TaggerPlan
-from repro.core.rules import (
-    RuleDiff,
-    RuleGenerationReport,
-    RuleTable,
-    diff_tables,
-    rules_from_tagged_graph,
-    rules_to_tagged_graph,
-)
+from repro.core.determinize import DeterministicMinimizer, DeterministicTagging
+from repro.core.elp import PairwiseElpProvider, canonical_elp_path
+from repro.core.planner import TaggerPlan, compile_plan
+from repro.core.rules import RuleDiff, diff_tables
 from repro.core.symmetry import (
     STRATEGY_SYMMETRY,
     SymmetryCertificate,
     certify,
     check_strategy,
 )
-from repro.core.tags import INITIAL_TAG, TaggedGraph, TEdge, TNode, ingress_hops
-from repro.core.verification import assert_deadlock_free
+from repro.core.tags import INITIAL_TAG, TaggedGraph, TEdge, TNode, tagged_walk
 from repro.exceptions import TaggingError
 from repro.obs.events import EV_REPLAN_APPLY
 from repro.obs.instrument import observe_plan, observe_timings
 from repro.obs.telemetry import Telemetry
 from repro.perf.timing import StageTimer
-from repro.routing.base import Path, is_loop_free, validate_path
+from repro.routing.base import Path
 from repro.topology.base import Topology
 from repro.topology.failures import (
     ADD_PATHS,
@@ -107,75 +101,85 @@ MODE_FULL = "full"
 class _RefcountedGraph:
     """Algorithm-1 tagged graph maintained as per-path reference counts.
 
-    ``add_path``/``remove_path`` mirror one loop iteration of
-    :func:`repro.core.bruteforce.bruteforce_tagging` and return the
-    nodes/edges whose count crossed zero — the *structural* changes that
-    feed dirty-level computation. :meth:`graph` materializes the
-    positive-count entries; because :class:`TaggedGraph` is
-    set-structured, the result is identical to running Algorithm 1 from
-    scratch on the current path multiset, in any insertion order.
+    ``add_path``/``remove_path`` count one path's
+    :func:`~repro.core.tags.tagged_walk` (the same walk
+    :func:`repro.core.bruteforce.bruteforce_tagging` adds) and return the
+    nodes/edges whose count crossed zero — the *structural* changes.
+    :meth:`graph` materializes the positive-count entries; because
+    :class:`TaggedGraph` is set-structured, the result is identical to
+    running Algorithm 1 from scratch on the current path multiset, in
+    any insertion order.
     """
 
     def __init__(self, topo: Topology) -> None:
         self.topo = topo
         self._nodes: Dict[TNode, int] = {}
         self._edges: Dict[TEdge, int] = {}
+        #: Lowest brute-force level whose minimization input changed
+        #: since the owner last reset this to None (None: no structural
+        #: change). Levels strictly below it were processed on identical
+        #: input, which is what makes checkpoint resume sound.
+        self.dirty_level: Optional[int] = None
 
     @property
     def is_empty(self) -> bool:
         return not self._nodes
 
     def add_path(self, path: Path) -> Tuple[List[TNode], List[TEdge]]:
-        created_nodes: List[TNode] = []
-        created_edges: List[TEdge] = []
-        tag = INITIAL_TAG
-        last: Optional[TNode] = None
-        for port in ingress_hops(self.topo, path):
-            node = (port, tag)
-            count = self._nodes.get(node, 0)
-            if count == 0:
-                created_nodes.append(node)
-            self._nodes[node] = count + 1
-            if last is not None:
-                edge = (last, node)
-                ecount = self._edges.get(edge, 0)
-                if ecount == 0:
-                    created_edges.append(edge)
-                self._edges[edge] = ecount + 1
-            last = node
-            tag += 1
-        return created_nodes, created_edges
+        return self._shift(path, +1)
 
     def remove_path(self, path: Path) -> Tuple[List[TNode], List[TEdge]]:
-        removed_nodes: List[TNode] = []
-        removed_edges: List[TEdge] = []
-        tag = INITIAL_TAG
+        return self._shift(path, -1)
+
+    def _shift(
+        self, path: Path, delta: int
+    ) -> Tuple[List[TNode], List[TEdge]]:
+        """Add ``delta`` (+1 or -1) to the count of every node and edge of
+        the path's walk; a count that reaches zero leaves its dict, so the
+        dicts hold exactly the live graph.
+
+        Node and edge bookkeeping sit side by side in one loop rather
+        than behind a per-dict helper: this is the 231 k-path planner-init
+        loop at clos64, where a shared per-dict helper measured +0.22 s
+        (+20 %) against this form (docs/PERFORMANCE.md).
+        """
+        node_counts, edge_counts = self._nodes, self._edges
+        nodes: List[TNode] = []
+        edges: List[TEdge] = []
         last: Optional[TNode] = None
-        for port in ingress_hops(self.topo, path):
-            node = (port, tag)
-            count = self._nodes.get(node, 0)
-            if count <= 0:
+        for node in tagged_walk(self.topo, path):
+            count = node_counts.get(node, 0) + delta
+            if count > 0:
+                node_counts[node] = count
+                if count == delta:  # was 0: created
+                    nodes.append(node)
+            elif count == 0:
+                del node_counts[node]
+                nodes.append(node)
+            else:
                 raise TaggingError(
                     f"refcount underflow at {node}; path was never added"
                 )
-            if count == 1:
-                del self._nodes[node]
-                removed_nodes.append(node)
-            else:
-                self._nodes[node] = count - 1
             if last is not None:
                 edge = (last, node)
-                ecount = self._edges.get(edge, 0)
-                if ecount <= 0:
-                    raise TaggingError(f"refcount underflow at edge {edge}")
-                if ecount == 1:
-                    del self._edges[edge]
-                    removed_edges.append(edge)
+                count = edge_counts.get(edge, 0) + delta
+                if count > 0:
+                    edge_counts[edge] = count
+                    if count == delta:
+                        edges.append(edge)
+                elif count == 0:
+                    del edge_counts[edge]
+                    edges.append(edge)
                 else:
-                    self._edges[edge] = ecount - 1
+                    raise TaggingError(f"refcount underflow at edge {edge}")
             last = node
-            tag += 1
-        return removed_nodes, removed_edges
+        # A node created/deleted at level ``t`` alters ``nodes_with_tag(t)``;
+        # an edge change alters only the predecessor view of its *dst* level.
+        if nodes or edges:
+            level = min([n[1] for n in nodes] + [e[1][1] for e in edges])
+            if self.dirty_level is None or level < self.dirty_level:
+                self.dirty_level = level
+        return nodes, edges
 
     def graph(self) -> TaggedGraph:
         graph = TaggedGraph()
@@ -193,6 +197,7 @@ class _RefcountedGraph:
     ) -> None:
         self._nodes = dict(nodes)
         self._edges = dict(edges)
+        self.dirty_level = None
 
 
 @dataclass
@@ -315,15 +320,11 @@ class IncrementalPlanner:
         #: state (a previous apply raised mid-pipeline).
         self._plan_dirty = True
         self._memo: "OrderedDict[_MemoKey, _MemoEntry]" = OrderedDict()
-        #: Structural refcount changes accumulated by _recompute_pair,
-        #: drained by the caller into dirty-level computation.
-        self._pending_nodes: List[TNode] = []
-        self._pending_edges: List[TEdge] = []
         self._last_resume_level: Optional[int] = None
 
         timer = StageTimer()
         for raw in extra_paths:
-            self._extras.append(self._validate_extra(raw))
+            self._extras.append(canonical_elp_path(topo, raw))
         self._full_build(timer)
         #: Stage timings of the initial from-scratch build.
         self.initial_timings: Dict[str, float] = timer.timings()
@@ -404,14 +405,15 @@ class IncrementalPlanner:
     ) -> ReplanResult:
         timer = StageTimer()
         prev_tables = self._plan.tables if self._plan is not None else {}
-        self._pending_nodes = []
-        self._pending_edges = []
+        self._last_resume_level = None
 
         # Path deltas validate fully before any state is touched, so a
         # rejected delta leaves the planner exactly as it was.
         canonical_paths: List[Path] = []
         if delta.kind == ADD_PATHS:
-            canonical_paths = [self._validate_extra(p) for p in delta.paths]
+            canonical_paths = [
+                canonical_elp_path(self.topo, p) for p in delta.paths
+            ]
         elif delta.kind == REMOVE_PATHS:
             canonical_paths = [tuple(p) for p in delta.paths]
             missing = Counter(canonical_paths) - Counter(self._extras)
@@ -430,6 +432,25 @@ class IncrementalPlanner:
             # pair enumeration before any pair is recomputed.
             self._refresh_cert(timer)
         memo_key = self._memo_key()
+
+        def result(
+            mode: str,
+            diffs: Dict[str, RuleDiff],
+            dirty_pairs: int = 0,
+            changed_paths: int = 0,
+        ) -> ReplanResult:
+            return ReplanResult(
+                delta=delta,
+                mode=mode,
+                plan=self.plan,
+                diffs=diffs,
+                timings=timer.timings(),
+                dirty_pairs=dirty_pairs,
+                changed_paths=changed_paths,
+                resume_level=self._last_resume_level,
+                fingerprint=memo_key[0],
+            )
+
         if not force_full and not is_path_delta:
             entry = self._memo.get(memo_key)
             if entry is not None:
@@ -438,17 +459,7 @@ class IncrementalPlanner:
                 with timer.stage("diff"):
                     diffs = diff_tables(prev_tables, self.plan.tables)
                 self._memo.move_to_end(memo_key)
-                return ReplanResult(
-                    delta=delta,
-                    mode=MODE_MEMO,
-                    plan=self.plan,
-                    diffs=diffs,
-                    timings=timer.timings(),
-                    dirty_pairs=0,
-                    changed_paths=0,
-                    resume_level=None,
-                    fingerprint=memo_key[0],
-                )
+                return result(MODE_MEMO, diffs)
 
         mode = MODE_INCREMENTAL
         dirty: Set[Pair] = set()
@@ -474,29 +485,18 @@ class IncrementalPlanner:
                 else:
                     dirty = set(self._damaged)
             for pair in sorted(dirty):
-                pair_change = self._recompute_pair(pair)
-                if pair_change is not None:
-                    changed_paths += len(pair_change[0]) + len(pair_change[1])
+                changed_paths += self._recompute_pair(pair)
 
         with timer.stage("bruteforce"):
             if delta.kind == ADD_PATHS:
                 for path in canonical_paths:
                     self._extras.append(path)
-                    nodes, edges = self._brute.add_path(path)
-                    self._pending_nodes.extend(nodes)
-                    self._pending_edges.extend(edges)
-                changed_paths += len(canonical_paths)
+                    self._brute.add_path(path)
             elif delta.kind == REMOVE_PATHS:
                 for path in canonical_paths:
                     self._extras.remove(path)
-                    nodes, edges = self._brute.remove_path(path)
-                    self._pending_nodes.extend(nodes)
-                    self._pending_edges.extend(edges)
-                changed_paths += len(canonical_paths)
-            changed_nodes = self._pending_nodes
-            changed_edges = self._pending_edges
-            self._pending_nodes = []
-            self._pending_edges = []
+                    self._brute.remove_path(path)
+            changed_paths += len(canonical_paths)
 
         if self._base is None and not self.topo.failed_links:
             # First time the planner sees the pristine fabric: snapshot
@@ -505,50 +505,28 @@ class IncrementalPlanner:
             self._damaged = set()
 
         if (
-            not changed_nodes
-            and not changed_edges
+            self._brute.dirty_level is None
             and not self._plan_dirty
             and self._plan is not None
         ):
+            # Same graph, but the path count behind it may have moved.
+            meta = self._meta()
+            if self._plan.meta != meta:
+                self._plan = replace(self._plan, meta=meta)
             self._store_memo()
-            return ReplanResult(
-                delta=delta,
-                mode=MODE_NOOP if mode != MODE_FULL else MODE_FULL,
-                plan=self.plan,
-                diffs={},
-                timings=timer.timings(),
-                dirty_pairs=len(dirty),
-                changed_paths=changed_paths,
-                resume_level=None,
-                fingerprint=memo_key[0],
-            )
+            if mode != MODE_FULL:
+                mode = MODE_NOOP
+            return result(mode, {}, len(dirty), changed_paths)
 
-        dirty_level = self._dirty_level(changed_nodes, changed_edges)
-        plan = self._compile(timer, dirty_level)
+        plan = self._compile(timer)
         with timer.stage("diff"):
             diffs = diff_tables(prev_tables, plan.tables)
         self._store_memo()
-        return ReplanResult(
-            delta=delta,
-            mode=mode,
-            plan=plan,
-            diffs=diffs,
-            timings=timer.timings(),
-            dirty_pairs=len(dirty),
-            changed_paths=changed_paths,
-            resume_level=self._last_resume_level,
-            fingerprint=memo_key[0],
-        )
+        return result(mode, diffs, len(dirty), changed_paths)
 
     # ------------------------------------------------------------------
     # ELP cache maintenance
     # ------------------------------------------------------------------
-    def _validate_extra(self, path: Tuple[str, ...]) -> Path:
-        canonical = validate_path(self.topo, path, allow_failed=True)
-        if not is_loop_free(canonical):
-            raise TaggingError(f"ELP paths must be loop-free: {canonical}")
-        return canonical
-
     def _refresh_cert(self, timer: StageTimer) -> None:
         """Re-establish (or drop) the symmetry certificate for ``topo``."""
         if self.strategy != STRATEGY_SYMMETRY:
@@ -569,51 +547,38 @@ class IncrementalPlanner:
             return self._cert.pair_paths(src, dst)
         return self.provider.pair_paths(self.topo, src, dst)
 
-    def _recompute_pair(
-        self, pair: Pair
-    ) -> Optional[Tuple[Tuple[Path, ...], Tuple[Path, ...]]]:
-        """Re-enumerate one pair; returns (removed, added) paths or None.
+    def _recompute_pair(self, pair: Pair) -> int:
+        """Re-enumerate one pair; returns how many paths it lost + gained.
 
-        ``removed``/``added`` are the multiset difference between the old
-        and new path sets — unchanged paths never touch the refcounted
-        graph. Structural refcount changes accumulate in
-        ``_pending_nodes`` / ``_pending_edges`` so the caller can account
-        them to the brute-force stage.
+        Only the multiset difference between the old and new path sets
+        touches the refcounted graph (which records the lowest level the
+        change disturbs); unchanged paths never do.
         """
         old = self._pairs.get(pair, ())
         new = self._provider_pair_paths(pair)
-        if new == old:
-            if self._base is not None:
-                # Membership may still flip on a restore that undoes the
-                # damage bookkeeping without changing this pair.
-                if new != self._base.get(pair, ()):
-                    self._damaged.add(pair)
-                else:
-                    self._damaged.discard(pair)
-            return None
-        # Refcounts are additive, so only the multiset difference needs
-        # to touch the brute-force graph: a link flap typically preserves
-        # most of a pair's ECMP fan-out, and churning the survivors would
-        # cost far more than the enumeration itself.
-        old_counter = Counter(old)
-        new_counter = Counter(new)
-        removed = tuple((old_counter - new_counter).elements())
-        added = tuple((new_counter - old_counter).elements())
-        for path in removed:
-            nodes, edges = self._brute.remove_path(path)
-            self._pending_nodes.extend(nodes)
-            self._pending_edges.extend(edges)
-        for path in added:
-            nodes, edges = self._brute.add_path(path)
-            self._pending_nodes.extend(nodes)
-            self._pending_edges.extend(edges)
-        self._set_pair(pair, new)
+        changed = 0
+        if new != old:
+            # Refcounts are additive, so only the multiset difference
+            # needs to touch the brute-force graph: a link flap typically
+            # preserves most of a pair's ECMP fan-out, and churning the
+            # survivors would cost far more than the enumeration itself.
+            old_counter = Counter(old)
+            new_counter = Counter(new)
+            for path in (old_counter - new_counter).elements():
+                self._brute.remove_path(path)
+                changed += 1
+            for path in (new_counter - old_counter).elements():
+                self._brute.add_path(path)
+                changed += 1
+            self._set_pair(pair, new)
         if self._base is not None:
+            # Membership may flip even when this pair did not change: a
+            # restore can undo the damage bookkeeping.
             if new != self._base.get(pair, ()):
                 self._damaged.add(pair)
             else:
                 self._damaged.discard(pair)
-        return removed, added
+        return changed
 
     def _set_pair(self, pair: Pair, paths: Tuple[Path, ...]) -> None:
         old_links = self._pair_links.get(pair, frozenset())
@@ -640,8 +605,6 @@ class IncrementalPlanner:
     # ------------------------------------------------------------------
     def _full_build(self, timer: StageTimer) -> None:
         """From-scratch build of every pipeline stage (init path)."""
-        self._pending_nodes = []
-        self._pending_edges = []
         self._refresh_cert(timer)
         with timer.stage("elp"):
             for pair in self.provider.ordered_pairs(self.topo):
@@ -649,107 +612,70 @@ class IncrementalPlanner:
         with timer.stage("bruteforce"):
             for path in self._extras:
                 self._brute.add_path(path)
-            self._pending_nodes = []
-            self._pending_edges = []
         if self._base is None and not self.topo.failed_links:
             self._base = dict(self._pairs)
             self._damaged = set()
         self._minimizer_valid = False
-        self._compile(timer, dirty_level=None)
+        self._compile(timer)
         self._store_memo()
 
-    def _compile(
-        self, timer: StageTimer, dirty_level: Optional[int]
-    ) -> TaggerPlan:
-        """Minimize + verify + queue-fit the current brute-force state.
+    def _compile(self, timer: StageTimer) -> TaggerPlan:
+        """Compile the current brute-force state through the shared tail.
 
-        Any failure leaves ``_plan_dirty`` set so the (still intact)
+        :func:`~repro.core.planner.compile_plan` is the pipeline; this
+        method adds only what is the re-planner's own: refusing an empty
+        ELP, choosing the checkpoint level the merge resumes from, and
+        the ``_plan_dirty`` / ``_minimizer_valid`` bookkeeping. Any
+        failure leaves ``_plan_dirty`` set so the (still intact)
         previous plan is never mistaken for the current topology's.
         """
-        self._last_resume_level = None
+        self._plan_dirty = True
         if not self._pairs and not self._extras:
             self._minimizer_valid = False
-            self._plan_dirty = True
             raise TaggingError("empty ELP: nothing to tag")
-        self._plan_dirty = True
-        rule_report: Optional[RuleGenerationReport] = None
-        tables: Dict[str, RuleTable]
+        dirty_level, self._brute.dirty_level = self._brute.dirty_level, None
+        from_level: Optional[int] = None
+        if (
+            self._minimizer_valid
+            and dirty_level is not None
+            and dirty_level > INITIAL_TAG
+        ):
+            from_level = min(dirty_level, self._minimizer.resumable_from)
+            if from_level <= INITIAL_TAG:
+                from_level = None
+
+        def merge(graph: TaggedGraph) -> DeterministicTagging:
+            # Checkpoints are trustworthy only after a run that finished.
+            self._minimizer_valid = False
+            result = self._minimizer.run(graph, from_level=from_level)
+            self._minimizer_valid = True
+            self._last_resume_level = from_level
+            return result
+
         with timer.stage("minimize"):
             graph = self._brute.graph()
-            if self.minimize == "deterministic":
-                from_level: Optional[int] = None
-                if (
-                    self._minimizer_valid
-                    and dirty_level is not None
-                    and dirty_level > INITIAL_TAG
-                ):
-                    from_level = min(
-                        dirty_level, self._minimizer.resumable_from
-                    )
-                    if from_level <= INITIAL_TAG:
-                        from_level = None
-                try:
-                    result = self._minimizer.run(graph, from_level=from_level)
-                except TaggingError:
-                    self._minimizer_valid = False
-                    raise
-                self._minimizer_valid = True
-                self._last_resume_level = from_level
-                tables = result.tables
-                final_graph = result.graph
-            else:
-                final_graph = (
-                    greedy_minimize(graph)
-                    if self.minimize == "paper"
-                    else graph
-                )
-        with timer.stage("verify"):
-            assert_deadlock_free(final_graph)
-            if self.minimize != "deterministic":
-                rule_report = rules_from_tagged_graph(
-                    self.topo, final_graph, on_conflict=self.on_conflict
-                )
-                tables = rule_report.tables
-                if rule_report.conflicts:
-                    effective = rules_to_tagged_graph(self.topo, tables)
-                    assert_deadlock_free(effective)
-                    final_graph = effective
-        with timer.stage("queue-map"):
-            queue_map = QueueMap.identity(
-                final_graph.max_tag, self.max_lossless_queues
-            )
-        plan = TaggerPlan(
-            topo=self.topo,
-            graph=final_graph,
-            tables=tables,
-            queue_map=queue_map,
-            description=(
-                f"algorithm-1+{self.minimize} ({final_graph.num_tags} tags)"
-            ),
-            rule_report=rule_report,
-            meta={
-                "strategy": self.strategy,
-                "certified": self._cert is not None,
-            },
+        plan = compile_plan(
+            self.topo,
+            graph,
+            self.minimize,
+            self.max_lossless_queues,
+            self.on_conflict,
+            timer,
+            meta=self._meta(),
+            merge=merge,
         )
         self._plan = plan
         self._plan_dirty = False
         return plan
 
-    @staticmethod
-    def _dirty_level(
-        changed_nodes: List[TNode], changed_edges: List[TEdge]
-    ) -> Optional[int]:
-        """Lowest brute-force level whose minimization input changed.
-
-        A node created/deleted at level ``t`` alters ``nodes_with_tag(t)``;
-        an edge change alters only the predecessor view of its *dst*
-        level. Levels strictly below the minimum are processed on
-        identical input, which is what makes checkpoint resume sound.
-        """
-        levels = [node[1] for node in changed_nodes]
-        levels.extend(edge[1][1] for edge in changed_edges)
-        return min(levels) if levels else None
+    def _meta(self) -> Dict[str, Any]:
+        """Plan provenance, same keys as :meth:`TaggerPlan.from_provider`."""
+        return {
+            "strategy": self.strategy,
+            "certified": self._cert is not None,
+            "elp_paths": sum(len(paths) for paths in self._pairs.values())
+            + len(self._extras),
+        }
 
     # ------------------------------------------------------------------
     # Memoization

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
-from repro.exceptions import RuleError
+from repro.exceptions import RuleError, TaggingError
 from repro.topology.base import Topology
 
 MatchKey = Tuple[int, int, int]  # (tag, in_port, out_port)
@@ -216,6 +216,76 @@ def materialize_policy_rules(
                     continue
                 table.rules[(tag, in_port, out_port)] = new_tag
     return table
+
+
+def policy_tags_along_path(
+    topo: Topology,
+    policy: RewriteFn,
+    path: Sequence[str],
+    initial_tag: int = INITIAL_TAG,
+) -> List[int]:
+    """Tag a packet carries as it arrives at each hop of ``path``.
+
+    Entry ``i`` is the tag on the wire into ``path[i + 1]``; the list
+    has ``len(path) - 1`` entries. The packet is injected with
+    ``initial_tag`` and every transit switch applies ``policy``; once
+    demoted, it stays :data:`LOSSY_TAG` (policies map lossy to lossy).
+    This is the one path walk behind every topology-aware tagger's
+    ``tag_along_path``.
+    """
+    tags: List[int] = []
+    tag = initial_tag
+    for i in range(len(path) - 1):
+        if i > 0:
+            prev_node, node, next_node = path[i - 1], path[i], path[i + 1]
+            if not topo.node(node).is_switch:
+                raise TaggingError(f"non-switch transit node {node!r}")
+            tag = policy(
+                node,
+                topo.port_to(node, prev_node),
+                topo.port_to(node, next_node),
+                tag,
+            )
+        tags.append(tag)
+    return tags
+
+
+def policy_tagged_graph(
+    topo: Topology,
+    policy: RewriteFn,
+    tags: Sequence[int],
+    host_tags: Sequence[int] = (INITIAL_TAG,),
+) -> TaggedGraph:
+    """The complete tagged graph a functional policy induces.
+
+    Covers *every* physical trajectory the fabric allows (not just an
+    enumerated ELP): for each transit pattern ``A -> B -> C`` and each
+    live tag, an edge with the rewritten tag — unless the rewrite
+    demotes the packet, in which case it leaves the lossless world and
+    contributes no dependency. Switch-facing ingress ports are live for
+    every tag in ``tags``; host-facing ones for ``host_tags`` only
+    (hosts inject fresh packets; multi-class deployments inject one
+    staggered tag per class).
+    """
+    graph = TaggedGraph()
+    for switch in topo.switches:
+        ports = topo.ports(switch)
+        for in_port, in_peer in ports.items():
+            live_tags = host_tags if topo.node(in_peer).is_host else tags
+            for tag in live_tags:
+                node = ((switch, in_port), tag)
+                graph.add_node(node)
+                for out_port, out_peer in ports.items():
+                    if out_port == in_port:
+                        continue
+                    if not topo.node(out_peer).is_switch:
+                        continue
+                    new_tag = policy(switch, in_port, out_port, tag)
+                    if new_tag == LOSSY_TAG:
+                        continue
+                    peer_in_port = topo.port_to(out_peer, switch)
+                    graph.add_edge(node, ((out_peer, peer_in_port), new_tag))
+    return graph
 
 
 @dataclass(frozen=True)

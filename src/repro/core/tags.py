@@ -237,21 +237,36 @@ class TaggedGraph:
         )
 
 
-def ingress_hops(topo: Topology, path: Sequence[str]) -> List[PortKey]:
-    """Per-hop ingress ``PortKey`` sequence for a path.
+def tagged_walk(topo: Topology, path: Sequence[str]) -> List[TNode]:
+    """Algorithm 1 on one path: its tagged nodes, in hop order.
 
     For every consecutive pair ``(prev, cur)`` where ``cur`` is a switch,
-    yields ``(cur, port on cur facing prev)``. Host endpoints therefore
-    contribute the host-facing ports of their edge switches, and a path
-    that *starts* at a switch contributes nothing for that first switch
-    (a freshly injected packet occupies no ingress buffer there).
+    one node ``((cur, port on cur facing prev), tag)``; the first carries
+    :data:`INITIAL_TAG`, the second ``INITIAL_TAG + 1``, and so on (paper
+    §5.2). Host endpoints therefore contribute the host-facing ports of
+    their edge switches, and a path that *starts* at a switch contributes
+    nothing for that first switch (a freshly injected packet occupies no
+    ingress buffer there). The path's tagged-graph edges are the
+    consecutive pairs of the returned list.
+
+    Every consumer of Algorithm 1 — :func:`~repro.core.bruteforce.bruteforce_tagging`,
+    the planner's pinned extras, the re-planner's refcounts — walks a
+    path through this function.
     """
-    result: List[PortKey] = []
+    walk: List[TNode] = []
+    tag = INITIAL_TAG
     for i in range(len(path) - 1):
         prev, cur = path[i], path[i + 1]
         if topo.node(cur).is_switch:
-            result.append((cur, topo.port_to(cur, prev)))
-    return result
+            walk.append(((cur, topo.port_to(cur, prev)), tag))
+            tag += 1
+    return walk
+
+
+def ingress_hops(topo: Topology, path: Sequence[str]) -> List[PortKey]:
+    """Per-hop ingress ``PortKey`` sequence for a path: the ports of its
+    :func:`tagged_walk`, without the tags."""
+    return [port for port, _tag in tagged_walk(topo, path)]
 
 
 def transit_triples(

@@ -64,11 +64,6 @@ from repro.core import (
     tables_equal,
     verify_tagged_graph,
 )
-from repro.core.elp import (
-    PairwiseElpProvider,
-    ShortestPathElpProvider,
-    UpDownElpProvider,
-)
 from repro.core.pipeline import QueueMap
 from repro.core.replan import IncrementalPlanner
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
@@ -377,29 +372,6 @@ def _check_clos(
             break
 
 
-def _replan_provider(scenario: Scenario) -> Optional[PairwiseElpProvider]:
-    """Pairwise provider reproducing the scenario's ELP, if one exists.
-
-    The incremental planner consumes pair-decomposable ELPs only (its
-    locality contract, see :class:`~repro.core.elp.PairwiseElpProvider`).
-    Bounce, BCube, random-extra-path, and explicit-path scenarios are
-    outside that input space and skip the check — not a violation.
-    """
-    if scenario.explicit_paths is not None:
-        return None
-    if scenario.elp_kind == "updown":
-        return UpDownElpProvider()
-    if (
-        scenario.elp_kind == "shortest"
-        and not scenario.elp_params.get("extra_random_paths", 0)
-    ):
-        return ShortestPathElpProvider(
-            explicit_endpoints=scenario.elp_params.get("endpoints"),
-            per_pair=scenario.elp_params.get("per_pair", 1),
-        )
-    return None
-
-
 def _check_symmetry(
     result: CrossCheckResult, scenario: Scenario, fault: Optional[str]
 ) -> None:
@@ -414,7 +386,7 @@ def _check_symmetry(
     other must reject it too. A symmetry-stage fault corrupts the
     symmetry plan after the fact; the oracle must flag the divergence.
     """
-    provider = _replan_provider(scenario)
+    provider = scenario.pairwise_provider()
     if provider is None:
         result.stats["symmetry"] = "skipped: ELP not pair-decomposable"
         return
@@ -501,7 +473,7 @@ def _check_replan(
     replaces the healthy delta application with a buggy one; the oracle
     must then flag the divergence.
     """
-    provider = _replan_provider(scenario)
+    provider = scenario.pairwise_provider()
     if provider is None:
         result.stats["replan"] = "skipped: ELP not pair-decomposable"
         return
@@ -606,7 +578,7 @@ def _check_deploy(
         random_fault_plan,
     )
 
-    provider = _replan_provider(scenario)
+    provider = scenario.pairwise_provider()
     if provider is None:
         result.stats["deploy"] = "skipped: ELP not pair-decomposable"
         return

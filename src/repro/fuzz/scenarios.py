@@ -28,10 +28,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.elp import (
     ElpSet,
+    PairwiseElpProvider,
+    ShortestPathElpProvider,
+    UpDownElpProvider,
     bcube_elp,
     clos_bounce_elp,
-    clos_updown_elp,
-    shortest_path_elp,
 )
 from repro.exceptions import ReproError
 from repro.routing.shortest import bfs_distances, random_loopfree_paths
@@ -79,14 +80,40 @@ class Scenario:
             topo.fail_link(a, b)
         return topo
 
+    def pairwise_provider(self) -> Optional[PairwiseElpProvider]:
+        """The provider whose ``build`` *is* this scenario's ELP, if any.
+
+        The incremental planner consumes pair-decomposable ELPs only (its
+        locality contract, see :class:`~repro.core.elp.PairwiseElpProvider`).
+        Bounce, BCube, random-extra-path, and explicit-path scenarios are
+        outside that input space; checks that need a provider skip them —
+        not a violation.
+        """
+        if self.explicit_paths is not None:
+            return None
+        if self.elp_kind == "updown":
+            return UpDownElpProvider()
+        if self.elp_kind == "shortest" and not self.elp_params.get(
+            "extra_random_paths", 0
+        ):
+            return self._shortest_provider()
+        return None
+
+    def _shortest_provider(self) -> ShortestPathElpProvider:
+        return ShortestPathElpProvider(
+            explicit_endpoints=self.elp_params.get("endpoints"),
+            per_pair=self.elp_params.get("per_pair", 1),
+        )
+
     def build_elp(self, topo: Topology) -> ElpSet:
         if self.explicit_paths is not None:
             elp = ElpSet(topo, description=f"{self.scenario_id} (explicit)")
             elp.extend(self.explicit_paths)
             elp.dedupe()
             return elp
-        if self.elp_kind == "updown":
-            return clos_updown_elp(topo)
+        provider = self.pairwise_provider()
+        if provider is not None:
+            return provider.build(topo)
         if self.elp_kind == "bounce":
             return clos_bounce_elp(
                 topo,
@@ -94,23 +121,16 @@ class Scenario:
                 max_paths_per_pair=self.elp_params.get("max_paths_per_pair"),
             )
         if self.elp_kind == "shortest":
-            endpoints = self.elp_params.get("endpoints")
-            elp = shortest_path_elp(
-                topo,
-                endpoints=endpoints,
-                per_pair=self.elp_params.get("per_pair", 1),
-            )
-            extra = self.elp_params.get("extra_random_paths", 0)
-            if extra:
-                elp.extend(
-                    random_loopfree_paths(
-                        topo,
-                        extra,
-                        endpoints=endpoints,
-                        seed=self.elp_params.get("path_seed", self.seed),
-                    )
+            elp = self._shortest_provider().build(topo)
+            elp.extend(
+                random_loopfree_paths(
+                    topo,
+                    self.elp_params["extra_random_paths"],
+                    endpoints=self.elp_params.get("endpoints"),
+                    seed=self.elp_params.get("path_seed", self.seed),
                 )
-                elp.dedupe()
+            )
+            elp.dedupe()
             return elp
         if self.elp_kind == "bcube":
             n = self.topo_params["n"]

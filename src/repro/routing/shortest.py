@@ -8,7 +8,7 @@ specific tables are installed. All computations respect link failures.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.exceptions import RoutingError
 from repro.routing.base import ForwardingTable, Path, as_path
@@ -30,35 +30,30 @@ def bfs_distances(topo: Topology, root: str, switches_only: bool = False) -> Dic
     return dist
 
 
-def shortest_path(topo: Topology, src: str, dst: str) -> Path:
-    """One deterministic shortest path (lexicographically smallest)."""
-    if src == dst:
-        return (src,)
-    dist = bfs_distances(topo, dst)
-    if src not in dist:
-        raise RoutingError(f"{src!r} cannot reach {dst!r}")
+def _downhill_walk(
+    topo: Topology, dist: Dict[str, int], src: str, dst: str
+) -> Path:
+    """Greedy walk down ``dst``'s BFS distances, lexicographic tie-break."""
+    node = src
     path = [src]
-    current = src
-    while current != dst:
-        candidates = sorted(
+    while node != dst:
+        node = min(
             peer
-            for peer in topo.neighbors(current)
-            if dist.get(peer, float("inf")) == dist[current] - 1
+            for peer in topo.neighbors(node)
+            if dist.get(peer, float("inf")) == dist[node] - 1
         )
-        current = candidates[0]
-        path.append(current)
+        path.append(node)
     return as_path(path)
 
 
-def all_shortest_paths(
-    topo: Topology, src: str, dst: str, limit: Optional[int] = None
+def _downhill_ecmp(
+    topo: Topology,
+    dist: Dict[str, int],
+    src: str,
+    dst: str,
+    limit: Optional[int],
 ) -> List[Path]:
-    """Every shortest path between two nodes (ECMP set), optionally capped."""
-    if src == dst:
-        return [(src,)]
-    dist = bfs_distances(topo, dst)
-    if src not in dist:
-        raise RoutingError(f"{src!r} cannot reach {dst!r}")
+    """Every walk down ``dst``'s BFS distances in DFS order, optionally capped."""
     results: List[Path] = []
 
     def extend(prefix: List[str]) -> bool:
@@ -76,12 +71,51 @@ def all_shortest_paths(
     return results
 
 
-def pairwise_shortest_paths(
+def downhill_paths(
+    topo: Topology, dist: Dict[str, int], src: str, dst: str, per_pair: int = 1
+) -> List[Path]:
+    """One endpoint pair's shortest paths, given ``bfs_distances(topo, dst)``.
+
+    ``per_pair = 1`` gives the single deterministic path (greedy walk);
+    larger values that many ECMP alternatives. An unreachable pair has
+    none. This is the per-pair step of :func:`pairwise_shortest_paths`,
+    exposed so a caller that needs one pair pays one BFS.
+    """
+    if src not in dist:
+        return []
+    if per_pair == 1:
+        return [_downhill_walk(topo, dist, src, dst)]
+    return _downhill_ecmp(topo, dist, src, dst, per_pair)
+
+
+def shortest_path(topo: Topology, src: str, dst: str) -> Path:
+    """One deterministic shortest path (lexicographically smallest)."""
+    if src == dst:
+        return (src,)
+    dist = bfs_distances(topo, dst)
+    if src not in dist:
+        raise RoutingError(f"{src!r} cannot reach {dst!r}")
+    return _downhill_walk(topo, dist, src, dst)
+
+
+def all_shortest_paths(
+    topo: Topology, src: str, dst: str, limit: Optional[int] = None
+) -> List[Path]:
+    """Every shortest path between two nodes (ECMP set), optionally capped."""
+    if src == dst:
+        return [(src,)]
+    dist = bfs_distances(topo, dst)
+    if src not in dist:
+        raise RoutingError(f"{src!r} cannot reach {dst!r}")
+    return _downhill_ecmp(topo, dist, src, dst, limit)
+
+
+def iter_pairwise_shortest_paths(
     topo: Topology,
     endpoints: Sequence[str],
     per_pair: int = 1,
-) -> List[Path]:
-    """Shortest paths between every ordered endpoint pair.
+) -> Iterator[Path]:
+    """Lazily yield shortest paths between every ordered endpoint pair.
 
     ``per_pair = 1`` gives a single deterministic path per pair (the
     paper's "shortest-path routing" for Jellyfish); larger values include
@@ -90,28 +124,22 @@ def pairwise_shortest_paths(
     Implementation note: one BFS per *destination* serves all sources, so
     the cost is ``O(|endpoints| * (V + E))`` plus path reconstruction.
     """
-    paths: List[Path] = []
-    endpoint_set = list(endpoints)
-    for dst in endpoint_set:
+    names = list(endpoints)
+    for dst in names:
         dist = bfs_distances(topo, dst)
-        for src in endpoint_set:
-            if src == dst or src not in dist:
-                continue
-            if per_pair == 1:
-                # Greedy downhill walk, lexicographic tie-break.
-                node = src
-                path = [src]
-                while node != dst:
-                    node = min(
-                        peer
-                        for peer in topo.neighbors(node)
-                        if dist.get(peer, float("inf")) == dist[node] - 1
-                    )
-                    path.append(node)
-                paths.append(as_path(path))
-            else:
-                paths.extend(all_shortest_paths(topo, src, dst, limit=per_pair))
-    return paths
+        for src in names:
+            if src != dst:
+                yield from downhill_paths(topo, dist, src, dst, per_pair)
+
+
+def pairwise_shortest_paths(
+    topo: Topology,
+    endpoints: Sequence[str],
+    per_pair: int = 1,
+) -> List[Path]:
+    """Shortest paths between every ordered endpoint pair, as a list
+    (the batch form of :func:`iter_pairwise_shortest_paths`)."""
+    return list(iter_pairwise_shortest_paths(topo, endpoints, per_pair))
 
 
 def shortest_path_tables(

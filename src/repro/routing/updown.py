@@ -86,9 +86,6 @@ def updown_paths(
     )
     best_layer: Optional[int] = None
     for ancestor in ancestors:
-        if ancestor in (src, dst):
-            # src above dst (or vice versa): direct vertical path.
-            pass
         layer = topo.layer_of(ancestor)
         if shortest_only:
             if best_layer is None:
@@ -108,6 +105,18 @@ def updown_paths(
     return sorted(set(results))
 
 
+def reachable_updown_paths(
+    topo: Topology, src: str, dst: str, shortest_only: bool = True
+) -> List[Path]:
+    """:func:`updown_paths`, with no paths (not an error) for a pair that
+    has no up-down connectivity — the per-pair step of every all-pairs
+    enumeration, where a partitioned fabric is the caller's to judge."""
+    try:
+        return updown_paths(topo, src, dst, shortest_only)
+    except RoutingError:
+        return []
+
+
 def all_updown_paths(
     topo: Topology,
     endpoints: Optional[Sequence[str]] = None,
@@ -124,12 +133,10 @@ def all_updown_paths(
     paths: List[Path] = []
     for src in endpoints:
         for dst in endpoints:
-            if src == dst:
-                continue
-            try:
-                paths.extend(updown_paths(topo, src, dst, shortest_only))
-            except RoutingError:
-                continue
+            if src != dst:
+                paths.extend(
+                    reachable_updown_paths(topo, src, dst, shortest_only)
+                )
     return paths
 
 
@@ -144,12 +151,8 @@ def updown_tables_paths(topo: Topology) -> List[Path]:
     tor_paths: Dict[Tuple[str, str], List[Path]] = {}
     for src in tors:
         for dst in tors:
-            if src == dst:
-                continue
-            try:
-                tor_paths[(src, dst)] = updown_paths(topo, src, dst)
-            except RoutingError:
-                continue
+            if src != dst:
+                tor_paths[(src, dst)] = reachable_updown_paths(topo, src, dst)
     for src_tor in tors:
         for src_host in topo.hosts_under(src_tor):
             for dst_tor in tors:
@@ -159,6 +162,6 @@ def updown_tables_paths(topo: Topology) -> List[Path]:
                     if src_tor == dst_tor:
                         paths.append((src_host, src_tor, dst_host))
                         continue
-                    for core in tor_paths.get((src_tor, dst_tor), []):
+                    for core in tor_paths[(src_tor, dst_tor)]:
                         paths.append((src_host,) + core + (dst_host,))
     return paths

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.pipeline import LOSSY_QUEUE
 from repro.obs.events import EV_SIM_WATCHDOG
+from repro.simulator.recovery import drain_egress_queue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.detect.arbiter import RecoveryArbiter
@@ -138,7 +139,9 @@ class PfcWatchdog:
                         # this queue: skip, don't double-demote.
                         self.arbitration_skips += 1
                         continue
-                    dropped = self._discard(switch_name, tx, queue)
+                    dropped = drain_egress_queue(
+                        self.net, switch_name, port, queue, DROP_WATCHDOG
+                    )
                     if dropped and not self._storming.get(key, False):
                         self._storming[key] = True
                         self.events.append(
@@ -162,24 +165,6 @@ class PfcWatchdog:
                             )
                             self.net.metrics._handles["watchdog"].inc()
         self.net.sim.schedule(self.poll, self._tick)
-
-    def _discard(self, switch_name: str, tx, queue: int) -> int:
-        switch = self.net.switches[switch_name]
-        fifo = tx.queues.get(queue)
-        dropped = 0
-        while fifo:
-            packet = fifo.popleft()
-            tx.queued_bytes[queue] -= packet.size
-            self.net.metrics.record_drop(DROP_WATCHDOG, packet.flow_id)
-            crossing = switch.accounting.release(
-                packet.in_port, packet.in_queue, packet.size
-            )
-            if crossing.send_resume:
-                self.net.send_pfc(
-                    switch_name, packet.in_port, packet.in_queue, pause=False
-                )
-            dropped += 1
-        return dropped
 
     @property
     def storms(self) -> int:

@@ -15,6 +15,8 @@ from repro.topology.bcube import bcube, bcube_default_route, bcube_servers
 from repro.topology.clos import (
     LEAF_LAYER,
     SPINE_LAYER,
+    TESTBED_BLUE_PATH,
+    TESTBED_GREEN_PATH,
     TOR_LAYER,
     ClosParams,
     clos3,
@@ -55,6 +57,8 @@ __all__ = [
     "ClosParams",
     "clos3",
     "testbed_clos",
+    "TESTBED_GREEN_PATH",
+    "TESTBED_BLUE_PATH",
     "leaf_spine",
     "pod_of",
     "upward_neighbors",

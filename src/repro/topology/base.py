@@ -16,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import TopologyError
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported where it is called
+    import networkx as nx
 
 #: Node kind constants.
 SWITCH = "switch"
@@ -330,8 +331,10 @@ class Topology:
     # ------------------------------------------------------------------
     def to_networkx(
         self, include_failed: bool = False, switches_only: bool = False
-    ) -> nx.Graph:
+    ) -> "nx.Graph":
         """Export the (active) topology to an undirected networkx graph."""
+        import networkx as nx
+
         graph = nx.Graph()
         for node in self.nodes.values():
             if switches_only and not node.is_switch:

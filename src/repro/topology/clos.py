@@ -104,6 +104,13 @@ def testbed_clos() -> Topology:
     )
 
 
+#: Paper Fig. 3 / Fig. 10's two 1-bounce flows on :func:`testbed_clos`,
+#: host to host (the switch-only form is ``[1:-1]``): green bounces at
+#: L1, blue bounces at L3, together forming the CBD L1->S1->L3->S2->L1.
+TESTBED_GREEN_PATH = ("H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H2")
+TESTBED_BLUE_PATH = ("H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13")
+
+
 def leaf_spine(
     num_leaves: int, num_spines: int, hosts_per_leaf: int = 0
 ) -> Topology:

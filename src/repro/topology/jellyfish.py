@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
-
 from repro.exceptions import TopologyError
 from repro.topology.base import Topology
 
@@ -62,6 +60,8 @@ def jellyfish(
         )
     if hosts_per_switch is None:
         hosts_per_switch = ports_per_switch - network_ports
+
+    import networkx as nx
 
     random_graph = nx.random_regular_graph(network_ports, num_switches, seed=seed)
     if not nx.is_connected(random_graph):

@@ -5,7 +5,14 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro.topology import ClosParams, Topology, clos3, testbed_clos
+from repro.topology import (
+    TESTBED_BLUE_PATH,
+    TESTBED_GREEN_PATH,
+    ClosParams,
+    Topology,
+    clos3,
+    testbed_clos,
+)
 
 # CI smoke lanes shrink the property sweeps without editing any test:
 # select with REPRO_HYPOTHESIS_PROFILE=ci-smoke. Suites that pin their
@@ -58,12 +65,7 @@ def triangle() -> Topology:
     return topo
 
 
-# Paper Fig. 3's two 1-bounce paths on the testbed: green bounces at L1,
-# blue bounces at L3, together forming the CBD L1->S1->L3->S2->L1.
-GREEN_BOUNCE_PATH = ("H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H2")
-BLUE_BOUNCE_PATH = ("H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13")
-
-
 @pytest.fixture
 def bounce_paths():
-    return GREEN_BOUNCE_PATH, BLUE_BOUNCE_PATH
+    """Paper Fig. 3's two 1-bounce paths (green, blue) on the testbed."""
+    return TESTBED_GREEN_PATH, TESTBED_BLUE_PATH

@@ -154,3 +154,27 @@ class TestTaggedGraph:
         host_port = ("T1", testbed.port_to("T1", "H1"))
         tags = graph.tags_on_port(host_port)
         assert tags == [1, 2]
+
+
+class TestPolicyDispatch:
+    """``tag_along_path`` and ``tagged_graph`` derive from ``self.rewrite``,
+    so a subclass that changes the policy changes both (the fuzz fault
+    injectors rely on this)."""
+
+    class _NeverBounces(ClosTagger):
+        def is_bounce(self, switch, in_port, out_port):
+            return False
+
+    def test_is_bounce_override_reaches_path_tags_and_graph(
+        self, testbed, bounce_paths
+    ):
+        green, _blue = bounce_paths
+        honest = ClosTagger(testbed, max_bounces=1)
+        broken = self._NeverBounces(testbed, max_bounces=1)
+        assert 2 in honest.tag_along_path(green)
+        assert set(broken.tag_along_path(green)) == {INITIAL_TAG}
+        assert verify_tagged_graph(honest.tagged_graph()).deadlock_free
+        broken_graph = broken.tagged_graph()
+        assert broken_graph != honest.tagged_graph()
+        assert not any(src[1] != dst[1] for src, dst in broken_graph.edges())
+        assert not verify_tagged_graph(broken_graph).deadlock_free

@@ -7,6 +7,8 @@ pin the engine's *mechanics*: mode selection (noop / memo / incremental
 path-delta validation atomicity, and error recovery.
 """
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -14,7 +16,9 @@ from repro.core import (
     STRATEGY_EXHAUSTIVE,
     IncrementalPlanner,
     ShortestPathElpProvider,
+    TaggerPlan,
     UpDownElpProvider,
+    bruteforce_tagging,
     tables_equal,
 )
 from repro.core.replan import (
@@ -26,6 +30,7 @@ from repro.core.replan import (
 )
 from repro.core.rules import canonical_tables
 from repro.exceptions import TaggingError
+from repro.obs import Telemetry
 from repro.topology import ClosParams, Topology, TopologyDelta, clos3, testbed_clos
 
 
@@ -317,3 +322,74 @@ def test_refcounted_graph_zero_crossings_and_underflow():
     assert graph.is_empty
     with pytest.raises(TaggingError):
         graph.remove_path(path)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_refcounted_graph_tracks_algorithm_1_at_every_prefix(seed):
+    """Adding paths one by one equals Algorithm 1 on the prefix; removing
+    them all (in another order) returns to empty."""
+    topo = clos3(ClosParams(2, 2, 2, 2, hosts_per_tor=1))
+    topo.fail_link("L1", "S1")
+    paths = UpDownElpProvider().build(topo).paths + [
+        ("H1", "T1", "L1", "S2", "L3", "T3", "H3"),
+        ("T1", "L2", "S1", "L4"),
+        ("T2",),
+    ]
+    random.Random(seed).shuffle(paths)
+    counted = _RefcountedGraph(topo)
+    for i, path in enumerate(paths, 1):
+        counted.add_path(path)
+        assert counted.graph() == bruteforce_tagging(topo, paths[:i])
+    random.Random(seed + 1).shuffle(paths)
+    while paths:
+        counted.remove_path(paths.pop())
+        if paths:
+            assert counted.graph() == bruteforce_tagging(topo, paths)
+    assert counted.is_empty
+    assert counted.counts_snapshot() == ({}, {})
+
+
+# ----------------------------------------------------------------------
+# Plan provenance (meta) and the gauge it feeds
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("strategy", ["symmetry", STRATEGY_EXHAUSTIVE])
+def test_replanner_plans_carry_from_provider_meta(strategy):
+    planner = IncrementalPlanner(
+        testbed_clos(), UpDownElpProvider(), strategy=strategy
+    )
+    scratch = TaggerPlan.from_provider(
+        testbed_clos(), UpDownElpProvider(), strategy=strategy
+    )
+    assert planner.plan.meta == scratch.meta
+    assert planner.plan.meta["elp_paths"] == len(planner.elp_paths())
+    result = planner.apply(TopologyDelta.link_down("L1", "S1"))
+    assert result.mode == MODE_INCREMENTAL
+    assert result.plan.meta == {
+        "strategy": strategy,
+        "certified": False,
+        "elp_paths": len(planner.elp_paths()),
+    }
+    assert result.plan.fit_to_queues(4).meta == result.plan.meta
+
+
+def test_planner_elp_paths_gauge_is_exported_and_tracks_the_elp():
+    telemetry = Telemetry()
+    planner = IncrementalPlanner(
+        testbed_clos(), UpDownElpProvider(), telemetry=telemetry
+    )
+
+    def gauge():
+        return telemetry.registry.get("planner_elp_paths").value()
+
+    assert "planner_elp_paths" in telemetry.registry.render_prometheus()
+    assert gauge() == len(planner.elp_paths()) == 72
+    planner.apply(TopologyDelta.link_down("L1", "S1"))
+    assert gauge() == len(planner.elp_paths()) < 72
+    planner.apply(TopologyDelta.link_up("L1", "S1"))  # memo hit
+    assert gauge() == 72
+    # An extra the graph already covers changes no rule (noop) but is
+    # still one more ELP path.
+    covered = planner.elp_paths()[0]
+    result = planner.apply(TopologyDelta.add_paths([covered]))
+    assert result.mode == MODE_NOOP
+    assert gauge() == len(planner.elp_paths()) == 73
