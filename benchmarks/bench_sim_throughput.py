@@ -1,21 +1,25 @@
 """Wheel-vs-heap simulator throughput on the reference 64-ToR incast.
 
-The raw-speed overhaul (event wheel + fast switch/port/host classes)
-exists so million-packet Tagger evaluations fit a CI fuzz budget; this
-benchmark pins how much faster it actually is. It drives the reference
-64-ToR Clos incast — the 16-to-1 hot sink of ``bench_detect_overhead``
-— over an all-ToRs ring shuffle (forwarding-heavy background load, the
-regime the wheel is built for) once per engine, interleaved best-of-N
-on each side to shave scheduler noise, and asserts:
+The fast paths of ``repro.simulator`` (event wheel, decision cache, flat
+accounting, closure-free ports) exist so million-packet Tagger
+evaluations fit a CI fuzz budget; this benchmark pins how much faster
+they actually are than the naive stack they replaced, which lives on as
+the equivalence suite's fixture (``tests/simulator/reference_stack.py``,
+``"heap"`` below). It drives the reference 64-ToR Clos incast — the
+16-to-1 hot sink of ``bench_detect_overhead`` — over an all-ToRs ring
+shuffle (forwarding-heavy background load, the regime the wheel is built
+for) once per stack, interleaved best-of-N on each side to shave
+scheduler noise, and asserts:
 
-- the two engines produce the **same simulation** (delivered packets,
+- the two stacks produce the **same simulation** (delivered packets,
   drops, PFC pause/resume counts, final clock, events run — the full
   byte-level check lives in ``tests/simulator/test_engine_equivalence``);
-- the wheel stack clears ``SPEEDUP_FLOOR`` x the reference packets/sec.
+- the production stack clears ``SPEEDUP_FLOOR`` x the reference
+  packets/sec.
 
 The committed ``sim-throughput`` entry in ``BENCH_pipeline.json``
-records both wall clocks and the measured speedup. The overhaul
-targeted >= 3x; with one implementation per behaviour in the fast stack
+records both wall clocks and the measured speedup. The fast paths
+targeted >= 3x; with one implementation per behaviour in the stack
 (docs/PERFORMANCE.md has the per-inlining cost table) it measures
 ~2.5-2.7x best-of-N on the shared single-CPU CI runner (loaded-host
 wall clocks swing +/-20%). The asserted floor keeps the same noise
@@ -31,6 +35,10 @@ from repro.routing import shortest_path_tables
 from repro.simulator import Flow, SimNetwork
 from repro.simulator.packet import SimConfig
 from repro.topology import ClosParams, clos3
+from tests.simulator.reference_stack import ReferenceSimNetwork
+
+#: Stack under each name of the committed ``sim-throughput`` entry.
+STACKS = {"wheel": SimNetwork, "heap": ReferenceSimNetwork}
 
 #: The 64-ToR benchmark Clos of ``bench_plan_scale`` (100 switches).
 CLOS64 = ClosParams(
@@ -42,18 +50,17 @@ DURATION = 0.01
 SENDERS = 16
 WINDOW = 8
 
-#: Interleaved rounds per engine; best wall clock wins on each side.
+#: Interleaved rounds per stack; best wall clock wins on each side.
 ROUNDS = 5 if os.environ.get("REPRO_BENCH_FULL") else 3
 
 #: Acceptance bar: wheel packets/sec >= floor * heap packets/sec.
 SPEEDUP_FLOOR = 2.25
 
 
-def build(engine: str) -> SimNetwork:
+def build(stack: str) -> SimNetwork:
     topo = clos3(CLOS64)
-    net = SimNetwork(
-        topo, shortest_path_tables(topo), config=SimConfig(seed=7),
-        engine=engine,
+    net = STACKS[stack](
+        topo, shortest_path_tables(topo), config=SimConfig(seed=7)
     )
     hosts = sorted(topo.hosts)
     sink = hosts[0]
@@ -93,27 +100,27 @@ def outcome(net: SimNetwork):
 def test_sim_throughput(benchmark, report, baseline_entry):
     def comparison():
         results = {}
-        # Interleave the engines round by round so a load spike on the
+        # Interleave the stacks round by round so a load spike on the
         # shared runner cannot land entirely on one side.
         for _ in range(ROUNDS):
-            for engine in ("wheel", "heap"):
-                net = build(engine)
+            for stack in STACKS:
+                net = build(stack)
                 started = time.perf_counter()
                 net.sim.run(until=DURATION)
                 wall = time.perf_counter() - started
-                best, _ = results.get(engine, (None, None))
+                best, _ = results.get(stack, (None, None))
                 if best is None or wall < best:
-                    results[engine] = (wall, outcome(net))
+                    results[stack] = (wall, outcome(net))
         return results
 
     results = benchmark.pedantic(comparison, rounds=1, iterations=1)
     wall_wheel, out_wheel = results["wheel"]
     wall_heap, out_heap = results["heap"]
 
-    # Same simulation on both engines — the differential suite proves
+    # Same simulation on both stacks — the differential suite proves
     # byte-identity; this guards the bench itself against drift.
     assert out_wheel == out_heap, (
-        f"engines diverged on the bench scenario: {out_wheel} != {out_heap}"
+        f"stacks diverged on the bench scenario: {out_wheel} != {out_heap}"
     )
     delivered = out_wheel[0]
     events = out_wheel[5]
@@ -123,13 +130,13 @@ def test_sim_throughput(benchmark, report, baseline_entry):
     pps_heap = delivered / wall_heap
     speedup = pps_wheel / pps_heap
     rows = [
-        ("wheel (overhaul)", f"{delivered}", f"{wall_wheel:.3f}",
+        ("wheel (shipped)", f"{delivered}", f"{wall_wheel:.3f}",
          f"{pps_wheel:,.0f}", f"{events / wall_wheel:,.0f}"),
         ("heap (reference)", f"{delivered}", f"{wall_heap:.3f}",
          f"{pps_heap:,.0f}", f"{events / wall_heap:,.0f}"),
     ]
     table = format_table(
-        ["engine", "packets", "wall (s)", "packets/sec", "events/sec"],
+        ["stack", "packets", "wall (s)", "packets/sec", "events/sec"],
         rows,
     )
     report(
@@ -152,6 +159,6 @@ def test_sim_throughput(benchmark, report, baseline_entry):
         speedup=round(speedup, 3),
     )
     assert speedup >= SPEEDUP_FLOOR, (
-        f"wheel stack too slow: {speedup:.2f}x the reference engine, "
+        f"shipped stack too slow: {speedup:.2f}x the reference stack, "
         f"below the {SPEEDUP_FLOOR} floor"
     )

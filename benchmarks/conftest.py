@@ -10,9 +10,14 @@ Run with::
 """
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+# bench_sim_throughput measures the production simulator against the
+# reference stack kept under tests/ (``tests.simulator.reference_stack``).
+sys.path.insert(0, str(Path(__file__).parent.parent))
 
 from repro.perf import (
     BaselineEntry,

@@ -23,12 +23,7 @@ from repro.simulator.detection import (
     Detection,
     DetectorConfig,
 )
-from repro.simulator.engine import (
-    SCHEDULERS,
-    Simulator,
-    WheelSimulator,
-    make_simulator,
-)
+from repro.simulator.engine import Simulator
 from repro.simulator.flow import Flow, pin_path
 from repro.simulator.metrics import (
     DROP_LOSSLESS,
@@ -60,9 +55,6 @@ from repro.simulator.watchdog import DROP_WATCHDOG, PfcWatchdog, StormEvent
 
 __all__ = [
     "Simulator",
-    "WheelSimulator",
-    "make_simulator",
-    "SCHEDULERS",
     "Flow",
     "pin_path",
     "Packet",

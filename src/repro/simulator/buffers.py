@@ -9,11 +9,18 @@ when it drains to XON it resumes it. The hard cap (``xoff + headroom``)
 models the physically reserved headroom: a lossless packet arriving above
 the cap is dropped, which can only happen when PFC is misconfigured —
 e.g. the Fig. 8a priority-transition bug.
+
+Accounts live in flat parallel lists (no tuple hashing, no dict growth
+per packet) and the switch datapath reads int result codes instead of
+allocating a :class:`CrossingResult` per packet;
+``tests/simulator/reference_stack.py`` keeps the dict-keyed accounting
+the equivalence suite and ``tests/simulator/test_buffers.py`` diff this
+one against, decision by decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.pipeline import LOSSY_QUEUE
@@ -21,7 +28,7 @@ from repro.simulator.packet import SimConfig
 
 AccountKey = Tuple[int, int]  # (ingress port, priority queue)
 
-# Int result codes for the allocation-free fast path (VectorAccounting).
+# Int result codes of the allocation-free entry points.
 CHARGE_ACCEPT = 0
 CHARGE_ACCEPT_PAUSE = 1
 CHARGE_REJECT = 2
@@ -38,7 +45,6 @@ class CrossingResult:
     send_resume: bool = False
 
 
-@dataclass
 class IngressAccounting:
     """Per-switch ingress byte accounting with XOFF/XON detection.
 
@@ -49,12 +55,34 @@ class IngressAccounting:
       thresholds — XOFF shrinks as the switch's shared lossless pool
       fills, XON follows at a fixed offset. Under sustained pressure
       every account on the switch pauses earlier and resumes later.
+
+    Account ``(port, queue)`` lives at index ``port * stride + queue``.
+    The switch datapath calls the int-code entry points
+    (:meth:`charge_code` / :meth:`release_code`); :meth:`charge` /
+    :meth:`release` wrap them for the callers that want a
+    :class:`CrossingResult` (queue drains on link failure, watchdog,
+    recovery).
     """
 
-    config: SimConfig
-    occupancy: Dict[AccountKey, int] = field(default_factory=dict)
-    pause_sent: Dict[AccountKey, bool] = field(default_factory=dict)
-    lossless_total: int = 0
+    def __init__(self, config: SimConfig, stride: int = 16) -> None:
+        self.config = config
+        self.lossless_total = 0
+        # Queue indexes are PFC priorities (0..8 in practice); a
+        # power-of-two stride keeps the flat index a shift+add.
+        self._stride = stride
+        self._occ: List[int] = [0] * (stride * 8)
+        self._paused: List[bool] = [False] * (stride * 8)
+        # Static-mode thresholds never move; skip the property calls.
+        self._static = not config.dynamic_thresholds
+        self._xoff = config.xoff_bytes
+        self._xon = config.xon_bytes
+        self._cap_bytes = config.xoff_bytes + config.headroom_bytes
+        self._lossy_cap = config.lossy_cap_bytes
+
+    def _grow(self, idx: int) -> None:
+        need = idx + 1 - len(self._occ)
+        self._occ.extend([0] * need)
+        self._paused.extend([False] * need)
 
     # ------------------------------------------------------------------
     # Thresholds
@@ -74,119 +102,16 @@ class IngressAccounting:
             return self.config.xon_bytes
         return max(0, self.current_xoff() - self.config.dt_xon_offset_bytes)
 
-    def _cap(self) -> int:
-        """Hard per-account cap: current XOFF plus reserved headroom."""
-        return self.current_xoff() + self.config.headroom_bytes
-
     # ------------------------------------------------------------------
     # Charge / release
     # ------------------------------------------------------------------
-    def charge(self, port: int, queue: int, size: int) -> CrossingResult:
+    def charge_code(self, port: int, queue: int, size: int) -> int:
         """Account an arriving packet; decide drops and PAUSE generation.
 
         Lossy queues tail-drop at ``lossy_cap_bytes`` and never pause.
         Lossless queues pause upstream at XOFF and drop only beyond the
         headroom cap (a config-error signal, counted by the caller).
         """
-        key = (port, queue)
-        occ = self.occupancy.get(key, 0)
-        result = CrossingResult()
-        if queue == LOSSY_QUEUE:
-            if occ + size > self.config.lossy_cap_bytes:
-                result.accepted = False
-                return result
-            self.occupancy[key] = occ + size
-            return result
-
-        if occ + size > self._cap():
-            result.accepted = False
-            return result
-        self.occupancy[key] = occ + size
-        self.lossless_total += size
-        if self.occupancy[key] >= self.current_xoff() and not self.pause_sent.get(
-            key, False
-        ):
-            self.pause_sent[key] = True
-            result.send_pause = True
-        return result
-
-    def release(self, port: int, queue: int, size: int) -> CrossingResult:
-        """Release bytes when a packet leaves the switch; maybe RESUME."""
-        key = (port, queue)
-        occ = self.occupancy.get(key, 0)
-        if size > occ:
-            raise AssertionError(
-                f"ingress accounting underflow on {key}: {occ} - {size}"
-            )
-        self.occupancy[key] = occ - size
-        result = CrossingResult()
-        if queue != LOSSY_QUEUE:
-            self.lossless_total -= size
-            if (
-                self.pause_sent.get(key, False)
-                and self.occupancy[key] <= self.current_xon()
-            ):
-                self.pause_sent[key] = False
-                result.send_resume = True
-        return result
-
-    def occupancy_of(self, port: int, queue: int) -> int:
-        return self.occupancy.get((port, queue), 0)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.occupancy.values())
-
-    def paused_accounts(self) -> Dict[AccountKey, int]:
-        """Accounts currently holding an outstanding PAUSE upstream."""
-        return {
-            key: self.occupancy.get(key, 0)
-            for key, sent in self.pause_sent.items()
-            if sent
-        }
-
-
-class VectorAccounting(IngressAccounting):
-    """Flat-indexed drop-in for :class:`IngressAccounting` (fast path).
-
-    Account ``(port, queue)`` lives at index ``port * stride + queue`` in
-    flat parallel arrays — no tuple hashing and no dict growth on the
-    per-packet path. Semantics are transcribed from the reference,
-    including the dynamic-threshold evaluation order (cap computed
-    *before* the charge lands, XOFF re-evaluated *after*
-    ``lossless_total`` moves), so both classes produce byte-identical
-    decisions — the engine equivalence suite runs one fabric on each and
-    diffs the traces.
-
-    The fast switch calls the int-code entry points (:meth:`charge_code`
-    / :meth:`release_code`); ``charge``/``release`` wrap them for the
-    callers that want a :class:`CrossingResult` (link failure, watchdog,
-    recovery).
-    """
-
-    def __init__(self, config: SimConfig, stride: int = 16) -> None:
-        super().__init__(config)
-        # Queue indexes are PFC priorities (0..8 in practice); a
-        # power-of-two stride keeps the flat index a shift+add.
-        self._stride = stride
-        self._occ: List[int] = [0] * (stride * 8)
-        self._paused: List[bool] = [False] * (stride * 8)
-        # Static-mode thresholds never move; skip the property calls.
-        self._static = not config.dynamic_thresholds
-        self._xoff = config.xoff_bytes
-        self._xon = config.xon_bytes
-        self._cap_bytes = config.xoff_bytes + config.headroom_bytes
-        self._lossy_cap = config.lossy_cap_bytes
-
-    def _grow(self, idx: int) -> None:
-        need = idx + 1 - len(self._occ)
-        self._occ.extend([0] * need)
-        self._paused.extend([False] * need)
-
-    # ------------------------------------------------------------------
-    # Fast path (int codes, no allocation)
-    # ------------------------------------------------------------------
-    def charge_code(self, port: int, queue: int, size: int) -> int:
         idx = port * self._stride + queue
         occ_list = self._occ
         try:
@@ -208,9 +133,9 @@ class VectorAccounting(IngressAccounting):
                 self._paused[idx] = True
                 return CHARGE_ACCEPT_PAUSE
             return CHARGE_ACCEPT
-        # Dynamic thresholds: same call order as the reference — the cap
-        # uses the pre-charge pool level, the XOFF test the post-charge
-        # level (the charge itself shrinks every account's threshold).
+        # Dynamic thresholds: the cap uses the pre-charge pool level,
+        # the XOFF test the post-charge level (the charge itself shrinks
+        # every account's threshold).
         if occ + size > self.current_xoff() + self.config.headroom_bytes:
             return CHARGE_REJECT
         occ_list[idx] = occ + size
@@ -221,6 +146,7 @@ class VectorAccounting(IngressAccounting):
         return CHARGE_ACCEPT
 
     def release_code(self, port: int, queue: int, size: int) -> int:
+        """Release bytes when a packet leaves the switch; maybe RESUME."""
         idx = port * self._stride + queue
         occ_list = self._occ
         try:
@@ -243,10 +169,8 @@ class VectorAccounting(IngressAccounting):
                 return RELEASE_RESUME
         return RELEASE_KEEP
 
-    # ------------------------------------------------------------------
-    # Reference-compatible API
-    # ------------------------------------------------------------------
     def charge(self, port: int, queue: int, size: int) -> CrossingResult:
+        """:meth:`charge_code` as a :class:`CrossingResult`."""
         code = self.charge_code(port, queue, size)
         return CrossingResult(
             accepted=code != CHARGE_REJECT,
@@ -254,6 +178,7 @@ class VectorAccounting(IngressAccounting):
         )
 
     def release(self, port: int, queue: int, size: int) -> CrossingResult:
+        """:meth:`release_code` as a :class:`CrossingResult`."""
         code = self.release_code(port, queue, size)
         return CrossingResult(send_resume=code == RELEASE_RESUME)
 
@@ -268,6 +193,7 @@ class VectorAccounting(IngressAccounting):
         return sum(self._occ)
 
     def paused_accounts(self) -> Dict[AccountKey, int]:
+        """Accounts currently holding an outstanding PAUSE upstream."""
         stride = self._stride
         return {
             (idx // stride, idx % stride): self._occ[idx]

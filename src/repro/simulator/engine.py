@@ -1,29 +1,24 @@
 """Discrete-event simulation core.
 
-Two interchangeable event loops share one scheduling contract — events
-are ``(time, seq, callback)`` triples, popped in ``(time, seq)`` order so
-same-time events run FIFO in schedule order (deterministic runs):
-
-- :class:`Simulator` — the frozen *reference* engine: a single binary
-  heap, one ``heappush``/``heappop`` per event. Simple, obviously
-  correct, and the yardstick every optimization is differentially
-  tested against (``tests/simulator/test_engine_equivalence.py``).
-- :class:`WheelSimulator` — the overhauled engine: a slotted event
-  wheel (calendar queue). Near-future events land in a rotating ring of
-  per-slot buckets (append-only, no heap discipline until their slot
-  activates); far-future events overflow into a heap and migrate into
-  the ring as the horizon advances. Scheduling is O(1) for the common
-  case and the active-slot heaps stay tiny, which is what the
-  million-packet pause-storm workloads need.
+Events are ``(time, seq, callback)`` triples run in ``(time, seq)``
+order, so same-time events run FIFO in schedule order and every run is
+deterministic. :class:`Simulator` keeps them in a slotted event wheel
+(calendar queue): near-future events land in a rotating ring of
+per-slot buckets (append-only, no heap discipline until their slot
+activates); far-future events overflow into a heap and migrate into the
+ring as the horizon advances. Scheduling is O(1) for the common case
+and the active-slot lists stay tiny, which is what the million-packet
+pause-storm workloads need.
 
 The sequence counter is explicit per-engine state (``self._seq``), not a
 shared module-level iterator: two engines constructed in one process
-schedule identically, which the differential trace-equivalence suite
-relies on when it runs a reference and a wheel fabric side by side.
+schedule identically, which the differential suite
+(``tests/simulator/test_engine_equivalence.py``) relies on when it runs
+this engine and the binary-heap reference of
+``tests/simulator/reference_stack.py`` side by side.
 
-All simulator components share one engine instance and schedule work
-through it. Use :func:`make_simulator` to pick the implementation by
-name (``"heap"`` or ``"wheel"``).
+All simulator components of one fabric share one engine instance and
+schedule work through it.
 """
 
 from __future__ import annotations
@@ -40,9 +35,6 @@ Callback = Callable[[], None]
 #: never reach the (uncomparable) callback.
 Event = Tuple[float, int, Callback]
 
-#: Engine implementations selectable by name.
-SCHEDULERS = ("heap", "wheel")
-
 #: Default wheel geometry: 1 us slots covering a ~4 ms rotating horizon.
 #: PFC/propagation delays are a few microseconds and serialization a few
 #: tens, so the active slot holds a handful of events; periodic pollers
@@ -53,80 +45,7 @@ WHEEL_SLOTS = 4096
 
 
 class Simulator:
-    """The reference event loop: a clock plus a priority queue."""
-
-    # Slots (here and on the wheel subclass) keep attribute access off
-    # the instance-dict path — the run loop touches engine state on
-    # every one of the millions of events a campaign dispatches.
-    __slots__ = ("now", "_heap", "_seq", "_events_run", "_stopped")
-
-    def __init__(self) -> None:
-        self.now: float = 0.0
-        self._heap: List[Event] = []
-        #: Explicit per-run tie-break state. Same-time events pop in the
-        #: order they were scheduled; keeping the counter as plain
-        #: instance state (rather than an opaque iterator) pins the fact
-        #: that nothing outside this engine can perturb its ordering.
-        self._seq: int = 0
-        self._events_run = 0
-        self._stopped = False
-
-    def schedule(self, delay: float, callback: Callback) -> None:
-        """Run ``callback`` ``delay`` seconds from now (``delay >= 0``)."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        self.at(self.now + delay, callback)
-
-    def at(self, time: float, callback: Callback) -> None:
-        """Run ``callback`` at absolute ``time`` (``>= now``)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before current time {self.now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (time, seq, callback))
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Process events until the horizon / event budget / empty heap.
-
-        Returns the number of events processed in this call. The clock is
-        left at ``until`` (if given and reached) or at the last event time.
-        """
-        processed = 0
-        self._stopped = False
-        while self._heap and not self._stopped:
-            time, _, callback = self._heap[0]
-            if until is not None and time > until:
-                break
-            heappop(self._heap)
-            self.now = time
-            callback()
-            processed += 1
-            self._events_run += 1
-            if max_events is not None and processed >= max_events:
-                break
-        if until is not None and self.now < until and not self._heap:
-            self.now = until
-        elif until is not None and self._heap and self._heap[0][0] > until:
-            self.now = until
-        return processed
-
-    def stop(self) -> None:
-        """Abort :meth:`run` after the current event."""
-        self._stopped = True
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap)
-
-    @property
-    def total_events_run(self) -> int:
-        return self._events_run
-
-
-class WheelSimulator(Simulator):
-    """Calendar-queue engine: byte-identical schedules, less queue work.
+    """The event loop: a clock plus a calendar queue.
 
     Slot ``s`` covers absolute times ``[s * resolution, (s+1) *
     resolution)``; the ring holds slots ``(cur, cur + slots)``, the
@@ -144,7 +63,11 @@ class WheelSimulator(Simulator):
     ``insort``-ed past the cursor.
     """
 
+    # Slots keep attribute access off the instance-dict path — the run
+    # loop touches engine state on every one of the millions of events a
+    # campaign dispatches.
     __slots__ = (
+        "now", "_seq", "_events_run", "_stopped",
         "_res", "_nslots", "_ring", "_ring_count", "_cur_slot",
         "_active", "_active_pos", "_overflow", "_stop_stash",
         "_slot_heap",
@@ -155,11 +78,18 @@ class WheelSimulator(Simulator):
         resolution: float = WHEEL_RESOLUTION,
         slots: int = WHEEL_SLOTS,
     ) -> None:
-        super().__init__()
         if resolution <= 0:
             raise SimulationError(f"wheel resolution must be positive: {resolution}")
         if slots < 2:
             raise SimulationError(f"wheel needs at least 2 slots: {slots}")
+        self.now: float = 0.0
+        #: Explicit per-run tie-break state. Same-time events pop in the
+        #: order they were scheduled; keeping the counter as plain
+        #: instance state (rather than an opaque iterator) pins the fact
+        #: that nothing outside this engine can perturb its ordering.
+        self._seq: int = 0
+        self._events_run = 0
+        self._stopped = False
         self._res = resolution
         self._nslots = slots
         self._ring: List[List[Event]] = [[] for _ in range(slots)]
@@ -182,6 +112,7 @@ class WheelSimulator(Simulator):
         self._stop_stash: List[Event] = []
 
     def schedule(self, delay: float, callback: Callback) -> None:
+        """Run ``callback`` ``delay`` seconds from now (``delay >= 0``)."""
         # ``at`` inlined: two schedules per packet-hop make this the
         # hottest call in the simulator, and the extra frame shows up in
         # million-packet runs.
@@ -205,6 +136,7 @@ class WheelSimulator(Simulator):
             heappush(self._overflow, event)
 
     def at(self, time: float, callback: Callback) -> None:
+        """Run ``callback`` at absolute ``time`` (``>= now``)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
@@ -287,6 +219,11 @@ class WheelSimulator(Simulator):
         return bool(active) or self._refill_active()
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
+        """Process events until the horizon / event budget / empty queue.
+
+        Returns the number of events processed in this call. The clock is
+        left at ``until`` (if given and reached) or at the last event time.
+        """
         start_events = self._events_run
         self._stopped = False
         if self._stop_stash:
@@ -401,16 +338,6 @@ class WheelSimulator(Simulator):
         )
 
 
-def make_simulator(
-    scheduler: str = "heap",
-    resolution: float = WHEEL_RESOLUTION,
-    slots: int = WHEEL_SLOTS,
-) -> Simulator:
-    """Build an engine by name: ``"heap"`` (reference) or ``"wheel"``."""
-    if scheduler == "heap":
-        return Simulator()
-    if scheduler == "wheel":
-        return WheelSimulator(resolution=resolution, slots=slots)
-    raise SimulationError(
-        f"unknown scheduler {scheduler!r}; choose from {', '.join(SCHEDULERS)}"
-    )
+    @property
+    def total_events_run(self) -> int:
+        return self._events_run

@@ -5,6 +5,13 @@ RoCE NIC: when the ToR pauses a priority, packets of that priority stop
 leaving the host. Closed-loop flows refill their NIC window on every
 transmit completion, so PFC back-pressure throttles them exactly as it
 would throttle an RDMA sender.
+
+Per packet, a host looks nothing up twice: closed-loop flows are
+dispatched from a dict, each flow's injection queue and the config
+constants are fixed at attach time, and an unthrottled, untraced
+delivery is accounted in :meth:`SimHost.receive` itself.
+``tests/simulator/reference_stack.py`` keeps the scan-and-look-up host
+the equivalence suite diffs this one against.
 """
 
 from __future__ import annotations
@@ -37,6 +44,10 @@ class SimHost:
         self.nic: Optional[TxPort] = None  # wired by SimNetwork
         self._flows: List[Flow] = []
         self._sent_bytes: Dict[int, int] = {}
+        self._closed_by_id: Dict[int, Flow] = {}
+        self._flow_queue: Dict[int, int] = {}
+        self._ttl = net.config.default_ttl
+        self._jitter = net.config.injection_jitter
         # Receiver-side state (None rate = wire speed, no buffering).
         self._rx_rate_bps: Optional[float] = None
         self._rx_queue: Deque[Packet] = deque()
@@ -48,9 +59,13 @@ class SimHost:
     # Sources
     # ------------------------------------------------------------------
     def attach_flow(self, flow: Flow) -> None:
+        self._flow_queue[flow.flow_id] = self.net.host_queue_map.queue_for(
+            flow.initial_tag
+        )
         self._flows.append(flow)
         self._sent_bytes[flow.flow_id] = 0
         if flow.closed_loop:
+            self._closed_by_id[flow.flow_id] = flow
             self.net.sim.at(flow.start, lambda: self._start_closed_loop(flow))
         else:
             self.net.sim.at(flow.start, lambda: self._inject_open_loop(flow))
@@ -74,41 +89,62 @@ class SimHost:
             self._sent_bytes[flow.flow_id] + flow.packet_size > flow.total_bytes
         ):
             return False
-        if not flow.active_at(self.net.sim.now):
+        net = self.net
+        now = net.sim.now
+        # flow.active_at, inlined.
+        if now < flow.start or (flow.stop is not None and now >= flow.stop):
             return False
         packet = Packet(
-            flow_id=flow.flow_id,
-            src=self.name,
-            dst=flow.dst,
-            size=flow.packet_size,
-            tag=flow.initial_tag,
-            ttl=self.net.config.default_ttl,
-            packet_id=self.net.new_packet_id(),
-            created_at=self.net.sim.now,
+            flow.flow_id,
+            self.name,
+            flow.dst,
+            flow.packet_size,
+            flow.initial_tag,
+            self._ttl,
+            net.new_packet_id(),
+            now,
         )
         self._sent_bytes[flow.flow_id] += flow.packet_size
-        self.net.metrics.record_injection(flow.flow_id)
-        queue = self.net.host_queue_map.queue_for(flow.initial_tag)
-        assert self.nic is not None, "host NIC not wired"
-        self.nic.enqueue(packet, queue)
+        net.metrics.record_injection(flow.flow_id)
+        nic = self.nic
+        assert nic is not None, "host NIC not wired"
+        nic.enqueue(packet, self._flow_queue[flow.flow_id])
         return True
 
     def on_sent(self, packet: Packet) -> None:
         """NIC finished serializing a packet: refill closed-loop windows."""
-        for flow in self._flows:
-            if flow.flow_id == packet.flow_id and flow.closed_loop:
-                jitter = self.net.config.injection_jitter
-                if jitter > 0:
-                    delay = self.net.rng.uniform(0.0, jitter)
-                    self.net.sim.schedule(delay, lambda f=flow: self._inject(f))
-                else:
-                    self._inject(flow)
-                return
+        flow = self._closed_by_id.get(packet.flow_id)
+        if flow is None:
+            return
+        jitter = self._jitter
+        if jitter > 0:
+            delay = self.net.rng.uniform(0.0, jitter)
+            self.net.sim.schedule(delay, lambda f=flow: self._inject(f))
+        else:
+            self._inject(flow)
 
     # ------------------------------------------------------------------
     # Sink
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, in_port: int = 0) -> None:
+        net = self.net
+        if net.tracer is None and self._rx_rate_bps is None and not self._rx_queue:
+            # Unthrottled, untraced delivery: _deliver without the two
+            # frames above it.
+            net.metrics.record_delivery(
+                net.sim.now,
+                packet.flow_id,
+                packet.size,
+                created_at=packet.created_at,
+            )
+            transport = net.transports.get(packet.flow_id)
+            if transport is not None:
+                transport.on_delivery(packet, self.name)
+            return
+        self._receive_slow(packet)
+
+    def _receive_slow(self, packet: Packet) -> None:
+        """Delivery with a tracer attached or a throttled receiver."""
         if self.net.tracer is not None:
             self.net.tracer.record(
                 self.net.sim.now,
@@ -191,84 +227,3 @@ class SimHost:
 
     def __repr__(self) -> str:
         return f"SimHost({self.name}, flows={len(self._flows)})"
-
-
-class FastSimHost(SimHost):
-    """Hot-path :class:`SimHost` used by the overhauled engine.
-
-    Behaviour-identical to the reference (the equivalence suite diffs
-    full traces), with the per-packet overheads removed: closed-loop
-    flows are dispatched from a dict instead of a scan, the per-flow
-    injection queue and the config constants are cached at attach time,
-    and the unthrottled delivery path is inlined.
-    """
-
-    def __init__(self, net: "SimNetwork", name: str) -> None:
-        super().__init__(net, name)
-        self._closed_by_id: Dict[int, Flow] = {}
-        self._flow_queue: Dict[int, int] = {}
-        self._ttl = net.config.default_ttl
-        self._jitter = net.config.injection_jitter
-
-    def attach_flow(self, flow: Flow) -> None:
-        if flow.closed_loop:
-            self._closed_by_id[flow.flow_id] = flow
-        self._flow_queue[flow.flow_id] = self.net.host_queue_map.queue_for(
-            flow.initial_tag
-        )
-        super().attach_flow(flow)
-
-    def _inject(self, flow: Flow) -> bool:
-        if flow.total_bytes is not None and (
-            self._sent_bytes[flow.flow_id] + flow.packet_size > flow.total_bytes
-        ):
-            return False
-        net = self.net
-        now = net.sim.now
-        # flow.active_at, inlined.
-        if now < flow.start or (flow.stop is not None and now >= flow.stop):
-            return False
-        packet = Packet(
-            flow.flow_id,
-            self.name,
-            flow.dst,
-            flow.packet_size,
-            flow.initial_tag,
-            self._ttl,
-            net.new_packet_id(),
-            now,
-        )
-        self._sent_bytes[flow.flow_id] += flow.packet_size
-        net.metrics.record_injection(flow.flow_id)
-        nic = self.nic
-        assert nic is not None, "host NIC not wired"
-        nic.enqueue(packet, self._flow_queue[flow.flow_id])
-        return True
-
-    def on_sent(self, packet: Packet) -> None:
-        flow = self._closed_by_id.get(packet.flow_id)
-        if flow is None:
-            return
-        jitter = self._jitter
-        if jitter > 0:
-            delay = self.net.rng.uniform(0.0, jitter)
-            self.net.sim.schedule(delay, lambda f=flow: self._inject(f))
-        else:
-            self._inject(flow)
-
-    def receive(self, packet: Packet, in_port: int = 0) -> None:
-        net = self.net
-        if net.tracer is None and self._rx_rate_bps is None and not self._rx_queue:
-            # Unthrottled, untraced delivery: _deliver without the two
-            # frames above it.
-            net.metrics.record_delivery(
-                net.sim.now,
-                packet.flow_id,
-                packet.size,
-                created_at=packet.created_at,
-            )
-            transport = net.transports.get(packet.flow_id)
-            if transport is not None:
-                transport.on_delivery(packet, self.name)
-            return
-        super().receive(packet, in_port)

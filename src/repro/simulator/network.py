@@ -12,6 +12,12 @@ link, and exposes the experiment API the benchmarks drive:
 Switches run the paper's 3-step pipeline when given a
 :class:`TaggerPlan`; without one they run plain PFC on a single lossless
 priority (the paper's "without Tagger" baseline).
+
+There is one engine and one class per component. The four ``*_cls``
+attributes on :class:`SimNetwork` are a test seam, not an option: the
+equivalence suite's ``ReferenceSimNetwork``
+(``tests/simulator/reference_stack.py``) overrides them to wire the
+naive reference stack through this same assembly code.
 """
 
 from __future__ import annotations
@@ -24,13 +30,13 @@ from repro.core.planner import TaggerPlan
 from repro.core.rules import RuleTable
 from repro.exceptions import SimulationError
 from repro.routing.base import ForwardingTable
-from repro.simulator.engine import Simulator, make_simulator
+from repro.simulator.engine import Simulator
 from repro.simulator.flow import Flow
-from repro.simulator.host import FastSimHost, SimHost
-from repro.simulator.metrics import MetricsRecorder
+from repro.simulator.host import SimHost
+from repro.simulator.metrics import DROP_LINK_DOWN, MetricsRecorder
 from repro.simulator.packet import SimConfig
-from repro.simulator.switch import FastSimSwitch, SimSwitch
-from repro.simulator.txport import FastTxPort, TxPort
+from repro.simulator.switch import SimSwitch
+from repro.simulator.txport import TxPort
 from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,6 +61,12 @@ def passthrough_pipeline(num_lossless_tags: int = 1) -> PipelineConfig:
 class SimNetwork:
     """A fully wired simulated fabric."""
 
+    #: What the fabric is assembled from (see the module docstring).
+    engine_cls = Simulator
+    switch_cls = SimSwitch
+    host_cls = SimHost
+    port_cls = TxPort
+
     def __init__(
         self,
         topo: Topology,
@@ -64,18 +76,11 @@ class SimNetwork:
         host_queue_map: Optional[QueueMap] = None,
         metrics_bucket: float = 0.001,
         telemetry: Optional["Telemetry"] = None,
-        engine: str = "wheel",
     ) -> None:
         self.topo = topo
         self.table = table
         self.config = config
-        #: ``engine="wheel"`` (default) runs the event-wheel scheduler
-        #: with the fast switch/port/accounting classes; ``"heap"`` runs
-        #: the frozen reference stack. Both produce byte-identical
-        #: traces, PFC logs and metrics (tests/simulator/
-        #: test_engine_equivalence.py) — "heap" exists as the yardstick.
-        self.engine = engine
-        self.sim: Simulator = make_simulator(engine)
+        self.sim: Simulator = self.engine_cls()
         self.rng = random.Random(config.seed)
         self._next_packet_id = 0
         self.metrics = MetricsRecorder(bucket_width=metrics_bucket)
@@ -88,8 +93,8 @@ class SimNetwork:
         self._pipelines = pipelines or {}
         self.host_queue_map = host_queue_map or default_pipeline.queue_map
         self._pinned: Dict[int, Tuple[Optional[str], Dict[str, str]]] = {}
-        #: Bumped on every (re)pin; the fast switches key their cached
-        #: forwarding decisions on it (see FastSimSwitch).
+        #: Bumped on every (re)pin; switches key their cached
+        #: forwarding decisions on it (see simulator.switch).
         self._pinned_version = 0
         self.tracer = None  # optional PacketTracer (see simulator.trace)
         self.transports: Dict[int, object] = {}  # flow_id -> ReliableMessage
@@ -101,25 +106,21 @@ class SimNetwork:
         #: owning switch until recovery re-arms the queue.
         self.quarantined: Set[Tuple[str, int, int]] = set()
 
-        # The wheel engine rides with the fast switch/port classes; the
-        # heap reference keeps the frozen naive stack.
-        switch_cls = SimSwitch if engine == "heap" else FastSimSwitch
-        host_cls = SimHost if engine == "heap" else FastSimHost
-        self._port_cls = TxPort if engine == "heap" else FastTxPort
         self.switches: Dict[str, SimSwitch] = {}
         self.hosts: Dict[str, SimHost] = {}
         for name in topo.switches:
             pipeline = self._pipelines.get(name, default_pipeline)
-            self.switches[name] = switch_cls(self, name, pipeline)
+            self.switches[name] = self.switch_cls(self, name, pipeline)
         for name in topo.hosts:
-            self.hosts[name] = host_cls(self, name)
+            self.hosts[name] = self.host_cls(self, name)
         self._wire_ports()
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @staticmethod
+    @classmethod
     def with_plan(
+        cls,
         topo: Topology,
         table: ForwardingTable,
         plan: TaggerPlan,
@@ -127,14 +128,13 @@ class SimNetwork:
         decouple_egress: bool = True,
         metrics_bucket: float = 0.001,
         telemetry: Optional["Telemetry"] = None,
-        engine: str = "wheel",
     ) -> "SimNetwork":
         """Build a fabric running a :class:`TaggerPlan` on every switch."""
         pipelines = {
             switch: plan.pipeline_config(switch, decouple_egress=decouple_egress)
             for switch in topo.switches
         }
-        return SimNetwork(
+        return cls(
             topo,
             table,
             pipelines=pipelines,
@@ -142,7 +142,6 @@ class SimNetwork:
             host_queue_map=plan.queue_map,
             metrics_bucket=metrics_bucket,
             telemetry=telemetry,
-            engine=engine,
         )
 
     def _wire_ports(self) -> None:
@@ -153,40 +152,29 @@ class SimNetwork:
     def _wire_direction(
         self, src: str, src_port: int, dst: str, dst_port: int
     ) -> None:
-        dst_node = self.topo.node(dst)
-        if dst_node.is_switch:
+        if self.topo.node(dst).is_switch:
             receive = self.switches[dst].receive
         else:
             receive = self.hosts[dst].receive
-        deliver = lambda pkt, r=receive, p=dst_port: r(pkt, p)  # noqa: E731
-
-        src_node = self.topo.node(src)
-        if src_node.is_switch:
-            switch = self.switches[src]
-            port = self._port_cls(
-                self.sim,
-                self.config,
-                owner=src,
-                port=src_port,
-                peer=dst,
-                deliver=deliver,
-                on_sent=switch.on_sent,
-            )
-            switch.tx_ports[src_port] = port
+        sender = (
+            self.switches[src]
+            if self.topo.node(src).is_switch
+            else self.hosts[src]
+        )
+        port = self.port_cls(
+            self.sim,
+            self.config,
+            owner=src,
+            port=src_port,
+            peer=dst,
+            receive=receive,
+            recv_port=dst_port,
+            on_sent=sender.on_sent,
+        )
+        if isinstance(sender, SimSwitch):
+            sender.tx_ports[src_port] = port
         else:
-            host = self.hosts[src]
-            port = self._port_cls(
-                self.sim,
-                self.config,
-                owner=src,
-                port=src_port,
-                peer=dst,
-                deliver=deliver,
-                on_sent=host.on_sent,
-            )
-            host.nic = port
-        if isinstance(port, FastTxPort):
-            port.bind_receiver(receive, dst_port)
+            sender.nic = port
 
     def new_packet_id(self) -> int:
         """Next packet id for this fabric (per-network, not per-process)."""
@@ -251,29 +239,56 @@ class SimNetwork:
         egress queue. Returns the number of packets lost. Routing is NOT
         touched — compose with table edits / local reroute / convergence
         to model the control-plane reaction.
-        """
-        from repro.simulator.metrics import DROP_LINK_DOWN
 
+        A host link is refused before anything changes: only switch
+        ports are brought down here, so a "failed" host link would keep
+        delivering in one direction.
+        """
+        for end in (a, b):
+            if end not in self.switches:
+                raise SimulationError(
+                    f"cannot fail link {a}-{b}: {end} is not a switch "
+                    "(only switch-to-switch links can be failed)"
+                )
         self.topo.fail_link(a, b)
         lost = 0
         for src, dst in ((a, b), (b, a)):
-            if src not in self.switches:
-                continue  # host NICs: flows stall, nothing to discard
-            switch = self.switches[src]
             port = self.topo.port_to(src, dst)
-            tx = switch.tx_ports[port]
+            tx = self.switches[src].tx_ports[port]
             tx.set_link_state(False)
-            for packet in tx.drain_all():
-                self.metrics.record_drop(DROP_LINK_DOWN, packet.flow_id)
-                crossing = switch.accounting.release(
-                    packet.in_port, packet.in_queue, packet.size
-                )
-                if crossing.send_resume:
-                    self.send_pfc(
-                        src, packet.in_port, packet.in_queue, pause=False
-                    )
-                lost += 1
+            for queue in list(tx.queues):
+                lost += self.drain_egress_queue(src, port, queue, DROP_LINK_DOWN)
         return lost
+
+    def drain_egress_queue(
+        self, switch_name: str, port: int, queue: int, reason: str
+    ) -> int:
+        """Drop every packet in one egress queue, recording ``reason``.
+
+        Each dropped packet releases its ingress PFC account exactly as a
+        transmitted packet would, so upstream pauses lift and whatever was
+        waiting on the queue drains on its own. Returns the packets
+        dropped. The one queue drain behind :meth:`fail_link`,
+        :class:`~repro.simulator.recovery.DeadlockBreaker` and
+        :class:`~repro.simulator.watchdog.PfcWatchdog`.
+        """
+        switch = self.switches[switch_name]
+        tx = switch.tx_ports[port]
+        fifo = tx.queues.get(queue)
+        dropped = 0
+        while fifo:
+            packet = fifo.popleft()
+            tx.queued_bytes[queue] -= packet.size
+            self.metrics.record_drop(reason, packet.flow_id)
+            crossing = switch.accounting.release(
+                packet.in_port, packet.in_queue, packet.size
+            )
+            if crossing.send_resume:
+                self.send_pfc(
+                    switch_name, packet.in_port, packet.in_queue, pause=False
+                )
+            dropped += 1
+        return dropped
 
     def restore_link(self, a: str, b: str) -> None:
         """Bring a previously failed link back up."""

@@ -29,36 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DROP_DEADLOCK_RESET = "deadlock_reset"
 
 
-def drain_egress_queue(
-    net: "SimNetwork", switch_name: str, port: int, queue: int, reason: str
-) -> int:
-    """Drop every packet in one egress queue, recording ``reason``.
-
-    Each dropped packet releases its ingress PFC account exactly as a
-    transmitted packet would, so upstream pauses lift and whatever was
-    waiting on the queue drains on its own. Returns the packets dropped.
-    The one victim-queue drain behind :class:`DeadlockBreaker` and
-    :class:`~repro.simulator.watchdog.PfcWatchdog`.
-    """
-    switch = net.switches[switch_name]
-    tx = switch.tx_ports[port]
-    fifo = tx.queues.get(queue)
-    dropped = 0
-    while fifo:
-        packet = fifo.popleft()
-        tx.queued_bytes[queue] -= packet.size
-        net.metrics.record_drop(reason, packet.flow_id)
-        crossing = switch.accounting.release(
-            packet.in_port, packet.in_queue, packet.size
-        )
-        if crossing.send_resume:
-            net.send_pfc(
-                switch_name, packet.in_port, packet.in_queue, pause=False
-            )
-        dropped += 1
-    return dropped
-
-
 @dataclass
 class RecoveryEvent:
     """One detected-and-broken deadlock."""
@@ -98,7 +68,7 @@ class DeadlockBreaker:
         cycle = find_deadlock_cycle(self.net)
         if cycle is not None:
             victim = min(cycle)  # deterministic choice
-            dropped = drain_egress_queue(self.net, *victim, DROP_DEADLOCK_RESET)
+            dropped = self.net.drain_egress_queue(*victim, DROP_DEADLOCK_RESET)
             self.events.append(
                 RecoveryEvent(
                     time=self.net.sim.now,

@@ -12,6 +12,23 @@ Packet life inside a switch:
    bug otherwise);
 4. egress FIFO; the PFC account is released only when the packet finishes
    serializing out, and XON crossings resume the upstream neighbor.
+
+The pure part of a hop — route lookup, egress-port resolution, both
+queue classifications and the tag rewrite — is computed once per
+``(dst, flow_id, tag, in_port)`` and replayed from a *decision cache*.
+What the code does not show:
+
+- a cached decision is valid only for one forwarding-table ``version``,
+  one ``net._pinned_version`` and one live pipeline object, so mid-run
+  table edits, flow re-pins and pipeline swaps (recovery rollouts — the
+  only sanctioned way to change rules mid-run) behave exactly as
+  uncached lookups; ports never change after wiring;
+- demotion accounting and the quarantine check are *not* cached: the
+  first has a per-packet side effect, and recovery mutates
+  ``net.quarantined`` mid-run;
+- ``tests/simulator/reference_stack.py`` keeps the uncached switch, and
+  the equivalence suite diffs full traces to hold every metrics, tracer
+  and PFC side effect here to its order.
 """
 
 from __future__ import annotations
@@ -26,7 +43,6 @@ from repro.simulator.buffers import (
     CHARGE_REJECT,
     RELEASE_RESUME,
     IngressAccounting,
-    VectorAccounting,
 )
 from repro.simulator.metrics import (
     DROP_LOSSLESS,
@@ -40,13 +56,21 @@ from repro.simulator.txport import TxPort
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.network import SimNetwork
 
+#: Cached decision: next hop, egress port number, ingress queue,
+#: rewritten tag, egress queue, egress port object. ``None`` caches
+#: "no route".
+Decision = Optional[Tuple[str, int, int, int, int, TxPort]]
+
 
 class SimSwitch:
     """One switch instance inside a :class:`SimNetwork`."""
 
-    # Slotted (base and fast subclass): the switch object is touched on
-    # every hop of every packet; slots keep the lookups off the dict.
-    __slots__ = ("net", "name", "pipeline", "accounting", "tx_ports")
+    # Slotted: the switch object is touched on every hop of every
+    # packet; slots keep the lookups off the dict.
+    __slots__ = (
+        "net", "name", "pipeline", "accounting", "tx_ports",
+        "_decisions", "_table_version", "_pinned_seen", "_cls_pipeline",
+    )
 
     def __init__(
         self,
@@ -59,182 +83,18 @@ class SimSwitch:
         self.pipeline = pipeline
         self.accounting = IngressAccounting(net.config)
         self.tx_ports: Dict[int, TxPort] = {}
-
-    # ------------------------------------------------------------------
-    # Data path
-    # ------------------------------------------------------------------
-    def receive(self, packet: Packet, in_port: int) -> None:
-        metrics = self.net.metrics
-        tracer = self.net.tracer
-        if tracer is not None:
-            self._trace(packet, "receive", f"in_port={in_port}")
-        packet.ttl -= 1
-        packet.hops += 1
-        if packet.ttl <= 0:
-            metrics.record_drop(DROP_TTL, packet.flow_id)
-            if tracer is not None:
-                self._trace(packet, "drop", DROP_TTL)
-            return
-
-        next_hop = self._next_hop(packet)
-        if next_hop is None:
-            metrics.record_drop(DROP_NO_ROUTE, packet.flow_id)
-            if tracer is not None:
-                self._trace(packet, "drop", DROP_NO_ROUTE)
-            return
-        out_port = self.net.topo.port_to(self.name, next_hop)
-
-        in_queue = self.pipeline.classify_ingress(packet.tag)
-        crossing = self.accounting.charge(in_port, in_queue, packet.size)
-        if not crossing.accepted:
-            reason = DROP_LOSSY if in_queue == LOSSY_QUEUE else DROP_LOSSLESS
-            metrics.record_drop(reason, packet.flow_id)
-            if tracer is not None:
-                self._trace(packet, "drop", reason)
-            return
-        if crossing.send_pause:
-            self.net.send_pfc(self.name, in_port, in_queue, pause=True)
-
-        old_tag = packet.tag
-        if self.net.topo.node(next_hop).is_host:
-            # Delivery hop: keep the tag onto the host link. (Plans built
-            # from switch-level ELP paths have no host-egress rules; the
-            # safeguard default must not demote deliveries.)
-            new_tag = old_tag
-        else:
-            new_tag = self.pipeline.rewrite(old_tag, in_port, out_port)
-            if new_tag != old_tag:
-                metrics.record_demotion(
-                    self.net.sim.now,
-                    self.name,
-                    old_tag,
-                    new_tag,
-                    packet.flow_id,
-                )
-        egress_queue = self.pipeline.classify_egress(old_tag, new_tag)
-        if (
-            self.net.quarantined
-            and egress_queue != LOSSY_QUEUE
-            and (self.name, out_port, egress_queue) in self.net.quarantined
-        ):
-            # Recovery quarantined this egress queue: run it lossy (the
-            # new tag rides along so downstream hops stay lossy too).
-            metrics.record_demotion(
-                self.net.sim.now, self.name, new_tag, LOSSY_TAG,
-                packet.flow_id,
-            )
-            new_tag = LOSSY_TAG
-            egress_queue = LOSSY_QUEUE
-        packet.tag = new_tag
-        packet.in_port = in_port
-        packet.in_queue = in_queue
-        if self.net.tracer is not None:
-            self._trace(
-                packet,
-                "forward",
-                f"-> {next_hop} tag {old_tag}->{new_tag} q{egress_queue}",
-            )
-        self.tx_ports[out_port].enqueue(packet, egress_queue)
-
-    def _trace(self, packet: Packet, kind: str, detail: str) -> None:
-        self.net.tracer.record(
-            self.net.sim.now,
-            kind,
-            self.name,
-            flow_id=packet.flow_id,
-            packet_id=packet.packet_id,
-            tag=packet.tag,
-            detail=detail,
-        )
-
-    def _next_hop(self, packet: Packet) -> Optional[str]:
-        pinned = self.net.pinned_next_hop(
-            packet.flow_id, self.name, dst=packet.dst
-        )
-        if pinned is not None:
-            return pinned
-        try:
-            return self.net.table.next_hop(
-                self.name, packet.dst, flow_hash=packet.flow_id
-            )
-        except RoutingError:
-            return None
-
-    def on_sent(self, packet: Packet) -> None:
-        """Egress serialization finished: release the PFC account."""
-        assert packet.in_port is not None and packet.in_queue is not None
-        crossing = self.accounting.release(
-            packet.in_port, packet.in_queue, packet.size
-        )
-        if crossing.send_resume:
-            self.net.send_pfc(
-                self.name, packet.in_port, packet.in_queue, pause=False
-            )
-
-    # ------------------------------------------------------------------
-    # PFC control path (frames from downstream neighbors)
-    # ------------------------------------------------------------------
-    def on_pfc(self, port: int, queue: int, pause: bool) -> None:
-        tx = self.tx_ports[port]
-        if pause:
-            tx.on_pause(queue)
-        else:
-            tx.on_resume(queue)
-
-    def __repr__(self) -> str:
-        return f"SimSwitch({self.name}, buffered={self.accounting.total_bytes}B)"
-
-
-#: Cached decision: next hop, egress port number, ingress queue,
-#: rewritten tag, egress queue, egress port object. ``None`` caches
-#: "no route".
-Decision = Optional[Tuple[str, int, int, int, int, TxPort]]
-
-
-class FastSimSwitch(SimSwitch):
-    """Hot-path :class:`SimSwitch` for the wheel engine.
-
-    ``receive`` is the reference data path with one substitution: the
-    route lookup, egress-port resolution, both queue classifications and
-    the tag rewrite collapse into a *decision cache* probe keyed on
-    ``(dst, flow_id, tag, in_port)``. Charge, release and enqueue are
-    calls into :class:`VectorAccounting` and the egress port, as in the
-    reference. What the code does not show:
-
-    - the cache is valid only for one forwarding-table ``version``, one
-      ``net._pinned_version`` and one live pipeline object, so mid-run
-      table edits, flow re-pins and pipeline swaps (recovery rollouts —
-      the only sanctioned way to change rules mid-run) behave exactly as
-      uncached lookups; ports never change after wiring;
-    - demotion accounting and the quarantine check are *not* cached:
-      the first has a per-packet side effect, and recovery mutates
-      ``net.quarantined`` mid-run;
-    - every metrics, tracer and PFC side effect fires in the reference
-      order — the equivalence suite diffs full traces to hold this class
-      to byte-identity.
-    """
-
-    __slots__ = (
-        "_decisions", "_table_version", "_pinned_seen", "_cls_pipeline",
-    )
-
-    def __init__(
-        self,
-        net: "SimNetwork",
-        name: str,
-        pipeline: PipelineConfig,
-    ) -> None:
-        super().__init__(net, name, pipeline)
-        self.accounting: VectorAccounting = VectorAccounting(net.config)
         self._decisions: Dict[Tuple[str, int, int, int], Decision] = {}
         self._table_version = -1
         self._pinned_seen = -1
         self._cls_pipeline: Optional[PipelineConfig] = None
 
+    # ------------------------------------------------------------------
+    # Data path
+    # ------------------------------------------------------------------
     def _decide(
         self, dst: str, flow_id: int, tag: int, in_port: int
     ) -> Decision:
-        """Replay the reference forwarding computation (pure part only)."""
+        """The pure part of one hop (what the decision cache stores)."""
         net = self.net
         next_hop: Optional[str] = None
         if net._pinned:
@@ -323,6 +183,8 @@ class FastSimSwitch(SimSwitch):
             and egress_queue != LOSSY_QUEUE
             and (self.name, out_port, egress_queue) in net.quarantined
         ):
+            # Recovery quarantined this egress queue: run it lossy (the
+            # new tag rides along so downstream hops stay lossy too).
             metrics.record_demotion(
                 net.sim.now, self.name, new_tag, LOSSY_TAG, packet.flow_id
             )
@@ -339,10 +201,35 @@ class FastSimSwitch(SimSwitch):
             )
         port.enqueue(packet, egress_queue)
 
+    def _trace(self, packet: Packet, kind: str, detail: str) -> None:
+        self.net.tracer.record(
+            self.net.sim.now,
+            kind,
+            self.name,
+            flow_id=packet.flow_id,
+            packet_id=packet.packet_id,
+            tag=packet.tag,
+            detail=detail,
+        )
+
     def on_sent(self, packet: Packet) -> None:
+        """Egress serialization finished: release the PFC account."""
         in_port = packet.in_port
         in_queue = packet.in_queue
         assert in_port is not None and in_queue is not None
         code = self.accounting.release_code(in_port, in_queue, packet.size)
         if code == RELEASE_RESUME:
             self.net.send_pfc(self.name, in_port, in_queue, pause=False)
+
+    # ------------------------------------------------------------------
+    # PFC control path (frames from downstream neighbors)
+    # ------------------------------------------------------------------
+    def on_pfc(self, port: int, queue: int, pause: bool) -> None:
+        tx = self.tx_ports[port]
+        if pause:
+            tx.on_pause(queue)
+        else:
+            tx.on_resume(queue)
+
+    def __repr__(self) -> str:
+        return f"SimSwitch({self.name}, buffered={self.accounting.total_bytes}B)"

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.pipeline import LOSSY_QUEUE
 from repro.obs.events import EV_SIM_WATCHDOG
-from repro.simulator.recovery import drain_egress_queue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.detect.arbiter import RecoveryArbiter
@@ -139,8 +138,8 @@ class PfcWatchdog:
                         # this queue: skip, don't double-demote.
                         self.arbitration_skips += 1
                         continue
-                    dropped = drain_egress_queue(
-                        self.net, switch_name, port, queue, DROP_WATCHDOG
+                    dropped = self.net.drain_egress_queue(
+                        switch_name, port, queue, DROP_WATCHDOG
                     )
                     if dropped and not self._storming.get(key, False):
                         self._storming[key] = True

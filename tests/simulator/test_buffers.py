@@ -5,6 +5,8 @@ import pytest
 from repro.simulator import SimConfig
 from repro.simulator.buffers import IngressAccounting
 
+from .reference_stack import ReferenceAccounting
+
 
 @pytest.fixture
 def config():
@@ -87,10 +89,10 @@ class TestIntrospection:
 
 
 class TestVectorAccountingDifferential:
-    """VectorAccounting must be decision-identical to the reference.
+    """The flat-list accounting must be decision-identical to the reference.
 
-    A seeded random charge/release stream is replayed against both
-    implementations and every decision, occupancy and pause flag is
+    A seeded random charge/release stream is replayed against
+    ``IngressAccounting`` and the dict-keyed ``ReferenceAccounting`` and every decision, occupancy and pause flag is
     compared step by step — in static and in dynamic-threshold mode.
     """
 
@@ -112,11 +114,9 @@ class TestVectorAccountingDifferential:
     def test_random_stream_identical(self, config, mode, seed):
         import random
 
-        from repro.simulator.buffers import VectorAccounting
-
         cfg = config if mode == "static" else self._dynamic_config()
-        ref = IngressAccounting(cfg)
-        fast = VectorAccounting(cfg)
+        ref = ReferenceAccounting(cfg)
+        fast = IngressAccounting(cfg)
         rng = random.Random(seed)
         # Track per-account occupancy so releases never underflow.
         held = {}
@@ -148,10 +148,8 @@ class TestVectorAccountingDifferential:
         assert ref.paused_accounts() == fast.paused_accounts()
 
     def test_underflow_message_matches_reference(self, config):
-        from repro.simulator.buffers import VectorAccounting
-
-        ref = IngressAccounting(config)
-        fast = VectorAccounting(config)
+        ref = ReferenceAccounting(config)
+        fast = IngressAccounting(config)
         ref.charge(2, 1, 100)
         fast.charge(2, 1, 100)
         with pytest.raises(AssertionError) as exc_ref:
@@ -161,9 +159,7 @@ class TestVectorAccountingDifferential:
         assert str(exc_ref.value) == str(exc_fast.value)
 
     def test_grows_past_initial_stride(self, config):
-        from repro.simulator.buffers import VectorAccounting
-
-        fast = VectorAccounting(config, stride=4)
+        fast = IngressAccounting(config, stride=4)
         result = fast.charge(40, 1, 1_000)  # far beyond the initial arena
         assert result.accepted
         assert fast.occupancy_of(40, 1) == 1_000

@@ -1,7 +1,9 @@
-"""Tests for the discrete-event engines (reference heap + event wheel).
+"""Tests for the discrete-event engine and its heap reference.
 
 The scheduling contract — ``(time, seq)`` order, FIFO ties, run control —
-is parametrized over both implementations; wheel-only mechanics (ring
+is parametrized over the production event wheel (``Simulator``) and the
+binary-heap reference the equivalence suite compares it with
+(``reference_stack.ReferenceSimulator``); wheel-only mechanics (ring
 bucketing, overflow migration, geometry validation) and the explicit
 per-instance sequence state get their own classes. Full-fabric byte
 identity lives in ``test_engine_equivalence.py``.
@@ -12,13 +14,17 @@ import random
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulator import SCHEDULERS, Simulator, WheelSimulator, make_simulator
+from repro.simulator import Simulator
+
+from .reference_stack import ReferenceSimulator
+
+ENGINES = {"heap": ReferenceSimulator, "wheel": Simulator}
 
 
-@pytest.fixture(params=SCHEDULERS)
+@pytest.fixture(params=sorted(ENGINES))
 def sim(request):
     """One engine of each implementation; every contract test runs both."""
-    return make_simulator(request.param)
+    return ENGINES[request.param]()
 
 
 class TestScheduling:
@@ -106,8 +112,8 @@ class TestSequenceState:
     """
 
     def test_seq_starts_at_zero_and_counts_schedules(self):
-        for scheduler in SCHEDULERS:
-            sim = make_simulator(scheduler)
+        for engine_cls in ENGINES.values():
+            sim = engine_cls()
             assert sim._seq == 0
             for _ in range(5):
                 sim.schedule(1.0, lambda: None)
@@ -127,7 +133,7 @@ class TestSequenceState:
 
     def test_interleaved_engines_keep_independent_tie_order(self):
         """Schedule round-robin into two engines; each sees clean FIFO."""
-        heap, wheel = make_simulator("heap"), make_simulator("wheel")
+        heap, wheel = ReferenceSimulator(), Simulator()
         log_h, log_w = [], []
         for i in range(6):
             heap.schedule(1.0, lambda n=i: log_h.append(n))
@@ -156,7 +162,7 @@ class TestSequenceState:
 
 class TestWheelMechanics:
     def test_far_future_events_take_the_overflow_heap(self):
-        sim = WheelSimulator(resolution=1.0, slots=4)
+        sim = Simulator(resolution=1.0, slots=4)
         log = []
         sim.schedule(100.0, lambda: log.append("far"))
         sim.schedule(2.5, lambda: log.append("ring"))
@@ -171,7 +177,7 @@ class TestWheelMechanics:
     def test_overflow_migrates_in_time_order(self):
         """Overflow events interleave correctly with ring events as the
         horizon advances past them."""
-        sim = WheelSimulator(resolution=1.0, slots=2)
+        sim = Simulator(resolution=1.0, slots=2)
         log = []
         times = [9.0, 3.0, 6.5, 1.5, 6.25, 20.0, 0.5]
         for t in times:
@@ -181,7 +187,7 @@ class TestWheelMechanics:
 
     def test_same_slot_many_laps_apart(self):
         """Times congruent modulo the ring size must not collide."""
-        sim = WheelSimulator(resolution=1.0, slots=4)
+        sim = Simulator(resolution=1.0, slots=4)
         log = []
         for t in (1.5, 5.5, 9.5, 13.5):  # all slot 1 modulo 4 laps
             sim.schedule(t, lambda at=t: log.append(at))
@@ -190,7 +196,7 @@ class TestWheelMechanics:
 
     def test_schedule_into_active_slot_during_run(self):
         """A zero-ish delay inside a callback lands in the live heap."""
-        sim = WheelSimulator(resolution=1.0, slots=4)
+        sim = Simulator(resolution=1.0, slots=4)
         log = []
 
         def first():
@@ -203,7 +209,7 @@ class TestWheelMechanics:
         assert log == ["first", "again", "later-same-slot"]
 
     def test_until_parks_clock_between_slots(self):
-        sim = WheelSimulator(resolution=1.0, slots=4)
+        sim = Simulator(resolution=1.0, slots=4)
         sim.schedule(0.5, lambda: None)
         sim.schedule(50.0, lambda: None)  # overflow
         sim.run(until=10.0)
@@ -215,19 +221,11 @@ class TestWheelMechanics:
 
     def test_geometry_validation(self):
         with pytest.raises(SimulationError):
-            WheelSimulator(resolution=0.0)
+            Simulator(resolution=0.0)
         with pytest.raises(SimulationError):
-            WheelSimulator(resolution=-1e-6)
+            Simulator(resolution=-1e-6)
         with pytest.raises(SimulationError):
-            WheelSimulator(slots=1)
-
-    def test_make_simulator_rejects_unknown_scheduler(self):
-        with pytest.raises(SimulationError):
-            make_simulator("fifo")
-
-    def test_make_simulator_types(self):
-        assert type(make_simulator("heap")) is Simulator
-        assert isinstance(make_simulator("wheel"), WheelSimulator)
+            Simulator(slots=1)
 
 
 class TestDifferential:
@@ -261,4 +259,4 @@ class TestDifferential:
             engine.run()
             return log, engine.now, engine.total_events_run
 
-        assert execute(make_simulator("heap")) == execute(make_simulator("wheel"))
+        assert execute(ReferenceSimulator()) == execute(Simulator())

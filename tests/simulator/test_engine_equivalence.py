@@ -1,17 +1,18 @@
-"""Differential trace-equivalence: wheel engine vs the frozen reference.
+"""Differential trace-equivalence: production stack vs the frozen reference.
 
-The headline guarantee of the raw-speed overhaul: the overhauled stack
-(``WheelSimulator`` + ``FastSimSwitch``/``FastTxPort`` +
-``VectorAccounting``) produces **byte-identical** event traces, PFC
-frame logs and final metrics to the reference heap stack — across the
-paper's deadlock reproductions (Fig. 10/11/12), detection and watchdog
+The headline guarantee behind every fast path in ``repro.simulator``
+(event wheel, decision cache, flat accounting, closure-free ports): it
+produces **byte-identical** event traces, PFC frame logs and final
+metrics to the naive reference stack of
+``tests/simulator/reference_stack.py`` — across the paper's deadlock
+reproductions (Fig. 10/11/12), detection and watchdog
 runs, dynamic thresholds, ECN marking, a mid-run link flap, multi-class
 round-robin, an untraced jittered run, and Hypothesis-generated
 Clos/Jellyfish/BCube fabrics.
 
 Each named scenario also has a golden fingerprint under
 ``tests/golden/sim-equivalence.json`` pinning the (shared) behavior
-itself, so a change that alters *both* engines in lockstep still shows
+itself, so a change that alters *both* stacks in lockstep still shows
 up in review. Regenerate intentionally with::
 
     PYTHONPATH=src python -m pytest tests/simulator/test_engine_equivalence.py --update-golden
@@ -38,11 +39,12 @@ from repro.simulator import (
     PfcWatchdog,
     SimConfig,
     SimNetwork,
-    make_simulator,
     passthrough_pipeline,
     pin_path,
 )
 from repro.topology import testbed_clos
+
+from .reference_stack import ReferenceSimNetwork
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "sim-equivalence.json"
 
@@ -52,7 +54,7 @@ BOUNCE_1 = ("H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H1")
 BOUNCE_2 = ("H5", "T2", "L1", "S1", "L3", "S2", "L4", "T4", "H15")
 
 #: Trace ring large enough that no scenario here evicts (eviction would
-#: still be identical on both engines, but full traces give the digest
+#: still be identical on both stacks, but full traces give the digest
 #: maximal coverage).
 TRACE_CAPACITY = 400_000
 
@@ -102,10 +104,10 @@ def fingerprint(net, tracer, extra=None):
 # ---------------------------------------------------------------------------
 
 
-def _deadlock_net(engine):
+def _deadlock_net(net_cls):
     """The Fig. 10 bounce-deadlock trigger on the paper's testbed."""
     topo = testbed_clos()
-    net = SimNetwork(topo, shortest_path_tables(topo), engine=engine)
+    net = net_cls(topo, shortest_path_tables(topo))
     net.add_flow(
         Flow(src="H1", dst="H13", pinned_next_hops=pin_path(BLUE), flow_id=7101)
     )
@@ -123,8 +125,8 @@ def _deadlock_net(engine):
     return net
 
 
-def scenario_fig10_bounce_deadlock(engine):
-    net = _deadlock_net(engine)
+def scenario_fig10_bounce_deadlock(net_cls):
+    net = _deadlock_net(net_cls)
     tracer = PacketTracer(capacity=TRACE_CAPACITY).attach(net)
     net.run(0.2)
     from repro.simulator import find_deadlock_cycle
@@ -133,9 +135,9 @@ def scenario_fig10_bounce_deadlock(engine):
     return net, tracer, {"deadlocked": cycle is not None}
 
 
-def scenario_fig11_routing_loop(engine):
+def scenario_fig11_routing_loop(net_cls):
     topo = testbed_clos()
-    net = SimNetwork(topo, shortest_path_tables(topo), engine=engine)
+    net = net_cls(topo, shortest_path_tables(topo))
     net.add_flow(Flow(src="H1", dst="H5", flow_id=7111))
     net.add_flow(
         Flow(
@@ -154,9 +156,9 @@ def scenario_fig11_routing_loop(engine):
     return net, tracer, {"deadlocked": cycle is not None}
 
 
-def scenario_fig12_pause_propagation(engine):
+def scenario_fig12_pause_propagation(net_cls):
     topo = testbed_clos()
-    net = SimNetwork(topo, shortest_path_tables(topo), engine=engine)
+    net = net_cls(topo, shortest_path_tables(topo))
     next_id = iter(range(7120, 7128))
     net.add_flow(
         Flow(src="H9", dst="H1", pinned_next_hops=pin_path(BOUNCE_1),
@@ -185,14 +187,14 @@ def scenario_fig12_pause_propagation(engine):
     return net, tracer, {}
 
 
-def scenario_detect_on(engine):
+def scenario_detect_on(net_cls):
     """Fig. 10 trigger with the runtime DCFIT-style detector installed.
 
     A third, unpinned background flow rides along so the traced workload
     is distinct from the plain Fig. 10 scenario (the detector itself is
     a pure observer and leaves the packet trace untouched).
     """
-    net = _deadlock_net(engine)
+    net = _deadlock_net(net_cls)
     net.add_flow(Flow(src="H3", dst="H11", flow_id=7103))
     detector = DeadlockDetector(net)
     detector.install()
@@ -205,9 +207,9 @@ def scenario_detect_on(engine):
     }
 
 
-def scenario_watchdog_demotion(engine):
+def scenario_watchdog_demotion(net_cls):
     """Fig. 10 trigger with the PFC watchdog baseline breaking the storm."""
-    net = _deadlock_net(engine)
+    net = _deadlock_net(net_cls)
     watchdog = PfcWatchdog(net, detection_time=0.02, poll=0.005)
     watchdog.install()
     tracer = PacketTracer(capacity=TRACE_CAPACITY).attach(net)
@@ -218,13 +220,11 @@ def scenario_watchdog_demotion(engine):
     }
 
 
-def scenario_tagged_incast(engine):
+def scenario_tagged_incast(net_cls):
     """A tagged testbed under incast — the Tagger pipeline exercised."""
     topo = testbed_clos()
     plan = TaggerPlan.for_clos(topo, max_bounces=1)
-    net = SimNetwork.with_plan(
-        topo, shortest_path_tables(topo), plan, engine=engine
-    )
+    net = net_cls.with_plan(topo, shortest_path_tables(topo), plan)
     for i, src in enumerate(("H5", "H9", "H13", "H15")):
         net.add_flow(Flow(src=src, dst="H1", flow_id=7130 + i))
     net.at(0.03, lambda: net.set_receiver_rate("H1", 1e8))
@@ -246,15 +246,13 @@ def _delivered(net):
     }
 
 
-def scenario_dynamic_thresholds(engine):
+def scenario_dynamic_thresholds(net_cls):
     """Incast under Broadcom-style alpha thresholds (XOFF moves per charge)."""
     topo = testbed_clos()
     config = SimConfig(
         dynamic_thresholds=True, dt_alpha=0.25, shared_buffer_bytes=128 * 1024
     )
-    net = SimNetwork(
-        topo, shortest_path_tables(topo), config=config, engine=engine
-    )
+    net = net_cls(topo, shortest_path_tables(topo), config=config)
     for i, src in enumerate(INCAST_SOURCES):
         net.add_flow(Flow(src=src, dst="H1", flow_id=7140 + i))
     net.at(0.02, lambda: net.set_receiver_rate("H1", 1e8))
@@ -264,13 +262,11 @@ def scenario_dynamic_thresholds(engine):
     return net, tracer, {"delivered": _delivered(net)}
 
 
-def scenario_ecn_marking(engine):
+def scenario_ecn_marking(net_cls):
     """ECN marks at egress enqueue, observed through DCQCN's CNP loop."""
     topo = testbed_clos()
     config = SimConfig(ecn_threshold_bytes=20_000)
-    net = SimNetwork(
-        topo, shortest_path_tables(topo), config=config, engine=engine
-    )
+    net = net_cls(topo, shortest_path_tables(topo), config=config)
     senders = [
         DcqcnFlow(src=src, dst="H1", flow_id=7150 + i).attach(net)
         for i, src in enumerate(INCAST_SOURCES)
@@ -285,10 +281,10 @@ def scenario_ecn_marking(engine):
     }
 
 
-def scenario_link_flap_midrun(engine):
+def scenario_link_flap_midrun(net_cls):
     """A loaded link fails and comes back while its queues hold packets."""
     topo = testbed_clos()
-    net = SimNetwork(topo, shortest_path_tables(topo), engine=engine)
+    net = net_cls(topo, shortest_path_tables(topo))
     net.add_flow(
         Flow(src="H1", dst="H13", pinned_next_hops=pin_path(BLUE), flow_id=7160)
     )
@@ -315,7 +311,7 @@ def scenario_link_flap_midrun(engine):
     return net, tracer, {"lost": lost, "delivered": _delivered(net)}
 
 
-def scenario_multiclass_rr(engine):
+def scenario_multiclass_rr(net_cls):
     """Two lossless classes and a lossy flow share one egress port.
 
     Every flow leaves T1 toward H1, so the round-robin pick at that port
@@ -324,12 +320,11 @@ def scenario_multiclass_rr(engine):
     """
     topo = testbed_clos()
     pipeline = passthrough_pipeline(num_lossless_tags=2)
-    net = SimNetwork(
+    net = net_cls(
         topo,
         shortest_path_tables(topo),
         pipelines={name: pipeline for name in topo.switches},
         host_queue_map=QueueMap.identity(2),
-        engine=engine,
     )
     net.add_flow(Flow(src="H5", dst="H1", initial_tag=1, flow_id=7170))
     net.add_flow(Flow(src="H9", dst="H1", initial_tag=2, flow_id=7171))
@@ -345,7 +340,7 @@ def scenario_multiclass_rr(engine):
     return net, tracer, {"delivered": _delivered(net)}
 
 
-def scenario_untraced_jitter(engine):
+def scenario_untraced_jitter(net_cls):
     """No tracer attached: the hosts' untraced delivery path, with jitter.
 
     Every other scenario attaches a :class:`PacketTracer`; this one
@@ -354,9 +349,7 @@ def scenario_untraced_jitter(engine):
     """
     topo = testbed_clos()
     config = SimConfig(injection_jitter=2e-6, seed=11)
-    net = SimNetwork(
-        topo, shortest_path_tables(topo), config=config, engine=engine
-    )
+    net = net_cls(topo, shortest_path_tables(topo), config=config)
     for i, src in enumerate(INCAST_SOURCES):
         net.add_flow(Flow(src=src, dst="H1", flow_id=7180 + i))
     net.add_flow(Flow(src="H2", dst="H10", rate_bps=3e8, flow_id=7185))
@@ -384,8 +377,8 @@ SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_wheel_is_byte_identical_to_reference(name, request):
     build = SCENARIOS[name]
-    net_ref, tracer_ref, extra_ref = build("heap")
-    net_fast, tracer_fast, extra_fast = build("wheel")
+    net_ref, tracer_ref, extra_ref = build(ReferenceSimNetwork)
+    net_fast, tracer_fast, extra_fast = build(SimNetwork)
 
     trace_ref, pfc_ref = _canonical_lines(net_ref, tracer_ref)
     trace_fast, pfc_fast = _canonical_lines(net_fast, tracer_fast)
@@ -431,12 +424,12 @@ def test_scenarios_exercise_distinct_behavior():
 # ---------------------------------------------------------------------------
 
 
-def _run_generated(scenario, engine):
+def _run_generated(scenario, net_cls):
     """Drive a fuzz-generated topology with a deterministic flow set."""
     topo = scenario.build_topology()
     hosts = sorted(topo.hosts)
     assume(len(hosts) >= 2)
-    net = SimNetwork(topo, shortest_path_tables(topo), engine=engine)
+    net = net_cls(topo, shortest_path_tables(topo))
     flows = [
         (hosts[0], hosts[-1]),
         (hosts[-1], hosts[0]),
@@ -458,10 +451,10 @@ def _run_generated(scenario, engine):
 )
 @given(seed=st.integers(min_value=0, max_value=2**20))
 def test_generated_fabrics_byte_identical(seed):
-    """Wheel-vs-heap identity on seeded Clos/Jellyfish/BCube scenarios."""
+    """Production-vs-reference identity on seeded Clos/Jellyfish/BCube scenarios."""
     scenario = next(ScenarioGenerator(seed))
-    net_ref, tracer_ref = _run_generated(scenario, "heap")
-    net_fast, tracer_fast = _run_generated(scenario, "wheel")
+    net_ref, tracer_ref = _run_generated(scenario, ReferenceSimNetwork)
+    net_fast, tracer_fast = _run_generated(scenario, SimNetwork)
     assert _canonical_lines(net_fast, tracer_fast) == _canonical_lines(
         net_ref, tracer_ref
     )

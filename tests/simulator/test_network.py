@@ -142,6 +142,24 @@ class TestScheduledMutations:
         assert is_deadlocked(net)
         assert net.metrics.drops[DROP_TTL] == 0
 
+    @pytest.mark.parametrize("ends", [("H1", "T1"), ("T1", "H1")])
+    def test_failing_a_host_link_is_refused_before_anything_changes(
+        self, testbed, ends
+    ):
+        """``fail_link`` brings down switch ports only: on a host link the
+        NIC side would keep transmitting over a link marked failed."""
+        net = build_net(testbed)
+        flow = net.add_flow(Flow(src="H1", dst="H5"))
+        net.run(0.001)
+        delivered = net.metrics.delivered_packets[flow.flow_id]
+        with pytest.raises(SimulationError, match="H1.*not a switch"):
+            net.fail_link(*ends)
+        assert not testbed.is_failed("H1", "T1")
+        assert net.switches["T1"].tx_ports[testbed.port_to("T1", "H1")].link_up
+        assert net.metrics.total_drops() == 0
+        net.run(0.002)
+        assert net.metrics.delivered_packets[flow.flow_id] > delivered
+
 
 class TestReceiverThrottling:
     def test_slow_receiver_limits_rate(self, testbed):

@@ -4,9 +4,10 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.simulator import SimConfig, Simulator
-from repro.simulator.engine import WheelSimulator
 from repro.simulator.packet import Packet
-from repro.simulator.txport import FastTxPort, TxPort
+from repro.simulator.txport import TxPort
+
+from .reference_stack import ReferenceSimulator
 
 
 def make_port(sim, delivered, sent=None, bandwidth=1e9):
@@ -17,7 +18,7 @@ def make_port(sim, delivered, sent=None, bandwidth=1e9):
         owner="A",
         port=0,
         peer="B",
-        deliver=delivered.append,
+        receive=lambda packet, _port: delivered.append(packet),
         on_sent=(sent.append if sent is not None else None),
     )
 
@@ -141,22 +142,29 @@ class TestScheduling:
 
 class TestFastTxPort:
     def test_refuses_any_simulator_but_the_stock_wheel(self):
-        class Subclassed(WheelSimulator):
+        """The port inlines the wheel push, so a look-alike engine is refused."""
+
+        class Subclassed(Simulator):
             pass
 
         config = SimConfig()
-        for sim in (Simulator(), Subclassed()):
-            with pytest.raises(SimulationError, match="WheelSimulator"):
-                FastTxPort(sim, config, "A", 0, "B", deliver=lambda p: None)
+        for sim in (ReferenceSimulator(), Subclassed()):
+            with pytest.raises(SimulationError, match="stock Simulator"):
+                TxPort(sim, config, "A", 0, "B", receive=lambda p, port: None)
 
     def test_unbound_port_delivers_through_the_constructor_callback(self):
-        sim = WheelSimulator()
+        """The constructor's ``receive`` gets each packet with ``recv_port``."""
+        sim = Simulator()
         delivered = []
         config = SimConfig(bandwidth_bps=1e9, prop_delay=1e-6)
-        port = FastTxPort(sim, config, "A", 0, "B", deliver=delivered.append)
+        port = TxPort(
+            sim, config, "A", 0, "B",
+            receive=lambda packet, in_port: delivered.append((packet, in_port)),
+            recv_port=3,
+        )
         packets = [pkt(size=1000), pkt(size=1000)]
         for packet in packets:
             port.enqueue(packet, 1)
         sim.run()
-        assert delivered == packets
+        assert delivered == [(packet, 3) for packet in packets]
         assert abs(sim.now - 17e-6) < 1e-12
