@@ -78,8 +78,8 @@ def run_all():
     ]
 
 
-def test_demotion_cost(benchmark, report):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_demotion_cost(report):
+    results = run_all()
     rows = [
         (
             r["name"],

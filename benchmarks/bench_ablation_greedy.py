@@ -63,8 +63,8 @@ def run_ablation():
     return rows
 
 
-def test_ablation_minimizers(benchmark, report):
-    rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_ablation_minimizers(report):
+    rows = run_ablation()
     table = format_table(
         [
             "ELP",

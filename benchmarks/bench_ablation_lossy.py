@@ -50,8 +50,8 @@ def run_tradeoff():
     return rows, {b: len(p) for b, p in by_bounces.items()}
 
 
-def test_ablation_lossy_exposure(benchmark, report):
-    rows, histogram = benchmark.pedantic(run_tradeoff, rounds=1, iterations=1)
+def test_ablation_lossy_exposure(report):
+    rows, histogram = run_tradeoff()
     table = format_table(
         [
             "k (budget)",

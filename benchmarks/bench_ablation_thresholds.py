@@ -91,10 +91,8 @@ def run_all():
     return xoff_rows, headroom_rows, mode_rows
 
 
-def test_threshold_ablation(benchmark, report):
-    xoff_rows, headroom_rows, mode_rows = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+def test_threshold_ablation(report):
+    xoff_rows, headroom_rows, mode_rows = run_all()
     lines = [
         "XOFF level (4-to-1 incast):",
         format_table(

@@ -14,17 +14,11 @@ prevents all of it at the highest goodput with zero loss.
 
 import pytest
 
-from conftest import format_table
+from conftest import add_fig10_flows, format_table, throttle_h2
 from repro.core import TaggerPlan
 from repro.routing import shortest_path_tables
-from repro.simulator import (
-    DeadlockBreaker,
-    Flow,
-    SimNetwork,
-    find_deadlock_cycle,
-    pin_path,
-)
-from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH, testbed_clos
+from repro.simulator import DeadlockBreaker, SimNetwork, find_deadlock_cycle
+from repro.topology import testbed_clos
 
 
 DURATION = 0.6
@@ -43,22 +37,10 @@ def run_mode(mode: str):
     if mode == "detect-and-break":
         breaker = DeadlockBreaker(net, period=0.005)
         breaker.install()
-    net.add_flow(
-        Flow(src="H1", dst="H13", pinned_next_hops=pin_path(TESTBED_BLUE_PATH), flow_id=4001)
-    )
-    net.add_flow(
-        Flow(
-            src="H9",
-            dst="H2",
-            start=0.01,
-            pinned_next_hops=pin_path(TESTBED_GREEN_PATH),
-            flow_id=4002,
-        )
-    )
+    add_fig10_flows(net, 4001, 4002)
     for i in range(TRANSIENTS):
         begin = 0.05 + i * 0.1
-        net.at(begin, lambda: net.set_receiver_rate("H2", 5e7))
-        net.at(begin + 0.03, lambda: net.set_receiver_rate("H2", None))
+        throttle_h2(net, begin, begin + 0.03)
     net.run(DURATION)
     return {
         "mode": mode,
@@ -74,8 +56,8 @@ def run_all():
     return [run_mode(m) for m in ("pfc-only", "detect-and-break", "tagger")]
 
 
-def test_baseline_recovery(benchmark, report):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_baseline_recovery(report):
+    results = run_all()
     rows = [
         (
             r["mode"],

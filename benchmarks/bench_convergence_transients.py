@@ -68,8 +68,8 @@ def run_sweep():
     return [analyze_failure(link) for link in links]
 
 
-def test_convergence_transients(benchmark, report):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_convergence_transients(report):
+    rows = run_sweep()
     table = format_table(
         [
             "failed link",

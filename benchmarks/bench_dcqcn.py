@@ -18,7 +18,7 @@ Two measurements:
 
 import pytest
 
-from conftest import format_table
+from conftest import add_fig10_flows, format_table, throttle_h2
 from repro.core import TaggerPlan
 from repro.routing import shortest_path_tables
 from repro.simulator import (
@@ -66,20 +66,8 @@ def cbd_scenario(mode: str, ids):
         DcqcnFlow(src="H9", dst="H2", start=0.01, flow_id=ids[1]).attach(net)
         net.pin_flow(ids[1], pin_path(TESTBED_GREEN_PATH), dst="H2")
     else:
-        net.add_flow(
-            Flow(src="H1", dst="H13", flow_id=ids[0], pinned_next_hops=pin_path(TESTBED_BLUE_PATH))
-        )
-        net.add_flow(
-            Flow(
-                src="H9",
-                dst="H2",
-                start=0.01,
-                flow_id=ids[1],
-                pinned_next_hops=pin_path(TESTBED_GREEN_PATH),
-            )
-        )
-    net.at(0.05, lambda: net.set_receiver_rate("H2", 5e7))
-    net.at(0.08, lambda: net.set_receiver_rate("H2", None))
+        add_fig10_flows(net, *ids)
+    throttle_h2(net)
     net.run(0.4)
     return find_deadlock_cycle(net) is not None
 
@@ -97,8 +85,8 @@ def run_all():
     return (plain_pauses, plain_total), (dcqcn_pauses, dcqcn_total), outcomes
 
 
-def test_dcqcn(benchmark, report):
-    plain, dcqcn, outcomes = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_dcqcn(report):
+    plain, dcqcn, outcomes = run_all()
     lines = [
         "incast 3->1 (0.2 s):",
         format_table(

@@ -6,12 +6,13 @@ boundary lints), so this benchmark pins its stage timings next to the
 planner's: a leaf-spine link-down is re-planned incrementally, then the
 resulting diff is rolled onto a fault-free agent fleet. The fault-free
 run's stage split (``plan-waves`` / ``certify`` / ``execute`` /
-``verify-final``) is recorded into ``BENCH_pipeline.json``:
+``verify-final``) is printed, not persisted — the recorded readings are
+the ``deploy.*_s`` metrics of the e2e ledger (``benchmarks/e2e``):
 
-- ``deploy`` — a 16-ToR Clos (26 switches), plus a sweep through seeded
-  chaos schedules;
-- ``deploy-clos64-linkflap`` — a 64-ToR Clos (100 switches) where the
-  flap touches 2 switches. The small fabric hides what certification
+- a 16-ToR Clos (26 switches), plus a sweep through seeded chaos
+  schedules;
+- a 64-ToR Clos (100 switches, the e2e churn fabric) where the flap
+  touches 2 switches. The small fabric hides what certification
   costs per switch; this one asserts in-run that the rollout's four
   fabric-wide lints (three boundaries and the final readback) plus the
   union-graph work cost less than *three* one-shot lints of the same
@@ -20,7 +21,7 @@ run's stage split (``plan-waves`` / ``certify`` / ``execute`` /
 
 import time
 
-from conftest import format_table
+from conftest import CLOS64, format_table, show
 from repro.core import IncrementalPlanner, UpDownElpProvider, diff_tables
 from repro.deploy import (
     SAFE_OUTCOMES,
@@ -31,22 +32,13 @@ from repro.deploy import (
 from repro.lint import lint_tables
 from repro.topology import ClosParams, TopologyDelta, clos3
 
-#: 4 pods x 4 ToRs = 16 ToRs; 28 switches. Big enough that certify
+#: 4 pods x 4 ToRs = 16 ToRs; 26 switches. Big enough that certify
 #: dominates execute, small enough to stay a sub-second benchmark.
 CLOS16 = ClosParams(
     num_pods=4,
     tors_per_pod=4,
     leaves_per_pod=2,
     num_spines=2,
-    hosts_per_tor=1,
-)
-
-#: 8 pods x 8 ToRs = 64 ToRs; 100 switches (the e2e churn fabric).
-CLOS64 = ClosParams(
-    num_pods=8,
-    tors_per_pod=8,
-    leaves_per_pod=4,
-    num_spines=4,
     hosts_per_tor=1,
 )
 
@@ -70,13 +62,23 @@ def build_transition(params=CLOS16):
     return planner.topo, old, dict(planner.plan.tables)
 
 
-def test_deploy_rollout_baseline(report, baseline_entry):
+def assert_linkflap_shape(diffs, clean):
+    """One leaf-spine flap is the same rollout on either fabric."""
+    assert len(diffs) == 2
+    assert len(clean.waves) == 2
+    assert clean.rpc_count == 4
+    assert clean.certificate.states_covered == 4
+
+
+def test_deploy_rollout_baseline():
     topo, old, new = build_transition()
     diffs = diff_tables(old, new)
 
     clean = run_rollout(topo, old, new)
     assert clean.outcome == "converged", clean.detail
     assert clean.final_lint_ok and clean.final_matches_target
+    assert len(topo.switches) == 26
+    assert_linkflap_shape(diffs, clean)
 
     start = time.perf_counter()
     outcomes = {}
@@ -90,25 +92,13 @@ def test_deploy_rollout_baseline(report, baseline_entry):
         outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
     chaos_seconds = time.perf_counter() - start
 
-    baseline_entry(
-        "deploy",
-        clean.timings,
-        switches=len(topo.switches),
-        diff_switches=len(diffs),
-        waves=len(clean.waves),
-        rpcs=clean.rpc_count,
-        states_covered=clean.certificate.states_covered,
-        chaos_runs=CHAOS_RUNS,
-        chaos_ms_per_run=round(chaos_seconds / CHAOS_RUNS * 1000.0, 2),
-    )
-
     rows = [
         (stage, f"{seconds * 1000.0:.2f}")
         for stage, seconds in clean.timings.items()
     ]
     rows.append(("chaos sweep (per run)",
                  f"{chaos_seconds / CHAOS_RUNS * 1000.0:.2f}"))
-    report(
+    show(
         "deploy_rollout",
         format_table(("stage", "ms"), rows)
         + f"\nchaos outcomes over {CHAOS_RUNS} seeded schedules: "
@@ -116,10 +106,10 @@ def test_deploy_rollout_baseline(report, baseline_entry):
     )
 
 
-def test_deploy_clos64_linkflap(report, baseline_entry):
+def test_deploy_clos64_linkflap():
     topo, old, new = build_transition(CLOS64)
     diffs = diff_tables(old, new)
-    assert len(topo.switches) == 100 and len(diffs) == 2
+    assert len(topo.switches) == 100
 
     def lints_seconds(rollout):
         return rollout.timings["certify"] + rollout.timings["verify-final"]
@@ -139,25 +129,15 @@ def test_deploy_clos64_linkflap(report, baseline_entry):
 
     # Two waves: three boundary lints and the final readback lint, all
     # fabric-wide, must cost less than three cold ones.
-    assert len(clean.waves) == 2
+    assert_linkflap_shape(diffs, clean)
     assert lints_seconds(clean) < 3 * min(one_shot), (
         f"certify + verify-final took {lints_seconds(clean) * 1000.0:.1f} ms, "
         f"three one-shot lints take {3 * min(one_shot) * 1000.0:.1f} ms"
     )
 
-    baseline_entry(
-        "deploy-clos64-linkflap",
-        clean.timings,
-        switches=len(topo.switches),
-        diff_switches=len(diffs),
-        waves=len(clean.waves),
-        rpcs=clean.rpc_count,
-        states_covered=clean.certificate.states_covered,
-        one_shot_lint_ms=round(min(one_shot) * 1000.0, 2),
-    )
     rows = [
         (stage, f"{seconds * 1000.0:.2f}")
         for stage, seconds in clean.timings.items()
     ]
     rows.append(("one-shot lint_tables", f"{min(one_shot) * 1000.0:.2f}"))
-    report("deploy_rollout_clos64", format_table(("stage", "ms"), rows))
+    show("deploy_rollout_clos64", format_table(("stage", "ms"), rows))

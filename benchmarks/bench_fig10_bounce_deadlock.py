@@ -13,15 +13,14 @@ defining observation is that the deadlock persists afterwards.
 
 import pytest
 
-from conftest import format_series
+from conftest import add_fig10_flows, format_series, throttle_h2
 from repro.core import TaggerPlan
 from repro.routing import shortest_path_tables
-from repro.simulator import Flow, SimNetwork, find_deadlock_cycle, pin_path
-from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH, testbed_clos
+from repro.simulator import SimNetwork, find_deadlock_cycle
+from repro.topology import testbed_clos
 
 
 DURATION = 0.4
-SLOW_START, SLOW_END = 0.05, 0.08
 
 
 def run_scenario(with_tagger: bool):
@@ -32,14 +31,8 @@ def run_scenario(with_tagger: bool):
         net = SimNetwork.with_plan(topo, table, plan, metrics_bucket=0.01)
     else:
         net = SimNetwork(topo, table, metrics_bucket=0.01)
-    blue = net.add_flow(
-        Flow(src="H1", dst="H13", pinned_next_hops=pin_path(TESTBED_BLUE_PATH))
-    )
-    green = net.add_flow(
-        Flow(src="H9", dst="H2", start=0.01, pinned_next_hops=pin_path(TESTBED_GREEN_PATH))
-    )
-    net.at(SLOW_START, lambda: net.set_receiver_rate("H2", 5e7))
-    net.at(SLOW_END, lambda: net.set_receiver_rate("H2", None))
+    blue, green = add_fig10_flows(net, 1001, 1002)
+    throttle_h2(net)
     net.run(DURATION)
     series = {
         "blue": [r for _, r in net.metrics.rate_series(blue.flow_id, 0, DURATION)],
@@ -56,8 +49,8 @@ def run_both():
     return run_scenario(False), run_scenario(True)
 
 
-def test_fig10_bounce_deadlock(benchmark, report):
-    without, with_tagger = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_fig10_bounce_deadlock(report):
+    without, with_tagger = run_both()
     net_a, series_a, tail_a, cycle_a = without
     net_b, series_b, tail_b, cycle_b = with_tagger
 
@@ -81,7 +74,7 @@ def test_fig10_bounce_deadlock(benchmark, report):
     report("fig10_bounce_deadlock", "\n".join(lines))
 
     # Paper shape: without Tagger both rates collapse to 0 permanently
-    # (long after the trigger abated at SLOW_END); with Tagger they stay up.
+    # (long after the trigger abated at 0.08 s); with Tagger they stay up.
     assert cycle_a is not None
     assert tail_a["blue"] == 0.0 and tail_a["green"] == 0.0
     assert cycle_b is None

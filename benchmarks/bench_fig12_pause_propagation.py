@@ -92,8 +92,8 @@ def run_both():
     return run_scenario(False), run_scenario(True)
 
 
-def test_fig12_pause_propagation(benchmark, report):
-    without, with_tagger = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_fig12_pause_propagation(report):
+    without, with_tagger = run_both()
     net_a, tail_a, cycle_a = without
     net_b, tail_b, cycle_b = with_tagger
 

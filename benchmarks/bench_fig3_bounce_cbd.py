@@ -24,10 +24,8 @@ def run_analysis():
     return topo, graph, cycle, cycles
 
 
-def test_fig3_bounce_cbd(benchmark, report):
-    topo, graph, cycle, cycles = benchmark.pedantic(
-        run_analysis, rounds=1, iterations=1
-    )
+def test_fig3_bounce_cbd(report):
+    topo, graph, cycle, cycles = run_analysis()
     lines = [
         f"green path: {' -> '.join(GREEN)} "
         f"(loop-free={is_loop_free(GREEN)}, bounces={count_bounces(topo, GREEN)})",

@@ -29,10 +29,8 @@ def run_analysis():
     return topo, tags, untagged, tagged
 
 
-def test_fig4_tag_separation(benchmark, report):
-    topo, tags, untagged, tagged = benchmark.pedantic(
-        run_analysis, rounds=1, iterations=1
-    )
+def test_fig4_tag_separation(report):
+    topo, tags, untagged, tagged = run_analysis()
     rows = []
     for name, path in (("green", GREEN), ("blue", BLUE)):
         for hop, tag in zip(path[1:], tags[name]):

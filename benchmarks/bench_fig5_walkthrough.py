@@ -65,10 +65,8 @@ def rule_rows(table):
     ]
 
 
-def test_fig5_walkthrough(benchmark, report):
-    topo, bf, merged, det, bf_rules, merged_rules = benchmark.pedantic(
-        run_walkthrough, rounds=1, iterations=1
-    )
+def test_fig5_walkthrough(report):
+    topo, bf, merged, det, bf_rules, merged_rules = run_walkthrough()
     sections = [
         f"Algorithm 1 (Fig 5b): {bf.max_tag} tags, "
         f"{verify_tagged_graph(bf).summary()}",

@@ -43,8 +43,8 @@ def run_comparison():
     return rows
 
 
-def test_fig6_greedy_suboptimality(benchmark, report):
-    rows = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_fig6_greedy_suboptimality(report):
+    rows = run_comparison()
     table = format_table(
         [
             "k (bounces)",

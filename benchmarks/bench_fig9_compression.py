@@ -44,8 +44,8 @@ def run_compression():
     return rows
 
 
-def test_fig9_rule_compression(benchmark, report):
-    rows = benchmark.pedantic(run_compression, rounds=1, iterations=1)
+def test_fig9_rule_compression(report):
+    rows = run_compression()
     table = format_table(
         [
             "Switch",

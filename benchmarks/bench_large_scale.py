@@ -90,8 +90,8 @@ def run_both():
     return run_mode(False), run_mode(True)
 
 
-def test_large_scale_clos(benchmark, report):
-    without, with_tagger = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_large_scale_clos(report):
+    without, with_tagger = run_both()
     rows = [
         (
             "without Tagger",

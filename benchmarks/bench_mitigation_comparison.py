@@ -18,7 +18,7 @@ destroyed" columns across both scenarios.
 
 import pytest
 
-from conftest import format_table
+from conftest import add_fig10_flows, format_table, throttle_h2
 from repro.core import TaggerPlan
 from repro.routing import shortest_path_tables
 from repro.simulator import (
@@ -27,9 +27,8 @@ from repro.simulator import (
     PfcWatchdog,
     SimNetwork,
     find_deadlock_cycle,
-    pin_path,
 )
-from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH, testbed_clos
+from repro.topology import testbed_clos
 
 
 MODES = ("pfc-only", "watchdog", "detect-and-break", "tagger")
@@ -52,20 +51,8 @@ def build(mode: str):
 
 def scenario_deadlock(mode: str):
     net = build(mode)
-    net.add_flow(
-        Flow(src="H1", dst="H13", pinned_next_hops=pin_path(TESTBED_BLUE_PATH), flow_id=7501)
-    )
-    net.add_flow(
-        Flow(
-            src="H9",
-            dst="H2",
-            start=0.01,
-            pinned_next_hops=pin_path(TESTBED_GREEN_PATH),
-            flow_id=7502,
-        )
-    )
-    net.at(0.05, lambda: net.set_receiver_rate("H2", 5e7))
-    net.at(0.08, lambda: net.set_receiver_rate("H2", None))
+    add_fig10_flows(net, 7501, 7502)
+    throttle_h2(net)
     net.run(0.3)
     destroyed = sum(
         net.metrics.drops.get(reason, 0)
@@ -105,8 +92,8 @@ def run_all():
     }
 
 
-def test_mitigation_comparison(benchmark, report):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_mitigation_comparison(report):
+    results = run_all()
     rows = []
     for mode in MODES:
         r = results[mode]

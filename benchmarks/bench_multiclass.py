@@ -53,8 +53,8 @@ def run_multiclass():
     return rows, coverage
 
 
-def test_multiclass_priorities(benchmark, report):
-    rows, coverage = benchmark.pedantic(run_multiclass, rounds=1, iterations=1)
+def test_multiclass_priorities(report):
+    rows, coverage = run_multiclass()
     table = format_table(
         [
             "Classes (N)",

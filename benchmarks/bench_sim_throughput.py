@@ -17,8 +17,9 @@ scheduler noise, and asserts:
 - the production stack clears ``SPEEDUP_FLOOR`` x the reference
   packets/sec.
 
-The committed ``sim-throughput`` entry in ``BENCH_pipeline.json``
-records both wall clocks and the measured speedup. The fast paths
+Both wall clocks and the measured speedup are printed, not persisted
+(the production stack's recorded reading is ``simulator.run_s`` of the
+``fabric-pfcstorm-clos64`` workload in the e2e ledger). The fast paths
 targeted >= 3x; with one implementation per behaviour in the stack
 (docs/PERFORMANCE.md has the per-inlining cost table) it measures
 ~2.5-2.7x best-of-N on the shared single-CPU CI runner (loaded-host
@@ -27,31 +28,24 @@ margin the other bench gates use, so it trips on real regressions (a
 slow-path fallback, a lost decision cache) rather than on a busy runner.
 """
 
-import os
 import time
 
-from conftest import format_table
+from conftest import CLOS64, format_table, show
 from repro.routing import shortest_path_tables
 from repro.simulator import Flow, SimNetwork
 from repro.simulator.packet import SimConfig
-from repro.topology import ClosParams, clos3
+from repro.topology import clos3
 from tests.simulator.reference_stack import ReferenceSimNetwork
 
-#: Stack under each name of the committed ``sim-throughput`` entry.
+#: Stack under each name of the printed table.
 STACKS = {"wheel": SimNetwork, "heap": ReferenceSimNetwork}
-
-#: The 64-ToR benchmark Clos of ``bench_plan_scale`` (100 switches).
-CLOS64 = ClosParams(
-    num_pods=8, tors_per_pod=8, leaves_per_pod=4, num_spines=4,
-    hosts_per_tor=1,
-)
 
 DURATION = 0.01
 SENDERS = 16
 WINDOW = 8
 
 #: Interleaved rounds per stack; best wall clock wins on each side.
-ROUNDS = 5 if os.environ.get("REPRO_BENCH_FULL") else 3
+ROUNDS = 3
 
 #: Acceptance bar: wheel packets/sec >= floor * heap packets/sec.
 SPEEDUP_FLOOR = 2.25
@@ -97,23 +91,19 @@ def outcome(net: SimNetwork):
     )
 
 
-def test_sim_throughput(benchmark, report, baseline_entry):
-    def comparison():
-        results = {}
-        # Interleave the stacks round by round so a load spike on the
-        # shared runner cannot land entirely on one side.
-        for _ in range(ROUNDS):
-            for stack in STACKS:
-                net = build(stack)
-                started = time.perf_counter()
-                net.sim.run(until=DURATION)
-                wall = time.perf_counter() - started
-                best, _ = results.get(stack, (None, None))
-                if best is None or wall < best:
-                    results[stack] = (wall, outcome(net))
-        return results
-
-    results = benchmark.pedantic(comparison, rounds=1, iterations=1)
+def test_sim_throughput():
+    results = {}
+    # Interleave the stacks round by round so a load spike on the
+    # shared runner cannot land entirely on one side.
+    for _ in range(ROUNDS):
+        for stack in STACKS:
+            net = build(stack)
+            started = time.perf_counter()
+            net.sim.run(until=DURATION)
+            wall = time.perf_counter() - started
+            best, _ = results.get(stack, (None, None))
+            if best is None or wall < best:
+                results[stack] = (wall, outcome(net))
     wall_wheel, out_wheel = results["wheel"]
     wall_heap, out_heap = results["heap"]
 
@@ -139,24 +129,13 @@ def test_sim_throughput(benchmark, report, baseline_entry):
         ["stack", "packets", "wall (s)", "packets/sec", "events/sec"],
         rows,
     )
-    report(
+    show(
         "sim_throughput",
         f"{SENDERS}->1 incast + ring shuffle on the 64-ToR Clos "
         f"({DURATION} s simulated, best of {ROUNDS} interleaved):\n"
         f"{table}\n"
         f"wheel/heap speedup: {speedup:.2f}x "
         f"(floor {SPEEDUP_FLOOR}, target 3)",
-    )
-    baseline_entry(
-        "sim-throughput",
-        {"wheel": wall_wheel, "heap": wall_heap},
-        switches=100,
-        senders=SENDERS,
-        packets=delivered,
-        events=events,
-        pps_wheel=round(pps_wheel),
-        pps_heap=round(pps_heap),
-        speedup=round(speedup, 3),
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"shipped stack too slow: {speedup:.2f}x the reference stack, "

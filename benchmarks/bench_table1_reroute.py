@@ -45,8 +45,8 @@ def run_campaign():
     return rows
 
 
-def test_table1_reroute_probability(benchmark, report):
-    rows = benchmark.pedantic(run_campaign, rounds=1, iterations=1)
+def test_table1_reroute_probability(report):
+    rows = run_campaign()
     table = format_table(
         ["Date", "Total No.", "Rerouted No.", "Reroute probability"], rows
     )

@@ -1,12 +1,15 @@
 """Shared infrastructure for the paper-reproduction benchmarks.
 
 Every benchmark regenerates one table or figure from the paper's
-evaluation. The computed rows/series are printed to stdout AND written to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can cite them.
+evaluation, or holds one in-run performance floor. Deterministic
+rows/series are printed to stdout AND written to
+``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can cite them;
+wall-clock tables are printed only (``show``) — timings are recorded in
+one place, the e2e ledger (``python3 benchmarks/e2e/run.py --out``).
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ -s
 """
 
 import os
@@ -19,26 +22,42 @@ import pytest
 # reference stack kept under tests/ (``tests.simulator.reference_stack``).
 sys.path.insert(0, str(Path(__file__).parent.parent))
 
-from repro.perf import (
-    BaselineEntry,
-    compare_stages,
-    load_baselines,
-    record_baseline,
-)
+from repro.simulator import Flow, pin_path
+from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH, ClosParams
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: The committed perf baseline registry at the repository root.
-BASELINE_PATH = Path(__file__).parent.parent / "BENCH_pipeline.json"
 
 #: Set REPRO_FULL=1 to run the full-scale (slow) variants, e.g. the
 #: 2000-switch Jellyfish row of Table 5.
 FULL = os.environ.get("REPRO_FULL", "") == "1"
 
-#: Set REPRO_RECORD=1 to refresh the committed BENCH_pipeline.json with
-#: this run's timings (the perf analogue of --update-golden). Without it
-#: timing benchmarks only *compare* against the committed baseline.
-RECORD = os.environ.get("REPRO_RECORD", "") == "1"
+#: The 64-ToR benchmark Clos: 8 pods x 8 ToRs, 100 switches, 4032
+#: switch pairs, 231,168 up-down ELP paths (the e2e churn fabric).
+CLOS64 = ClosParams(
+    num_pods=8, tors_per_pod=8, leaves_per_pod=4, num_spines=4,
+    hosts_per_tor=1,
+)
+
+
+def add_fig10_flows(net, blue_id, green_id):
+    """Fig. 10's traffic on the testbed: blue ``H1->H13`` from t=0 and
+    green ``H9->H2`` from 10 ms, pinned onto the Fig. 3 1-bounce paths."""
+    blue = net.add_flow(
+        Flow(src="H1", dst="H13", flow_id=blue_id,
+             pinned_next_hops=pin_path(TESTBED_BLUE_PATH))
+    )
+    green = net.add_flow(
+        Flow(src="H9", dst="H2", start=0.01, flow_id=green_id,
+             pinned_next_hops=pin_path(TESTBED_GREEN_PATH))
+    )
+    return blue, green
+
+
+def throttle_h2(net, start=0.05, end=0.08):
+    """Fig. 10's trigger: ``H2`` drains at 50 Mb/s from ``start`` to
+    ``end`` — a transient slow receiver that abates mid-run."""
+    net.at(start, lambda: net.set_receiver_rate("H2", 5e7))
+    net.at(end, lambda: net.set_receiver_rate("H2", None))
 
 
 @pytest.fixture(scope="session")
@@ -47,47 +66,20 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+def show(name: str, text: str) -> None:
+    """Print a result. Wall-clock tables stop here: they differ on every
+    run, so they are not persisted."""
+    print(f"\n===== {name} =====")
+    print(text)
+
+
 @pytest.fixture
 def report(results_dir):
     """Returns a writer: report(name, text) prints and persists a result."""
 
     def write(name: str, text: str) -> None:
-        print(f"\n===== {name} =====")
-        print(text)
+        show(name, text)
         (results_dir / f"{name}.txt").write_text(text + "\n")
-
-    return write
-
-
-@pytest.fixture
-def baseline_entry():
-    """Returns a writer: baseline_entry(name, stages, **meta).
-
-    Emits one benchmark's stage-level wall-clock timings as JSON feeding
-    the repo-root ``BENCH_pipeline.json``. With REPRO_RECORD=1 the
-    committed entry is refreshed in place (merge semantics, other entries
-    untouched); otherwise the fresh run is compared against the committed
-    entry and per-stage regressions beyond 2x are printed — advisory, not
-    failing, because shared-CI wall clocks are noisy.
-    """
-
-    def write(name: str, stages, **meta) -> BaselineEntry:
-        entry = BaselineEntry(name=name, stages=dict(stages), meta=dict(meta))
-        line = "  ".join(
-            f"{stage}={secs * 1000.0:.1f}ms"
-            for stage, secs in entry.stages.items()
-        )
-        print(f"\n[baseline] {name}: {line} "
-              f"(total {entry.total_seconds * 1000.0:.1f}ms)")
-        if RECORD:
-            record_baseline(BASELINE_PATH, entry)
-            print(f"[baseline] {name}: recorded to {BASELINE_PATH.name}")
-        else:
-            committed = load_baselines(BASELINE_PATH).get(name)
-            if committed is not None:
-                for complaint in compare_stages(committed, entry, tolerance=2.0):
-                    print(f"[baseline] REGRESSION {complaint}")
-        return entry
 
     return write
 

@@ -197,6 +197,27 @@ def dict_to_tables(blob: Dict[str, Any]) -> Dict[str, RuleTable]:
     return tables
 
 
+def _fail_exported_links(topo: Topology, failed_links: Any) -> None:
+    """Put ``topo`` in the failed state a ``replan --out`` plan was made for."""
+    if not isinstance(failed_links, list):
+        raise ReproError(
+            f'"failed_links" must be a list of [a, b] link endpoints, '
+            f"got {failed_links!r}"
+        )
+    for link in failed_links:
+        if not (
+            isinstance(link, list)
+            and len(link) == 2
+            and all(isinstance(name, str) for name in link)
+            and topo.has_link(*link)
+        ):
+            raise ReproError(
+                f'"failed_links" entry {link!r} is not the [a, b] '
+                f"endpoints of a link of the fabric"
+            )
+        topo.fail_link(*link)
+
+
 def _write_json_report(
     path: str, blob: Dict[str, Any], telemetry: Optional["Telemetry"]
 ) -> None:
@@ -246,6 +267,7 @@ def _load_plan_artifacts(
         )
     try:
         topo = build_topology(argparse.Namespace(**generator))
+        _fail_exported_links(topo, blob.get("failed_links", []))
         tables = dict_to_tables(blob)
     except AttributeError as exc:
         raise ReproError(

@@ -119,8 +119,8 @@ class TaggerPlan:
                 ``"off"`` deploys the brute-force tags directly.
             timer: Optional :class:`~repro.perf.timing.StageTimer`; when
                 given, records wall-clock per pipeline stage
-                (``bruteforce``, ``minimize``, ``verify``, ``queue-map``)
-                for the perf baselines in ``BENCH_pipeline.json``.
+                (``bruteforce``, ``minimize``, ``verify``, ``queue-map``);
+                the e2e benchmark reads them as ``core.plan.*_s``.
 
         Raises :class:`~repro.exceptions.CapacityError` if the resulting
         tag count exceeds ``max_lossless_queues`` — the paper's practical

@@ -1,34 +1,16 @@
-"""Performance instrumentation: stage timers and persisted baselines.
+"""Performance instrumentation: the per-stage wall-clock timer.
 
-The ROADMAP's north star is a pipeline that runs "as fast as the
-hardware allows" — which is unfalsifiable without numbers. This package
-provides the two primitives that make speed claims checkable:
+:class:`~repro.perf.timing.StageTimer` accounts wall-clock time per
+pipeline stage (ELP enumeration, brute-force tagging, minimization,
+rule compilation, ...); :class:`repro.core.planner.TaggerPlan`, the
+incremental re-planner and the rollout orchestrator fill one in.
 
-- :class:`~repro.perf.timing.StageTimer` — wall-clock accounting per
-  pipeline stage (ELP enumeration, brute-force tagging, minimization,
-  rule compilation, ...), used by :class:`repro.core.planner.TaggerPlan`
-  and the incremental re-planner;
-- :mod:`~repro.perf.baseline` — a machine-readable baseline store
-  (``BENCH_pipeline.json``) that benchmarks write and CI / future PRs
-  read to track the performance trajectory.
-
-See ``docs/PERFORMANCE.md`` for the baseline schema and workflow.
+Nothing here records a timing. The one ledger is the end-to-end
+benchmark (``python3 benchmarks/e2e/run.py --out``), which reads these
+timers into its per-layer metrics; ``docs/PERFORMANCE.md`` ("Where
+timings live") maps each figure to its workload and metric.
 """
 
-from repro.perf.baseline import (
-    BASELINE_SCHEMA,
-    BaselineEntry,
-    compare_stages,
-    load_baselines,
-    record_baseline,
-)
 from repro.perf.timing import StageTimer
 
-__all__ = [
-    "BASELINE_SCHEMA",
-    "BaselineEntry",
-    "StageTimer",
-    "compare_stages",
-    "load_baselines",
-    "record_baseline",
-]
+__all__ = ["StageTimer"]

@@ -1,22 +1,10 @@
-"""Unit tests for the perf-regression baseline harness (repro.perf)."""
-
-import json
+"""Unit tests for the stage timer (repro.perf)."""
 
 import pytest
 
-from repro.perf import (
-    BASELINE_SCHEMA,
-    BaselineEntry,
-    StageTimer,
-    compare_stages,
-    load_baselines,
-    record_baseline,
-)
+from repro.perf import StageTimer
 
 
-# ----------------------------------------------------------------------
-# StageTimer
-# ----------------------------------------------------------------------
 def test_stage_timer_accumulates_and_orders():
     timer = StageTimer()
     with timer.stage("elp"):
@@ -46,71 +34,3 @@ def test_stage_timer_manual_add():
     timer.add("apply-delta", 0.25)
     assert timer.timings() == {"apply-delta": 0.5}
     assert "apply-delta=500.0ms" in repr(timer)
-
-
-# ----------------------------------------------------------------------
-# Baseline file roundtrip
-# ----------------------------------------------------------------------
-def test_record_and_load_roundtrip(tmp_path):
-    path = tmp_path / "BENCH_pipeline.json"
-    entry = BaselineEntry(
-        name="scratch",
-        stages={"elp": 1.5, "minimize": 0.5},
-        meta={"paths": 229376},
-    )
-    record_baseline(path, entry)
-    loaded = load_baselines(path)
-    assert set(loaded) == {"scratch"}
-    assert loaded["scratch"].stages == {"elp": 1.5, "minimize": 0.5}
-    assert loaded["scratch"].meta == {"paths": 229376}
-    assert loaded["scratch"].total_seconds == pytest.approx(2.0)
-
-
-def test_record_merges_entries_and_stays_deterministic(tmp_path):
-    path = tmp_path / "BENCH_pipeline.json"
-    record_baseline(path, BaselineEntry(name="b", stages={"x": 1.0}))
-    record_baseline(path, BaselineEntry(name="a", stages={"y": 2.0}))
-    first = path.read_text()
-    # Re-recording identical data must not churn the file (no timestamps).
-    record_baseline(path, BaselineEntry(name="a", stages={"y": 2.0}))
-    assert path.read_text() == first
-    blob = json.loads(first)
-    assert blob["schema"] == BASELINE_SCHEMA
-    assert list(blob["entries"]) == ["a", "b"]  # sorted keys
-
-
-def test_load_missing_file_is_empty(tmp_path):
-    assert load_baselines(tmp_path / "nope.json") == {}
-
-
-def test_load_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "other/9", "entries": {}}))
-    with pytest.raises(ValueError, match="unknown baseline schema"):
-        load_baselines(path)
-
-
-# ----------------------------------------------------------------------
-# Regression comparison
-# ----------------------------------------------------------------------
-def test_compare_flags_only_regressed_stages():
-    base = BaselineEntry(
-        name="replan",
-        stages={"elp": 0.100, "minimize": 0.200, "noise": 0.0001},
-    )
-    fresh = BaselineEntry(
-        name="replan",
-        stages={"elp": 0.110, "minimize": 0.900, "noise": 5.0},
-    )
-    complaints = compare_stages(base, fresh, tolerance=1.5)
-    # minimize regressed 4.5x; elp is within tolerance; sub-ms stages are
-    # noise and never flagged, however large the ratio looks.
-    assert len(complaints) == 1
-    assert "minimize" in complaints[0]
-    assert "4.5" not in complaints[0]  # message carries seconds, not ratio
-
-
-def test_compare_ignores_stages_missing_from_either_side():
-    base = BaselineEntry(name="n", stages={"gone": 1.0})
-    fresh = BaselineEntry(name="n", stages={"new": 99.0})
-    assert compare_stages(base, fresh) == []

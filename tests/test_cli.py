@@ -178,8 +178,16 @@ class TestReplan:
         assert blob["deltas"] == ["link-down L1<->S1"]
         assert blob["failed_links"] == [["L1", "S1"]]
         capsys.readouterr()
+        # Round trip: the export is judged on the fabric it was planned
+        # for — L1<->S1 down — not on the pristine one.
         assert main(["lint", str(out_file)]) == 0
-        assert "CLEAN" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "failed=1" in out.splitlines()[0]
+        assert "CLEAN: 0 error(s)" in out
+        assert main(["verify", str(out_file)]) == 0
+        out = capsys.readouterr().out
+        assert "failed=1" in out.splitlines()[0]
+        assert "DEADLOCK-FREE" in out
 
     @pytest.mark.parametrize(
         "spec",
@@ -189,6 +197,13 @@ class TestReplan:
         code = main(["replan", "--topology", "clos", "--delta", spec])
         assert code == 1
         assert "bad delta spec" in capsys.readouterr().err
+
+
+#: A complete ``generator`` block: the 2-pod Clos.
+CLOS_GENERATOR = {
+    "topology": "clos", "pods": 2, "tors": 2,
+    "leaves": 2, "spines": 2, "hosts": 4,
+}
 
 
 class TestErrors:
@@ -229,15 +244,34 @@ class TestErrors:
             ),
             # A rule row that is not [tag, in_port, out_port, new_tag].
             (
-                {
-                    "generator": {
-                        "topology": "clos", "pods": 2, "tors": 2,
-                        "leaves": 2, "spines": 2, "hosts": 4,
-                    },
-                    "rules": {"L1": [[1, 0, 1]]},
-                },
+                {"generator": CLOS_GENERATOR, "rules": {"L1": [[1, 0, 1]]}},
                 ["lint", "PLAN"],
                 ["PLAN", "'L1'", "[1, 0, 1]"],
+            ),
+            # failed_links that is not a list of [a, b] pairs of links
+            # of the rebuilt fabric.
+            (
+                {"generator": CLOS_GENERATOR, "rules": {}, "failed_links": "L1"},
+                ["verify", "PLAN"],
+                ["PLAN", "failed_links", "'L1'"],
+            ),
+            (
+                {
+                    "generator": CLOS_GENERATOR,
+                    "rules": {},
+                    "failed_links": [["L1", "S1", "S2"]],
+                },
+                ["lint", "PLAN"],
+                ["PLAN", "failed_links", "['L1', 'S1', 'S2']"],
+            ),
+            (
+                {
+                    "generator": CLOS_GENERATOR,
+                    "rules": {},
+                    "failed_links": [["L1", "T9"]],
+                },
+                ["lint", "PLAN"],
+                ["PLAN", "failed_links", "['L1', 'T9']"],
             ),
         ],
     )
