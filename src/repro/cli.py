@@ -1094,8 +1094,9 @@ def make_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         dest="inject_fault",
-        help="seed an artificial tagger bug (harness self-test); "
-        "exit 0 iff it is caught",
+        help="seed one artificial bug from repro.fuzz.faults.FAULT_TABLE "
+        "into every iteration (harness self-test; an unknown name lists "
+        "the valid ones); exit 0 iff an invariant its row trips fires",
     )
     fuzz.add_argument(
         "--corpus-dir",

@@ -53,6 +53,15 @@ class VerificationReport:
             f"{self.cross_edges} cross-tag edges"
         )
 
+    def violation(self) -> Optional[str]:
+        """One line naming the violated requirement; None when deadlock-free."""
+        if self.decreasing_edge is not None:
+            src, dst = self.decreasing_edge
+            return f"R2 violated: edge {src} -> {dst} decreases the tag"
+        if self.tag_cycle is not None:
+            return f"R1 violated: cycle of {len(self.tag_cycle)} nodes"
+        return None
+
 
 def verify_tagged_graph(graph: TaggedGraph) -> VerificationReport:
     """Check requirements R1 and R2; never raises on violation.

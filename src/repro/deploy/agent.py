@@ -18,7 +18,7 @@ agent faithfully enough to exercise the failure modes that matter:
 - **Fault hooks.** ``op_filter`` lets the fuzz harness install a buggy
   agent (e.g. one that silently drops deletes but still acks) to prove
   the orchestrator's readback verification catches divergent fleets; see
-  :data:`repro.fuzz.faults.DEPLOY_FAULTS`.
+  the deploy-stage rows of :data:`repro.fuzz.faults.FAULT_TABLE`.
 
 The agent is deliberately free of any planner or verifier imports: it
 knows match keys and tags, nothing else.

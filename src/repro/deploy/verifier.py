@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.pipeline import QueueMap
 from repro.core.rules import RuleTable, rules_to_tagged_graph
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
-from repro.core.verification import VerificationReport, verify_tagged_graph
+from repro.core.verification import verify_tagged_graph
 from repro.exceptions import ReproError
 from repro.lint import LintSections, lint_tables
 from repro.topology.base import Topology
@@ -140,16 +140,6 @@ def _global_union_certifies(topo: Topology, old: Tables, new: Tables) -> bool:
     except ReproError:
         return False
     return verify_tagged_graph(union).deadlock_free
-
-
-def _verdict(report: VerificationReport) -> Optional[str]:
-    if report.deadlock_free:
-        return None
-    if report.decreasing_edge is not None:
-        src, dst = report.decreasing_edge
-        return f"R2 violated: edge {src} -> {dst} decreases the tag"
-    assert report.tag_cycle is not None
-    return f"R1 violated: cycle of {len(report.tag_cycle)} nodes"
 
 
 @dataclass
@@ -312,7 +302,7 @@ def _certify_wave_order(
         if graph_error is not None:
             errors.append(graph_error)
         elif graph is not None:
-            verdict = _verdict(verify_tagged_graph(graph))
+            verdict = verify_tagged_graph(graph).violation()
             if verdict is not None:
                 errors.append(verdict)
         boundary_errors.append(errors)
@@ -331,7 +321,7 @@ def _certify_wave_order(
         except ReproError as exc:
             cert.wave_errors.append(f"R2 violated in wave union: {exc}")
             continue
-        cert.wave_errors.append(_verdict(verify_tagged_graph(union)))
+        cert.wave_errors.append(verify_tagged_graph(union).violation())
 
     # Global union: why arbitrary straggler mixes are not covered.
     # Boundary 0 is the old fleet.
@@ -343,9 +333,9 @@ def _certify_wave_order(
         cert.global_error = old_error or new_error
     else:
         try:
-            cert.global_error = _verdict(
-                verify_tagged_graph(_union([old_graph, new_graph]))
-            )
+            cert.global_error = verify_tagged_graph(
+                _union([old_graph, new_graph])
+            ).violation()
         except ReproError as exc:
             cert.global_error = f"R2 violated in global union: {exc}"
     return boundary_errors

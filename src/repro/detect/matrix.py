@@ -103,7 +103,8 @@ class MatrixOutcome:
     reason: str = ""
     pairs_tried: int = 0
     cells: Dict[str, CellResult] = field(default_factory=dict)
-    #: Upper bound on acceptable detect-vs-oracle latency (invariant 18).
+    #: Upper bound on acceptable detect-vs-oracle latency (what the
+    #: fuzzer's ``detect-latency`` invariant asserts).
     latency_bound: float = 0.0
 
     def cell(self, name: str) -> Optional[CellResult]:

@@ -8,16 +8,14 @@ safety argument of Tagger. This package stress-tests it end to end:
   (Clos with failures, Jellyfish, BCube, express-link fabrics) plus
   random ELP sets;
 - :mod:`repro.fuzz.crosscheck` — runs brute-force, greedy, deterministic
-  and (where applicable) Clos taggers on the same ELP and asserts the
-  differential invariants (everything verifies, greedy never beats
-  brute force on safety while never using more tags, Clos uses exactly
-  ``k + 1`` tags, compiled rules agree with the tagged graph);
+  and (where applicable) Clos taggers on the same ELP, stage by stage;
+  its ``STAGES`` table is the one declaration of every static invariant;
 - :mod:`repro.fuzz.oracle` — replays scenarios through the packet-level
   simulator: tagged configs must never deadlock, deliberately untagged
   control runs on CBD-prone path pairs must (oracle sensitivity);
-- :mod:`repro.fuzz.faults` — artificial tagger bugs (skip R2, collapse
-  tags, ignore bounces) used to prove the harness actually catches
-  regressions;
+- :mod:`repro.fuzz.faults` — artificial bugs, one ``FAULT_TABLE`` row
+  each (stage injected at, invariants it must trip), used to prove the
+  harness actually catches regressions;
 - :mod:`repro.fuzz.shrink` — delta-debugging counterexample minimizer;
 - :mod:`repro.fuzz.corpus` — committed regression corpus
   (``tests/corpus/``) replayed by ``tests/fuzz/test_corpus.py``;

@@ -5,41 +5,16 @@ of the same contract — brute force (Algorithm 1), greedy minimization
 (Algorithm 2), the rule-realizable deterministic minimizer, and (on Clos
 with bounce ELPs) the topology-aware Clos tagger — and the results are
 checked against each other and against Theorem 5.1. On scenarios whose
-ELP is pair-decomposable, the incremental re-planner
-(:mod:`repro.core.replan`) is additionally flapped through a link
-failure and checked byte-for-byte against the from-scratch pipeline:
+ELP is pair-decomposable, the symmetry planner, the incremental
+re-planner (:mod:`repro.core.replan`) and the rollout orchestrator
+(:mod:`repro.deploy`) are additionally checked byte-for-byte against the
+from-scratch pipeline.
 
-==========================  ============================================
-invariant                   meaning
-==========================  ============================================
-``bruteforce-unsafe``       Algorithm 1 output fails R1/R2
-``greedy-unsafe``           Algorithm 2 output fails R1/R2
-``greedy-dominance``        greedy used MORE tags than brute force
-``greedy-coverage``         greedy lost/invented ingress ports
-``deterministic-unsafe``    deterministic minimizer fails R1/R2
-``deterministic-dominance`` deterministic used more tags than brute force
-``deterministic-coverage``  rules demote an ELP path w/o contradiction
-``rules-inconsistent``      graph -> rules -> graph round trip diverged
-``rules-unsafe``            effective (deployed) rule graph fails R1/R2
-``rules-coverage``          conflict-free rules demote an ELP path
-``clos-unsafe``             Clos tagger's induced graph fails R1/R2
-``clos-tag-count``          Clos tagger used != k + 1 lossless tags
-``clos-coverage``           Clos losslessness disagrees with bounce count
-``lint-dirty``              deployment linter found error-severity
-                            findings in the compiled artifact (rules +
-                            TCAM programs + queue map; :mod:`repro.lint`)
-``incremental-divergence``  after a link flap, the incremental re-plan
-                            differs from the from-scratch plan (rule
-                            tables or tagged graph)
-``symmetry-divergence``     the symmetry-strategy planner (closed-form
-                            orbit replication, or its degraded
-                            exhaustive fallback) produced different
-                            bytes than explicit exhaustive enumeration
-``deployment-divergence``   rolling the re-planned diff onto an agent
-                            fleet through a benign fault schedule failed
-                            to converge to the exact target with
-                            lint-clean tables (:mod:`repro.deploy`)
-==========================  ============================================
+:data:`STAGES` is the only declaration of what is checked: one row per
+stage, in execution order, naming the invariants the stage may record
+with their meaning. :func:`cross_check`, the harness's check count, the
+fault self-tests and the table in docs/FUZZING.md all read those rows,
+so a new invariant is one row plus its check function in this file.
 
 The checks never raise on a violation — they *record* it, so the harness
 can shrink and persist the scenario.
@@ -48,12 +23,15 @@ can shrink and persist the scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core import (
     STRATEGY_EXHAUSTIVE,
     STRATEGY_SYMMETRY,
     ClosTagger,
+    DeterministicTagging,
+    ElpSet,
+    PairwiseElpProvider,
     TaggerPlan,
     bruteforce_tagging,
     coverage_report,
@@ -66,45 +44,20 @@ from repro.core import (
 )
 from repro.core.pipeline import QueueMap
 from repro.core.replan import IncrementalPlanner
+from repro.core.rules import RuleTable, diff_tables
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.core.verification import VerificationReport
 from repro.exceptions import ReproError
-from repro.fuzz.faults import (
-    ARTIFACT_FAULTS,
-    CLOS_FAULTS,
-    DEPLOY_FAULTS,
-    GRAPH_FAULTS,
-    REPLAN_FAULTS,
-    SYMMETRY_FAULTS,
-)
+from repro.fuzz.faults import copy_tables, fault_row
 from repro.fuzz.scenarios import Scenario, _switches_connected
 from repro.lint import DeploymentArtifact, lint_artifact
 from repro.routing.base import count_bounces
-from repro.topology.failures import TopologyDelta
+from repro.topology import Topology
+from repro.topology.failures import LinkKey, TopologyDelta
 
-#: Names of the static invariants :func:`cross_check` evaluates (the
-#: table in the module docstring); every :class:`Violation` it records
-#: carries one of them, and the harness counts ``len()`` of this tuple
-#: as the checks evaluated per scenario.
-STATIC_INVARIANTS: Tuple[str, ...] = (
-    "bruteforce-unsafe",
-    "greedy-unsafe",
-    "greedy-dominance",
-    "greedy-coverage",
-    "deterministic-unsafe",
-    "deterministic-dominance",
-    "deterministic-coverage",
-    "rules-inconsistent",
-    "rules-unsafe",
-    "rules-coverage",
-    "clos-unsafe",
-    "clos-tag-count",
-    "clos-coverage",
-    "lint-dirty",
-    "incremental-divergence",
-    "symmetry-divergence",
-    "deployment-divergence",
-)
+#: A fault row's injector, handed to the stage the fault is aimed at.
+Injector = Optional[Callable[..., Any]]
+Tables = Dict[str, RuleTable]
 
 
 @dataclass(frozen=True)
@@ -124,7 +77,12 @@ class CrossCheckResult:
 
     scenario_id: str
     violations: List[Violation] = field(default_factory=list)
+    #: Per stage name ``"checked"`` or ``"skipped: <reason>"``, plus
+    #: free-form diagnostics (tag counts, the flapped link, ...).
     stats: Dict[str, Any] = field(default_factory=dict)
+    #: Invariants evaluated: the declared invariants of the stages that
+    #: ran (returned no skip reason).
+    checks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -134,134 +92,83 @@ class CrossCheckResult:
         return sorted({v.invariant for v in self.violations})
 
 
-def _summary(report: VerificationReport) -> str:
-    if report.decreasing_edge is not None:
-        src, dst = report.decreasing_edge
-        return f"R2 violated: edge {src} -> {dst} decreases the tag"
-    if report.tag_cycle is not None:
-        return f"R1 violated: cycle of {len(report.tag_cycle)} nodes"
-    return "ok"
+class Stage(NamedTuple):
+    """One cross-check stage: what it may record and how it runs.
 
-
-def cross_check(
-    scenario: Scenario, fault: Optional[str] = None
-) -> CrossCheckResult:
-    """Run every applicable tagger on the scenario and check invariants.
-
-    Args:
-        scenario: The case to check.
-        fault: Optional artificial-bug name (see :mod:`repro.fuzz.faults`)
-            injected into the matching stage; used to validate that the
-            harness catches regressions.
+    ``run(ctx, inject)`` returns None once it evaluated its invariants,
+    or the reason the stage does not apply to the scenario. ``inject``
+    is the injector of the fault aimed at this stage (None on healthy
+    runs); the stage applies it to its own subject only.
     """
-    result = CrossCheckResult(scenario_id=scenario.scenario_id)
-    topo = scenario.build_topology()
-    elp = scenario.build_elp(topo)
-    result.stats["num_paths"] = len(elp)
-    result.stats["num_switches"] = len(topo.switches)
-    if len(elp) == 0:
-        result.stats["skipped"] = "empty ELP"
-        return result
 
-    # -- Algorithm 1 ---------------------------------------------------
-    bf = bruteforce_tagging(topo, elp.paths)
-    bf_report = verify_tagged_graph(bf)
-    result.stats["bruteforce_tags"] = bf.max_tag
-    if not bf_report.deadlock_free:
-        result.violations.append(
-            Violation("bruteforce-unsafe", _summary(bf_report))
-        )
-
-    # -- Algorithm 2 (+ optional injected bug) -------------------------
-    greedy = greedy_minimize(bf)
-    if fault in GRAPH_FAULTS:
-        greedy = GRAPH_FAULTS[fault](greedy)
-    _check_minimizer(result, topo, elp, bf, greedy, prefix="greedy")
-
-    # -- Deterministic (rule-realizable) minimizer ---------------------
-    try:
-        det = deterministic_minimize(topo, bf)
-    except ReproError as exc:
-        result.violations.append(Violation("deterministic-unsafe", str(exc)))
-    else:
-        det_report = verify_tagged_graph(det.graph)
-        result.stats["deterministic_tags"] = det.num_tags
-        if not det_report.deadlock_free:
-            result.violations.append(
-                Violation("deterministic-unsafe", _summary(det_report))
-            )
-        if det.num_tags > bf.max_tag:
-            result.violations.append(
-                Violation(
-                    "deterministic-dominance",
-                    f"deterministic used {det.num_tags} tags, "
-                    f"brute force {bf.max_tag}",
-                )
-            )
-        lossless, total, demoted = coverage_report(topo, det.tables, elp.paths)
-        if det.contradictions == 0 and lossless != total:
-            result.violations.append(
-                Violation(
-                    "deterministic-coverage",
-                    f"{total - lossless}/{total} ELP paths demoted without "
-                    f"contradictions, e.g. {demoted[0][0]}",
-                )
-            )
-        # Every compiled artifact must lint clean (with an artifact-stage
-        # fault injected first, the linter must catch the corruption).
-        _check_lint(result, topo, det.tables, fault)
-
-    # -- Clos topology-aware tagger ------------------------------------
-    budget = scenario.clos_bounce_budget
-    if budget is not None and not scenario.failed_links:
-        _check_clos(result, topo, elp, budget, fault)
-
-    # -- Symmetry-strategy planner vs exhaustive enumeration -----------
-    _check_symmetry(result, scenario, fault)
-
-    # -- Incremental re-planner vs from-scratch ------------------------
-    _check_replan(result, scenario, fault)
-
-    # -- Rollout of the re-planned transition over a faulty fleet ------
-    _check_deploy(result, scenario, fault)
-
-    return result
+    name: str
+    #: (name its violations carry, one-line meaning) per invariant.
+    invariants: Tuple[Tuple[str, str], ...]
+    run: Callable[["_Context", Injector], Optional[str]]
 
 
-def _check_minimizer(
-    result: CrossCheckResult,
-    topo,
-    elp,
-    bf: TaggedGraph,
-    minimized: TaggedGraph,
-    prefix: str,
-) -> None:
-    """Safety + dominance + coverage + rule-consistency for one minimizer."""
-    report = verify_tagged_graph(minimized)
-    result.stats[f"{prefix}_tags"] = (
+@dataclass
+class _Context:
+    """What the stages of one :func:`cross_check` share, built once."""
+
+    scenario: Scenario
+    result: CrossCheckResult
+    topo: Topology
+    elp: ElpSet
+    bf: TaggedGraph
+    #: None when the ELP is not pair-decomposable (see
+    #: :meth:`Scenario.pairwise_provider`).
+    provider: Optional[PairwiseElpProvider]
+    #: Left by the deterministic stage for the lint stage.
+    det: Optional[DeterministicTagging] = None
+    #: Left by the replan stage for the deploy stage: the flapped link
+    #: and the healthy tables before / after it went down.
+    transition: Optional[Tuple[LinkKey, Tables, Tables]] = None
+
+    def violate(self, invariant: str, detail: str) -> None:
+        self.result.violations.append(Violation(invariant, detail))
+
+    def verify(self, invariant: str, graph: TaggedGraph) -> VerificationReport:
+        """Check R1/R2 on ``graph``, recording a failure as ``invariant``."""
+        report = verify_tagged_graph(graph)
+        unsafe = report.violation()
+        if unsafe is not None:
+            self.violate(invariant, unsafe)
+        return report
+
+
+def _run_bruteforce(ctx: _Context, inject: Injector) -> Optional[str]:
+    ctx.result.stats["bruteforce_tags"] = ctx.bf.max_tag
+    ctx.verify("bruteforce-unsafe", ctx.bf)
+    return None
+
+
+def _run_greedy(ctx: _Context, inject: Injector) -> Optional[str]:
+    """Safety + dominance + coverage + rule-consistency of Algorithm 2.
+
+    A fault replaces the minimized graph with a corrupted one.
+    """
+    topo, bf = ctx.topo, ctx.bf
+    minimized = greedy_minimize(bf)
+    if inject is not None:
+        minimized = inject(minimized)
+    ctx.result.stats["greedy_tags"] = (
         minimized.max_tag if minimized.nodes else 0
     )
-    if not report.deadlock_free:
-        result.violations.append(
-            Violation(f"{prefix}-unsafe", _summary(report))
-        )
+    ctx.verify("greedy-unsafe", minimized)
     if minimized.nodes and minimized.max_tag > bf.max_tag:
-        result.violations.append(
-            Violation(
-                f"{prefix}-dominance",
-                f"{prefix} used {minimized.max_tag} tags, "
-                f"brute force {bf.max_tag}",
-            )
+        ctx.violate(
+            "greedy-dominance",
+            f"greedy used {minimized.max_tag} tags, "
+            f"brute force {bf.max_tag}",
         )
     if minimized.ports() != bf.ports():
         missing = bf.ports() - minimized.ports()
         extra = minimized.ports() - bf.ports()
-        result.violations.append(
-            Violation(
-                f"{prefix}-coverage",
-                f"port sets diverged (missing={sorted(missing)[:3]}, "
-                f"extra={sorted(extra)[:3]})",
-            )
+        ctx.violate(
+            "greedy-coverage",
+            f"port sets diverged (missing={sorted(missing)[:3]}, "
+            f"extra={sorted(extra)[:3]})",
         )
 
     # Rule compilation must agree with the graph it came from.
@@ -269,52 +176,73 @@ def _check_minimizer(
         rule_report = rules_from_tagged_graph(topo, minimized)
         effective = rules_to_tagged_graph(topo, rule_report.tables)
     except ReproError as exc:
-        result.violations.append(Violation("rules-inconsistent", str(exc)))
-        return
-    eff_verify = verify_tagged_graph(effective) if effective.nodes else None
-    if eff_verify is not None and not eff_verify.deadlock_free:
-        result.violations.append(
-            Violation("rules-unsafe", _summary(eff_verify))
-        )
+        ctx.violate("rules-inconsistent", str(exc))
+        return None
+    if effective.nodes:
+        ctx.verify("rules-unsafe", effective)
     if not rule_report.conflicts:
         # Conflict-free compilation must preserve the graph's edges
         # (modulo host-facing egress, which produces no rule) ...
         eff_edges = set(effective.edges())
         for edge in minimized.edges():
             if edge not in eff_edges:
-                result.violations.append(
-                    Violation(
-                        "rules-inconsistent",
-                        f"edge {edge} lost in rule round-trip",
-                    )
+                ctx.violate(
+                    "rules-inconsistent",
+                    f"edge {edge} lost in rule round-trip",
                 )
                 break
         # ... and every ELP path must stay lossless under the rules.
         lossless, total, demoted = coverage_report(
-            topo, rule_report.tables, elp.paths
+            topo, rule_report.tables, ctx.elp.paths
         )
         if lossless != total:
-            result.violations.append(
-                Violation(
-                    "rules-coverage",
-                    f"{total - lossless}/{total} ELP paths demoted by "
-                    f"conflict-free rules, e.g. {demoted[0][0]}",
-                )
+            ctx.violate(
+                "rules-coverage",
+                f"{total - lossless}/{total} ELP paths demoted by "
+                f"conflict-free rules, e.g. {demoted[0][0]}",
             )
+    return None
 
 
-def _check_lint(
-    result: CrossCheckResult,
-    topo,
-    tables,
-    fault: Optional[str],
-) -> None:
+def _run_deterministic(ctx: _Context, inject: Injector) -> Optional[str]:
+    bf = ctx.bf
+    try:
+        det = deterministic_minimize(ctx.topo, bf)
+    except ReproError as exc:
+        ctx.violate("deterministic-unsafe", str(exc))
+        return None
+    ctx.det = det
+    ctx.result.stats["deterministic_tags"] = det.num_tags
+    ctx.verify("deterministic-unsafe", det.graph)
+    if det.num_tags > bf.max_tag:
+        ctx.violate(
+            "deterministic-dominance",
+            f"deterministic used {det.num_tags} tags, "
+            f"brute force {bf.max_tag}",
+        )
+    lossless, total, demoted = coverage_report(
+        ctx.topo, det.tables, ctx.elp.paths
+    )
+    if det.contradictions == 0 and lossless != total:
+        ctx.violate(
+            "deterministic-coverage",
+            f"{total - lossless}/{total} ELP paths demoted without "
+            f"contradictions, e.g. {demoted[0][0]}",
+        )
+    return None
+
+
+def _run_lint(ctx: _Context, inject: Injector) -> Optional[str]:
     """Static artifact certification of the compiled deployment.
 
     The linter re-derives R1/R2 from the rule tables alone and checks
     TCAM order semantics, reachability, and queue fit — an independent
-    pass over deployed reality rather than planner state.
+    pass over deployed reality rather than planner state. A fault
+    corrupts the artifact first; the linter must catch the corruption.
     """
+    if ctx.det is None:
+        return "the deterministic minimizer produced no tables"
+    tables = ctx.det.tables
     max_tag = max(
         (
             max(key[0], new_tag)
@@ -329,52 +257,48 @@ def _check_lint(
     max_tag = max(max_tag, INITIAL_TAG)
     queue_map = QueueMap.identity(max_tag, max(8, max_tag))
     artifact = DeploymentArtifact(
-        topo=topo, tables=tables, queue_map=queue_map
+        topo=ctx.topo, tables=tables, queue_map=queue_map
     )
-    if fault in ARTIFACT_FAULTS:
-        artifact = ARTIFACT_FAULTS[fault](artifact)
+    if inject is not None:
+        artifact = inject(artifact)
     lint = lint_artifact(artifact)
-    result.stats["lint_diagnostics"] = len(lint.diagnostics)
+    ctx.result.stats["lint_diagnostics"] = len(lint.diagnostics)
     for diag in lint.errors[:5]:
-        result.violations.append(Violation("lint-dirty", diag.render()))
+        ctx.violate("lint-dirty", diag.render())
+    return None
 
 
-def _check_clos(
-    result: CrossCheckResult, topo, elp, budget: int, fault: Optional[str]
-) -> None:
+def _run_clos(ctx: _Context, inject: Injector) -> Optional[str]:
+    """The closed-form Clos tagger; a fault swaps in a corrupted tagger."""
+    budget = ctx.scenario.clos_bounce_budget
+    if budget is None or ctx.scenario.failed_links:
+        return "not a healthy Clos with a bounce ELP"
+    topo = ctx.topo
     tagger = ClosTagger(topo, max_bounces=budget)
-    if fault in CLOS_FAULTS:
-        tagger = CLOS_FAULTS[fault](tagger)
-    graph = tagger.tagged_graph()
-    report = verify_tagged_graph(graph)
-    result.stats["clos_tags"] = report.num_tags
-    if not report.deadlock_free:
-        result.violations.append(Violation("clos-unsafe", _summary(report)))
+    if inject is not None:
+        tagger = inject(tagger)
+    report = ctx.verify("clos-unsafe", tagger.tagged_graph())
+    ctx.result.stats["clos_tags"] = report.num_tags
     if report.num_tags != budget + 1:
-        result.violations.append(
-            Violation(
-                "clos-tag-count",
-                f"expected exactly {budget + 1} lossless tags "
-                f"(k + 1), got {report.num_tags}",
-            )
+        ctx.violate(
+            "clos-tag-count",
+            f"expected exactly {budget + 1} lossless tags "
+            f"(k + 1), got {report.num_tags}",
         )
-    for path in elp.paths:
+    for path in ctx.elp.paths:
         expected = count_bounces(topo, path) <= budget
         actual = tagger.path_stays_lossless(path)
         if actual != expected:
-            result.violations.append(
-                Violation(
-                    "clos-coverage",
-                    f"path {path} lossless={actual}, "
-                    f"bounce count says {expected}",
-                )
+            ctx.violate(
+                "clos-coverage",
+                f"path {path} lossless={actual}, "
+                f"bounce count says {expected}",
             )
             break
+    return None
 
 
-def _check_symmetry(
-    result: CrossCheckResult, scenario: Scenario, fault: Optional[str]
-) -> None:
+def _run_symmetry(ctx: _Context, inject: Injector) -> Optional[str]:
     """Differential check of the symmetry enumeration strategy.
 
     Plans the scenario twice through :meth:`TaggerPlan.from_provider` —
@@ -383,71 +307,57 @@ def _check_symmetry(
     otherwise) and once with enumeration forced exhaustive — and demands
     byte-identical rule tables and tagged graphs. Refusals must also
     agree: if one strategy rejects the scenario (e.g. empty ELP), the
-    other must reject it too. A symmetry-stage fault corrupts the
-    symmetry plan after the fact; the oracle must flag the divergence.
+    other must reject it too. A fault corrupts the symmetry plan after
+    the fact; the oracle must flag the divergence.
     """
-    provider = scenario.pairwise_provider()
+    provider = ctx.provider
     if provider is None:
-        result.stats["symmetry"] = "skipped: ELP not pair-decomposable"
-        return
-    sym_error: Optional[str] = None
-    exh_error: Optional[str] = None
-    sym = exh = None
-    try:
-        sym = TaggerPlan.from_provider(
-            scenario.build_topology(), provider, strategy=STRATEGY_SYMMETRY
-        )
-    except ReproError as exc:
-        sym_error = str(exc)
-    try:
-        exh = TaggerPlan.from_provider(
-            scenario.build_topology(), provider, strategy=STRATEGY_EXHAUSTIVE
-        )
-    except ReproError as exc:
-        exh_error = str(exc)
-    if sym_error is not None or exh_error is not None:
+        return "ELP not pair-decomposable"
+
+    def plan(strategy: str) -> Tuple[Optional[TaggerPlan], Optional[str]]:
+        try:
+            return TaggerPlan.from_provider(
+                ctx.scenario.build_topology(), provider, strategy=strategy
+            ), None
+        except ReproError as exc:
+            return None, str(exc)
+
+    sym, sym_error = plan(STRATEGY_SYMMETRY)
+    exh, exh_error = plan(STRATEGY_EXHAUSTIVE)
+    if sym is None or exh is None:
         if sym_error == exh_error:
-            result.stats["symmetry"] = f"skipped: both refused ({sym_error})"
-            return
-        result.violations.append(
-            Violation(
-                "symmetry-divergence",
-                f"strategies disagree on refusal: "
-                f"symmetry={sym_error!r}, exhaustive={exh_error!r}",
-            )
+            return f"both refused ({sym_error})"
+        ctx.violate(
+            "symmetry-divergence",
+            f"strategies disagree on refusal: "
+            f"symmetry={sym_error!r}, exhaustive={exh_error!r}",
         )
-        return
-    assert sym is not None and exh is not None
-    if fault in SYMMETRY_FAULTS:
-        SYMMETRY_FAULTS[fault](sym)
+        return None
+    if inject is not None:
+        inject(sym)
     if not tables_equal(sym.tables, exh.tables):
-        result.violations.append(
-            Violation(
-                "symmetry-divergence",
-                "symmetry-strategy rule tables differ from exhaustive "
-                "enumeration",
-            )
+        ctx.violate(
+            "symmetry-divergence",
+            "symmetry-strategy rule tables differ from exhaustive "
+            "enumeration",
         )
-        return
-    if sym.graph != exh.graph:
-        result.violations.append(
-            Violation(
-                "symmetry-divergence",
-                "symmetry-strategy tagged graph differs from exhaustive "
-                "enumeration",
-            )
+    elif sym.graph != exh.graph:
+        ctx.violate(
+            "symmetry-divergence",
+            "symmetry-strategy tagged graph differs from exhaustive "
+            "enumeration",
         )
-        return
-    mode = "certified" if sym.meta.get("certified") else "degraded"
-    result.stats["symmetry"] = f"checked ({mode})"
+    else:
+        ctx.result.stats["symmetry_mode"] = (
+            "certified" if sym.meta.get("certified") else "degraded"
+        )
+    return None
 
 
-def _replan_flap_link(
-    planner: IncrementalPlanner,
-) -> Optional[Tuple[str, str]]:
+def _replan_flap_link(planner: IncrementalPlanner) -> Optional[LinkKey]:
     """First ELP-carrying switch link whose failure keeps switches connected."""
     topo = planner.topo
-    used: Set[Tuple[str, str]] = set()
+    used: Set[LinkKey] = set()
     for path in planner.elp_paths():
         for a, b in zip(path, path[1:]):
             if topo.node(a).is_switch and topo.node(b).is_switch:
@@ -461,44 +371,38 @@ def _replan_flap_link(
     return None
 
 
-def _check_replan(
-    result: CrossCheckResult, scenario: Scenario, fault: Optional[str]
-) -> None:
+def _run_replan(ctx: _Context, inject: Injector) -> Optional[str]:
     """Differential check of the incremental re-planner.
 
-    Builds an :class:`IncrementalPlanner` on a fresh copy of the
-    scenario, flaps one connectivity-safe ELP-carrying link (down, then
+    Builds the scenario's one :class:`IncrementalPlanner` on a fresh
+    topology, flaps one connectivity-safe ELP-carrying link (down, then
     back up), and demands byte-identical rule tables and tagged graph
-    versus a from-scratch plan after every step. A replan-stage fault
-    replaces the healthy delta application with a buggy one; the oracle
-    must then flag the divergence.
+    versus a from-scratch plan after every step. A fault corrupts the
+    re-planned result of each step; the oracle must flag the divergence.
+    The healthy down transition is left in ``ctx.transition`` before any
+    fault touches it.
     """
-    provider = scenario.pairwise_provider()
-    if provider is None:
-        result.stats["replan"] = "skipped: ELP not pair-decomposable"
-        return
-    topo = scenario.build_topology()
+    if ctx.provider is None:
+        return "ELP not pair-decomposable"
     try:
-        planner = IncrementalPlanner(topo, provider)
-    except ReproError as exc:
-        result.violations.append(
-            Violation(
-                "incremental-divergence",
-                f"initial incremental build failed: {exc}",
-            )
+        planner = IncrementalPlanner(
+            ctx.scenario.build_topology(), ctx.provider
         )
-        return
+    except ReproError as exc:
+        ctx.violate(
+            "incremental-divergence",
+            f"initial incremental build failed: {exc}",
+        )
+        return None
     link = _replan_flap_link(planner)
     if link is None:
-        result.stats["replan"] = "skipped: no safe link to flap"
-        return
+        return "no safe link to flap"
+    ctx.result.stats["replan_link"] = f"{link[0]}<->{link[1]}"
+    old = copy_tables(planner.plan.tables)
     down = TopologyDelta.link_down(*link)
     for delta in (down, down.inverse()):
         try:
-            if fault in REPLAN_FAULTS:
-                REPLAN_FAULTS[fault](planner, delta)
-            else:
-                planner.apply(delta)
+            planner.apply(delta)
         except ReproError as exc:
             # Equivalence covers refusal too: if the incremental engine
             # cannot re-plan (e.g. the flap emptied the ELP), the
@@ -506,69 +410,58 @@ def _check_replan(
             try:
                 planner.scratch_plan()
             except ReproError:
-                result.stats["replan"] = (
-                    f"skipped after {delta.describe()}: {exc}"
-                )
-                return
-            result.violations.append(
-                Violation(
-                    "incremental-divergence",
-                    f"incremental apply refused {delta.describe()} "
-                    f"({exc}) but from-scratch planning succeeded",
-                )
+                return f"after {delta.describe()}: {exc}"
+            ctx.violate(
+                "incremental-divergence",
+                f"incremental apply refused {delta.describe()} "
+                f"({exc}) but from-scratch planning succeeded",
             )
-            return
+            return None
+        if delta is down:
+            ctx.transition = (link, old, copy_tables(planner.plan.tables))
+        if inject is not None:
+            inject(planner.plan)
         try:
             scratch = planner.scratch_plan()
         except ReproError as exc:
-            result.violations.append(
-                Violation(
-                    "incremental-divergence",
-                    f"from-scratch planning failed after incremental "
-                    f"{delta.describe()} succeeded: {exc}",
-                )
+            ctx.violate(
+                "incremental-divergence",
+                f"from-scratch planning failed after incremental "
+                f"{delta.describe()} succeeded: {exc}",
             )
-            return
+            return None
         if not tables_equal(planner.plan.tables, scratch.tables):
-            result.violations.append(
-                Violation(
-                    "incremental-divergence",
-                    f"after {delta.describe()}: incremental rule tables "
-                    f"differ from from-scratch tables",
-                )
+            ctx.violate(
+                "incremental-divergence",
+                f"after {delta.describe()}: incremental rule tables "
+                f"differ from from-scratch tables",
             )
-            return
+            return None
         if planner.plan.graph != scratch.graph:
-            result.violations.append(
-                Violation(
-                    "incremental-divergence",
-                    f"after {delta.describe()}: incremental tagged graph "
-                    f"differs from from-scratch graph",
-                )
+            ctx.violate(
+                "incremental-divergence",
+                f"after {delta.describe()}: incremental tagged graph "
+                f"differs from from-scratch graph",
             )
-            return
-    result.stats["replan"] = f"checked (flapped {link[0]}<->{link[1]})"
+            return None
+    return None
 
 
-def _check_deploy(
-    result: CrossCheckResult, scenario: Scenario, fault: Optional[str]
-) -> None:
+def _run_deploy(ctx: _Context, inject: Injector) -> Optional[str]:
     """Rollout invariant: a benign fault schedule must still converge.
 
-    Re-plans the scenario across one link failure, then pushes the
-    resulting diff onto a fresh agent fleet through a *benign* seeded
-    fault schedule — finite timeouts, crashes, partial batches,
-    duplicates and reorders, but no permanently wedged switch. Under
-    those conditions the orchestrator has no excuse: the rollout must
-    end ``converged``, byte-identical to the target plan, with
-    lint-clean final tables (``deployment-divergence`` otherwise). A
-    deploy-stage fault installs a buggy agent first; divergence then
-    *must* be flagged, proving readback verification is load-bearing.
-    Rollback and quarantine paths are exercised by the unit/chaos tests,
-    not here — accepting a "clean rollback" would let an agent that
-    applies nothing and acks anyway pass as a no-op rollout.
+    Pushes the replan stage's healthy link-down transition onto a fresh
+    agent fleet through a *benign* seeded fault schedule — finite
+    timeouts, crashes, partial batches, duplicates and reorders, but no
+    permanently wedged switch. Under those conditions the orchestrator
+    has no excuse: the rollout must end ``converged``, byte-identical to
+    the target plan, with lint-clean final tables. A fault installs a
+    buggy agent first; divergence then *must* be flagged, proving
+    readback verification is load-bearing. Rollback and quarantine paths
+    are exercised by the unit/chaos tests, not here — accepting a "clean
+    rollback" would let an agent that applies nothing and acks anyway
+    pass as a no-op rollout.
     """
-    from repro.core.rules import RuleTable, diff_tables
     from repro.deploy import (
         CONVERGED,
         REFUSED,
@@ -578,56 +471,27 @@ def _check_deploy(
         random_fault_plan,
     )
 
-    provider = scenario.pairwise_provider()
-    if provider is None:
-        result.stats["deploy"] = "skipped: ELP not pair-decomposable"
-        return
-    topo = scenario.build_topology()
-    try:
-        planner = IncrementalPlanner(topo, provider)
-    except ReproError:
-        # Initial build failures are _check_replan's to report.
-        result.stats["deploy"] = "skipped: initial build failed"
-        return
-    link = _replan_flap_link(planner)
-    if link is None:
-        result.stats["deploy"] = "skipped: no safe link to flap"
-        return
-    old = {
-        switch: RuleTable(
-            switch=switch, rules=dict(table.rules), policy=table.policy
-        )
-        for switch, table in planner.plan.tables.items()
-    }
-    try:
-        planner.apply(TopologyDelta.link_down(*link))
-    except ReproError:
-        result.stats["deploy"] = "skipped: replan refused the flap"
-        return
-    new = dict(planner.plan.tables)
+    if ctx.transition is None:
+        return "the replan stage re-planned no link failure"
+    link, old, new = ctx.transition
     diffs = diff_tables(old, new)
     if not diffs:
-        result.stats["deploy"] = "skipped: empty diff"
-        return
-
+        return "empty diff"
+    topo = ctx.scenario.build_topology()
+    topo.fail_link(*link)
     agents = fleet_from_tables(
         old, extra_switches=tuple(sorted(set(new) - set(old)))
     )
-    if fault in DEPLOY_FAULTS:
-        DEPLOY_FAULTS[fault](
-            {s: agents[s] for s in sorted(diffs) if s in agents}
-        )
-    faults_plan = random_fault_plan(
-        sorted(diffs), seed=scenario.seed, rate=0.3
-    )
-    config = RolloutConfig(lint_boundaries=False, seed=scenario.seed)
+    if inject is not None:
+        inject({s: agents[s] for s in sorted(diffs) if s in agents})
+    seed = ctx.scenario.seed
     report = RolloutOrchestrator(
-        planner.topo,
+        topo,
         old,
         new,
-        config=config,
+        config=RolloutConfig(lint_boundaries=False, seed=seed),
         agents=agents,
-        faults=faults_plan,
+        faults=random_fault_plan(sorted(diffs), seed=seed, rate=0.3),
     ).run()
     if report.outcome == REFUSED:
         # Pre-flight refusal: the mixed old/new transition state is not
@@ -635,24 +499,136 @@ def _check_deploy(
         # orchestrator never sent an RPC. That is the safety gate working,
         # not a divergence — and since no agent was touched, a refusal can
         # never mask the buggy-agent readback check below.
-        result.stats["deploy"] = f"skipped: rollout refused ({report.detail})"
-        return
-    report_ok = (
+        return f"rollout refused ({report.detail})"
+    ctx.result.stats["deploy_rpcs"] = report.rpc_count
+    if not (
         report.outcome == CONVERGED
         and report.final_lint_ok
         and report.final_matches_target
-    )
-    if not report_ok:
-        result.violations.append(
-            Violation(
-                "deployment-divergence",
-                f"benign rollout ended {report.outcome!r} "
-                f"(lint_ok={report.final_lint_ok}, "
-                f"matches_target={report.final_matches_target}): "
-                f"{report.detail}",
-            )
+    ):
+        ctx.violate(
+            "deployment-divergence",
+            f"benign rollout ended {report.outcome!r} "
+            f"(lint_ok={report.final_lint_ok}, "
+            f"matches_target={report.final_matches_target}): "
+            f"{report.detail}",
         )
-        return
-    result.stats["deploy"] = (
-        f"checked ({len(diffs)} switch diff, {report.rpc_count} rpcs)"
+    return None
+
+
+#: The static stages, in execution (and therefore violation) order.
+STAGES: Tuple[Stage, ...] = (
+    Stage(
+        "bruteforce",
+        (("bruteforce-unsafe", "Algorithm 1 output fails R1/R2"),),
+        _run_bruteforce,
+    ),
+    Stage(
+        "greedy",
+        (
+            ("greedy-unsafe", "Algorithm 2 output fails R1/R2"),
+            ("greedy-dominance", "greedy used MORE tags than brute force"),
+            ("greedy-coverage", "greedy lost/invented ingress ports"),
+            ("rules-inconsistent", "graph -> rules -> graph diverged"),
+            ("rules-unsafe", "effective (deployed) rule graph fails R1/R2"),
+            ("rules-coverage", "conflict-free rules demote an ELP path"),
+        ),
+        _run_greedy,
+    ),
+    Stage(
+        "deterministic",
+        (
+            ("deterministic-unsafe", "deterministic output fails R1/R2"),
+            ("deterministic-dominance", "more tags than brute force"),
+            ("deterministic-coverage", "ELP path demoted w/o contradiction"),
+        ),
+        _run_deterministic,
+    ),
+    Stage(
+        "lint",
+        (("lint-dirty", "linter errors in the compiled artifact"),),
+        _run_lint,
+    ),
+    Stage(
+        "clos",
+        (
+            ("clos-unsafe", "Clos tagger's induced graph fails R1/R2"),
+            ("clos-tag-count", "Clos tagger used != k + 1 lossless tags"),
+            ("clos-coverage", "losslessness disagrees with bounce count"),
+        ),
+        _run_clos,
+    ),
+    Stage(
+        "symmetry",
+        (("symmetry-divergence", "symmetry plan != exhaustive plan"),),
+        _run_symmetry,
+    ),
+    Stage(
+        "replan",
+        (("incremental-divergence", "incremental re-plan != from-scratch"),),
+        _run_replan,
+    ),
+    Stage(
+        "deploy",
+        (("deployment-divergence", "benign rollout missed its target"),),
+        _run_deploy,
+    ),
+)
+
+
+def cross_check(
+    scenario: Scenario, fault: Optional[str] = None
+) -> CrossCheckResult:
+    """Run every :data:`STAGES` row on the scenario, in order.
+
+    Args:
+        scenario: The case to check.
+        fault: Optional artificial-bug name (see :mod:`repro.fuzz.faults`)
+            whose injector is handed to the one stage its row names; used
+            to validate that the harness catches regressions.
+    """
+    row = fault_row(fault) if fault is not None else None
+    result = CrossCheckResult(scenario_id=scenario.scenario_id)
+    topo = scenario.build_topology()
+    elp = scenario.build_elp(topo)
+    result.stats["num_paths"] = len(elp)
+    result.stats["num_switches"] = len(topo.switches)
+    if len(elp) == 0:
+        result.stats["skipped"] = "empty ELP"
+        return result
+    ctx = _Context(
+        scenario=scenario,
+        result=result,
+        topo=topo,
+        elp=elp,
+        bf=bruteforce_tagging(topo, elp.paths),
+        provider=scenario.pairwise_provider(),
     )
+    for stage in STAGES:
+        inject = None
+        if row is not None and row.stage == stage.name:
+            inject = row.inject
+        recorded = len(result.violations)
+        skip = stage.run(ctx, inject)
+        undeclared = {v.invariant for v in result.violations[recorded:]}
+        undeclared.difference_update(name for name, _ in stage.invariants)
+        if undeclared:
+            raise AssertionError(
+                f"stage {stage.name!r} recorded {sorted(undeclared)}, "
+                f"which its STAGES row does not declare"
+            )
+        if skip is None:
+            result.checks += len(stage.invariants)
+        result.stats[stage.name] = (
+            "checked" if skip is None else f"skipped: {skip}"
+        )
+    return result
+
+
+def __getattr__(name: str) -> Tuple[str, ...]:
+    # ``STATIC_INVARIANTS`` (every name a static stage may record, in
+    # stage order) is computed from the rows on every read, so it cannot
+    # drift from the table.
+    if name == "STATIC_INVARIANTS":
+        return tuple(inv for stage in STAGES for inv, _ in stage.invariants)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

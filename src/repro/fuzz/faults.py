@@ -15,7 +15,16 @@ not by construction alone.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 if TYPE_CHECKING:
     from repro.deploy.agent import ApplyOp, SwitchAgent
@@ -23,12 +32,10 @@ if TYPE_CHECKING:
 from repro.core.clos import ClosTagger
 from repro.core.compression import TcamEntry
 from repro.core.planner import TaggerPlan
-from repro.core.replan import IncrementalPlanner
 from repro.core.rules import RuleTable
 from repro.core.tags import INITIAL_TAG, TaggedGraph, TNode
 from repro.exceptions import ReproError
 from repro.lint.artifact import DeploymentArtifact
-from repro.topology.failures import TopologyDelta
 
 
 class FaultError(ReproError):
@@ -81,7 +88,7 @@ def clos_ignore_bounce(tagger: ClosTagger) -> ClosTagger:
     return _NoBounceClosTagger(topo=tagger.topo, max_bounces=tagger.max_bounces)
 
 
-def _copy_tables(tables: Dict[str, RuleTable]) -> Dict[str, RuleTable]:
+def copy_tables(tables: Dict[str, RuleTable]) -> Dict[str, RuleTable]:
     return {
         switch: RuleTable(
             switch=switch, rules=dict(table.rules), policy=table.policy
@@ -134,7 +141,7 @@ def rule_decrease_tag(artifact: DeploymentArtifact) -> DeploymentArtifact:
     (requirement R2). The linter must report T002. Identity on
     deployments whose every rule matches the initial tag.
     """
-    tables = _copy_tables(artifact.tables)
+    tables = copy_tables(artifact.tables)
     for switch in sorted(tables):
         table = tables[switch]
         for key in sorted(table.rules):
@@ -160,7 +167,7 @@ def rule_tag_cycle(artifact: DeploymentArtifact) -> DeploymentArtifact:
     for link in topo.iter_links(include_failed=True):
         if not (topo.node(link.a).is_switch and topo.node(link.b).is_switch):
             continue
-        tables = _copy_tables(artifact.tables)
+        tables = copy_tables(artifact.tables)
         for near, far in ((link.a, link.b), (link.b, link.a)):
             table = tables.setdefault(near, RuleTable(switch=near))
             port = topo.port_to(near, far)
@@ -174,75 +181,22 @@ def rule_tag_cycle(artifact: DeploymentArtifact) -> DeploymentArtifact:
     return artifact
 
 
-def replan_drop_rule(
-    planner: IncrementalPlanner, delta: TopologyDelta
-) -> None:
-    """Re-plan correctly, then lose one rule install from the result.
+def drop_rule(plan: TaggerPlan) -> None:
+    """Lose one rule from a healthy plan's table set.
 
-    Models a minimal-rule-diff applier that drops an install on its way
-    to the switch: the planner's view and the deployed tables disagree
-    by exactly one entry. The differential byte-identity oracle
-    (``incremental-divergence``) must catch it whenever the plan holds
+    Models a rule that is computed correctly but never materializes: one
+    orbit replica's rule under the symmetry strategy, or one install of
+    a minimal rule diff on its way to the switch after an incremental
+    re-plan. The byte-identity oracles (``symmetry-divergence``,
+    ``incremental-divergence``) must catch it whenever the plan holds
     any explicit rule at all — identity only on ELPs so short that no
     transit rule is ever emitted.
-    """
-    planner.apply(delta)
-    for switch in sorted(planner.plan.tables):
-        table = planner.plan.tables[switch]
-        if table.rules:
-            del table.rules[sorted(table.rules)[0]]
-            return
-
-
-#: Greedy-stage faults: TaggedGraph -> corrupted TaggedGraph.
-GRAPH_FAULTS: Dict[str, Callable[[TaggedGraph], TaggedGraph]] = {
-    "skip-r2": skip_r2,
-    "collapse-tags": collapse_tags,
-}
-
-#: Clos-stage faults: ClosTagger -> corrupted ClosTagger.
-CLOS_FAULTS: Dict[str, Callable[[ClosTagger], ClosTagger]] = {
-    "clos-ignore-bounce": clos_ignore_bounce,
-}
-
-#: Artifact-stage faults: corrupt the compiled deployment the linter sees.
-ARTIFACT_FAULTS: Dict[
-    str, Callable[[DeploymentArtifact], DeploymentArtifact]
-] = {
-    "tcam-shadow": tcam_shadow,
-    "tcam-drop-safeguard": tcam_drop_safeguard,
-    "rule-decrease-tag": rule_decrease_tag,
-    "rule-tag-cycle": rule_tag_cycle,
-}
-
-#: Replan-stage faults: buggy delta application on an IncrementalPlanner.
-REPLAN_FAULTS: Dict[
-    str, Callable[[IncrementalPlanner, TopologyDelta], None]
-] = {
-    "replan-drop-rule": replan_drop_rule,
-}
-
-
-def symmetry_drop_rule(plan: TaggerPlan) -> None:
-    """Lose one rule from a symmetry-planned table set.
-
-    Models a closed-form replication bug: the per-orbit tagging is
-    computed correctly but one replica's rule never materializes. The
-    byte-identity oracle against the exhaustive planner
-    (``symmetry-divergence``) must catch it whenever the plan holds any
-    explicit rule — identity only on ELPs too short to emit one.
     """
     for switch in sorted(plan.tables):
         table = plan.tables[switch]
         if table.rules:
             del table.rules[sorted(table.rules)[0]]
             return
-
-
-#: Symmetry-stage faults: corrupt the symmetry-planned TaggerPlan.
-SYMMETRY_FAULTS: Dict[str, Callable[[TaggerPlan], None]] = {
-    "symmetry-drop-rule": symmetry_drop_rule,
-}
 
 
 def deploy_phantom_ack(agents: Dict[str, "SwitchAgent"]) -> None:
@@ -277,29 +231,124 @@ def deploy_lost_remove(agents: Dict[str, "SwitchAgent"]) -> None:
         agent.op_filter = drop_removes
 
 
-#: Deploy-stage faults: install buggy behavior on a fleet of SwitchAgents
-#: (keyed by switch name) before the rollout runs.
-DEPLOY_FAULTS: Dict[str, Callable[[Dict[str, "SwitchAgent"]], None]] = {
-    "deploy-phantom-ack": deploy_phantom_ack,
-    "deploy-lost-remove": deploy_lost_remove,
-}
+class Fault(NamedTuple):
+    """One artificial bug: where it is injected and what must catch it."""
 
-#: All fault names, for CLI/corpus validation.
-FAULTS = tuple(
-    sorted(
-        set(GRAPH_FAULTS)
-        | set(CLOS_FAULTS)
-        | set(ARTIFACT_FAULTS)
-        | set(REPLAN_FAULTS)
-        | set(SYMMETRY_FAULTS)
-        | set(DEPLOY_FAULTS)
-    )
+    name: str
+    #: The cross-check stage (``crosscheck.STAGES`` name) handed ``inject``.
+    stage: str
+    #: Corrupts that stage's subject; see the stage for the call shape.
+    inject: Callable[..., Any]
+    #: Invariants of that stage, at least one of which the fault must trip.
+    trips: Tuple[str, ...]
+    bug: str
+
+
+#: The only declaration of the faults, grouped by stage in stage order.
+#: ``cross_check``, the CLI, the self-tests and the table in
+#: docs/FUZZING.md all read these rows; adding a fault is one row here.
+FAULT_TABLE: Tuple[Fault, ...] = (
+    Fault(
+        "skip-r2",
+        "greedy",
+        skip_r2,
+        ("greedy-unsafe",),
+        "inverts tag order, violating monotonicity (R2)",
+    ),
+    Fault(
+        "collapse-tags",
+        "greedy",
+        collapse_tags,
+        ("greedy-unsafe",),
+        "merges every tag into one, re-creating CBDs (R1)",
+    ),
+    Fault(
+        "tcam-shadow",
+        "lint",
+        tcam_shadow,
+        ("lint-dirty",),
+        "swaps the safeguard above an explicit entry (S101/S104)",
+    ),
+    Fault(
+        "tcam-drop-safeguard",
+        "lint",
+        tcam_drop_safeguard,
+        ("lint-dirty",),
+        "strips the trailing safeguard default (S105)",
+    ),
+    Fault(
+        "rule-decrease-tag",
+        "lint",
+        rule_decrease_tag,
+        ("lint-dirty",),
+        "rewrites one rule back to the initial tag (T002)",
+    ),
+    Fault(
+        "rule-tag-cycle",
+        "lint",
+        rule_tag_cycle,
+        ("lint-dirty",),
+        "installs a two-rule ping-pong CBD (T001)",
+    ),
+    Fault(
+        "clos-ignore-bounce",
+        "clos",
+        clos_ignore_bounce,
+        ("clos-unsafe",),
+        "Clos tagger stops counting bounces",
+    ),
+    Fault(
+        "symmetry-drop-rule",
+        "symmetry",
+        drop_rule,
+        ("symmetry-divergence",),
+        "loses one rule from the symmetry-planned tables",
+    ),
+    Fault(
+        "replan-drop-rule",
+        "replan",
+        drop_rule,
+        ("incremental-divergence",),
+        "re-plans correctly, then loses one rule install from the result",
+    ),
+    Fault(
+        "deploy-phantom-ack",
+        "deploy",
+        deploy_phantom_ack,
+        ("deployment-divergence",),
+        "one switch agent acks every batch without applying it",
+    ),
+    Fault(
+        "deploy-lost-remove",
+        "deploy",
+        deploy_lost_remove,
+        ("deployment-divergence",),
+        "every agent silently drops rule removals",
+    ),
 )
 
 
+def fault_row(name: str) -> Fault:
+    """The :data:`FAULT_TABLE` row called ``name``."""
+    for row in FAULT_TABLE:
+        if row.name == name:
+            return row
+    raise FaultError(
+        f"unknown fault {name!r}; available: {', '.join(_fault_names())}"
+    )
+
+
 def check_fault_name(name: str) -> str:
-    if name not in FAULTS:
-        raise FaultError(
-            f"unknown fault {name!r}; available: {', '.join(FAULTS)}"
-        )
-    return name
+    return fault_row(name).name
+
+
+def _fault_names() -> Tuple[str, ...]:
+    return tuple(sorted(row.name for row in FAULT_TABLE))
+
+
+def __getattr__(name: str) -> Tuple[str, ...]:
+    # ``FAULTS`` (all fault names, sorted) is computed from the rows on
+    # every read, so it cannot drift from the table.
+    if name == "FAULTS":
+        return _fault_names()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

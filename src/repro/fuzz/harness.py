@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.fuzz.corpus import CorpusEntry, save_entry
-from repro.fuzz.crosscheck import STATIC_INVARIANTS, cross_check
-from repro.fuzz.faults import check_fault_name
+from repro.fuzz.crosscheck import cross_check
+from repro.fuzz.faults import check_fault_name, fault_row
 from repro.fuzz.oracle import (
     OracleOutcome,
     Trigger,
@@ -37,18 +37,34 @@ from repro.simulator.sweep import run_sweep
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.detect.matrix import MatrixOutcome
 
-#: Oracle invariants (layered on top of the cross-check table).
-ORACLE_TAGGED_DEADLOCK = "oracle-tagged-deadlock"
-ORACLE_INSENSITIVE = "oracle-insensitive"
+#: The dynamic stages — the simulator replays :func:`run_fuzz` schedules
+#: within its budgets — as ``(stage, invariants)`` rows shaped like
+#: ``crosscheck.STAGES`` minus ``run``. ``oracle-strict`` is the part of
+#: an oracle replay evaluated only under ``--strict-oracle``; ``harness``
+#: is no stage but the sentinel recorded when one crashes.
+DYNAMIC_STAGES: Tuple[Tuple[str, Tuple[Tuple[str, str], ...]], ...] = (
+    (
+        "oracle",
+        (("oracle-tagged-deadlock", "deadlock under the Tagger plan"),),
+    ),
+    (
+        "oracle-strict",
+        (("oracle-insensitive", "untagged control run never deadlocked"),),
+    ),
+    (
+        "detect",
+        (
+            ("detect-latency", "confirmed deadlock not recovered in time"),
+            ("detect-false-positive", "confirmation with no true cycle"),
+        ),
+    ),
+    ("harness", (("harness-error", "a stage or replay raised"),)),
+)
 
-#: Detection-matrix invariants (18 and 19, layered like the oracle's).
-#: 18 — with Tagger disabled, every oracle-confirmed deadlock must be
-#: confirmed by the local detector within the matrix latency bound and
-#: quarantine must restore forward progress.
-DETECT_LATENCY = "detect-latency"
-#: 19 — on runs whose ground truth shows no cycle (transient congestion
-#: only), the detector must report zero confirmations.
-DETECT_FALSE_POSITIVE = "detect-false-positive"
+
+def _declared(stage: str) -> int:
+    """How many invariants the dynamic stage called ``stage`` declares."""
+    return len(dict(DYNAMIC_STAGES)[stage])
 
 
 @dataclass
@@ -87,7 +103,15 @@ class FuzzConfig:
 
 @dataclass
 class FuzzReport:
-    """Machine-readable outcome of one fuzzing run."""
+    """Machine-readable outcome of one fuzzing run.
+
+    ``invariant_checks`` sums the declared invariants of the stages that
+    **ran**: per scenario every ``crosscheck.STAGES`` row that returned
+    no skip reason, per oracle replay the ``oracle`` row (plus
+    ``oracle-strict`` under ``strict_oracle``), per detection-matrix
+    replay the ``detect`` row. Skipped stages and crashed scenarios or
+    replays count nothing.
+    """
 
     config: FuzzConfig
     iterations_run: int = 0
@@ -141,8 +165,15 @@ class FuzzReport:
 
     @property
     def fault_caught(self) -> bool:
-        """With an injected fault: did at least one iteration fire?"""
-        return bool(self.violations)
+        """With an injected fault: did an invariant its row ``trips`` fire?
+
+        A ``harness-error`` or an unrelated invariant is reported but is
+        not a catch.
+        """
+        if self.config.inject_fault is None:
+            return False
+        trips = fault_row(self.config.inject_fault).trips
+        return any(v["invariant"] in trips for v in self.violations)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -218,7 +249,7 @@ def _static_worker(task: _StaticTask) -> Dict[str, Any]:
     return {
         "error": None,
         "ok": result.ok,
-        "invariants": result.invariants_violated(),
+        "checks": result.checks,
         "details": [str(v) for v in result.violations],
         "triggers": triggers,
     }
@@ -348,12 +379,11 @@ def run_fuzz(
                     scenario.scenario_id, "harness-error", error, now=elapsed
                 )
                 continue
-            report.invariant_checks += len(STATIC_INVARIANTS)
+            report.invariant_checks += static.value["checks"]
             if not static.value["ok"]:
                 _record_failure(
                     report,
                     scenario,
-                    static.value["invariants"],
                     static.value["details"],
                     iteration,
                     now=elapsed,
@@ -428,7 +458,7 @@ def _finalize_report(
     if telemetry is not None:
         telemetry.registry.counter(
             "fuzz_invariant_checks_total",
-            "Static invariant evaluations performed.",
+            "Invariant evaluations performed (stages that ran).",
         ).inc(report.invariant_checks)
         telemetry.registry.gauge(
             "fuzz_elapsed_seconds", "Wall seconds the last fuzz run took."
@@ -446,6 +476,9 @@ def _apply_oracle_outcome(
     """Fold one oracle outcome into the report."""
     config = report.config
     report.oracle_runs += 1
+    report.invariant_checks += _declared("oracle")
+    if config.strict_oracle:
+        report.invariant_checks += _declared("oracle-strict")
     if outcome.control_deadlocked:
         report.oracle_control_deadlocks += 1
     else:
@@ -453,7 +486,7 @@ def _apply_oracle_outcome(
         if config.strict_oracle:
             report.note_violation(
                 scenario.scenario_id,
-                ORACLE_INSENSITIVE,
+                "oracle-insensitive",
                 "untagged control run with a CBD path pair "
                 "did not deadlock",
                 now=now,
@@ -462,9 +495,8 @@ def _apply_oracle_outcome(
         _record_failure(
             report,
             scenario,
-            [ORACLE_TAGGED_DEADLOCK],
             [
-                f"{ORACLE_TAGGED_DEADLOCK}: simulator found a "
+                "oracle-tagged-deadlock: simulator found a "
                 f"wait-for cycle under the Tagger plan "
                 f"(trigger={outcome.trigger_pair}, "
                 f"pairs_tried={outcome.pairs_tried})"
@@ -483,18 +515,20 @@ def _apply_matrix_outcome(
 ) -> None:
     """Fold one detection-matrix outcome into the report.
 
-    Evaluates the two dynamic detection invariants:
+    Evaluates the ``detect`` row's two invariants:
 
-    - :data:`DETECT_LATENCY` (18) on the Tagger-disabled cell whenever
-      the ground-truth oracle confirmed a deadlock;
-    - :data:`DETECT_FALSE_POSITIVE` (19) on every cell whose ground
-      truth stayed cycle-free (including the dedicated
-      transient-congestion cell).
+    - ``detect-latency`` on the Tagger-disabled cell whenever the
+      ground-truth oracle confirmed a deadlock: the local detector must
+      confirm within the matrix latency bound and quarantine must
+      restore forward progress;
+    - ``detect-false-positive`` on every cell whose ground truth stayed
+      cycle-free (including the dedicated transient-congestion cell):
+      the detector must report zero confirmations.
     """
     from repro.detect.matrix import false_positive_cells
 
     report.detect_runs += 1
-    report.invariant_checks += 2
+    report.invariant_checks += _declared("detect")
     summary = outcome.to_dict()
     summary["scenario_id"] = scenario.scenario_id
     report.detect_matrix.append(summary)
@@ -506,8 +540,8 @@ def _apply_matrix_outcome(
         if cell.confirms < 1 or latency is None:
             report.note_violation(
                 scenario.scenario_id,
-                DETECT_LATENCY,
-                f"{DETECT_LATENCY}: oracle confirmed a deadlock at "
+                "detect-latency",
+                f"detect-latency: oracle confirmed a deadlock at "
                 f"t={cell.oracle_first_cycle_time} but the local detector "
                 f"never confirmed",
                 now=now,
@@ -515,16 +549,16 @@ def _apply_matrix_outcome(
         elif latency > outcome.latency_bound:
             report.note_violation(
                 scenario.scenario_id,
-                DETECT_LATENCY,
-                f"{DETECT_LATENCY}: detection latency {latency:.6f}s "
+                "detect-latency",
+                f"detect-latency: detection latency {latency:.6f}s "
                 f"exceeds bound {outcome.latency_bound:.6f}s",
                 now=now,
             )
         elif not cell.progress_restored:
             report.note_violation(
                 scenario.scenario_id,
-                DETECT_LATENCY,
-                f"{DETECT_LATENCY}: quarantine did not restore forward "
+                "detect-latency",
+                f"detect-latency: quarantine did not restore forward "
                 f"progress (deadlocked_at_end="
                 f"{cell.oracle_deadlocked_at_end}, delivered "
                 f"{cell.delivered_at_confirm} -> {cell.delivered_end})",
@@ -534,8 +568,8 @@ def _apply_matrix_outcome(
         if fp_cell.confirms > 0:
             report.note_violation(
                 scenario.scenario_id,
-                DETECT_FALSE_POSITIVE,
-                f"{DETECT_FALSE_POSITIVE}: cell {fp_cell.name!r} had "
+                "detect-false-positive",
+                f"detect-false-positive: cell {fp_cell.name!r} had "
                 f"{fp_cell.confirms} confirmation(s) with no "
                 f"ground-truth cycle",
                 now=now,
@@ -545,19 +579,19 @@ def _apply_matrix_outcome(
 def _record_failure(
     report: FuzzReport,
     scenario: Scenario,
-    invariants: List[str],
     details: List[str],
     iteration: int,
     shrinkable: bool = True,
     now: float = 0.0,
 ) -> None:
+    """Record ``"<invariant>: ..."`` details; shrink and persist if asked."""
     config = report.config
-    for detail in details:
-        report.note_violation(
-            scenario.scenario_id, detail.split(":", 1)[0], detail, now=now
-        )
+    names = [detail.split(":", 1)[0] for detail in details]
+    for name, detail in zip(names, details):
+        report.note_violation(scenario.scenario_id, name, detail, now=now)
     if not (config.shrink and shrinkable and config.corpus_dir):
         return
+    invariants = sorted(set(names))
     try:
         shrunk, still = shrink_scenario(
             scenario, fault=config.inject_fault, targets=invariants

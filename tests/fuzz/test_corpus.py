@@ -25,6 +25,6 @@ def test_corpus_entry_replays(entry):
     assert replay["ok"], replay
 
 
-def test_every_fault_kind_has_a_witness():
+def test_graph_and_clos_faults_have_a_committed_witness():
     witnessed = {e.inject_fault for e in ENTRIES if e.inject_fault}
     assert {"skip-r2", "collapse-tags", "clos-ignore-bounce"} <= witnessed

@@ -1,4 +1,4 @@
-"""The detection head-to-head matrix and fuzz invariants 18/19.
+"""The detection head-to-head matrix and the fuzz ``detect`` stage.
 
 The paper's Fig. 10 testbed scenario is the known-answer input: its CBD
 pair deadlocks under plain PFC, so the matrix must show detection +
@@ -11,7 +11,9 @@ import pytest
 from repro.detect import detection_matrix, false_positive_cells
 from repro.fuzz import FuzzConfig, Scenario, run_fuzz
 from repro.fuzz.crosscheck import STATIC_INVARIANTS
-from repro.fuzz.harness import DETECT_FALSE_POSITIVE, DETECT_LATENCY
+from repro.fuzz.harness import DYNAMIC_STAGES
+
+from . import ran_checks
 
 GREEN_SWITCH_PATH = ("T3", "L3", "S2", "L1", "S1", "L2", "T1")
 BLUE_SWITCH_PATH = ("T1", "L1", "S1", "L3", "S2", "L4", "T4")
@@ -129,7 +131,11 @@ class TestHarnessStage:
         assert report.detect_runs == 1
         assert report.detect_skips == 0
         assert report.detect_deadlocks == 1
-        assert report.invariant_checks == 2 * len(STATIC_INVARIANTS) + 2
+        # Both scenarios' applicable static stages + one detect replay.
+        detect = len(dict(DYNAMIC_STAGES)["detect"])
+        assert report.invariant_checks == detect + ran_checks(
+            [fig10_scenario(), fig10_scenario()]
+        )
         assert report.violations == []
         assert report.detect_matrix[0]["scenario_id"] == "fig10-testbed"
 
@@ -143,7 +149,10 @@ class TestHarnessStage:
         )
         assert report.detect_skips == 1
         assert report.detect_runs == 1
-        assert report.invariant_checks == 2 * len(STATIC_INVARIANTS) + 2
+        detect = len(dict(DYNAMIC_STAGES)["detect"])
+        assert report.invariant_checks == detect + ran_checks(
+            [cbd_free_scenario(), fig10_scenario()]
+        )
 
     def test_both_dynamic_stages_share_one_cbd_pair_search(
         self, monkeypatch, fig10_outcome
@@ -179,7 +188,10 @@ class TestHarnessStage:
         assert summary == fig10_outcome.to_dict()
 
     def test_invariant_names_are_distinct(self):
-        assert DETECT_LATENCY != DETECT_FALSE_POSITIVE
+        dynamic = [name for _, invs in DYNAMIC_STAGES for name, _ in invs]
+        assert {"detect-latency", "detect-false-positive"} <= set(dynamic)
+        names = [*STATIC_INVARIANTS, *dynamic]
+        assert len(names) == len(set(names))
 
     def test_run_fuzz_reports_detect_block(self):
         config = FuzzConfig(

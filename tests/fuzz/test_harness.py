@@ -2,7 +2,8 @@
 
 Three contracts: a healthy pipeline fuzzes clean, an injected tagger bug
 is caught AND shrunk to a replayable corpus entry, and the CLI exposes
-both behaviours with the right exit codes.
+both behaviours with the right exit codes — a fault that merely crashes
+a worker is not a catch.
 """
 
 import json
@@ -10,9 +11,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fuzz import FuzzConfig, load_corpus, replay_entry, run_fuzz
+from repro.fuzz import FuzzConfig, faults, load_corpus, replay_entry, run_fuzz
 from repro.fuzz.crosscheck import STATIC_INVARIANTS
 from repro.fuzz.faults import FAULTS, FaultError
+from repro.fuzz.scenarios import ScenarioGenerator
+
+from . import ran_checks
 
 
 def test_smoke_run_is_clean():
@@ -21,8 +25,11 @@ def test_smoke_run_is_clean():
     )
     assert report.ok, report.violations
     assert report.iterations_run == 15
-    assert len(STATIC_INVARIANTS) == 17
-    assert report.invariant_checks == 15 * len(STATIC_INVARIANTS)
+    # Stages that ran, plus oracle-tagged-deadlock per oracle replay.
+    generator = ScenarioGenerator(seed=7)
+    static = ran_checks(next(generator) for _ in range(15))
+    assert report.oracle_runs == 1
+    assert report.invariant_checks == static + 1 < 15 * len(STATIC_INVARIANTS)
     # Several topology kinds must actually be exercised.
     assert len(report.scenarios_by_kind) >= 2
     # The report must be JSON-serializable (CI consumes it).
@@ -136,3 +143,28 @@ def test_cli_fuzz_injected_fault_exit_zero_iff_caught(tmp_path):
         ]
     )
     assert code == 0  # caught => success for a self-test run
+
+
+def test_cli_fault_that_only_crashes_is_not_caught(
+    tmp_path, monkeypatch, capsys
+):
+    def boom(graph):
+        raise RuntimeError("injector exploded")
+
+    monkeypatch.setattr(
+        faults,
+        "FAULT_TABLE",
+        tuple(
+            row._replace(inject=boom) if row.name == "skip-r2" else row
+            for row in faults.FAULT_TABLE
+        ),
+    )
+    report_file = tmp_path / "report.json"
+    argv = "fuzz --seed 7 --iterations 4 --oracle-budget 0".split()
+    argv += ["--inject-fault", "skip-r2", "--report", str(report_file)]
+    code = main(argv)
+    assert code == 1
+    assert "escaped detection" in capsys.readouterr().err
+    violations = json.loads(report_file.read_text())["violations"]
+    assert {v["invariant"] for v in violations} == {"harness-error"}
+    assert "injector exploded" in violations[0]["detail"]

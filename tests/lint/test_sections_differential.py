@@ -12,7 +12,7 @@ from repro.core import TaggerPlan
 from repro.core.pipeline import QueueMap
 from repro.core.rules import RuleTable
 from repro.exceptions import LintError
-from repro.fuzz.faults import ARTIFACT_FAULTS
+from repro.fuzz.faults import FAULT_TABLE
 from repro.lint import (
     DeploymentArtifact,
     LintConfig,
@@ -21,6 +21,11 @@ from repro.lint import (
     lint_tables,
 )
 from repro.topology import testbed_clos
+
+#: The lint-stage rows of the fault table: name -> artifact injector.
+LINT_FAULTS = {
+    row.name: row.inject for row in FAULT_TABLE if row.stage == "lint"
+}
 
 
 @pytest.fixture
@@ -46,14 +51,14 @@ class TestReuseEqualsFresh:
             len(plan.tables),
         )
 
-    @pytest.mark.parametrize("fault", sorted(ARTIFACT_FAULTS))
+    @pytest.mark.parametrize("fault", sorted(LINT_FAULTS))
     def test_faults_after_the_clean_artifact(self, plan, fault):
         """Explicit programs (tcam-shadow, tcam-drop-safeguard) and
         corrupted rules must not be answered from the clean sections."""
         artifact = DeploymentArtifact.from_plan(plan)
         sections = LintSections(plan.topo)
         assert_reuse_matches_fresh(artifact, sections)
-        corrupted = ARTIFACT_FAULTS[fault](artifact)
+        corrupted = LINT_FAULTS[fault](artifact)
         report = assert_reuse_matches_fresh(corrupted, sections)
         assert not report["ok"]
         # ...and the clean artifact is not answered from the dirty ones.
@@ -63,9 +68,9 @@ class TestReuseEqualsFresh:
         artifact = DeploymentArtifact.from_plan(plan)
         sections = LintSections(plan.topo)
         for _ in range(2):
-            for fault in sorted(ARTIFACT_FAULTS):
+            for fault in sorted(LINT_FAULTS):
                 assert_reuse_matches_fresh(
-                    ARTIFACT_FAULTS[fault](artifact), sections
+                    LINT_FAULTS[fault](artifact), sections
                 )
             assert_reuse_matches_fresh(artifact, sections)
 
