@@ -15,17 +15,34 @@ events onto. Design points:
 - **Schema-checked at the edge.** ``strict=True`` (the default)
   validates each event against the registered taxonomy on emit, so a
   typo'd kind fails the emitting test instead of producing an export
-  ``repro-tagger stats`` rejects later.
+  ``repro-tagger stats`` rejects later. The full validator runs once per
+  event *shape* (kind + field names); later events of a shape it passed
+  only have their value types checked (see :meth:`TelemetryBus.emit`).
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from collections import deque
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.exceptions import ReproError
-from repro.obs.events import Event, validate_event
+from repro.obs.events import (
+    SCALAR_TYPE_SET,
+    TIMESTAMP_TYPE_SET,
+    Event,
+    validate_fields,
+)
 
 Subscriber = Callable[[Event], None]
 
@@ -43,22 +60,47 @@ class TelemetryBus:
         self.capacity = capacity
         self.strict = strict
         self._ring: Deque[Event] = deque(maxlen=capacity)
-        self._counts: Counter[str] = Counter()
+        self._counts: Dict[str, int] = {}
         self._total = 0
         self._subscribers: List[Subscriber] = []
+        #: ``(kind, *field names)`` of every shape the full validator
+        #: has passed on this bus.
+        self._shapes: Set[Tuple[str, ...]] = set()
 
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
     def emit(self, time: float, kind: str, **fields: Any) -> Event:
-        """Append one event; returns it (mostly for tests)."""
-        event = Event(time=time, kind=kind, fields=fields)
+        """Append one event; returns it (mostly for tests).
+
+        When strict, an event whose shape already passed the full
+        validator is accepted if ``type(time)`` is exactly ``int`` or
+        ``float``, ``kind`` is exactly a ``str`` and every value's type
+        is exactly a JSON scalar type; anything else (a new shape, a
+        ``bool`` timestamp, a list, a ``str`` subclass...) goes through
+        :func:`validate_fields`, so each event is accepted or rejected
+        exactly as the full validator alone would, with the same message.
+        """
         if self.strict:
-            problem = validate_event(event)
-            if problem is not None:
-                raise TelemetryError(f"invalid telemetry event: {problem}")
+            valid = (
+                type(time) in TIMESTAMP_TYPE_SET
+                and type(kind) is str
+                and (kind, *fields) in self._shapes
+            )
+            if valid:
+                for value in fields.values():
+                    if type(value) not in SCALAR_TYPE_SET:
+                        valid = False
+                        break
+            if not valid:
+                problem = validate_fields(time, kind, fields)
+                if problem is not None:
+                    raise TelemetryError(f"invalid telemetry event: {problem}")
+                self._shapes.add((kind, *fields))
+        event = Event(time, kind, fields)
         self._ring.append(event)
-        self._counts[kind] += 1
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + 1
         self._total += 1
         for subscriber in self._subscribers:
             subscriber(event)

@@ -198,10 +198,11 @@ def derive_sim_counts(bus: "TelemetryBus") -> Dict[str, object]:
 def sim_metric_handles(
     registry: MetricsRegistry,
 ) -> Dict[str, object]:
-    """Create (or fetch) the simulator's registry metrics once.
+    """Create (or fetch) the simulator's registry metrics.
 
-    The recorder caches these handles at attach time so the per-packet
-    path is a plain ``inc`` with no registry lookups.
+    The recorder caches these handles at attach time and folds its
+    tallies into them once per run (``MetricsRecorder.publish``); the
+    watchdog and the deadlock breaker fetch theirs per episode.
     """
     return {
         "injected": registry.counter(

@@ -80,12 +80,18 @@ class _Metric:
         self.labelnames: Tuple[str, ...] = tuple(labelnames)
 
     def _key(self, labels: Dict[str, Any]) -> LabelValues:
-        if set(labels) != set(self.labelnames):
+        names = self.labelnames
+        # Fast paths for the common unlabeled and one-label metrics.
+        if not names and not labels:
+            return ()
+        if len(names) == 1 and len(labels) == 1 and names[0] in labels:
+            return (str(labels[names[0]]),)
+        if set(labels) != set(names):
             raise TelemetryError(
                 f"metric {self.name!r} takes labels "
-                f"{sorted(self.labelnames)}, got {sorted(labels)}"
+                f"{sorted(names)}, got {sorted(labels)}"
             )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        return tuple(str(labels[name]) for name in names)
 
     def header_lines(self) -> List[str]:
         lines = []

@@ -6,7 +6,10 @@ surfaces — the event stream (JSONL) and the metrics registry
 binding*: whichever component is currently driving (the simulator, the
 rollout orchestrator's virtual clock, the fuzzer's elapsed timer) binds
 its own time source, so event timestamps are deterministic wherever the
-underlying clock is.
+underlying clock is. Per-packet emitters (the simulator's
+``MetricsRecorder`` and ``PfcLog``) skip the facade: they hold the
+bus's ``emit`` and stamp each event with the simulated time they
+already have.
 
 Everything here is a pure observer: attaching a ``Telemetry`` to a
 simulation, planner, rollout or fuzz run must not change any observable

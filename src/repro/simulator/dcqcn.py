@@ -118,7 +118,7 @@ class DcqcnFlow:
                 created_at=net.sim.now,
                 kind="data",
             )
-            net.metrics.record_injection(self.flow_id)
+            net.metrics.record_injection(net.sim.now, self.flow_id)
             queue = net.host_queue_map.queue_for(self.data_tag)
             nic = net.hosts[self.src].nic
             assert nic is not None

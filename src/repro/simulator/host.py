@@ -105,7 +105,7 @@ class SimHost:
             now,
         )
         self._sent_bytes[flow.flow_id] += flow.packet_size
-        net.metrics.record_injection(flow.flow_id)
+        net.metrics.record_injection(now, flow.flow_id)
         nic = self.nic
         assert nic is not None, "host NIC not wired"
         nic.enqueue(packet, self._flow_queue[flow.flow_id])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.events import (
     EV_SIM_DELIVER,
@@ -19,6 +19,7 @@ from repro.obs.events import (
     EV_SIM_INJECT,
 )
 from repro.obs.instrument import sim_metric_handles
+from repro.obs.registry import LabelValues
 from repro.simulator.pfc import PfcLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -79,12 +80,18 @@ class MetricsRecorder:
         default_factory=lambda: defaultdict(list)
     )  # flow -> per-packet one-way delays (seconds)
     demotions: Counter = field(default_factory=Counter)  # switch -> count
-    #: Optional telemetry hookup (see :meth:`attach_telemetry`): when
-    #: set, every recorded fact is also published as a structured event
-    #: plus a registry counter — same call, same data, so the bus view
-    #: reconciles exactly with these counters by construction.
-    telemetry: Optional["Telemetry"] = field(default=None, repr=False)
+    #: Optional telemetry hookup (see :meth:`attach_telemetry`): the
+    #: attached bus's ``emit``, None when detached. Every recorded fact
+    #: is also emitted as a structured event (same call, same data, so
+    #: the bus view reconciles exactly with these counters by
+    #: construction), and :meth:`publish` folds the tallies into the
+    #: registry's ``sim_*`` counters.
+    _emit: Optional[Callable[..., Any]] = field(default=None, repr=False)
     _handles: Dict[str, Any] = field(default_factory=dict, repr=False)
+    #: :meth:`_tallies` as of the last publish (or attach).
+    _published: Dict[Tuple[str, LabelValues], float] = field(
+        default_factory=dict, repr=False
+    )
 
     # ------------------------------------------------------------------
     # Telemetry hookup
@@ -93,25 +100,64 @@ class MetricsRecorder:
         """Publish every future recording onto ``telemetry`` as well.
 
         Pure observer: attaching never alters what the recorder itself
-        accumulates. Metric handles are cached here so the per-packet
-        path performs no registry lookups.
+        accumulates. The bus's ``emit`` and the metric handles are cached
+        here so the per-packet path is one call with no lookups. Tallies
+        recorded before the attach are not published; those recorded
+        while a previous telemetry was attached are published to it
+        first.
         """
-        self.telemetry = telemetry
+        self.publish()
+        self.pfc.attach_telemetry(telemetry)
         if telemetry is None:
+            self._emit = None
             self._handles = {}
-            self.pfc.attach_telemetry(None, None)
             return
+        self._emit = telemetry.bus.emit
         self._handles = sim_metric_handles(telemetry.registry)
-        self.pfc.attach_telemetry(telemetry, self._handles["pfc"])
+        self._published = self._tallies()
+
+    def _tallies(self) -> Dict[Tuple[str, LabelValues], float]:
+        """Running total of every ``sim_*`` series :meth:`publish` folds,
+        keyed by (metric handle, label values)."""
+        tallies: Dict[Tuple[str, LabelValues], float] = {
+            ("injected", ()): sum(self.injected_packets.values()),
+            ("delivered", ()): sum(self.delivered_packets.values()),
+            ("delivered_bytes", ()): sum(self.delivered_bytes.values()),
+            ("pfc", ("pause",)): self.pfc.pause_count,
+            ("pfc", ("resume",)): self.pfc.resume_count,
+        }
+        for reason, count in self.drops.items():
+            tallies[("dropped", (reason,))] = count
+        for switch, count in self.demotions.items():
+            tallies[("demotions", (switch,))] = count
+        return tallies
+
+    def publish(self) -> None:
+        """Fold the tallies recorded since the last publish into the
+        registry's ``sim_*`` counters (no-op when detached).
+
+        ``SimNetwork.run`` calls this when the run returns, so those
+        counters are exact between runs; the events are exact at emit.
+        """
+        if self._emit is None:
+            return
+        tallies = self._tallies()
+        published = self._published
+        for (name, labels), total in tallies.items():
+            delta = total - published.get((name, labels), 0)
+            if delta:
+                handle = self._handles[name]
+                handle.inc(delta, **dict(zip(handle.labelnames, labels)))
+        self._published = tallies
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_injection(self, flow_id: int) -> None:
+    def record_injection(self, time: float, flow_id: int) -> None:
         self.injected_packets[flow_id] += 1
-        if self.telemetry is not None:
-            self.telemetry.emit(EV_SIM_INJECT, flow=flow_id)
-            self._handles["injected"].inc()
+        emit = self._emit
+        if emit is not None:
+            emit(time, EV_SIM_INJECT, flow=flow_id)
 
     def record_delivery(
         self,
@@ -127,20 +173,19 @@ class MetricsRecorder:
         flow_buckets[bucket] = flow_buckets.get(bucket, 0) + size
         if created_at is not None:
             self._latencies[flow_id].append(time - created_at)
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                EV_SIM_DELIVER, time=time, flow=flow_id, size=size
-            )
-            self._handles["delivered"].inc()
-            self._handles["delivered_bytes"].inc(size)
+        emit = self._emit
+        if emit is not None:
+            emit(time, EV_SIM_DELIVER, flow=flow_id, size=size)
 
-    def record_drop(self, reason: str, flow_id: Optional[int] = None) -> None:
+    def record_drop(
+        self, time: float, reason: str, flow_id: Optional[int] = None
+    ) -> None:
         self.drops[reason] += 1
         if flow_id is not None:
             self.drops_per_flow[flow_id] += 1
-        if self.telemetry is not None:
-            self.telemetry.emit(EV_SIM_DROP, reason=reason, flow=flow_id)
-            self._handles["dropped"].inc(reason=reason)
+        emit = self._emit
+        if emit is not None:
+            emit(time, EV_SIM_DROP, reason=reason, flow=flow_id)
 
     def record_demotion(
         self, time: float, switch: str, old_tag: int, new_tag: int,
@@ -148,16 +193,16 @@ class MetricsRecorder:
     ) -> None:
         """A rewrite changed a packet's tag (Tagger demotion/promotion)."""
         self.demotions[switch] += 1
-        if self.telemetry is not None:
-            self.telemetry.emit(
+        emit = self._emit
+        if emit is not None:
+            emit(
+                time,
                 EV_SIM_DEMOTE,
-                time=time,
                 switch=switch,
                 old_tag=old_tag,
                 new_tag=new_tag,
                 flow=flow_id,
             )
-            self._handles["demotions"].inc(switch=switch)
 
     # ------------------------------------------------------------------
     # Queries

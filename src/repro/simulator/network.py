@@ -279,7 +279,7 @@ class SimNetwork:
         while fifo:
             packet = fifo.popleft()
             tx.queued_bytes[queue] -= packet.size
-            self.metrics.record_drop(reason, packet.flow_id)
+            self.metrics.record_drop(self.sim.now, reason, packet.flow_id)
             crossing = switch.accounting.release(
                 packet.in_port, packet.in_queue, packet.size
             )
@@ -300,6 +300,7 @@ class SimNetwork:
 
     def run(self, until: float) -> None:
         self.sim.run(until=until)
+        self.metrics.publish()
 
     # ------------------------------------------------------------------
     # Introspection

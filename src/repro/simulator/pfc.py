@@ -16,13 +16,12 @@ independently. Queue 0 (lossy) never participates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.pipeline import LOSSY_QUEUE
 from repro.obs.events import EV_SIM_PAUSE, EV_SIM_RESUME
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.registry import Counter as MetricCounter
     from repro.obs.telemetry import Telemetry
 
 
@@ -62,28 +61,25 @@ class PfcLog:
     """Accumulates PFC frames; queryable per link and per queue."""
 
     events: List[PfcEvent] = field(default_factory=list)
-    telemetry: Optional["Telemetry"] = field(default=None, repr=False)
-    _frames: Optional["MetricCounter"] = field(default=None, repr=False)
+    #: The attached bus's ``emit`` (None when detached).
+    _emit: Optional[Callable[..., Any]] = field(default=None, repr=False)
     # Incremental tallies: pause_count/resume_count are polled per tick
     # by the watchdog and the runtime detector, which made the O(events)
     # scans a measurable cost on long pause storms.
     _pauses: int = field(default=0, repr=False)
     _resumes: int = field(default=0, repr=False)
 
-    def attach_telemetry(
-        self,
-        telemetry: Optional["Telemetry"],
-        frames: Optional["MetricCounter"],
-    ) -> None:
-        """Mirror every future frame onto the bus/registry (pure observer).
+    def attach_telemetry(self, telemetry: Optional["Telemetry"]) -> None:
+        """Mirror every future frame onto the bus (pure observer).
 
         ``record`` is the single choke point all PFC frames pass through
         (``SimNetwork.send_pfc`` routes here), which is what makes the
         bus-side pause/resume counts reconcile exactly with
-        :attr:`pause_count`/:attr:`resume_count`.
+        :attr:`pause_count`/:attr:`resume_count`. The registry's
+        ``sim_pfc_frames_total`` is folded from those two tallies by
+        :meth:`~repro.simulator.metrics.MetricsRecorder.publish`.
         """
-        self.telemetry = telemetry
-        self._frames = frames
+        self._emit = None if telemetry is None else telemetry.bus.emit
 
     def record(
         self, time: float, sender: str, receiver: str, queue: int, pause: bool
@@ -93,16 +89,15 @@ class PfcLog:
             self._pauses += 1
         else:
             self._resumes += 1
-        if self.telemetry is not None:
-            self.telemetry.emit(
+        emit = self._emit
+        if emit is not None:
+            emit(
+                time,
                 EV_SIM_PAUSE if pause else EV_SIM_RESUME,
-                time=time,
                 sender=sender,
                 receiver=receiver,
                 queue=queue,
             )
-            if self._frames is not None:
-                self._frames.inc(kind="pause" if pause else "resume")
 
     @property
     def pause_count(self) -> int:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple, TYPE_CHECKING
 
 from repro.obs.events import EV_SIM_DEADLOCK
+from repro.obs.instrument import sim_metric_handles
 from repro.simulator.deadlock import WaitNode, find_deadlock_cycle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -77,7 +78,7 @@ class DeadlockBreaker:
                     packets_dropped=dropped,
                 )
             )
-            telemetry = self.net.metrics.telemetry
+            telemetry = self.net.telemetry
             if telemetry is not None:
                 telemetry.emit(
                     EV_SIM_DEADLOCK,
@@ -87,7 +88,7 @@ class DeadlockBreaker:
                     queue=victim[2],
                     dropped=dropped,
                 )
-                self.net.metrics._handles["deadlocks"].inc()
+                sim_metric_handles(telemetry.registry)["deadlocks"].inc()
         self.net.sim.schedule(self.period, self._tick)
 
     @property

@@ -131,7 +131,7 @@ class SimSwitch:
         packet.ttl -= 1
         packet.hops += 1
         if packet.ttl <= 0:
-            metrics.record_drop(DROP_TTL, packet.flow_id)
+            metrics.record_drop(net.sim.now, DROP_TTL, packet.flow_id)
             if tracer is not None:
                 self._trace(packet, "drop", DROP_TTL)
             return
@@ -158,7 +158,7 @@ class SimSwitch:
                 packet.dst, packet.flow_id, tag, in_port
             )
         if hit is None:
-            metrics.record_drop(DROP_NO_ROUTE, packet.flow_id)
+            metrics.record_drop(net.sim.now, DROP_NO_ROUTE, packet.flow_id)
             if tracer is not None:
                 self._trace(packet, "drop", DROP_NO_ROUTE)
             return
@@ -167,7 +167,7 @@ class SimSwitch:
         code = self.accounting.charge_code(in_port, in_queue, packet.size)
         if code == CHARGE_REJECT:
             reason = DROP_LOSSY if in_queue == LOSSY_QUEUE else DROP_LOSSLESS
-            metrics.record_drop(reason, packet.flow_id)
+            metrics.record_drop(net.sim.now, reason, packet.flow_id)
             if tracer is not None:
                 self._trace(packet, "drop", reason)
             return

@@ -167,7 +167,7 @@ class QueueSampler:
     _installed: bool = False
 
     def _publish_gauges(self, sample: QueueSample) -> None:
-        telemetry = self.net.metrics.telemetry
+        telemetry = self.net.telemetry
         if telemetry is None:
             return
         telemetry.registry.gauge(

@@ -145,7 +145,7 @@ class ReliableMessage:
         self.stats.packets_sent += 1
         if not fresh:
             self.stats.retransmissions += 1
-        net.metrics.record_injection(self.flow_id)
+        net.metrics.record_injection(net.sim.now, self.flow_id)
         queue = net.host_queue_map.queue_for(self.initial_tag)
         nic = net.hosts[self.src].nic
         assert nic is not None

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.pipeline import LOSSY_QUEUE
 from repro.obs.events import EV_SIM_WATCHDOG
+from repro.obs.instrument import sim_metric_handles
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.detect.arbiter import RecoveryArbiter
@@ -152,7 +153,7 @@ class PfcWatchdog:
                                 packets_dropped=dropped,
                             )
                         )
-                        telemetry = self.net.metrics.telemetry
+                        telemetry = self.net.telemetry
                         if telemetry is not None:
                             telemetry.emit(
                                 EV_SIM_WATCHDOG,
@@ -162,7 +163,9 @@ class PfcWatchdog:
                                 queue=queue,
                                 dropped=dropped,
                             )
-                            self.net.metrics._handles["watchdog"].inc()
+                            sim_metric_handles(telemetry.registry)[
+                                "watchdog"
+                            ].inc()
         self.net.sim.schedule(self.poll, self._tick)
 
     @property

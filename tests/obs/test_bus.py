@@ -5,7 +5,40 @@ import json
 import pytest
 
 from repro.obs import TelemetryBus, TelemetryError
-from repro.obs.events import EV_SIM_DROP, EV_SIM_INJECT, EV_SIM_PAUSE
+from repro.obs import bus as bus_module
+from repro.obs.events import (
+    EV_SIM_DELIVER,
+    EV_SIM_DROP,
+    EV_SIM_INJECT,
+    EV_SIM_PAUSE,
+    EVENT_SCHEMA,
+    validate_fields,
+)
+
+
+class Label(str):
+    """A ``str`` subclass (misses the bus's exact-type check)."""
+
+
+class FlowId(int):
+    """An ``int`` subclass (misses the bus's exact-type check)."""
+
+
+def warm_bus(**kwargs):
+    """A bus that has accepted one valid event of every registered shape."""
+    bus = TelemetryBus(**kwargs)
+    for kind, required in EVENT_SCHEMA.items():
+        bus.emit(0.0, kind, **{name: 0 for name in required})
+    return bus
+
+
+def cold_verdict(time, kind, fields):
+    """The message a bus with no cached shape raises (None: accepted)."""
+    try:
+        TelemetryBus().emit(time, kind, **fields)
+    except TelemetryError as exc:
+        return str(exc)
+    return None
 
 
 class TestEmit:
@@ -64,6 +97,104 @@ class TestValidation:
     def test_non_strict_accepts_unregistered_kinds(self):
         bus = TelemetryBus(strict=False)
         bus.emit(0.0, "custom.kind", anything=1)
+        assert bus.count("custom.kind") == 1
+
+    # -- the shape cache never weakens the schema ----------------------
+    # Every case below is emitted on a bus that has already accepted one
+    # valid event of every registered shape, and must get exactly the
+    # verdict (and message) a fresh bus with nothing cached gives.
+
+    @pytest.mark.parametrize(
+        "time, kind, fields, message",
+        [
+            (0.0, EV_SIM_DELIVER, {"flow": [1, 2], "size": 1},
+             "sim.packet.deliver: field 'flow' is not a JSON scalar (list)"),
+            (0.0, EV_SIM_DELIVER, {"flow": 1, "size": {"a": 1}},
+             "sim.packet.deliver: field 'size' is not a JSON scalar (dict)"),
+            ("0.0", EV_SIM_INJECT, {"flow": 1},
+             "sim.packet.inject: event is missing a numeric 'ts'"),
+            (True, EV_SIM_INJECT, {"flow": 1},
+             "sim.packet.inject: event is missing a numeric 'ts'"),
+            (None, EV_SIM_INJECT, {"flow": 1},
+             "sim.packet.inject: event is missing a numeric 'ts'"),
+            (0.0, EV_SIM_INJECT, {"flow": 1, "ts": 9.0},
+             "sim.packet.inject: field 'ts' shadows a reserved key"),
+            (0.0, EV_SIM_DELIVER, {"flow": 1},
+             "sim.packet.deliver: missing required field 'size'"),
+            (0.0, EV_SIM_PAUSE, {"sender": "A", "queue": 1},
+             "sim.pfc.pause: missing required field 'receiver'"),
+            (0.0, ["sim.packet.inject"], {"flow": 1},
+             "event is missing a string 'kind'"),
+            (0.0, "sim.made.up", {"flow": 1},
+             "unknown event kind 'sim.made.up'"),
+        ],
+        ids=[
+            "list-value", "dict-value", "str-ts", "bool-ts", "none-ts",
+            "ts-field", "missing-size", "missing-receiver", "list-kind",
+            "unknown-kind",
+        ],
+    )
+    def test_warm_bus_rejects_what_a_cold_bus_rejects(
+        self, time, kind, fields, message
+    ):
+        bus = warm_bus()
+        expected = f"invalid telemetry event: {message}"
+        assert cold_verdict(time, kind, fields) == expected
+        with pytest.raises(TelemetryError) as caught:
+            bus.emit(time, kind, **fields)
+        assert str(caught.value) == expected
+        assert bus.total_emitted == len(EVENT_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "value", [Label("L1"), FlowId(7)], ids=["str-subclass", "int-subclass"]
+    )
+    def test_scalar_subclass_gets_the_full_validators_verdict(self, value):
+        """A subclass misses the exact-type check and is judged by the
+        full validator, whose ``isinstance`` admits it: warm or cold, the
+        verdict is the same."""
+        bus = warm_bus()
+        assert cold_verdict(0.0, EV_SIM_INJECT, {"flow": value}) is None
+        event = bus.emit(0.0, EV_SIM_INJECT, flow=value)
+        assert event.fields["flow"] is value
+
+    def test_kind_field_cannot_reach_the_ring(self):
+        """``kind`` (like ``time``) binds to emit's own parameter, so a
+        field of that name fails at the call; the validator the bus
+        delegates to rejects it as reserved either way."""
+        bus = warm_bus()
+        with pytest.raises(TypeError):
+            bus.emit(0.0, EV_SIM_INJECT, **{"flow": 1, "kind": "x"})
+        assert bus.total_emitted == len(EVENT_SCHEMA)
+        assert validate_fields(0.0, EV_SIM_INJECT, {"flow": 1, "kind": "x"}) == (
+            "sim.packet.inject: field 'kind' shadows a reserved key"
+        )
+
+    def test_rejected_shape_is_not_cached(self):
+        bus = TelemetryBus()
+        for _ in range(2):
+            with pytest.raises(TelemetryError, match="missing required field"):
+                bus.emit(0.0, EV_SIM_DELIVER, flow=1)
+        assert bus.total_emitted == 0
+
+    def test_known_shape_skips_the_full_validator(self, monkeypatch):
+        bus = warm_bus()
+        calls = []
+        real = bus_module.validate_fields
+        monkeypatch.setattr(
+            bus_module,
+            "validate_fields",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        bus.emit(0.5, EV_SIM_DELIVER, flow=3, size=1000)
+        bus.emit(1, EV_SIM_DROP, reason="ttl")
+        assert calls == []
+        for _ in range(2):
+            bus.emit(0.5, EV_SIM_DROP, reason="ttl", flow=None)
+        assert len(calls) == 1  # a new shape is validated once
+
+    def test_non_strict_warm_bus_still_accepts_unregistered_kinds(self):
+        bus = warm_bus(strict=False)
+        bus.emit(0.0, "custom.kind", anything=[1])
         assert bus.count("custom.kind") == 1
 
 

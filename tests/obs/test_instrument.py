@@ -100,8 +100,12 @@ class TestDeriveSimCounts:
         net = SimNetwork(small_clos, shortest_path_tables(small_clos))
         telemetry = Telemetry()
         net.metrics.attach_telemetry(telemetry)
-        net.metrics.record_injection(1)
+        net.metrics.record_injection(0.0, 1)
         net.metrics.attach_telemetry(None)
-        net.metrics.record_injection(1)  # no longer mirrored
+        net.metrics.record_injection(0.0, 1)  # no longer mirrored
         assert net.metrics.injected_packets[1] == 2
         assert telemetry.bus.count(EV_SIM_INJECT) == 1
+        # Detaching publishes what was recorded while attached.
+        assert telemetry.registry.get(
+            "sim_packets_injected_total"
+        ).value() == 1

@@ -260,14 +260,14 @@ class ReferenceSwitch(SimSwitch):
         packet.ttl -= 1
         packet.hops += 1
         if packet.ttl <= 0:
-            metrics.record_drop(DROP_TTL, packet.flow_id)
+            metrics.record_drop(self.net.sim.now, DROP_TTL, packet.flow_id)
             if tracer is not None:
                 self._trace(packet, "drop", DROP_TTL)
             return
 
         next_hop = self._next_hop(packet)
         if next_hop is None:
-            metrics.record_drop(DROP_NO_ROUTE, packet.flow_id)
+            metrics.record_drop(self.net.sim.now, DROP_NO_ROUTE, packet.flow_id)
             if tracer is not None:
                 self._trace(packet, "drop", DROP_NO_ROUTE)
             return
@@ -277,7 +277,7 @@ class ReferenceSwitch(SimSwitch):
         crossing = self.accounting.charge(in_port, in_queue, packet.size)
         if not crossing.accepted:
             reason = DROP_LOSSY if in_queue == LOSSY_QUEUE else DROP_LOSSLESS
-            metrics.record_drop(reason, packet.flow_id)
+            metrics.record_drop(self.net.sim.now, reason, packet.flow_id)
             if tracer is not None:
                 self._trace(packet, "drop", reason)
             return
@@ -363,7 +363,7 @@ class ReferenceHost(SimHost):
             created_at=self.net.sim.now,
         )
         self._sent_bytes[flow.flow_id] += flow.packet_size
-        self.net.metrics.record_injection(flow.flow_id)
+        self.net.metrics.record_injection(self.net.sim.now, flow.flow_id)
         queue = self.net.host_queue_map.queue_for(flow.initial_tag)
         assert self.nic is not None, "host NIC not wired"
         self.nic.enqueue(packet, queue)

@@ -109,9 +109,9 @@ class TestLatency:
 class TestDrops:
     def test_drop_accounting(self):
         metrics = MetricsRecorder()
-        metrics.record_drop("ttl_expired", flow_id=1)
-        metrics.record_drop("ttl_expired", flow_id=1)
-        metrics.record_drop("lossy_overflow")
+        metrics.record_drop(0.0, "ttl_expired", flow_id=1)
+        metrics.record_drop(0.0, "ttl_expired", flow_id=1)
+        metrics.record_drop(0.0, "lossy_overflow")
         assert metrics.total_drops() == 3
         assert metrics.total_drops("ttl_expired") == 2
         assert metrics.drops_per_flow[1] == 2
