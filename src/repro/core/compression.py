@@ -20,15 +20,27 @@ semantics and a trailing wildcard safeguard that demotes everything the
 explicit entries miss (paper footnote 3). :func:`tcam_program` builds
 one from a rule table, :func:`first_match` evaluates it exactly the way
 the hardware would, and the deployment linter (:mod:`repro.lint`)
-certifies arbitrary programs against their exact-rule reference.
+certifies arbitrary programs against their exact-rule reference. The
+linter evaluates every key in one ordered pass over the program;
+:func:`first_match`, one key at a time, is its oracle in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.core.rules import MatchActionRule, RuleTable
+from repro.core.rules import MatchActionRule, MatchKey, RuleTable
 from repro.core.tags import LOSSY_TAG
 from repro.exceptions import RuleError
 
@@ -80,37 +92,35 @@ def _bitmap(ports: Iterable[int], width: int) -> int:
     return value
 
 
-def compress_in_ports(rules: Sequence[MatchActionRule]) -> List[TcamEntry]:
-    """Stage-1 compression: aggregate InPorts per (tag, out_port, new_tag)."""
-    grouped: Dict[Tuple[int, int, int], set] = {}
-    for rule in rules:
-        grouped.setdefault((rule.tag, rule.out_port, rule.new_tag), set()).add(
-            rule.in_port
+def _rule_items(
+    rules: Iterable[MatchActionRule],
+) -> Iterator[Tuple[MatchKey, int]]:
+    return ((rule.key, rule.new_tag) for rule in rules)
+
+
+def _group_in_ports(
+    items: Iterable[Tuple[MatchKey, int]],
+) -> Dict[Tuple[int, int, int], Set[int]]:
+    """Stage-1 grouping: ``(tag, out_port, new_tag) -> in-port set``."""
+    grouped: Dict[Tuple[int, int, int], Set[int]] = {}
+    for (tag, in_port, out_port), new_tag in items:
+        group = grouped.get((tag, out_port, new_tag))
+        if group is None:
+            grouped[(tag, out_port, new_tag)] = {in_port}
+        else:
+            group.add(in_port)
+    return grouped
+
+
+def _joint_entries(items: Iterable[Tuple[MatchKey, int]]) -> List[TcamEntry]:
+    """Joint compression of ``(match key, new_tag)`` pairs, sorted by
+    :func:`_entry_key` — the one routine behind :func:`compress_joint`
+    and :func:`tcam_program`."""
+    grouped: Dict[Tuple[int, int, FrozenSet[int]], Set[int]] = {}
+    for (tag, out_port, new_tag), in_ports in _group_in_ports(items).items():
+        grouped.setdefault((tag, new_tag, frozenset(in_ports)), set()).add(
+            out_port
         )
-    entries = [
-        TcamEntry(
-            tag=tag,
-            in_ports=frozenset(in_ports),
-            out_ports=frozenset({out_port}),
-            new_tag=new_tag,
-        )
-        for (tag, out_port, new_tag), in_ports in grouped.items()
-    ]
-    return sorted(entries, key=_entry_key)
-
-
-def compress_joint(rules: Sequence[MatchActionRule]) -> List[TcamEntry]:
-    """Stage-2 compression: in-port aggregation, then merge equal in-sets.
-
-    Entries from :func:`compress_in_ports` sharing ``(tag, new_tag,
-    in_ports)`` merge their out-ports; the result still covers an exact
-    cartesian product, so semantics are unchanged.
-    """
-    stage1 = compress_in_ports(rules)
-    grouped: Dict[Tuple[int, int, FrozenSet[int]], set] = {}
-    for entry in stage1:
-        key = (entry.tag, entry.new_tag, entry.in_ports)
-        grouped.setdefault(key, set()).update(entry.out_ports)
     entries = [
         TcamEntry(
             tag=tag,
@@ -121,6 +131,32 @@ def compress_joint(rules: Sequence[MatchActionRule]) -> List[TcamEntry]:
         for (tag, new_tag, in_ports), out_ports in grouped.items()
     ]
     return sorted(entries, key=_entry_key)
+
+
+def compress_in_ports(rules: Sequence[MatchActionRule]) -> List[TcamEntry]:
+    """Stage-1 compression: aggregate InPorts per (tag, out_port, new_tag)."""
+    entries = [
+        TcamEntry(
+            tag=tag,
+            in_ports=frozenset(in_ports),
+            out_ports=frozenset({out_port}),
+            new_tag=new_tag,
+        )
+        for (tag, out_port, new_tag), in_ports in _group_in_ports(
+            _rule_items(rules)
+        ).items()
+    ]
+    return sorted(entries, key=_entry_key)
+
+
+def compress_joint(rules: Sequence[MatchActionRule]) -> List[TcamEntry]:
+    """Stage-2 compression: in-port aggregation, then merge equal in-sets.
+
+    Stage-1 groups sharing ``(tag, new_tag, in_ports)`` merge their
+    out-ports; the result still covers an exact cartesian product, so
+    semantics are unchanged.
+    """
+    return _joint_entries(_rule_items(rules))
 
 
 def _entry_key(entry: TcamEntry) -> Tuple[int, int, int, List[int], List[int]]:
@@ -215,9 +251,10 @@ def tcam_program(table: RuleTable, ports: Iterable[int]) -> List[TcamEntry]:
     Joint-compressed entries (mutually non-overlapping, so their relative
     order is free) followed by the wildcard safeguard over ``ports`` —
     "this rule is always the last one in the TCAM rule list" (paper
-    footnote 3).
+    footnote 3). Compiled straight from the table's rule dict: the
+    entries and their order equal ``compress_joint(table.as_rules())``.
     """
-    return compress_joint(table.as_rules()) + [safeguard_entry(ports)]
+    return _joint_entries(table.rules.items()) + [safeguard_entry(ports)]
 
 
 def first_match(

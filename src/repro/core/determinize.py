@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.greedy import _Sandbox
-from repro.core.rules import RuleTable, rules_to_tagged_graph
+from repro.core.rules import RuleTable
 from repro.core.tags import INITIAL_TAG, PortKey, TaggedGraph, TNode
 from repro.exceptions import TaggingError
 from repro.topology.base import Topology
@@ -230,7 +230,14 @@ class DeterministicMinimizer:
 
     def _finalize(self) -> DeterministicTagging:
         tables = _tables_from_transitions(self.topo, self._transitions)
-        graph = rules_to_tagged_graph(self.topo, tables)
+        # Each transition is one rule (``_tables_from_transitions`` maps
+        # them one-to-one), and the rule's edge is the transition itself:
+        # the graph equals ``rules_to_tagged_graph(topo, tables)``
+        # without resolving every rule back through the wiring.
+        graph = TaggedGraph()
+        add_edge = graph.add_edge
+        for (src_port, src_cls, dst_port), new_cls in self._transitions.items():
+            add_edge((src_port, src_cls), (dst_port, new_cls))
         # Entry nodes (first hops) carry class 1 by construction; make
         # sure they exist in the graph even if they have no outgoing rule
         # (single switch paths).
@@ -286,12 +293,13 @@ def _tables_from_transitions(
     topo: Topology, transitions: Dict[TransKey, int]
 ) -> Dict[str, RuleTable]:
     tables: Dict[str, RuleTable] = {}
+    port_to = topo.port_to
     for (src_port, src_cls, dst_port), new_cls in transitions.items():
         switch, in_port = src_port
-        dst_switch, _ = dst_port
-        out_port = topo.port_to(switch, dst_switch)
-        table = tables.setdefault(switch, RuleTable(switch=switch))
-        key = (src_cls, in_port, out_port)
+        table = tables.get(switch)
+        if table is None:
+            table = tables[switch] = RuleTable(switch=switch)
+        key = (src_cls, in_port, port_to(switch, dst_port[0]))
         existing = table.rules.get(key)
         if existing is not None and existing != new_cls:
             raise TaggingError(

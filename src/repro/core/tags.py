@@ -17,6 +17,9 @@ graph — packets leave the graph when demoted.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import TaggingError
@@ -163,47 +166,71 @@ class TaggedGraph:
     def find_tag_cycle(self, tag: int) -> Optional[List[TNode]]:
         """Return one directed cycle within ``G_k``, or None.
 
-        Iterative three-color DFS restricted to nodes/edges of ``tag``.
+        One Kahn pass first: count in-degrees over same-tag edges and peel
+        nodes of in-degree 0, a whole frontier at a time. ``G_k`` is
+        acyclic iff every node peels, so the common (certified) case ends
+        there, in linear time and without sorting anything. Otherwise the
+        unpeeled *residue* holds every cycle and is closed under
+        successors; a three-color DFS over it, rooted and expanded in
+        sorted order, extracts the witness, which is rotated to start at
+        its smallest node. The witness therefore depends on the graph
+        alone, never on set iteration order.
         """
-        members = self._by_tag.get(tag, set())
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {node: WHITE for node in members}
-        parent: Dict[TNode, Optional[TNode]] = {}
+        members = self._by_tag.get(tag)
+        if not members:
+            return None
+        out, into = self._out, self._in
+        tag_of = itemgetter(1)
+        indegree = {
+            node: list(map(tag_of, into[node])).count(tag) for node in members
+        }
+        frontier = [node for node, degree in indegree.items() if not degree]
+        peeled = 0
+        while frontier:
+            peeled += len(frontier)
+            hits = Counter(chain.from_iterable([out[node] for node in frontier]))
+            frontier = []
+            for dst, count in hits.items():
+                if dst[1] == tag:
+                    indegree[dst] -= count
+                    if not indegree[dst]:
+                        frontier.append(dst)
+        if peeled == len(members):
+            return None
 
-        for root in members:
+        residue = {node for node, degree in indegree.items() if degree > 0}
+        WHITE, GRAY, BLACK = 0, 1, 2
+        color = dict.fromkeys(residue, WHITE)
+        parent: Dict[TNode, TNode] = {}
+
+        def successors(node: TNode) -> Iterator[TNode]:
+            return iter(sorted(succ for succ in out[node] if succ in residue))
+
+        for root in sorted(residue):
             if color[root] != WHITE:
                 continue
-            stack: List[Tuple[TNode, Iterator[TNode]]] = []
             color[root] = GRAY
-            parent[root] = None
-            stack.append((root, iter(sorted(self._out.get(root, ()), key=repr))))
+            stack: List[Tuple[TNode, Iterator[TNode]]] = [(root, successors(root))]
             while stack:
                 node, it = stack[-1]
-                advanced = False
                 for succ in it:
-                    if succ[1] != tag or succ not in color:
-                        continue
                     if color[succ] == WHITE:
                         color[succ] = GRAY
                         parent[succ] = node
-                        stack.append(
-                            (succ, iter(sorted(self._out.get(succ, ()), key=repr)))
-                        )
-                        advanced = True
+                        stack.append((succ, successors(succ)))
                         break
                     if color[succ] == GRAY:
-                        # Found a back edge: reconstruct the cycle.
-                        cycle = [succ]
-                        walk = node
-                        while walk != succ:
-                            cycle.append(walk)
-                            walk = parent[walk]
+                        # Back edge: the cycle is succ -> ... -> node -> succ.
+                        cycle = [node]
+                        while cycle[-1] != succ:
+                            cycle.append(parent[cycle[-1]])
                         cycle.reverse()
-                        return cycle
-                if not advanced:
+                        start = cycle.index(min(cycle))
+                        return cycle[start:] + cycle[:start]
+                else:
                     color[node] = BLACK
                     stack.pop()
-        return None
+        raise AssertionError(f"tag {tag}: unpeeled residue without a cycle")
 
     # ------------------------------------------------------------------
     # Export / comparison

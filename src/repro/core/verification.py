@@ -66,32 +66,35 @@ class VerificationReport:
 def verify_tagged_graph(graph: TaggedGraph) -> VerificationReport:
     """Check requirements R1 and R2; never raises on violation.
 
-    The R1 witness, when there is one, comes from the lowest violating
-    tag (tags are scanned in ascending order).
+    One pass over the edges classifies each as intra-tag, cross-tag or
+    tag-decreasing. The R2 witness is the smallest decreasing edge; the
+    R1 witness, when there is one, comes from the lowest violating tag
+    (tags are scanned in ascending order). Both are therefore the same
+    in every process, whatever the hash seed.
     """
+    tags = graph.tags()
+    intra_per_tag: Dict[int, int] = dict.fromkeys(tags, 0)
     decreasing: Optional[TEdge] = None
     cross = 0
     for src, dst in graph.edges():
-        if dst[1] < src[1]:
-            if decreasing is None:
-                decreasing = (src, dst)
-        elif dst[1] > src[1]:
+        src_tag, dst_tag = src[1], dst[1]
+        if dst_tag == src_tag:
+            intra_per_tag[src_tag] += 1
+        elif dst_tag > src_tag:
             cross += 1
+        elif decreasing is None or (src, dst) < decreasing:
+            decreasing = (src, dst)
 
-    nodes_per_tag: Dict[int, int] = {}
-    intra_per_tag: Dict[int, int] = {}
+    nodes_per_tag = {tag: len(graph.nodes_with_tag(tag)) for tag in tags}
     tag_cycle: Optional[List[TNode]] = None
-    for tag in graph.tags():
-        nodes_per_tag[tag] = len(graph.nodes_with_tag(tag))
-        intra_per_tag[tag] = len(graph.tag_subgraph_edges(tag))
-    for tag in graph.tags():
+    for tag in tags:
         tag_cycle = graph.find_tag_cycle(tag)
         if tag_cycle is not None:
             break
 
     return VerificationReport(
         deadlock_free=decreasing is None and tag_cycle is None,
-        num_tags=graph.num_tags,
+        num_tags=len(tags),
         nodes_per_tag=nodes_per_tag,
         intra_edges_per_tag=intra_per_tag,
         cross_edges=cross,

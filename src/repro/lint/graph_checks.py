@@ -83,8 +83,17 @@ def rule_section(topo: Topology, switch: str, table: RuleTable) -> RuleSection:
     for key in sorted(table.rules):
         tag, in_port, out_port = key
         new_tag = table.rules[key]
-        if not known or not _check_rule(
-            switch, ports, key, new_tag, diagnostics
+        well_formed = (
+            tag >= INITIAL_TAG
+            and in_port in ports
+            and out_port in ports
+            and (new_tag == LOSSY_TAG or new_tag >= tag)
+        )
+        # A rule that passes the fast test passes _check_rule silently;
+        # only the others pay for their diagnostics.
+        if not known or (
+            not well_formed
+            and not _check_rule(switch, ports, key, new_tag, diagnostics)
         ):
             rejected.append(key)
         tags.add(tag)

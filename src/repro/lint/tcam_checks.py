@@ -30,12 +30,11 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
-from repro.core.compression import TcamEntry, first_match
-from repro.core.rules import RuleTable
+from repro.core.compression import TcamEntry
+from repro.core.rules import MatchKey, RuleTable
 from repro.core.tags import LOSSY_TAG
 from repro.lint.diagnostics import Diagnostic, Severity, make_diagnostic
 
@@ -165,30 +164,25 @@ def _check_roundtrip(
     program: Sequence[TcamEntry],
     diagnostics: List[Diagnostic],
 ) -> None:
-    """S104: first-match semantics == exact rules + implicit safeguard."""
+    """S104: first-match semantics == exact rules + implicit safeguard.
+
+    The checked keys are the reference keys in dict order, then each
+    explicit entry's keys in program order. Their first matches come from
+    one walk over the program: the first explicit entry to list a key
+    claims it, and a wildcard claims every checked key in its port sets
+    that no earlier entry claimed. This gives the same answer as
+    :func:`~repro.core.compression.first_match` per key, which is the
+    oracle for it in the tests.
+    """
     reference = table.rules
-    mismatches = 0
-    first_example: Optional[str] = None
-
-    def observe(key: Tuple[int, int, int], got: Optional[int]) -> None:
-        nonlocal mismatches, first_example
-        expected = reference.get(key, LOSSY_TAG)
-        effective = LOSSY_TAG if got is None else got
-        if effective != expected:
-            mismatches += 1
-            if first_example is None:
-                first_example = (
-                    f"key {key}: program gives "
-                    f"{'no match' if got is None else got}, "
-                    f"reference rules give {expected}"
-                )
-
-    checked: Set[Tuple[int, int, int]] = set()
-    for key in reference:
-        checked.add(key)
-        observe(key, first_match(program, *key))
+    never = len(program)
+    # Checked key -> index of the first *explicit* entry matching it.
+    claims: Dict[MatchKey, int] = {}
+    wildcards: List[Tuple[int, TcamEntry]] = []
     for index, entry in enumerate(program):
-        if entry.tag is None:
+        tag = entry.tag
+        if tag is None:
+            wildcards.append((index, entry))
             if entry.new_tag != LOSSY_TAG:
                 diagnostics.append(
                     make_diagnostic(
@@ -201,18 +195,52 @@ def _check_roundtrip(
                     )
                 )
             continue
+        out_ports = entry.out_ports
         for in_port in entry.in_ports:
-            for out_port in entry.out_ports:
-                key = (entry.tag, in_port, out_port)
-                if key not in checked:
-                    checked.add(key)
-                    observe(key, first_match(program, *key))
-    if mismatches:
+            for out_port in out_ports:
+                key = (tag, in_port, out_port)
+                if key not in claims:
+                    claims[key] = index
+    # Rewrite per claim index; ``never`` (no explicit claim) is no match.
+    rewrites: List[Optional[int]] = [entry.new_tag for entry in program]
+    rewrites.append(None)
+    # Claims ahead of every wildcard need no wildcard scan.
+    unshadowed = wildcards[0][0] if wildcards else never + 1
+
+    def wildcard_rewrite(key: MatchKey, claim: int) -> Optional[int]:
+        for index, wildcard in wildcards:
+            if index > claim:
+                break
+            if key[1] in wildcard.in_ports and key[2] in wildcard.out_ports:
+                return wildcard.new_tag
+        return rewrites[claim]
+
+    # (key, first-match rewrite, reference rewrite), in check order.
+    diverging: List[Tuple[MatchKey, Optional[int], int]] = []
+    claimed = 0
+    for key, expected in reference.items():
+        claim = claims.get(key, never)
+        if claim < never:
+            claimed += 1
+        got = rewrites[claim] if claim < unshadowed else wildcard_rewrite(key, claim)
+        if (LOSSY_TAG if got is None else got) != expected:
+            diverging.append((key, got, expected))
+    if claimed < len(claims):  # some entry lists a key the reference lacks
+        for key, claim in claims.items():
+            if key in reference:
+                continue
+            got = rewrites[claim] if claim < unshadowed else wildcard_rewrite(key, claim)
+            if got is not None and got != LOSSY_TAG:
+                diverging.append((key, got, LOSSY_TAG))
+    if diverging:
+        key, got, expected = diverging[0]
         diagnostics.append(
             make_diagnostic(
                 "S104",
-                f"{mismatches} match key(s) diverge from the exact-rule "
-                f"reference, e.g. {first_example}",
+                f"{len(diverging)} match key(s) diverge from the exact-rule "
+                f"reference, e.g. key {key}: program gives "
+                f"{'no match' if got is None else got}, "
+                f"reference rules give {expected}",
                 switch=switch,
             )
         )

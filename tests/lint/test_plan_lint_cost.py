@@ -1,0 +1,56 @@
+"""Cost guard for scratch planning plus lint, as a call count.
+
+A 64-ToR fat-tree is planned with the generic planner and linted under
+``cProfile``; the profiled calls are divided by the rules planned. The
+count is deterministic, so the guard needs no wall clock: a compile
+that goes back through ``as_rules()`` objects, an S104 check that scans
+the program once per key, or a minimizer that re-resolves its rules
+through the wiring fails here before any benchmark sees it.
+"""
+
+import cProfile
+import pstats
+
+from repro.core import TaggerPlan, UpDownElpProvider
+from repro.lint import lint_plan
+from repro.topology import ClosParams, clos3
+
+#: Ceiling on profiled calls per planned rule (plan + lint). With a
+#: per-key ``first_match`` scan in S104 and programs compiled through
+#: sorted ``MatchActionRule`` objects the count read 55.3; the linear
+#: passes read 38.1 (CPython 3.11).
+MAX_CALLS_PER_RULE = 42
+
+
+def _calls(profile: cProfile.Profile, name: str = "") -> int:
+    stats = pstats.Stats(profile).stats  # type: ignore[attr-defined]
+    return sum(
+        ncalls
+        for (_file, _line, func), (_cc, ncalls, *_rest) in stats.items()
+        if not name or func == name
+    )
+
+
+def test_plan_and_lint_calls_per_rule_stay_bounded():
+    topo = clos3(ClosParams(8, 8, 4, 4, hosts_per_tor=0))
+    planning = cProfile.Profile()
+    planning.enable()
+    try:
+        plan = TaggerPlan.from_provider(topo, UpDownElpProvider())
+    finally:
+        planning.disable()
+    linting = cProfile.Profile()
+    linting.enable()
+    try:
+        report = lint_plan(plan)
+    finally:
+        linting.disable()
+    assert report.ok
+    assert plan.total_rules == 7424
+    per_rule = (_calls(planning) + _calls(linting)) / plan.total_rules
+    assert per_rule <= MAX_CALLS_PER_RULE, (
+        f"{per_rule:.1f} profiled calls per planned rule "
+        f"(ceiling {MAX_CALLS_PER_RULE})"
+    )
+    # S104 evaluates first match in one ordered pass, never per key.
+    assert _calls(linting, "matches") == 0

@@ -128,6 +128,45 @@ class TestS104RoundtripMismatch:
         diagnostics, _ = run(rules, program)
         assert "S104" in codes(diagnostics)
 
+    @staticmethod
+    def summary(rules, program):
+        diagnostics, _ = run(rules, program)
+        return [
+            d.message
+            for d in diagnostics
+            if d.code == "S104" and d.location is None
+        ]
+
+    def test_wildcard_claims_keys_ahead_of_later_entries(self):
+        """First match is ordered: a mid-program wildcard demote wins
+        every key it covers that no earlier entry claimed."""
+        rules = {(1, 1, 2): 1, (2, 1, 2): 2}
+        program = [
+            entry(1, {1}, {2}, 1),
+            entry(None, {1, 2}, {2}, 0),
+            entry(2, {1}, {2}, 2),
+            safeguard_entry(PORTS["A"]),
+        ]
+        assert self.summary(rules, program) == [
+            "1 match key(s) diverge from the exact-rule reference, e.g. "
+            "key (2, 1, 2): program gives 0, reference rules give 2"
+        ]
+
+    def test_keys_absent_from_reference_checked_in_program_order(self):
+        program = [entry(1, {1}, {2, 3}, 1), safeguard_entry(PORTS["A"])]
+        assert self.summary({}, program) == [
+            "2 match key(s) diverge from the exact-rule reference, e.g. "
+            "key (1, 1, 2): program gives 1, reference rules give 0"
+        ]
+
+    def test_unmatched_reference_key_without_safeguard(self):
+        rules = {(1, 1, 2): 1, (3, 4, 4): 3}
+        program = [entry(1, {1}, {2}, 1)]
+        assert self.summary(rules, program) == [
+            "1 match key(s) diverge from the exact-rule reference, e.g. "
+            "key (3, 4, 4): program gives no match, reference rules give 3"
+        ]
+
     def test_identical_wildcard_promotes_located_separately(self):
         """``TcamEntry`` compares by value: two equal entries are still
         two TCAM slots, and each is reported at its own index."""
