@@ -14,8 +14,8 @@ Usage (also available as ``python -m repro``)::
     # Statically certify the compiled artifact (rules, TCAM, queues).
     repro-tagger lint plan.json --json lint-report.json
 
-    # Statically certify the codebase itself (determinism, observer
-    # purity, fork safety, exit-code discipline — docs/SELFCHECK.md).
+    # Statically certify the codebase itself (determinism and observer
+    # purity — docs/SELFCHECK.md).
     repro-tagger selfcheck --strict --json selfcheck-report.json
 
     # Run the Fig. 10 deadlock demo in the simulator.
@@ -344,9 +344,9 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     """Static self-certification of the codebase's own invariants.
 
     Walks ``src/repro/**`` with the :mod:`repro.devcheck` analyzer
-    (DET determinism, PUR observer purity, FRK fork safety, CLI
-    exit-code discipline). Exit codes: 0 clean, 1 unallowlisted
-    errors, 2 with ``--strict`` when warnings remain, 3 when the
+    (DET determinism, PUR observer purity). Exit codes: 0 clean, 1
+    unallowlisted errors or a ``--root`` that is not a package
+    directory, 2 with ``--strict`` when warnings remain, 3 when the
     allowlist itself fails certification (stale/unjustified entries).
     """
     from pathlib import Path
@@ -967,15 +967,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     selfcheck = sub.add_parser(
         "selfcheck",
-        help="statically certify the codebase's determinism/purity/"
-        "fork-safety/exit-code invariants",
+        help="statically certify the codebase's determinism and "
+        "observer-purity invariants",
     )
     selfcheck.add_argument(
         "--root",
         type=str,
         default=None,
-        help="package directory to analyze (default: the installed "
-        "repro package)",
+        help="package directory to analyze, the one holding "
+        "__init__.py (default: the installed repro package)",
     )
     selfcheck.add_argument(
         "--allowlist",

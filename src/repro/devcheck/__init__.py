@@ -8,15 +8,12 @@ dynamic suites only sample:
   the deterministic packages; no unordered-set iteration feeding
   ordered output; no builtin ``hash()`` ordering;
 - **PUR** — observer purity: ``repro.obs`` reads observed objects but
-  never mutates them;
-- **FRK** — fork safety: pool-dispatched work is module-level and
-  picklable by construction;
-- **CLI** — exit-code discipline: subcommand handlers only produce the
-  documented 0/1/2/3 codes.
+  never mutates them.
 
-Run it as ``repro-tagger selfcheck`` or ``python -m repro.devcheck``;
-audited exceptions live in ``allowlist.json`` next to this file. The
-full catalog is documented in ``docs/SELFCHECK.md``.
+Run it as ``repro-tagger selfcheck``; audited exceptions live in
+``allowlist.json`` next to this file. The full catalog, and the seeded
+faults that justify keeping each family, are documented in
+``docs/SELFCHECK.md``.
 """
 
 from repro.devcheck.allowlist import (
@@ -26,7 +23,6 @@ from repro.devcheck.allowlist import (
     apply_allowlist,
     load_allowlist,
 )
-from repro.devcheck.cli_checks import check_cli_discipline
 from repro.devcheck.det_checks import check_determinism
 from repro.devcheck.diagnostics import (
     CATALOG,
@@ -37,7 +33,6 @@ from repro.devcheck.diagnostics import (
     Severity,
     make_finding,
 )
-from repro.devcheck.frk_checks import check_fork_safety
 from repro.devcheck.pur_checks import check_purity
 from repro.devcheck.runner import (
     check_module,
@@ -67,9 +62,7 @@ __all__ = [
     "SelfCheckReport",
     "Severity",
     "apply_allowlist",
-    "check_cli_discipline",
     "check_determinism",
-    "check_fork_safety",
     "check_module",
     "check_purity",
     "default_root",

@@ -8,10 +8,9 @@ for the code space — ``docs/SELFCHECK.md`` documents each entry and the
 test suite asserts the two never drift apart.
 
 Where the deployment linter certifies *artifacts* (rule tables, TCAM
-programs), the self-check certifies the *codebase*: the determinism,
-observer-purity, fork-safety and exit-code invariants every dynamic
-test suite in this repo assumes are enforced here statically, at CI
-time.
+programs), the self-check certifies the *codebase*: the determinism
+and observer-purity invariants every dynamic test suite in this repo
+assumes are enforced here statically, at CI time.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ class CodeInfo:
 
 
 #: The complete self-check code space, grouped by family: ``DET``
-#: determinism, ``PUR`` observer purity, ``FRK`` fork safety, ``CLI``
-#: exit-code discipline.
+#: determinism, ``PUR`` observer purity.
 CATALOG: Dict[str, CodeInfo] = {
     info.code: info
     for info in (
@@ -106,61 +104,11 @@ CATALOG: Dict[str, CodeInfo] = {
             "Hidden module globals leak across runs and across forked "
             "workers.",
         ),
-        CodeInfo(
-            "FRK201",
-            "unpicklable-pool-callable",
-            Severity.ERROR,
-            "A lambda or nested function is dispatched to a "
-            "multiprocessing pool. Fork-pool work items must be "
-            "module-level functions so they are picklable by "
-            "construction (and so spawn-method platforms keep working).",
-        ),
-        CodeInfo(
-            "FRK202",
-            "fork-after-threads",
-            Severity.ERROR,
-            "A function starts threads and then creates a fork-based "
-            "pool. Forking a multi-threaded process can deadlock the "
-            "child on locks held by threads that do not survive the "
-            "fork.",
-        ),
-        CodeInfo(
-            "FRK203",
-            "closure-crosses-pool-boundary",
-            Severity.ERROR,
-            "An argument expression shipped to a pool dispatch contains "
-            "a lambda: closures are not picklable and the submission "
-            "fails (or silently degrades) at runtime.",
-        ),
-        CodeInfo(
-            "CLI301",
-            "bad-exit-code",
-            Severity.ERROR,
-            "sys.exit / SystemExit with a message string or an integer "
-            "outside the documented 0/1/2/3 range. Exit discipline is "
-            "the CI contract: codes carry meaning, stderr carries text.",
-        ),
-        CodeInfo(
-            "CLI302",
-            "handler-return-undocumented",
-            Severity.ERROR,
-            "A subcommand handler (cmd_*) returns something other than "
-            "a documented exit code (0..3, an EXIT_* constant, or a "
-            "*exit_code* helper).",
-        ),
-        CodeInfo(
-            "CLI303",
-            "handler-return-unverifiable",
-            Severity.WARNING,
-            "A subcommand handler returns an expression the analyzer "
-            "cannot resolve to a documented exit code; audit it and "
-            "allowlist or refactor onto an EXIT_* constant.",
-        ),
     )
 }
 
 #: Families, in report order.
-FAMILIES: Tuple[str, ...] = ("DET", "PUR", "FRK", "CLI")
+FAMILIES: Tuple[str, ...] = ("DET", "PUR")
 
 
 @dataclass(frozen=True)
@@ -184,10 +132,6 @@ class Finding:
     @property
     def title(self) -> str:
         return CATALOG[self.code].title
-
-    @property
-    def family(self) -> str:
-        return self.code[:3]
 
     def anchor(self) -> str:
         where = f"{self.module}:{self.line}"
@@ -221,13 +165,11 @@ def make_finding(
     module: str,
     line: int,
     symbol: Optional[str] = None,
-    severity: Optional[Severity] = None,
 ) -> Finding:
-    """Build a finding, defaulting severity from the catalog."""
-    info = CATALOG[code]
+    """Build a finding with the catalog's severity for ``code``."""
     return Finding(
         code=code,
-        severity=severity if severity is not None else info.default_severity,
+        severity=CATALOG[code].default_severity,
         message=message,
         module=module,
         line=line,

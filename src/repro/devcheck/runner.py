@@ -1,11 +1,11 @@
 """The self-check runner: walk ``src/repro/**``, run every family.
 
-:func:`run_selfcheck` is the programmatic entry point behind both
-``repro-tagger selfcheck`` and ``python -m repro.devcheck``. It
-discovers the package sources, runs the four checker families
-(DET/PUR/FRK/CLI) over every module, applies the committed allowlist,
-and returns a :class:`~repro.devcheck.diagnostics.SelfCheckReport`
-whose exit-code mapping mirrors the deployment linter's.
+:func:`run_selfcheck` is the programmatic entry point behind
+``repro-tagger selfcheck``. It discovers the package sources, runs the
+two checker families (DET/PUR) over every module, applies the
+committed allowlist, and returns a
+:class:`~repro.devcheck.diagnostics.SelfCheckReport` whose exit-code
+mapping mirrors the deployment linter's.
 
 The analyzer analyzes itself: ``repro.devcheck`` is part of the tree it
 walks, so a nondeterministic construct introduced *here* fails CI like
@@ -25,27 +25,15 @@ from repro.devcheck.allowlist import (
     apply_allowlist,
     load_allowlist,
 )
-from repro.devcheck.cli_checks import check_cli_discipline
 from repro.devcheck.det_checks import check_determinism
-from repro.devcheck.diagnostics import (
-    FAMILIES,
-    Finding,
-    SelfCheckReport,
-    Severity,
-)
-from repro.devcheck.frk_checks import check_fork_safety
+from repro.devcheck.diagnostics import Finding, SelfCheckReport, Severity
 from repro.devcheck.pur_checks import check_purity
 from repro.devcheck.sources import ModuleSource, discover_modules
 
 Checker = Callable[[ModuleSource], List[Finding]]
 
-#: The four families, in catalog order.
-CHECKERS: Sequence[Checker] = (
-    check_determinism,
-    check_purity,
-    check_fork_safety,
-    check_cli_discipline,
-)
+#: The two families, in catalog order.
+CHECKERS: Sequence[Checker] = (check_determinism, check_purity)
 
 
 def default_root() -> Path:
@@ -98,10 +86,6 @@ def run_selfcheck(
     report.stats["files"] = len(units)
     report.stats["allowlist_entries"] = len(entries)
     report.stats["findings"] = len(findings)
-    for family in FAMILIES:
-        report.stats[f"family_{family.lower()}"] = sum(
-            1 for finding in findings if finding.family == family
-        )
     report.stats["errors"] = len(report.errors)
     report.stats["warnings"] = len(report.warnings)
     report.stats["allowlisted"] = len(report.allowlisted)

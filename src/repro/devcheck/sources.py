@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.devcheck.diagnostics import Finding, Severity, make_finding
+from repro.devcheck.diagnostics import Finding, make_finding
 from repro.exceptions import ReproError
 
 
@@ -55,9 +55,17 @@ def parse_module(root: Path, path: Path, package: str) -> ModuleSource:
 
 
 def discover_modules(root: Path, package: str = "repro") -> List[ModuleSource]:
-    """Parse every ``*.py`` under ``root`` into analysis units, sorted."""
-    if not root.is_dir():
-        raise SelfCheckError(f"not a package directory: {root}")
+    """Parse every ``*.py`` under ``root`` into analysis units, sorted.
+
+    ``root`` must be the package directory itself: module names are
+    ``package`` plus the path below ``root``, so the checkers' package
+    scoping (DET's restricted packages, PUR's ``repro.obs``) would
+    silently match nothing under a parent directory.
+    """
+    if not (root / "__init__.py").is_file():
+        raise SelfCheckError(
+            f"not a package directory (no __init__.py): {root}"
+        )
     return [
         parse_module(root, path, package)
         for path in sorted(root.rglob("*.py"))
@@ -153,13 +161,7 @@ class BaseChecker(ast.NodeVisitor):
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def add(
-        self,
-        code: str,
-        message: str,
-        node: ast.AST,
-        severity: Optional[Severity] = None,
-    ) -> None:
+    def add(self, code: str, message: str, node: ast.AST) -> None:
         self.findings.append(
             make_finding(
                 code,
@@ -167,7 +169,6 @@ class BaseChecker(ast.NodeVisitor):
                 module=self.unit.module,
                 line=getattr(node, "lineno", 0),
                 symbol=self.symbol,
-                severity=severity,
             )
         )
 

@@ -14,9 +14,10 @@ discipline:
   draws which task first (load balancing); it cannot change any result;
 - **fork start method only** — workers inherit the parent image, so
   module state (plans, caches) is shared copy-on-write and worker
-  functions must be module-level (fork-safety is FRK-certified by the
-  repo self-check). Platforms without ``fork`` degrade to the serial
-  path, same results;
+  functions must be module-level (a lambda or closure fails to pickle,
+  which the worker-count equivalence tests catch); no thread may be
+  alive when the pool forks (pinned by ``tests/simulator/test_sweep.py``).
+  Platforms without ``fork`` degrade to the serial path, same results;
 - **structured failure, no hangs** — a worker that raises returns an
   error result for its task; a worker that *dies* (hard crash, OOM
   kill) fails its task and every task still pending with a

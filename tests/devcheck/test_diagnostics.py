@@ -20,7 +20,7 @@ DOCS = pathlib.Path(__file__).resolve().parents[2] / "docs" / "SELFCHECK.md"
 class TestCatalog:
     def test_families_and_format(self):
         for code, info in CATALOG.items():
-            assert re.fullmatch(r"(DET|PUR|FRK|CLI)\d{3}", code)
+            assert re.fullmatch(r"(DET|PUR)\d{3}", code)
             assert code[:3] in FAMILIES
             assert info.code == code
             assert info.title and info.summary
@@ -50,12 +50,6 @@ class TestFinding:
         assert finding.title == "wall-clock-or-entropy-read"
         warn = make_finding("DET005", "tick", "repro.core.x", 11)
         assert warn.severity is Severity.WARNING
-
-    def test_severity_override(self):
-        finding = make_finding(
-            "DET001", "boom", "repro.core.x", 10, severity=Severity.WARNING
-        )
-        assert finding.severity is Severity.WARNING
 
     def test_unknown_code_rejected(self):
         with pytest.raises(KeyError):
@@ -87,7 +81,7 @@ class TestFinding:
 class TestSelfCheckReport:
     def test_ok_ignores_warnings(self):
         report = SelfCheckReport()
-        report.extend([make_finding("CLI303", "odd return", "repro.cli", 9)])
+        report.extend([make_finding("DET005", "tick", "repro.core.x", 9)])
         assert report.ok
         assert report.warnings and not report.errors
 
@@ -119,10 +113,10 @@ class TestSelfCheckReport:
             [
                 make_finding("DET003", "a", "repro.core.x", 1),
                 make_finding("DET003", "b", "repro.core.y", 2),
-                make_finding("FRK201", "c", "repro.core.z", 3),
+                make_finding("PUR101", "c", "repro.obs.z", 3),
             ]
         )
-        assert report.by_code() == {"DET003": 2, "FRK201": 1}
+        assert report.by_code() == {"DET003": 2, "PUR101": 1}
         assert "DET003x2" in report.summary()
         assert report.summary().startswith("DIRTY")
 
@@ -135,7 +129,7 @@ class TestSelfCheckReport:
         report = SelfCheckReport()
         report.extend(
             [
-                make_finding("FRK201", "z", "repro.core.b", 9),
+                make_finding("DET004", "z", "repro.core.b", 9),
                 make_finding("DET003", "a", "repro.core.a", 9),
                 make_finding("DET001", "a", "repro.core.a", 2),
             ]
@@ -150,12 +144,12 @@ class TestSelfCheckReport:
     def test_to_dict_is_json_serializable(self):
         report = SelfCheckReport(stats={"files": 3})
         report.extend(
-            [make_finding("CLI301", "exit('x')", "repro.cli", 7, symbol="f")]
+            [make_finding("DET001", "clock", "repro.core.x", 7, symbol="f")]
         )
         blob = json.loads(json.dumps(report.to_dict()))
         assert blob["ok"] is False
         assert blob["counts"]["error"] == 1
-        assert blob["counts"]["by_code"] == {"CLI301": 1}
+        assert blob["counts"]["by_code"] == {"DET001": 1}
         assert blob["stats"]["files"] == 3
-        assert blob["findings"][0]["code"] == "CLI301"
+        assert blob["findings"][0]["code"] == "DET001"
         assert blob["findings"][0]["symbol"] == "f"

@@ -1,14 +1,15 @@
 """The runner end to end: tree walks, allowlisting, the golden report.
 
-The golden snapshot freezes the *entire* self-check report for the real
-``src/repro`` tree — every audited exception and its anchor. Any new
-finding (or a vanished allowlisted one) shows up as a readable diff in
-review. Regenerate intentionally with::
+The golden snapshot freezes the self-check verdict for the real
+``src/repro`` tree — every finding, counted per ``(code, module,
+symbol)``. Any new finding (or a vanished allowlisted one) shows up as
+a readable diff in review. Regenerate intentionally with::
 
     PYTHONPATH=src python -m pytest tests/devcheck --update-golden
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -68,29 +69,11 @@ class TestTreeWalk:
                     def on_plan(bus, plan):
                         plan.seen = True
                     """,
-                "deploy/__init__.py": "",
-                "deploy/sweep.py": """
-                    def run(pool, items):
-                        return pool.map(lambda x: x, items)
-                    """,
-                "cli.py": """
-                    def cmd_run(args):
-                        return "done"
-                    """,
             }
         )
         report = run_selfcheck(root=root, allowlist_path=empty_allowlist)
         assert not report.ok
-        assert report.by_code() == {
-            "CLI302": 1,
-            "DET001": 1,
-            "FRK201": 1,
-            "PUR101": 1,
-        }
-        assert report.stats["family_det"] == 1
-        assert report.stats["family_pur"] == 1
-        assert report.stats["family_frk"] == 1
-        assert report.stats["family_cli"] == 1
+        assert report.by_code() == {"DET001": 1, "PUR101": 1}
         assert severity_exit_code(report) == 1
         # Report order is (module, line, code) — deterministic.
         modules = [f.module for f in report.findings]
@@ -177,25 +160,25 @@ class TestAllowlistIntegration:
         assert severity_exit_code(report, strict=True) == 2
 
 
+def golden_view(report):
+    """``ok`` plus a ``code module symbol -> count`` map: no line numbers
+    or file counts, so edits elsewhere in a file never churn it."""
+    counts = Counter(
+        f"{f.code} {f.module} {f.symbol}" for f in report.findings
+    )
+    return {"ok": report.ok, "findings": dict(counts)}
+
+
 class TestRealTree:
-    def test_src_repro_is_clean(self):
-        """The acceptance gate: the shipped tree passes its own check."""
+    def test_golden_full_repo_report(self, request):
+        """The shipped tree, walked once, passes its own check: no active
+        finding, every audited exception visible, the golden unchanged."""
         report = run_selfcheck()
-        assert report.ok
-        assert not report.warnings, [f.render() for f in report.warnings]
-        # Every audited exception is visible, none active.
+        assert not report.active, [f.render() for f in report.active]
         assert report.allowlisted, "expected audited DET005 exceptions"
         assert severity_exit_code(report, strict=True) == 0
-
-    def test_analyzer_walks_itself(self):
-        report = run_selfcheck()
-        modules = {f.module for f in report.findings}
-        del modules  # findings may not touch devcheck; check the walk:
         assert report.stats["files"] > 50
-
-    def test_golden_full_repo_report(self, request):
-        report = run_selfcheck()
-        rendered = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        rendered = json.dumps(golden_view(report), indent=2, sort_keys=True)
         rendered += "\n"
         if request.config.getoption("--update-golden"):
             GOLDEN.write_text(rendered)

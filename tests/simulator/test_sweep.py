@@ -8,9 +8,11 @@ instead of a hang or a crashed campaign.
 
 import multiprocessing
 import os
+import threading
 
 import pytest
 
+from repro.simulator import sweep
 from repro.simulator.sweep import (
     WORKER_CRASH,
     WORKER_ERROR,
@@ -90,6 +92,23 @@ class TestParallelDeterminism:
         baseline = run_sweep(_square, tasks, workers=4, seed=0)
         for seed in (1, 7, 12345):
             assert run_sweep(_square, tasks, workers=4, seed=seed) == baseline
+
+    def test_pool_is_forked_with_no_extra_thread_alive(self, monkeypatch):
+        """Forking while another thread runs can leave a worker blocked on
+        a lock that thread held; nothing in a test run would show it.
+        run_sweep must start no thread before it builds its fork pool."""
+        before = set(threading.enumerate())
+        started_before_fork = []
+
+        class WatchedPool(sweep.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started_before_fork.append(set(threading.enumerate()) - before)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", WatchedPool)
+        results = run_sweep(_square, [1, 2], workers=2)
+        assert [r.value for r in results] == [1, 4]
+        assert started_before_fork == [set()]
 
     def test_results_come_back_in_task_order(self):
         tasks = list(range(9))

@@ -390,6 +390,17 @@ class TestSelfcheck:
         assert "DIRTY" in out
         assert "DET001" in out
 
+    def test_root_above_the_package_exits_1(self, tmp_path, capsys):
+        """A root one level too high would rename every module
+        ``repro.repro.*`` and silently un-scope DET; refuse it."""
+        base = self.tree(tmp_path, self.DIRTY)
+        base[1] = str(tmp_path)
+        assert main(["selfcheck", *base]) == 1
+        captured = capsys.readouterr()
+        assert "CLEAN" not in captured.out
+        assert captured.err.count("error:") == 1
+        assert "__init__.py" in captured.err
+
     def test_strict_warnings_exit_2(self, tmp_path, capsys):
         base = self.tree(tmp_path, self.WARN)
         assert main(["selfcheck", *base]) == 0
