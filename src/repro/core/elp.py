@@ -16,9 +16,19 @@ trust the paths it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.exceptions import TaggingError
+from repro.exceptions import RoutingError, TaggingError
 from repro.routing.base import Path, is_loop_free, validate_path
 from repro.routing.bounce import all_bounce_paths
 from repro.routing.shortest import (
@@ -27,9 +37,12 @@ from repro.routing.shortest import (
     iter_pairwise_shortest_paths,
     random_loopfree_paths,
 )
-from repro.routing.updown import reachable_updown_paths
+from repro.routing.updown import updown_paths_by_pair
 from repro.topology.base import Topology
 from repro.topology.bcube import bcube_default_route, bcube_servers
+from repro.topology.failures import LinkKey
+
+Pair = Tuple[str, str]
 
 
 def canonical_elp_path(topo: Topology, path: Sequence[str]) -> Path:
@@ -166,6 +179,13 @@ class PairwiseElpProvider:
        sound; it holds for shortest-path selection because removing
        links never shortens distances (see docs/PERFORMANCE.md for the
        argument, including the capped-ECMP and up-down cases).
+
+    The re-planner asks for all of one delta's dirty pairs in one
+    :meth:`rederive_pairs` call. Its answer must equal :meth:`pair_paths`
+    pair for pair; what it may use to get there faster is the pairs'
+    current paths and the links the delta removed. A pair's paths are
+    ``()`` when it has none; a bad endpoint raises
+    :class:`~repro.exceptions.TaggingError` naming it.
     """
 
     description: str = "pairwise ELP"
@@ -175,6 +195,22 @@ class PairwiseElpProvider:
 
     def pair_paths(self, topo: Topology, src: str, dst: str) -> Tuple[Path, ...]:
         raise NotImplementedError
+
+    def rederive_pairs(
+        self,
+        topo: Topology,
+        current: Mapping[Pair, Tuple[Path, ...]],
+        removed: AbstractSet[LinkKey] = frozenset(),
+    ) -> Dict[Pair, Tuple[Path, ...]]:
+        """:meth:`pair_paths` on ``topo`` for every pair of ``current``,
+        in its order.
+
+        ``current`` holds each pair's paths on the topology as it was just
+        before the links in ``removed`` went down (``removed`` is empty
+        for a restore). This default re-enumerates every pair and ignores
+        both.
+        """
+        return {pair: self.pair_paths(topo, *pair) for pair in current}
 
     def ordered_pairs(self, topo: Topology) -> List[Tuple[str, str]]:
         names = self.endpoints(topo)
@@ -211,9 +247,11 @@ class UpDownElpProvider(PairwiseElpProvider):
     ``build`` produces exactly the path set of
     ``clos_updown_elp(topo, endpoints)``: unreachable pairs are skipped
     silently, and per-pair results are the sorted deduplicated shortest
-    up-down paths. Endpoints must be layered switches; the locality
-    contract is proven for lowest-layer (ToR) endpoints, which is the
-    only configuration the paper uses.
+    up-down paths. Endpoints must be layered switches — a host or
+    unlayered endpoint raises :class:`~repro.exceptions.TaggingError`
+    rather than planning around it. The locality contract is proven for
+    lowest-layer (ToR) endpoints, which is the only configuration the
+    paper uses.
     """
 
     explicit_endpoints: Optional[Sequence[str]] = None
@@ -226,9 +264,56 @@ class UpDownElpProvider(PairwiseElpProvider):
         return sorted(topo.switches_at_layer(0))
 
     def pair_paths(self, topo: Topology, src: str, dst: str) -> Tuple[Path, ...]:
-        return tuple(
-            reachable_updown_paths(topo, src, dst, self.shortest_only)
-        )
+        return self._enumerate(topo, [(src, dst)])[(src, dst)]
+
+    def rederive_pairs(
+        self,
+        topo: Topology,
+        current: Mapping[Pair, Tuple[Path, ...]],
+        removed: AbstractSet[LinkKey] = frozenset(),
+    ) -> Dict[Pair, Tuple[Path, ...]]:
+        """A pair that lost links keeps those of its current paths that
+        avoid them, whenever one does; every other pair is enumerated
+        with one up-DAG per endpoint for the whole call.
+
+        The filter is exact. Removing links never creates an up-down
+        path, so the new candidates are the old ones that avoid the lost
+        links. A survivor keeps the lowest common-ancestor layer and the
+        minimal length, so the shortest-only cut selects exactly the
+        survivors. And filtering a sorted tuple keeps it sorted.
+        """
+        fresh: Dict[Pair, Tuple[Path, ...]] = {}
+        missing: List[Pair] = []
+        for pair, paths in current.items():
+            if removed and paths:
+                kept = tuple(
+                    path for path in paths if _avoids(path, removed)
+                )
+                if kept:
+                    fresh[pair] = kept
+                    continue
+            missing.append(pair)
+        fresh.update(self._enumerate(topo, missing))
+        return {pair: fresh[pair] for pair in current}
+
+    def _enumerate(
+        self, topo: Topology, pairs: List[Pair]
+    ) -> Dict[Pair, Tuple[Path, ...]]:
+        try:
+            found = updown_paths_by_pair(topo, pairs, self.shortest_only)
+        except RoutingError as exc:
+            # Only "no up-down path" is an empty answer; a host or
+            # unlayered endpoint is a misconfigured ELP.
+            raise TaggingError(f"cannot enumerate up-down ELP: {exc}") from exc
+        return {pair: tuple(paths) for pair, paths in found.items()}
+
+
+def _avoids(path: Path, links: AbstractSet[LinkKey]) -> bool:
+    """Does loop-free ``path`` traverse none of ``links``?"""
+    return not any(
+        a in path and b in path and abs(path.index(a) - path.index(b)) == 1
+        for a, b in links
+    )
 
 
 @dataclass
@@ -261,6 +346,24 @@ class ShortestPathElpProvider(PairwiseElpProvider):
     def pair_paths(self, topo: Topology, src: str, dst: str) -> Tuple[Path, ...]:
         dist = bfs_distances(topo, dst)
         return tuple(downhill_paths(topo, dist, src, dst, self.per_pair))
+
+    def rederive_pairs(
+        self,
+        topo: Topology,
+        current: Mapping[Pair, Tuple[Path, ...]],
+        removed: AbstractSet[LinkKey] = frozenset(),
+    ) -> Dict[Pair, Tuple[Path, ...]]:
+        """The batch step: one BFS per distinct destination."""
+        distances: Dict[str, Dict[str, int]] = {}
+        fresh: Dict[Pair, Tuple[Path, ...]] = {}
+        for src, dst in current:
+            dist = distances.get(dst)
+            if dist is None:
+                dist = distances[dst] = bfs_distances(topo, dst)
+            fresh[(src, dst)] = tuple(
+                downhill_paths(topo, dist, src, dst, self.per_pair)
+            )
+        return fresh
 
     def enumerate_paths(self, topo: Topology) -> Iterator[Path]:
         return iter_pairwise_shortest_paths(

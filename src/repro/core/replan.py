@@ -16,7 +16,9 @@ actually invalidates:
    topology. A link→pairs index identifies the pairs whose current
    paths traverse a failed link; a *damaged* set (pairs whose current
    paths differ from the no-failure baseline) bounds which pairs a
-   restore can affect. Only those pairs are re-enumerated.
+   restore can affect. Only those pairs are re-derived, all of one
+   delta's in one provider call that is handed their current paths and
+   the links the delta removed.
 2. **Refcounted brute-force graph.** Every ELP path contributes
    reference counts to the Algorithm-1 nodes/edges it induces; the
    tagged graph is exactly the entries with a positive count, so path
@@ -247,13 +249,23 @@ class ReplanResult:
         )
 
 
-def _path_links(path: Path) -> FrozenSet[LinkKey]:
-    """Canonical link keys a path traverses (host hops included)."""
-    keys = []
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        keys.append((a, b) if a <= b else (b, a))
-    return frozenset(keys)
+def _multiset_difference(
+    old: Tuple[Path, ...], new: Tuple[Path, ...]
+) -> Tuple[List[Path], List[Path]]:
+    """The paths ``old`` has beyond ``new``, and ``new`` beyond ``old``,
+    counting repeats — by set lookups when neither repeats a path (every
+    shipped provider), else by counting."""
+    old_set, new_set = set(old), set(new)
+    if len(old_set) == len(old) and len(new_set) == len(new):
+        return (
+            [path for path in old if path not in new_set],
+            [path for path in new if path not in old_set],
+        )
+    old_counter, new_counter = Counter(old), Counter(new)
+    return (
+        list((old_counter - new_counter).elements()),
+        list((new_counter - old_counter).elements()),
+    )
 
 
 class IncrementalPlanner:
@@ -463,6 +475,7 @@ class IncrementalPlanner:
 
         mode = MODE_INCREMENTAL
         dirty: Set[Pair] = set()
+        removed: Set[LinkKey] = set()
         changed_paths = 0
 
         with timer.stage("elp"):
@@ -474,6 +487,7 @@ class IncrementalPlanner:
             elif delta.kind in (LINK_DOWN, DRAIN):
                 # Locality: a pair's path set can change only if one of
                 # its current paths traverses a link that went down.
+                removed = set(touched)
                 for link in touched:
                     dirty |= self._link_index.get(link, set())
             else:  # link-up / undrain
@@ -484,8 +498,7 @@ class IncrementalPlanner:
                     dirty = set(self.provider.ordered_pairs(self.topo))
                 else:
                     dirty = set(self._damaged)
-            for pair in sorted(dirty):
-                changed_paths += self._recompute_pair(pair)
+            changed_paths += self._recompute_pairs(sorted(dirty), removed)
 
         with timer.stage("bruteforce"):
             if delta.kind == ADD_PATHS:
@@ -535,56 +548,59 @@ class IncrementalPlanner:
         with timer.stage("certify"):
             self._cert = certify(self.topo, self.provider)
 
-    def _provider_pair_paths(self, pair: Pair) -> Tuple[Path, ...]:
-        """One pair's ELP — closed form while certified, else provider.
+    def _recompute_pairs(
+        self, pairs: List[Pair], removed: Set[LinkKey]
+    ) -> int:
+        """Re-derive ``pairs`` after a delta that took down ``removed``;
+        returns how many paths they lost + gained.
 
-        The certificate's :meth:`~SymmetryCertificate.pair_paths` is
-        byte-identical to the provider's on any topology it certifies
-        (property-tested), so callers never observe which one ran.
+        One call answers every pair: the certificate's closed form while
+        it holds (byte-identical to the provider's on any topology it
+        certifies, property-tested), else one
+        :meth:`~repro.core.elp.PairwiseElpProvider.rederive_pairs` call.
+        Only a pair whose path set changed touches the refcounted graph
+        (with the multiset difference, which records the lowest level the
+        change disturbs) and the link index.
         """
-        src, dst = pair
+        current = {pair: self._pairs.get(pair, ()) for pair in pairs}
         if self._cert is not None:
-            return self._cert.pair_paths(src, dst)
-        return self.provider.pair_paths(self.topo, src, dst)
-
-    def _recompute_pair(self, pair: Pair) -> int:
-        """Re-enumerate one pair; returns how many paths it lost + gained.
-
-        Only the multiset difference between the old and new path sets
-        touches the refcounted graph (which records the lowest level the
-        change disturbs); unchanged paths never do.
-        """
-        old = self._pairs.get(pair, ())
-        new = self._provider_pair_paths(pair)
+            cert = self._cert
+            fresh = {pair: cert.pair_paths(*pair) for pair in pairs}
+        else:
+            fresh = self.provider.rederive_pairs(self.topo, current, removed)
         changed = 0
-        if new != old:
-            # Refcounts are additive, so only the multiset difference
-            # needs to touch the brute-force graph: a link flap typically
-            # preserves most of a pair's ECMP fan-out, and churning the
-            # survivors would cost far more than the enumeration itself.
-            old_counter = Counter(old)
-            new_counter = Counter(new)
-            for path in (old_counter - new_counter).elements():
-                self._brute.remove_path(path)
-                changed += 1
-            for path in (new_counter - old_counter).elements():
-                self._brute.add_path(path)
-                changed += 1
-            self._set_pair(pair, new)
-        if self._base is not None:
-            # Membership may flip even when this pair did not change: a
-            # restore can undo the damage bookkeeping.
-            if new != self._base.get(pair, ()):
-                self._damaged.add(pair)
-            else:
-                self._damaged.discard(pair)
+        base = self._base
+        for pair in pairs:
+            old, new = current[pair], fresh[pair]
+            if new != old:
+                # Refcounts are additive, so only the multiset difference
+                # needs to touch the brute-force graph: a link flap
+                # typically preserves most of a pair's ECMP fan-out, and
+                # churning the survivors would cost far more than the
+                # enumeration itself.
+                lost, gained = _multiset_difference(old, new)
+                for path in lost:
+                    self._brute.remove_path(path)
+                for path in gained:
+                    self._brute.add_path(path)
+                changed += len(lost) + len(gained)
+                self._set_pair(pair, new)
+            if base is not None:
+                # Membership may flip even when this pair did not change:
+                # a restore can undo the damage bookkeeping.
+                if new != base.get(pair, ()):
+                    self._damaged.add(pair)
+                else:
+                    self._damaged.discard(pair)
         return changed
 
     def _set_pair(self, pair: Pair, paths: Tuple[Path, ...]) -> None:
         old_links = self._pair_links.get(pair, frozenset())
-        new_links: FrozenSet[LinkKey] = frozenset()
-        if paths:
-            new_links = frozenset().union(*(_path_links(p) for p in paths))
+        # Canonical link keys the paths traverse (host hops included).
+        hops = {hop for path in paths for hop in zip(path, path[1:])}
+        new_links: FrozenSet[LinkKey] = frozenset(
+            {(a, b) if a <= b else (b, a) for a, b in hops}
+        )
         for link in old_links - new_links:
             bucket = self._link_index.get(link)
             if bucket is not None:
@@ -607,8 +623,7 @@ class IncrementalPlanner:
         """From-scratch build of every pipeline stage (init path)."""
         self._refresh_cert(timer)
         with timer.stage("elp"):
-            for pair in self.provider.ordered_pairs(self.topo):
-                self._recompute_pair(pair)
+            self._recompute_pairs(self.provider.ordered_pairs(self.topo), set())
         with timer.stage("bruteforce"):
             for path in self._extras:
                 self._brute.add_path(path)

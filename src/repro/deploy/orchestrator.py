@@ -41,7 +41,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.pipeline import QueueMap
 from repro.core.rules import MatchKey, RuleDiff, RuleTable, diff_tables, tables_equal
 from repro.deploy.agent import (
     ACK_STALE,
@@ -532,11 +531,10 @@ class RolloutOrchestrator:
             s: SwitchOutcome(switch=s) for wave in waves for s in wave
         }
 
-        # One rollout lints the same fabric W+2 times or more; every
-        # lint below shares its per-switch stage through this object.
+        # The boundary verdicts, their singleton-wave retry and the final
+        # lint all resolve per-switch sections through this one object.
         sections = LintSections(self.topo)
         with timer.stage("certify"):
-            queue_map = transition_queue_map(self.old, self.new)
             cert = certify_rollout(
                 self.topo,
                 self.old,
@@ -544,7 +542,6 @@ class RolloutOrchestrator:
                 waves,
                 lint_boundaries=self.config.lint_boundaries,
                 sections=sections,
-                queue_map=queue_map,
             )
             if not cert.ok and any(len(w) > 1 for w in waves):
                 singleton = [[s] for wave in waves for s in wave]
@@ -555,7 +552,6 @@ class RolloutOrchestrator:
                     singleton,
                     lint_boundaries=self.config.lint_boundaries,
                     sections=sections,
-                    queue_map=queue_map,
                 )
                 if retry.ok:
                     waves, cert = singleton, retry
@@ -576,7 +572,7 @@ class RolloutOrchestrator:
             report.outcome = CONVERGED
             report.detail = "already at target; nothing to deploy"
             report.rpc_count = self.network.rpc_count
-            self._finalize(report, timer, sections, queue_map)
+            self._finalize(report, timer, sections)
             return report
 
         with timer.stage("execute"):
@@ -631,7 +627,7 @@ class RolloutOrchestrator:
             report.outcome = CONVERGED
             report.detail = "every switch acked and readback-verified"
 
-        self._finalize(report, timer, sections, queue_map)
+        self._finalize(report, timer, sections)
         return report
 
     # ------------------------------------------------------------------
@@ -640,9 +636,12 @@ class RolloutOrchestrator:
         report: RolloutReport,
         timer: StageTimer,
         sections: LintSections,
-        queue_map: QueueMap,
     ) -> None:
-        """Ground-truth verification: what do the agents actually hold?"""
+        """Ground-truth verification: what do the agents actually hold?
+
+        The one full lint of a rollout: every check family, fabric-wide
+        stage included, over the tables read back from the agents.
+        """
         with timer.stage("verify-final"):
             self.network.flush_deferred()
             final: Tables = {}
@@ -650,7 +649,10 @@ class RolloutOrchestrator:
                 if agent.rules:
                     final[switch] = agent.table()
             lint = lint_tables(
-                self.topo, final, queue_map, sections=sections
+                self.topo,
+                final,
+                transition_queue_map(self.old, self.new),
+                sections=sections,
             )
             report.final_lint_ok = lint.ok
             quarantined = set(report.quarantined)

@@ -39,12 +39,17 @@ and stragglers. :func:`certify_rollout` checks, in this order,
   union fails, at the price of requiring the wave barriers to be
   respected;
 - every **wave-boundary fleet state** (a concrete, quiescent table set)
-  through the full deployment linter — T001–T004 graph certification
-  plus the S/R/B families — reusing :mod:`repro.lint` verbatim. By fact
-  1 the linter's per-switch findings depend on one switch's table only,
-  so the ``W+1`` boundaries (and the orchestrator's final ground-truth
-  lint) share one :class:`~repro.lint.LintSections`: a switch is
-  validated and compiled once per distinct rule content per rollout.
+  for the error findings the full deployment linter would report. By
+  fact 1 the linter's per-switch sections depend on one switch's table
+  only, and while every rule is well formed its fabric-wide stage cannot
+  add an error to a boundary whose graph the checks above certified
+  (:func:`_boundary_lint_errors` has the argument). So a boundary's
+  verdict is its switches' section errors plus that graph proof: each
+  switch is validated and compiled once per (switch, old table) and
+  once per (switch, new table), and the ``W+1`` boundaries share those
+  sections with the orchestrator's final ground-truth lint — the one
+  full :func:`~repro.lint.lint_tables` of a rollout — through one
+  :class:`~repro.lint.LintSections`.
 
 The certificate is a value: the orchestrator embeds it in its report,
 and refuses to execute when :attr:`TransitionCertificate.ok` is false.
@@ -61,6 +66,7 @@ from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.core.verification import verify_tagged_graph
 from repro.exceptions import ReproError
 from repro.lint import LintSections, lint_tables
+from repro.lint.diagnostics import Severity
 from repro.topology.base import Topology
 
 Tables = Dict[str, RuleTable]
@@ -220,7 +226,6 @@ def certify_rollout(
     waves: Sequence[Sequence[str]],
     lint_boundaries: bool = True,
     sections: Optional[LintSections] = None,
-    queue_map: Optional[QueueMap] = None,
 ) -> TransitionCertificate:
     """Certify every state reachable under ``waves`` ordering.
 
@@ -230,13 +235,13 @@ def certify_rollout(
     implication and none of them is built. Only when it fails does the
     fine-grained path run: one graph per boundary, one union per wave.
 
-    ``lint_boundaries=False`` skips the full linter at quiescent
-    boundaries and keeps only the (sound and much faster) union-graph
-    R1/R2 certification — the fuzz harness uses it for throughput.
-    ``sections`` and ``queue_map`` (:func:`transition_queue_map` of the
-    two plans) let a caller that lints this transition again share the
-    boundary lints' per-switch stage and skip the map's recomputation;
-    without them the boundaries share among themselves.
+    Each boundary whose graph certified then gets the error findings
+    :func:`~repro.lint.lint_tables` would report for it, built from
+    per-switch sections (:func:`_boundary_lint_errors`).
+    ``lint_boundaries=False`` skips that and keeps only the (sound and
+    much faster) union-graph R1/R2 certification — the fuzz harness uses
+    it for throughput. ``sections`` lets a caller that lints this
+    transition again share the per-switch stage.
     """
     cert = TransitionCertificate(waves=[list(w) for w in waves])
     cert.switches_touched = sum(len(w) for w in waves)
@@ -253,21 +258,15 @@ def certify_rollout(
     else:
         graph_errors = _certify_wave_order(topo, old, new, boundaries, cert)
 
-    # Wave-boundary quiescent states through the full linter.
     if lint_boundaries:
-        if queue_map is None:
-            queue_map = transition_queue_map(old, new)
-        if sections is None:
-            sections = LintSections(topo)
-        for done, errors in zip(boundaries, graph_errors):
-            if not errors:
-                report = lint_tables(
-                    topo,
-                    mixed_tables(old, new, done),
-                    queue_map,
-                    sections=sections,
-                )
-                errors.extend(d.render() for d in report.errors)
+        _boundary_lint_errors(
+            topo,
+            old,
+            new,
+            boundaries,
+            graph_errors,
+            sections if sections is not None else LintSections(topo),
+        )
     cert.boundary_errors = graph_errors
 
     if cert.covers_stragglers:
@@ -277,6 +276,78 @@ def certify_rollout(
             2 ** min(len(wave), 62) - 2 for wave in waves if len(wave) > 1
         )
     return cert
+
+
+#: A switch's part of a boundary's errors: its program section's rendered
+#: error findings, or None when its rule section has a T002-T004 finding.
+_Verdict = Optional[Tuple[str, ...]]
+
+
+def _boundary_lint_errors(
+    topo: Topology,
+    old: Tables,
+    new: Tables,
+    boundaries: Sequence[Set[str]],
+    graph_errors: List[List[str]],
+    sections: LintSections,
+) -> None:
+    """Append to each boundary whose graph certified the error findings
+    a full :func:`~repro.lint.lint_tables` of it would report.
+
+    While every rule passes T002-T004, only the program sections can
+    contribute one. T001 cannot fire: the boundary's graph — or the
+    global union it is a subgraph of — was certified for R1 above, and
+    lint's graph is a subgraph of it. R201-R203 are never errors, B301
+    has no budget here, and B302 cannot fire under
+    :func:`transition_queue_map`: live tags are then the initial tag and
+    lossless rewrites of the two plans, all within the map. So each
+    switch's sections are resolved once per (switch, old table) and once
+    per (switch, new table), and a boundary's errors are its switches'
+    program-section errors in sorted switch order, as the linter orders
+    them. A boundary holding a rule T002-T004 rejects — malformed input,
+    where a negative rewrite can be a live unmapped tag — is linted in
+    full.
+    """
+    verdicts: Dict[Tuple[str, bool], _Verdict] = {}
+
+    def verdict(switch: str, table: RuleTable, updated: bool) -> _Verdict:
+        key = (switch, updated)
+        if key not in verdicts:
+            rule, program = sections.resolve(switch, table)
+            assert rule is not None and program is not None
+            verdicts[key] = (
+                None
+                if rule.diagnostics
+                else tuple(
+                    d.render()
+                    for d in program.diagnostics
+                    if d.severity is Severity.ERROR
+                )
+            )
+        return verdicts[key]
+
+    switches = sorted(set(old) | set(new))
+    for done, errors in zip(boundaries, graph_errors):
+        if errors:
+            continue
+        found: List[str] = []
+        for switch in switches:
+            updated = switch in done
+            table = (new if updated else old).get(switch)
+            if table is None:
+                continue
+            program_errors = verdict(switch, table, updated)
+            if program_errors is None:
+                report = lint_tables(
+                    topo,
+                    mixed_tables(old, new, done),
+                    transition_queue_map(old, new),
+                    sections=sections,
+                )
+                found = [d.render() for d in report.errors]
+                break
+            found.extend(program_errors)
+        errors.extend(found)
 
 
 def _certify_wave_order(

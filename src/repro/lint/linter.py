@@ -23,11 +23,11 @@ its program into a :class:`~repro.lint.tcam_checks.ProgramSection`
 (compilation, S101-S105; B301 reads its length). The **fabric-wide
 stage** consumes the sections: T001's cycle search, the R201-R203
 closure and B302. A section depends only on the wiring and that one
-switch's content, so lints of the same fabric that pass the same
-:class:`LintSections` — the wave boundaries and final ground-truth lint
-of one rollout — build a section once per distinct content and reuse it.
-A lint given no :class:`LintSections` runs the same two stages and keeps
-nothing.
+switch's content, so everything that resolves sections through the same
+:class:`LintSections` — a rollout's wave-boundary verdicts and its final
+ground-truth lint — builds a section once per distinct content and
+reuses it. A lint given no :class:`LintSections` runs the same two
+stages and keeps nothing.
 
 A report with zero error-severity findings is a certificate that the
 deployed configuration is deadlock-free and faithful to its own
@@ -70,8 +70,8 @@ class LintSections:
     """Per-switch sections shared by several lints of one fabric.
 
     Valid for one topology whose wiring does not change while the
-    object lives. ``built`` / ``reused`` count per-switch resolutions
-    (one per switch per lint), for telemetry.
+    object lives. ``built`` / ``reused`` count per-switch resolutions,
+    for telemetry.
     """
 
     def __init__(self, topo: Topology) -> None:
@@ -83,6 +83,48 @@ class LintSections:
             Tuple[str, RuleContent, Optional[Tuple[TcamEntry, ...]]],
             ProgramSection,
         ] = {}
+
+    def resolve(
+        self,
+        switch: str,
+        table: Optional[RuleTable],
+        with_program: bool = True,
+        given: Optional[Tuple[TcamEntry, ...]] = None,
+    ) -> Tuple[Optional[RuleSection], Optional[ProgramSection]]:
+        """One switch's rule section (None without a table) and program
+        section (None unless ``with_program``), looked up by content
+        before either is built — the per-switch stage of a lint.
+
+        ``given`` is the switch's explicit program; without it the
+        program section certifies the one compiled from ``table``.
+        """
+        content: RuleContent = (
+            frozenset() if table is None else frozenset(table.rules.items())
+        )
+        built = False
+        rule: Optional[RuleSection] = None
+        if table is not None:
+            rule_key = (switch, content)
+            rule = self._rules.get(rule_key)
+            if rule is None:
+                rule = self._rules[rule_key] = rule_section(
+                    self.topo, switch, table
+                )
+                built = True
+        program: Optional[ProgramSection] = None
+        if with_program:
+            program_key = (switch, content, given)
+            program = self._programs.get(program_key)
+            if program is None:
+                program = self._programs[program_key] = _program_section(
+                    self.topo, switch, table, given
+                )
+                built = True
+        if built:
+            self.built += 1
+        else:
+            self.reused += 1
+        return rule, program
 
 
 def _program_section(
@@ -109,10 +151,10 @@ def _switch_sections(
 ) -> Tuple[Dict[str, RuleSection], Dict[str, ProgramSection]]:
     """The per-switch stage, in sorted switch order.
 
-    With ``shared``, each section is looked up by content before it is
-    built, and kept. Without, nothing is keyed and nothing outlives the
-    lint: hashing every rule of a 1024-ToR fabric costs a one-shot lint
-    0.2-0.4 s and 16 MB it has no use for.
+    With ``shared``, each section is resolved through it (looked up by
+    content, built once, kept). Without, nothing is keyed and nothing
+    outlives the lint: hashing every rule of a 1024-ToR fabric costs a
+    one-shot lint 0.2-0.4 s and 16 MB it has no use for.
     """
     topo = artifact.topo
     tables = artifact.tables
@@ -137,28 +179,13 @@ def _switch_sections(
                     topo, switch, table, given
                 )
             continue
-        content: RuleContent = (
-            frozenset() if table is None else frozenset(table.rules.items())
+        rule, program = shared.resolve(
+            switch, table, switch in programmed, given
         )
-        built = False
-        if table is not None:
-            rule_key = (switch, content)
-            if rule_key not in shared._rules:
-                shared._rules[rule_key] = rule_section(topo, switch, table)
-                built = True
-            rule_sections[switch] = shared._rules[rule_key]
-        if switch in programmed:
-            program_key = (switch, content, given)
-            if program_key not in shared._programs:
-                shared._programs[program_key] = _program_section(
-                    topo, switch, table, given
-                )
-                built = True
-            program_sections[switch] = shared._programs[program_key]
-        if built:
-            shared.built += 1
-        else:
-            shared.reused += 1
+        if rule is not None:
+            rule_sections[switch] = rule
+        if program is not None:
+            program_sections[switch] = program
     return rule_sections, program_sections
 
 

@@ -12,16 +12,18 @@ unless stated otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError
 from repro.routing.base import Path
 from repro.topology.base import Topology
 from repro.topology.clos import upward_neighbors
 
+Pair = Tuple[str, str]
+
 
 def _up_paths_from(topo: Topology, start: str, max_layer: int) -> Dict[str, List[Path]]:
-    """All strictly-upward paths from ``start``.
+    """All strictly-upward paths from ``start`` (its up-DAG).
 
     Returns a map ``reached_switch -> [path, ...]`` including the trivial
     path ``(start,)``. Paths only use active links and only climb one layer
@@ -31,7 +33,7 @@ def _up_paths_from(topo: Topology, start: str, max_layer: int) -> Dict[str, List
     frontier: List[str] = [start]
     current_layer = topo.layer_of(start)
     if current_layer is None:
-        raise RoutingError(f"{start!r} has no layer; up-down routing undefined")
+        raise RoutingError(f"up-down endpoint {start!r} has no layer")
     while frontier and current_layer < max_layer:
         next_frontier: List[str] = []
         for node in frontier:
@@ -44,6 +46,99 @@ def _up_paths_from(topo: Topology, start: str, max_layer: int) -> Dict[str, List
         frontier = next_frontier
         current_layer += 1
     return reached
+
+
+def _join(
+    topo: Topology,
+    ups: Dict[str, List[Path]],
+    tails: Dict[str, List[Path]],
+    shortest_only: bool,
+) -> List[Path]:
+    """Up-down paths from the source's up-DAG ``ups`` to the destination
+    whose up-DAG, reversed and without the ancestor, is ``tails``: every
+    up path joined to every tail at a common ancestor, loop-free, sorted.
+
+    With ``shortest_only`` only ancestors of the *lowest* common layer
+    join, and only the shortest of those paths are kept.
+
+    No candidate repeats: the fabric has no parallel links, so the
+    up-DAG's paths are distinct, and a joined path's strict climb and
+    descent fix its ancestor as its one highest node.
+    """
+    results: List[Path] = []
+    ancestors = sorted(
+        ups.keys() & tails.keys(),
+        key=lambda name: (topo.layer_of(name), name),
+    )
+    best_layer: Optional[int] = None
+    for ancestor in ancestors:
+        layer = topo.layer_of(ancestor)
+        if shortest_only:
+            if best_layer is None:
+                best_layer = layer
+            elif layer > best_layer:
+                break
+        joins = tails[ancestor]
+        for up_path in ups[ancestor]:
+            climbed = set(up_path)
+            results.extend(
+                [up_path + tail for tail in joins if climbed.isdisjoint(tail)]
+            )
+    if shortest_only and results:
+        shortest = min(map(len, results))
+        results = [p for p in results if len(p) == shortest]
+    results.sort()
+    return results
+
+
+def updown_paths_by_pair(
+    topo: Topology, pairs: Iterable[Pair], shortest_only: bool = True
+) -> Dict[Pair, List[Path]]:
+    """:func:`updown_paths` for many pairs at the cost of one up-DAG per
+    distinct endpoint: the top layer is found once, each endpoint's
+    up-DAG is built the first time it is needed and joined against every
+    partner after that.
+
+    A pair with no up-down connectivity maps to no paths — in an
+    all-pairs enumeration a partitioned fabric is the caller's to judge.
+    A bad endpoint — not a switch, or a switch without a layer — raises
+    :class:`~repro.exceptions.RoutingError` naming it: that is a caller
+    error, not a partitioned fabric.
+    """
+    top = max(
+        (
+            node.layer
+            for node in topo.nodes.values()
+            if node.is_switch and node.layer is not None
+        ),
+        default=0,
+    )
+    #: endpoint -> (its up-DAG, the same DAG as join tails)
+    dags: Dict[str, Tuple[Dict[str, List[Path]], Dict[str, List[Path]]]] = {}
+    found: Dict[Pair, List[Path]] = {}
+    for src, dst in pairs:
+        for endpoint in (src, dst):
+            if not topo.node(endpoint).is_switch:
+                raise RoutingError(
+                    f"up-down endpoints must be switches; got {endpoint!r}"
+                )
+        if src == dst:
+            found[(src, dst)] = [(src,)]
+            continue
+        for endpoint in (src, dst):
+            if endpoint not in dags:
+                dag = _up_paths_from(topo, endpoint, top)
+                dags[endpoint] = (
+                    dag,
+                    {
+                        ancestor: [path[-2::-1] for path in paths]
+                        for ancestor, paths in dag.items()
+                    },
+                )
+        found[(src, dst)] = _join(
+            topo, dags[src][0], dags[dst][1], shortest_only
+        )
+    return found
 
 
 def updown_paths(
@@ -59,62 +154,10 @@ def updown_paths(
     False to also include paths that climb higher than necessary (still
     up-down, hence still valley-free).
     """
-    for endpoint in (src, dst):
-        if not topo.node(endpoint).is_switch:
-            raise RoutingError(
-                f"up-down endpoints must be switches; got {endpoint!r}"
-            )
-    if src == dst:
-        return [(src,)]
-    src_layer = topo.layer_of(src)
-    dst_layer = topo.layer_of(dst)
-    if src_layer is None or dst_layer is None:
-        raise RoutingError("up-down routing requires layered endpoints")
-    max_layer = max(
-        (node.layer for node in topo.nodes.values() if node.is_switch and node.layer is not None),
-        default=0,
-    )
-    ups = _up_paths_from(topo, src, max_layer)
-    downs = _up_paths_from(topo, dst, max_layer)  # reversed later
-
-    # Group candidate ancestors by layer, ascending; combine up + reversed
-    # down segments at the same ancestor.
-    results: List[Path] = []
-    ancestors = sorted(
-        set(ups) & set(downs),
-        key=lambda name: (topo.layer_of(name), name),
-    )
-    best_layer: Optional[int] = None
-    for ancestor in ancestors:
-        layer = topo.layer_of(ancestor)
-        if shortest_only:
-            if best_layer is None:
-                best_layer = layer
-            elif layer > best_layer:
-                break
-        for up_path in ups[ancestor]:
-            for down_path in downs[ancestor]:
-                candidate = up_path + tuple(reversed(down_path[:-1]))
-                if len(set(candidate)) == len(candidate):
-                    results.append(candidate)
-    if not results:
+    paths = updown_paths_by_pair(topo, [(src, dst)], shortest_only)[(src, dst)]
+    if not paths:
         raise RoutingError(f"no up-down path {src!r} -> {dst!r}")
-    if shortest_only:
-        shortest = min(len(p) for p in results)
-        results = [p for p in results if len(p) == shortest]
-    return sorted(set(results))
-
-
-def reachable_updown_paths(
-    topo: Topology, src: str, dst: str, shortest_only: bool = True
-) -> List[Path]:
-    """:func:`updown_paths`, with no paths (not an error) for a pair that
-    has no up-down connectivity — the per-pair step of every all-pairs
-    enumeration, where a partitioned fabric is the caller's to judge."""
-    try:
-        return updown_paths(topo, src, dst, shortest_only)
-    except RoutingError:
-        return []
+    return paths
 
 
 def all_updown_paths(
@@ -126,18 +169,14 @@ def all_updown_paths(
 
     ``endpoints`` defaults to all ToR-layer switches. Pairs with no
     up-down connectivity (partitioned fabric) are skipped silently — the
-    caller decides whether that is an error.
+    caller decides whether that is an error. A host or unlayered
+    endpoint raises :class:`~repro.exceptions.RoutingError`.
     """
     if endpoints is None:
         endpoints = sorted(topo.switches_at_layer(0))
-    paths: List[Path] = []
-    for src in endpoints:
-        for dst in endpoints:
-            if src != dst:
-                paths.extend(
-                    reachable_updown_paths(topo, src, dst, shortest_only)
-                )
-    return paths
+    pairs = [(s, d) for s in endpoints for d in endpoints if s != d]
+    found = updown_paths_by_pair(topo, pairs, shortest_only)
+    return [path for pair in pairs for path in found[pair]]
 
 
 def updown_tables_paths(topo: Topology) -> List[Path]:
@@ -148,11 +187,9 @@ def updown_tables_paths(topo: Topology) -> List[Path]:
     """
     paths: List[Path] = []
     tors = sorted(topo.switches_at_layer(0))
-    tor_paths: Dict[Tuple[str, str], List[Path]] = {}
-    for src in tors:
-        for dst in tors:
-            if src != dst:
-                tor_paths[(src, dst)] = reachable_updown_paths(topo, src, dst)
+    tor_paths = updown_paths_by_pair(
+        topo, [(src, dst) for src in tors for dst in tors if src != dst]
+    )
     for src_tor in tors:
         for src_host in topo.hosts_under(src_tor):
             for dst_tor in tors:

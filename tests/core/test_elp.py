@@ -10,7 +10,9 @@ import repro.core.elp as elp_module
 import repro.routing.shortest as shortest_module
 from repro.core import (
     ElpSet,
+    IncrementalPlanner,
     ShortestPathElpProvider,
+    TaggerPlan,
     UpDownElpProvider,
     bcube_elp,
     clos_bounce_elp,
@@ -189,3 +191,43 @@ class TestProviderEnumeration:
         del roots[:]
         provider.pair_paths(topo, "J0", "J5")
         assert roots == ["J5"]
+
+
+class TestUpDownEndpointsFailClosed:
+    """Only "no up-down path" is an empty answer. A host or unlayered
+    endpoint is a misconfigured ELP and must be refused by name, not
+    planned around with its pairs silently left out."""
+
+    @staticmethod
+    def _fabric(unlayered=False):
+        topo = clos3(ClosParams(2, 2, 2, 2, hosts_per_tor=1))
+        if unlayered:
+            topo.add_switch("X1")
+            topo.add_link("X1", "T1")
+        return topo
+
+    @pytest.mark.parametrize("bad", ["H1", "X1"])
+    def test_every_entry_point_names_the_endpoint(self, bad):
+        topo = self._fabric(unlayered=bad == "X1")
+        provider = UpDownElpProvider(explicit_endpoints=["T1", "T2", "T3", bad])
+        match = repr(bad)
+        with pytest.raises(TaggingError, match=match):
+            provider.pair_paths(topo, "T1", bad)
+        with pytest.raises(TaggingError, match=match):
+            provider.pair_paths(topo, bad, "T2")
+        with pytest.raises(TaggingError, match=match):
+            provider.rederive_pairs(topo, {("T1", "T2"): (), (bad, "T3"): ()})
+        with pytest.raises(TaggingError, match=match):
+            TaggerPlan.from_provider(topo, provider)
+        with pytest.raises(TaggingError, match=match):
+            IncrementalPlanner(topo, provider)
+
+    def test_partitioned_pair_is_still_empty(self):
+        topo = self._fabric()
+        topo.fail_link("T1", "L1")
+        topo.fail_link("T1", "L2")
+        provider = UpDownElpProvider()
+        assert provider.pair_paths(topo, "T1", "T3") == ()
+        assert provider.rederive_pairs(topo, {("T1", "T3"): ()}) == {
+            ("T1", "T3"): ()
+        }

@@ -1,24 +1,34 @@
 """Differential oracle for the delta-proportional verifier.
 
 ``certify_rollout`` concludes boundary and per-wave safety from the
-global union by subgraph implication and shares lint sections across
-boundaries. ``oracle_certify`` does neither. Every certificate below
-must be equal field for field — including every unsafe transition,
-where the error text is part of the contract.
+global union by subgraph implication, and builds each boundary's lint
+errors from per-switch sections instead of linting it. ``oracle_certify``
+does neither. Every certificate below must be equal field for field —
+including every unsafe transition, where the error text is part of the
+contract, and every seeded T/S fault, wherever it sits.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.lint.linter as linter_module
 from repro.core import IncrementalPlanner, TaggerPlan, UpDownElpProvider
-from repro.core.rules import RuleTable, diff_tables
+from repro.core.rules import RuleTable, diff_tables, rules_to_tagged_graph
 from repro.core.tags import INITIAL_TAG
-from repro.deploy import REFUSED, certify_rollout, plan_waves, run_rollout
+from repro.deploy import (
+    REFUSED,
+    certify_rollout,
+    mixed_tables,
+    plan_waves,
+    run_rollout,
+)
 from repro.fuzz.faults import rule_decrease_tag, rule_tag_cycle
 from repro.lint import DeploymentArtifact
+from repro.lint.graph_checks import _effective_graph, rule_sections
 from repro.topology import ClosParams, TopologyDelta, clos3
 
 from .oracle_certify import oracle_certify_rollout
@@ -205,3 +215,196 @@ class TestOrchestratorVerdicts:
         want = oracle_certify_rollout(topo, old, new, report.waves)
         assert report.certificate.to_dict() == want.to_dict()
         assert report.certificate.states_covered == want.states_covered
+
+
+# ----------------------------------------------------------------------
+# Seeded faults: a malformed rule or program, wherever it sits
+# ----------------------------------------------------------------------
+#: Program perturbations, applied where the linter compiles a table.
+PROGRAM_FAULTS = {
+    # The safeguard default is gone.
+    "S105": lambda program: list(program[:-1]),
+    # An explicit entry is gone: its keys fall through to the safeguard.
+    "S104": lambda program: list(program[1:]),
+    # A copy of the first entry with another rewrite shadows it.
+    "S101": lambda program: [
+        replace(program[0], new_tag=program[0].new_tag + 1),
+        *program,
+    ],
+}
+
+
+def _seed_program_fault(monkeypatch, table, code):
+    """Compile ``table``'s exact content with the ``code`` fault, in the
+    production verifier and the oracle alike (both lint through
+    ``repro.lint.linter``)."""
+    real = linter_module.tcam_program
+    switch, rules = table.switch, dict(table.rules)
+
+    def compile_program(reference, ports):
+        program = real(reference, ports)
+        if reference.switch == switch and reference.rules == rules:
+            return PROGRAM_FAULTS[code](program)
+        return program
+
+    monkeypatch.setattr(linter_module, "tcam_program", compile_program)
+
+
+def _seed_rule_fault(topo, table, code):
+    """Make one of ``table``'s rules malformed, in place."""
+    if code == "T002":  # egress faces a switch: the graph cannot be built
+        _, in_port, out_port = min(table.rules)
+        table.rules[(INITIAL_TAG + 1, in_port, out_port)] = INITIAL_TAG
+    elif code == "T003":  # host-facing negative rewrite: a live bad tag
+        host = next(
+            port
+            for port, peer in sorted(topo.ports(table.switch).items())
+            if topo.node(peer).is_host
+        )
+        table.rules[(INITIAL_TAG, host, host)] = -1
+    else:  # T004: the ingress port does not exist
+        key = min(table.rules)
+        table.rules[(key[0], 99, key[2])] = table.rules[key]
+
+
+def _fault_sites(topo, old, new):
+    """(changed switch, unchanged switch, ToR with a host and no table)."""
+    changed = sorted(diff_tables(old, new))[0]
+    unchanged = next(
+        s
+        for s in sorted(old)
+        if s in new and old[s].rules == new[s].rules and s != changed
+    )
+    tor = next(s for s in sorted(topo.switches) if s not in old and s not in new)
+    return changed, unchanged, tor
+
+
+def _faulted(topo, old, new, code, where):
+    """Copies of ``old``/``new`` with a ``code`` rule fault in the old
+    table, the new table, or a switch outside every wave (both sides)."""
+    old, new = _snapshot(old), _snapshot(new)
+    changed, unchanged, tor = _fault_sites(topo, old, new)
+    site = tor if code == "T003" else changed if where != "outside" else unchanged
+    sides = {"old": [old], "new": [new], "outside": [old, new]}[where]
+    for tables in sides:
+        table = tables.setdefault(site, RuleTable(switch=site))
+        _seed_rule_fault(topo, table, code)
+    return old, new
+
+
+WHERE = ("old", "new", "outside")
+
+
+class TestSeededFaults:
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("code", sorted(PROGRAM_FAULTS))
+    def test_program_fault(self, monkeypatch, flap_transitions, code, where):
+        """Union-safe path: the fault is in a program only, so the global
+        union certifies and every boundary is judged by its sections."""
+        topo, old, new = flap_transitions[0]
+        changed, unchanged, _ = _fault_sites(topo, old, new)
+        faulted = {
+            "old": old[changed],
+            "new": new[changed],
+            "outside": old[unchanged],
+        }[where]
+        _seed_program_fault(monkeypatch, faulted, code)
+        for wave_size in (1, 8):
+            waves = plan_waves(topo, diff_tables(old, new), wave_size)
+            cert = assert_same_certificate(topo, old, new, waves)
+            assert cert.covers_stragglers and not cert.ok
+            assert any(code in e for errors in cert.boundary_errors for e in errors)
+
+    def test_faults_on_several_switches_keep_the_linter_order(
+        self, monkeypatch, flap_transitions
+    ):
+        topo, old, new = flap_transitions[0]
+        changed, unchanged, _ = _fault_sites(topo, old, new)
+        for table, code in (
+            (old[changed], "S105"),
+            (new[changed], "S101"),
+            (old[unchanged], "S104"),
+        ):
+            _seed_program_fault(monkeypatch, table, code)
+        waves = plan_waves(topo, diff_tables(old, new), 1)
+        cert = assert_same_certificate(topo, old, new, waves)
+        assert all(len(errors) >= 2 for errors in cert.boundary_errors)
+
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("code", ["T002", "T003", "T004"])
+    def test_rule_fault(self, flap_transitions, code, where):
+        topo, old, new = flap_transitions[0]
+        old, new = _faulted(topo, old, new, code, where)
+        for wave_size in (1, 8):
+            waves = plan_waves(topo, diff_tables(old, new), wave_size)
+            cert = assert_same_certificate(topo, old, new, waves)
+            assert not cert.ok
+
+    def test_host_facing_negative_rewrite_reports_b302(self, flap_transitions):
+        """The case that sends a boundary to the full linter: its
+        fabric-wide stage adds B302 for the live tag -1."""
+        topo, old, new = flap_transitions[0]
+        old, new = _faulted(topo, old, new, "T003", "outside")
+        waves = plan_waves(topo, diff_tables(old, new), 8)
+        cert = assert_same_certificate(topo, old, new, waves)
+        assert all(
+            any("B302" in e for e in errors) for errors in cert.boundary_errors
+        )
+
+    @pytest.mark.parametrize("code", sorted(PROGRAM_FAULTS))
+    def test_per_wave_path_lints_the_boundaries_it_certifies(
+        self, monkeypatch, flap_transitions, code
+    ):
+        """A tag-decreasing rule in the old table of the last wave's switch
+        fails the global union; the boundaries after its wave certify
+        per boundary and carry a program fault on another switch."""
+        topo, old, new = flap_transitions[0]
+        old, new = _faulted(topo, old, new, "T002", "old")
+        changed, unchanged, _ = _fault_sites(topo, old, new)
+        _seed_program_fault(monkeypatch, old[unchanged], code)
+        waves = plan_waves(topo, diff_tables(old, new), 1)
+        waves = [w for w in waves if changed not in w] + [[changed]]
+        cert = assert_same_certificate(topo, old, new, waves)
+        assert not cert.covers_stragglers
+        assert any(code in e for e in cert.boundary_errors[-1])
+
+
+class TestLintGraphIsCertified:
+    """Why T001 cannot fire at a linted boundary: lint's effective graph
+    is a subgraph of the graph the verifier certified for it."""
+
+    @staticmethod
+    def _assert_subgraph(small, big):
+        assert small.nodes <= big.nodes
+        assert set(small.edges()) <= set(big.edges())
+
+    def _check(self, topo, old, new, waves):
+        cert = certify_rollout(topo, old, new, waves)
+        union = rules_to_tagged_graph(topo, old)
+        for src, dst in rules_to_tagged_graph(topo, new).edges():
+            union.add_edge(src, dst)
+        done = set()
+        for k in range(len(waves) + 1):
+            if k:
+                done |= set(waves[k - 1])
+            tables = mixed_tables(old, new, done)
+            certified = (
+                union
+                if cert.covers_stragglers
+                else rules_to_tagged_graph(topo, tables)
+            )
+            self._assert_subgraph(
+                _effective_graph(rule_sections(topo, tables)), certified
+            )
+        return cert
+
+    def test_union_safe_path(self, flap_transitions):
+        for topo, old, new in flap_transitions:
+            waves = plan_waves(topo, diff_tables(old, new), 1)
+            assert self._check(topo, old, new, waves).covers_stragglers
+
+    def test_per_wave_path(self, triangle):
+        old = {"A": _loop_rule(triangle, "A", "B")}
+        new = {"B": _loop_rule(triangle, "B", "A")}
+        cert = self._check(triangle, old, new, [["A"], ["B"]])
+        assert cert.ok and not cert.covers_stragglers

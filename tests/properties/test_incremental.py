@@ -8,9 +8,15 @@ graph and queue map. Two layers enforce that here:
 - hypothesis: random Clos/Jellyfish fabrics under random churn
   sequences (link down/up, drains, ELP path pins), equivalence checked
   after every single delta;
+- hypothesis: a provider's one-call ``rederive_pairs`` — the lost-link
+  filter and the shared up-DAGs — equals per-pair ``pair_paths`` on the
+  post-delta topology, tuple for tuple, on Clos and fat-tree fabrics
+  with and without ToR-ToR express links, both ``shortest_only`` modes,
+  explicit endpoint subsets and deltas that partition pairs; the
+  planner driven over the same sequences equals ``scratch_plan()``;
 - a fixed-seed acceptance sweep: 200 randomized delta sequences whose
   resulting plans must also pass the deployment linter with zero
-  errors (the ISSUE acceptance criterion).
+  errors.
 
 The same oracle runs continuously inside the fuzz harness as the
 ``incremental-divergence`` invariant (:mod:`repro.fuzz.crosscheck`).
@@ -31,11 +37,16 @@ from repro.lint import DeploymentArtifact, lint_artifact
 from repro.topology import (
     ClosParams,
     TopologyDelta,
+    add_express_link,
+    apply_delta,
     clos3,
+    fattree,
     jellyfish,
     random_delta_sequence,
+    switch_links,
     testbed_clos,
 )
+from repro.topology.failures import DRAIN, LINK_DOWN
 
 SETTINGS = settings(
     max_examples=15,
@@ -62,6 +73,17 @@ def assert_equivalent(planner: IncrementalPlanner, label: str) -> None:
     )
 
 
+def assert_link_index_exact(planner: IncrementalPlanner, label: str) -> None:
+    """The link -> pairs index lists exactly the pairs whose current paths
+    use each link: a stale entry would dirty pairs a delta cannot change."""
+    index = {}
+    for pair, paths in planner._pairs.items():
+        for path in paths:
+            for a, b in zip(path, path[1:]):
+                index.setdefault((min(a, b), max(a, b)), set()).add(pair)
+    assert planner._link_index == index, f"{label}: link index is stale"
+
+
 def drive(planner: IncrementalPlanner, deltas, label: str = "") -> None:
     """Apply deltas in order, checking equivalence after every one.
 
@@ -79,6 +101,7 @@ def drive(planner: IncrementalPlanner, deltas, label: str = "") -> None:
             )
             continue
         assert_equivalent(planner, step)
+        assert_link_index_exact(planner, step)
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +196,101 @@ def test_path_pins_interleaved_with_churn(data):
     deltas.extend(churn)
     deltas.append(TopologyDelta.remove_paths(pins))
     drive(planner, deltas, "pins ")
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: one rederive_pairs call == per-pair enumeration
+# ----------------------------------------------------------------------
+REDERIVE_SETTINGS = settings(
+    max_examples=min(25, settings.default.max_examples),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def layered_churn(draw):
+    """A Clos or fat-tree fabric, maybe with ToR-ToR express links, an
+    up-down provider over all ToRs or a subset, and a churn sequence
+    that may end by cutting one ToR off and bringing it back."""
+    if draw(st.booleans()):
+        topo = clos3(
+            ClosParams(
+                num_pods=draw(st.integers(min_value=1, max_value=3)),
+                tors_per_pod=draw(st.integers(min_value=2, max_value=3)),
+                leaves_per_pod=draw(st.integers(min_value=1, max_value=2)),
+                num_spines=draw(st.integers(min_value=1, max_value=2)),
+                hosts_per_tor=draw(st.integers(min_value=0, max_value=1)),
+            )
+        )
+    else:
+        topo = fattree(
+            draw(st.sampled_from([2, 4])),
+            hosts_per_edge=draw(st.integers(min_value=0, max_value=1)),
+        )
+    tors = sorted(topo.switches_at_layer(0))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a, b = draw(st.permutations(tors))[:2]
+        if not topo.has_link(a, b):
+            add_express_link(topo, a, b)
+    endpoints = None
+    if draw(st.booleans()):
+        endpoints = sorted(
+            draw(st.lists(st.sampled_from(tors), min_size=2, unique=True))
+        )
+    provider = UpDownElpProvider(
+        explicit_endpoints=endpoints, shortest_only=draw(st.booleans())
+    )
+    deltas = random_delta_sequence(
+        topo,
+        draw(st.integers(min_value=1, max_value=6)),
+        draw(st.integers(min_value=0, max_value=2**20)),
+    )
+    if draw(st.booleans()):
+        # Partition: fail every uplink of one ToR, then restore them.
+        links = switch_links(topo, draw(st.sampled_from(tors)))
+        deltas += [TopologyDelta.link_down(*link) for link in links]
+        deltas += [TopologyDelta.link_up(*link) for link in links]
+    return topo, provider, deltas
+
+
+def assert_rederive_matches_pair_paths(topo, provider, deltas):
+    pairs = provider.ordered_pairs(topo)
+    current = {pair: provider.pair_paths(topo, *pair) for pair in pairs}
+    for delta in deltas:
+        touched = apply_delta(topo, delta)
+        removed = (
+            set(touched) if delta.kind in (LINK_DOWN, DRAIN) else set()
+        )
+        want = {pair: provider.pair_paths(topo, *pair) for pair in pairs}
+        got = provider.rederive_pairs(topo, current, removed)
+        assert got == want, delta.describe()
+        assert list(got) == pairs
+        current = want
+
+
+@given(layered_churn())
+@REDERIVE_SETTINGS
+def test_updown_rederive_equals_pair_paths(data):
+    topo, provider, deltas = data
+    assert_rederive_matches_pair_paths(topo, provider, deltas)
+
+
+@given(layered_churn(), st.integers(min_value=1, max_value=2))
+@REDERIVE_SETTINGS
+def test_shortest_rederive_equals_pair_paths(data, per_pair):
+    topo, _, deltas = data
+    provider = ShortestPathElpProvider(per_pair=per_pair)
+    assert_rederive_matches_pair_paths(topo, provider, deltas)
+
+
+@given(layered_churn())
+@REDERIVE_SETTINGS
+def test_layered_churn_matches_scratch(data):
+    topo, provider, deltas = data
+    planner = IncrementalPlanner(topo, provider)
+    assert_equivalent(planner, "initial build")
+    drive(planner, deltas)
 
 
 # ----------------------------------------------------------------------
