@@ -347,24 +347,6 @@ class ShortestPathElpProvider(PairwiseElpProvider):
         dist = bfs_distances(topo, dst)
         return tuple(downhill_paths(topo, dist, src, dst, self.per_pair))
 
-    def rederive_pairs(
-        self,
-        topo: Topology,
-        current: Mapping[Pair, Tuple[Path, ...]],
-        removed: AbstractSet[LinkKey] = frozenset(),
-    ) -> Dict[Pair, Tuple[Path, ...]]:
-        """The batch step: one BFS per distinct destination."""
-        distances: Dict[str, Dict[str, int]] = {}
-        fresh: Dict[Pair, Tuple[Path, ...]] = {}
-        for src, dst in current:
-            dist = distances.get(dst)
-            if dist is None:
-                dist = distances[dst] = bfs_distances(topo, dst)
-            fresh[(src, dst)] = tuple(
-                downhill_paths(topo, dist, src, dst, self.per_pair)
-            )
-        return fresh
-
     def enumerate_paths(self, topo: Topology) -> Iterator[Path]:
         return iter_pairwise_shortest_paths(
             topo, self.endpoints(topo), self.per_pair

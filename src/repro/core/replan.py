@@ -249,25 +249,6 @@ class ReplanResult:
         )
 
 
-def _multiset_difference(
-    old: Tuple[Path, ...], new: Tuple[Path, ...]
-) -> Tuple[List[Path], List[Path]]:
-    """The paths ``old`` has beyond ``new``, and ``new`` beyond ``old``,
-    counting repeats — by set lookups when neither repeats a path (every
-    shipped provider), else by counting."""
-    old_set, new_set = set(old), set(new)
-    if len(old_set) == len(old) and len(new_set) == len(new):
-        return (
-            [path for path in old if path not in new_set],
-            [path for path in new if path not in old_set],
-        )
-    old_counter, new_counter = Counter(old), Counter(new)
-    return (
-        list((old_counter - new_counter).elements()),
-        list((new_counter - old_counter).elements()),
-    )
-
-
 class IncrementalPlanner:
     """Warm-state Tagger planner that absorbs topology deltas.
 
@@ -578,12 +559,14 @@ class IncrementalPlanner:
                 # typically preserves most of a pair's ECMP fan-out, and
                 # churning the survivors would cost far more than the
                 # enumeration itself.
-                lost, gained = _multiset_difference(old, new)
-                for path in lost:
+                old_counter = Counter(old)
+                new_counter = Counter(new)
+                for path in (old_counter - new_counter).elements():
                     self._brute.remove_path(path)
-                for path in gained:
+                    changed += 1
+                for path in (new_counter - old_counter).elements():
                     self._brute.add_path(path)
-                changed += len(lost) + len(gained)
+                    changed += 1
                 self._set_pair(pair, new)
             if base is not None:
                 # Membership may flip even when this pair did not change:

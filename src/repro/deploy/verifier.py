@@ -64,7 +64,7 @@ from repro.core.pipeline import QueueMap
 from repro.core.rules import RuleTable, rules_to_tagged_graph
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.core.verification import verify_tagged_graph
-from repro.exceptions import ReproError
+from repro.exceptions import LintError, ReproError
 from repro.lint import LintSections, lint_tables
 from repro.lint.diagnostics import Severity
 from repro.topology.base import Topology
@@ -241,8 +241,13 @@ def certify_rollout(
     ``lint_boundaries=False`` skips that and keeps only the (sound and
     much faster) union-graph R1/R2 certification — the fuzz harness uses
     it for throughput. ``sections`` lets a caller that lints this
-    transition again share the per-switch stage.
+    transition again share the per-switch stage; like
+    :func:`~repro.lint.lint_artifact`, it raises
+    :class:`~repro.exceptions.LintError` when they were built for
+    another topology.
     """
+    if sections is not None and sections.topo is not topo:
+        raise LintError("LintSections belong to a different topology")
     cert = TransitionCertificate(waves=[list(w) for w in waves])
     cert.switches_touched = sum(len(w) for w in waves)
 

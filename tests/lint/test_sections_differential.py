@@ -11,6 +11,7 @@ import pytest
 from repro.core import TaggerPlan
 from repro.core.pipeline import QueueMap
 from repro.core.rules import RuleTable
+from repro.deploy import certify_rollout
 from repro.exceptions import LintError
 from repro.fuzz.faults import FAULT_TABLE
 from repro.lint import (
@@ -196,6 +197,16 @@ def test_sections_are_bound_to_their_topology(plan):
     sections = LintSections(testbed_clos())
     with pytest.raises(LintError, match="different topology"):
         lint_artifact(DeploymentArtifact.from_plan(plan), sections=sections)
+
+
+def test_rollout_sections_are_bound_to_their_topology(plan):
+    """Boundary verdicts come from sections, not a full lint, so the
+    verifier must refuse foreign sections itself."""
+    sections = LintSections(testbed_clos())
+    with pytest.raises(LintError, match="different topology"):
+        certify_rollout(
+            plan.topo, {}, plan.tables, [sorted(plan.tables)], sections=sections
+        )
 
 
 def test_queue_map_is_not_part_of_a_section(plan):
