@@ -10,15 +10,18 @@ single link touches a tiny fraction of the ELP.
 recomputes only what a :class:`~repro.topology.failures.TopologyDelta`
 actually invalidates:
 
-1. **Pair-path cache.** The ELP is expressed through a
-   :class:`~repro.core.elp.PairwiseElpProvider`, whose contract makes
-   each endpoint pair's path set an independent function of the
-   topology. A link→pairs index identifies the pairs whose current
-   paths traverse a failed link; a *damaged* set (pairs whose current
-   paths differ from the no-failure baseline) bounds which pairs a
-   restore can affect. Only those pairs are re-derived, all of one
-   delta's in one provider call that is handed their current paths and
-   the links the delta removed.
+1. **Pair-path cache + per-pair link masks.** The ELP is expressed
+   through a :class:`~repro.core.elp.PairwiseElpProvider`, whose
+   contract makes each endpoint pair's path set an independent function
+   of the topology. Each pair also keeps the links its current paths
+   traverse as one int, a bitmask over the topology's sorted links; a
+   link-down is one pass of ``mask & down`` over the pairs. A *damaged*
+   set (pairs whose current paths differ from the no-failure baseline)
+   bounds which pairs a restore can affect. Only those pairs are
+   re-derived, all of one delta's in one provider call that is handed
+   their current paths and the links the delta removed. Path tuples and
+   masks are immutable, so the live state and every memo entry share
+   them and the cyclic collector has next to nothing to walk.
 2. **Refcounted brute-force graph.** Every ELP path contributes
    reference counts to the Algorithm-1 nodes/edges it induces; the
    tagged graph is exactly the entries with a positive count, so path
@@ -60,7 +63,9 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from functools import reduce
+from operator import or_
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.determinize import DeterministicMinimizer, DeterministicTagging
 from repro.core.elp import PairwiseElpProvider, canonical_elp_path
@@ -204,11 +209,18 @@ class _RefcountedGraph:
 
 @dataclass
 class _MemoEntry:
-    """Full post-plan state for one (fingerprint, extras) key."""
+    """Full post-plan state for one (fingerprint, extras) key.
+
+    The dicts, sets and list are the entry's own shallow copies; what
+    they hold (pair keys, path tuples, link masks) and the plan are
+    immutable and shared with the live state and the other entries, so
+    an entry costs its containers, not the paths behind them. The
+    refcount dicts must be copies because the live graph updates its own
+    in place.
+    """
 
     pairs: Dict[Pair, Tuple[Path, ...]]
-    pair_links: Dict[Pair, FrozenSet[LinkKey]]
-    link_index: Dict[LinkKey, Set[Pair]]
+    pair_links: Dict[Pair, int]
     damaged: Set[Pair]
     node_counts: Dict[TNode, int]
     edge_counts: Dict[TEdge, int]
@@ -294,9 +306,17 @@ class IncrementalPlanner:
         #: by the planning pipeline itself).
         self.telemetry = telemetry
 
+        #: Bit of each link, in either orientation: bit ``i`` is the
+        #: ``i``-th of the topology's sorted links. Deltas only fail or
+        #: restore existing links, so the numbering holds for the
+        #: planner's lifetime.
+        self._link_bit: Dict[LinkKey, int] = {}
+        for i, (a, b) in enumerate(sorted(topo.links)):
+            self._link_bit[(a, b)] = self._link_bit[(b, a)] = 1 << i
         self._pairs: Dict[Pair, Tuple[Path, ...]] = {}
-        self._pair_links: Dict[Pair, FrozenSet[LinkKey]] = {}
-        self._link_index: Dict[LinkKey, Set[Pair]] = {}
+        #: Links the pair's current paths traverse, as a mask over
+        #: ``_link_bit``; present exactly for the pairs in ``_pairs``.
+        self._pair_links: Dict[Pair, int] = {}
         #: Pairs whose current path set differs from the no-failure
         #: baseline; only meaningful while ``_base`` is known.
         self._damaged: Set[Pair] = set()
@@ -417,10 +437,20 @@ class IncrementalPlanner:
                 )
 
         with timer.stage("apply-delta"):
+            failed_before = self.topo.failed_links
             touched = apply_delta(self.topo, delta)
 
         is_path_delta = delta.kind in (ADD_PATHS, REMOVE_PATHS)
-        if not is_path_delta:
+        # A repeated link-down, or an undrain of a switch that is not
+        # drained, leaves every link as it was: the current plan is the
+        # answer, and the minimizer keeps its checkpoints.
+        unchanged = (
+            not is_path_delta
+            and not force_full
+            and not self._plan_dirty
+            and self.topo.failed_links == failed_before
+        )
+        if not is_path_delta and not unchanged:
             # Topology changed: re-certify (or drop) the closed-form
             # pair enumeration before any pair is recomputed.
             self._refresh_cert(timer)
@@ -444,6 +474,8 @@ class IncrementalPlanner:
                 fingerprint=memo_key[0],
             )
 
+        if unchanged:
+            return result(MODE_NOOP, {})
         if not force_full and not is_path_delta:
             entry = self._memo.get(memo_key)
             if entry is not None:
@@ -469,8 +501,12 @@ class IncrementalPlanner:
                 # Locality: a pair's path set can change only if one of
                 # its current paths traverses a link that went down.
                 removed = set(touched)
-                for link in touched:
-                    dirty |= self._link_index.get(link, set())
+                down = reduce(or_, map(self._link_bit.__getitem__, touched), 0)
+                dirty = {
+                    pair
+                    for pair, links in self._pair_links.items()
+                    if links & down
+                }
             else:  # link-up / undrain
                 if self._base is None:
                     # Never saw the pristine baseline: cannot bound the
@@ -541,7 +577,7 @@ class IncrementalPlanner:
         :meth:`~repro.core.elp.PairwiseElpProvider.rederive_pairs` call.
         Only a pair whose path set changed touches the refcounted graph
         (with the multiset difference, which records the lowest level the
-        change disturbs) and the link index.
+        change disturbs) and its link mask.
         """
         current = {pair: self._pairs.get(pair, ()) for pair in pairs}
         if self._cert is not None:
@@ -578,23 +614,13 @@ class IncrementalPlanner:
         return changed
 
     def _set_pair(self, pair: Pair, paths: Tuple[Path, ...]) -> None:
-        old_links = self._pair_links.get(pair, frozenset())
-        # Canonical link keys the paths traverse (host hops included).
-        hops = {hop for path in paths for hop in zip(path, path[1:])}
-        new_links: FrozenSet[LinkKey] = frozenset(
-            {(a, b) if a <= b else (b, a) for a, b in hops}
-        )
-        for link in old_links - new_links:
-            bucket = self._link_index.get(link)
-            if bucket is not None:
-                bucket.discard(pair)
-                if not bucket:
-                    del self._link_index[link]
-        for link in new_links - old_links:
-            self._link_index.setdefault(link, set()).add(pair)
         if paths:
+            # Links the paths traverse (host hops included).
+            hops = {hop for path in paths for hop in zip(path, path[1:])}
             self._pairs[pair] = paths
-            self._pair_links[pair] = new_links
+            self._pair_links[pair] = reduce(
+                or_, map(self._link_bit.__getitem__, hops), 0
+            )
         else:
             self._pairs.pop(pair, None)
             self._pair_links.pop(pair, None)
@@ -696,7 +722,6 @@ class IncrementalPlanner:
         self._memo[key] = _MemoEntry(
             pairs=dict(self._pairs),
             pair_links=dict(self._pair_links),
-            link_index={k: set(v) for k, v in self._link_index.items()},
             damaged=set(self._damaged),
             node_counts=nodes,
             edge_counts=edges,
@@ -710,7 +735,6 @@ class IncrementalPlanner:
     def _restore_memo(self, entry: _MemoEntry) -> None:
         self._pairs = dict(entry.pairs)
         self._pair_links = dict(entry.pair_links)
-        self._link_index = {k: set(v) for k, v in entry.link_index.items()}
         self._damaged = set(entry.damaged)
         self._extras = list(entry.extras)
         self._brute.restore_counts(entry.node_counts, entry.edge_counts)

@@ -1,6 +1,6 @@
-"""Cost guard for one link flap, as call counts.
+"""Cost guard for one link flap, as counts.
 
-A flap must cost what it changes. Two counts say so without a clock:
+A flap must cost what it changes. Three counts say so without a clock:
 
 - the re-planner builds at most one up-DAG (``_up_paths_from``) per ELP
   endpoint per ``apply``, however many dirty pairs the delta has — pairs
@@ -8,15 +8,22 @@ A flap must cost what it changes. Two counts say so without a clock:
   endpoints' DAGs;
 - a rollout's certificate runs no fabric-wide lint stage (``check_graph``,
   ``check_reachability``): its boundary verdicts come from per-switch
-  sections, and the one full lint of a rollout is ``verify-final``.
+  sections, and the one full lint of a rollout is ``verify-final``;
+- the planner's warm state (pair cache, link masks, damaged set and the
+  memo entries without their plans) holds few references the cyclic
+  collector must walk: paths and masks are immutable values the live
+  state and every memo entry share.
 
-Counts come from ``cProfile`` and are deterministic, in the pattern of
+Call counts come from ``cProfile``, references from ``gc.get_referents``
+after full collections; both are deterministic, in the pattern of
 ``tests/obs/test_emit_cost.py``.
 """
 
 import cProfile
+import gc
 import os
 import pstats
+from dataclasses import fields
 
 from repro.core import IncrementalPlanner, UpDownElpProvider, diff_tables
 from repro.deploy import certify_rollout, plan_waves, run_rollout
@@ -34,6 +41,12 @@ DELTAS = (
     TopologyDelta.drain("L4"),
     TopologyDelta.undrain("L4"),
 )
+#: Ceiling on the references the collector walks in the planner's warm
+#: state after init plus ``DELTAS`` (five memo entries). With per-pair
+#: link masks and shared snapshots it reads 140; with a link -> pairs
+#: index copied into every memo entry and a frozenset of link tuples per
+#: pair it read 6 310.
+MAX_WARM_STATE_REFERENCES = 1_000
 
 
 def _calls(profile, module, function):
@@ -71,6 +84,51 @@ def test_up_dags_per_apply_stay_within_the_endpoints():
         )
         built.append(dags)
     assert any(built), "no delta enumerated anything; the guard is vacuous"
+
+
+def _collector_references(roots):
+    """References the cyclic collector walks in what ``roots`` reach:
+    ``len(gc.get_referents(o))`` summed over the GC-tracked objects among
+    them, once full collections have untracked all they can.
+
+    A collection untracks a tuple or dict only if its contents are
+    untracked already, and it may visit a container before its contents,
+    so one collection per nesting level can be needed: collect until the
+    count stops moving."""
+    previous = None
+    while True:
+        gc.collect()
+        seen = set()
+        total = 0
+        stack = list(roots)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or not gc.is_tracked(obj):
+                continue
+            seen.add(id(obj))
+            referents = gc.get_referents(obj)
+            total += len(referents)
+            stack.extend(referents)
+        if total == previous:
+            return total
+        previous = total
+
+
+def test_warm_state_stays_out_of_the_collector():
+    topo = clos3(PARAMS)
+    planner = IncrementalPlanner(topo, UpDownElpProvider())
+    for delta in DELTAS:
+        planner.apply(delta)
+    roots = [planner._pairs, planner._pair_links, planner._damaged]
+    for entry in planner._memo.values():
+        roots.extend(
+            getattr(entry, f.name) for f in fields(entry) if f.name != "plan"
+        )
+    references = _collector_references(roots)
+    assert references <= MAX_WARM_STATE_REFERENCES, (
+        f"{references} collector-visible references in the planner's "
+        f"warm state (ceiling {MAX_WARM_STATE_REFERENCES})"
+    )
 
 
 def test_rollout_lints_the_fabric_once():

@@ -7,7 +7,9 @@ pin the engine's *mechanics*: mode selection (noop / memo / incremental
 path-delta validation atomicity, and error recovery.
 """
 
+import copy
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -114,6 +116,50 @@ def test_unloaded_link_down_is_noop_without_memo():
     assert result.diffs == {}
 
 
+@pytest.mark.parametrize(
+    "idle",
+    [TopologyDelta.link_down("L1", "S1"), TopologyDelta.undrain("L3")],
+    ids=["repeated-link-down", "undrain-undrained"],
+)
+def test_delta_that_changes_no_link_keeps_the_checkpoints(idle):
+    """A delta that leaves every link as it was is a noop, not a memo
+    restore: restoring would throw away the minimizer's checkpoints and
+    send the next delta through a full merge."""
+
+    def planner_after_first_flap():
+        topo = clos3(ClosParams(2, 2, 2, 2, hosts_per_tor=1))
+        planner = IncrementalPlanner(topo, UpDownElpProvider())
+        planner.apply(TopologyDelta.link_down("L1", "S1"))
+        return planner
+
+    second = TopologyDelta.link_down("L2", "S2")
+    want = planner_after_first_flap().apply(second)
+    assert want.resume_level == 2
+
+    planner = planner_after_first_flap()
+    plan = planner.plan
+    result = planner.apply(idle)
+    assert result.mode == MODE_NOOP
+    assert result.diffs == {}
+    assert result.plan is plan
+    got = planner.apply(second)
+    assert got.mode == MODE_INCREMENTAL
+    assert got.resume_level == want.resume_level
+    assert canonical_tables(got.plan.tables) == canonical_tables(want.plan.tables)
+    assert got.diffs == want.diffs
+
+
+def test_repeating_a_refused_delta_is_refused_again():
+    """No noop shortcut while the deployed plan is stale."""
+    topo = _two_switch_line()
+    planner = IncrementalPlanner(
+        topo, ShortestPathElpProvider(explicit_endpoints=["A", "B"])
+    )
+    for _ in range(2):
+        with pytest.raises(TaggingError, match="empty ELP"):
+            planner.apply(TopologyDelta.link_down("A", "B"))
+
+
 def test_force_full_recomputes_everything(planner):
     result = planner.apply(
         TopologyDelta.link_down("L1", "S1"), force_full=True
@@ -151,7 +197,7 @@ def test_spine_link_churn_resumes_above_initial_level():
                             num_spines=2, hosts_per_tor=1))
     planner = IncrementalPlanner(topo, UpDownElpProvider())
     link = sorted(
-        key for key in planner._link_index
+        key for key in planner.topo.links
         if key[0].startswith("L") and key[1].startswith("S")
     )[0]
     result = planner.apply(TopologyDelta.link_down(*link))
@@ -165,7 +211,7 @@ def test_spine_link_churn_resumes_above_initial_level():
 
 def test_tor_link_churn_forces_full_merge(planner):
     link = sorted(
-        key for key in planner._link_index
+        key for key in planner.topo.links
         if key[0].startswith("L") and key[1].startswith("T")
     )[0]
     result = planner.apply(TopologyDelta.link_down(*link))
@@ -269,6 +315,31 @@ def test_foreign_strategy_memo_never_hits():
     exh._memo = sym._memo
     result = exh.apply(TopologyDelta.link_down("L1", "S1"))
     assert result.mode != MODE_MEMO
+
+
+def test_memo_entries_share_the_live_state_and_stay_intact():
+    """An entry holds the live state's path tuples and masks, not copies,
+    and nothing the planner does later writes through to it."""
+    topo = clos3(ClosParams(2, 2, 2, 2, hosts_per_tor=1))
+    planner = IncrementalPlanner(topo, UpDownElpProvider())
+    planner.apply(TopologyDelta.link_down("L1", "S1"))
+    entry = planner._memo[planner._memo_key()]
+    plan = entry.plan
+    assert all(entry.pairs[p] is paths for p, paths in planner._pairs.items())
+    stored = copy.deepcopy(
+        {f.name: getattr(entry, f.name) for f in fields(entry) if f.name != "plan"}
+    )
+
+    planner.apply(TopologyDelta.link_down("L2", "S2"))
+    assert planner.apply(TopologyDelta.link_up("L2", "S2")).mode == MODE_MEMO
+    planner.apply(TopologyDelta.link_down("L3", "S1"))
+    planner.apply(TopologyDelta.add_paths([planner.elp_paths()[0]]))
+    planner.apply(TopologyDelta.drain("L4"))
+
+    assert {
+        f.name: getattr(entry, f.name) for f in fields(entry) if f.name != "plan"
+    } == stored
+    assert entry.plan is plan
 
 
 def test_memo_capacity_is_lru_bounded():

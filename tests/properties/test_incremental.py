@@ -73,15 +73,22 @@ def assert_equivalent(planner: IncrementalPlanner, label: str) -> None:
     )
 
 
-def assert_link_index_exact(planner: IncrementalPlanner, label: str) -> None:
-    """The link -> pairs index lists exactly the pairs whose current paths
-    use each link: a stale entry would dirty pairs a delta cannot change."""
-    index = {}
+def assert_pair_masks_exact(planner: IncrementalPlanner, label: str) -> None:
+    """Each pair's link mask decodes to exactly the links its current
+    paths use, and a pair with no paths has no mask: a stale bit would
+    dirty pairs a delta cannot change, a missing one would keep a pair
+    that lost a path clean."""
+    links = sorted(planner.topo.links)
+    assert planner._pair_links.keys() == planner._pairs.keys(), (
+        f"{label}: masks and pairs disagree on which pairs hold paths"
+    )
     for pair, paths in planner._pairs.items():
-        for path in paths:
-            for a, b in zip(path, path[1:]):
-                index.setdefault((min(a, b), max(a, b)), set()).add(pair)
-    assert planner._link_index == index, f"{label}: link index is stale"
+        assert paths, f"{label}: {pair} is cached with no paths"
+        mask = planner._pair_links[pair]
+        decoded = {link for i, link in enumerate(links) if mask >> i & 1}
+        assert mask >> len(links) == 0 and decoded == {
+            (min(a, b), max(a, b)) for path in paths for a, b in zip(path, path[1:])
+        }, f"{label}: link mask of {pair} is stale"
 
 
 def drive(planner: IncrementalPlanner, deltas, label: str = "") -> None:
@@ -99,9 +106,10 @@ def drive(planner: IncrementalPlanner, deltas, label: str = "") -> None:
             assert not planner.elp_paths(), (
                 f"{step}: refused to plan a non-empty ELP"
             )
+            assert_pair_masks_exact(planner, step)
             continue
         assert_equivalent(planner, step)
-        assert_link_index_exact(planner, step)
+        assert_pair_masks_exact(planner, step)
 
 
 # ----------------------------------------------------------------------
