@@ -18,7 +18,7 @@ layer AND egress port faces a higher layer".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.core.rules import policy_tagged_graph, policy_tags_along_path
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
@@ -56,6 +56,11 @@ class ClosTagger:
     @property
     def max_lossless_tag(self) -> int:
         return INITIAL_TAG + self.max_bounces
+
+    @property
+    def host_tags(self) -> Tuple[int, ...]:
+        """Tags hosts inject: every packet starts at :data:`INITIAL_TAG`."""
+        return (INITIAL_TAG,)
 
     # ------------------------------------------------------------------
     # The tag policy itself

@@ -28,6 +28,10 @@ function explicitly:
 
 The output is directly a set of per-switch rule tables plus the tagged
 graph they induce; by construction rule generation can never conflict.
+
+:class:`DeterministicMinimizer` makes the merge resumable for the
+re-planner: the state only grows, so a per-level watermark (a handful of
+lengths) is enough to rewind it, and a scratch plan keeps no copy of it.
 """
 
 from __future__ import annotations
@@ -61,50 +65,65 @@ class DeterministicTagging:
         return sum(len(table) for table in self.tables.values())
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Checkpoint:
-    """Minimizer state captured *before* processing one brute-force level."""
+    """Minimizer watermark taken *before* processing one brute-force level.
 
-    node_class: Dict[TNode, int]
-    transitions: Dict[TransKey, int]
-    sandboxes: Dict[int, _Sandbox]
+    A run only appends to the minimizer's insertion-ordered dicts: each
+    node is classed once, each transition key is defined once, and a
+    class's sandbox is created once. Their lengths therefore mark the
+    state at the watermark, and :meth:`restore` pops everything appended
+    after it, taking back from each sandbox what the popped entries put
+    there: the port of every popped node, and the edge of every popped
+    transition that stays inside its class.
+    """
+
+    classed: int
+    transitions: int
+    sandboxes: int
     current: int
     contradictions: int
 
     @staticmethod
     def capture(minimizer: "DeterministicMinimizer") -> "_Checkpoint":
         return _Checkpoint(
-            node_class=dict(minimizer._node_class),
-            transitions=dict(minimizer._transitions),
-            sandboxes={
-                cls: sandbox.copy()
-                for cls, sandbox in minimizer._sandboxes.items()
-            },
+            classed=len(minimizer._node_class),
+            transitions=len(minimizer._transitions),
+            sandboxes=len(minimizer._sandboxes),
             current=minimizer._current,
             contradictions=minimizer._contradictions,
         )
 
     def restore(self, minimizer: "DeterministicMinimizer") -> None:
-        minimizer._node_class = dict(self.node_class)
-        minimizer._transitions = dict(self.transitions)
-        minimizer._sandboxes = {
-            cls: sandbox.copy() for cls, sandbox in self.sandboxes.items()
-        }
+        sandboxes = minimizer._sandboxes
+        transitions = minimizer._transitions
+        while len(transitions) > self.transitions:
+            (pred_port, pred_cls, port), cls = transitions.popitem()
+            if pred_cls == cls:
+                sandboxes[cls].unlink(pred_port, port)
+        node_class = minimizer._node_class
+        while len(node_class) > self.classed:
+            node, cls = node_class.popitem()
+            sandboxes[cls].release(node[0])
+        while len(sandboxes) > self.sandboxes:
+            sandboxes.popitem()
         minimizer._current = self.current
         minimizer._contradictions = self.contradictions
 
 
 class DeterministicMinimizer:
-    """Resumable deterministic minimization with per-level checkpoints.
+    """Resumable deterministic minimization with per-level watermarks.
 
     The merge processes brute-force tag levels in ascending order, and a
     level's outcome depends only on levels below it. The minimizer
-    therefore snapshots its state before each level; when the caller
-    knows the brute-force graph changed only at levels ``>= dirty``
-    (see :mod:`repro.core.replan`), :meth:`run` can restore the
-    ``dirty`` checkpoint and reprocess just the suffix — the *scoped
-    re-merge* — producing output bit-identical to a full run on the new
-    graph. ``run(graph)`` with no ``from_level`` is exactly the original
+    therefore records a watermark (a :class:`_Checkpoint`: a few
+    lengths and counters, no copy of any state) before each level; when
+    the caller knows the brute-force graph changed only at levels
+    ``>= dirty`` (see :mod:`repro.core.replan`), :meth:`run` pops its
+    state back to the ``dirty`` watermark and reprocesses just the
+    suffix — the *scoped re-merge* — producing output bit-identical to
+    a full run on the new graph. Rewinding costs what it undoes.
+    ``run(graph)`` with no ``from_level`` is exactly the original
     :func:`deterministic_minimize`.
     """
 
@@ -115,7 +134,7 @@ class DeterministicMinimizer:
         self._sandboxes: Dict[int, _Sandbox] = {}
         self._current = INITIAL_TAG
         self._contradictions = 0
-        #: _checkpoints[i] = state before processing level INITIAL_TAG + i.
+        #: _checkpoints[i] = watermark before processing level INITIAL_TAG + i.
         self._checkpoints: List[_Checkpoint] = []
 
     @property

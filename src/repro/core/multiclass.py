@@ -23,7 +23,7 @@ requirements keep holding (verified by :meth:`MultiClassClosTagger.tagged_graph`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.core.clos import ClosTagger
 from repro.core.rules import policy_tags_along_path
@@ -106,14 +106,18 @@ class MultiClassClosTagger:
     def path_stays_lossless(self, name: str, path: Sequence[str]) -> bool:
         return all(tag != LOSSY_TAG for tag in self.tag_along_path(name, path))
 
+    @property
+    def host_tags(self) -> Tuple[int, ...]:
+        """Tags hosts inject: each class's staggered initial tag."""
+        return tuple(self.initial_tag(cls.name) for cls in self.classes)
+
     def tagged_graph(self) -> TaggedGraph:
         """Tagged graph of the shared deployment, for verification.
 
         Host-facing ingress ports carry one node per class (its staggered
         initial tag); everything else follows the shared rewrite.
         """
-        host_tags = [self.initial_tag(cls.name) for cls in self.classes]
-        return self._shared.tagged_graph(host_tags=host_tags)
+        return self._shared.tagged_graph(host_tags=self.host_tags)
 
 
 def naive_priority_count(classes: Sequence[TrafficClass]) -> int:

@@ -400,7 +400,7 @@ def _policy_plan(
     for switch in topo.switches:
         if materialize:
             tables[switch] = materialize_policy_rules(
-                topo, switch, tagger.rewrite, tags
+                topo, switch, tagger.rewrite, tags, host_tags=tagger.host_tags
             )
         else:
             tables[switch] = RuleTable(switch=switch, policy=tagger.rewrite)

@@ -29,8 +29,10 @@ actually invalidates:
    to re-running Algorithm 1 (the graph is a set, order-free).
 3. **Scoped re-merge.** Brute-force levels below the lowest changed
    node/edge are untouched, so the resumable
-   :class:`~repro.core.determinize.DeterministicMinimizer` restores its
-   per-level checkpoint and reprocesses only the dirty suffix.
+   :class:`~repro.core.determinize.DeterministicMinimizer` pops its
+   state back to that level's watermark and reprocesses only the dirty
+   suffix. A watermark is a few lengths and counters, so a resume costs
+   what it undoes and no run copies the minimizer's state.
 4. **Plan memo.** Full resulting states are memoized per topology
    fingerprint (qualified by the enumeration strategy, plus the pinned
    extra-path signature), so fail→restore flaps replay from cache —

@@ -191,24 +191,26 @@ def materialize_policy_rules(
     policy: RewriteFn,
     tags: Sequence[int],
     include_host_ports: bool = True,
+    host_tags: Sequence[int] = (INITIAL_TAG,),
 ) -> RuleTable:
     """Expand a functional policy into explicit rules for one switch.
 
     Enumerates all (tag, in_port, out_port) combinations over the switch's
     ports; entries whose policy answer is :data:`LOSSY_TAG` are omitted
-    (the safeguard default already demotes). Used to count hardware rules
-    for topology-aware taggers and to feed the TCAM compressor.
+    (the safeguard default already demotes). Switch-facing ingress ports
+    get a rule for every tag in ``tags``; host-facing ones for the tags
+    hosts inject, ``host_tags`` (as in :func:`policy_tagged_graph`).
+    Used to count hardware rules for topology-aware taggers and to feed
+    the TCAM compressor.
     """
     table = RuleTable(switch=switch)
     ports = topo.ports(switch)
     for in_port, in_peer in ports.items():
-        in_is_host = topo.node(in_peer).is_host
+        live_tags = host_tags if topo.node(in_peer).is_host else tags
         for out_port, out_peer in ports.items():
             if in_port == out_port:
                 continue
-            for tag in tags:
-                if in_is_host and tag != INITIAL_TAG:
-                    continue  # hosts inject fresh packets only
+            for tag in live_tags:
                 new_tag = policy(switch, in_port, out_port, tag)
                 if new_tag == LOSSY_TAG:
                     continue

@@ -20,7 +20,17 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    KeysView,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.exceptions import TaggingError
 from repro.topology.base import Topology
@@ -52,11 +62,14 @@ class TaggedGraph:
     Nodes and edges are plain tuples (hashable, cheap); the class maintains
     forward/backward adjacency and a per-tag node index so the
     deadlock-freedom requirements (R1 per-tag acyclicity, R2 monotone
-    transitions) can be checked efficiently.
+    transitions) can be checked efficiently. Each node is stored as one
+    tuple object: :attr:`nodes` views the keys of a map from a node to
+    its stored object, and :meth:`add_edge` swaps each endpoint for that
+    object, so the adjacency sets never hold an equal copy.
     """
 
     def __init__(self) -> None:
-        self.nodes: Set[TNode] = set()
+        self._node: Dict[TNode, TNode] = {}
         self._out: Dict[TNode, Set[TNode]] = {}
         self._in: Dict[TNode, Set[TNode]] = {}
         self._by_tag: Dict[int, Set[TNode]] = {}
@@ -65,14 +78,14 @@ class TaggedGraph:
     # Mutation
     # ------------------------------------------------------------------
     def add_node(self, node: TNode) -> None:
-        if node in self.nodes:
+        if node in self._node:
             return
         (switch, port), tag = node
         if tag < INITIAL_TAG:
             raise TaggingError(f"invalid tag {tag} in node {node}")
-        self.nodes.add(node)
-        self._out.setdefault(node, set())
-        self._in.setdefault(node, set())
+        self._node[node] = node
+        self._out[node] = set()
+        self._in[node] = set()
         self._by_tag.setdefault(tag, set()).add(node)
 
     def add_edge(self, src: TNode, dst: TNode) -> None:
@@ -85,10 +98,14 @@ class TaggedGraph:
             raise TaggingError(
                 f"tag-decreasing edge {src} -> {dst} violates monotonicity"
             )
-        nodes = self.nodes
-        if src not in nodes:
+        stored = self._node
+        if src in stored:
+            src = stored[src]
+        else:
             self.add_node(src)
-        if dst not in nodes:
+        if dst in stored:
+            dst = stored[dst]
+        else:
             self.add_node(dst)
         self._out[src].add(dst)
         self._in[dst].add(src)
@@ -96,6 +113,11 @@ class TaggedGraph:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    @property
+    def nodes(self) -> KeysView[TNode]:
+        """The graph's nodes, as a live set-like view."""
+        return self._node.keys()
+
     def successors(self, node: TNode) -> Set[TNode]:
         return set(self._out.get(node, ()))
 
@@ -103,7 +125,7 @@ class TaggedGraph:
         return set(self._in.get(node, ()))
 
     def has_node(self, node: TNode) -> bool:
-        return node in self.nodes
+        return node in self._node
 
     def has_edge(self, src: TNode, dst: TNode) -> bool:
         return dst in self._out.get(src, ())
@@ -115,7 +137,7 @@ class TaggedGraph:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self._node)
 
     @property
     def num_edges(self) -> int:

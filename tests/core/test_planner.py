@@ -5,8 +5,10 @@ import pytest
 from repro.core import (
     TaggerPlan,
     TrafficClass,
+    MultiClassClosTagger,
     clos_bounce_elp,
     clos_updown_elp,
+    coverage_report,
 )
 from repro.exceptions import CapacityError, TaggingError
 from repro.routing import all_bounce_paths
@@ -125,3 +127,29 @@ class TestMulticlassPlan:
         elp = clos_bounce_elp(testbed, 1)
         assert plan.coverage(elp, initial_tag=1) == 1.0
         assert plan.coverage(elp, initial_tag=2) == 1.0
+
+    def test_host_to_host_paths_stay_lossless_per_class(self, testbed):
+        """A class's packets enter at its host's ToR carrying the class's
+        initial tag; the ToR's host-ingress rules must keep every hop
+        lossless (ToR-to-ToR paths never consult those rules)."""
+        classes = [TrafficClass("data", 1), TrafficClass("cnp", 1)]
+        plan = TaggerPlan.for_multiclass_clos(testbed, classes)
+        tagger = MultiClassClosTagger(testbed, classes)
+        host = {
+            tor: testbed.hosts_under(tor)[0]
+            for tor in testbed.switches
+            if testbed.hosts_under(tor)
+        }
+        paths = [
+            (host[path[0]], *path, host[path[-1]])
+            for path in clos_bounce_elp(testbed, 1)
+        ]
+        for cls in classes:
+            lossless, total, demoted = coverage_report(
+                testbed,
+                plan.tables,
+                paths,
+                initial_tag=tagger.initial_tag(cls.name),
+            )
+            assert total == len(paths)
+            assert lossless == total, (cls.name, demoted[:3])
