@@ -42,9 +42,12 @@ actually invalidates:
    the planner keeps a :mod:`repro.core.symmetry` certificate of the
    current topology; while it holds (healthy symmetric Clos), per-pair
    enumeration uses the certificate's closed form instead of the
-   provider's graph search. Any asymmetry — a failed link, a drain —
-   invalidates the certificate and pair recomputation degrades to the
-   exhaustive provider, byte-identically.
+   provider's graph search, and the initial build seeds the refcounted
+   graph from the certificate's closed-form counts
+   (:meth:`~repro.core.symmetry.SymmetryCertificate.path_counts`)
+   instead of walking every path. Any asymmetry — a failed link, a
+   drain — invalidates the certificate and pair recomputation degrades
+   to the exhaustive provider, byte-identically.
 
 Whenever a prerequisite fails — the provider contract cannot localize a
 restore because the planner never saw the no-failure baseline, or the
@@ -56,9 +59,11 @@ rule tables, tagged graph, and queue map. It is so by construction where
 that is possible — each path is counted through the same
 :func:`~repro.core.tags.tagged_walk` Algorithm 1 adds, and the graph is
 compiled by the same :func:`~repro.core.planner.compile_plan` — and by
-test where it is not (the refcounts, the pair cache and the checkpoint
-resume: property-tested in ``tests/properties/test_incremental.py`` and
-fuzz-checked as the ``incremental-divergence`` invariant).
+test where it is not (the refcounts, the certificate-seeded initial
+counts, the pair cache and the checkpoint resume: property-tested in
+``tests/properties/test_incremental.py`` and
+``tests/properties/test_symmetry_equivalence.py``, and fuzz-checked as
+the ``incremental-divergence`` invariant).
 """
 
 from __future__ import annotations
@@ -148,9 +153,10 @@ class _RefcountedGraph:
         dicts hold exactly the live graph.
 
         Node and edge bookkeeping sit side by side in one loop rather
-        than behind a per-dict helper: this is the 231 k-path planner-init
-        loop at clos64, where a shared per-dict helper measured +0.22 s
-        (+20 %) against this form (docs/PERFORMANCE.md).
+        than behind a per-dict helper: this is the per-path loop of an
+        uncertified init (231 k paths on the exhaustive clos64 build),
+        where a shared per-dict helper measured +0.22 s (+20 %) against
+        this form (docs/PERFORMANCE.md).
         """
         node_counts, edge_counts = self._nodes, self._edges
         nodes: List[TNode] = []
@@ -633,9 +639,20 @@ class IncrementalPlanner:
     def _full_build(self, timer: StageTimer) -> None:
         """From-scratch build of every pipeline stage (init path)."""
         self._refresh_cert(timer)
+        # A certificate's closed forms give both the pair paths and the
+        # refcounts their walks would sum to, so a certified build walks
+        # no ELP path; the masks stay the generic ones every delta keeps.
+        cert = self._cert
+        pairs = self.provider.ordered_pairs(self.topo)
         with timer.stage("elp"):
-            self._recompute_pairs(self.provider.ordered_pairs(self.topo), set())
+            if cert is None:
+                self._recompute_pairs(pairs, set())
+            else:
+                for pair in pairs:
+                    self._set_pair(pair, cert.pair_paths(*pair))
         with timer.stage("bruteforce"):
+            if cert is not None:
+                self._brute.restore_counts(*cert.path_counts())
             for path in self._extras:
                 self._brute.add_path(path)
         if self._base is None and not self.topo.failed_links:

@@ -21,6 +21,9 @@ the ``symmetry-divergence`` invariant):
   edge set Algorithm 1 derives from the exhaustive path set (the
   :class:`~repro.core.tags.TaggedGraph` is set-structured, so equality
   is order-free);
+- :meth:`SymmetryCertificate.path_counts` returns the reference counts
+  of those nodes and edges, equal to counting every pair's paths
+  through :func:`~repro.core.tags.tagged_walk`;
 - :func:`certify` returns ``None`` — degrading callers to exhaustive
   enumeration — on *any* structural irregularity: failed links,
   unlayered or >3-layer switches, incomplete pods, or spine groups
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.tags import TaggedGraph
+from repro.core.tags import TaggedGraph, TEdge, TNode
 from repro.exceptions import TaggingError
 from repro.routing.base import Path
 from repro.topology.base import Topology
@@ -181,6 +184,103 @@ class SymmetryCertificate:
                                     mid_node,
                                     ((leaf2, port(leaf2, spine)), 3),
                                 )
+
+    def path_counts(self) -> Tuple[Dict[TNode, int], Dict[TEdge, int]]:
+        """Algorithm-1 reference counts of the full up-down ELP.
+
+        Equal, as dicts, to counting every path of every pair's
+        :meth:`pair_paths` through :func:`~repro.core.tags.tagged_walk`
+        — what the re-planner's refcounted graph builds one path at a
+        time — in O(nodes + edges) and without a path. Each count is a
+        function of the certified pod structure: with ``t`` a pod's ToR
+        count, ``s`` a color's spine count and ``other`` the ToR x
+        color-leaf product summed over the color's other eligible pods,
+
+        - an intra-pod path ``(src, leaf, dst)`` enters ``leaf`` from
+          ``src`` once per other ToR (``t - 1``), ``dst`` from ``leaf``
+          once per other source (``t - 1``), and each edge once;
+        - a cross-pod path ``(src, leaf, spine, leaf2, dst)`` of one
+          color enters ``leaf`` from ``src`` and ``dst`` from ``leaf2``
+          ``s * other`` times (once per spine and remote ToR/leaf), the
+          spine from ``leaf`` and ``leaf`` from the spine ``t * other``
+          times, crosses each 1->2 and 3->4 edge ``other`` times and
+          each 2->3 edge from pod ``p`` into pod ``q`` ``t_p * t_q``
+          times.
+
+        The key sets are the nodes and edges :meth:`populate_graph`
+        emits; both closed forms are property-tested against the
+        per-path walk.
+        """
+        port = self.topo.port_to
+        nodes: Dict[TNode, int] = {}
+        edges: Dict[TEdge, int] = {}
+        for pod in self.pods:
+            peers = len(pod.tors) - 1
+            if peers < 1:
+                continue
+            for leaf in pod.leaves:
+                up = [((leaf, port(leaf, tor)), 1) for tor in pod.tors]
+                down = [((tor, port(tor, leaf)), 2) for tor in pod.tors]
+                for src_node in up:
+                    nodes[src_node] = peers
+                for dst_node in down:
+                    nodes[dst_node] = peers
+                for i, src_node in enumerate(up):
+                    for j, dst_node in enumerate(down):
+                        if i != j:
+                            edges[(src_node, dst_node)] = 1
+        for color, spines in enumerate(self.spine_groups):
+            eligible = [
+                (pod, pod.color_leaves(color))
+                for pod in self.pods
+                if pod.tors and pod.color_leaves(color)
+            ]
+            if len(eligible) < 2:
+                continue
+            total = sum(len(pod.tors) * len(leaves) for pod, leaves in eligible)
+            # Tag-2 and tag-3 nodes of each (leaf, spine), per eligible
+            # pod: the 2->3 edges join one pod's to another's.
+            mids: List[List[List[TNode]]] = []
+            lows: List[List[List[TNode]]] = []
+            for pod, leaves in eligible:
+                tors = len(pod.tors)
+                other = total - tors * len(leaves)
+                fan_in = len(spines) * other
+                pod_mids = []
+                pod_lows = []
+                for leaf in leaves:
+                    up = [((leaf, port(leaf, tor)), 1) for tor in pod.tors]
+                    down = [((tor, port(tor, leaf)), 4) for tor in pod.tors]
+                    for node in up:
+                        nodes[node] = nodes.get(node, 0) + fan_in
+                    for node in down:
+                        nodes[node] = fan_in
+                    leaf_mids = []
+                    leaf_lows = []
+                    for spine in spines:
+                        mid = ((spine, port(spine, leaf)), 2)
+                        low = ((leaf, port(leaf, spine)), 3)
+                        nodes[mid] = nodes[low] = tors * other
+                        for node in up:
+                            edges[(node, mid)] = other
+                        for node in down:
+                            edges[(low, node)] = other
+                        leaf_mids.append(mid)
+                        leaf_lows.append(low)
+                    pod_mids.append(leaf_mids)
+                    pod_lows.append(leaf_lows)
+                mids.append(pod_mids)
+                lows.append(pod_lows)
+            for p, (src_pod, _leaves) in enumerate(eligible):
+                for q, (dst_pod, _leaves) in enumerate(eligible):
+                    if p == q:
+                        continue
+                    weight = len(src_pod.tors) * len(dst_pod.tors)
+                    for leaf_mids in mids[p]:
+                        for k, mid in enumerate(leaf_mids):
+                            for leaf_lows in lows[q]:
+                                edges[(mid, leaf_lows[k])] = weight
+        return nodes, edges
 
     # ------------------------------------------------------------------
     # Accounting

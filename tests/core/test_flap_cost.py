@@ -14,6 +14,11 @@ A flap must cost what it changes. Three counts say so without a clock:
   collector must walk: paths and masks are immutable values the live
   state and every memo entry share.
 
+A cold start costs the structure, not the path count: a planner built
+on a certified fabric seeds its refcounts from the certificate's closed
+form and walks no ELP path (``tagged_walk``) — only its pinned extras —
+while an exhaustive one still walks every path.
+
 Call counts come from ``cProfile``, references from ``gc.get_referents``
 after full collections; both are deterministic, in the pattern of
 ``tests/obs/test_emit_cost.py``.
@@ -25,7 +30,12 @@ import os
 import pstats
 from dataclasses import fields
 
-from repro.core import IncrementalPlanner, UpDownElpProvider, diff_tables
+from repro.core import (
+    STRATEGY_EXHAUSTIVE,
+    IncrementalPlanner,
+    UpDownElpProvider,
+    diff_tables,
+)
 from repro.deploy import certify_rollout, plan_waves, run_rollout
 from repro.lint import LintSections
 from repro.topology import ClosParams, TopologyDelta, clos3
@@ -155,3 +165,19 @@ def test_rollout_lints_the_fabric_once():
     assert report.converged and report.final_lint_ok
     assert _calls(profile, "lint/linter", "lint_artifact") == 1
     assert _calls(profile, "lint/graph_checks", "check_graph") == 1
+
+
+def test_certified_init_walks_no_path():
+    provider = UpDownElpProvider()
+    extra = provider.pair_paths(clos3(PARAMS), "T1", "T4")[0]
+    for kwargs, certified, walks in (
+        ({}, True, 0),
+        ({"extra_paths": (extra,)}, True, 1),
+        # Each of the 468 ELP paths of PARAMS, walked once.
+        ({"strategy": STRATEGY_EXHAUSTIVE}, False, 468),
+    ):
+        planner, profile = _profiled(
+            lambda: IncrementalPlanner(clos3(PARAMS), provider, **kwargs)
+        )
+        assert planner.plan.meta["certified"] is certified, kwargs
+        assert _calls(profile, "core/tags", "tagged_walk") == walks, kwargs

@@ -166,6 +166,9 @@ def test_force_full_recomputes_everything(planner):
     )
     assert result.mode == MODE_FULL
     assert result.dirty_pairs == len(planner.provider.ordered_pairs(planner.topo))
+    # "full" recomputes every pair, but the merge still resumes from the
+    # lowest level the recompute changed (docs/PERFORMANCE.md mode table).
+    assert result.resume_level == 2
     assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
 
 
@@ -175,6 +178,7 @@ def test_link_up_without_known_base_falls_back_to_full():
     planner = IncrementalPlanner(topo, UpDownElpProvider())
     result = planner.apply(TopologyDelta.link_up("L1", "S1"))
     assert result.mode == MODE_FULL
+    assert result.resume_level == 2
     assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
 
 

@@ -22,12 +22,17 @@ The same oracle runs continuously inside the fuzz harness as the
 ``incremental-divergence`` invariant (:mod:`repro.fuzz.crosscheck`).
 """
 
+from typing import List, Optional
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    STRATEGY_EXHAUSTIVE,
+    STRATEGY_SYMMETRY,
     IncrementalPlanner,
+    ReplanResult,
     ShortestPathElpProvider,
     UpDownElpProvider,
     tables_equal,
@@ -47,6 +52,8 @@ from repro.topology import (
     testbed_clos,
 )
 from repro.topology.failures import DRAIN, LINK_DOWN
+
+from .test_symmetry_equivalence import clos_params
 
 SETTINGS = settings(
     max_examples=15,
@@ -91,25 +98,31 @@ def assert_pair_masks_exact(planner: IncrementalPlanner, label: str) -> None:
         }, f"{label}: link mask of {pair} is stale"
 
 
-def drive(planner: IncrementalPlanner, deltas, label: str = "") -> None:
-    """Apply deltas in order, checking equivalence after every one.
+def drive(
+    planner: IncrementalPlanner, deltas, label: str = ""
+) -> List[Optional[ReplanResult]]:
+    """Apply deltas in order, checking equivalence after every one, and
+    return each delta's result (None where the planner refused it).
 
     The planner may refuse a delta that empties the ELP; that refusal is
     legitimate only when the ELP really is empty, and the planner must
     keep absorbing later deltas (recovery).
     """
+    results: List[Optional[ReplanResult]] = []
     for i, delta in enumerate(deltas):
         step = f"{label}step {i} ({delta.describe()})"
         try:
-            planner.apply(delta)
+            results.append(planner.apply(delta))
         except TaggingError:
             assert not planner.elp_paths(), (
                 f"{step}: refused to plan a non-empty ELP"
             )
             assert_pair_masks_exact(planner, step)
+            results.append(None)
             continue
         assert_equivalent(planner, step)
         assert_pair_masks_exact(planner, step)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +217,76 @@ def test_path_pins_interleaved_with_churn(data):
     deltas.extend(churn)
     deltas.append(TopologyDelta.remove_paths(pins))
     drive(planner, deltas, "pins ")
+
+
+@given(
+    clos_params(),
+    st.integers(min_value=0, max_value=2**20),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+)
+@SETTINGS
+def test_certified_init_matches_exhaustive_init(params, seed, length, pin):
+    """A certified init seeds its refcounts from the certificate's closed
+    form; it must leave the warm state an exhaustive init walks path by
+    path, and both planners must then answer the same deltas alike."""
+    probe = clos3(params)
+    provider = UpDownElpProvider()
+    all_paths = sorted(
+        path
+        for pair in provider.ordered_pairs(probe)
+        for path in provider.pair_paths(probe, *pair)
+    )
+    if not all_paths:
+        return
+    extras = (all_paths[seed % len(all_paths)],) if pin else ()
+    seeded, walked = (
+        IncrementalPlanner(
+            clos3(params),
+            UpDownElpProvider(),
+            extra_paths=extras,
+            strategy=strategy,
+        )
+        for strategy in (STRATEGY_SYMMETRY, STRATEGY_EXHAUSTIVE)
+    )
+    label = f"clos {params} extras={len(extras)}: "
+    assert seeded.plan.meta["certified"] is True, f"{label}not seeded"
+    assert seeded._brute.counts_snapshot() == walked._brute.counts_snapshot(), (
+        f"{label}seeded refcounts diverged from the per-path walk"
+    )
+    assert seeded._pairs == walked._pairs, f"{label}pair cache diverged"
+    assert seeded._pair_links == walked._pair_links, f"{label}masks diverged"
+    assert_pair_masks_exact(seeded, label)
+    assert tables_equal(seeded.plan.tables, walked.plan.tables), label
+    assert seeded.plan.graph == walked.plan.graph, label
+    assert seeded.plan.queue_map == walked.plan.queue_map, label
+    assert seeded.plan.meta["elp_paths"] == walked.plan.meta["elp_paths"]
+    for name in ("_node_class", "_transitions"):
+        assert list(getattr(seeded._minimizer, name).items()) == list(
+            getattr(walked._minimizer, name).items()
+        ), f"{label}minimizer {name} diverged"
+
+    deltas = random_delta_sequence(probe, length, seed)
+    got = drive(seeded, deltas, f"{label}symmetry ")
+    want = drive(walked, deltas, f"{label}exhaustive ")
+    for i, (a, b) in enumerate(zip(got, want)):
+        step = f"{label}step {i} ({deltas[i].describe()})"
+        assert (a is None) == (b is None), f"{step}: only one refused"
+        if a is None:
+            continue
+        assert (
+            a.mode,
+            a.diffs,
+            a.dirty_pairs,
+            a.changed_paths,
+            a.resume_level,
+        ) == (
+            b.mode,
+            b.diffs,
+            b.dirty_pairs,
+            b.changed_paths,
+            b.resume_level,
+        ), f"{step}: seeded and exhaustive planners replanned differently"
 
 
 # ----------------------------------------------------------------------

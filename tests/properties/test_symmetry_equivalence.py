@@ -15,6 +15,12 @@ graph, queue map and description. The suite sweeps:
 - asymmetric states — failed links, drained switches, endpoint subsets,
   pinned extra paths — where symmetry must *safely* degrade.
 
+On every certified fabric it also pins the certificate's two closed
+forms to the per-path walk: ``path_counts()`` equals the Algorithm-1
+reference counts of every ``pair_paths`` path counted through
+``tagged_walk``, and its key sets are the nodes and edges
+``populate_graph`` emits.
+
 The same oracle runs continuously inside the fuzz harness as the
 ``symmetry-divergence`` invariant (:mod:`repro.fuzz.crosscheck`).
 """
@@ -26,10 +32,13 @@ from repro.core import (
     STRATEGY_EXHAUSTIVE,
     STRATEGY_SYMMETRY,
     ShortestPathElpProvider,
+    TaggedGraph,
     TaggerPlan,
     UpDownElpProvider,
     tables_equal,
 )
+from repro.core.symmetry import certify
+from repro.core.tags import tagged_walk
 from repro.exceptions import TaggingError
 from repro.topology import (
     ClosParams,
@@ -115,6 +124,38 @@ def assert_strategies_equivalent(
     return sym
 
 
+def assert_counts_match_walk(topo, label: str) -> None:
+    """The certificate's closed-form refcounts equal the per-path walk
+    over its own pair paths, and their keys are ``populate_graph``'s
+    node and edge sets."""
+    provider = UpDownElpProvider()
+    cert = certify(topo, provider)
+    assert cert is not None, f"{label}: expected a certificate"
+    walked_nodes, walked_edges = {}, {}
+    for pair in provider.ordered_pairs(topo):
+        for path in cert.pair_paths(*pair):
+            walk = tagged_walk(topo, path)
+            for node in walk:
+                walked_nodes[node] = walked_nodes.get(node, 0) + 1
+            for edge in zip(walk, walk[1:]):
+                walked_edges[edge] = walked_edges.get(edge, 0) + 1
+    node_counts, edge_counts = cert.path_counts()
+    assert node_counts == walked_nodes, (
+        f"{label}: closed-form node refcounts diverged from the walk"
+    )
+    assert edge_counts == walked_edges, (
+        f"{label}: closed-form edge refcounts diverged from the walk"
+    )
+    graph = TaggedGraph()
+    cert.populate_graph(graph)
+    assert set(graph.nodes) == node_counts.keys(), (
+        f"{label}: path_counts and populate_graph disagree on nodes"
+    )
+    assert set(graph.edges()) == edge_counts.keys(), (
+        f"{label}: path_counts and populate_graph disagree on edges"
+    )
+
+
 # ----------------------------------------------------------------------
 # Healthy symmetric fabrics: the certified closed-form fast path
 # ----------------------------------------------------------------------
@@ -139,6 +180,7 @@ def test_healthy_clos_certifies_and_matches(params):
         # clos3 always wires disjoint complete-bipartite pods, so every
         # healthy instance must take the closed-form path.
         assert sym.meta["certified"] is True
+    assert_counts_match_walk(clos3(params), f"clos {params}")
 
 
 @given(
@@ -153,6 +195,9 @@ def test_leaf_spine_certifies_and_matches(leaves, spines, hosts):
         UpDownElpProvider,
         f"leaf_spine({leaves},{spines})",
         expect_certified=True,
+    )
+    assert_counts_match_walk(
+        leaf_spine(leaves, spines, hosts), f"leaf_spine({leaves},{spines})"
     )
 
 
@@ -178,6 +223,7 @@ def test_express_links_stay_certified(params, seed):
         f"express clos {params}",
         expect_certified=True,
     )
+    assert_counts_match_walk(make_topo(), f"express clos {params}")
 
 
 @given(clos_params(), st.integers(min_value=0, max_value=2**20))

@@ -91,7 +91,12 @@ def render() -> str:
 
 
 def main() -> int:
-    path = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
+    root = pathlib.Path(__file__).resolve().parent.parent
+    # Document the checkout's own source, installed or not.
+    source = str(root / "src")
+    if source not in sys.path:
+        sys.path.insert(0, source)
+    path = root / "docs" / "API.md"
     text = render()
     path.write_text(text)
     print(f"wrote {path} ({len(text.splitlines())} lines)")
