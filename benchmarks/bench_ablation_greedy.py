@@ -30,7 +30,7 @@ from repro.topology import jellyfish, testbed_clos
 
 
 def coverage_of(topo, graph, elp):
-    tables = rules_from_tagged_graph(topo, graph, on_conflict="max").tables
+    tables = rules_from_tagged_graph(topo, graph).tables
     lossless, total, _ = coverage_report(topo, tables, elp)
     return lossless / total
 

@@ -27,7 +27,7 @@ def main() -> None:
     print(f"ELP: {len(elp)} paths ({elp.description}), "
           f"longest {elp.longest_hops()} hops")
 
-    plan = TaggerPlan.from_elp(topo, elp, minimize="deterministic")
+    plan = TaggerPlan.from_elp(topo, elp)
     print(plan.summary())
     print(f"verification: {plan.verify().summary()}")
     print(f"ELP coverage: {plan.coverage(elp):.1%}")

@@ -52,7 +52,7 @@ from repro.core import (
     jellyfish_elp,
     rules_to_tagged_graph,
 )
-from repro.core.rules import RuleTable
+from repro.core.rules import MatchActionRule, RuleTable
 from repro.exceptions import ReproError
 from repro.topology import (
     TESTBED_BLUE_PATH,
@@ -191,8 +191,9 @@ def dict_to_tables(blob: Dict[str, Any]) -> Dict[str, RuleTable]:
                     f"switch {switch!r}: rule row {row!r} is not "
                     f"[tag, in_port, out_port, new_tag] (four integers)"
                 )
-            tag, in_port, out_port, new_tag = row
-            table.rules[(tag, in_port, out_port)] = new_tag
+            # Conflicting rows for one match key raise here: a
+            # first-match TCAM would run whichever row it installs first.
+            table.add(MatchActionRule(*row))
         tables[switch] = table
     return tables
 
@@ -483,7 +484,6 @@ def cmd_replan(args: argparse.Namespace) -> int:
     planner = IncrementalPlanner(
         topo,
         _pairwise_provider(args),
-        minimize=args.minimize,
         telemetry=telemetry,
         strategy=_strategy(args),
     )
@@ -1011,11 +1011,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     add_topology_args(replan)
     replan.add_argument("--seed", type=int, default=1)
-    replan.add_argument(
-        "--minimize",
-        choices=("deterministic", "paper", "off"),
-        default="deterministic",
-    )
     replan.add_argument(
         "--delta",
         action="append",

@@ -9,8 +9,8 @@
 
 Three constructors mirror the paper:
 
-- :meth:`TaggerPlan.from_elp` — Algorithm 1 (+ optional Algorithm 2) on an
-  explicit ELP, for any topology;
+- :meth:`TaggerPlan.from_elp` — Algorithm 1 on an explicit ELP, for any
+  topology;
 - :meth:`TaggerPlan.for_clos` — the topology-aware Clos scheme (§4.3),
   no enumeration needed;
 - :meth:`TaggerPlan.for_multiclass_clos` — §6's staggered classes.
@@ -18,8 +18,11 @@ Three constructors mirror the paper:
 They mirror it in code as well: every Algorithm-1 plan — ``from_elp``,
 :meth:`TaggerPlan.from_provider` on either enumeration strategy, and
 every :class:`~repro.core.replan.IncrementalPlanner` compile — is
-finished by the one :func:`compile_plan` tail (minimize, verify, rules,
-queue map), and both policy plans by one materialise-and-wrap body.
+finished by the one :func:`compile_plan` tail (rule-realizable minimize,
+verify, queue map), and both policy plans by one materialise-and-wrap body.
+Algorithm 2 as printed (:func:`~repro.core.greedy.greedy_minimize`) is not
+on this path: it can demand two rewrites for one match key, so it is kept
+for the reproductions and the fuzzer only.
 """
 
 from __future__ import annotations
@@ -33,18 +36,10 @@ from repro.core.bruteforce import add_tagged_path, bruteforce_tagging
 from repro.core.clos import ClosTagger
 from repro.core.determinize import DeterministicTagging, deterministic_minimize
 from repro.core.elp import ElpSet, PairwiseElpProvider
-from repro.core.greedy import greedy_minimize
 from repro.core.symmetry import STRATEGY_SYMMETRY, certify, check_strategy
 from repro.core.multiclass import MultiClassClosTagger, TrafficClass
 from repro.core.pipeline import PipelineConfig, QueueMap
-from repro.core.rules import (
-    RuleGenerationReport,
-    RuleTable,
-    coverage_report,
-    materialize_policy_rules,
-    rules_from_tagged_graph,
-    rules_to_tagged_graph,
-)
+from repro.core.rules import RuleTable, coverage_report, materialize_policy_rules
 from repro.core.tags import INITIAL_TAG, TaggedGraph
 from repro.core.verification import VerificationReport, assert_deadlock_free, verify_tagged_graph
 from repro.exceptions import TaggingError
@@ -91,7 +86,6 @@ class TaggerPlan:
     tables: Dict[str, RuleTable]
     queue_map: QueueMap
     description: str = ""
-    rule_report: Optional[RuleGenerationReport] = None
     #: Provenance of the plan (enumeration strategy, certificate status,
     #: path counts); informational only — never consulted by the
     #: pipeline, so byte-identity of plans is judged on graph + tables.
@@ -104,19 +98,13 @@ class TaggerPlan:
     def from_elp(
         topo: Topology,
         elp: Iterable[Sequence[str]],
-        minimize: str = "deterministic",
         max_lossless_queues: int = 8,
-        on_conflict: str = "max",
         timer: Optional[StageTimer] = None,
     ) -> "TaggerPlan":
-        """Generic construction: Algorithm 1, then tag minimization.
+        """Generic construction: Algorithm 1, then the rule-realizable
+        merge of :mod:`repro.core.determinize`.
 
         Args:
-            minimize: ``"deterministic"`` (default) runs the
-                rule-realizable merge of :mod:`repro.core.determinize`;
-                ``"paper"`` runs Algorithm 2 exactly as printed (rule
-                conflicts, if any, resolved toward the larger tag);
-                ``"off"`` deploys the brute-force tags directly.
             timer: Optional :class:`~repro.perf.timing.StageTimer`; when
                 given, records wall-clock per pipeline stage
                 (``bruteforce``, ``minimize``, ``verify``, ``queue-map``);
@@ -126,23 +114,17 @@ class TaggerPlan:
         tag count exceeds ``max_lossless_queues`` — the paper's practical
         constraint (§3.3).
         """
-        if minimize not in ("deterministic", "paper", "off"):
-            raise TaggingError(f"unknown minimize mode {minimize!r}")
         if timer is None:
             timer = StageTimer()
         with timer.stage("bruteforce"):
             graph = bruteforce_tagging(topo, elp)
-        return compile_plan(
-            topo, graph, minimize, max_lossless_queues, on_conflict, timer
-        )
+        return compile_plan(topo, graph, max_lossless_queues, timer)
 
     @staticmethod
     def from_provider(
         topo: Topology,
         provider: PairwiseElpProvider,
-        minimize: str = "deterministic",
         max_lossless_queues: int = 8,
-        on_conflict: str = "max",
         extra_paths: Sequence[Sequence[str]] = (),
         timer: Optional[StageTimer] = None,
         strategy: str = STRATEGY_SYMMETRY,
@@ -204,9 +186,7 @@ class TaggerPlan:
             "certified": cert is not None,
             "elp_paths": enumerated + len(extras),
         }
-        return compile_plan(
-            topo, graph, minimize, max_lossless_queues, on_conflict, timer, meta
-        )
+        return compile_plan(topo, graph, max_lossless_queues, timer, meta)
 
     @staticmethod
     def for_clos(
@@ -307,7 +287,6 @@ class TaggerPlan:
                 fused.max_tag if fused.nodes else 0, max_lossless_queues
             ),
             description=f"{self.description} fused to {fused.num_tags} tags",
-            rule_report=self.rule_report,
             meta=dict(self.meta),
         )
 
@@ -323,9 +302,7 @@ class TaggerPlan:
 def compile_plan(
     topo: Topology,
     graph: TaggedGraph,
-    minimize: str,
     max_lossless_queues: int,
-    on_conflict: str,
     timer: StageTimer,
     meta: Optional[Dict[str, Any]] = None,
     merge: Optional[Callable[[TaggedGraph], DeterministicTagging]] = None,
@@ -340,47 +317,23 @@ def compile_plan(
 
     Args:
         graph: The brute-force (Algorithm 1) tagged graph.
-        minimize: ``"deterministic"``, ``"paper"`` or ``"off"`` (see
-            :meth:`TaggerPlan.from_elp`).
         merge: The deterministic merge to run on ``graph``; defaults to
             a from-scratch :func:`deterministic_minimize`. The
             re-planner hands in its resumable
-            :meth:`DeterministicMinimizer.run`. Only called in
-            ``"deterministic"`` mode.
+            :meth:`DeterministicMinimizer.run`.
     """
-    rule_report: Optional[RuleGenerationReport] = None
-    if minimize == "deterministic":
-        with timer.stage("minimize"):
-            result = merge(graph) if merge else deterministic_minimize(topo, graph)
-        tables = result.tables
-        graph = result.graph
-        with timer.stage("verify"):
-            assert_deadlock_free(graph)
-    else:
-        with timer.stage("minimize"):
-            if minimize == "paper":
-                graph = greedy_minimize(graph)
-        with timer.stage("verify"):
-            assert_deadlock_free(graph)
-            rule_report = rules_from_tagged_graph(
-                topo, graph, on_conflict=on_conflict
-            )
-            tables = rule_report.tables
-            if rule_report.conflicts:
-                # Conflict resolution changed semantics; re-verify
-                # what the rules actually deploy.
-                effective = rules_to_tagged_graph(topo, tables)
-                assert_deadlock_free(effective)
-                graph = effective
+    with timer.stage("minimize"):
+        result = merge(graph) if merge else deterministic_minimize(topo, graph)
+    with timer.stage("verify"):
+        assert_deadlock_free(result.graph)
     with timer.stage("queue-map"):
-        queue_map = QueueMap.identity(graph.max_tag, max_lossless_queues)
+        queue_map = QueueMap.identity(result.graph.max_tag, max_lossless_queues)
     return TaggerPlan(
         topo=topo,
-        graph=graph,
-        tables=tables,
+        graph=result.graph,
+        tables=result.tables,
         queue_map=queue_map,
-        description=f"algorithm-1+{minimize} ({graph.num_tags} tags)",
-        rule_report=rule_report,
+        description=f"algorithm-1+deterministic ({result.graph.num_tags} tags)",
         meta=dict(meta or {}),
     )
 

@@ -275,33 +275,23 @@ class IncrementalPlanner:
     The planner takes ownership of ``topo``: deltas passed to
     :meth:`apply` mutate it in place (via
     :func:`~repro.topology.failures.apply_delta`) and the current
-    :attr:`plan` always refers to it. All three ``minimize`` modes of
-    :meth:`TaggerPlan.from_elp` are supported; only ``"deterministic"``
-    benefits from the scoped re-merge (the paper's greedy pass is not
-    checkpointable), but the ELP cache and refcounted brute-force graph
-    accelerate every mode.
+    :attr:`plan` always refers to it.
     """
 
     def __init__(
         self,
         topo: Topology,
         provider: PairwiseElpProvider,
-        minimize: str = "deterministic",
         max_lossless_queues: int = 8,
-        on_conflict: str = "max",
         memo_capacity: int = 8,
         extra_paths: Tuple[Path, ...] = (),
         telemetry: Optional[Telemetry] = None,
         strategy: str = STRATEGY_SYMMETRY,
     ) -> None:
-        if minimize not in ("deterministic", "paper", "off"):
-            raise TaggingError(f"unknown minimize mode {minimize!r}")
         check_strategy(strategy)
         self.topo = topo
         self.provider = provider
-        self.minimize = minimize
         self.max_lossless_queues = max_lossless_queues
-        self.on_conflict = on_conflict
         self.memo_capacity = memo_capacity
         #: Enumeration strategy; part of the memo key, so memoized plans
         #: are never served across strategies.
@@ -378,9 +368,7 @@ class IncrementalPlanner:
         return TaggerPlan.from_elp(
             self.topo,
             self.elp_paths(),
-            minimize=self.minimize,
             max_lossless_queues=self.max_lossless_queues,
-            on_conflict=self.on_conflict,
         )
 
     def apply(
@@ -700,9 +688,7 @@ class IncrementalPlanner:
         plan = compile_plan(
             self.topo,
             graph,
-            self.minimize,
             self.max_lossless_queues,
-            self.on_conflict,
             timer,
             meta=self._meta(),
             merge=merge,

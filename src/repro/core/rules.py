@@ -106,38 +106,16 @@ class RuleGenerationReport:
     tables: Dict[str, RuleTable]
     conflicts: List[Tuple[str, MatchKey, int, int]] = field(default_factory=list)
 
-    @property
-    def total_rules(self) -> int:
-        return sum(len(table) for table in self.tables.values())
-
-    def rules_per_switch(self) -> Dict[str, int]:
-        return {switch: len(table) for switch, table in self.tables.items()}
-
-    @property
-    def max_rules_per_switch(self) -> int:
-        if not self.tables:
-            return 0
-        return max(len(table) for table in self.tables.values())
-
 
 def rules_from_tagged_graph(
-    topo: Topology,
-    graph: TaggedGraph,
-    on_conflict: str = "max",
+    topo: Topology, graph: TaggedGraph
 ) -> RuleGenerationReport:
     """Translate tagged-graph edges into per-switch rule tables.
 
-    Args:
-        topo: Topology (to resolve egress port numbers).
-        graph: A verified tagged graph.
-        on_conflict: ``"max"`` keeps the larger rewrite tag (safe: tags
-            stay monotone, the losing edge's packets may be demoted to
-            lossy downstream); ``"error"`` raises :class:`RuleError`.
-
-    Conflicts are recorded in the report either way.
+    A conflict keeps the larger rewrite tag (safe: tags stay monotone,
+    the losing edge's packets may be demoted to lossy downstream) and is
+    recorded in the report.
     """
-    if on_conflict not in ("max", "error"):
-        raise RuleError(f"unknown conflict policy {on_conflict!r}")
     tables: Dict[str, RuleTable] = {}
     conflicts: List[Tuple[str, MatchKey, int, int]] = []
     for (src_port, src_tag), (dst_port, dst_tag) in graph.edges():
@@ -149,11 +127,6 @@ def rules_from_tagged_graph(
         existing = table.rules.get(key)
         if existing is not None and existing != dst_tag:
             conflicts.append((switch, key, existing, dst_tag))
-            if on_conflict == "error":
-                raise RuleError(
-                    f"conflicting rewrites at {switch!r} {key}: "
-                    f"{existing} vs {dst_tag}"
-                )
             table.rules[key] = max(existing, dst_tag)
         else:
             table.rules[key] = dst_tag

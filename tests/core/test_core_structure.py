@@ -9,6 +9,7 @@ equivalence and incremental suites.
 """
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -56,14 +57,18 @@ def _core_callers(callee):
     )
 
 
-def test_replanner_compiles_through_the_planner_tail():
-    tree = ast.parse((CORE_DIR / "replan.py").read_text())
-    imported = {
+def _imported(module):
+    """Names a core module imports with ``from ... import``."""
+    return {
         alias.name
-        for node in ast.walk(tree)
+        for node in ast.walk(ast.parse((CORE_DIR / module).read_text()))
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def test_replanner_compiles_through_the_planner_tail():
+    imported = _imported("replan.py")
     own_tail = imported & {
         "greedy_minimize",
         "rules_from_tagged_graph",
@@ -73,6 +78,32 @@ def test_replanner_compiles_through_the_planner_tail():
     }
     assert not own_tail, f"replan.py re-implements the tail: {sorted(own_tail)}"
     assert "compile_plan" in imported
+
+
+def test_product_path_has_one_minimizer():
+    """Every plan compiles through the rule-realizable merge: Algorithm 2
+    as printed and the rule generator it needs stay with the
+    reproductions, and no constructor takes a minimizer choice."""
+    from repro.core import IncrementalPlanner, TaggerPlan, rules_from_tagged_graph
+    from repro.core.planner import compile_plan
+
+    for module in ("planner.py", "replan.py"):
+        other = _imported(module) & {
+            "greedy_minimize",
+            "rules_from_tagged_graph",
+            "rules_to_tagged_graph",
+        }
+        assert not other, f"{module} imports another minimizer: {sorted(other)}"
+    for function in (
+        compile_plan,
+        TaggerPlan.from_elp,
+        TaggerPlan.from_provider,
+        IncrementalPlanner.__init__,
+        rules_from_tagged_graph,
+    ):
+        params = set(inspect.signature(function).parameters)
+        chosen = params & {"minimize", "on_conflict"}
+        assert not chosen, f"{function.__qualname__} takes {sorted(chosen)}"
 
 
 def test_one_algorithm_1_walk():

@@ -31,7 +31,7 @@ class TestPaperGreedyConflicts:
         """The motivating defect: Algorithm 2 output is not rule-realizable."""
         elp = clos_bounce_elp(testbed, 1)
         graph = greedy_minimize(bruteforce_tagging(testbed, elp))
-        report = rules_from_tagged_graph(testbed, graph, on_conflict="max")
+        report = rules_from_tagged_graph(testbed, graph)
         assert report.conflicts, "expected conflicts (documented defect)"
 
 

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.core import (
+    QueueMap,
     TaggerPlan,
     TrafficClass,
     MultiClassClosTagger,
+    bruteforce_tagging,
     clos_bounce_elp,
     clos_updown_elp,
     coverage_report,
+    rules_from_tagged_graph,
 )
 from repro.exceptions import CapacityError, TaggingError
 from repro.routing import all_bounce_paths
@@ -63,20 +66,13 @@ class TestForClos:
 
 class TestFromElp:
     def test_modes(self, testbed):
+        """The one product merge is rule-realizable: 3 queues, full
+        coverage. (Algorithm 2's conflicts are pinned by
+        ``test_determinize.py::TestPaperGreedyConflicts``.)"""
         elp = clos_bounce_elp(testbed, 1)
-        det = TaggerPlan.from_elp(testbed, elp, minimize="deterministic")
-        paper = TaggerPlan.from_elp(testbed, elp, minimize="paper")
-        off = TaggerPlan.from_elp(testbed, elp, minimize="off")
-        assert det.num_lossless_queues == 3
-        assert paper.num_lossless_queues == 3
-        assert off.num_lossless_queues == 8
-        assert det.coverage(elp) == 1.0
-        assert off.coverage(elp) == 1.0
-        assert paper.coverage(elp) < 1.0  # documented Algorithm 2 defect
-
-    def test_unknown_mode(self, testbed):
-        with pytest.raises(TaggingError, match="unknown minimize"):
-            TaggerPlan.from_elp(testbed, clos_updown_elp(testbed), minimize="x")
+        plan = TaggerPlan.from_elp(testbed, elp)
+        assert plan.num_lossless_queues == 3
+        assert plan.coverage(elp) == 1.0
 
     def test_capacity_error_when_tags_exceed_queues(self, testbed):
         elp = clos_bounce_elp(testbed, 1)
@@ -96,8 +92,16 @@ class TestFromElp:
 
 class TestFitToQueues:
     def test_plan_level_fusion(self, testbed):
+        # A product plan is already merged (fusion is the identity or
+        # refuses), so fuse the unminimized Algorithm-1 tags directly.
         elp = clos_updown_elp(testbed)
-        plan = TaggerPlan.from_elp(testbed, elp, minimize="off")
+        graph = bruteforce_tagging(testbed, elp)
+        plan = TaggerPlan(
+            topo=testbed,
+            graph=graph,
+            tables=rules_from_tagged_graph(testbed, graph).tables,
+            queue_map=QueueMap.identity(graph.max_tag, 8),
+        )
         assert plan.num_lossless_queues == 4
         fused = plan.fit_to_queues(2)
         assert fused.num_lossless_queues == 2

@@ -69,11 +69,6 @@ def test_initial_build_matches_scratch_and_times_stages(planner):
         assert stage in planner.initial_timings
 
 
-def test_unknown_minimize_mode_rejected():
-    with pytest.raises(TaggingError):
-        IncrementalPlanner(testbed_clos(), UpDownElpProvider(), minimize="best")
-
-
 # ----------------------------------------------------------------------
 # Mode selection
 # ----------------------------------------------------------------------

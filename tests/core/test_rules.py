@@ -73,26 +73,6 @@ class TestRulesFromGraph:
         assert set(effective.edges()) == set(graph.edges())
         assert verify_tagged_graph(effective).deadlock_free
 
-    def test_error_policy_raises_on_conflict(self, testbed):
-        from repro.core import clos_bounce_elp, greedy_minimize
-
-        graph = greedy_minimize(
-            bruteforce_tagging(testbed, clos_bounce_elp(testbed, 1))
-        )
-        with pytest.raises(RuleError):
-            rules_from_tagged_graph(testbed, graph, on_conflict="error")
-
-    def test_unknown_conflict_policy(self, testbed):
-        graph = bruteforce_tagging(testbed, clos_updown_elp(testbed))
-        with pytest.raises(RuleError, match="unknown"):
-            rules_from_tagged_graph(testbed, graph, on_conflict="wat")
-
-    def test_report_counts(self, testbed):
-        graph = bruteforce_tagging(testbed, clos_updown_elp(testbed))
-        report = rules_from_tagged_graph(testbed, graph)
-        assert report.total_rules == sum(report.rules_per_switch().values())
-        assert report.max_rules_per_switch >= 1
-
 
 class TestMaterializePolicy:
     def test_clos_policy_materialization(self, testbed):

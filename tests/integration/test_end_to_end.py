@@ -94,7 +94,7 @@ class TestElpPlanSimAgreement:
     def test_generic_plan_runs_bounce_traffic_losslessly(self, testbed, bounce_paths):
         green, blue = bounce_paths
         elp = clos_bounce_elp(testbed, 1)
-        plan = TaggerPlan.from_elp(testbed, elp, minimize="deterministic")
+        plan = TaggerPlan.from_elp(testbed, elp)
         from repro.simulator import pin_path
 
         net = SimNetwork.with_plan(testbed, shortest_path_tables(testbed), plan)

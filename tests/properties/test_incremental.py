@@ -49,7 +49,6 @@ from repro.topology import (
     jellyfish,
     random_delta_sequence,
     switch_links,
-    testbed_clos,
 )
 from repro.topology.failures import DRAIN, LINK_DOWN
 
@@ -182,18 +181,6 @@ def test_jellyfish_shortest_churn_matches_scratch(data):
     )
     assert_equivalent(planner, "initial build")
     drive(planner, deltas)
-
-
-@given(
-    st.integers(min_value=0, max_value=2**20),
-    st.sampled_from(["paper", "off"]),
-)
-@SETTINGS
-def test_non_deterministic_minimize_modes_match_scratch(seed, minimize):
-    topo = testbed_clos()
-    planner = IncrementalPlanner(topo, UpDownElpProvider(), minimize=minimize)
-    assert_equivalent(planner, f"initial build ({minimize})")
-    drive(planner, random_delta_sequence(topo, 4, seed), f"{minimize} ")
 
 
 @given(st.data())

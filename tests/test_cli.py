@@ -273,6 +273,24 @@ class TestErrors:
                 ["lint", "PLAN"],
                 ["PLAN", "failed_links", "['L1', 'T9']"],
             ),
+            # Two rows for one match key: a first-match TCAM would run
+            # the first row installed, whichever row was checked.
+            (
+                {
+                    "generator": CLOS_GENERATOR,
+                    "rules": {"L1": [[2, 0, 2, 1], [2, 0, 2, 2]]},
+                },
+                ["verify", "PLAN"],
+                ["PLAN", "'L1'", "(2, 0, 2)"],
+            ),
+            (
+                {
+                    "generator": CLOS_GENERATOR,
+                    "rules": {"L1": [[2, 0, 2, 1], [2, 0, 2, 2]]},
+                },
+                ["lint", "PLAN"],
+                ["PLAN", "'L1'", "(2, 0, 2)"],
+            ),
         ],
     )
     def test_malformed_input_exits_1_with_one_line_diagnosis(
