@@ -421,12 +421,13 @@ def _format_timings(timings: Dict[str, float]) -> str:
 # Telemetry plumbing (shared by demo / replan / deploy / fuzz)
 # ----------------------------------------------------------------------
 def _make_telemetry(args: argparse.Namespace) -> Optional["Telemetry"]:
-    """A capture-everything Telemetry when ``--telemetry`` is given."""
+    """A capture-everything Telemetry when ``--telemetry`` is given: the
+    exported stream carries every packet's inject and deliver event."""
     if getattr(args, "telemetry", None) is None:
         return None
     from repro.obs import Telemetry
 
-    return Telemetry(capacity=1_000_000)
+    return Telemetry(capacity=1_000_000, packet_events=True)
 
 
 def _export_telemetry(

@@ -9,6 +9,11 @@ events onto. Design points:
   the ring, so aggregate reconciliation (events vs
   :class:`~repro.simulator.metrics.MetricsRecorder` counters) stays
   exact even after eviction.
+- **Folded per-packet kinds.** Unless the bus is built with
+  ``packet_events=True``, the simulator builds no event per injected or
+  delivered packet: it adds those kinds' counts with :meth:`fold` when a
+  run returns, so counts and totals stay lossless while the ring keeps
+  the control-plane story (PFC, detection, rollout).
 - **Pure observer.** Emitting never touches simulation state, RNGs, or
   scheduling — a fabric runs byte-identically with or without a bus
   attached (pinned by ``tests/obs/test_zero_perturbation.py``).
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from math import isfinite
 from typing import (
     Any,
     Callable,
@@ -38,6 +44,7 @@ from typing import (
 
 from repro.exceptions import ReproError
 from repro.obs.events import (
+    EVENT_SCHEMA,
     SCALAR_TYPE_SET,
     TIMESTAMP_TYPE_SET,
     Event,
@@ -54,14 +61,23 @@ class TelemetryError(ReproError):
 class TelemetryBus:
     """Bounded, typed, append-only event stream."""
 
-    def __init__(self, capacity: int = 65536, strict: bool = True) -> None:
+    def __init__(
+        self,
+        capacity: int = 65536,
+        strict: bool = True,
+        packet_events: bool = False,
+    ) -> None:
         if capacity < 1:
             raise TelemetryError(f"bus capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.strict = strict
+        #: Whether the simulator emits ``sim.packet.inject``/``deliver``
+        #: as events here (True) or folds their counts in (False).
+        self.packet_events = packet_events
         self._ring: Deque[Event] = deque(maxlen=capacity)
         self._counts: Dict[str, int] = {}
         self._total = 0
+        self._folded = 0
         self._subscribers: List[Subscriber] = []
         #: ``(kind, *field names)`` of every shape the full validator
         #: has passed on this bus.
@@ -75,21 +91,26 @@ class TelemetryBus:
 
         When strict, an event whose shape already passed the full
         validator is accepted if ``type(time)`` is exactly ``int`` or
-        ``float``, ``kind`` is exactly a ``str`` and every value's type
-        is exactly a JSON scalar type; anything else (a new shape, a
-        ``bool`` timestamp, a list, a ``str`` subclass...) goes through
+        ``float``, ``kind`` is exactly a ``str``, every value's type is
+        exactly a JSON scalar type and every float (``time`` included)
+        is finite; anything else (a new shape, a ``bool`` timestamp, a
+        list, a ``str`` subclass, a NaN...) goes through
         :func:`validate_fields`, so each event is accepted or rejected
         exactly as the full validator alone would, with the same message.
         """
         if self.strict:
             valid = (
                 type(time) in TIMESTAMP_TYPE_SET
+                and (type(time) is int or isfinite(time))
                 and type(kind) is str
                 and (kind, *fields) in self._shapes
             )
             if valid:
                 for value in fields.values():
-                    if type(value) not in SCALAR_TYPE_SET:
+                    value_type = type(value)
+                    if value_type not in SCALAR_TYPE_SET or (
+                        value_type is float and not isfinite(value)
+                    ):
                         valid = False
                         break
             if not valid:
@@ -105,6 +126,20 @@ class TelemetryBus:
         for subscriber in self._subscribers:
             subscriber(event)
         return event
+
+    def fold(self, kind: str, count: int) -> None:
+        """Count ``count`` events of ``kind`` without building them.
+
+        The folded events reach no ring and no subscriber; only
+        :meth:`count`, :meth:`counts_by_kind`, the total and
+        :attr:`folded` see them.
+        """
+        if kind not in EVENT_SCHEMA:
+            raise TelemetryError(f"cannot fold unknown event kind {kind!r}")
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + count
+        self._total += count
+        self._folded += count
 
     def subscribe(self, subscriber: Subscriber) -> None:
         """Call ``subscriber`` synchronously on every future emit."""
@@ -131,9 +166,14 @@ class TelemetryBus:
         return self._total
 
     @property
+    def folded(self) -> int:
+        """Events counted by :meth:`fold`, never built."""
+        return self._folded
+
+    @property
     def evicted(self) -> int:
-        """Events pushed out of the ring by the capacity bound."""
-        return self._total - len(self._ring)
+        """Built events pushed out of the ring by the capacity bound."""
+        return self._total - self._folded - len(self._ring)
 
     def stats(self) -> Dict[str, Any]:
         """Summary block embedded in JSON reports."""
@@ -141,6 +181,7 @@ class TelemetryBus:
             "total": self._total,
             "buffered": len(self._ring),
             "evicted": self.evicted,
+            "folded": self._folded,
             "capacity": self.capacity,
             "by_kind": dict(sorted(self._counts.items())),
         }

@@ -13,6 +13,7 @@ The taxonomy and per-kind field lists are documented for humans in
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -152,8 +153,9 @@ def validate_event_dict(blob: Mapping[str, Any]) -> Optional[str]:
     """Schema-check one exported event dict; None when valid.
 
     Returns a human-readable description of the first violation found:
-    unknown kind, missing required field, non-scalar value, or a
-    malformed envelope (missing/ill-typed ``ts``/``kind``).
+    unknown kind, missing required field, non-scalar value, a NaN or
+    infinite float (not JSON, RFC 8259), or a malformed envelope
+    (missing/ill-typed ``ts``/``kind``).
     """
     kind = blob.get("kind")
     if not isinstance(kind, str):
@@ -161,6 +163,8 @@ def validate_event_dict(blob: Mapping[str, Any]) -> Optional[str]:
     ts = blob.get("ts")
     if not isinstance(ts, (int, float)) or isinstance(ts, bool):
         return f"{kind}: event is missing a numeric 'ts'"
+    if isinstance(ts, float) and not math.isfinite(ts):
+        return f"{kind}: 'ts' is not a finite number ({ts!r})"
     required = EVENT_SCHEMA.get(kind)
     if required is None:
         return f"unknown event kind {kind!r}"
@@ -173,6 +177,8 @@ def validate_event_dict(blob: Mapping[str, Any]) -> Optional[str]:
                 f"{kind}: field {name!r} is not a JSON scalar "
                 f"({type(value).__name__})"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"{kind}: field {name!r} is not a finite number ({value!r})"
     return None
 
 

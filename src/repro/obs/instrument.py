@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter as TallyCounter
 from typing import TYPE_CHECKING, Dict
 
+from repro.obs.bus import TelemetryBus, TelemetryError
 from repro.obs.events import (
     EV_SELFCHECK_FINDING,
     EV_SELFCHECK_RUN,
@@ -26,7 +27,6 @@ from repro.obs.registry import MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - type-only imports, no cycles
     from repro.core.planner import TaggerPlan
     from repro.devcheck.diagnostics import SelfCheckReport
-    from repro.obs.bus import TelemetryBus
     from repro.obs.telemetry import Telemetry
     from repro.simulator.network import SimNetwork
 
@@ -154,13 +154,21 @@ def observe_selfcheck(
 # ----------------------------------------------------------------------
 # Bus-derived aggregates (reconciliation surface)
 # ----------------------------------------------------------------------
-def derive_sim_counts(bus: "TelemetryBus") -> Dict[str, object]:
+def derive_sim_counts(bus: TelemetryBus) -> Dict[str, object]:
     """Re-derive MetricsRecorder-style aggregates from raw bus events.
 
     Scans the ring buffer, so reconciliation runs must size the bus
     above the event count (``bus.evicted == 0`` is asserted by the
-    property test before comparing).
+    property test before comparing), and the bus must carry per-packet
+    events: on one that folds them this raises :class:`TelemetryError`
+    instead of reporting zero injections and deliveries.
     """
+    if not bus.packet_events:
+        raise TelemetryError(
+            f"this bus folds {EV_SIM_INJECT} and {EV_SIM_DELIVER} into "
+            f"counts; build it with packet_events=True to derive "
+            f"per-flow aggregates from its events"
+        )
     injected: TallyCounter[object] = TallyCounter()
     delivered_packets: TallyCounter[object] = TallyCounter()
     delivered_bytes: TallyCounter[object] = TallyCounter()

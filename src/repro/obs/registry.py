@@ -51,11 +51,23 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
+def _escape_help(text: str) -> str:
+    """HELP text per text format 0.0.4: ``\\`` and line feed escaped."""
+    return text.replace("\\", "\\\\").replace("\n", "\\n")
+
+
+def _escape_label_value(value: str) -> str:
+    """A label value per text format 0.0.4: ``\\``, ``"`` and line feed
+    escaped, so one odd switch name cannot break the whole page."""
+    return _escape_help(value).replace('"', '\\"')
+
+
 def _format_labels(labelnames: Sequence[str], values: LabelValues) -> str:
     if not labelnames:
         return ""
     body = ",".join(
-        f'{name}="{value}"' for name, value in zip(labelnames, values)
+        f'{name}="{_escape_label_value(value)}"'
+        for name, value in zip(labelnames, values)
     )
     return "{" + body + "}"
 
@@ -96,7 +108,7 @@ class _Metric:
     def header_lines(self) -> List[str]:
         lines = []
         if self.help_text:
-            lines.append(f"# HELP {self.name} {self.help_text}")
+            lines.append(f"# HELP {self.name} {_escape_help(self.help_text)}")
         lines.append(f"# TYPE {self.name} {self.metric_type}")
         return lines
 

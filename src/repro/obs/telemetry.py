@@ -9,7 +9,9 @@ its own time source, so event timestamps are deterministic wherever the
 underlying clock is. Per-packet emitters (the simulator's
 ``MetricsRecorder`` and ``PfcLog``) skip the facade: they hold the
 bus's ``emit`` and stamp each event with the simulated time they
-already have.
+already have. Healthy-packet kinds (``sim.packet.inject``/``deliver``)
+are folded into the bus's counts unless the facade is built with
+``packet_events=True``.
 
 Everything here is a pure observer: attaching a ``Telemetry`` to a
 simulation, planner, rollout or fuzz run must not change any observable
@@ -36,8 +38,16 @@ class Telemetry:
         bus: Optional[TelemetryBus] = None,
         registry: Optional[MetricsRegistry] = None,
         capacity: int = 65536,
+        packet_events: bool = False,
     ) -> None:
-        self.bus = bus if bus is not None else TelemetryBus(capacity=capacity)
+        if bus is None:
+            bus = TelemetryBus(capacity=capacity, packet_events=packet_events)
+        elif packet_events and not bus.packet_events:
+            raise TelemetryError(
+                "pass packet_events=True to the TelemetryBus given as "
+                "bus=, not to Telemetry"
+            )
+        self.bus = bus
         self.registry = registry if registry is not None else MetricsRegistry()
         self._clock: Optional[Clock] = None
 

@@ -61,6 +61,13 @@ DROP_LOSSLESS = "lossless_overflow"
 DROP_NO_ROUTE = "no_route"
 DROP_LINK_DOWN = "link_down"
 
+#: Tallies whose deltas :meth:`MetricsRecorder.publish` folds into a bus
+#: that does not carry per-packet events, with the kind they count.
+_FOLDED_KINDS: Dict[Tuple[str, LabelValues], str] = {
+    ("injected", ()): EV_SIM_INJECT,
+    ("delivered", ()): EV_SIM_DELIVER,
+}
+
 
 @dataclass
 class MetricsRecorder:
@@ -81,12 +88,22 @@ class MetricsRecorder:
     )  # flow -> per-packet one-way delays (seconds)
     demotions: Counter = field(default_factory=Counter)  # switch -> count
     #: Optional telemetry hookup (see :meth:`attach_telemetry`): the
-    #: attached bus's ``emit``, None when detached. Every recorded fact
-    #: is also emitted as a structured event (same call, same data, so
+    #: attached bus's ``emit``, None when detached. Drops and demotions
+    #: are also emitted as structured events (same call, same data, so
     #: the bus view reconciles exactly with these counters by
     #: construction), and :meth:`publish` folds the tallies into the
     #: registry's ``sim_*`` counters.
     _emit: Optional[Callable[..., Any]] = field(default=None, repr=False)
+    #: The bus's ``emit`` when it carries per-packet events
+    #: (``packet_events=True``), else None: injections and deliveries are
+    #: then counted by :meth:`publish` through the bus's ``fold``
+    #: (``_fold``, None when the bus carries the events).
+    _packet_emit: Optional[Callable[..., Any]] = field(
+        default=None, repr=False
+    )
+    _fold: Optional[Callable[[str, int], None]] = field(
+        default=None, repr=False
+    )
     _handles: Dict[str, Any] = field(default_factory=dict, repr=False)
     #: :meth:`_tallies` as of the last publish (or attach).
     _published: Dict[Tuple[str, LabelValues], float] = field(
@@ -109,10 +126,15 @@ class MetricsRecorder:
         self.publish()
         self.pfc.attach_telemetry(telemetry)
         if telemetry is None:
-            self._emit = None
+            self._emit = self._packet_emit = self._fold = None
             self._handles = {}
             return
-        self._emit = telemetry.bus.emit
+        bus = telemetry.bus
+        self._emit = bus.emit
+        if bus.packet_events:
+            self._packet_emit, self._fold = bus.emit, None
+        else:
+            self._packet_emit, self._fold = None, bus.fold
         self._handles = sim_metric_handles(telemetry.registry)
         self._published = self._tallies()
 
@@ -134,20 +156,27 @@ class MetricsRecorder:
 
     def publish(self) -> None:
         """Fold the tallies recorded since the last publish into the
-        registry's ``sim_*`` counters (no-op when detached).
+        registry's ``sim_*`` counters (no-op when detached), and the
+        injection and delivery counts into the bus unless it carries
+        them as events.
 
         ``SimNetwork.run`` calls this when the run returns, so those
-        counters are exact between runs; the events are exact at emit.
+        counters and folded counts are exact between runs; the events
+        are exact at emit.
         """
         if self._emit is None:
             return
         tallies = self._tallies()
         published = self._published
-        for (name, labels), total in tallies.items():
-            delta = total - published.get((name, labels), 0)
+        fold = self._fold
+        for key, total in tallies.items():
+            delta = total - published.get(key, 0)
             if delta:
+                name, labels = key
                 handle = self._handles[name]
                 handle.inc(delta, **dict(zip(handle.labelnames, labels)))
+                if fold is not None and key in _FOLDED_KINDS:
+                    fold(_FOLDED_KINDS[key], delta)
         self._published = tallies
 
     # ------------------------------------------------------------------
@@ -155,7 +184,7 @@ class MetricsRecorder:
     # ------------------------------------------------------------------
     def record_injection(self, time: float, flow_id: int) -> None:
         self.injected_packets[flow_id] += 1
-        emit = self._emit
+        emit = self._packet_emit
         if emit is not None:
             emit(time, EV_SIM_INJECT, flow=flow_id)
 
@@ -173,7 +202,7 @@ class MetricsRecorder:
         flow_buckets[bucket] = flow_buckets.get(bucket, 0) + size
         if created_at is not None:
             self._latencies[flow_id].append(time - created_at)
-        emit = self._emit
+        emit = self._packet_emit
         if emit is not None:
             emit(time, EV_SIM_DELIVER, flow=flow_id, size=size)
 

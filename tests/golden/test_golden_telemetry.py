@@ -16,6 +16,7 @@ diff in review. Regenerate intentionally with::
 """
 
 from pathlib import Path
+from typing import Optional
 
 from repro.obs import Telemetry, aggregate_jsonl, sample_queue_gauges
 from repro.routing import shortest_path_tables
@@ -43,9 +44,9 @@ def square4() -> Topology:
     return topo
 
 
-def run_walkthrough() -> Telemetry:
+def run_square4(telemetry: Optional[Telemetry]) -> SimNetwork:
+    """The walkthrough's simulation, with ``telemetry`` attached or not."""
     topo = square4()
-    telemetry = Telemetry(capacity=100_000)
     net = SimNetwork(
         topo,
         shortest_path_tables(topo),
@@ -79,6 +80,13 @@ def run_walkthrough() -> Telemetry:
     net.at(0.01, lambda: net.set_receiver_rate("HC", 5e6))
     net.at(0.03, lambda: net.set_receiver_rate("HC", None))
     net.run(0.04)
+    return net
+
+
+def run_walkthrough() -> Telemetry:
+    """The frozen walkthrough: the full stream, per-packet events too."""
+    telemetry = Telemetry(capacity=100_000, packet_events=True)
+    net = run_square4(telemetry)
     sample_queue_gauges(telemetry.registry, net)
     return telemetry
 

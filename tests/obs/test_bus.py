@@ -127,11 +127,24 @@ class TestValidation:
              "event is missing a string 'kind'"),
             (0.0, "sim.made.up", {"flow": 1},
              "unknown event kind 'sim.made.up'"),
+            (float("nan"), EV_SIM_INJECT, {"flow": 1},
+             "sim.packet.inject: 'ts' is not a finite number (nan)"),
+            (float("inf"), EV_SIM_INJECT, {"flow": 1},
+             "sim.packet.inject: 'ts' is not a finite number (inf)"),
+            (float("-inf"), EV_SIM_INJECT, {"flow": 1},
+             "sim.packet.inject: 'ts' is not a finite number (-inf)"),
+            (0.0, EV_SIM_DELIVER, {"flow": 1, "size": float("inf")},
+             "sim.packet.deliver: field 'size' is not a finite number (inf)"),
+            (0.0, EV_SIM_DELIVER, {"flow": 1, "size": float("-inf")},
+             "sim.packet.deliver: field 'size' is not a finite number (-inf)"),
+            (0.0, EV_SIM_DELIVER, {"flow": float("nan"), "size": 1},
+             "sim.packet.deliver: field 'flow' is not a finite number (nan)"),
         ],
         ids=[
             "list-value", "dict-value", "str-ts", "bool-ts", "none-ts",
             "ts-field", "missing-size", "missing-receiver", "list-kind",
-            "unknown-kind",
+            "unknown-kind", "nan-ts", "inf-ts", "neg-inf-ts", "inf-value",
+            "neg-inf-value", "nan-value",
         ],
     )
     def test_warm_bus_rejects_what_a_cold_bus_rejects(
@@ -223,6 +236,7 @@ class TestRingBuffer:
             "total": 3,
             "buffered": 2,
             "evicted": 1,
+            "folded": 0,
             "capacity": 2,
             "by_kind": {EV_SIM_DROP: 2, EV_SIM_INJECT: 1},
         }
@@ -231,6 +245,40 @@ class TestRingBuffer:
         bus = TelemetryBus(capacity=8)
         bus.emit(0.0, EV_SIM_INJECT, flow=1)
         assert "1/8" in repr(bus)
+
+
+class TestFold:
+    def test_fold_counts_without_building(self):
+        bus = TelemetryBus(capacity=2)
+        seen = []
+        bus.subscribe(seen.append)
+        bus.emit(0.0, EV_SIM_DROP, reason="ttl")
+        bus.fold(EV_SIM_INJECT, 5)
+        bus.fold(EV_SIM_DELIVER, 3)
+        bus.fold(EV_SIM_INJECT, 2)
+        assert bus.count(EV_SIM_INJECT) == 7
+        assert bus.count(EV_SIM_DELIVER) == 3
+        assert bus.total_emitted == 11
+        assert bus.folded == 10
+        # Nothing was built: the ring and the subscriber saw one event,
+        # and folded events are not counted as evicted.
+        assert [e.kind for e in bus.events()] == [EV_SIM_DROP]
+        assert [e.kind for e in seen] == [EV_SIM_DROP]
+        assert bus.evicted == 0
+        assert bus.stats()["folded"] == 10
+
+    def test_evicted_counts_only_built_events(self):
+        bus = TelemetryBus(capacity=2)
+        bus.fold(EV_SIM_INJECT, 100)
+        for flow in range(5):
+            bus.emit(0.0, EV_SIM_DROP, reason="ttl", flow=flow)
+        assert bus.evicted == 3
+
+    def test_fold_rejects_unknown_kind(self):
+        bus = TelemetryBus()
+        with pytest.raises(TelemetryError, match="sim.made.up"):
+            bus.fold("sim.made.up", 1)
+        assert bus.total_emitted == 0
 
 
 class TestExport:

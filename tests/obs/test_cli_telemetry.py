@@ -30,7 +30,9 @@ class TestTelemetryFlag:
         assert code in (0, 1)  # fig10 without tagger deadlocks by design
         aggregate = aggregate_jsonl(str(stream))
         assert aggregate["events"] > 0
+        # The CLI opts in to per-packet events: the file is the record.
         assert "sim.packet.inject" in aggregate["by_kind"]
+        assert "sim.packet.deliver" in aggregate["by_kind"]
         assert "sim.pfc.pause" in aggregate["by_kind"]
 
     def test_demo_prints_event_count(self, tmp_path, capsys):
@@ -117,6 +119,25 @@ class TestStats:
         err = capsys.readouterr().err
         assert "bad.jsonl:2" in err
         assert "missing required field" in err
+
+    def test_non_finite_numbers_exit_1_with_location(self, tmp_path, capsys):
+        """NaN and Infinity are not JSON (RFC 8259); Python's parser
+        accepts them, so the schema check must not."""
+        stream = tmp_path / "nan.jsonl"
+        stream.write_text('{"ts": NaN, "kind": "sim.packet.inject", "flow": 1}\n')
+        assert main(["stats", str(stream)]) == 1
+        captured = capsys.readouterr()
+        assert "nan.jsonl:1" in captured.err
+        assert "'ts' is not a finite number" in captured.err
+        assert "timestamp span" not in captured.out
+        stream.write_text(
+            '{"ts":0,"kind":"sim.packet.inject","flow":1}\n'
+            '{"ts":0,"kind":"sim.packet.deliver","flow":1,"size":Infinity}\n'
+        )
+        assert main(["stats", str(stream), "--format", "json"]) == 1
+        err = capsys.readouterr().err
+        assert "nan.jsonl:2" in err
+        assert "field 'size' is not a finite number (inf)" in err
 
     def test_missing_file_exits_1_without_traceback(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.jsonl")]) == 1

@@ -1,10 +1,13 @@
 """Unit tests for the instrumentation adapters in ``repro.obs.instrument``."""
 
+import pytest
+
 from repro.core import TaggerPlan, UpDownElpProvider
 from repro.obs import (
     MetricsRegistry,
     Telemetry,
     TelemetryBus,
+    TelemetryError,
     derive_sim_counts,
     observe_plan,
     observe_timings,
@@ -76,7 +79,7 @@ class TestSimMetricHandles:
 
 class TestDeriveSimCounts:
     def test_aggregates_raw_events(self):
-        bus = TelemetryBus()
+        bus = TelemetryBus(packet_events=True)
         bus.emit(0.0, EV_SIM_INJECT, flow=1)
         bus.emit(0.0, EV_SIM_INJECT, flow=1)
         bus.emit(0.1, EV_SIM_DELIVER, flow=1, size=1000)
@@ -95,6 +98,18 @@ class TestDeriveSimCounts:
             "pauses": 1,
             "resumes": 1,
         }
+
+    def test_folding_bus_fails_closed(self):
+        """A bus that folds per-packet kinds holds no inject/deliver
+        events to derive from; it names them and the opt-in instead of
+        reporting zero injections."""
+        bus = TelemetryBus()
+        bus.fold(EV_SIM_INJECT, 2)
+        with pytest.raises(TelemetryError) as caught:
+            derive_sim_counts(bus)
+        message = str(caught.value)
+        assert EV_SIM_INJECT in message and EV_SIM_DELIVER in message
+        assert "packet_events=True" in message
 
     def test_attach_detach_round_trip(self, small_clos):
         net = SimNetwork(small_clos, shortest_path_tables(small_clos))

@@ -15,8 +15,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import TaggerPlan
-from repro.obs import Telemetry, derive_sim_counts
-from repro.obs.events import EV_SIM_DEADLOCK, EV_SIM_DEMOTE, EV_SIM_WATCHDOG
+from repro.obs import Telemetry, TelemetryError, derive_sim_counts
+from repro.obs.events import (
+    EV_SIM_DEADLOCK,
+    EV_SIM_DELIVER,
+    EV_SIM_DEMOTE,
+    EV_SIM_DROP,
+    EV_SIM_INJECT,
+    EV_SIM_WATCHDOG,
+)
 from repro.routing import install_loop, shortest_path_tables
 from repro.simulator import (
     DeadlockBreaker,
@@ -108,7 +115,7 @@ def test_seeded_clos_runs_reconcile(scenario):
     flows, slow, seed, tagger = scenario
     topo = clos3(ClosParams(hosts_per_tor=1))
     table = shortest_path_tables(topo)
-    telemetry = Telemetry(capacity=200_000)
+    telemetry = Telemetry(capacity=200_000, packet_events=True)
     config = SimConfig(seed=seed, injection_jitter=1e-6)
     if tagger:
         plan = TaggerPlan.for_clos(topo, max_bounces=1)
@@ -147,18 +154,28 @@ def bounce_net(testbed, telemetry, with_tagger):
     return net
 
 
+def lossy_loop_net(telemetry):
+    topo = testbed_clos()
+    table = shortest_path_tables(topo)
+    plan = TaggerPlan.for_clos(topo, max_bounces=1)
+    net = SimNetwork.with_plan(topo, table, plan, telemetry=telemetry)
+    net.add_flow(Flow(src="H1", dst="H5"))
+    net.at(0.02, lambda: install_loop(net.table, "H5", "T1", "L1"))
+    return net
+
+
 class TestDeterministicScenarios:
     """Rarer event kinds, each pinned by a purpose-built scenario."""
 
     def test_pause_storm_reconciles(self):
-        telemetry = Telemetry(capacity=200_000)
+        telemetry = Telemetry(capacity=200_000, packet_events=True)
         net = bounce_net(testbed_clos(), telemetry, with_tagger=False)
         net.run(0.12)
         assert net.metrics.pfc.pause_count > 0
         assert_reconciles(net, telemetry)
 
     def test_tag_demotions_reconcile(self):
-        telemetry = Telemetry(capacity=200_000)
+        telemetry = Telemetry(capacity=200_000, packet_events=True)
         net = bounce_net(testbed_clos(), telemetry, with_tagger=True)
         net.run(0.12)
         assert sum(net.metrics.demotions.values()) > 0
@@ -167,19 +184,14 @@ class TestDeterministicScenarios:
     def test_lossy_loop_drops_reconcile(self):
         """Fig. 11(b) routing loop under Tagger: demoted packets die by
         TTL / lossy tail-drop; every drop reason reconciles."""
-        topo = testbed_clos()
-        table = shortest_path_tables(topo)
-        plan = TaggerPlan.for_clos(topo, max_bounces=1)
-        telemetry = Telemetry(capacity=500_000)
-        net = SimNetwork.with_plan(topo, table, plan, telemetry=telemetry)
-        net.add_flow(Flow(src="H1", dst="H5"))
-        net.at(0.02, lambda: install_loop(net.table, "H5", "T1", "L1"))
+        telemetry = Telemetry(capacity=500_000, packet_events=True)
+        net = lossy_loop_net(telemetry)
         net.run(0.1)
         assert net.metrics.total_drops() > 0
         assert_reconciles(net, telemetry)
 
     def test_watchdog_storms_reconcile(self):
-        telemetry = Telemetry(capacity=200_000)
+        telemetry = Telemetry(capacity=200_000, packet_events=True)
         net = bounce_net(testbed_clos(), telemetry, with_tagger=False)
         watchdog = PfcWatchdog(net, detection_time=0.02, poll=0.005)
         watchdog.install()
@@ -192,7 +204,7 @@ class TestDeterministicScenarios:
         assert_reconciles(net, telemetry)
 
     def test_deadlock_detections_reconcile(self):
-        telemetry = Telemetry(capacity=200_000)
+        telemetry = Telemetry(capacity=200_000, packet_events=True)
         net = bounce_net(testbed_clos(), telemetry, with_tagger=False)
         breaker = DeadlockBreaker(net, period=0.01)
         breaker.install()
@@ -209,7 +221,7 @@ class TestDeterministicScenarios:
 def test_multi_seed_storms_reconcile(seed):
     """Jittered storm runs: heavier PFC churn, same exact reconciliation."""
     topo = testbed_clos()
-    telemetry = Telemetry(capacity=500_000)
+    telemetry = Telemetry(capacity=500_000, packet_events=True)
     net = SimNetwork(
         topo,
         shortest_path_tables(topo),
@@ -223,3 +235,40 @@ def test_multi_seed_storms_reconcile(seed):
     net.at(0.02, lambda: net.set_receiver_rate("H2", 2e7))
     net.run(0.08)
     assert_reconciles(net, telemetry)
+
+
+class TestDefaultAttachment:
+    """A default ``Telemetry()`` folds healthy-packet kinds into counts
+    but keeps every anomaly (drops, demotions) as an event."""
+
+    def assert_folds_packets(self, net, telemetry):
+        recorder = net.metrics
+        bus = telemetry.bus
+        assert not bus.events(EV_SIM_INJECT) and not bus.events(EV_SIM_DELIVER)
+        injected = sum(recorder.injected_packets.values())
+        delivered = sum(recorder.delivered_packets.values())
+        assert bus.count(EV_SIM_INJECT) == injected
+        assert bus.count(EV_SIM_DELIVER) == delivered
+        assert bus.folded == injected + delivered
+        with pytest.raises(TelemetryError, match="packet_events=True"):
+            derive_sim_counts(bus)
+
+    def test_loop_drops_stay_events(self):
+        telemetry = Telemetry(capacity=500_000)
+        net = lossy_loop_net(telemetry)
+        net.run(0.1)
+        drops = net.metrics.total_drops()
+        assert drops > 0
+        assert len(telemetry.bus.events(EV_SIM_DROP)) == drops
+        assert telemetry.bus.evicted == 0
+        self.assert_folds_packets(net, telemetry)
+
+    def test_demotions_stay_events(self):
+        telemetry = Telemetry(capacity=200_000)
+        net = bounce_net(testbed_clos(), telemetry, with_tagger=True)
+        net.run(0.12)
+        demotions = sum(net.metrics.demotions.values())
+        assert demotions > 0
+        assert len(telemetry.bus.events(EV_SIM_DEMOTE)) == demotions
+        assert telemetry.bus.evicted == 0
+        self.assert_folds_packets(net, telemetry)

@@ -141,6 +141,33 @@ class TestRegistry:
         registry.gauge("z_depth").set(2.5)
         assert "z_depth 2.5" in registry.render_prometheus()
 
+    def test_label_values_and_help_are_escaped(self):
+        """Text format 0.0.4: a switch name with a quote, a backslash and
+        a line feed renders as one well-formed sample line."""
+        registry = MetricsRegistry()
+        demotions = registry.counter(
+            "sim_tag_demotions_total",
+            "Tag rewrites,\nby switch (C:\\ style).",
+            labelnames=("switch",),
+        )
+        demotions.inc(switch='L"1\\x\nnext')
+        histogram = registry.histogram(
+            "h_seconds", labelnames=("stage",), buckets=(1.0,)
+        )
+        histogram.observe(0.5, stage='a"b')
+        lines = registry.render_prometheus().splitlines()
+        assert lines[:3] == [
+            "# TYPE h_seconds histogram",
+            'h_seconds_bucket{stage="a\\"b",le="1"} 1',
+            'h_seconds_bucket{stage="a\\"b",le="+Inf"} 1',
+        ]
+        assert lines[-3:] == [
+            "# HELP sim_tag_demotions_total "
+            "Tag rewrites,\\nby switch (C:\\\\ style).",
+            "# TYPE sim_tag_demotions_total counter",
+            'sim_tag_demotions_total{switch="L\\"1\\\\x\\nnext"} 1',
+        ]
+
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().render_prometheus() == ""
         assert MetricsRegistry().to_dict() == {}

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs import (
     Telemetry,
+    TelemetryBus,
     TelemetryError,
     aggregate_jsonl,
     iter_jsonl,
@@ -17,6 +18,14 @@ class TestFacade:
         telemetry = Telemetry(capacity=16)
         assert telemetry.bus.capacity == 16
         assert len(telemetry.registry) == 0
+
+    def test_packet_events_is_set_once(self):
+        assert Telemetry().bus.packet_events is False
+        assert Telemetry(packet_events=True).bus.packet_events is True
+        own = TelemetryBus(packet_events=True)
+        assert Telemetry(bus=own).bus is own
+        with pytest.raises(TelemetryError, match="packet_events"):
+            Telemetry(bus=TelemetryBus(), packet_events=True)
 
     def test_clock_binding_stamps_events(self):
         telemetry = Telemetry()

@@ -98,13 +98,17 @@ def sim_state_snapshot(net, flows) -> str:
 
 class TestSimulatorUnperturbed:
     def test_final_state_byte_identical(self):
-        baseline_net, baseline_flows = run_sim(None)
-        telemetry = Telemetry(capacity=500_000)
-        observed_net, observed_flows = run_sim(telemetry)
-        assert telemetry.bus.total_emitted > 0  # it really was watching
-        assert sim_state_snapshot(
-            baseline_net, baseline_flows
-        ) == sim_state_snapshot(observed_net, observed_flows)
+        """Detached, the default attachment (per-packet kinds folded) and
+        the opt-in per-packet stream all leave the same simulator output,
+        and both buses count the same events."""
+        baseline = sim_state_snapshot(*run_sim(None))
+        folding = Telemetry(capacity=500_000)
+        streaming = Telemetry(capacity=500_000, packet_events=True)
+        assert sim_state_snapshot(*run_sim(folding)) == baseline
+        assert sim_state_snapshot(*run_sim(streaming)) == baseline
+        assert streaming.bus.total_emitted > 0  # it really was watching
+        assert folding.bus.counts_by_kind() == streaming.bus.counts_by_kind()
+        assert folding.bus.folded > 0 and streaming.bus.folded == 0
 
 
 class TestPlannerUnperturbed:
