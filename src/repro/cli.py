@@ -45,8 +45,6 @@ if TYPE_CHECKING:
     from repro.topology import TopologyDelta
 
 from repro.core import (
-    STRATEGY_EXHAUSTIVE,
-    STRATEGY_SYMMETRY,
     TaggerPlan,
     assert_deadlock_free,
     jellyfish_elp,
@@ -104,12 +102,6 @@ def build_topology(args: argparse.Namespace) -> Topology:
     raise ReproError(f"unknown topology {args.topology!r}")
 
 
-def _strategy(args: argparse.Namespace) -> str:
-    if getattr(args, "symmetry", True):
-        return STRATEGY_SYMMETRY
-    return STRATEGY_EXHAUSTIVE
-
-
 def _pairwise_provider(args: argparse.Namespace) -> "PairwiseElpProvider":
     """The pairwise ELP provider matching the topology family."""
     from repro.core import ShortestPathElpProvider, UpDownElpProvider
@@ -121,12 +113,9 @@ def _pairwise_provider(args: argparse.Namespace) -> "PairwiseElpProvider":
 
 def build_plan(args: argparse.Namespace, topo: Topology) -> TaggerPlan:
     if getattr(args, "elp", "clos") == "updown":
-        # Pairwise-provider planning: Algorithm 1 over the enumerated
-        # ELP, symmetry-accelerated by default (--no-symmetry forces
-        # exhaustive enumeration).
-        return TaggerPlan.from_provider(
-            topo, _pairwise_provider(args), strategy=_strategy(args)
-        )
+        # Pairwise-provider planning: Algorithm 1 over the provider's
+        # ELP, in closed form wherever the fabric certifies.
+        return TaggerPlan.from_provider(topo, _pairwise_provider(args))
     if args.topology == "clos":
         return TaggerPlan.for_clos(topo, max_bounces=args.bounces)
     elp = jellyfish_elp(topo, extra_random_paths=args.extra_paths, seed=args.seed)
@@ -153,7 +142,6 @@ def plan_to_dict(args: argparse.Namespace, plan: TaggerPlan) -> Dict[str, Any]:
                 "extra_paths",
                 "seed",
                 "elp",
-                "symmetry",
             )
             if hasattr(args, key)
         },
@@ -239,10 +227,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"fabric: {topo}")
     print(plan.summary())
     if plan.meta:
-        certified = "certified" if plan.meta.get("certified") else "exhaustive"
+        enumeration = (
+            "closed form (certified)"
+            if plan.meta["certified"]
+            else "per-pair walk (not certified)"
+        )
         print(
-            f"enumeration: {plan.meta.get('strategy')} ({certified}), "
-            f"{plan.meta.get('elp_paths')} ELP path(s)"
+            f"enumeration: {enumeration}, "
+            f"{plan.meta['elp_paths']} ELP path(s)"
         )
     print(f"verification: {report.summary()}")
     if args.out:
@@ -253,6 +245,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print("ERROR: plan failed verification", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
+
+
+#: Generator fields that size or seed the rebuilt fabric.
+_GENERATOR_SIZES = (
+    "pods", "tors", "leaves", "spines", "hosts", "switches", "ports", "seed",
+)
 
 
 def _load_plan_artifacts(
@@ -266,6 +264,13 @@ def _load_plan_artifacts(
             f'{plan_file}: not an exported plan (no "generator" object '
             f"describing the topology)"
         )
+    for key in _GENERATOR_SIZES:
+        value = generator.get(key, 0)
+        if type(value) is not int:
+            raise ReproError(
+                f'{plan_file}: "generator" field "{key}" must be an '
+                f"integer, got {value!r}"
+            )
     try:
         topo = build_topology(argparse.Namespace(**generator))
         _fail_exported_links(topo, blob.get("failed_links", []))
@@ -483,10 +488,7 @@ def cmd_replan(args: argparse.Namespace) -> int:
     deltas = [_parse_delta(spec) for spec in (args.delta or [])]
     telemetry = _make_telemetry(args)
     planner = IncrementalPlanner(
-        topo,
-        _pairwise_provider(args),
-        telemetry=telemetry,
-        strategy=_strategy(args),
+        topo, _pairwise_provider(args), telemetry=telemetry
     )
     print(f"fabric: {topo}")
     print(f"initial build: {planner.plan.summary()}")
@@ -718,9 +720,7 @@ def _deploy_transition(
     from repro.core import IncrementalPlanner
 
     topo = build_topology(args)
-    planner = IncrementalPlanner(
-        topo, _pairwise_provider(args), strategy=_strategy(args)
-    )
+    planner = IncrementalPlanner(topo, _pairwise_provider(args))
     old = dict(planner.plan.tables)
     deltas = [_parse_delta(spec) for spec in (args.delta or [])]
     if not deltas:
@@ -881,17 +881,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_symmetry_arg(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--symmetry",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="recognize isomorphic Clos pods and plan from one "
-            "equivalence class per orbit (default); --no-symmetry "
-            "forces exhaustive per-pair ELP enumeration — the escape "
-            "hatch when the closed form is in doubt",
-        )
-
     def add_topology_args(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--topology", choices=("clos", "jellyfish"), default="clos"
@@ -926,9 +915,9 @@ def make_parser() -> argparse.ArgumentParser:
         help="'clos' (default) uses the topology-native scheme "
         "(ClosTagger / jellyfish shortest paths); 'updown' plans via "
         "Algorithm 1 over the pairwise ELP provider (up-down paths on "
-        "clos, shortest paths otherwise), honoring --symmetry",
+        "clos, shortest paths otherwise); a healthy symmetric Clos is "
+        "planned in closed form, any other fabric by per-pair walk",
     )
-    add_symmetry_arg(plan)
     plan.add_argument("--out", type=str, default=None)
     plan.set_defaults(func=cmd_plan)
 
@@ -1027,7 +1016,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="re-plan from scratch at the end and require byte-identical "
         "rule tables",
     )
-    add_symmetry_arg(replan)
     replan.add_argument("--out", type=str, default=None)
     add_telemetry_arg(replan)
     replan.set_defaults(func=cmd_replan)
@@ -1191,7 +1179,6 @@ def make_parser() -> argparse.ArgumentParser:
         dest="time_budget",
         help="wall-clock cap in seconds for --chaos sweeps",
     )
-    add_symmetry_arg(deploy)
     deploy.add_argument("--max-attempts", type=int, default=8, dest="max_attempts")
     deploy.add_argument("--wave-size", type=int, default=8, dest="wave_size")
     deploy.add_argument(

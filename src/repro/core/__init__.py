@@ -74,14 +74,7 @@ from repro.core.rules import (
     rules_to_tagged_graph,
     tables_equal,
 )
-from repro.core.symmetry import (
-    STRATEGIES,
-    STRATEGY_EXHAUSTIVE,
-    STRATEGY_SYMMETRY,
-    SymmetryCertificate,
-    certify,
-    check_strategy,
-)
+from repro.core.symmetry import SymmetryCertificate, certify
 from repro.core.ttl_fallback import TtlFallback
 from repro.core.tags import (
     INITIAL_TAG,
@@ -171,10 +164,6 @@ __all__ = [
     "VerificationReport",
     "assert_deadlock_free",
     "verify_tagged_graph",
-    "STRATEGIES",
-    "STRATEGY_EXHAUSTIVE",
-    "STRATEGY_SYMMETRY",
     "SymmetryCertificate",
     "certify",
-    "check_strategy",
 ]

@@ -16,7 +16,7 @@ Three constructors mirror the paper:
 - :meth:`TaggerPlan.for_multiclass_clos` — §6's staggered classes.
 
 They mirror it in code as well: every Algorithm-1 plan — ``from_elp``,
-:meth:`TaggerPlan.from_provider` on either enumeration strategy, and
+:meth:`TaggerPlan.from_provider` (closed form or per-pair walk), and
 every :class:`~repro.core.replan.IncrementalPlanner` compile — is
 finished by the one :func:`compile_plan` tail (rule-realizable minimize,
 verify, queue map), and both policy plans by one materialise-and-wrap body.
@@ -36,7 +36,7 @@ from repro.core.bruteforce import add_tagged_path, bruteforce_tagging
 from repro.core.clos import ClosTagger
 from repro.core.determinize import DeterministicTagging, deterministic_minimize
 from repro.core.elp import ElpSet, PairwiseElpProvider
-from repro.core.symmetry import STRATEGY_SYMMETRY, certify, check_strategy
+from repro.core.symmetry import certify
 from repro.core.multiclass import MultiClassClosTagger, TrafficClass
 from repro.core.pipeline import PipelineConfig, QueueMap
 from repro.core.rules import RuleTable, coverage_report, materialize_policy_rules
@@ -86,9 +86,9 @@ class TaggerPlan:
     tables: Dict[str, RuleTable]
     queue_map: QueueMap
     description: str = ""
-    #: Provenance of the plan (enumeration strategy, certificate status,
-    #: path counts); informational only — never consulted by the
-    #: pipeline, so byte-identity of plans is judged on graph + tables.
+    #: Provenance of the plan (certificate status, path counts);
+    #: informational only — never consulted by the pipeline, so
+    #: byte-identity of plans is judged on graph + tables.
     meta: Dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -127,7 +127,6 @@ class TaggerPlan:
         max_lossless_queues: int = 8,
         extra_paths: Sequence[Sequence[str]] = (),
         timer: Optional[StageTimer] = None,
-        strategy: str = STRATEGY_SYMMETRY,
     ) -> "TaggerPlan":
         """From-scratch plan via a pairwise ELP provider (+ pinned extras).
 
@@ -137,25 +136,21 @@ class TaggerPlan:
         stage (path enumeration) is timed separately from the
         :meth:`from_elp` stages.
 
-        Args:
-            strategy: ``"symmetry"`` (default) first tries to certify
-                the topology/provider pair as a healthy symmetric Clos
-                (:mod:`repro.core.symmetry`); on success the tagged
-                graph is built in closed form from one representative
-                per pod/spine equivalence class, skipping per-pair path
-                enumeration entirely. When certification fails — any
-                asymmetry: failed links, drained endpoints, a
-                non-up-down provider — it degrades to ``"exhaustive"``,
-                which streams the provider's paths lazily into
-                Algorithm 1. Both paths compile byte-identical plans.
+        The input picks the enumeration. When the topology/provider pair
+        certifies as a healthy symmetric Clos
+        (:mod:`repro.core.symmetry`), the tagged graph is built in closed
+        form from one representative per pod/spine equivalence class,
+        skipping per-pair path enumeration entirely. Any asymmetry —
+        failed links, drained endpoints, a provider other than
+        :class:`~repro.core.elp.UpDownElpProvider` — degrades to
+        streaming the provider's paths lazily into Algorithm 1. Both
+        compile plans byte-identical to :meth:`from_elp` on the
+        provider's ELP.
         """
-        check_strategy(strategy)
         if timer is None:
             timer = StageTimer()
-        cert = None
-        if strategy == STRATEGY_SYMMETRY:
-            with timer.stage("certify"):
-                cert = certify(topo, provider)
+        with timer.stage("certify"):
+            cert = certify(topo, provider)
         with timer.stage("elp"):
             extras = ElpSet(topo, description=provider.description)
             extras.extend(extra_paths)
@@ -169,9 +164,8 @@ class TaggerPlan:
                     raise TaggingError("empty ELP: nothing to tag")
             enumerated = cert.path_count()
         else:
-            # Exhaustive enumeration (explicit, or symmetry degraded):
-            # stream the provider's paths lazily into Algorithm 1 so the
-            # full path list is never materialized.
+            # Not certified: stream the provider's paths lazily into
+            # Algorithm 1 so the full path list is never materialized.
             counter = {"paths": 0}
             stream = _timed_stream(provider.iter_paths(topo), timer, counter)
             with timer.stage("bruteforce"):
@@ -182,7 +176,6 @@ class TaggerPlan:
                 )
             enumerated = counter["paths"]
         meta = {
-            "strategy": strategy,
             "certified": cert is not None,
             "elp_paths": enumerated + len(extras),
         }
@@ -193,19 +186,13 @@ class TaggerPlan:
         topo: Topology,
         max_bounces: int = 1,
         max_lossless_queues: int = 8,
-        materialize: bool = True,
     ) -> "TaggerPlan":
-        """Topology-aware Clos plan: ``max_bounces + 1`` lossless tags.
-
-        With ``materialize=False`` the rule tables stay functional
-        (policy-backed) — preferable for very large fabrics.
-        """
+        """Topology-aware Clos plan: ``max_bounces + 1`` lossless tags."""
         tagger = ClosTagger(topo, max_bounces=max_bounces)
         return _policy_plan(
             topo,
             tagger,
             max_lossless_queues,
-            materialize,
             f"clos k={max_bounces} ({tagger.num_lossless_tags} tags)",
         )
 
@@ -221,7 +208,6 @@ class TaggerPlan:
             topo,
             tagger,
             max_lossless_queues,
-            True,
             f"multiclass clos ({len(classes)} classes, "
             f"{tagger.num_lossless_tags} tags)",
         )
@@ -342,21 +328,18 @@ def _policy_plan(
     topo: Topology,
     tagger: Union[ClosTagger, MultiClassClosTagger],
     max_lossless_queues: int,
-    materialize: bool,
     description: str,
 ) -> TaggerPlan:
     """Verify a topology-aware tagger's induced graph and wrap its rules."""
     graph = tagger.tagged_graph()
     assert_deadlock_free(graph)
     tags = range(INITIAL_TAG, INITIAL_TAG + tagger.num_lossless_tags)
-    tables: Dict[str, RuleTable] = {}
-    for switch in topo.switches:
-        if materialize:
-            tables[switch] = materialize_policy_rules(
-                topo, switch, tagger.rewrite, tags, host_tags=tagger.host_tags
-            )
-        else:
-            tables[switch] = RuleTable(switch=switch, policy=tagger.rewrite)
+    tables = {
+        switch: materialize_policy_rules(
+            topo, switch, tagger.rewrite, tags, host_tags=tagger.host_tags
+        )
+        for switch in topo.switches
+    }
     return TaggerPlan(
         topo=topo,
         graph=graph,

@@ -34,20 +34,21 @@ actually invalidates:
    suffix. A watermark is a few lengths and counters, so a resume costs
    what it undoes and no run copies the minimizer's state.
 4. **Plan memo.** Full resulting states are memoized per topology
-   fingerprint (qualified by the enumeration strategy, plus the pinned
-   extra-path signature), so fail→restore flaps replay from cache —
-   and a plan enumerated exhaustively is never served to a
-   symmetry-mode request, or vice versa.
-5. **Symmetry certificate.** Under the default ``"symmetry"`` strategy
-   the planner keeps a :mod:`repro.core.symmetry` certificate of the
-   current topology; while it holds (healthy symmetric Clos), per-pair
-   enumeration uses the certificate's closed form instead of the
-   provider's graph search, and the initial build seeds the refcounted
-   graph from the certificate's closed-form counts
+   fingerprint (plus the pinned extra-path signature), so fail→restore
+   flaps replay from cache. Certification is a function of the
+   topology and the planner's fixed provider, so an entry's provenance
+   is the one a recompute would report.
+5. **Symmetry certificate.** The planner keeps a
+   :mod:`repro.core.symmetry` certificate of the current topology
+   whenever :func:`~repro.core.symmetry.certify` grants one; while it
+   holds (healthy symmetric Clos), per-pair enumeration uses the
+   certificate's closed form instead of the provider's graph search,
+   and the initial build seeds the refcounted graph from the
+   certificate's closed-form counts
    (:meth:`~repro.core.symmetry.SymmetryCertificate.path_counts`)
    instead of walking every path. Any asymmetry — a failed link, a
    drain — invalidates the certificate and pair recomputation degrades
-   to the exhaustive provider, byte-identically.
+   to the provider's per-pair walk, byte-identically.
 
 Whenever a prerequisite fails — the provider contract cannot localize a
 restore because the planner never saw the no-failure baseline, or the
@@ -78,12 +79,7 @@ from repro.core.determinize import DeterministicMinimizer, DeterministicTagging
 from repro.core.elp import PairwiseElpProvider, canonical_elp_path
 from repro.core.planner import TaggerPlan, compile_plan
 from repro.core.rules import RuleDiff, diff_tables
-from repro.core.symmetry import (
-    STRATEGY_SYMMETRY,
-    SymmetryCertificate,
-    certify,
-    check_strategy,
-)
+from repro.core.symmetry import SymmetryCertificate, certify
 from repro.core.tags import INITIAL_TAG, TaggedGraph, TEdge, TNode, tagged_walk
 from repro.exceptions import TaggingError
 from repro.obs.events import EV_REPLAN_APPLY
@@ -154,7 +150,7 @@ class _RefcountedGraph:
 
         Node and edge bookkeeping sit side by side in one loop rather
         than behind a per-dict helper: this is the per-path loop of an
-        uncertified init (231 k paths on the exhaustive clos64 build),
+        uncertified init (231 k paths at clos64),
         where a shared per-dict helper measured +0.22 s (+20 %) against
         this form (docs/PERFORMANCE.md).
         """
@@ -286,19 +282,14 @@ class IncrementalPlanner:
         memo_capacity: int = 8,
         extra_paths: Tuple[Path, ...] = (),
         telemetry: Optional[Telemetry] = None,
-        strategy: str = STRATEGY_SYMMETRY,
     ) -> None:
-        check_strategy(strategy)
         self.topo = topo
         self.provider = provider
         self.max_lossless_queues = max_lossless_queues
         self.memo_capacity = memo_capacity
-        #: Enumeration strategy; part of the memo key, so memoized plans
-        #: are never served across strategies.
-        self.strategy = strategy
-        #: Closed-form pair enumeration certificate; non-None only under
-        #: the symmetry strategy while the topology stays a healthy
-        #: symmetric Clos.
+        #: Closed-form pair enumeration certificate; non-None only while
+        #: the topology stays a healthy symmetric Clos under an exact
+        #: :class:`~repro.core.elp.UpDownElpProvider`.
         self._cert: Optional[SymmetryCertificate] = None
         #: Optional observability hookup; a pure observer (never consulted
         #: by the planning pipeline itself).
@@ -371,9 +362,7 @@ class IncrementalPlanner:
             max_lossless_queues=self.max_lossless_queues,
         )
 
-    def apply(
-        self, delta: TopologyDelta, force_full: bool = False
-    ) -> ReplanResult:
+    def apply(self, delta: TopologyDelta) -> ReplanResult:
         """Absorb one delta and return the re-planned state + rule diff.
 
         Raises :class:`~repro.exceptions.TaggingError` when the delta
@@ -382,7 +371,7 @@ class IncrementalPlanner:
         recovers — and :class:`~repro.exceptions.CapacityError` when the
         new tag count exceeds the queue budget.
         """
-        result = self._apply(delta, force_full)
+        result = self._apply(delta)
         self._publish_result(result)
         return result
 
@@ -393,7 +382,7 @@ class IncrementalPlanner:
             EV_REPLAN_APPLY,
             delta_kind=result.delta.kind,
             mode=result.mode,
-            strategy=self.strategy,
+            certified=self._cert is not None,
             dirty_pairs=result.dirty_pairs,
             changed_paths=result.changed_paths,
         )
@@ -409,9 +398,7 @@ class IncrementalPlanner:
             "Rule add/remove operations shipped by re-plans.",
         ).inc(result.total_rule_touches)
 
-    def _apply(
-        self, delta: TopologyDelta, force_full: bool = False
-    ) -> ReplanResult:
+    def _apply(self, delta: TopologyDelta) -> ReplanResult:
         timer = StageTimer()
         prev_tables = self._plan.tables if self._plan is not None else {}
         self._last_resume_level = None
@@ -442,7 +429,6 @@ class IncrementalPlanner:
         # answer, and the minimizer keeps its checkpoints.
         unchanged = (
             not is_path_delta
-            and not force_full
             and not self._plan_dirty
             and self.topo.failed_links == failed_before
         )
@@ -472,7 +458,7 @@ class IncrementalPlanner:
 
         if unchanged:
             return result(MODE_NOOP, {})
-        if not force_full and not is_path_delta:
+        if not is_path_delta:
             entry = self._memo.get(memo_key)
             if entry is not None:
                 with timer.stage("restore"):
@@ -490,9 +476,6 @@ class IncrementalPlanner:
         with timer.stage("elp"):
             if is_path_delta:
                 dirty = set()
-            elif force_full:
-                mode = MODE_FULL
-                dirty = set(self.provider.ordered_pairs(self.topo))
             elif delta.kind in (LINK_DOWN, DRAIN):
                 # Locality: a pair's path set can change only if one of
                 # its current paths traverses a link that went down.
@@ -555,9 +538,6 @@ class IncrementalPlanner:
     # ------------------------------------------------------------------
     def _refresh_cert(self, timer: StageTimer) -> None:
         """Re-establish (or drop) the symmetry certificate for ``topo``."""
-        if self.strategy != STRATEGY_SYMMETRY:
-            self._cert = None
-            return
         with timer.stage("certify"):
             self._cert = certify(self.topo, self.provider)
 
@@ -700,7 +680,6 @@ class IncrementalPlanner:
     def _meta(self) -> Dict[str, Any]:
         """Plan provenance, same keys as :meth:`TaggerPlan.from_provider`."""
         return {
-            "strategy": self.strategy,
             "certified": self._cert is not None,
             "elp_paths": sum(len(paths) for paths in self._pairs.values())
             + len(self._extras),
@@ -710,14 +689,7 @@ class IncrementalPlanner:
     # Memoization
     # ------------------------------------------------------------------
     def _memo_key(self) -> _MemoKey:
-        # The strategy qualifies the fingerprint: a memoized exhaustive
-        # plan must never satisfy a symmetry-mode request (or vice
-        # versa) even though both hold identical bytes — their provenance
-        # metadata and downstream perf expectations differ.
-        return (
-            f"{self.topo.fingerprint()}:{self.strategy}",
-            tuple(sorted(self._extras)),
-        )
+        return self.topo.fingerprint(), tuple(sorted(self._extras))
 
     def _store_memo(self) -> None:
         if self._plan is None or self._plan_dirty or self.memo_capacity <= 0:

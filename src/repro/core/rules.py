@@ -163,7 +163,6 @@ def materialize_policy_rules(
     switch: str,
     policy: RewriteFn,
     tags: Sequence[int],
-    include_host_ports: bool = True,
     host_tags: Sequence[int] = (INITIAL_TAG,),
 ) -> RuleTable:
     """Expand a functional policy into explicit rules for one switch.
@@ -180,14 +179,12 @@ def materialize_policy_rules(
     ports = topo.ports(switch)
     for in_port, in_peer in ports.items():
         live_tags = host_tags if topo.node(in_peer).is_host else tags
-        for out_port, out_peer in ports.items():
+        for out_port in ports:
             if in_port == out_port:
                 continue
             for tag in live_tags:
                 new_tag = policy(switch, in_port, out_port, tag)
                 if new_tag == LOSSY_TAG:
-                    continue
-                if not include_host_ports and topo.node(out_peer).is_host:
                     continue
                 table.rules[(tag, in_port, out_port)] = new_tag
     return table

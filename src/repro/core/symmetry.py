@@ -24,7 +24,7 @@ the ``symmetry-divergence`` invariant):
 - :meth:`SymmetryCertificate.path_counts` returns the reference counts
   of those nodes and edges, equal to counting every pair's paths
   through :func:`~repro.core.tags.tagged_walk`;
-- :func:`certify` returns ``None`` — degrading callers to exhaustive
+- :func:`certify` returns ``None`` — degrading callers to per-pair
   enumeration — on *any* structural irregularity: failed links,
   unlayered or >3-layer switches, incomplete pods, or spine groups
   shared between leaf colors.
@@ -41,24 +41,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.tags import TaggedGraph, TEdge, TNode
-from repro.exceptions import TaggingError
 from repro.routing.base import Path
 from repro.topology.base import Topology
 from repro.topology.clos import LEAF_LAYER, SPINE_LAYER, TOR_LAYER
-
-#: Enumeration strategies accepted by the planner surfaces.
-STRATEGY_SYMMETRY = "symmetry"
-STRATEGY_EXHAUSTIVE = "exhaustive"
-STRATEGIES = (STRATEGY_EXHAUSTIVE, STRATEGY_SYMMETRY)
-
-
-def check_strategy(strategy: str) -> str:
-    if strategy not in STRATEGIES:
-        raise TaggingError(
-            f"unknown enumeration strategy {strategy!r}; "
-            f"expected one of {STRATEGIES}"
-        )
-    return strategy
 
 
 @dataclass(frozen=True)
@@ -349,7 +334,7 @@ class SymmetryCertificate:
 def certify(topo: Topology, provider: Any) -> Optional[SymmetryCertificate]:
     """Certify that closed-form up-down enumeration is exact, or refuse.
 
-    Returns ``None`` (degrade to exhaustive) unless *all* of the
+    Returns ``None`` (degrade to the per-pair walk) unless *all* of the
     following hold:
 
     - ``provider`` is exactly :class:`~repro.core.elp.UpDownElpProvider`

@@ -5,7 +5,7 @@ of the same contract — brute force (Algorithm 1), greedy minimization
 (Algorithm 2), the rule-realizable deterministic minimizer, and (on Clos
 with bounce ELPs) the topology-aware Clos tagger — and the results are
 checked against each other and against Theorem 5.1. On scenarios whose
-ELP is pair-decomposable, the symmetry planner, the incremental
+ELP is pair-decomposable, the provider planner, the incremental
 re-planner (:mod:`repro.core.replan`) and the rollout orchestrator
 (:mod:`repro.deploy`) are additionally checked byte-for-byte against the
 from-scratch pipeline.
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core import (
-    STRATEGY_EXHAUSTIVE,
-    STRATEGY_SYMMETRY,
     ClosTagger,
     DeterministicTagging,
     ElpSet,
@@ -299,57 +297,59 @@ def _run_clos(ctx: _Context, inject: Injector) -> Optional[str]:
 
 
 def _run_symmetry(ctx: _Context, inject: Injector) -> Optional[str]:
-    """Differential check of the symmetry enumeration strategy.
+    """Differential check of the closed-form enumeration.
 
-    Plans the scenario twice through :meth:`TaggerPlan.from_provider` —
-    once under the default symmetry strategy (closed-form orbit
-    replication when the topology certifies, exhaustive degradation
-    otherwise) and once with enumeration forced exhaustive — and demands
-    byte-identical rule tables and tagged graphs. Refusals must also
-    agree: if one strategy rejects the scenario (e.g. empty ELP), the
-    other must reject it too. A fault corrupts the symmetry plan after
-    the fact; the oracle must flag the divergence.
+    Plans the scenario through :meth:`TaggerPlan.from_provider` (the
+    closed-form orbit replication when the topology certifies, the
+    per-pair walk otherwise) and through :meth:`TaggerPlan.from_elp` on
+    the provider's explicit ELP, and demands byte-identical rule tables
+    and tagged graphs. Refusals must also agree: if one path rejects the
+    scenario (e.g. empty ELP), the other must reject it too. A fault
+    corrupts the provider plan after the fact; the oracle must flag the
+    divergence.
     """
     provider = ctx.provider
     if provider is None:
         return "ELP not pair-decomposable"
 
-    def plan(strategy: str) -> Tuple[Optional[TaggerPlan], Optional[str]]:
+    def plan(
+        build: Callable[[Topology], TaggerPlan],
+    ) -> Tuple[Optional[TaggerPlan], Optional[str]]:
         try:
-            return TaggerPlan.from_provider(
-                ctx.scenario.build_topology(), provider, strategy=strategy
-            ), None
+            return build(ctx.scenario.build_topology()), None
         except ReproError as exc:
             return None, str(exc)
 
-    sym, sym_error = plan(STRATEGY_SYMMETRY)
-    exh, exh_error = plan(STRATEGY_EXHAUSTIVE)
-    if sym is None or exh is None:
-        if sym_error == exh_error:
-            return f"both refused ({sym_error})"
+    got, got_error = plan(lambda topo: TaggerPlan.from_provider(topo, provider))
+    want, want_error = plan(
+        lambda topo: TaggerPlan.from_elp(topo, provider.build(topo))
+    )
+    if got is None or want is None:
+        if got_error == want_error:
+            return f"both refused ({got_error})"
         ctx.violate(
             "symmetry-divergence",
-            f"strategies disagree on refusal: "
-            f"symmetry={sym_error!r}, exhaustive={exh_error!r}",
+            f"from_provider and from_elp disagree on refusal: "
+            f"from_provider={got_error!r}, from_elp={want_error!r}",
         )
         return None
     if inject is not None:
-        inject(sym)
-    if not tables_equal(sym.tables, exh.tables):
+        inject(got)
+    if not tables_equal(got.tables, want.tables):
         ctx.violate(
             "symmetry-divergence",
-            "symmetry-strategy rule tables differ from exhaustive "
-            "enumeration",
+            "from_provider rule tables differ from from_elp on the "
+            "provider's ELP",
         )
-    elif sym.graph != exh.graph:
+    elif got.graph != want.graph:
         ctx.violate(
             "symmetry-divergence",
-            "symmetry-strategy tagged graph differs from exhaustive "
-            "enumeration",
+            "from_provider tagged graph differs from from_elp on the "
+            "provider's ELP",
         )
     else:
         ctx.result.stats["symmetry_mode"] = (
-            "certified" if sym.meta.get("certified") else "degraded"
+            "certified" if got.meta["certified"] else "degraded"
         )
     return None
 
@@ -560,7 +560,7 @@ STAGES: Tuple[Stage, ...] = (
     ),
     Stage(
         "symmetry",
-        (("symmetry-divergence", "symmetry plan != exhaustive plan"),),
+        (("symmetry-divergence", "from_provider plan != from_elp plan"),),
         _run_symmetry,
     ),
     Stage(

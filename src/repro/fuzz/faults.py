@@ -185,7 +185,7 @@ def drop_rule(plan: TaggerPlan) -> None:
     """Lose one rule from a healthy plan's table set.
 
     Models a rule that is computed correctly but never materializes: one
-    orbit replica's rule under the symmetry strategy, or one install of
+    orbit replica's rule of a closed-form plan, or one install of
     a minimal rule diff on its way to the switch after an incremental
     re-plan. The byte-identity oracles (``symmetry-divergence``,
     ``incremental-divergence``) must catch it whenever the plan holds
@@ -302,7 +302,7 @@ FAULT_TABLE: Tuple[Fault, ...] = (
         "symmetry",
         drop_rule,
         ("symmetry-divergence",),
-        "loses one rule from the symmetry-planned tables",
+        "loses one rule from the provider-planned tables",
     ),
     Fault(
         "replan-drop-rule",

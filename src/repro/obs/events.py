@@ -88,7 +88,7 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     EV_REPLAN_APPLY: (
         "delta_kind",
         "mode",
-        "strategy",
+        "certified",
         "dirty_pairs",
         "changed_paths",
     ),

@@ -106,6 +106,30 @@ def test_product_path_has_one_minimizer():
         assert not chosen, f"{function.__qualname__} takes {sorted(chosen)}"
 
 
+def test_the_input_picks_the_enumeration():
+    """No planner surface takes a switch that only tests ever set: the
+    certificate decides closed form vs per-pair walk, a policy plan is
+    always materialized, and a full recompute follows from the input."""
+    import repro.core
+    from repro.core import IncrementalPlanner, TaggerPlan, materialize_policy_rules
+
+    for function, dropped in (
+        (TaggerPlan.from_provider, {"strategy"}),
+        (IncrementalPlanner.__init__, {"strategy"}),
+        (IncrementalPlanner.apply, {"force_full"}),
+        (TaggerPlan.for_clos, {"materialize"}),
+        (materialize_policy_rules, {"include_host_ports"}),
+    ):
+        params = set(inspect.signature(function).parameters)
+        assert not params & dropped, f"{function.__qualname__} takes {dropped}"
+    exported = {
+        name
+        for name in dir(repro.core)
+        if name.startswith("STRATEG") or name == "check_strategy"
+    }
+    assert not exported, sorted(exported)
+
+
 def test_one_algorithm_1_walk():
     """``tagged_walk`` owns the hop loop; nothing re-derives tags from
     ``ingress_hops`` (which is the walk's projection, for hop counting)."""

@@ -17,7 +17,7 @@ A flap must cost what it changes. Three counts say so without a clock:
 A cold start costs the structure, not the path count: a planner built
 on a certified fabric seeds its refcounts from the certificate's closed
 form and walks no ELP path (``tagged_walk``) — only its pinned extras —
-while an exhaustive one still walks every path.
+while an uncertified one still walks every path.
 
 Call counts come from ``cProfile``, references from ``gc.get_referents``
 after full collections; both are deterministic, in the pattern of
@@ -31,7 +31,6 @@ import pstats
 from dataclasses import fields
 
 from repro.core import (
-    STRATEGY_EXHAUSTIVE,
     IncrementalPlanner,
     UpDownElpProvider,
     diff_tables,
@@ -39,6 +38,8 @@ from repro.core import (
 from repro.deploy import certify_rollout, plan_waves, run_rollout
 from repro.lint import LintSections
 from repro.topology import ClosParams, TopologyDelta, clos3
+
+from ..properties.test_symmetry_equivalence import Walked
 
 #: 3 pods x 3 ToRs: 9 endpoints, 72 ordered pairs.
 PARAMS = ClosParams(3, 3, 2, 2, hosts_per_tor=1)
@@ -170,14 +171,15 @@ def test_rollout_lints_the_fabric_once():
 def test_certified_init_walks_no_path():
     provider = UpDownElpProvider()
     extra = provider.pair_paths(clos3(PARAMS), "T1", "T4")[0]
-    for kwargs, certified, walks in (
-        ({}, True, 0),
-        ({"extra_paths": (extra,)}, True, 1),
+    for source, kwargs, certified, walks in (
+        (provider, {}, True, 0),
+        (provider, {"extra_paths": (extra,)}, True, 1),
         # Each of the 468 ELP paths of PARAMS, walked once.
-        ({"strategy": STRATEGY_EXHAUSTIVE}, False, 468),
+        (Walked(), {}, False, 468),
     ):
         planner, profile = _profiled(
-            lambda: IncrementalPlanner(clos3(PARAMS), provider, **kwargs)
+            lambda: IncrementalPlanner(clos3(PARAMS), source, **kwargs)
         )
-        assert planner.plan.meta["certified"] is certified, kwargs
-        assert _calls(profile, "core/tags", "tagged_walk") == walks, kwargs
+        label = (type(source).__name__, kwargs)
+        assert planner.plan.meta["certified"] is certified, label
+        assert _calls(profile, "core/tags", "tagged_walk") == walks, label

@@ -37,13 +37,6 @@ class TestForClos:
         ]
         assert plan.coverage(one_bounce) == 0.0
 
-    def test_policy_backed_tables(self, testbed):
-        lazy = TaggerPlan.for_clos(testbed, max_bounces=1, materialize=False)
-        eager = TaggerPlan.for_clos(testbed, max_bounces=1, materialize=True)
-        elp = clos_bounce_elp(testbed, 1)
-        assert lazy.coverage(elp) == eager.coverage(elp) == 1.0
-        assert lazy.total_rules == 0  # functional policy, no TCAM entries
-
     def test_pipeline_config(self, testbed):
         plan = TaggerPlan.for_clos(testbed, max_bounces=1)
         config = plan.pipeline_config("L1")

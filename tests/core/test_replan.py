@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import (
     INITIAL_TAG,
-    STRATEGY_EXHAUSTIVE,
     IncrementalPlanner,
     ShortestPathElpProvider,
     TaggerPlan,
@@ -34,6 +33,8 @@ from repro.core.rules import canonical_tables
 from repro.exceptions import TaggingError
 from repro.obs import Telemetry
 from repro.topology import ClosParams, Topology, TopologyDelta, clos3, testbed_clos
+
+from ..properties.test_symmetry_equivalence import Walked
 
 
 @pytest.fixture
@@ -155,26 +156,18 @@ def test_repeating_a_refused_delta_is_refused_again():
             planner.apply(TopologyDelta.link_down("A", "B"))
 
 
-def test_force_full_recomputes_everything(planner):
-    result = planner.apply(
-        TopologyDelta.link_down("L1", "S1"), force_full=True
-    )
-    assert result.mode == MODE_FULL
-    assert result.dirty_pairs == len(planner.provider.ordered_pairs(planner.topo))
-    # "full" recomputes every pair, but the merge still resumes from the
-    # lowest level the recompute changed (docs/PERFORMANCE.md mode table).
-    assert result.resume_level == 2
-    assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
-
-
 def test_link_up_without_known_base_falls_back_to_full():
     topo = testbed_clos()
     topo.fail_link("L1", "S1")  # planner never observes the pristine fabric
     planner = IncrementalPlanner(topo, UpDownElpProvider())
     result = planner.apply(TopologyDelta.link_up("L1", "S1"))
     assert result.mode == MODE_FULL
+    assert result.dirty_pairs == len(planner.provider.ordered_pairs(planner.topo))
+    # "full" recomputes every pair, but the merge still resumes from the
+    # lowest level the recompute changed (docs/PERFORMANCE.md mode table).
     assert result.resume_level == 2
     assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
+    assert planner.plan.graph == planner.scratch_plan().graph
 
 
 def test_drain_and_undrain_round_trip(planner):
@@ -280,42 +273,6 @@ def test_empty_elp_refused_then_recovers():
 # ----------------------------------------------------------------------
 # Memoization bounds
 # ----------------------------------------------------------------------
-def test_memo_key_is_strategy_qualified():
-    sym = IncrementalPlanner(testbed_clos(), UpDownElpProvider())
-    exh = IncrementalPlanner(
-        testbed_clos(), UpDownElpProvider(), strategy=STRATEGY_EXHAUSTIVE
-    )
-    assert sym._memo_key() != exh._memo_key()
-    assert sym._memo_key()[0].endswith(":symmetry")
-    assert exh._memo_key()[0].endswith(":exhaustive")
-
-
-def test_foreign_strategy_memo_never_hits():
-    """A plan memoized under one strategy must miss under the other.
-
-    Regression: the key used to be the bare topology fingerprint, so a
-    planner handed a memo populated under the other enumeration strategy
-    would serve it — byte-identical tables, but lying provenance meta
-    and stage timings. The strategy-qualified key pins the miss.
-    """
-    sym = IncrementalPlanner(testbed_clos(), UpDownElpProvider())
-    sym.apply(TopologyDelta.link_down("L1", "S1"))
-    sym.apply(TopologyDelta.link_up("L1", "S1"))
-
-    # Control: a same-strategy planner sharing the memo store hits.
-    twin = IncrementalPlanner(testbed_clos(), UpDownElpProvider())
-    twin._memo = sym._memo
-    assert twin.apply(TopologyDelta.link_down("L1", "S1")).mode == MODE_MEMO
-
-    # An exhaustive planner inheriting the same store must not.
-    exh = IncrementalPlanner(
-        testbed_clos(), UpDownElpProvider(), strategy=STRATEGY_EXHAUSTIVE
-    )
-    exh._memo = sym._memo
-    result = exh.apply(TopologyDelta.link_down("L1", "S1"))
-    assert result.mode != MODE_MEMO
-
-
 def test_memo_entries_share_the_live_state_and_stay_intact():
     """An entry holds the live state's path tuples and masks, not copies,
     and nothing the planner does later writes through to it."""
@@ -365,11 +322,8 @@ def test_result_summary_and_counters(planner):
     assert result.total_rule_touches == sum(
         d.touch_count for d in result.diffs.values()
     )
-    # The result fingerprint is the memo key: topology fingerprint
-    # qualified by the enumeration strategy.
-    assert result.fingerprint == (
-        f"{planner.topo.fingerprint()}:{planner.strategy}"
-    )
+    # The result fingerprint is the memo key's topology fingerprint.
+    assert result.fingerprint == planner.topo.fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -422,20 +376,20 @@ def test_refcounted_graph_tracks_algorithm_1_at_every_prefix(seed):
 # ----------------------------------------------------------------------
 # Plan provenance (meta) and the gauge it feeds
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("strategy", ["symmetry", STRATEGY_EXHAUSTIVE])
-def test_replanner_plans_carry_from_provider_meta(strategy):
-    planner = IncrementalPlanner(
-        testbed_clos(), UpDownElpProvider(), strategy=strategy
-    )
-    scratch = TaggerPlan.from_provider(
-        testbed_clos(), UpDownElpProvider(), strategy=strategy
-    )
+@pytest.mark.parametrize(
+    "provider, certified",
+    [(UpDownElpProvider, True), (Walked, False)],
+    ids=["symmetry", "exhaustive"],
+)
+def test_replanner_plans_carry_from_provider_meta(provider, certified):
+    planner = IncrementalPlanner(testbed_clos(), provider())
+    scratch = TaggerPlan.from_provider(testbed_clos(), provider())
     assert planner.plan.meta == scratch.meta
+    assert planner.plan.meta["certified"] is certified
     assert planner.plan.meta["elp_paths"] == len(planner.elp_paths())
     result = planner.apply(TopologyDelta.link_down("L1", "S1"))
     assert result.mode == MODE_INCREMENTAL
     assert result.plan.meta == {
-        "strategy": strategy,
         "certified": False,
         "elp_paths": len(planner.elp_paths()),
     }

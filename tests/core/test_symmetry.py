@@ -1,44 +1,19 @@
 """Unit tests for the symmetry certificate (repro.core.symmetry).
 
-The property suite establishes byte-identity against exhaustive
-enumeration; these tests pin the *gate*: every structural condition
+The property suite establishes byte-identity against Algorithm 1 on
+the explicit ELP; these tests pin the *gate*: every structural condition
 under which :func:`certify` must refuse (returning ``None`` so callers
 degrade safely), plus the closed-form accessors on a certificate built
 by hand.
 """
 
-import pytest
-
-from repro.core import (
-    STRATEGIES,
-    STRATEGY_EXHAUSTIVE,
-    STRATEGY_SYMMETRY,
-    ShortestPathElpProvider,
-    UpDownElpProvider,
-    certify,
-    check_strategy,
-)
-from repro.exceptions import TaggingError
+from repro.core import ShortestPathElpProvider, UpDownElpProvider, certify
 from repro.topology import ClosParams, Topology, clos3
 
 SMALL = ClosParams(
     num_pods=2, tors_per_pod=2, leaves_per_pod=2, num_spines=2,
     hosts_per_tor=0,
 )
-
-
-# ----------------------------------------------------------------------
-# Strategy validation
-# ----------------------------------------------------------------------
-def test_strategy_constants_are_accepted():
-    assert set(STRATEGIES) == {STRATEGY_EXHAUSTIVE, STRATEGY_SYMMETRY}
-    for strategy in STRATEGIES:
-        assert check_strategy(strategy) == strategy
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(TaggingError, match="unknown enumeration strategy"):
-        check_strategy("heuristic")
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import TaggerPlan, jellyfish_elp
+from repro.core import ClosTagger, RuleTable, TaggerPlan, jellyfish_elp
 from repro.exceptions import LintError
 from repro.lint import DeploymentArtifact, LintConfig, lint_artifact, lint_plan
 from repro.topology import jellyfish
@@ -38,9 +38,10 @@ class TestCleanPlans:
 
 class TestArtifactContract:
     def test_policy_backed_tables_rejected(self, testbed):
-        plan = TaggerPlan.for_clos(testbed, max_bounces=1, materialize=False)
+        rewrite = ClosTagger(testbed, max_bounces=1).rewrite
+        tables = {"L1": RuleTable(switch="L1", policy=rewrite)}
         with pytest.raises(LintError, match="policy-backed"):
-            DeploymentArtifact.from_plan(plan)
+            DeploymentArtifact(topo=testbed, tables=tables)
 
     def test_lint_ignores_planner_graph(self, testbed):
         """The artifact carries no TaggedGraph: certification is

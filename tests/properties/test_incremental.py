@@ -29,8 +29,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    STRATEGY_EXHAUSTIVE,
-    STRATEGY_SYMMETRY,
     IncrementalPlanner,
     ReplanResult,
     ShortestPathElpProvider,
@@ -52,7 +50,7 @@ from repro.topology import (
 )
 from repro.topology.failures import DRAIN, LINK_DOWN
 
-from .test_symmetry_equivalence import clos_params
+from .test_symmetry_equivalence import Walked, clos_params
 
 SETTINGS = settings(
     max_examples=15,
@@ -215,7 +213,7 @@ def test_path_pins_interleaved_with_churn(data):
 @SETTINGS
 def test_certified_init_matches_exhaustive_init(params, seed, length, pin):
     """A certified init seeds its refcounts from the certificate's closed
-    form; it must leave the warm state an exhaustive init walks path by
+    form; it must leave the warm state an uncertified init walks path by
     path, and both planners must then answer the same deltas alike."""
     probe = clos3(params)
     provider = UpDownElpProvider()
@@ -228,16 +226,12 @@ def test_certified_init_matches_exhaustive_init(params, seed, length, pin):
         return
     extras = (all_paths[seed % len(all_paths)],) if pin else ()
     seeded, walked = (
-        IncrementalPlanner(
-            clos3(params),
-            UpDownElpProvider(),
-            extra_paths=extras,
-            strategy=strategy,
-        )
-        for strategy in (STRATEGY_SYMMETRY, STRATEGY_EXHAUSTIVE)
+        IncrementalPlanner(clos3(params), source, extra_paths=extras)
+        for source in (UpDownElpProvider(), Walked())
     )
     label = f"clos {params} extras={len(extras)}: "
     assert seeded.plan.meta["certified"] is True, f"{label}not seeded"
+    assert walked.plan.meta["certified"] is False, f"{label}not walked"
     assert seeded._brute.counts_snapshot() == walked._brute.counts_snapshot(), (
         f"{label}seeded refcounts diverged from the per-path walk"
     )
@@ -254,8 +248,8 @@ def test_certified_init_matches_exhaustive_init(params, seed, length, pin):
         ), f"{label}minimizer {name} diverged"
 
     deltas = random_delta_sequence(probe, length, seed)
-    got = drive(seeded, deltas, f"{label}symmetry ")
-    want = drive(walked, deltas, f"{label}exhaustive ")
+    got = drive(seeded, deltas, f"{label}seeded ")
+    want = drive(walked, deltas, f"{label}walked ")
     for i, (a, b) in enumerate(zip(got, want)):
         step = f"{label}step {i} ({deltas[i].describe()})"
         assert (a is None) == (b is None), f"{step}: only one refused"
@@ -273,7 +267,7 @@ def test_certified_init_matches_exhaustive_init(params, seed, length, pin):
             b.dirty_pairs,
             b.changed_paths,
             b.resume_level,
-        ), f"{step}: seeded and exhaustive planners replanned differently"
+        ), f"{step}: seeded and walked planners replanned differently"
 
 
 # ----------------------------------------------------------------------

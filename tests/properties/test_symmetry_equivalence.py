@@ -1,11 +1,11 @@
-"""Property tests: symmetry-strategy planning ≡ exhaustive enumeration.
+"""Property tests: provider planning ≡ Algorithm 1 on the explicit ELP.
 
 The headline contract of :mod:`repro.core.symmetry`: for every topology
-and provider, :meth:`TaggerPlan.from_provider` compiles *byte-identical*
-plans under the ``symmetry`` strategy (closed-form orbit replication
-when the fabric certifies, exhaustive degradation otherwise) and under
-forced ``exhaustive`` enumeration — identical rule tables, tagged
-graph, queue map and description. The suite sweeps:
+and provider, :meth:`TaggerPlan.from_provider` (closed-form orbit
+replication when the fabric certifies, the per-pair walk otherwise)
+compiles plans *byte-identical* to
+``TaggerPlan.from_elp(topo, provider.build(topo))`` — identical rule
+tables, tagged graph, queue map and description. The suite sweeps:
 
 - seeded Clos fabrics across the parameter space (certified fast path);
 - Jellyfish and BCube fabrics via the shortest-path provider (degrades:
@@ -29,8 +29,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    STRATEGY_EXHAUSTIVE,
-    STRATEGY_SYMMETRY,
     ShortestPathElpProvider,
     TaggedGraph,
     TaggerPlan,
@@ -59,69 +57,71 @@ SETTINGS = settings(
 )
 
 
-def assert_strategies_equivalent(
+class Walked(UpDownElpProvider):
+    """The up-down ELP through a provider :func:`certify` refuses by
+    contract (a subclass may override ``pair_paths``): planners built on
+    it take the per-pair walk on the same healthy fabric, so tests can
+    pin that path's internal state against the closed form's."""
+
+
+def assert_matches_explicit_elp(
     make_topo,
     provider_factory,
     label: str,
     extra_paths=(),
     expect_certified=None,
 ):
-    """Plan twice (symmetry vs exhaustive) and demand identical bytes.
+    """Plan through the provider and through ``from_elp`` on its ELP,
+    and demand identical bytes.
 
-    Refusals must agree too: when one strategy raises, the other must
-    raise as well. Returns the symmetry plan (or None on agreed refusal)
-    so callers can assert on its meta.
+    Refusals must agree too: when one side raises, the other must raise
+    as well. Returns the provider plan (or None on agreed refusal) so
+    callers can assert on its meta.
     """
-    sym_exc = exh_exc = None
-    sym = exh = None
+    got_exc = want_exc = None
+    got = want = None
+    elp_size = None
     try:
-        sym = TaggerPlan.from_provider(
-            make_topo(),
-            provider_factory(),
-            extra_paths=extra_paths,
-            strategy=STRATEGY_SYMMETRY,
+        got = TaggerPlan.from_provider(
+            make_topo(), provider_factory(), extra_paths=extra_paths
         )
     except TaggingError as exc:
-        sym_exc = str(exc)
+        got_exc = str(exc)
     try:
-        exh = TaggerPlan.from_provider(
-            make_topo(),
-            provider_factory(),
-            extra_paths=extra_paths,
-            strategy=STRATEGY_EXHAUSTIVE,
-        )
+        topo = make_topo()
+        elp = list(provider_factory().build(topo)) + list(extra_paths)
+        elp_size = len(elp)
+        want = TaggerPlan.from_elp(topo, elp)
     except TaggingError as exc:
-        exh_exc = str(exc)
-    if sym_exc is not None or exh_exc is not None:
-        assert sym_exc == exh_exc, (
-            f"{label}: strategies disagree on refusal "
-            f"(symmetry={sym_exc!r}, exhaustive={exh_exc!r})"
+        want_exc = str(exc)
+    if got_exc is not None or want_exc is not None:
+        assert got_exc == want_exc, (
+            f"{label}: planners disagree on refusal "
+            f"(from_provider={got_exc!r}, from_elp={want_exc!r})"
         )
         return None
-    assert tables_equal(sym.tables, exh.tables), (
-        f"{label}: rule tables diverged between strategies"
+    assert tables_equal(got.tables, want.tables), (
+        f"{label}: rule tables diverged from from_elp"
     )
-    assert sym.graph == exh.graph, (
-        f"{label}: tagged graph diverged between strategies"
+    assert got.graph == want.graph, (
+        f"{label}: tagged graph diverged from from_elp"
     )
-    assert sym.queue_map == exh.queue_map, (
-        f"{label}: queue map diverged between strategies"
+    assert got.queue_map == want.queue_map, (
+        f"{label}: queue map diverged from from_elp"
     )
-    assert sym.description == exh.description, (
-        f"{label}: description diverged between strategies"
+    assert got.description == want.description, (
+        f"{label}: description diverged from from_elp"
     )
-    assert sym.meta["strategy"] == STRATEGY_SYMMETRY
-    assert exh.meta["certified"] is False
-    assert sym.meta["elp_paths"] == exh.meta["elp_paths"], (
+    assert got.meta["elp_paths"] == elp_size, (
         f"{label}: path accounting diverged "
-        f"({sym.meta['elp_paths']} vs {exh.meta['elp_paths']})"
+        f"({got.meta['elp_paths']} vs {elp_size})"
     )
     if expect_certified is not None:
-        assert sym.meta["certified"] is expect_certified, (
+        assert got.meta["certified"] is expect_certified, (
             f"{label}: expected certified={expect_certified}, "
-            f"got {sym.meta['certified']}"
+            f"got {got.meta['certified']}"
         )
-    return sym
+    return got
 
 
 def assert_counts_match_walk(topo, label: str) -> None:
@@ -173,7 +173,7 @@ def clos_params(draw):
 @given(clos_params())
 @SETTINGS
 def test_healthy_clos_certifies_and_matches(params):
-    sym = assert_strategies_equivalent(
+    sym = assert_matches_explicit_elp(
         lambda: clos3(params), UpDownElpProvider, f"clos {params}"
     )
     if sym is not None:
@@ -190,7 +190,7 @@ def test_healthy_clos_certifies_and_matches(params):
 )
 @SETTINGS
 def test_leaf_spine_certifies_and_matches(leaves, spines, hosts):
-    assert_strategies_equivalent(
+    assert_matches_explicit_elp(
         lambda: leaf_spine(leaves, spines, hosts),
         UpDownElpProvider,
         f"leaf_spine({leaves},{spines})",
@@ -217,7 +217,7 @@ def test_express_links_stay_certified(params, seed):
             add_express_link(topo, a, b)
         return topo
 
-    assert_strategies_equivalent(
+    assert_matches_explicit_elp(
         make_topo,
         UpDownElpProvider,
         f"express clos {params}",
@@ -240,7 +240,7 @@ def test_pinned_extras_ride_the_certified_path(params, seed):
     if not all_paths:
         return
     extras = (all_paths[seed % len(all_paths)],)
-    sym = assert_strategies_equivalent(
+    sym = assert_matches_explicit_elp(
         lambda: clos3(params),
         UpDownElpProvider,
         f"extras clos {params}",
@@ -252,7 +252,7 @@ def test_pinned_extras_ride_the_certified_path(params, seed):
 
 
 # ----------------------------------------------------------------------
-# Asymmetry: symmetry must degrade to exhaustive, byte-identically
+# Asymmetry: the closed form must degrade to the walk, byte-identically
 # ----------------------------------------------------------------------
 @given(clos_params(), st.integers(min_value=0, max_value=2**20))
 @SETTINGS
@@ -272,7 +272,7 @@ def test_failed_link_degrades_to_exhaustive(params, seed):
         topo.fail_link(a, b)
         return topo
 
-    assert_strategies_equivalent(
+    assert_matches_explicit_elp(
         make_topo,
         UpDownElpProvider,
         f"failed {a}<->{b} clos {params}",
@@ -297,7 +297,7 @@ def test_drained_switch_degrades_to_exhaustive(params, seed):
                 topo.fail_link(drained, peer)
         return topo
 
-    assert_strategies_equivalent(
+    assert_matches_explicit_elp(
         make_topo,
         UpDownElpProvider,
         f"drained {drained} clos {params}",
@@ -314,7 +314,7 @@ def test_endpoint_subset_degrades_to_exhaustive(params, seed):
     if len(tors) < 2:
         return
     keep = tuple(tors[: 1 + seed % (len(tors) - 1)])
-    assert_strategies_equivalent(
+    assert_matches_explicit_elp(
         lambda: clos3(params),
         lambda: UpDownElpProvider(explicit_endpoints=keep),
         f"subset {len(keep)}/{len(tors)} clos {params}",
@@ -334,7 +334,7 @@ def test_jellyfish_degrades_to_exhaustive(num_switches, seed):
     network_ports = 3 if num_switches > 3 else 2
     if (num_switches * network_ports) % 2 != 0:
         num_switches += 1
-    assert_strategies_equivalent(
+    assert_matches_explicit_elp(
         lambda: jellyfish(
             num_switches=num_switches,
             ports_per_switch=network_ports + 1,
@@ -351,7 +351,7 @@ def test_jellyfish_degrades_to_exhaustive(num_switches, seed):
 @given(st.integers(min_value=2, max_value=3))
 @SETTINGS
 def test_bcube_degrades_to_exhaustive(n):
-    assert_strategies_equivalent(
+    assert_matches_explicit_elp(
         lambda: bcube(n, 1),
         ShortestPathElpProvider,
         f"bcube({n},1)",

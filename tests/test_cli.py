@@ -22,6 +22,23 @@ class TestPlan:
         assert code == 0
         assert "DEADLOCK-FREE" in capsys.readouterr().out
 
+    def test_updown_plan_reports_its_enumeration(self, capsys):
+        assert main(["plan", "--elp", "updown"]) == 0
+        assert "enumeration: closed form (certified)" in capsys.readouterr().out
+        code = main(
+            ["plan", "--topology", "jellyfish", "--elp", "updown",
+             "--switches", "10", "--ports", "6", "--seed", "3"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "enumeration: per-pair walk (not certified)" in out
+
+    def test_no_symmetry_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--elp", "updown", "--no-symmetry"])
+        assert exc.value.code == 2
+        assert "--no-symmetry" in capsys.readouterr().err
+
     def test_plan_export_and_verify_round_trip(self, tmp_path, capsys):
         out_file = tmp_path / "plan.json"
         assert main(["plan", "--bounces", "1", "--out", str(out_file)]) == 0
@@ -290,6 +307,17 @@ class TestErrors:
                 },
                 ["lint", "PLAN"],
                 ["PLAN", "'L1'", "(2, 0, 2)"],
+            ),
+            # A fabric size that is not an integer.
+            (
+                {"generator": {**CLOS_GENERATOR, "pods": "2"}, "rules": {}},
+                ["verify", "PLAN"],
+                ["PLAN", "pods", "'2'"],
+            ),
+            (
+                {"generator": {**CLOS_GENERATOR, "pods": 2.5}, "rules": {}},
+                ["lint", "PLAN"],
+                ["PLAN", "pods", "2.5"],
             ),
         ],
     )
