@@ -38,7 +38,6 @@ from repro.core.elp import (
     shortest_path_elp,
 )
 from repro.core.determinize import (
-    DeterministicMinimizer,
     DeterministicTagging,
     deterministic_minimize,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "FlywaysTagger",
     "TtlFallback",
     "deterministic_minimize",
-    "DeterministicMinimizer",
     "DeterministicTagging",
     "IncrementalPlanner",
     "ReplanResult",

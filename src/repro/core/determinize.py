@@ -28,10 +28,9 @@ function explicitly:
 
 The output is directly a set of per-switch rule tables plus the tagged
 graph they induce; by construction rule generation can never conflict.
-
-:class:`DeterministicMinimizer` makes the merge resumable for the
-re-planner: the state only grows, so a per-level watermark (a handful of
-lengths) is enough to rewind it, and a scratch plan keeps no copy of it.
+Every plan, the re-planner's included, runs the merge whole: it costs a
+few tens of milliseconds at clos64 (docs/PERFORMANCE.md), so no run
+keeps state for a later one to resume from.
 """
 
 from __future__ import annotations
@@ -65,129 +64,18 @@ class DeterministicTagging:
         return sum(len(table) for table in self.tables.values())
 
 
-@dataclass(frozen=True)
-class _Checkpoint:
-    """Minimizer watermark taken *before* processing one brute-force level.
-
-    A run only appends to the minimizer's insertion-ordered dicts: each
-    node is classed once, each transition key is defined once, and a
-    class's sandbox is created once. Their lengths therefore mark the
-    state at the watermark, and :meth:`restore` pops everything appended
-    after it, taking back from each sandbox what the popped entries put
-    there: the port of every popped node, and the edge of every popped
-    transition that stays inside its class.
-    """
-
-    classed: int
-    transitions: int
-    sandboxes: int
-    current: int
-    contradictions: int
-
-    @staticmethod
-    def capture(minimizer: "DeterministicMinimizer") -> "_Checkpoint":
-        return _Checkpoint(
-            classed=len(minimizer._node_class),
-            transitions=len(minimizer._transitions),
-            sandboxes=len(minimizer._sandboxes),
-            current=minimizer._current,
-            contradictions=minimizer._contradictions,
-        )
-
-    def restore(self, minimizer: "DeterministicMinimizer") -> None:
-        sandboxes = minimizer._sandboxes
-        transitions = minimizer._transitions
-        while len(transitions) > self.transitions:
-            (pred_port, pred_cls, port), cls = transitions.popitem()
-            if pred_cls == cls:
-                sandboxes[cls].unlink(pred_port, port)
-        node_class = minimizer._node_class
-        while len(node_class) > self.classed:
-            node, cls = node_class.popitem()
-            sandboxes[cls].release(node[0])
-        while len(sandboxes) > self.sandboxes:
-            sandboxes.popitem()
-        minimizer._current = self.current
-        minimizer._contradictions = self.contradictions
-
-
-class DeterministicMinimizer:
-    """Resumable deterministic minimization with per-level watermarks.
-
-    The merge processes brute-force tag levels in ascending order, and a
-    level's outcome depends only on levels below it. The minimizer
-    therefore records a watermark (a :class:`_Checkpoint`: a few
-    lengths and counters, no copy of any state) before each level; when
-    the caller knows the brute-force graph changed only at levels
-    ``>= dirty`` (see :mod:`repro.core.replan`), :meth:`run` pops its
-    state back to the ``dirty`` watermark and reprocesses just the
-    suffix — the *scoped re-merge* — producing output bit-identical to
-    a full run on the new graph. Rewinding costs what it undoes.
-    ``run(graph)`` with no ``from_level`` is exactly the original
-    :func:`deterministic_minimize`.
-    """
-
-    def __init__(self, topo: Topology) -> None:
-        self.topo = topo
-        self._node_class: Dict[TNode, int] = {}
-        self._transitions: Dict[TransKey, int] = {}
-        self._sandboxes: Dict[int, _Sandbox] = {}
-        self._current = INITIAL_TAG
-        self._contradictions = 0
-        #: _checkpoints[i] = watermark before processing level INITIAL_TAG + i.
-        self._checkpoints: List[_Checkpoint] = []
-
-    @property
-    def resumable_from(self) -> int:
-        """Highest level a subsequent run() may resume from."""
-        return INITIAL_TAG + len(self._checkpoints) - 1
-
-    def run(
-        self, bruteforce: TaggedGraph, from_level: Optional[int] = None
-    ) -> DeterministicTagging:
-        """Minimize ``bruteforce``, optionally resuming at ``from_level``.
-
-        A resume is only sound when ``bruteforce`` is identical to the
-        previously minimized graph at every level below ``from_level``
-        (same nodes, same edges into those levels) — the caller
-        guarantees this. ``from_level`` beyond :attr:`resumable_from`
-        raises; pass ``None`` (or :data:`INITIAL_TAG`) for a full run.
-        """
-        if bruteforce.num_nodes == 0:
-            raise TaggingError("cannot minimize an empty tagged graph")
-        largest = bruteforce.max_tag
-        if from_level is None:
-            from_level = INITIAL_TAG
-        if from_level > INITIAL_TAG:
-            if from_level > self.resumable_from:
-                raise TaggingError(
-                    f"cannot resume at level {from_level}; checkpoints stop "
-                    f"at {self.resumable_from}"
-                )
-            self._checkpoints[from_level - INITIAL_TAG].restore(self)
-            del self._checkpoints[from_level - INITIAL_TAG :]
-        else:
-            from_level = INITIAL_TAG
-            self._node_class = {}
-            self._transitions = {}
-            self._sandboxes = {}
-            self._current = INITIAL_TAG
-            self._contradictions = 0
-            self._checkpoints = []
-
-        for old_tag in range(from_level, largest + 1):
-            self._checkpoints.append(_Checkpoint.capture(self))
-            self._run_level(bruteforce, old_tag)
-        # Terminal checkpoint: lets a later delta that only *adds* a new
-        # deeper level resume from the finished state.
-        self._checkpoints.append(_Checkpoint.capture(self))
-        return self._finalize()
-
-    def _run_level(self, bruteforce: TaggedGraph, old_tag: int) -> None:
-        node_class = self._node_class
-        transitions = self._transitions
-        sandboxes = self._sandboxes
-        current = self._current
+def deterministic_minimize(
+    topo: Topology, bruteforce: TaggedGraph
+) -> DeterministicTagging:
+    """Minimize tags while keeping the rewrite a function of its match key."""
+    if bruteforce.num_nodes == 0:
+        raise TaggingError("cannot minimize an empty tagged graph")
+    node_class: Dict[TNode, int] = {}
+    transitions: Dict[TransKey, int] = {}
+    sandboxes: Dict[int, _Sandbox] = {}
+    current = INITIAL_TAG
+    contradictions = 0
+    for old_tag in range(INITIAL_TAG, bruteforce.max_tag + 1):
         bumped = False
         for node in sorted(bruteforce.nodes_with_tag(old_tag)):
             port = node[0]
@@ -224,7 +112,7 @@ class DeterministicMinimizer:
                 break
 
             if assigned is None:
-                self._contradictions += 1
+                contradictions += 1
                 assigned = _fallback_class(
                     sandboxes, transitions, pred_ports, port, current
                 )
@@ -245,38 +133,29 @@ class DeterministicMinimizer:
             if assigned > current:
                 bumped = True
         if bumped:
-            self._current = current + 1
+            current += 1
 
-    def _finalize(self) -> DeterministicTagging:
-        tables = _tables_from_transitions(self.topo, self._transitions)
-        # Each transition is one rule (``_tables_from_transitions`` maps
-        # them one-to-one), and the rule's edge is the transition itself:
-        # the graph equals ``rules_to_tagged_graph(topo, tables)``
-        # without resolving every rule back through the wiring.
-        graph = TaggedGraph()
-        add_edge = graph.add_edge
-        for (src_port, src_cls, dst_port), new_cls in self._transitions.items():
-            add_edge((src_port, src_cls), (dst_port, new_cls))
-        # Entry nodes (first hops) carry class 1 by construction; make
-        # sure they exist in the graph even if they have no outgoing rule
-        # (single switch paths).
-        for node, cls in self._node_class.items():
-            graph.add_node((node[0], cls))
-        num_tags = max(self._node_class.values()) if self._node_class else 0
-        return DeterministicTagging(
-            tables=tables,
-            graph=graph,
-            node_class=dict(self._node_class),
-            num_tags=num_tags,
-            contradictions=self._contradictions,
-        )
-
-
-def deterministic_minimize(
-    topo: Topology, bruteforce: TaggedGraph
-) -> DeterministicTagging:
-    """Minimize tags while keeping the rewrite a function of its match key."""
-    return DeterministicMinimizer(topo).run(bruteforce)
+    tables = _tables_from_transitions(topo, transitions)
+    # Each transition is one rule (``_tables_from_transitions`` maps
+    # them one-to-one), and the rule's edge is the transition itself:
+    # the graph equals ``rules_to_tagged_graph(topo, tables)``
+    # without resolving every rule back through the wiring.
+    graph = TaggedGraph()
+    add_edge = graph.add_edge
+    for (src_port, src_cls, dst_port), new_cls in transitions.items():
+        add_edge((src_port, src_cls), (dst_port, new_cls))
+    # Entry nodes (first hops) carry class 1 by construction; make
+    # sure they exist in the graph even if they have no outgoing rule
+    # (single switch paths).
+    for node, cls in node_class.items():
+        graph.add_node((node[0], cls))
+    return DeterministicTagging(
+        tables=tables,
+        graph=graph,
+        node_class=node_class,
+        num_tags=max(node_class.values()),
+        contradictions=contradictions,
+    )
 
 
 def _fallback_class(

@@ -31,15 +31,12 @@ class _Sandbox:
     Holds the directed graph of the tag class currently being filled,
     keyed by :class:`PortKey` (the class's tag is implicit). Supports the
     one query Algorithm 2 needs: *would* adding this node with these
-    incoming edges close a directed cycle? ``ports`` counts the class's
-    nodes per port, so :meth:`release` and :meth:`unlink` can take back
-    exactly what :meth:`add` put in; the resumable minimizer rewinds a
-    sandbox that way.
+    incoming edges close a directed cycle?
     """
 
     def __init__(self, ports: Iterable[PortKey] = ()) -> None:
         self.out: Dict[PortKey, Set[PortKey]] = {}
-        self.ports: Dict[PortKey, int] = dict.fromkeys(ports, 1)
+        self.ports: Set[PortKey] = set(ports)
 
     def would_cycle(self, port: PortKey, preds: Sequence[PortKey]) -> bool:
         """True iff adding edges ``pred -> port`` creates a directed cycle.
@@ -67,26 +64,10 @@ class _Sandbox:
         return False
 
     def add(self, port: PortKey, preds: Sequence[PortKey]) -> None:
-        ports = self.ports
-        ports[port] = ports[port] + 1 if port in ports else 1
+        self.ports.add(port)
         for pred in preds:
-            if pred in ports:
+            if pred in self.ports:
                 self.out.setdefault(pred, set()).add(port)
-
-    def release(self, port: PortKey) -> None:
-        """Undo one :meth:`add` of ``port`` (its edges go by :meth:`unlink`)."""
-        count = self.ports[port] - 1
-        if count:
-            self.ports[port] = count
-        else:
-            del self.ports[port]
-
-    def unlink(self, pred: PortKey, port: PortKey) -> None:
-        """Remove the edge ``pred -> port``, which must be present."""
-        succs = self.out[pred]
-        succs.remove(port)
-        if not succs:
-            del self.out[pred]
 
 
 def _greedy_classes(bruteforce: TaggedGraph) -> Dict[TNode, int]:

@@ -30,11 +30,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.core.bruteforce import add_tagged_path, bruteforce_tagging
 from repro.core.clos import ClosTagger
-from repro.core.determinize import DeterministicTagging, deterministic_minimize
+from repro.core.determinize import deterministic_minimize
 from repro.core.elp import ElpSet, PairwiseElpProvider
 from repro.core.symmetry import certify
 from repro.core.multiclass import MultiClassClosTagger, TrafficClass
@@ -291,7 +291,6 @@ def compile_plan(
     max_lossless_queues: int,
     timer: StageTimer,
     meta: Optional[Dict[str, Any]] = None,
-    merge: Optional[Callable[[TaggedGraph], DeterministicTagging]] = None,
 ) -> TaggerPlan:
     """Minimize + verify + queue-map a brute-force tagged graph.
 
@@ -303,13 +302,9 @@ def compile_plan(
 
     Args:
         graph: The brute-force (Algorithm 1) tagged graph.
-        merge: The deterministic merge to run on ``graph``; defaults to
-            a from-scratch :func:`deterministic_minimize`. The
-            re-planner hands in its resumable
-            :meth:`DeterministicMinimizer.run`.
     """
     with timer.stage("minimize"):
-        result = merge(graph) if merge else deterministic_minimize(topo, graph)
+        result = deterministic_minimize(topo, graph)
     with timer.stage("verify"):
         assert_deadlock_free(result.graph)
     with timer.stage("queue-map"):

@@ -27,18 +27,12 @@ actually invalidates:
    tagged graph is exactly the entries with a positive count, so path
    adds/removes update it in O(hops) and the result is bit-identical
    to re-running Algorithm 1 (the graph is a set, order-free).
-3. **Scoped re-merge.** Brute-force levels below the lowest changed
-   node/edge are untouched, so the resumable
-   :class:`~repro.core.determinize.DeterministicMinimizer` pops its
-   state back to that level's watermark and reprocesses only the dirty
-   suffix. A watermark is a few lengths and counters, so a resume costs
-   what it undoes and no run copies the minimizer's state.
-4. **Plan memo.** Full resulting states are memoized per topology
+3. **Plan memo.** Full resulting states are memoized per topology
    fingerprint (plus the pinned extra-path signature), so fail→restore
    flaps replay from cache. Certification is a function of the
    topology and the planner's fixed provider, so an entry's provenance
    is the one a recompute would report.
-5. **Symmetry certificate.** The planner keeps a
+4. **Symmetry certificate.** The planner keeps a
    :mod:`repro.core.symmetry` certificate of the current topology
    whenever :func:`~repro.core.symmetry.certify` grants one; while it
    holds (healthy symmetric Clos), per-pair enumeration uses the
@@ -50,18 +44,21 @@ actually invalidates:
    drain — invalidates the certificate and pair recomputation degrades
    to the provider's per-pair walk, byte-identically.
 
-Whenever a prerequisite fails — the provider contract cannot localize a
-restore because the planner never saw the no-failure baseline, or the
-minimizer state is cold after a memo hit — the engine falls back to a
-full recompute of the affected stage rather than guessing. In **every**
-mode the resulting plan is certifiably equivalent to
-:meth:`TaggerPlan.from_elp` on the same topology and path set: identical
-rule tables, tagged graph, and queue map. It is so by construction where
-that is possible — each path is counted through the same
+Any change to the brute-force graph is compiled whole: the
+deterministic merge reruns on the full graph, a few tens of milliseconds
+at clos64, and resuming it from a per-level watermark measured no faster
+(docs/PERFORMANCE.md). When the provider contract cannot localize a
+restore, because the planner never saw the no-failure baseline, every
+pair is recomputed rather than guessed. In **every** mode the resulting
+plan is certifiably equivalent to :meth:`TaggerPlan.from_elp` on the
+provider's from-scratch ELP plus the pinned extras
+(:meth:`IncrementalPlanner.scratch_plan`): identical rule tables, tagged
+graph, and queue map. It is so by construction where that is possible —
+each path is counted through the same
 :func:`~repro.core.tags.tagged_walk` Algorithm 1 adds, and the graph is
 compiled by the same :func:`~repro.core.planner.compile_plan` — and by
 test where it is not (the refcounts, the certificate-seeded initial
-counts, the pair cache and the checkpoint resume: property-tested in
+counts and the pair cache: property-tested in
 ``tests/properties/test_incremental.py`` and
 ``tests/properties/test_symmetry_equivalence.py``, and fuzz-checked as
 the ``incremental-divergence`` invariant).
@@ -75,12 +72,11 @@ from functools import reduce
 from operator import or_
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.determinize import DeterministicMinimizer, DeterministicTagging
 from repro.core.elp import PairwiseElpProvider, canonical_elp_path
 from repro.core.planner import TaggerPlan, compile_plan
 from repro.core.rules import RuleDiff, diff_tables
 from repro.core.symmetry import SymmetryCertificate, certify
-from repro.core.tags import INITIAL_TAG, TaggedGraph, TEdge, TNode, tagged_walk
+from repro.core.tags import TaggedGraph, TEdge, TNode, tagged_walk
 from repro.exceptions import TaggingError
 from repro.obs.events import EV_REPLAN_APPLY
 from repro.obs.instrument import observe_plan, observe_timings
@@ -107,14 +103,18 @@ MODE_MEMO = "memo"
 MODE_INCREMENTAL = "incremental"
 MODE_FULL = "full"
 
+#: Plan-memo entries kept, least recently used evicted first: enough for
+#: the fail/restore states of a few concurrent flaps.
+MEMO_CAPACITY = 8
+
 
 class _RefcountedGraph:
     """Algorithm-1 tagged graph maintained as per-path reference counts.
 
     ``add_path``/``remove_path`` count one path's
     :func:`~repro.core.tags.tagged_walk` (the same walk
-    :func:`repro.core.bruteforce.bruteforce_tagging` adds) and return the
-    nodes/edges whose count crossed zero — the *structural* changes.
+    :func:`repro.core.bruteforce.bruteforce_tagging` adds) and set
+    :attr:`changed` when a count crosses zero — a *structural* change.
     :meth:`graph` materializes the positive-count entries; because
     :class:`TaggedGraph` is set-structured, the result is identical to
     running Algorithm 1 from scratch on the current path multiset, in
@@ -125,25 +125,21 @@ class _RefcountedGraph:
         self.topo = topo
         self._nodes: Dict[TNode, int] = {}
         self._edges: Dict[TEdge, int] = {}
-        #: Lowest brute-force level whose minimization input changed
-        #: since the owner last reset this to None (None: no structural
-        #: change). Levels strictly below it were processed on identical
-        #: input, which is what makes checkpoint resume sound.
-        self.dirty_level: Optional[int] = None
+        #: Whether a node or edge appeared or vanished since the owner
+        #: last reset this; False means the graph compiles to the same plan.
+        self.changed = False
 
     @property
     def is_empty(self) -> bool:
         return not self._nodes
 
-    def add_path(self, path: Path) -> Tuple[List[TNode], List[TEdge]]:
-        return self._shift(path, +1)
+    def add_path(self, path: Path) -> None:
+        self._shift(path, +1)
 
-    def remove_path(self, path: Path) -> Tuple[List[TNode], List[TEdge]]:
-        return self._shift(path, -1)
+    def remove_path(self, path: Path) -> None:
+        self._shift(path, -1)
 
-    def _shift(
-        self, path: Path, delta: int
-    ) -> Tuple[List[TNode], List[TEdge]]:
+    def _shift(self, path: Path, delta: int) -> None:
         """Add ``delta`` (+1 or -1) to the count of every node and edge of
         the path's walk; a count that reaches zero leaves its dict, so the
         dicts hold exactly the live graph.
@@ -155,18 +151,16 @@ class _RefcountedGraph:
         this form (docs/PERFORMANCE.md).
         """
         node_counts, edge_counts = self._nodes, self._edges
-        nodes: List[TNode] = []
-        edges: List[TEdge] = []
         last: Optional[TNode] = None
         for node in tagged_walk(self.topo, path):
             count = node_counts.get(node, 0) + delta
             if count > 0:
                 node_counts[node] = count
                 if count == delta:  # was 0: created
-                    nodes.append(node)
+                    self.changed = True
             elif count == 0:
                 del node_counts[node]
-                nodes.append(node)
+                self.changed = True
             else:
                 raise TaggingError(
                     f"refcount underflow at {node}; path was never added"
@@ -177,20 +171,13 @@ class _RefcountedGraph:
                 if count > 0:
                     edge_counts[edge] = count
                     if count == delta:
-                        edges.append(edge)
+                        self.changed = True
                 elif count == 0:
                     del edge_counts[edge]
-                    edges.append(edge)
+                    self.changed = True
                 else:
                     raise TaggingError(f"refcount underflow at edge {edge}")
             last = node
-        # A node created/deleted at level ``t`` alters ``nodes_with_tag(t)``;
-        # an edge change alters only the predecessor view of its *dst* level.
-        if nodes or edges:
-            level = min([n[1] for n in nodes] + [e[1][1] for e in edges])
-            if self.dirty_level is None or level < self.dirty_level:
-                self.dirty_level = level
-        return nodes, edges
 
     def graph(self) -> TaggedGraph:
         graph = TaggedGraph()
@@ -208,7 +195,7 @@ class _RefcountedGraph:
     ) -> None:
         self._nodes = dict(nodes)
         self._edges = dict(edges)
-        self.dirty_level = None
+        self.changed = False
 
 
 @dataclass
@@ -243,7 +230,6 @@ class ReplanResult:
     timings: Dict[str, float]
     dirty_pairs: int
     changed_paths: int
-    resume_level: Optional[int]
     fingerprint: str
 
     @property
@@ -279,14 +265,12 @@ class IncrementalPlanner:
         topo: Topology,
         provider: PairwiseElpProvider,
         max_lossless_queues: int = 8,
-        memo_capacity: int = 8,
         extra_paths: Tuple[Path, ...] = (),
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.topo = topo
         self.provider = provider
         self.max_lossless_queues = max_lossless_queues
-        self.memo_capacity = memo_capacity
         #: Closed-form pair enumeration certificate; non-None only while
         #: the topology stays a healthy symmetric Clos under an exact
         #: :class:`~repro.core.elp.UpDownElpProvider`.
@@ -315,14 +299,11 @@ class IncrementalPlanner:
 
         self._extras: List[Path] = []
         self._brute = _RefcountedGraph(topo)
-        self._minimizer = DeterministicMinimizer(topo)
-        self._minimizer_valid = False
         self._plan: Optional[TaggerPlan] = None
         #: True when the deployed tables no longer match the brute-force
         #: state (a previous apply raised mid-pipeline).
         self._plan_dirty = True
         self._memo: "OrderedDict[_MemoKey, _MemoEntry]" = OrderedDict()
-        self._last_resume_level: Optional[int] = None
 
         timer = StageTimer()
         for raw in extra_paths:
@@ -355,10 +336,15 @@ class IncrementalPlanner:
         return paths
 
     def scratch_plan(self) -> TaggerPlan:
-        """From-scratch plan for the current state (differential oracle)."""
+        """From-scratch plan for the current state (differential oracle).
+
+        The ELP is the provider's fresh enumeration of the current
+        topology plus the pinned extras, never the planner's pair cache,
+        so a stale cached pair shows as a divergence.
+        """
         return TaggerPlan.from_elp(
             self.topo,
-            self.elp_paths(),
+            self.provider.build(self.topo).paths + self._extras,
             max_lossless_queues=self.max_lossless_queues,
         )
 
@@ -401,7 +387,6 @@ class IncrementalPlanner:
     def _apply(self, delta: TopologyDelta) -> ReplanResult:
         timer = StageTimer()
         prev_tables = self._plan.tables if self._plan is not None else {}
-        self._last_resume_level = None
 
         # Path deltas validate fully before any state is touched, so a
         # rejected delta leaves the planner exactly as it was.
@@ -426,7 +411,7 @@ class IncrementalPlanner:
         is_path_delta = delta.kind in (ADD_PATHS, REMOVE_PATHS)
         # A repeated link-down, or an undrain of a switch that is not
         # drained, leaves every link as it was: the current plan is the
-        # answer, and the minimizer keeps its checkpoints.
+        # answer, with no memo lookup.
         unchanged = (
             not is_path_delta
             and not self._plan_dirty
@@ -452,7 +437,6 @@ class IncrementalPlanner:
                 timings=timer.timings(),
                 dirty_pairs=dirty_pairs,
                 changed_paths=changed_paths,
-                resume_level=self._last_resume_level,
                 fingerprint=memo_key[0],
             )
 
@@ -514,7 +498,7 @@ class IncrementalPlanner:
             self._damaged = set()
 
         if (
-            self._brute.dirty_level is None
+            not self._brute.changed
             and not self._plan_dirty
             and self._plan is not None
         ):
@@ -626,7 +610,6 @@ class IncrementalPlanner:
         if self._base is None and not self.topo.failed_links:
             self._base = dict(self._pairs)
             self._damaged = set()
-        self._minimizer_valid = False
         self._compile(timer)
         self._store_memo()
 
@@ -635,34 +618,14 @@ class IncrementalPlanner:
 
         :func:`~repro.core.planner.compile_plan` is the pipeline; this
         method adds only what is the re-planner's own: refusing an empty
-        ELP, choosing the checkpoint level the merge resumes from, and
-        the ``_plan_dirty`` / ``_minimizer_valid`` bookkeeping. Any
-        failure leaves ``_plan_dirty`` set so the (still intact)
-        previous plan is never mistaken for the current topology's.
+        ELP and the ``_plan_dirty`` bookkeeping. Any failure leaves
+        ``_plan_dirty`` set so the (still intact) previous plan is never
+        mistaken for the current topology's.
         """
         self._plan_dirty = True
         if not self._pairs and not self._extras:
-            self._minimizer_valid = False
             raise TaggingError("empty ELP: nothing to tag")
-        dirty_level, self._brute.dirty_level = self._brute.dirty_level, None
-        from_level: Optional[int] = None
-        if (
-            self._minimizer_valid
-            and dirty_level is not None
-            and dirty_level > INITIAL_TAG
-        ):
-            from_level = min(dirty_level, self._minimizer.resumable_from)
-            if from_level <= INITIAL_TAG:
-                from_level = None
-
-        def merge(graph: TaggedGraph) -> DeterministicTagging:
-            # Checkpoints are trustworthy only after a run that finished.
-            self._minimizer_valid = False
-            result = self._minimizer.run(graph, from_level=from_level)
-            self._minimizer_valid = True
-            self._last_resume_level = from_level
-            return result
-
+        self._brute.changed = False
         with timer.stage("minimize"):
             graph = self._brute.graph()
         plan = compile_plan(
@@ -671,7 +634,6 @@ class IncrementalPlanner:
             self.max_lossless_queues,
             timer,
             meta=self._meta(),
-            merge=merge,
         )
         self._plan = plan
         self._plan_dirty = False
@@ -692,7 +654,7 @@ class IncrementalPlanner:
         return self.topo.fingerprint(), tuple(sorted(self._extras))
 
     def _store_memo(self) -> None:
-        if self._plan is None or self._plan_dirty or self.memo_capacity <= 0:
+        if self._plan is None or self._plan_dirty:
             return
         nodes, edges = self._brute.counts_snapshot()
         key = self._memo_key()
@@ -706,7 +668,7 @@ class IncrementalPlanner:
             plan=self._plan,
         )
         self._memo.move_to_end(key)
-        while len(self._memo) > self.memo_capacity:
+        while len(self._memo) > MEMO_CAPACITY:
             self._memo.popitem(last=False)
 
     def _restore_memo(self, entry: _MemoEntry) -> None:
@@ -715,8 +677,5 @@ class IncrementalPlanner:
         self._damaged = set(entry.damaged)
         self._extras = list(entry.extras)
         self._brute.restore_counts(entry.node_counts, entry.edge_counts)
-        # The minimizer's checkpoints describe a different graph history;
-        # the next non-memo delta re-establishes them with a full merge.
-        self._minimizer_valid = False
         self._plan = entry.plan
         self._plan_dirty = False

@@ -179,3 +179,27 @@ def test_core_and_runtime_packages_import_without_networkx():
         env={"PYTHONPATH": str(SRC_DIR)},
         timeout=120,
     )
+
+
+def test_the_merge_always_runs_whole():
+    """No plan resumes a merge: the minimizer keeps no watermarks, the
+    planner tail takes no merge callback, the re-planner's memo size is
+    a constant and its results report no resume level."""
+    from dataclasses import fields
+
+    from repro.core import IncrementalPlanner, ReplanResult
+    from repro.core.planner import compile_plan
+
+    classes = {
+        node.name
+        for node in ast.walk(ast.parse((CORE_DIR / "determinize.py").read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert "_Checkpoint" not in classes
+    for function, dropped in (
+        (compile_plan, "merge"),
+        (IncrementalPlanner.__init__, "memo_capacity"),
+    ):
+        params = inspect.signature(function).parameters
+        assert dropped not in params, f"{function.__qualname__} takes {dropped}"
+    assert "resume_level" not in {field.name for field in fields(ReplanResult)}

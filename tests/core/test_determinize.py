@@ -10,9 +10,6 @@ on all evaluated topologies, and preserves full ELP coverage.
 import pytest
 
 from repro.core import (
-    INITIAL_TAG,
-    DeterministicMinimizer,
-    TaggerPlan,
     bruteforce_tagging,
     clos_bounce_elp,
     clos_updown_elp,
@@ -95,47 +92,16 @@ class TestDeterministicMinimize:
         }
 
 
-def _truncated(graph, top):
-    """``graph`` restricted to levels ``<= top`` (same nodes and edges
-    below ``top + 1``, nothing above)."""
-    from repro.core import TaggedGraph
-
-    out = TaggedGraph()
-    for node in graph.nodes:
-        if node[1] <= top:
-            out.add_node(node)
-    for src, dst in graph.edges():
-        if dst[1] <= top:
-            out.add_edge(src, dst)
-    return out
+#: Contradiction cases -> bounce budget of the testbed Clos ELP (None:
+#: Jellyfish). They have 2 or 3 classes, and the 1-bounce Clos and the
+#: Jellyfish graphs have contradictions.
+CONTRADICTION_CASES = {"clos-1-bounce": 1, "clos-2-bounce": 2, "jellyfish": None}
 
 
-def _state(minimizer):
-    """Everything a later run reads: the dicts in order, each sandbox's
-    edges and port counts, the counters and the watermarks."""
-    return (
-        list(minimizer._node_class.items()),
-        list(minimizer._transitions.items()),
-        [
-            (cls, sandbox.out, sandbox.ports)
-            for cls, sandbox in minimizer._sandboxes.items()
-        ],
-        minimizer._current,
-        minimizer._contradictions,
-        minimizer._checkpoints,
-    )
-
-
-#: Resume cases -> bounce budget of the testbed Clos ELP (None: Jellyfish).
-#: They have 2 or 3 classes, and the 1-bounce Clos and the Jellyfish
-#: graphs have contradictions.
-RESUME_CASES = {"clos-1-bounce": 1, "clos-2-bounce": 2, "jellyfish": None}
-
-
-def _resume_graph(name):
+def _case_graph(name):
     from repro.core import jellyfish_elp
 
-    bounces = RESUME_CASES[name]
+    bounces = CONTRADICTION_CASES[name]
     if bounces is None:
         topo = jellyfish(20, 8, hosts_per_switch=0, seed=2)
         return topo, bruteforce_tagging(topo, jellyfish_elp(topo))
@@ -144,56 +110,12 @@ def _resume_graph(name):
 
 
 class TestResumeDifferential:
-    """A resume rewinds to a watermark and must leave exactly the state a
-    fresh run builds — on graphs with several classes and contradictions,
-    which the up-down incremental suite (one class) never reaches."""
-
-    @pytest.mark.parametrize("name", RESUME_CASES)
-    def test_resume_equals_fresh_run(self, name):
-        topo, graph = _resume_graph(name)
-        fresh = DeterministicMinimizer(topo)
-        expected = fresh.run(graph)
-        assert expected.num_tags >= 2
-        resumable = fresh.resumable_from
-        assert resumable == graph.max_tag + 1
-        for level in range(INITIAL_TAG, resumable + 1):
-            minimizer = DeterministicMinimizer(topo)
-            minimizer.run(graph)
-            result = minimizer.run(graph, from_level=level)
-            assert _state(minimizer) == _state(fresh), level
-            assert result.node_class == expected.node_class
-            assert result.graph == expected.graph
-            assert {s: t.rules for s, t in result.tables.items()} == {
-                s: t.rules for s, t in expected.tables.items()
-            }
-
-    @pytest.mark.parametrize("name", RESUME_CASES)
-    def test_resume_across_a_changed_suffix(self, name):
-        """The re-planner's case: the graph changed at levels >= L only.
-        Rewinding a run of the full graph onto its truncation, and a run
-        of the truncation onto the full graph, both match fresh runs."""
-        topo, full = _resume_graph(name)
-        top = full.max_tag - 2
-        short = _truncated(full, top)
-        for before, after in ((full, short), (short, full)):
-            fresh = DeterministicMinimizer(topo)
-            fresh.run(after)
-            for level in range(INITIAL_TAG + 1, top + 2):
-                minimizer = DeterministicMinimizer(topo)
-                minimizer.run(before)
-                minimizer.run(after, from_level=level)
-                assert _state(minimizer) == _state(fresh), level
+    """The multi-class corpus the merge's fallback branch is pinned on:
+    the up-down incremental suite (one class) never reaches it."""
 
     def test_cases_reach_contradictions(self):
         counts = {
-            name: deterministic_minimize(*_resume_graph(name)).contradictions
-            for name in RESUME_CASES
+            name: deterministic_minimize(*_case_graph(name)).contradictions
+            for name in CONTRADICTION_CASES
         }
         assert counts["clos-1-bounce"] > 0 and counts["jellyfish"] > 0
-
-    def test_resume_beyond_watermarks_raises(self, testbed):
-        graph = bruteforce_tagging(testbed, clos_bounce_elp(testbed, 1))
-        minimizer = DeterministicMinimizer(testbed)
-        minimizer.run(graph)
-        with pytest.raises(TaggingError):
-            minimizer.run(graph, from_level=minimizer.resumable_from + 1)

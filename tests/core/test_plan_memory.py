@@ -5,10 +5,8 @@ A scratch plan must hold each structure once:
 - a :class:`~repro.core.tags.TaggedGraph` keeps one tuple object per
   node, so every endpoint in its adjacency *is* the stored node, however
   many equal tuples the builder passed in (fresh tuples, the symmetry
-  certificate's ``populate_graph``, the minimizer's ``_finalize``, lint's
+  certificate's ``populate_graph``, ``deterministic_minimize``, lint's
   ``_effective_graph``);
-- a minimizer checkpoint is a watermark (lengths and counters), never a
-  copy of the minimizer's dicts or sandboxes;
 - the ``tracemalloc`` peak of one ``from_provider`` plan of a 16-pod
   fat-tree stays under :data:`PEAK_CEILING_MB`. With Python 3.11 on
   x86-64 it read 43.6 MB when checkpoints copied the minimizer state and
@@ -19,15 +17,14 @@ A scratch plan must hold each structure once:
 
 import pickle
 import tracemalloc
-from dataclasses import fields
 
 from repro.core import (
-    DeterministicMinimizer,
     TaggedGraph,
     TaggerPlan,
     UpDownElpProvider,
     bruteforce_tagging,
     clos_bounce_elp,
+    deterministic_minimize,
 )
 from repro.core.symmetry import certify
 from repro.lint.graph_checks import _effective_graph, rule_sections
@@ -80,21 +77,11 @@ def test_populate_graph():
 def test_finalize_and_effective_graph(testbed):
     bruteforce = bruteforce_tagging(testbed, clos_bounce_elp(testbed, 1))
     assert_one_object_per_node(bruteforce)
-    result = DeterministicMinimizer(testbed).run(bruteforce)
+    result = deterministic_minimize(testbed, bruteforce)
     assert_one_object_per_node(result.graph)
     effective = _effective_graph(rule_sections(testbed, result.tables))
     assert effective == result.graph
     assert_one_object_per_node(effective)
-
-
-def test_checkpoint_holds_no_container(testbed):
-    graph = bruteforce_tagging(testbed, clos_bounce_elp(testbed, 1))
-    minimizer = DeterministicMinimizer(testbed)
-    minimizer.run(graph)
-    assert len(minimizer._checkpoints) == graph.max_tag + 1
-    for checkpoint in minimizer._checkpoints:
-        for field in fields(checkpoint):
-            assert type(getattr(checkpoint, field.name)) is int, field.name
 
 
 def test_scratch_plan_traced_peak():

@@ -3,18 +3,18 @@
 The property suite (tests/properties/test_incremental.py) establishes
 equivalence with from-scratch planning under random churn; these tests
 pin the engine's *mechanics*: mode selection (noop / memo / incremental
-/ full), minimal rule diffs, checkpoint resume levels, memo eviction,
-path-delta validation atomicity, and error recovery.
+/ full), minimal rule diffs, memo eviction, path-delta validation
+atomicity, and error recovery.
 """
 
 import copy
 import random
+from collections import OrderedDict
 from dataclasses import fields
 
 import pytest
 
 from repro.core import (
-    INITIAL_TAG,
     IncrementalPlanner,
     ShortestPathElpProvider,
     TaggerPlan,
@@ -23,6 +23,7 @@ from repro.core import (
     tables_equal,
 )
 from repro.core.replan import (
+    MEMO_CAPACITY,
     MODE_FULL,
     MODE_INCREMENTAL,
     MODE_MEMO,
@@ -100,16 +101,27 @@ def test_restore_hits_the_memo(planner):
     assert result.mode == MODE_MEMO
 
 
-def test_unloaded_link_down_is_noop_without_memo():
-    planner = IncrementalPlanner(
-        testbed_clos(), UpDownElpProvider(), memo_capacity=0
-    )
+class _LookupSpy(OrderedDict):
+    """A plan memo that records every key looked up in it."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.lookups = []
+
+    def get(self, key, default=None):
+        self.lookups.append(key)
+        return super().get(key, default)
+
+
+def test_unloaded_link_down_is_noop_without_memo(planner):
     planner.apply(TopologyDelta.link_down("L1", "S1"))
-    # Downing an already-failed link again touches no pair: with the memo
-    # disabled the engine must recognize it has nothing to recompute.
+    planner._memo = _LookupSpy(planner._memo)
+    # Downing an already-failed link again touches no pair: the engine
+    # must recognize it has nothing to recompute without asking the memo.
     result = planner.apply(TopologyDelta.link_down("L1", "S1"))
     assert result.mode == MODE_NOOP
     assert result.diffs == {}
+    assert planner._memo.lookups == []
 
 
 @pytest.mark.parametrize(
@@ -117,10 +129,9 @@ def test_unloaded_link_down_is_noop_without_memo():
     [TopologyDelta.link_down("L1", "S1"), TopologyDelta.undrain("L3")],
     ids=["repeated-link-down", "undrain-undrained"],
 )
-def test_delta_that_changes_no_link_keeps_the_checkpoints(idle):
+def test_delta_that_changes_no_link_is_a_noop(idle):
     """A delta that leaves every link as it was is a noop, not a memo
-    restore: restoring would throw away the minimizer's checkpoints and
-    send the next delta through a full merge."""
+    restore, and the next delta replans as if it never came."""
 
     def planner_after_first_flap():
         topo = clos3(ClosParams(2, 2, 2, 2, hosts_per_tor=1))
@@ -130,7 +141,6 @@ def test_delta_that_changes_no_link_keeps_the_checkpoints(idle):
 
     second = TopologyDelta.link_down("L2", "S2")
     want = planner_after_first_flap().apply(second)
-    assert want.resume_level == 2
 
     planner = planner_after_first_flap()
     plan = planner.plan
@@ -140,7 +150,6 @@ def test_delta_that_changes_no_link_keeps_the_checkpoints(idle):
     assert result.plan is plan
     got = planner.apply(second)
     assert got.mode == MODE_INCREMENTAL
-    assert got.resume_level == want.resume_level
     assert canonical_tables(got.plan.tables) == canonical_tables(want.plan.tables)
     assert got.diffs == want.diffs
 
@@ -163,9 +172,6 @@ def test_link_up_without_known_base_falls_back_to_full():
     result = planner.apply(TopologyDelta.link_up("L1", "S1"))
     assert result.mode == MODE_FULL
     assert result.dirty_pairs == len(planner.provider.ordered_pairs(planner.topo))
-    # "full" recomputes every pair, but the merge still resumes from the
-    # lowest level the recompute changed (docs/PERFORMANCE.md mode table).
-    assert result.resume_level == 2
     assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
     assert planner.plan.graph == planner.scratch_plan().graph
 
@@ -179,37 +185,6 @@ def test_drain_and_undrain_round_trip(planner):
     assert up.mode == MODE_MEMO
     assert canonical_tables(planner.plan.tables) == baseline
     assert not planner.topo.failed_links
-
-
-# ----------------------------------------------------------------------
-# Checkpoint resume
-# ----------------------------------------------------------------------
-def test_spine_link_churn_resumes_above_initial_level():
-    topo = clos3(ClosParams(num_pods=2, tors_per_pod=2, leaves_per_pod=2,
-                            num_spines=2, hosts_per_tor=1))
-    planner = IncrementalPlanner(topo, UpDownElpProvider())
-    link = sorted(
-        key for key in planner.topo.links
-        if key[0].startswith("L") and key[1].startswith("S")
-    )[0]
-    result = planner.apply(TopologyDelta.link_down(*link))
-    assert result.mode == MODE_INCREMENTAL
-    # A leaf-spine flap cannot touch tag-1 ingress state (ToR uplinks),
-    # so the deterministic minimizer resumes from a checkpoint > 1.
-    assert result.resume_level is not None
-    assert result.resume_level > INITIAL_TAG
-    assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
-
-
-def test_tor_link_churn_forces_full_merge(planner):
-    link = sorted(
-        key for key in planner.topo.links
-        if key[0].startswith("L") and key[1].startswith("T")
-    )[0]
-    result = planner.apply(TopologyDelta.link_down(*link))
-    # ToR uplink changes dirty tag-1 state: no checkpoint applies.
-    assert result.resume_level is None
-    assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
 
 
 # ----------------------------------------------------------------------
@@ -298,15 +273,25 @@ def test_memo_entries_share_the_live_state_and_stay_intact():
     assert entry.plan is plan
 
 
-def test_memo_capacity_is_lru_bounded():
-    planner = IncrementalPlanner(
-        testbed_clos(), UpDownElpProvider(), memo_capacity=2
+def test_memo_capacity_is_lru_bounded(planner):
+    """Flapping more links than the memo holds evicts the oldest downed
+    states; the pristine state, hit by every restore, stays."""
+    pristine = planner._memo_key()
+    links = sorted(
+        key for key in planner.topo.links
+        if key[0].startswith("L") and key[1].startswith("S")
+    ) + sorted(
+        key for key in planner.topo.links
+        if key[0].startswith("L") and key[1].startswith("T")
     )
-    links = [("L1", "S1"), ("L2", "S1"), ("L3", "S2")]
+    assert len(links) > MEMO_CAPACITY
+    downed = []
     for link in links:
         planner.apply(TopologyDelta.link_down(*link))
-        planner.apply(TopologyDelta.link_up(*link))
-    assert len(planner._memo) <= 2
+        downed.append(planner._memo_key())
+        assert planner.apply(TopologyDelta.link_up(*link)).mode == MODE_MEMO
+    assert len(planner._memo) == MEMO_CAPACITY == 8
+    assert list(planner._memo) == downed[-(MEMO_CAPACITY - 1):] + [pristine]
     assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
 
 
@@ -333,16 +318,17 @@ def test_refcounted_graph_zero_crossings_and_underflow():
     topo = testbed_clos()
     graph = _RefcountedGraph(topo)
     path = ("T1", "L1", "S1", "L3", "T3")
-    nodes, edges = graph.add_path(path)
-    assert nodes and edges  # first add creates structure
-    again_nodes, again_edges = graph.add_path(path)
-    assert not again_nodes and not again_edges  # refcount only
+
+    def changed_by(shift):
+        graph.changed = False
+        shift(path)
+        return graph.changed
+
+    assert changed_by(graph.add_path)  # first add creates structure
+    assert not changed_by(graph.add_path)  # refcount only
     assert not graph.is_empty
-    removed_nodes, removed_edges = graph.remove_path(path)
-    assert not removed_nodes and not removed_edges  # count 2 -> 1
-    removed_nodes, removed_edges = graph.remove_path(path)
-    assert sorted(removed_nodes) == sorted(nodes)
-    assert sorted(removed_edges) == sorted(edges)
+    assert not changed_by(graph.remove_path)  # count 2 -> 1
+    assert changed_by(graph.remove_path)
     assert graph.is_empty
     with pytest.raises(TaggingError):
         graph.remove_path(path)
