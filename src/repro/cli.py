@@ -472,11 +472,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_replan(args: argparse.Namespace) -> int:
-    """Incremental re-planning: apply topology deltas to a warm plan.
+    """Incremental re-planning: re-plan the fabric after each delta.
 
     Builds the initial plan with the pairwise ELP provider matching the
-    topology family, then feeds each ``--delta`` through the incremental
-    engine, printing the replan mode, per-stage timings and the minimal
+    topology family, then feeds each ``--delta`` through the re-planner,
+    printing the replan mode, per-stage timings and the minimal
     per-switch rule diff. ``--compare-scratch`` re-plans from scratch at
     the end and fails unless the tables are byte-identical.
     """

@@ -16,17 +16,7 @@ trust the paths it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    AbstractSet,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError, TaggingError
 from repro.routing.base import Path, is_loop_free, validate_path
@@ -40,9 +30,6 @@ from repro.routing.shortest import (
 from repro.routing.updown import updown_paths_by_pair
 from repro.topology.base import Topology
 from repro.topology.bcube import bcube_default_route, bcube_servers
-from repro.topology.failures import LinkKey
-
-Pair = Tuple[str, str]
 
 
 def canonical_elp_path(topo: Topology, path: Sequence[str]) -> Path:
@@ -164,27 +151,13 @@ def jellyfish_elp(
 class PairwiseElpProvider:
     """An ELP expressed as an independent function of each endpoint pair.
 
-    The incremental re-planner (:mod:`repro.core.replan`) exploits two
-    contract guarantees that both concrete providers below honor:
-
-    1. **Pair independence** — :meth:`pair_paths` for ``(src, dst)``
-       depends only on the active topology, never on other pairs, so a
-       dirty pair can be recomputed in isolation and the result is
-       bit-identical to what a from-scratch :meth:`build` would hold.
-    2. **Locality under churn** — failing a link can change a pair's
-       path set only if (a) one of the pair's current paths traverses
-       that link, or (b) the pair is already *damaged* (its current set
-       differs from the no-failure baseline). Restoring a link can only
-       change damaged pairs. This is what makes dirty-set propagation
-       sound; it holds for shortest-path selection because removing
-       links never shortens distances (see docs/PERFORMANCE.md for the
-       argument, including the capped-ECMP and up-down cases).
-
-    The re-planner asks for all of one delta's dirty pairs in one
-    :meth:`rederive_pairs` call. Its answer must equal :meth:`pair_paths`
-    pair for pair; what it may use to get there faster is the pairs'
-    current paths and the links the delta removed. A pair's paths are
-    ``()`` when it has none; a bad endpoint raises
+    **Pair independence** — :meth:`pair_paths` for ``(src, dst)``
+    depends only on the active topology, never on other pairs, so a pair
+    can be derived in isolation and the result is bit-identical to what
+    a from-scratch :meth:`build` would hold. The symmetry certificate
+    (:mod:`repro.core.symmetry`) relies on it to re-derive only the
+    residue pairs of a damaged Clos. A pair's paths are ``()`` when it
+    has none; a bad endpoint raises
     :class:`~repro.exceptions.TaggingError` naming it.
     """
 
@@ -195,22 +168,6 @@ class PairwiseElpProvider:
 
     def pair_paths(self, topo: Topology, src: str, dst: str) -> Tuple[Path, ...]:
         raise NotImplementedError
-
-    def rederive_pairs(
-        self,
-        topo: Topology,
-        current: Mapping[Pair, Tuple[Path, ...]],
-        removed: AbstractSet[LinkKey] = frozenset(),
-    ) -> Dict[Pair, Tuple[Path, ...]]:
-        """:meth:`pair_paths` on ``topo`` for every pair of ``current``,
-        in its order.
-
-        ``current`` holds each pair's paths on the topology as it was just
-        before the links in ``removed`` went down (``removed`` is empty
-        for a restore). This default re-enumerates every pair and ignores
-        both.
-        """
-        return {pair: self.pair_paths(topo, *pair) for pair in current}
 
     def ordered_pairs(self, topo: Topology) -> List[Tuple[str, str]]:
         names = self.endpoints(topo)
@@ -249,9 +206,7 @@ class UpDownElpProvider(PairwiseElpProvider):
     silently, and per-pair results are the sorted deduplicated shortest
     up-down paths. Endpoints must be layered switches — a host or
     unlayered endpoint raises :class:`~repro.exceptions.TaggingError`
-    rather than planning around it. The locality contract is proven for
-    lowest-layer (ToR) endpoints, which is the only configuration the
-    paper uses.
+    rather than planning around it.
     """
 
     explicit_endpoints: Optional[Sequence[str]] = None
@@ -264,56 +219,13 @@ class UpDownElpProvider(PairwiseElpProvider):
         return sorted(topo.switches_at_layer(0))
 
     def pair_paths(self, topo: Topology, src: str, dst: str) -> Tuple[Path, ...]:
-        return self._enumerate(topo, [(src, dst)])[(src, dst)]
-
-    def rederive_pairs(
-        self,
-        topo: Topology,
-        current: Mapping[Pair, Tuple[Path, ...]],
-        removed: AbstractSet[LinkKey] = frozenset(),
-    ) -> Dict[Pair, Tuple[Path, ...]]:
-        """A pair that lost links keeps those of its current paths that
-        avoid them, whenever one does; every other pair is enumerated
-        with one up-DAG per endpoint for the whole call.
-
-        The filter is exact. Removing links never creates an up-down
-        path, so the new candidates are the old ones that avoid the lost
-        links. A survivor keeps the lowest common-ancestor layer and the
-        minimal length, so the shortest-only cut selects exactly the
-        survivors. And filtering a sorted tuple keeps it sorted.
-        """
-        fresh: Dict[Pair, Tuple[Path, ...]] = {}
-        missing: List[Pair] = []
-        for pair, paths in current.items():
-            if removed and paths:
-                kept = tuple(
-                    path for path in paths if _avoids(path, removed)
-                )
-                if kept:
-                    fresh[pair] = kept
-                    continue
-            missing.append(pair)
-        fresh.update(self._enumerate(topo, missing))
-        return {pair: fresh[pair] for pair in current}
-
-    def _enumerate(
-        self, topo: Topology, pairs: List[Pair]
-    ) -> Dict[Pair, Tuple[Path, ...]]:
         try:
-            found = updown_paths_by_pair(topo, pairs, self.shortest_only)
+            found = updown_paths_by_pair(topo, [(src, dst)], self.shortest_only)
         except RoutingError as exc:
             # Only "no up-down path" is an empty answer; a host or
             # unlayered endpoint is a misconfigured ELP.
             raise TaggingError(f"cannot enumerate up-down ELP: {exc}") from exc
-        return {pair: tuple(paths) for pair, paths in found.items()}
-
-
-def _avoids(path: Path, links: AbstractSet[LinkKey]) -> bool:
-    """Does loop-free ``path`` traverse none of ``links``?"""
-    return not any(
-        a in path and b in path and abs(path.index(a) - path.index(b)) == 1
-        for a, b in links
-    )
+        return tuple(found[(src, dst)])
 
 
 @dataclass

@@ -15,9 +15,10 @@ Three constructors mirror the paper:
   no enumeration needed;
 - :meth:`TaggerPlan.for_multiclass_clos` — §6's staggered classes.
 
-They mirror it in code as well: every Algorithm-1 plan — ``from_elp``,
-:meth:`TaggerPlan.from_provider` (closed form or per-pair walk), and
-every :class:`~repro.core.replan.IncrementalPlanner` compile — is
+They mirror it in code as well: every Algorithm-1 plan — ``from_elp``
+and :meth:`TaggerPlan.from_provider` (closed form, residue-corrected
+closed form or per-pair walk), which every
+:class:`~repro.core.replan.IncrementalPlanner` replan is — is
 finished by the one :func:`compile_plan` tail (rule-realizable minimize,
 verify, queue map), and both policy plans by one materialise-and-wrap body.
 Algorithm 2 as printed (:func:`~repro.core.greedy.greedy_minimize`) is not
@@ -130,22 +131,26 @@ class TaggerPlan:
     ) -> "TaggerPlan":
         """From-scratch plan via a pairwise ELP provider (+ pinned extras).
 
-        This is the from-scratch counterpart of
-        :class:`repro.core.replan.IncrementalPlanner` — identical input
-        surface, so the two can be compared byte for byte. The ``elp``
+        Every :class:`repro.core.replan.IncrementalPlanner` plan is one
+        of these, so the two are compared byte for byte. The ``elp``
         stage (path enumeration) is timed separately from the
         :meth:`from_elp` stages.
 
         The input picks the enumeration. When the topology/provider pair
-        certifies as a healthy symmetric Clos
-        (:mod:`repro.core.symmetry`), the tagged graph is built in closed
-        form from one representative per pod/spine equivalence class,
-        skipping per-pair path enumeration entirely. Any asymmetry —
-        failed links, drained endpoints, a provider other than
-        :class:`~repro.core.elp.UpDownElpProvider` — degrades to
-        streaming the provider's paths lazily into Algorithm 1. Both
-        compile plans byte-identical to :meth:`from_elp` on the
-        provider's ELP.
+        certifies as a symmetric Clos (:mod:`repro.core.symmetry`), the
+        tagged graph is built in closed form from one representative per
+        pod/spine equivalence class, skipping per-pair path enumeration;
+        on a fabric with failed links or drains that cut up-down paths,
+        the closed-form counts are corrected for the certificate's
+        residue pairs only. A provider other than
+        :class:`~repro.core.elp.UpDownElpProvider` or a fabric that is
+        not a symmetric Clos degrades to streaming the provider's paths
+        lazily into Algorithm 1. Both compile plans byte-identical to
+        :meth:`from_elp` on the provider's ELP.
+
+        ``meta`` records ``certified``, ``elp_paths`` and the pairs and
+        paths the plan walked (``walked_pairs``, ``walked_paths``): the
+        residue and its difference when certified, else all, plus extras.
         """
         if timer is None:
             timer = StageTimer()
@@ -156,13 +161,17 @@ class TaggerPlan:
             extras.extend(extra_paths)
         if cert is not None:
             with timer.stage("bruteforce"):
-                graph = TaggedGraph()
-                cert.populate_graph(graph)
+                if cert.residue:
+                    graph, enumerated, walked = cert.damaged_graph()
+                else:
+                    graph = TaggedGraph()
+                    cert.populate_graph(graph)
+                    enumerated, walked = cert.path_count(), 0
                 for path in extras:
                     add_tagged_path(graph, topo, path)
                 if not graph.nodes and not extras.paths:
                     raise TaggingError("empty ELP: nothing to tag")
-            enumerated = cert.path_count()
+            walked_pairs = len(cert.residue)
         else:
             # Not certified: stream the provider's paths lazily into
             # Algorithm 1 so the full path list is never materialized.
@@ -174,10 +183,13 @@ class TaggerPlan:
                     itertools.chain(stream, extras.paths),
                     require_loop_free=False,
                 )
-            enumerated = counter["paths"]
+            enumerated = walked = counter["paths"]
+            walked_pairs = len(provider.ordered_pairs(topo))
         meta = {
             "certified": cert is not None,
             "elp_paths": enumerated + len(extras),
+            "walked_pairs": walked_pairs,
+            "walked_paths": walked + len(extras),
         }
         return compile_plan(topo, graph, max_lossless_queues, timer, meta)
 
@@ -295,10 +307,10 @@ def compile_plan(
     """Minimize + verify + queue-map a brute-force tagged graph.
 
     The one tail of every Algorithm-1 construction path — explicit ELP,
-    streamed provider, symmetry-certified closed form, and every
-    :class:`~repro.core.replan.IncrementalPlanner` compile — so all of
-    them produce byte-identical plans from equal graphs because they run
-    the same code, not because two copies are kept in step.
+    streamed provider, symmetry-certified closed form with or without a
+    residue — so all of them produce byte-identical plans from equal
+    graphs because they run the same code, not because two copies are
+    kept in step.
 
     Args:
         graph: The brute-force (Algorithm 1) tagged graph.

@@ -11,39 +11,51 @@ to pairwise-disjoint spine groups, then answer every per-pair query —
 and build the Algorithm-1 tagged graph — from the closed form instead
 of per-path search.
 
+A fabric that differs from a certifiable one only by failed links (a
+drain fails every link of a switch) certifies too, with a *residue*:
+the ordered pairs with a pristine up-down path through a failed link,
+the only pairs :meth:`SymmetryCertificate.damaged_graph` re-derives.
+
 Soundness contract (property-tested in
 ``tests/properties/test_symmetry_equivalence.py`` and fuzz-checked as
 the ``symmetry-divergence`` invariant):
 
 - :meth:`SymmetryCertificate.pair_paths` returns *byte-identical*
-  tuples to ``UpDownElpProvider.pair_paths`` for every ordered pair;
+  tuples to ``UpDownElpProvider.pair_paths`` on the pristine fabric for
+  every ordered pair, and on the damaged one for every pair outside the
+  residue;
 - :meth:`SymmetryCertificate.populate_graph` emits exactly the node and
-  edge set Algorithm 1 derives from the exhaustive path set (the
-  :class:`~repro.core.tags.TaggedGraph` is set-structured, so equality
-  is order-free);
+  edge set Algorithm 1 derives from the exhaustive pristine path set
+  (the :class:`~repro.core.tags.TaggedGraph` is set-structured, so
+  equality is order-free);
 - :meth:`SymmetryCertificate.path_counts` returns the reference counts
   of those nodes and edges, equal to counting every pair's paths
   through :func:`~repro.core.tags.tagged_walk`;
+- :meth:`SymmetryCertificate.damaged_graph` emits the node and edge set
+  Algorithm 1 derives from the damaged fabric's exhaustive path set;
 - :func:`certify` returns ``None`` — degrading callers to per-pair
-  enumeration — on *any* structural irregularity: failed links,
-  unlayered or >3-layer switches, incomplete pods, or spine groups
-  shared between leaf colors.
+  enumeration — on *any* structural irregularity of the fabric with
+  every link up: unlayered or >3-layer switches, incomplete pods, or
+  spine groups shared between leaf colors.
 
 The certificate deliberately ignores links up-down routing cannot see
 (ToR-ToR express links, same-layer links, layer-skipping links): they
-change no up-down path, so certifying past them is exact, not an
-approximation.
+change no up-down path, so certifying past them — failed or not — is
+exact, not an approximation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.tags import TaggedGraph, TEdge, TNode
+from repro.core.tags import TaggedGraph, TEdge, TNode, tagged_walk
 from repro.routing.base import Path
+from repro.routing.updown import updown_paths_by_pair
 from repro.topology.base import Topology
 from repro.topology.clos import LEAF_LAYER, SPINE_LAYER, TOR_LAYER
+
+Pair = Tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -71,14 +83,17 @@ class SymmetryCertificate:
     """Proof object that closed-form up-down enumeration is exact here.
 
     Holds the pod decomposition and spine coloring of a certified
-    topology plus the closed forms derived from them. Valid only for
-    the exact topology state it was certified against — the planner
-    re-certifies after every applied delta.
+    topology with every link up, the closed forms derived from them, and
+    the residue of the topology's failed links. Valid only for the exact
+    topology state it was certified against — every plan re-certifies.
     """
 
     topo: Topology
     pods: Tuple[Pod, ...]
     spine_groups: Tuple[Tuple[str, ...], ...]
+    #: Ordered ToR pairs, sorted, with a pristine up-down path through a
+    #: failed link; empty when no failed link carries an up-down path.
+    residue: Tuple[Pair, ...]
 
     def __post_init__(self) -> None:
         self._pod_index: Dict[str, int] = {}
@@ -90,7 +105,8 @@ class SymmetryCertificate:
     # Closed-form per-pair enumeration
     # ------------------------------------------------------------------
     def pair_paths(self, src: str, dst: str) -> Tuple[Path, ...]:
-        """Byte-identical to ``UpDownElpProvider.pair_paths(topo, ...)``."""
+        """Byte-identical to ``UpDownElpProvider.pair_paths(topo, ...)``
+        on the fabric with every link up."""
         if src == dst:
             return ((src,),)
         p = self._pod_index.get(src)
@@ -175,8 +191,7 @@ class SymmetryCertificate:
 
         Equal, as dicts, to counting every path of every pair's
         :meth:`pair_paths` through :func:`~repro.core.tags.tagged_walk`
-        — what the re-planner's refcounted graph builds one path at a
-        time — in O(nodes + edges) and without a path. Each count is a
+        in O(nodes + edges) and without a path. Each count is a
         function of the certified pod structure: with ``t`` a pod's ToR
         count, ``s`` a color's spine count and ``other`` the ToR x
         color-leaf product summed over the color's other eligible pods,
@@ -267,6 +282,44 @@ class SymmetryCertificate:
                                 edges[(mid, leaf_lows[k])] = weight
         return nodes, edges
 
+    def damaged_graph(self) -> Tuple[TaggedGraph, int, int]:
+        """The Algorithm-1 graph of the damaged fabric's up-down ELP, that
+        ELP's path count and the number of paths walked to get there.
+
+        Starts from :meth:`path_counts` and walks, through
+        :func:`~repro.core.tags.tagged_walk`, only the difference between
+        each residue pair's pristine and damaged paths: the pristine
+        paths that cross a failed link come off; a pair left with none
+        is enumerated on the damaged fabric (one
+        :func:`~repro.routing.updown.updown_paths_by_pair` call for all
+        such pairs) and its paths go on. Removing links never creates an
+        up-down path, so a pair's pristine survivors are exactly its
+        damaged paths (docs/PERFORMANCE.md, "What a delta re-derives").
+        """
+        failed: Set[Pair] = set()
+        for a, b in self.topo.failed_links:
+            failed.update(((a, b), (b, a)))
+        nodes, edges = self.path_counts()
+        paths = self.path_count()
+        walked = 0
+        cut: List[Pair] = []
+        for pair in self.residue:
+            pristine = self.pair_paths(*pair)
+            gone = [p for p in pristine if not failed.isdisjoint(zip(p, p[1:]))]
+            if len(gone) == len(pristine):
+                cut.append(pair)
+            for path in gone:
+                _shift_counts(self.topo, nodes, edges, path, -1)
+            paths -= len(gone)
+            walked += len(gone)
+        found = updown_paths_by_pair(self.topo, cut)
+        for pair in cut:
+            for path in found[pair]:
+                _shift_counts(self.topo, nodes, edges, path, +1)
+            paths += len(found[pair])
+            walked += len(found[pair])
+        return _graph_of(nodes, edges), paths, walked
+
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
@@ -331,16 +384,107 @@ class SymmetryCertificate:
         }
 
 
+def _shift_counts(
+    topo: Topology,
+    nodes: Dict[TNode, int],
+    edges: Dict[TEdge, int],
+    path: Path,
+    delta: int,
+) -> None:
+    """Add ``delta`` (+1 or -1) to the count of every node and edge of the
+    path's :func:`~repro.core.tags.tagged_walk`; a count that reaches zero
+    leaves its dict, so the dicts hold exactly the live graph."""
+    last: Optional[TNode] = None
+    for node in tagged_walk(topo, path):
+        count = nodes.get(node, 0) + delta
+        if count:
+            nodes[node] = count
+        else:
+            del nodes[node]
+        if last is not None:
+            edge = (last, node)
+            count = edges.get(edge, 0) + delta
+            if count:
+                edges[edge] = count
+            else:
+                del edges[edge]
+        last = node
+
+
+def _graph_of(nodes: Dict[TNode, int], edges: Dict[TEdge, int]) -> TaggedGraph:
+    """The tagged graph of the counted nodes and edges."""
+    graph = TaggedGraph()
+    for node in nodes:
+        graph.add_node(node)
+    for src, dst in edges:
+        graph.add_edge(src, dst)
+    return graph
+
+
+def _residue(topo: Topology, pods: Tuple[Pod, ...]) -> Tuple[Pair, ...]:
+    """Ordered ToR pairs with a pristine up-down path through a failed link.
+
+    A failed ToR-leaf link cuts its ToR's intra-pod pairs and, when the
+    leaf has spine uplinks, its ToR's pairs with every other pod of the
+    leaf's color; a failed leaf-spine link cuts every pair between the
+    leaf's pod and the other pods of its color. No other link carries a
+    closed-form path.
+    """
+    pod_of: Dict[str, int] = {}
+    color_of: Dict[str, int] = {}
+    for idx, pod in enumerate(pods):
+        for name in pod.leaves:
+            pod_of[name] = idx
+        for color, leaves in pod.leaves_by_color:
+            for leaf in leaves:
+                color_of[leaf] = color
+
+    def peers(pod: int, color: int) -> List[str]:
+        """ToRs of the other pods wired to ``color``."""
+        return [
+            tor
+            for idx, other in enumerate(pods)
+            if idx != pod and other.color_leaves(color)
+            for tor in other.tors
+        ]
+
+    residue: Set[Pair] = set()
+    for a, b in topo.failed_links:
+        layers = {topo.layer_of(a): a, topo.layer_of(b): b}
+        leaf = layers.get(LEAF_LAYER)
+        if leaf is None:
+            continue
+        pod = pod_of[leaf]
+        color = color_of.get(leaf)
+        tor = layers.get(TOR_LAYER)
+        if tor is not None:
+            sources = [tor]
+            sinks = [x for x in pods[pod].tors if x != tor]
+            if color is not None:
+                sinks += peers(pod, color)
+        elif SPINE_LAYER in layers and color is not None:
+            # A leaf's color is its spine neighborhood: the spine is in it.
+            sources = list(pods[pod].tors)
+            sinks = peers(pod, color)
+        else:
+            continue
+        for src in sources:
+            for dst in sinks:
+                residue.update(((src, dst), (dst, src)))
+    return tuple(sorted(residue))
+
+
 def certify(topo: Topology, provider: Any) -> Optional[SymmetryCertificate]:
     """Certify that closed-form up-down enumeration is exact, or refuse.
 
-    Returns ``None`` (degrade to the per-pair walk) unless *all* of the
+    Certifies the fabric with every link up and returns that certificate
+    with the residue of the failed links (:func:`_residue`). Returns
+    ``None`` (degrade to the per-pair walk) unless *all* of the
     following hold:
 
     - ``provider`` is exactly :class:`~repro.core.elp.UpDownElpProvider`
       (a subclass may override ``pair_paths``), with ``shortest_only``
-      and endpoints equal to the sorted layer-0 switch set;
-    - no link is failed or drained;
+      and endpoints equal to the sorted layer-0 switch set, each once;
     - every switch carries a layer in {0, 1, 2};
     - the ToR/leaf adjacency partitions into disjoint complete-bipartite
       pods (every ToR of a pod links to every leaf of that pod);
@@ -354,11 +498,9 @@ def certify(topo: Topology, provider: Any) -> Optional[SymmetryCertificate]:
         return None
     if not provider.shortest_only:
         return None
-    if topo.failed_links:
-        return None
     tors = sorted(topo.switches_at_layer(TOR_LAYER))
     if provider.explicit_endpoints is not None:
-        if sorted(set(provider.explicit_endpoints)) != tors:
+        if sorted(provider.explicit_endpoints) != tors:
             return None
 
     for name in topo.switches:
@@ -368,7 +510,7 @@ def certify(topo: Topology, provider: Any) -> Optional[SymmetryCertificate]:
     def _layer_neighbors(name: str, layer: int) -> List[str]:
         return [
             peer
-            for peer in topo.neighbors(name)
+            for peer in topo.neighbors(name, include_failed=True)
             if topo.node(peer).is_switch and topo.node(peer).layer == layer
         ]
 
@@ -451,5 +593,8 @@ def certify(topo: Topology, provider: Any) -> Optional[SymmetryCertificate]:
             )
         )
     return SymmetryCertificate(
-        topo=topo, pods=tuple(pods), spine_groups=spine_groups
+        topo=topo,
+        pods=tuple(pods),
+        spine_groups=spine_groups,
+        residue=_residue(topo, tuple(pods)),
     )

@@ -299,8 +299,8 @@ def tagged_walk(topo: Topology, path: Sequence[str]) -> List[TNode]:
     consecutive pairs of the returned list.
 
     Every consumer of Algorithm 1 — :func:`~repro.core.bruteforce.bruteforce_tagging`,
-    the planner's pinned extras, the re-planner's refcounts — walks a
-    path through this function.
+    the planner's pinned extras, the certificate's residue correction —
+    walks a path through this function.
     """
     walk: List[TNode] = []
     tag = INITIAL_TAG

@@ -49,9 +49,9 @@ from repro.exceptions import ReproError
 from repro.fuzz.faults import copy_tables, fault_row
 from repro.fuzz.scenarios import Scenario, _switches_connected
 from repro.lint import DeploymentArtifact, lint_artifact
-from repro.routing.base import count_bounces
+from repro.routing.base import Path, count_bounces
 from repro.topology import Topology
-from repro.topology.failures import LinkKey, TopologyDelta
+from repro.topology.failures import LinkKey, TopologyDelta, apply_delta
 
 #: A fault row's injector, handed to the stage the fault is aimed at.
 Injector = Optional[Callable[..., Any]]
@@ -299,66 +299,97 @@ def _run_clos(ctx: _Context, inject: Injector) -> Optional[str]:
 def _run_symmetry(ctx: _Context, inject: Injector) -> Optional[str]:
     """Differential check of the closed-form enumeration.
 
-    Plans the scenario through :meth:`TaggerPlan.from_provider` (the
-    closed-form orbit replication when the topology certifies, the
+    Plans the scenario, and the scenario with one connectivity-safe ELP
+    link failed and one switch drained, through
+    :meth:`TaggerPlan.from_provider` (the closed form when the fabric
+    certifies, corrected for the residue of its failed links; the
     per-pair walk otherwise) and through :meth:`TaggerPlan.from_elp` on
-    the provider's explicit ELP, and demands byte-identical rule tables
-    and tagged graphs. Refusals must also agree: if one path rejects the
-    scenario (e.g. empty ELP), the other must reject it too. A fault
-    corrupts the provider plan after the fact; the oracle must flag the
-    divergence.
+    the provider's explicit ELP of the same fabric, and demands
+    byte-identical rule tables and tagged graphs. Refusals must also
+    agree: if one path rejects a fabric (e.g. empty ELP), the other must
+    reject it too. A fault replaces ``from_provider`` with a buggy
+    planner of the same call shape; the oracle must flag the divergence.
     """
     provider = ctx.provider
     if provider is None:
         return "ELP not pair-decomposable"
+    plan_with = inject if inject is not None else TaggerPlan.from_provider
+    link = _flap_link(ctx.scenario.build_topology(), ctx.elp.paths)
+    switches = sorted(ctx.topo.switches)
+    drained = switches[ctx.scenario.seed % len(switches)]
+
+    def damaged() -> Topology:
+        topo = ctx.scenario.build_topology()
+        if link is not None:
+            topo.fail_link(*link)
+        apply_delta(topo, TopologyDelta.drain(drained))
+        return topo
+
+    refusals = [
+        _compare_symmetry(ctx, plan_with, provider, build, label)
+        for label, build in (
+            ("", ctx.scenario.build_topology),
+            (f"with {drained} drained: ", damaged),
+        )
+    ]
+    skipped = [reason for reason in refusals if reason is not None]
+    return "; ".join(skipped) if len(skipped) == len(refusals) else None
+
+
+def _compare_symmetry(
+    ctx: _Context,
+    plan_with: Callable[[Topology, PairwiseElpProvider], TaggerPlan],
+    provider: PairwiseElpProvider,
+    build: Callable[[], Topology],
+    label: str,
+) -> Optional[str]:
+    """One fabric of :func:`_run_symmetry`: None once compared (or a
+    divergence recorded), else why both sides refused it."""
 
     def plan(
-        build: Callable[[Topology], TaggerPlan],
+        planner: Callable[[Topology], TaggerPlan],
     ) -> Tuple[Optional[TaggerPlan], Optional[str]]:
         try:
-            return build(ctx.scenario.build_topology()), None
+            return planner(build()), None
         except ReproError as exc:
             return None, str(exc)
 
-    got, got_error = plan(lambda topo: TaggerPlan.from_provider(topo, provider))
+    got, got_error = plan(lambda topo: plan_with(topo, provider))
     want, want_error = plan(
         lambda topo: TaggerPlan.from_elp(topo, provider.build(topo))
     )
     if got is None or want is None:
         if got_error == want_error:
-            return f"both refused ({got_error})"
+            return f"{label}both refused ({got_error})"
         ctx.violate(
             "symmetry-divergence",
-            f"from_provider and from_elp disagree on refusal: "
+            f"{label}from_provider and from_elp disagree on refusal: "
             f"from_provider={got_error!r}, from_elp={want_error!r}",
         )
         return None
-    if inject is not None:
-        inject(got)
     if not tables_equal(got.tables, want.tables):
         ctx.violate(
             "symmetry-divergence",
-            "from_provider rule tables differ from from_elp on the "
-            "provider's ELP",
+            f"{label}from_provider rule tables differ from from_elp on "
+            f"the provider's ELP",
         )
     elif got.graph != want.graph:
         ctx.violate(
             "symmetry-divergence",
-            "from_provider tagged graph differs from from_elp on the "
-            "provider's ELP",
+            f"{label}from_provider tagged graph differs from from_elp on "
+            f"the provider's ELP",
         )
     else:
-        ctx.result.stats["symmetry_mode"] = (
-            "certified" if got.meta["certified"] else "degraded"
-        )
+        mode = "certified" if got.meta["certified"] else "degraded"
+        key = "symmetry_damaged_mode" if label else "symmetry_mode"
+        ctx.result.stats[key] = mode
     return None
 
 
-def _replan_flap_link(planner: IncrementalPlanner) -> Optional[LinkKey]:
+def _flap_link(topo: Topology, paths: List[Path]) -> Optional[LinkKey]:
     """First ELP-carrying switch link whose failure keeps switches connected."""
-    topo = planner.topo
     used: Set[LinkKey] = set()
-    for path in planner.elp_paths():
+    for path in paths:
         for a, b in zip(path, path[1:]):
             if topo.node(a).is_switch and topo.node(b).is_switch:
                 used.add((a, b) if a <= b else (b, a))
@@ -394,7 +425,7 @@ def _run_replan(ctx: _Context, inject: Injector) -> Optional[str]:
             f"initial incremental build failed: {exc}",
         )
         return None
-    link = _replan_flap_link(planner)
+    link = _flap_link(planner.topo, ctx.elp.paths)
     if link is None:
         return "no safe link to flap"
     ctx.result.stats["replan_link"] = f"{link[0]}<->{link[1]}"

@@ -15,6 +15,7 @@ not by construction alone.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -31,11 +32,15 @@ if TYPE_CHECKING:
 
 from repro.core.clos import ClosTagger
 from repro.core.compression import TcamEntry
-from repro.core.planner import TaggerPlan
+from repro.core.elp import PairwiseElpProvider
+from repro.core.planner import TaggerPlan, compile_plan
 from repro.core.rules import RuleTable
+from repro.core.symmetry import certify
 from repro.core.tags import INITIAL_TAG, TaggedGraph, TNode
 from repro.exceptions import ReproError
 from repro.lint.artifact import DeploymentArtifact
+from repro.perf.timing import StageTimer
+from repro.topology.base import Topology
 
 
 class FaultError(ReproError):
@@ -199,6 +204,35 @@ def drop_rule(plan: TaggerPlan) -> None:
             return
 
 
+def symmetry_drop_rule(
+    topo: Topology, provider: PairwiseElpProvider
+) -> TaggerPlan:
+    """Plan through the provider, then :func:`drop_rule` the result."""
+    plan = TaggerPlan.from_provider(topo, provider)
+    drop_rule(plan)
+    return plan
+
+
+def symmetry_residue_drop(
+    topo: Topology, provider: PairwiseElpProvider
+) -> TaggerPlan:
+    """Plan a damaged Clos with its first residue pair left at its
+    pristine paths.
+
+    Models a residue computation that misses a pair a failed link cuts:
+    the plan keeps tagging that pair's dead paths through the failed
+    link. Identity on fabrics that do not certify or whose failed links
+    cut no up-down path.
+    """
+    cert = certify(topo, provider)
+    if cert is None or not cert.residue:
+        return TaggerPlan.from_provider(topo, provider)
+    graph, _paths, _walked = replace(
+        cert, residue=cert.residue[1:]
+    ).damaged_graph()
+    return compile_plan(topo, graph, 8, StageTimer())
+
+
 def deploy_phantom_ack(agents: Dict[str, "SwitchAgent"]) -> None:
     """Make one diff-carrying agent ack batches without applying any op.
 
@@ -300,9 +334,16 @@ FAULT_TABLE: Tuple[Fault, ...] = (
     Fault(
         "symmetry-drop-rule",
         "symmetry",
-        drop_rule,
+        symmetry_drop_rule,
         ("symmetry-divergence",),
         "loses one rule from the provider-planned tables",
+    ),
+    Fault(
+        "symmetry-residue-drop",
+        "symmetry",
+        symmetry_residue_drop,
+        ("symmetry-divergence",),
+        "leaves one residue pair of a damaged Clos at its pristine paths",
     ),
     Fault(
         "replan-drop-rule",

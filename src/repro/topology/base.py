@@ -13,7 +13,6 @@ Clos-specific tagger.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
@@ -300,31 +299,6 @@ class Topology:
             for peer in self.neighbors(switch, include_failed=True)
             if self.node(peer).is_host
         ]
-
-    def fingerprint(self) -> str:
-        """Stable digest of the topology state, including failed links.
-
-        Two topologies with the same nodes, links, port numbering and
-        failure set produce the same fingerprint; any link up/down flips
-        it. Used by the incremental re-planner to key memoized ELP and
-        plan caches (see :mod:`repro.core.replan`).
-        """
-        hasher = hashlib.sha256()
-        for name in sorted(self.nodes):
-            node = self.nodes[name]
-            hasher.update(
-                f"n|{name}|{node.kind}|{node.layer}\n".encode("utf-8")
-            )
-        for key in sorted(self.links):
-            link = self.links[key]
-            hasher.update(
-                f"l|{link.a}|{link.port_a}|{link.b}|{link.port_b}\n".encode(
-                    "utf-8"
-                )
-            )
-        for a, b in sorted(self._failed):
-            hasher.update(f"f|{a}|{b}\n".encode("utf-8"))
-        return hasher.hexdigest()
 
     # ------------------------------------------------------------------
     # Export

@@ -277,8 +277,8 @@ def random_delta_sequence(
 
     Draws link-down / link-up / drain / undrain events against the
     current topology state, preferring reversals of earlier events so
-    sequences exercise the re-planner's memo (fail -> restore cycles)
-    as well as fresh damage. Never downs a host uplink.
+    sequences exercise restores to earlier fabrics (fail -> restore
+    cycles) as well as fresh damage. Never downs a host uplink.
     """
     rng = random.Random(seed)
     candidates = [

@@ -77,7 +77,13 @@ def test_replanner_compiles_through_the_planner_tail():
         "assert_deadlock_free",
     }
     assert not own_tail, f"replan.py re-implements the tail: {sorted(own_tail)}"
-    assert "compile_plan" in imported
+    # A replan is a plan: the re-planner compiles nothing of its own.
+    called = {
+        name
+        for _, node in _functions(CORE_DIR / "replan.py")
+        for name in _called_names(node)
+    }
+    assert "from_provider" in called and "compile_plan" not in called
 
 
 def test_product_path_has_one_minimizer():
@@ -136,7 +142,7 @@ def test_one_algorithm_1_walk():
     assert _core_callers("ingress_hops") == ["bruteforce.py:longest_path_hops"]
     assert _core_callers("tagged_walk") == [
         "bruteforce.py:add_tagged_path",
-        "replan.py:_RefcountedGraph._shift",
+        "symmetry.py:_shift_counts",
         "tags.py:ingress_hops",
     ]
 
@@ -203,3 +209,49 @@ def test_the_merge_always_runs_whole():
         params = inspect.signature(function).parameters
         assert dropped not in params, f"{function.__qualname__} takes {dropped}"
     assert "resume_level" not in {field.name for field in fields(ReplanResult)}
+
+
+def _defined_names(module):
+    """Classes, functions and module or ``self.`` attributes a core
+    module defines."""
+    names = set()
+    for node in ast.walk(ast.parse((CORE_DIR / module).read_text())):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_the_replanner_keeps_no_warm_state():
+    """A replan is ``from_provider`` on the changed fabric: no pair cache,
+    link masks, damaged set, baseline, plan memo or re-derivation path
+    survives, and the ELP is never read back from the planner."""
+    from repro.core import IncrementalPlanner, UpDownElpProvider
+    from repro.core.elp import PairwiseElpProvider
+
+    deleted = {
+        "_RefcountedGraph",
+        "_pairs",
+        "_pair_links",
+        "_link_bit",
+        "_damaged",
+        "_base",
+        "_recompute_pairs",
+        "_set_pair",
+        "_full_build",
+        "_MemoEntry",
+        "_memo",
+        "_store_memo",
+        "_restore_memo",
+        "MEMO_CAPACITY",
+        "MODE_MEMO",
+        "elp_paths",
+    }
+    assert not deleted & _defined_names("replan.py")
+    assert not {"rederive_pairs", "_avoids"} & _defined_names("elp.py")
+    for cls in (IncrementalPlanner, PairwiseElpProvider, UpDownElpProvider):
+        left = {name for name in deleted | {"rederive_pairs"} if hasattr(cls, name)}
+        assert not left, f"{cls.__name__} still has {sorted(left)}"

@@ -216,8 +216,6 @@ class TestUpDownEndpointsFailClosed:
         with pytest.raises(TaggingError, match=match):
             provider.pair_paths(topo, bad, "T2")
         with pytest.raises(TaggingError, match=match):
-            provider.rederive_pairs(topo, {("T1", "T2"): (), (bad, "T3"): ()})
-        with pytest.raises(TaggingError, match=match):
             TaggerPlan.from_provider(topo, provider)
         with pytest.raises(TaggingError, match=match):
             IncrementalPlanner(topo, provider)
@@ -228,6 +226,6 @@ class TestUpDownEndpointsFailClosed:
         topo.fail_link("T1", "L2")
         provider = UpDownElpProvider()
         assert provider.pair_paths(topo, "T1", "T3") == ()
-        assert provider.rederive_pairs(topo, {("T1", "T3"): ()}) == {
-            ("T1", "T3"): ()
-        }
+        plan = TaggerPlan.from_provider(topo, provider)
+        assert plan.meta["certified"] is True
+        assert plan.meta["elp_paths"] == len(provider.build(topo))

@@ -1,23 +1,24 @@
 """Cost guard for one link flap, as counts.
 
-A flap must cost what it changes. Three counts say so without a clock:
+A flap must cost what it changes. Four counts say so without a clock:
 
 - the re-planner builds at most one up-DAG (``_up_paths_from``) per ELP
-  endpoint per ``apply``, however many dirty pairs the delta has — pairs
-  that lost a link keep their surviving paths, and the rest share the
-  endpoints' DAGs;
+  endpoint per ``apply``, however many residue pairs the delta has —
+  pairs that lost a link keep their surviving pristine paths, and the
+  rest share the endpoints' DAGs in one batched enumeration;
+- a certified replan walks (``tagged_walk``) only the difference between
+  its residue pairs' pristine and damaged paths, never the whole ELP;
 - a rollout's certificate runs no fabric-wide lint stage (``check_graph``,
   ``check_reachability``): its boundary verdicts come from per-switch
   sections, and the one full lint of a rollout is ``verify-final``;
-- the planner's warm state (pair cache, link masks, damaged set and the
-  memo entries without their plans) holds few references the cyclic
-  collector must walk: paths and masks are immutable values the live
-  state and every memo entry share.
+- the planner keeps no warm state: between deltas it holds its inputs,
+  its current plan and the pinned extras, and nothing else the cyclic
+  collector must walk.
 
 A cold start costs the structure, not the path count: a planner built
-on a certified fabric seeds its refcounts from the certificate's closed
-form and walks no ELP path (``tagged_walk``) — only its pinned extras —
-while an uncertified one still walks every path.
+on a certified fabric builds its graph from the certificate's closed
+form and walks no ELP path — only its pinned extras — while an
+uncertified one still walks every path.
 
 Call counts come from ``cProfile``, references from ``gc.get_referents``
 after full collections; both are deterministic, in the pattern of
@@ -28,7 +29,6 @@ import cProfile
 import gc
 import os
 import pstats
-from dataclasses import fields
 
 from repro.core import (
     IncrementalPlanner,
@@ -43,7 +43,9 @@ from ..properties.test_symmetry_equivalence import Walked
 
 #: 3 pods x 3 ToRs: 9 endpoints, 72 ordered pairs.
 PARAMS = ClosParams(3, 3, 2, 2, hosts_per_tor=1)
-#: One flap episode of the e2e churn workload, plus a drain cycle.
+#: One flap episode of the e2e churn workload, plus a leaf and a ToR
+#: drain cycle; the ToR drain leaves pairs with no surviving path, so
+#: the residue is enumerated again.
 DELTAS = (
     TopologyDelta.link_down("L1", "T1"),
     TopologyDelta.link_down("L3", "S1"),
@@ -51,13 +53,15 @@ DELTAS = (
     TopologyDelta.link_up("L3", "S1"),
     TopologyDelta.drain("L4"),
     TopologyDelta.undrain("L4"),
+    TopologyDelta.drain("T1"),
+    TopologyDelta.undrain("T1"),
 )
-#: Ceiling on the references the collector walks in the planner's warm
-#: state after init plus ``DELTAS`` (five memo entries). With per-pair
-#: link masks and shared snapshots it reads 140; with a link -> pairs
-#: index copied into every memo entry and a frozenset of link tuples per
-#: pair it read 6 310.
-MAX_WARM_STATE_REFERENCES = 1_000
+#: Ceiling on the references the collector walks in what the planner
+#: holds besides its inputs and current plan, after init plus
+#: ``DELTAS``. With no warm state it reads 0; the pair cache, link
+#: masks and plan memo it replaced read 140, and a link -> pairs index
+#: copied into every memo entry read 6 310.
+MAX_WARM_STATE_REFERENCES = 50
 
 
 def _calls(profile, module, function):
@@ -130,16 +134,26 @@ def test_warm_state_stays_out_of_the_collector():
     planner = IncrementalPlanner(topo, UpDownElpProvider())
     for delta in DELTAS:
         planner.apply(delta)
-    roots = [planner._pairs, planner._pair_links, planner._damaged]
-    for entry in planner._memo.values():
-        roots.extend(
-            getattr(entry, f.name) for f in fields(entry) if f.name != "plan"
-        )
+    inputs = {"topo", "provider", "telemetry", "_plan"}
+    roots = [
+        value for name, value in vars(planner).items() if name not in inputs
+    ]
     references = _collector_references(roots)
     assert references <= MAX_WARM_STATE_REFERENCES, (
         f"{references} collector-visible references in the planner's "
-        f"warm state (ceiling {MAX_WARM_STATE_REFERENCES})"
+        f"state between deltas (ceiling {MAX_WARM_STATE_REFERENCES})"
     )
+
+
+def test_certified_replan_walks_only_the_residue_difference():
+    topo = clos3(PARAMS)
+    planner = IncrementalPlanner(topo, UpDownElpProvider())
+    elp = planner.plan.meta["elp_paths"]
+    for delta in DELTAS:
+        result, profile = _profiled(lambda: planner.apply(delta))
+        walks = _calls(profile, "core/tags", "tagged_walk")
+        assert result.mode == "incremental", delta.describe()
+        assert walks == result.changed_paths < elp, delta.describe()
 
 
 def test_rollout_lints_the_fabric_once():
@@ -183,3 +197,4 @@ def test_certified_init_walks_no_path():
         label = (type(source).__name__, kwargs)
         assert planner.plan.meta["certified"] is certified, label
         assert _calls(profile, "core/tags", "tagged_walk") == walks, label
+        assert planner.plan.meta["walked_paths"] == walks, label

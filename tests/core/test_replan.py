@@ -1,16 +1,13 @@
-"""Unit tests for the incremental re-planning engine (repro.core.replan).
+"""Unit tests for the re-planning engine (repro.core.replan).
 
 The property suite (tests/properties/test_incremental.py) establishes
 equivalence with from-scratch planning under random churn; these tests
-pin the engine's *mechanics*: mode selection (noop / memo / incremental
-/ full), minimal rule diffs, memo eviction, path-delta validation
-atomicity, and error recovery.
+pin the engine's *mechanics*: mode selection (noop / incremental /
+full), minimal rule diffs, path-delta validation atomicity, error
+recovery, and the refcount arithmetic the residue correction runs on.
 """
 
-import copy
 import random
-from collections import OrderedDict
-from dataclasses import fields
 
 import pytest
 
@@ -22,15 +19,9 @@ from repro.core import (
     bruteforce_tagging,
     tables_equal,
 )
-from repro.core.replan import (
-    MEMO_CAPACITY,
-    MODE_FULL,
-    MODE_INCREMENTAL,
-    MODE_MEMO,
-    MODE_NOOP,
-    _RefcountedGraph,
-)
+from repro.core.replan import MODE_FULL, MODE_INCREMENTAL, MODE_NOOP
 from repro.core.rules import canonical_tables
+from repro.core.symmetry import _graph_of, _shift_counts
 from repro.exceptions import TaggingError
 from repro.obs import Telemetry
 from repro.topology import ClosParams, Topology, TopologyDelta, clos3, testbed_clos
@@ -90,38 +81,18 @@ def test_link_down_is_incremental_and_diff_replays(planner):
     assert "minimize" in result.timings and "diff" in result.timings
 
 
-def test_restore_hits_the_memo(planner):
-    baseline = canonical_tables(planner.plan.tables)
+def test_unloaded_link_down_is_noop_without_memo(planner, monkeypatch):
     planner.apply(TopologyDelta.link_down("L1", "S1"))
-    result = planner.apply(TopologyDelta.link_up("L1", "S1"))
-    assert result.mode == MODE_MEMO
-    assert canonical_tables(planner.plan.tables) == baseline
-    # A full fail/restore cycle later, the downed state is memoized too.
-    result = planner.apply(TopologyDelta.link_down("L1", "S1"))
-    assert result.mode == MODE_MEMO
 
+    def replan(*args, **kwargs):
+        raise AssertionError("a repeated link-down planned again")
 
-class _LookupSpy(OrderedDict):
-    """A plan memo that records every key looked up in it."""
-
-    def __init__(self, entries):
-        super().__init__(entries)
-        self.lookups = []
-
-    def get(self, key, default=None):
-        self.lookups.append(key)
-        return super().get(key, default)
-
-
-def test_unloaded_link_down_is_noop_without_memo(planner):
-    planner.apply(TopologyDelta.link_down("L1", "S1"))
-    planner._memo = _LookupSpy(planner._memo)
-    # Downing an already-failed link again touches no pair: the engine
-    # must recognize it has nothing to recompute without asking the memo.
+    monkeypatch.setattr(TaggerPlan, "from_provider", replan)
+    # Downing an already-failed link again changes no link: the engine
+    # must recognize it has nothing to plan, with no state to consult.
     result = planner.apply(TopologyDelta.link_down("L1", "S1"))
     assert result.mode == MODE_NOOP
     assert result.diffs == {}
-    assert planner._memo.lookups == []
 
 
 @pytest.mark.parametrize(
@@ -130,8 +101,8 @@ def test_unloaded_link_down_is_noop_without_memo(planner):
     ids=["repeated-link-down", "undrain-undrained"],
 )
 def test_delta_that_changes_no_link_is_a_noop(idle):
-    """A delta that leaves every link as it was is a noop, not a memo
-    restore, and the next delta replans as if it never came."""
+    """A delta that leaves every link as it was is a noop, not a replan,
+    and the next delta replans as if it never came."""
 
     def planner_after_first_flap():
         topo = clos3(ClosParams(2, 2, 2, 2, hosts_per_tor=1))
@@ -165,13 +136,17 @@ def test_repeating_a_refused_delta_is_refused_again():
             planner.apply(TopologyDelta.link_down("A", "B"))
 
 
-def test_link_up_without_known_base_falls_back_to_full():
+def test_planner_first_built_on_a_damaged_fabric_restores_certified():
+    """No pristine baseline is needed: the certificate covers the fabric
+    with every link up, so the restore is a certified plan."""
     topo = testbed_clos()
-    topo.fail_link("L1", "S1")  # planner never observes the pristine fabric
+    topo.fail_link("L1", "S1")
     planner = IncrementalPlanner(topo, UpDownElpProvider())
+    assert planner.plan.meta["certified"] is True
+    assert planner.plan.meta["walked_pairs"] > 0
     result = planner.apply(TopologyDelta.link_up("L1", "S1"))
-    assert result.mode == MODE_FULL
-    assert result.dirty_pairs == len(planner.provider.ordered_pairs(planner.topo))
+    assert result.mode == MODE_INCREMENTAL
+    assert result.dirty_pairs == 0
     assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
     assert planner.plan.graph == planner.scratch_plan().graph
 
@@ -180,9 +155,11 @@ def test_drain_and_undrain_round_trip(planner):
     baseline = canonical_tables(planner.plan.tables)
     down = planner.apply(TopologyDelta.drain("L2"))
     assert down.mode == MODE_INCREMENTAL
+    assert down.dirty_pairs > 0
     assert planner.topo.failed_links
     up = planner.apply(TopologyDelta.undrain("L2"))
-    assert up.mode == MODE_MEMO
+    assert up.mode == MODE_INCREMENTAL
+    assert up.dirty_pairs == 0
     assert canonical_tables(planner.plan.tables) == baseline
     assert not planner.topo.failed_links
 
@@ -191,18 +168,21 @@ def test_drain_and_undrain_round_trip(planner):
 # Path deltas
 # ----------------------------------------------------------------------
 def test_duplicate_path_pin_is_structural_noop(planner):
-    pin = planner.elp_paths()[0]
+    pin = planner.provider.pair_paths(planner.topo, "T1", "T3")[0]
+    # The pin adds no node and no edge: the plan is the same, so the
+    # diff is empty, and only the path count moves.
     result = planner.apply(TopologyDelta.add_paths([pin]))
-    # The refcounted graph absorbs the duplicate without any zero
-    # crossing: same nodes, same edges, same plan.
-    assert result.mode == MODE_NOOP
+    assert result.diffs == {}
+    assert result.plan.meta["elp_paths"] == 73
     result = planner.apply(TopologyDelta.remove_paths([pin]))
-    assert result.mode == MODE_NOOP
+    assert result.diffs == {}
+    assert result.plan.meta["elp_paths"] == 72
     assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
 
 
 def test_remove_never_added_path_rejected_atomically(planner):
-    ghost = planner.elp_paths()[0]  # provider-owned, not a pinned extra
+    # Provider-owned, not a pinned extra.
+    ghost = planner.provider.pair_paths(planner.topo, "T1", "T3")[0]
     before = canonical_tables(planner.plan.tables)
     with pytest.raises(TaggingError, match="never added"):
         planner.apply(TopologyDelta.remove_paths([ghost]))
@@ -246,56 +226,6 @@ def test_empty_elp_refused_then_recovers():
 
 
 # ----------------------------------------------------------------------
-# Memoization bounds
-# ----------------------------------------------------------------------
-def test_memo_entries_share_the_live_state_and_stay_intact():
-    """An entry holds the live state's path tuples and masks, not copies,
-    and nothing the planner does later writes through to it."""
-    topo = clos3(ClosParams(2, 2, 2, 2, hosts_per_tor=1))
-    planner = IncrementalPlanner(topo, UpDownElpProvider())
-    planner.apply(TopologyDelta.link_down("L1", "S1"))
-    entry = planner._memo[planner._memo_key()]
-    plan = entry.plan
-    assert all(entry.pairs[p] is paths for p, paths in planner._pairs.items())
-    stored = copy.deepcopy(
-        {f.name: getattr(entry, f.name) for f in fields(entry) if f.name != "plan"}
-    )
-
-    planner.apply(TopologyDelta.link_down("L2", "S2"))
-    assert planner.apply(TopologyDelta.link_up("L2", "S2")).mode == MODE_MEMO
-    planner.apply(TopologyDelta.link_down("L3", "S1"))
-    planner.apply(TopologyDelta.add_paths([planner.elp_paths()[0]]))
-    planner.apply(TopologyDelta.drain("L4"))
-
-    assert {
-        f.name: getattr(entry, f.name) for f in fields(entry) if f.name != "plan"
-    } == stored
-    assert entry.plan is plan
-
-
-def test_memo_capacity_is_lru_bounded(planner):
-    """Flapping more links than the memo holds evicts the oldest downed
-    states; the pristine state, hit by every restore, stays."""
-    pristine = planner._memo_key()
-    links = sorted(
-        key for key in planner.topo.links
-        if key[0].startswith("L") and key[1].startswith("S")
-    ) + sorted(
-        key for key in planner.topo.links
-        if key[0].startswith("L") and key[1].startswith("T")
-    )
-    assert len(links) > MEMO_CAPACITY
-    downed = []
-    for link in links:
-        planner.apply(TopologyDelta.link_down(*link))
-        downed.append(planner._memo_key())
-        assert planner.apply(TopologyDelta.link_up(*link)).mode == MODE_MEMO
-    assert len(planner._memo) == MEMO_CAPACITY == 8
-    assert list(planner._memo) == downed[-(MEMO_CAPACITY - 1):] + [pristine]
-    assert tables_equal(planner.plan.tables, planner.scratch_plan().tables)
-
-
-# ----------------------------------------------------------------------
 # Result surface
 # ----------------------------------------------------------------------
 def test_result_summary_and_counters(planner):
@@ -307,33 +237,11 @@ def test_result_summary_and_counters(planner):
     assert result.total_rule_touches == sum(
         d.touch_count for d in result.diffs.values()
     )
-    # The result fingerprint is the memo key's topology fingerprint.
-    assert result.fingerprint == planner.topo.fingerprint()
 
 
 # ----------------------------------------------------------------------
-# Refcounted brute-force graph
+# Refcount arithmetic of the residue correction
 # ----------------------------------------------------------------------
-def test_refcounted_graph_zero_crossings_and_underflow():
-    topo = testbed_clos()
-    graph = _RefcountedGraph(topo)
-    path = ("T1", "L1", "S1", "L3", "T3")
-
-    def changed_by(shift):
-        graph.changed = False
-        shift(path)
-        return graph.changed
-
-    assert changed_by(graph.add_path)  # first add creates structure
-    assert not changed_by(graph.add_path)  # refcount only
-    assert not graph.is_empty
-    assert not changed_by(graph.remove_path)  # count 2 -> 1
-    assert changed_by(graph.remove_path)
-    assert graph.is_empty
-    with pytest.raises(TaggingError):
-        graph.remove_path(path)
-
-
 @pytest.mark.parametrize("seed", [3, 11])
 def test_refcounted_graph_tracks_algorithm_1_at_every_prefix(seed):
     """Adding paths one by one equals Algorithm 1 on the prefix; removing
@@ -346,17 +254,16 @@ def test_refcounted_graph_tracks_algorithm_1_at_every_prefix(seed):
         ("T2",),
     ]
     random.Random(seed).shuffle(paths)
-    counted = _RefcountedGraph(topo)
+    nodes, edges = {}, {}
     for i, path in enumerate(paths, 1):
-        counted.add_path(path)
-        assert counted.graph() == bruteforce_tagging(topo, paths[:i])
+        _shift_counts(topo, nodes, edges, path, +1)
+        assert _graph_of(nodes, edges) == bruteforce_tagging(topo, paths[:i])
     random.Random(seed + 1).shuffle(paths)
     while paths:
-        counted.remove_path(paths.pop())
+        _shift_counts(topo, nodes, edges, paths.pop(), -1)
         if paths:
-            assert counted.graph() == bruteforce_tagging(topo, paths)
-    assert counted.is_empty
-    assert counted.counts_snapshot() == ({}, {})
+            assert _graph_of(nodes, edges) == bruteforce_tagging(topo, paths)
+    assert (nodes, edges) == ({}, {})
 
 
 # ----------------------------------------------------------------------
@@ -372,13 +279,18 @@ def test_replanner_plans_carry_from_provider_meta(provider, certified):
     scratch = TaggerPlan.from_provider(testbed_clos(), provider())
     assert planner.plan.meta == scratch.meta
     assert planner.plan.meta["certified"] is certified
-    assert planner.plan.meta["elp_paths"] == len(planner.elp_paths())
+    assert planner.plan.meta["elp_paths"] == 72
     result = planner.apply(TopologyDelta.link_down("L1", "S1"))
-    assert result.mode == MODE_INCREMENTAL
-    assert result.plan.meta == {
-        "certified": False,
-        "elp_paths": len(planner.elp_paths()),
-    }
+    assert result.mode == (MODE_INCREMENTAL if certified else MODE_FULL)
+    assert result.dirty_pairs == result.plan.meta["walked_pairs"]
+    assert result.changed_paths == result.plan.meta["walked_paths"]
+    if not certified:  # the whole walk
+        assert result.dirty_pairs == len(planner.provider.ordered_pairs(planner.topo))
+        assert result.changed_paths == result.plan.meta["elp_paths"]
+    topo = testbed_clos()
+    topo.fail_link("L1", "S1")
+    assert result.plan.meta == TaggerPlan.from_provider(topo, provider()).meta
+    assert result.plan.meta["elp_paths"] == len(provider().build(topo))
     assert result.plan.fit_to_queues(4).meta == result.plan.meta
 
 
@@ -391,15 +303,18 @@ def test_planner_elp_paths_gauge_is_exported_and_tracks_the_elp():
     def gauge():
         return telemetry.registry.get("planner_elp_paths").value()
 
+    def fresh():
+        return len(planner.provider.build(planner.topo)) + len(planner._extras)
+
     assert "planner_elp_paths" in telemetry.registry.render_prometheus()
-    assert gauge() == len(planner.elp_paths()) == 72
+    assert gauge() == fresh() == 72
     planner.apply(TopologyDelta.link_down("L1", "S1"))
-    assert gauge() == len(planner.elp_paths()) < 72
-    planner.apply(TopologyDelta.link_up("L1", "S1"))  # memo hit
+    assert gauge() == fresh() < 72
+    planner.apply(TopologyDelta.link_up("L1", "S1"))
     assert gauge() == 72
-    # An extra the graph already covers changes no rule (noop) but is
-    # still one more ELP path.
-    covered = planner.elp_paths()[0]
+    # An extra the graph already covers changes no rule but is still one
+    # more ELP path.
+    covered = planner.provider.pair_paths(planner.topo, "T1", "T3")[0]
     result = planner.apply(TopologyDelta.add_paths([covered]))
-    assert result.mode == MODE_NOOP
-    assert gauge() == len(planner.elp_paths()) == 73
+    assert result.diffs == {}
+    assert gauge() == fresh() == 73

@@ -3,11 +3,16 @@
 The property suite establishes byte-identity against Algorithm 1 on
 the explicit ELP; these tests pin the *gate*: every structural condition
 under which :func:`certify` must refuse (returning ``None`` so callers
-degrade safely), plus the closed-form accessors on a certificate built
-by hand.
+degrade safely), the residue it reports for failed links, plus the
+closed-form accessors on a certificate built by hand.
 """
 
-from repro.core import ShortestPathElpProvider, UpDownElpProvider, certify
+from repro.core import (
+    ShortestPathElpProvider,
+    TaggerPlan,
+    UpDownElpProvider,
+    certify,
+)
 from repro.topology import ClosParams, Topology, clos3
 
 SMALL = ClosParams(
@@ -42,7 +47,9 @@ def test_non_shortest_enumeration_refused():
     assert certify(clos3(SMALL), provider) is None
 
 
-def test_failed_link_refused():
+def test_failed_link_certifies_with_its_residue():
+    """A failed link keeps the pristine certificate; the residue is the
+    ToR's pairs, all of which had a pristine path through that link."""
     topo = clos3(SMALL)
     tor = sorted(topo.switches_at_layer(0))[0]
     leaf = next(
@@ -51,7 +58,46 @@ def test_failed_link_refused():
         if topo.node(peer).is_switch
     )
     topo.fail_link(tor, leaf)
-    assert certify(topo, UpDownElpProvider()) is None
+    cert = certify(topo, UpDownElpProvider())
+    assert cert is not None
+    others = [t for t in sorted(topo.switches_at_layer(0)) if t != tor]
+    assert cert.residue == tuple(
+        sorted([(tor, t) for t in others] + [(t, tor) for t in others])
+    )
+    assert cert.path_count() == certify(
+        clos3(SMALL), UpDownElpProvider()
+    ).path_count()
+
+
+def test_residue_is_the_pairs_through_failed_links():
+    """Per failed switch link, and for all of them at once, the residue is
+    exactly the pairs with a pristine path through a failed link."""
+    params = ClosParams(3, 2, 2, 2, hosts_per_tor=1)
+    pristine = certify(clos3(params), UpDownElpProvider())
+    probe = clos3(params)
+    links = sorted(
+        (link.a, link.b)
+        for link in probe.iter_links()
+        if probe.node(link.a).is_switch and probe.node(link.b).is_switch
+    )
+    tors = sorted(probe.switches_at_layer(0))
+    pairs = [(s, d) for s in tors for d in tors if s != d]
+    for failed in [[link] for link in links] + [links[::3]]:
+        topo = clos3(params)
+        for link in failed:
+            topo.fail_link(*link)
+        hops = {hop for a, b in failed for hop in ((a, b), (b, a))}
+        want = tuple(
+            pair
+            for pair in pairs
+            if any(
+                hop in hops
+                for path in pristine.pair_paths(*pair)
+                for hop in zip(path, path[1:])
+            )
+        )
+        cert = certify(topo, UpDownElpProvider())
+        assert cert is not None and cert.residue == want, failed
 
 
 def test_endpoint_subset_refused():
@@ -64,9 +110,20 @@ def test_endpoint_subset_refused():
 def test_full_endpoint_set_accepted_regardless_of_order():
     topo = clos3(SMALL)
     tors = sorted(topo.switches_at_layer(0))
-    shuffled = list(reversed(tors)) + [tors[0]]  # unordered, duplicated
-    provider = UpDownElpProvider(explicit_endpoints=shuffled)
+    provider = UpDownElpProvider(explicit_endpoints=list(reversed(tors)))
     assert certify(topo, provider) is not None
+
+
+def test_duplicate_endpoints_refused():
+    """A duplicated endpoint enumerates its pairs twice; the closed form
+    counts them once, so the certificate must refuse."""
+    topo = clos3(ClosParams(2, 2, 2, 2, hosts_per_tor=1))
+    tors = sorted(topo.switches_at_layer(0))
+    provider = UpDownElpProvider(explicit_endpoints=tors + [tors[0]])
+    assert certify(topo, provider) is None
+    plan = TaggerPlan.from_provider(topo, provider)
+    assert plan.meta["certified"] is False
+    assert plan.meta["elp_paths"] == len(provider.build(topo)) == 108
 
 
 def test_unlayered_switch_refused():

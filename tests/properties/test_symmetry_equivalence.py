@@ -12,8 +12,11 @@ tables, tagged graph, queue map and description. The suite sweeps:
   wrong provider type);
 - leaf-spine (2-layer) and express-augmented Clos (certified — express
   links are invisible to up-down routing);
-- asymmetric states — failed links, drained switches, endpoint subsets,
-  pinned extra paths — where symmetry must *safely* degrade.
+- damaged Clos fabrics — one or several failed links, drained leaves,
+  spines and ToR endpoints, a pair cut off from every pristine path, a
+  residue that empties the ELP — planned from the certificate's residue;
+- endpoint subsets, where symmetry must *safely* degrade, and pinned
+  extra paths, which ride the certified path.
 
 On every certified fabric it also pins the certificate's two closed
 forms to the per-path walk: ``path_counts()`` equals the Algorithm-1
@@ -252,59 +255,127 @@ def test_pinned_extras_ride_the_certified_path(params, seed):
 
 
 # ----------------------------------------------------------------------
-# Asymmetry: the closed form must degrade to the walk, byte-identically
+# Damaged fabrics: the closed form corrected for the residue
 # ----------------------------------------------------------------------
-@given(clos_params(), st.integers(min_value=0, max_value=2**20))
-@SETTINGS
-def test_failed_link_degrades_to_exhaustive(params, seed):
-    probe = clos3(params)
-    links = sorted(
+def _switch_links(topo):
+    return sorted(
         (link.a, link.b)
-        for link in probe.iter_links()
-        if probe.node(link.a).is_switch and probe.node(link.b).is_switch
+        for link in topo.iter_links()
+        if topo.node(link.a).is_switch and topo.node(link.b).is_switch
     )
+
+
+def drain(topo, switch):
+    """Fail every switch link of ``switch``, as a drain does."""
+    for peer in sorted(topo.neighbors(switch)):
+        if topo.node(peer).is_switch:
+            topo.fail_link(switch, peer)
+
+
+def assert_damaged_matches(make_topo, label):
+    """A damaged Clos plans certified, walks its residue pairs only, and
+    matches ``from_elp`` on the provider's ELP byte for byte."""
+    cert = certify(make_topo(), UpDownElpProvider())
+    assert cert is not None, f"{label}: damaged Clos refused"
+    plan = assert_matches_explicit_elp(
+        make_topo, UpDownElpProvider, label, expect_certified=True
+    )
+    if plan is not None:
+        assert plan.meta["walked_pairs"] == len(cert.residue), label
+    return cert, plan
+
+
+@given(
+    clos_params(),
+    st.integers(min_value=0, max_value=2**20),
+    st.integers(min_value=1, max_value=3),
+)
+@SETTINGS
+def test_failed_links_plan_from_the_residue(params, seed, count):
+    """One or several failed switch links, anywhere in the fabric."""
+    links = _switch_links(clos3(params))
     if not links:
         return
-    a, b = links[seed % len(links)]
+    failed = [links[(seed + i * 7919) % len(links)] for i in range(count)]
 
     def make_topo():
         topo = clos3(params)
-        topo.fail_link(a, b)
+        for link in failed:
+            topo.fail_link(*link)
         return topo
 
-    assert_matches_explicit_elp(
-        make_topo,
-        UpDownElpProvider,
-        f"failed {a}<->{b} clos {params}",
-        expect_certified=False,
-    )
+    assert_damaged_matches(make_topo, f"failed {failed} clos {params}")
 
 
 @given(clos_params(), st.integers(min_value=0, max_value=2**20))
 @SETTINGS
-def test_drained_switch_degrades_to_exhaustive(params, seed):
-    """A drained leaf (all its links down) breaks pod symmetry."""
-    probe = clos3(params)
-    leaves = sorted(probe.switches_at_layer(1))
-    if not leaves:
-        return
-    drained = leaves[seed % len(leaves)]
+def test_drained_switch_plans_from_the_residue(params, seed):
+    """A drained ToR, leaf or spine (all its switch links down); a
+    drained ToR leaves every pair it is an endpoint of without paths."""
+    switches = sorted(clos3(params).switches)
+    drained = switches[seed % len(switches)]
 
     def make_topo():
         topo = clos3(params)
-        for peer in sorted(topo.neighbors(drained)):
-            if topo.node(peer).is_switch:
-                topo.fail_link(drained, peer)
+        drain(topo, drained)
         return topo
 
-    assert_matches_explicit_elp(
-        make_topo,
-        UpDownElpProvider,
-        f"drained {drained} clos {params}",
-        expect_certified=False,
-    )
+    assert_damaged_matches(make_topo, f"drained {drained} clos {params}")
 
 
+def test_drained_leaf_and_tor_endpoint():
+    params = ClosParams(3, 3, 2, 2, hosts_per_tor=1)
+    for drained in ("L1", "T1"):
+
+        def make_topo():
+            topo = clos3(params)
+            drain(topo, drained)
+            return topo
+
+        cert, plan = assert_damaged_matches(make_topo, f"drained {drained}")
+        assert cert.residue and plan is not None
+    # T1 drained: its 8 pairs each way have no path left.
+    topo = make_topo()
+    assert [
+        pair
+        for pair in cert.residue
+        if not UpDownElpProvider().pair_paths(topo, *pair)
+    ] == [pair for pair in cert.residue if "T1" in pair]
+
+
+def test_pair_cut_off_entirely_is_enumerated_again():
+    """Every pristine path of (T1, T2) crosses a failed link, so the pair
+    is re-enumerated on the damaged fabric: it now climbs to a spine."""
+    params = ClosParams(2, 2, 2, 2, hosts_per_tor=1)
+
+    def make_topo():
+        topo = clos3(params)
+        topo.fail_link("T1", "L1")
+        topo.fail_link("T2", "L2")
+        return topo
+
+    cert, plan = assert_damaged_matches(make_topo, "cut (T1, T2)")
+    assert ("T1", "T2") in cert.residue and plan is not None
+    damaged = UpDownElpProvider().pair_paths(make_topo(), "T1", "T2")
+    assert damaged and all(len(path) == 5 for path in damaged)
+
+
+def test_residue_that_empties_the_elp_is_refused_by_both():
+    params = ClosParams(1, 2, 1, 1, hosts_per_tor=1)
+
+    def make_topo():
+        topo = clos3(params)
+        topo.fail_link("T1", "L1")
+        return topo
+
+    cert, plan = assert_damaged_matches(make_topo, "emptied ELP")
+    assert cert.residue and plan is None
+    assert not UpDownElpProvider().build(make_topo()).paths
+
+
+# ----------------------------------------------------------------------
+# Asymmetry: the closed form must degrade to the walk, byte-identically
+# ----------------------------------------------------------------------
 @given(clos_params(), st.integers(min_value=0, max_value=2**20))
 @SETTINGS
 def test_endpoint_subset_degrades_to_exhaustive(params, seed):

@@ -163,7 +163,7 @@ class TestReplan:
         assert code == 0
         assert "initial build:" in out
         assert "link-down L1<->S1: incremental" in out
-        assert "link-up L1<->S1: memo" in out
+        assert "link-up L1<->S1: incremental" in out
         assert "byte-identical to from-scratch" in out
 
     def test_jellyfish_replan(self, capsys):
