@@ -45,11 +45,11 @@ and stragglers. :func:`certify_rollout` checks, in this order,
   add an error to a boundary whose graph the checks above certified
   (:func:`_boundary_lint_errors` has the argument). So a boundary's
   verdict is its switches' section errors plus that graph proof: each
-  switch is validated and compiled once per (switch, old table) and
-  once per (switch, new table), and the ``W+1`` boundaries share those
-  sections with the orchestrator's final ground-truth lint — the one
-  full :func:`~repro.lint.lint_tables` of a rollout — through one
-  :class:`~repro.lint.LintSections`.
+  distinct (rule content, port set) is validated and compiled once,
+  whichever switches and boundaries hold it, and the ``W+1`` boundaries
+  share those sections with the orchestrator's final ground-truth lint
+  — the one full :func:`~repro.lint.lint_tables` of a rollout — through
+  one :class:`~repro.lint.LintSections`.
 
 The certificate is a value: the orchestrator embeds it in its report,
 and refuses to execute when :attr:`TransitionCertificate.ok` is false.
@@ -66,7 +66,7 @@ from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.core.verification import verify_tagged_graph
 from repro.exceptions import LintError, ReproError
 from repro.lint import LintSections, lint_tables
-from repro.lint.diagnostics import Severity
+from repro.lint.diagnostics import Severity, stamp
 from repro.topology.base import Topology
 
 Tables = Dict[str, RuleTable]
@@ -306,12 +306,12 @@ def _boundary_lint_errors(
     has no budget here, and B302 cannot fire under
     :func:`transition_queue_map`: live tags are then the initial tag and
     lossless rewrites of the two plans, all within the map. So each
-    switch's sections are resolved once per (switch, old table) and once
-    per (switch, new table), and a boundary's errors are its switches'
-    program-section errors in sorted switch order, as the linter orders
-    them. A boundary holding a rule T002-T004 rejects — malformed input,
-    where a negative rewrite can be a live unmapped tag — is linted in
-    full.
+    switch's verdict is taken once for its old and once for its new
+    table, from sections shared by every switch with that content, and a
+    boundary's errors are its switches' program-section errors, stamped
+    with the switch, in sorted switch order, as the linter orders them.
+    A boundary holding a rule T002-T004 rejects — malformed input, where
+    a negative rewrite can be a live unmapped tag — is linted in full.
     """
     verdicts: Dict[Tuple[str, bool], _Verdict] = {}
 
@@ -325,7 +325,7 @@ def _boundary_lint_errors(
                 if rule.diagnostics
                 else tuple(
                     d.render()
-                    for d in program.diagnostics
+                    for d in stamp(program.diagnostics, switch)
                     if d.severity is Severity.ERROR
                 )
             )

@@ -10,8 +10,8 @@ and the test suite asserts the two never drift apart.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 class Severity(enum.Enum):
@@ -200,6 +200,23 @@ def make_diagnostic(
         switch=switch,
         location=location,
     )
+
+
+#: Stands for the switch's name in a finding built before it is known:
+#: one lint section serves every switch that holds its content.
+THIS_SWITCH = "<this switch>"
+
+
+def stamp(diagnostics: Iterable[Diagnostic], switch: str) -> List[Diagnostic]:
+    """A section's findings, reported as ``switch``'s own."""
+    return [
+        replace(
+            d,
+            switch=switch,
+            message=d.message.replace(THIS_SWITCH, repr(switch)),
+        )
+        for d in diagnostics
+    ]
 
 
 @dataclass

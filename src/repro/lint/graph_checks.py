@@ -7,34 +7,44 @@ planner state is consulted — in two stages:
   each rule individually (monotone rewrites, valid tag range, existing
   ports), because a malformed rule must surface as a diagnostic rather
   than as a reconstruction crash, and every rule is resolved once into
-  the switch's ``(tag, in_port) -> continuations`` index. Every edge of
-  the graph derives from exactly one switch's table, so a section
-  depends on nothing but that table and the wiring;
-- **fabric-wide** (:func:`check_graph`): the sections' edges are joined
-  into one graph (violating rules are excluded so one bad rule cannot
-  mask a cycle elsewhere) and **T001** runs the R1 per-tag cycle search
-  on it.
+  the switch's ``(tag, in_port) -> continuations`` index. A section is a
+  function of the table's rules and the switch's port set alone — no
+  wiring, no switch name — so equal tables on equally numbered switches
+  share one;
+- **fabric-wide** (:func:`check_graph`): each section's findings are
+  stamped with its switch, its edges are joined into one graph through
+  that switch's :data:`PortMap` (violating rules are excluded so one bad
+  rule cannot mask a cycle elsewhere) and **T001** runs the R1 per-tag
+  cycle search on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.rules import MatchKey, RuleTable
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, PortKey, TaggedGraph
-from repro.lint.diagnostics import Diagnostic, make_diagnostic
+from repro.lint.diagnostics import THIS_SWITCH, Diagnostic, make_diagnostic, stamp
 from repro.topology.base import Topology
 
-#: One rule seen from its match state: ``(out_port, new_tag, far end)``.
-#: The far end is the ingress ``(switch, port)`` the packet lands on, or
-#: ``None`` when the egress faces a host or a port the switch lacks.
-Continuation = Tuple[int, int, Optional[PortKey]]
+#: One rule seen from its match state: ``(out_port, new_tag)``.
+Continuation = Tuple[int, int]
+
+#: A switch's port numbers, or ``None`` when the topology has no such
+#: switch (every rule is then rejected).
+Ports = Optional[FrozenSet[int]]
+
+#: One switch's wiring: each port's far end, the ingress
+#: ``(switch, port)`` a packet sent out of it lands on, or ``None`` when
+#: the port faces a host.
+PortMap = Dict[int, Optional[PortKey]]
 
 
 @dataclass(frozen=True)
 class RuleSection:
-    """Everything one switch's rule table contributes to a lint.
+    """Everything one table contributes to a lint, for any switch with
+    its port set.
 
     ``transitions`` holds *every* rule, keyed by match state in sorted
     order with each state's continuations sorted by egress port, so
@@ -43,65 +53,67 @@ class RuleSection:
     R-family closure are derived from.
     """
 
-    #: T002-T004 findings, in sorted-rule order.
+    #: T002-T004 findings, in sorted-rule order, naming no switch.
     diagnostics: Tuple[Diagnostic, ...]
     transitions: Dict[Tuple[int, int], Tuple[Continuation, ...]]
     #: Rules T002-T004 rejected; they contribute no graph edge.
     rejected: FrozenSet[MatchKey]
     #: Every tag a rule matches or (losslessly) rewrites to.
     tags: FrozenSet[int]
-    #: R201 findings per match state, filled by the R-family the first
-    #: time that state is found dead: *whether* a state is dead is a
-    #: fabric-wide fact, what to report about its rules is not.
-    dead_rule_findings: Dict[Tuple[int, int], Tuple[Diagnostic, ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
 
-def rule_section(topo: Topology, switch: str, table: RuleTable) -> RuleSection:
-    """Per-switch stage: validate ``table`` and index its transitions."""
+def _is_switch(topo: Topology, name: str) -> bool:
+    return name in topo.nodes and topo.node(name).is_switch
+
+
+def switch_ports(topo: Topology, switch: str) -> Ports:
+    """The port set a section of ``switch`` is built for."""
+    return frozenset(topo.ports(switch)) if _is_switch(topo, switch) else None
+
+
+def port_maps(topo: Topology, switches: Iterable[str]) -> Dict[str, PortMap]:
+    """The wiring half of the per-switch stage, read fabric-wide."""
+    return {
+        switch: {
+            port: (peer, topo.port_to(peer, switch)) if _is_switch(topo, peer) else None
+            for port, peer in (topo.ports(switch) if _is_switch(topo, switch) else {}).items()
+        }
+        for switch in switches
+    }
+
+
+def rule_section(rules: Mapping[MatchKey, int], ports: Ports) -> RuleSection:
+    """Per-switch stage: validate ``rules`` and index their transitions."""
     diagnostics: List[Diagnostic] = []
-    known = switch in topo.nodes and topo.node(switch).is_switch
-    if not known:
+    if ports is None:
         diagnostics.append(
             make_diagnostic(
-                "T004",
-                f"rules installed on unknown switch {switch!r}",
-                switch=switch,
+                "T004", f"rules installed on unknown switch {THIS_SWITCH}"
             )
         )
-    ports = topo.ports(switch) if known else {}
-    far_ends: Dict[int, Optional[PortKey]] = {
-        port: (peer, topo.port_to(peer, switch))
-        if topo.node(peer).is_switch
-        else None
-        for port, peer in ports.items()
-    }
+    valid = ports or frozenset()
     grouped: Dict[Tuple[int, int], List[Continuation]] = {}
     rejected: List[MatchKey] = []
     tags: Set[int] = set()
-    for key in sorted(table.rules):
+    for key in sorted(rules):
         tag, in_port, out_port = key
-        new_tag = table.rules[key]
+        new_tag = rules[key]
         well_formed = (
             tag >= INITIAL_TAG
-            and in_port in ports
-            and out_port in ports
+            and in_port in valid
+            and out_port in valid
             and (new_tag == LOSSY_TAG or new_tag >= tag)
         )
         # A rule that passes the fast test passes _check_rule silently;
         # only the others pay for their diagnostics.
-        if not known or (
-            not well_formed
-            and not _check_rule(switch, ports, key, new_tag, diagnostics)
+        if ports is None or (
+            not well_formed and not _check_rule(valid, key, new_tag, diagnostics)
         ):
             rejected.append(key)
         tags.add(tag)
         if new_tag != LOSSY_TAG:
             tags.add(new_tag)
-        grouped.setdefault((tag, in_port), []).append(
-            (out_port, new_tag, far_ends.get(out_port))
-        )
+        grouped.setdefault((tag, in_port), []).append((out_port, new_tag))
     return RuleSection(
         diagnostics=tuple(diagnostics),
         transitions={
@@ -118,14 +130,13 @@ def rule_sections(
 ) -> Dict[str, RuleSection]:
     """Fresh sections for every table, in sorted switch order."""
     return {
-        switch: rule_section(topo, switch, tables[switch])
+        switch: rule_section(tables[switch].rules, switch_ports(topo, switch))
         for switch in sorted(tables)
     }
 
 
 def _check_rule(
-    switch: str,
-    ports: Dict[int, str],
+    ports: AbstractSet[int],
     key: MatchKey,
     new_tag: int,
     diagnostics: List[Diagnostic],
@@ -139,7 +150,6 @@ def _check_rule(
                 "T003",
                 f"rule matches tag {tag} / rewrites to {new_tag}; lossless "
                 f"tags start at {INITIAL_TAG} and only {LOSSY_TAG} demotes",
-                switch=switch,
                 location=location,
             )
         )
@@ -149,9 +159,8 @@ def _check_rule(
             diagnostics.append(
                 make_diagnostic(
                     "T004",
-                    f"rule references {label} port {port}, but {switch!r} "
-                    f"has no such port",
-                    switch=switch,
+                    f"rule references {label} port {port}, but "
+                    f"{THIS_SWITCH} has no such port",
                     location=location,
                 )
             )
@@ -163,7 +172,6 @@ def _check_rule(
                 f"rewrite decreases the tag ({tag} -> {new_tag}); a packet "
                 "could re-enter an earlier priority class and close a "
                 "cross-tag buffer dependency cycle",
-                switch=switch,
                 location=location,
             )
         )
@@ -171,19 +179,23 @@ def _check_rule(
     return ok
 
 
-def _effective_graph(sections: Mapping[str, RuleSection]) -> TaggedGraph:
+def _effective_graph(
+    sections: Mapping[str, RuleSection], wiring: Mapping[str, PortMap]
+) -> TaggedGraph:
     """The tagged graph the well-formed rules induce (one edge per rule
     whose egress faces a switch)."""
     graph = TaggedGraph()
     for switch, section in sections.items():
         rejected = section.rejected
+        far_ends = wiring[switch]
         for (tag, in_port), continuations in section.transitions.items():
             src = ((switch, in_port), tag)
-            for out_port, new_tag, far_end in continuations:
+            for out_port, new_tag in continuations:
                 if new_tag == LOSSY_TAG:
                     continue
                 if rejected and (tag, in_port, out_port) in rejected:
                     continue
+                far_end = far_ends.get(out_port)
                 if far_end is None:
                     graph.add_node(src)
                 else:
@@ -204,9 +216,9 @@ def check_graph(
     if sections is None:
         sections = rule_sections(topo, tables)
     diagnostics: List[Diagnostic] = []
-    for section in sections.values():
-        diagnostics.extend(section.diagnostics)
-    graph = _effective_graph(sections)
+    for switch, section in sections.items():
+        diagnostics.extend(stamp(section.diagnostics, switch))
+    graph = _effective_graph(sections, port_maps(topo, sections))
     for tag in graph.tags():
         cycle = graph.find_tag_cycle(tag)
         if cycle is None:

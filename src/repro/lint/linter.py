@@ -16,18 +16,19 @@ planner that produced them:
 4. **B-family** (:mod:`repro.lint.budget_checks`) enforces TCAM budgets
    and queue-fit consistency.
 
-A lint runs in two stages. The **per-switch stage** turns each switch's
-table into a :class:`~repro.lint.graph_checks.RuleSection` (T002-T004,
-the switch's graph edges and ``(tag, in_port)`` continuation index) and
-its program into a :class:`~repro.lint.tcam_checks.ProgramSection`
-(compilation, S101-S105; B301 reads its length). The **fabric-wide
-stage** consumes the sections: T001's cycle search, the R201-R203
-closure and B302. A section depends only on the wiring and that one
-switch's content, so everything that resolves sections through the same
-:class:`LintSections` — a rollout's wave-boundary verdicts and its final
-ground-truth lint — builds a section once per distinct content and
-reuses it. A lint given no :class:`LintSections` runs the same two
-stages and keeps nothing.
+A lint runs in two stages. The **per-switch stage** turns each table
+into a :class:`~repro.lint.graph_checks.RuleSection` (T002-T004, the
+table's ``(tag, in_port)`` continuation index) and its program into a
+:class:`~repro.lint.tcam_checks.ProgramSection` (compilation,
+S101-S105; B301 reads its length). A section is a function of the
+rules, the switch's port set and the explicit program, and of nothing
+else — no wiring, no switch name — so every lint resolves sections
+through a :class:`LintSections` keyed by that content: a Clos layer of
+equal tables is validated and compiled once, and a rollout's
+wave-boundary verdicts and final ground-truth lint share one object
+across switches and lints alike. The **fabric-wide stage** stamps each
+section's findings with its switch and joins the sections through the
+wiring: T001's cycle search, the R201-R203 closure and B302.
 
 A report with zero error-severity findings is a certificate that the
 deployed configuration is deadlock-free and faithful to its own
@@ -46,7 +47,7 @@ from repro.exceptions import LintError
 from repro.lint.artifact import DeploymentArtifact, TaggerPlanLike
 from repro.lint.budget_checks import check_budget, check_queue_fit
 from repro.lint.diagnostics import LintReport
-from repro.lint.graph_checks import RuleSection, check_graph, rule_section
+from repro.lint.graph_checks import Ports, RuleSection, check_graph, rule_section, switch_ports
 from repro.lint.reach_checks import check_reachability
 from repro.lint.tcam_checks import ProgramSection, check_tcam, program_section
 from repro.topology.base import Topology
@@ -67,21 +68,23 @@ class LintConfig:
 
 
 class LintSections:
-    """Per-switch sections shared by several lints of one fabric.
+    """Sections keyed by content, shared by every switch and every lint
+    of one fabric that resolve through them.
 
     Valid for one topology whose wiring does not change while the
-    object lives. ``built`` / ``reused`` count per-switch resolutions,
-    for telemetry.
+    object lives. ``built`` / ``reused`` count per-switch resolutions
+    that built a section vs found every one it needed, for telemetry.
     """
 
     def __init__(self, topo: Topology) -> None:
         self.topo = topo
         self.built = 0
         self.reused = 0
-        self._rules: Dict[Tuple[str, RuleContent], RuleSection] = {}
-        self._programs: Dict[
-            Tuple[str, RuleContent, Optional[Tuple[TcamEntry, ...]]],
-            ProgramSection,
+        #: (rules, port set) -> its rule section and its program
+        #: sections per explicit program (``None``: the compiled one).
+        self._sections: Dict[
+            Tuple[RuleContent, Ports],
+            Tuple[RuleSection, Dict[Optional[Tuple[TcamEntry, ...]], ProgramSection]],
         ] = {}
 
     def resolve(
@@ -98,65 +101,37 @@ class LintSections:
         ``given`` is the switch's explicit program; without it the
         program section certifies the one compiled from ``table``.
         """
-        content: RuleContent = (
-            frozenset() if table is None else frozenset(table.rules.items())
-        )
-        built = False
-        rule: Optional[RuleSection] = None
-        if table is not None:
-            rule_key = (switch, content)
-            rule = self._rules.get(rule_key)
-            if rule is None:
-                rule = self._rules[rule_key] = rule_section(
-                    self.topo, switch, table
-                )
-                built = True
+        reference = table if table is not None else RuleTable(switch=switch)
+        ports = switch_ports(self.topo, switch)
+        key = (frozenset(reference.rules.items()), ports)
+        entry = self._sections.get(key)
+        built = entry is None
+        if entry is None:
+            entry = self._sections[key] = (rule_section(reference.rules, ports), {})
+        rule, programs = entry
         program: Optional[ProgramSection] = None
         if with_program:
-            program_key = (switch, content, given)
-            program = self._programs.get(program_key)
+            program = programs.get(given)
             if program is None:
-                program = self._programs[program_key] = _program_section(
-                    self.topo, switch, table, given
+                program = programs[given] = program_section(
+                    reference.rules,
+                    tcam_program(reference, ports or ()) if given is None else given,
+                    ports or frozenset(),
                 )
                 built = True
         if built:
             self.built += 1
         else:
             self.reused += 1
-        return rule, program
-
-
-def _program_section(
-    topo: Topology,
-    switch: str,
-    table: Optional[RuleTable],
-    given: Optional[Tuple[TcamEntry, ...]],
-) -> ProgramSection:
-    """S-family section of the ``given`` program, or of the one compiled
-    here from ``table`` — linting then certifies the compiler's output."""
-    reference = table if table is not None else RuleTable(switch=switch)
-    return program_section(
-        switch,
-        reference,
-        tcam_program(reference, topo.ports(switch)) if given is None else given,
-        set(topo.ports(switch)) if switch in topo.nodes else set(),
-    )
+        return (rule if table is not None else None), program
 
 
 def _switch_sections(
-    artifact: DeploymentArtifact,
-    with_programs: bool,
-    shared: Optional[LintSections],
+    artifact: DeploymentArtifact, with_programs: bool, sections: LintSections
 ) -> Tuple[Dict[str, RuleSection], Dict[str, ProgramSection]]:
-    """The per-switch stage, in sorted switch order.
-
-    With ``shared``, each section is resolved through it (looked up by
-    content, built once, kept). Without, nothing is keyed and nothing
-    outlives the lint: hashing every rule of a 1024-ToR fabric costs a
-    one-shot lint 0.2-0.4 s and 16 MB it has no use for.
-    """
-    topo = artifact.topo
+    """The per-switch stage, in sorted switch order: every switch's
+    sections, resolved through ``sections`` (looked up by content, built
+    once per distinct content, kept)."""
     tables = artifact.tables
     explicit = artifact.programs
     programmed: Set[str] = set()
@@ -165,22 +140,13 @@ def _switch_sections(
     rule_sections: Dict[str, RuleSection] = {}
     program_sections: Dict[str, ProgramSection] = {}
     for switch in sorted(programmed.union(tables)):
-        table = tables.get(switch)
         given = (
             tuple(explicit[switch])
             if explicit is not None and switch in programmed
             else None
         )
-        if shared is None:
-            if table is not None:
-                rule_sections[switch] = rule_section(topo, switch, table)
-            if switch in programmed:
-                program_sections[switch] = _program_section(
-                    topo, switch, table, given
-                )
-            continue
-        rule, program = shared.resolve(
-            switch, table, switch in programmed, given
+        rule, program = sections.resolve(
+            switch, tables.get(switch), switch in programmed, given
         )
         if rule is not None:
             rule_sections[switch] = rule
@@ -197,11 +163,13 @@ def lint_artifact(
     """Run every check family over a deployment artifact.
 
     ``sections`` lets the lints of one rollout share their per-switch
-    stage; the report is identical with or without it.
+    stage; without it the lint keys its own. The report is the same.
     """
     config = config or LintConfig()
     topo = artifact.topo
-    if sections is not None and sections.topo is not topo:
+    if sections is None:
+        sections = LintSections(topo)
+    elif sections.topo is not topo:
         raise LintError("LintSections belong to a different topology")
     report = LintReport()
     tables = artifact.tables

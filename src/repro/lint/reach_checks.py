@@ -26,7 +26,7 @@ from repro.core.pipeline import QueueMap
 from repro.core.rules import RuleTable
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG
 from repro.lint.diagnostics import Diagnostic, make_diagnostic
-from repro.lint.graph_checks import RuleSection, rule_sections
+from repro.lint.graph_checks import PortMap, RuleSection, port_maps, rule_sections
 from repro.topology.base import Topology
 
 #: A packet state: (switch, ingress port, carried tag).
@@ -49,7 +49,9 @@ def injection_states(topo: Topology) -> Set[State]:
 
 
 def _closure(
-    topo: Topology, sections: Mapping[str, RuleSection]
+    topo: Topology,
+    sections: Mapping[str, RuleSection],
+    wiring: Mapping[str, PortMap],
 ) -> Tuple[Set[State], Set[int]]:
     """BFS closure over the sections' transitions from the injection
     points; returns ``(reachable states, live tags)``.
@@ -68,12 +70,12 @@ def _closure(
         section = sections.get(switch)
         if section is None:
             continue
-        for _, new_tag, far_end in section.transitions.get(
-            (tag, in_port), ()
-        ):
+        far_ends = wiring[switch]
+        for out_port, new_tag in section.transitions.get((tag, in_port), ()):
             if new_tag == LOSSY_TAG:
                 continue
             live_tags.add(new_tag)
+            far_end = far_ends.get(out_port)
             if far_end is None:  # host delivery, or T004's unknown port
                 continue
             state = (far_end[0], far_end[1], new_tag)
@@ -96,12 +98,12 @@ def explore(
     end is a host).
     """
     sections = rule_sections(topo, tables)
-    reachable, live_tags = _closure(topo, sections)
+    reachable, live_tags = _closure(topo, sections, port_maps(topo, sections))
     fired = {
         (switch, tag, in_port, out_port)
         for switch, in_port, tag in reachable
         if switch in sections
-        for out_port, _, _ in sections[switch].transitions.get(
+        for out_port, _ in sections[switch].transitions.get(
             (tag, in_port), ()
         )
     }
@@ -122,33 +124,28 @@ def check_reachability(
     if sections is None:
         sections = rule_sections(topo, tables)
     diagnostics: List[Diagnostic] = []
-    reachable, live_tags = _closure(topo, sections)
+    reachable, live_tags = _closure(topo, sections, port_maps(topo, sections))
 
     # R201 — rules whose match state never occurs.
     dead_rules = 0
     for switch, section in sections.items():
-        for state, continuations in section.transitions.items():
-            tag, in_port = state
+        for (tag, in_port), continuations in section.transitions.items():
             if (switch, in_port, tag) in reachable:
                 continue
             dead_rules += len(continuations)
-            findings = section.dead_rule_findings.get(state)
-            if findings is None:
-                message = (
-                    f"no packet injected at a host ever arrives on port "
-                    f"{in_port} carrying tag {tag}; the rule is dead TCAM "
-                    "space"
+            message = (
+                f"no packet injected at a host ever arrives on port "
+                f"{in_port} carrying tag {tag}; the rule is dead TCAM space"
+            )
+            diagnostics.extend(
+                make_diagnostic(
+                    "R201",
+                    message,
+                    switch=switch,
+                    location=f"({tag},{in_port},{out_port})",
                 )
-                findings = section.dead_rule_findings[state] = tuple(
-                    make_diagnostic(
-                        "R201",
-                        message,
-                        switch=switch,
-                        location=f"({tag},{in_port},{out_port})",
-                    )
-                    for out_port, _, _ in continuations
-                )
-            diagnostics.extend(findings)
+                for out_port, _ in continuations
+            )
 
     # R202 — tags nobody can ever carry.
     mentioned: Set[int] = set()
@@ -182,7 +179,7 @@ def check_reachability(
             section = sections.get(switch)
             has_lossless_exit = section is not None and any(
                 new_tag != LOSSY_TAG
-                for _, new_tag, _ in section.transitions.get(
+                for _, new_tag in section.transitions.get(
                     (tag, in_port), ()
                 )
             )

@@ -17,26 +17,19 @@ output. It therefore checks the program as the hardware would read it:
   paper's safeguard rule, "always the last one in the TCAM rule list".
 
 The whole family is per-switch: :func:`program_section` reads one
-program, that switch's reference rules and its port set, nothing else.
+program, its reference rules and its switch's port set, nothing else —
+not even the switch's name, which :func:`check_tcam` stamps on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    AbstractSet,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.compression import TcamEntry
 from repro.core.rules import MatchKey, RuleTable
 from repro.core.tags import LOSSY_TAG
-from repro.lint.diagnostics import Diagnostic, Severity, make_diagnostic
+from repro.lint.diagnostics import Diagnostic, Severity, make_diagnostic, stamp
 
 
 def _tags_overlap(a: Optional[int], b: Optional[int]) -> bool:
@@ -69,9 +62,7 @@ def _entry_location(index: int, entry: TcamEntry) -> str:
     )
 
 
-def _check_order(
-    switch: str, program: Sequence[TcamEntry], diagnostics: List[Diagnostic]
-) -> None:
+def _check_order(program: Sequence[TcamEntry], diagnostics: List[Diagnostic]) -> None:
     """S101/S102/S103 on one ordered program."""
     for j, later in enumerate(program):
         single_cover = False
@@ -94,7 +85,6 @@ def _check_order(
                         "S101",
                         f"shadowed by {_entry_location(i, earlier)}; the "
                         f"entry can never fire and {consequence}",
-                        switch=switch,
                         location=_entry_location(j, later),
                         severity=severity,
                     )
@@ -112,7 +102,6 @@ def _check_order(
                         f"partially overlaps {_entry_location(i, earlier)} "
                         "with a different rewrite; first-match order "
                         "decides the overlap",
-                        switch=switch,
                         location=_entry_location(j, later),
                     )
                 )
@@ -122,7 +111,6 @@ def _check_order(
                     "S103",
                     "covered by the union of earlier entries (no single "
                     "shadow); the entry can never fire",
-                    switch=switch,
                     location=_entry_location(j, program[j]),
                 )
             )
@@ -159,14 +147,14 @@ def _ports_union_covered(
 
 
 def _check_roundtrip(
-    switch: str,
-    table: RuleTable,
+    reference: Mapping[MatchKey, int],
     program: Sequence[TcamEntry],
     diagnostics: List[Diagnostic],
 ) -> None:
     """S104: first-match semantics == exact rules + implicit safeguard.
 
-    The checked keys are the reference keys in dict order, then each
+    The checked keys are the reference keys in sorted order (equal
+    tables filled in different orders share one section), then each
     explicit entry's keys in program order. Their first matches come from
     one walk over the program: the first explicit entry to list a key
     claims it, and a wildcard claims every checked key in its port sets
@@ -174,7 +162,6 @@ def _check_roundtrip(
     :func:`~repro.core.compression.first_match` per key, which is the
     oracle for it in the tests.
     """
-    reference = table.rules
     never = len(program)
     # Checked key -> index of the first *explicit* entry matching it.
     claims: Dict[MatchKey, int] = {}
@@ -190,7 +177,6 @@ def _check_roundtrip(
                         "wildcard-tag entry with a lossless rewrite "
                         f"(-> {entry.new_tag}) promotes unmatched packets; "
                         "the reference semantics demote them",
-                        switch=switch,
                         location=_entry_location(index, entry),
                     )
                 )
@@ -218,7 +204,7 @@ def _check_roundtrip(
     # (key, first-match rewrite, reference rewrite), in check order.
     diverging: List[Tuple[MatchKey, Optional[int], int]] = []
     claimed = 0
-    for key, expected in reference.items():
+    for key, expected in sorted(reference.items()):
         claim = claims.get(key, never)
         if claim < never:
             claimed += 1
@@ -241,13 +227,11 @@ def _check_roundtrip(
                 f"reference, e.g. key {key}: program gives "
                 f"{'no match' if got is None else got}, "
                 f"reference rules give {expected}",
-                switch=switch,
             )
         )
 
 
 def _check_safeguard(
-    switch: str,
     program: Sequence[TcamEntry],
     ports: AbstractSet[int],
     diagnostics: List[Diagnostic],
@@ -258,7 +242,6 @@ def _check_safeguard(
             make_diagnostic(
                 "S105",
                 "empty TCAM program: no safeguard default installed",
-                switch=switch,
             )
         )
         return
@@ -274,7 +257,6 @@ def _check_safeguard(
                 "S105",
                 "final entry is not a catch-all lossy demote over every "
                 "port; unmatched packets keep an undefined tag",
-                switch=switch,
                 location=_entry_location(len(program) - 1, last),
             )
         )
@@ -282,25 +264,24 @@ def _check_safeguard(
 
 @dataclass(frozen=True)
 class ProgramSection:
-    """One switch's ordered program and its S101-S105 findings."""
+    """An ordered program and its S101-S105 findings, naming no switch."""
 
     program: Sequence[TcamEntry]
     diagnostics: Tuple[Diagnostic, ...]
 
 
 def program_section(
-    switch: str,
-    table: RuleTable,
+    reference: Mapping[MatchKey, int],
     program: Sequence[TcamEntry],
     ports: AbstractSet[int],
 ) -> ProgramSection:
     """Per-switch stage: check ``program`` as the hardware would read it,
-    against ``table`` (the exact-match reference) and the switch's
+    against the exact-match ``reference`` rules and the switch's
     ``ports``."""
     diagnostics: List[Diagnostic] = []
-    _check_order(switch, program, diagnostics)
-    _check_roundtrip(switch, table, program, diagnostics)
-    _check_safeguard(switch, program, ports, diagnostics)
+    _check_order(program, diagnostics)
+    _check_roundtrip(reference, program, diagnostics)
+    _check_safeguard(program, ports, diagnostics)
     return ProgramSection(program=program, diagnostics=tuple(diagnostics))
 
 
@@ -322,12 +303,11 @@ def check_tcam(
             sections[switch]
             if sections is not None
             else program_section(
-                switch,
-                tables.get(switch, RuleTable(switch=switch)),
+                tables[switch].rules if switch in tables else {},
                 programs[switch],
                 topo_ports.get(switch, frozenset()),
             )
         )
         total_entries += len(section.program)
-        diagnostics.extend(section.diagnostics)
+        diagnostics.extend(stamp(section.diagnostics, switch))
     return diagnostics, {"tcam_entries": total_entries}

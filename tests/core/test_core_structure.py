@@ -255,3 +255,25 @@ def test_the_replanner_keeps_no_warm_state():
     for cls in (IncrementalPlanner, PairwiseElpProvider, UpDownElpProvider):
         left = {name for name in deleted | {"rederive_pairs"} if hasattr(cls, name)}
         assert not left, f"{cls.__name__} still has {sorted(left)}"
+
+
+def test_the_compiler_reads_no_switch_name():
+    """Lint shares one compiled program among every switch holding the
+    same rules and port set, so ``tcam_program`` and the helpers it calls
+    must be a function of the rules and ports alone."""
+    functions = dict(_functions(CORE_DIR / "compression.py"))
+    seen, todo = set(), ["tcam_program"]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions:
+            continue
+        seen.add(name)
+        todo.extend(_called_names(functions[name]))
+    assert {"tcam_program", "_joint_entries", "safeguard_entry"} <= seen
+    reads = sorted(
+        name
+        for name in seen
+        for sub in ast.walk(functions[name])
+        if isinstance(sub, ast.Attribute) and sub.attr == "switch"
+    )
+    assert reads == []

@@ -69,7 +69,7 @@ def _oracle_summary(
     reference: Dict[Tuple[int, int, int], int], program: List[TcamEntry]
 ) -> Optional[str]:
     """The S104 summary from one ``first_match`` per checked key."""
-    keys = list(reference)
+    keys = sorted(reference)
     for entry in program:
         if entry.tag is not None:
             keys.extend(
@@ -92,7 +92,7 @@ def _oracle_summary(
 
 
 def _s104_summary(reference, program) -> Optional[str]:
-    section = program_section("A", RuleTable("A", rules=reference), program, PORTS)
+    section = program_section(reference, program, PORTS)
     found = [
         d.message
         for d in section.diagnostics

@@ -27,7 +27,7 @@ from repro.core import (
     deterministic_minimize,
 )
 from repro.core.symmetry import certify
-from repro.lint.graph_checks import _effective_graph, rule_sections
+from repro.lint.graph_checks import _effective_graph, port_maps, rule_sections
 from repro.topology import ClosParams, clos3
 
 #: Between the readings in the module docstring (43.6 MB before, 25.3 MB after).
@@ -79,7 +79,8 @@ def test_finalize_and_effective_graph(testbed):
     assert_one_object_per_node(bruteforce)
     result = deterministic_minimize(testbed, bruteforce)
     assert_one_object_per_node(result.graph)
-    effective = _effective_graph(rule_sections(testbed, result.tables))
+    sections = rule_sections(testbed, result.tables)
+    effective = _effective_graph(sections, port_maps(testbed, sections))
     assert effective == result.graph
     assert_one_object_per_node(effective)
 

@@ -28,7 +28,7 @@ from repro.deploy import (
 )
 from repro.fuzz.faults import rule_decrease_tag, rule_tag_cycle
 from repro.lint import DeploymentArtifact
-from repro.lint.graph_checks import _effective_graph, rule_sections
+from repro.lint.graph_checks import _effective_graph, port_maps, rule_sections
 from repro.topology import ClosParams, TopologyDelta, clos3
 
 from .oracle_certify import oracle_certify_rollout
@@ -237,13 +237,14 @@ PROGRAM_FAULTS = {
 def _seed_program_fault(monkeypatch, table, code):
     """Compile ``table``'s exact content with the ``code`` fault, in the
     production verifier and the oracle alike (both lint through
-    ``repro.lint.linter``)."""
+    ``repro.lint.linter``). A compiler is a function of rules and ports,
+    so every switch holding that content miscompiles the same way."""
     real = linter_module.tcam_program
-    switch, rules = table.switch, dict(table.rules)
+    rules = dict(table.rules)
 
     def compile_program(reference, ports):
         program = real(reference, ports)
-        if reference.switch == switch and reference.rules == rules:
+        if reference.rules == rules:
             return PROGRAM_FAULTS[code](program)
         return program
 
@@ -393,8 +394,9 @@ class TestLintGraphIsCertified:
                 if cert.covers_stragglers
                 else rules_to_tagged_graph(topo, tables)
             )
+            sections = rule_sections(topo, tables)
             self._assert_subgraph(
-                _effective_graph(rule_sections(topo, tables)), certified
+                _effective_graph(sections, port_maps(topo, sections)), certified
             )
         return cert
 

@@ -3,7 +3,9 @@
 A lint that shares a :class:`LintSections` with earlier lints must
 report exactly what a fresh one-shot lint of the same artifact reports
 — same diagnostics in the same order, same stats — whatever was linted
-through the shared object before.
+through the shared object before. A fresh lint shares sections between
+its own switches too, so the byte-for-byte oracle against linting each
+switch separately is ``tests/golden/test_golden_lint_reports.py``.
 """
 
 import pytest
@@ -34,6 +36,17 @@ def plan(testbed):
     return TaggerPlan.for_clos(testbed, max_bounces=1)
 
 
+def distinct(topo, tables):
+    """How many sections a lint of ``tables`` builds: one per distinct
+    (rules, port set)."""
+    return len(
+        {
+            (frozenset(t.rules.items()), frozenset(topo.ports(s)))
+            for s, t in tables.items()
+        }
+    )
+
+
 def assert_reuse_matches_fresh(artifact, sections, config=None):
     shared = lint_artifact(artifact, config, sections).to_dict()
     assert shared == lint_artifact(artifact, config).to_dict()
@@ -44,12 +57,17 @@ class TestReuseEqualsFresh:
     def test_relint_and_counters(self, plan):
         artifact = DeploymentArtifact.from_plan(plan)
         sections = LintSections(plan.topo)
-        assert_reuse_matches_fresh(artifact, sections)
-        assert (sections.built, sections.reused) == (len(plan.tables), 0)
+        built = distinct(plan.topo, plan.tables)
+        assert built < len(plan.tables)  # a Clos layer shares its table
         assert_reuse_matches_fresh(artifact, sections)
         assert (sections.built, sections.reused) == (
-            len(plan.tables),
-            len(plan.tables),
+            built,
+            len(plan.tables) - built,
+        )
+        assert_reuse_matches_fresh(artifact, sections)
+        assert (sections.built, sections.reused) == (
+            built,
+            2 * len(plan.tables) - built,
         )
 
     @pytest.mark.parametrize("fault", sorted(LINT_FAULTS))
@@ -154,14 +172,15 @@ class TestNoStaleHit:
         assert after.to_dict() == lint_tables(
             plan.topo, tables, plan.queue_map
         ).to_dict()
-        assert sections.built == len(tables) + 1
+        built = distinct(plan.topo, plan.tables)
+        assert sections.built == built + 1
         # Editing it back hits the original section again.
         victim.rules[key] = plan.tables[victim.switch].rules[key]
         again = lint_tables(
             plan.topo, tables, plan.queue_map, sections=sections
         )
         assert again.to_dict() == before.to_dict()
-        assert sections.built == len(tables) + 1
+        assert sections.built == built + 1
 
     def test_program_mutated_in_place_between_lints(self, plan):
         artifact = DeploymentArtifact.from_plan(plan)
@@ -184,10 +203,12 @@ class TestNoStaleHit:
             s: RuleTable(switch=s, rules=dict(t.rules))
             for s, t in plan.tables.items()
         }
+        built = sections.built
         report = lint_tables(
             plan.topo, readback, plan.queue_map, sections=sections
         )
-        assert sections.reused == len(plan.tables)
+        assert sections.built == built
+        assert sections.reused == 2 * len(plan.tables) - built
         assert report.to_dict() == lint_tables(
             plan.topo, plan.tables, plan.queue_map
         ).to_dict()

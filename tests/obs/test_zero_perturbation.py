@@ -164,10 +164,17 @@ class TestDeployUnperturbed:
         telemetry = Telemetry()
         assert rollout(None) == rollout(telemetry)
         assert telemetry.bus.count("deploy.rpc") > 0
-        # What the rollout's lints cost: every switch is built once, then
-        # reused by the later boundaries and the final ground-truth lint.
+        # What the rollout's lints cost: every distinct (rules, port set)
+        # is built once, then reused by the other switches holding it,
+        # the later boundaries and the final ground-truth lint.
+        distinct = {
+            (frozenset(t.rules.items()), frozenset(testbed.ports(s)))
+            for tables in (old_tables, new_tables)
+            for s, t in tables.items()
+        }
+        assert len(distinct) < len(old_tables) + len(new_tables)
         sections = telemetry.registry.get("deploy_lint_sections_total")
-        assert sections.value(result="built") >= len(old_tables)
+        assert sections.value(result="built") >= len(distinct)
         assert sections.value(result="reused") >= len(old_tables)
 
 
