@@ -28,15 +28,27 @@ function explicitly:
 
 The output is directly a set of per-switch rule tables plus the tagged
 graph they induce; by construction rule generation can never conflict.
-Every plan, the re-planner's included, runs the merge whole: it costs a
-few tens of milliseconds at clos64 (docs/PERFORMANCE.md), so no run
-keeps state for a later one to resume from.
+Every plan, the re-planner's included, runs from scratch: no run keeps
+state for a later one to resume from.
+
+*One tag when one tag suffices.* Drop the tags and the brute-force
+graph collapses to a graph on ingress ports. If that collapse is acyclic,
+every sandbox check passes (the class-1 sandbox is a subgraph of it), so by
+induction over the scan every node gets class 1 and every transition is
+defined as 1: one ``(1, in_port, out_port) -> 1`` rule per collapsed
+edge, and the collapse at tag 1 as the graph. The dispatch peels the
+collapse once (Kahn) and returns that answer in closed form when every
+port peels (up-down Clos ELPs); otherwise, a self-loop included, it runs
+the merge unchanged. ``compile_plan``'s verifier judges either branch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.greedy import _Sandbox
 from repro.core.rules import RuleTable
@@ -70,6 +82,68 @@ def deterministic_minimize(
     """Minimize tags while keeping the rewrite a function of its match key."""
     if bruteforce.num_nodes == 0:
         raise TaggingError("cannot minimize an empty tagged graph")
+    collapse = _port_collapse(bruteforce)
+    if _peels(collapse):
+        return _one_class(topo, bruteforce, collapse)
+    return _merge(topo, bruteforce)
+
+
+def _port_collapse(bruteforce: TaggedGraph) -> Dict[PortKey, Set[PortKey]]:
+    """The graph with its tags dropped: ingress port -> successor ports."""
+    collapse: Dict[PortKey, Set[PortKey]] = {}
+    for node in bruteforce.nodes:
+        succs = collapse.setdefault(node[0], set())
+        succs.update(map(itemgetter(0), bruteforce.successors(node)))
+    return collapse
+
+
+def _peels(collapse: Dict[PortKey, Set[PortKey]]) -> bool:
+    """True iff one Kahn pass peels every port (a self-loop never peels).
+
+    Peeled here, not by ``find_tag_cycle``: the verifier that judges the
+    closed form must not be what chose it."""
+    indegree = Counter(chain.from_iterable(collapse.values()))
+    frontier = [port for port in collapse if not indegree[port]]
+    peeled = 0
+    while frontier:
+        peeled += len(frontier)
+        hits = Counter(chain.from_iterable([collapse[p] for p in frontier]))
+        frontier = []
+        for port, count in hits.items():
+            indegree[port] -= count
+            if not indegree[port]:
+                frontier.append(port)
+    return peeled == len(collapse)
+
+
+def _one_class(
+    topo: Topology, bruteforce: TaggedGraph, collapse: Dict[PortKey, Set[PortKey]]
+) -> DeterministicTagging:
+    """The merge's answer on an acyclic collapse; ports and successors are
+    visited in sorted order, so no order depends on the hash seed."""
+    rank = {port: i for i, port in enumerate(sorted(collapse))}
+    adjacency = {port: sorted(collapse[port], key=rank.__getitem__) for port in rank}
+    tables: Dict[str, RuleTable] = {}
+    for (switch, in_port), succs in adjacency.items():
+        if not succs:
+            continue
+        if switch not in tables:  # a switch's ports are contiguous in rank
+            tables[switch] = RuleTable(switch=switch)
+            facing = topo.peer_ports(switch)
+        tables[switch].rules.update(
+            {(INITIAL_TAG, in_port, facing[peer]): INITIAL_TAG for peer, _ in succs}
+        )
+    return DeterministicTagging(
+        tables=tables,
+        graph=TaggedGraph.from_port_graph(adjacency),
+        node_class=dict.fromkeys(bruteforce.nodes, INITIAL_TAG),
+        num_tags=1,
+        contradictions=0,
+    )
+
+
+def _merge(topo: Topology, bruteforce: TaggedGraph) -> DeterministicTagging:
+    """The rule-realizable merge, scanned node by node."""
     node_class: Dict[TNode, int] = {}
     transitions: Dict[TransKey, int] = {}
     sandboxes: Dict[int, _Sandbox] = {}

@@ -88,6 +88,22 @@ class TaggedGraph:
         self._in[node] = set()
         self._by_tag.setdefault(tag, set()).add(node)
 
+    @classmethod
+    def from_port_graph(cls, adjacency: Dict[PortKey, Sequence[PortKey]]) -> "TaggedGraph":
+        """Every port of ``adjacency`` (successors included among its
+        keys) at :data:`INITIAL_TAG`, one edge per port-to-port edge:
+        what :meth:`add_edge` would build, built in bulk."""
+        graph = cls()
+        node = {port: (port, INITIAL_TAG) for port in adjacency}
+        graph._node = {stored: stored for stored in node.values()}
+        graph._out = {node[port]: {node[dst] for dst in succs} for port, succs in adjacency.items()}
+        graph._in = {stored: set() for stored in graph._node}
+        for src, dsts in graph._out.items():
+            for dst in dsts:
+                graph._in[dst].add(src)
+        graph._by_tag[INITIAL_TAG] = set(graph._node)
+        return graph
+
     def add_edge(self, src: TNode, dst: TNode) -> None:
         """Add an edge, creating endpoints as needed.
 

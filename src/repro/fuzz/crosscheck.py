@@ -40,6 +40,7 @@ from repro.core import (
     tables_equal,
     verify_tagged_graph,
 )
+from repro.core.determinize import _merge, _peels, _port_collapse
 from repro.core.pipeline import QueueMap
 from repro.core.replan import IncrementalPlanner
 from repro.core.rules import RuleTable, diff_tables
@@ -227,6 +228,24 @@ def _run_deterministic(ctx: _Context, inject: Injector) -> Optional[str]:
             f"{total - lossless}/{total} ELP paths demoted without "
             f"contradictions, e.g. {demoted[0][0]}",
         )
+    if _peels(_port_collapse(bf)):
+        merged = _merge(ctx.topo, bf)
+        diverged = [
+            what
+            for what, same in (
+                ("tables", tables_equal(det.tables, merged.tables)),
+                ("graph", det.graph == merged.graph),
+                ("node_class", det.node_class == merged.node_class),
+                ("num_tags", det.num_tags == merged.num_tags),
+                ("contradictions", det.contradictions == merged.contradictions),
+            )
+            if not same
+        ]
+        if diverged:
+            ctx.violate(
+                "deterministic-closed-form",
+                f"acyclic port collapse: closed form != merge in {diverged}",
+            )
     return None
 
 
@@ -572,6 +591,7 @@ STAGES: Tuple[Stage, ...] = (
             ("deterministic-unsafe", "deterministic output fails R1/R2"),
             ("deterministic-dominance", "more tags than brute force"),
             ("deterministic-coverage", "ELP path demoted w/o contradiction"),
+            ("deterministic-closed-form", "acyclic collapse: closed form != merge"),
         ),
         _run_deterministic,
     ),

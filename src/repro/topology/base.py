@@ -236,6 +236,13 @@ class Topology:
         except KeyError:
             raise TopologyError(f"no link {name!r} -> {peer!r}") from None
 
+    def peer_ports(self, name: str) -> Dict[str, int]:
+        """Copy of the peer map (peer -> port) for ``name``: one
+        :meth:`port_to` answer per neighbour, looked up once."""
+        if name not in self.nodes:
+            raise TopologyError(f"unknown node {name!r}")
+        return dict(self._peer_port[name])
+
     def peer_on_port(self, name: str, port: int) -> str:
         """The node on the far end of ``name``'s port ``port``."""
         try:

@@ -277,3 +277,30 @@ def test_the_compiler_reads_no_switch_name():
         if isinstance(sub, ast.Attribute) and sub.attr == "switch"
     )
     assert reads == []
+
+
+def test_the_one_class_decision_is_not_its_own_checker():
+    """The dispatch to the one-class closed form peels the port collapse
+    itself: nothing it reaches calls the R1/R2 checker that later judges
+    its output (``compile_plan``'s ``assert_deadlock_free``)."""
+    functions = dict(_functions(CORE_DIR / "determinize.py"))
+    functions["from_port_graph"] = dict(_functions(CORE_DIR / "tags.py"))[
+        "TaggedGraph.from_port_graph"
+    ]
+    seen, todo = set(), ["deterministic_minimize"]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions or name == "_merge":
+            continue
+        seen.add(name)
+        todo.extend(_called_names(functions[name]))
+    assert {"_port_collapse", "_peels", "_one_class", "from_port_graph"} <= seen
+    checkers = {
+        "find_tag_cycle",
+        "tag_subgraph_is_acyclic",
+        "verify_tagged_graph",
+        "assert_deadlock_free",
+    }
+    called = {name for fn in seen for name in _called_names(functions[fn])}
+    assert not called & checkers, sorted(called & checkers)
+    assert not _imported("determinize.py") & checkers

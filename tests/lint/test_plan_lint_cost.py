@@ -5,8 +5,9 @@ A 64-ToR fat-tree is planned with the generic planner and linted under
 count is deterministic, so the guard needs no wall clock: a compile
 that goes back through ``as_rules()`` objects, an S104 check that scans
 the program once per key, a minimizer that re-resolves its rules
-through the wiring, or a lint that validates each of a Clos layer's
-equal tables again fails here before any benchmark sees it.
+through the wiring, a one-tag ELP that goes back through the per-node
+merge, or a lint that validates each of a Clos layer's equal tables
+again fails here before any benchmark sees it.
 """
 
 import cProfile
@@ -19,9 +20,10 @@ from repro.topology import ClosParams, clos3
 #: Ceiling on profiled calls per planned rule (plan + lint). With a
 #: per-key ``first_match`` scan in S104 and programs compiled through
 #: sorted ``MatchActionRule`` objects the count read 55.3; the linear
-#: passes read 38.1, then 35.9; linting each distinct table once reads
-#: 29.7 (CPython 3.11).
-MAX_CALLS_PER_RULE = 33
+#: passes read 38.1, then 35.9; linting each distinct table once read
+#: 29.7, and the minimizer's one-class closed form (no per-node merge on
+#: an up-down ELP) reads 17.6 (CPython 3.11).
+MAX_CALLS_PER_RULE = 24
 
 
 def _calls(profile: cProfile.Profile, name: str = "") -> int:
