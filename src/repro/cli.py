@@ -28,7 +28,8 @@ Usage (also available as ``python -m repro``)::
 
 Malformed input — a bad ``--delta``/``--faults``/``--stuck`` spec, a
 plan file that is not an exported plan — fails closed: one ``error:``
-line naming the flag or file and the offending value, exit 1.
+line naming the flag or file and the offending value, exit 1. A count,
+budget or duration out of its range is an argparse usage error, exit 2.
 """
 
 from __future__ import annotations
@@ -874,6 +875,30 @@ def cmd_deploy(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Argument parsing
 # ----------------------------------------------------------------------
+def _count(text: str) -> int:
+    """An integer >= 0: a budget where 0 switches the stage off."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """An integer >= 1: a number of runs, workers or attempts."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """A finite number > 0: a duration or period in seconds."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # also refuses NaN
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-tagger",
@@ -905,8 +930,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="compute and export a Tagger plan")
     add_topology_args(plan)
-    plan.add_argument("--bounces", type=int, default=1)
-    plan.add_argument("--extra-paths", type=int, default=0, dest="extra_paths")
+    plan.add_argument("--bounces", type=_count, default=1)
+    plan.add_argument("--extra-paths", type=_count, default=0, dest="extra_paths")
     plan.add_argument("--seed", type=int, default=1)
     plan.add_argument(
         "--elp",
@@ -943,7 +968,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--tcam-budget",
-        type=int,
+        type=_count,
         default=None,
         dest="tcam_budget",
         help="per-switch TCAM entry budget (enables B301)",
@@ -1023,7 +1048,7 @@ def make_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="run a deadlock scenario")
     demo.add_argument("scenario", choices=("fig10", "fig11"))
     demo.add_argument("--tagger", action="store_true")
-    demo.add_argument("--duration", type=float, default=0.3)
+    demo.add_argument("--duration", type=_positive_float, default=0.3)
     demo.add_argument(
         "--detect",
         action="store_true",
@@ -1031,14 +1056,14 @@ def make_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--detect-poll",
-        type=float,
+        type=_positive_float,
         default=0.005,
         dest="detect_poll",
         help="detector scan period in sim seconds (with --detect)",
     )
     demo.add_argument(
         "--detect-confirm-scans",
-        type=int,
+        type=_positive_int,
         default=3,
         dest="detect_confirm_scans",
         help="consecutive re-observations before a suspect is confirmed",
@@ -1057,17 +1082,17 @@ def make_parser() -> argparse.ArgumentParser:
         help="differential fuzz: cross-check all taggers + simulator oracle",
     )
     fuzz.add_argument("--seed", type=int, default=7)
-    fuzz.add_argument("--iterations", type=int, default=50)
+    fuzz.add_argument("--iterations", type=_positive_int, default=50)
     fuzz.add_argument(
         "--oracle-budget",
-        type=int,
+        type=_count,
         default=3,
         dest="oracle_budget",
         help="max scenarios replayed through the simulator (0 disables)",
     )
     fuzz.add_argument(
         "--time-budget",
-        type=float,
+        type=_positive_float,
         default=None,
         dest="time_budget",
         help="wall-clock cap in seconds",
@@ -1097,7 +1122,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--detect-budget",
-        type=int,
+        type=_count,
         default=0,
         dest="detect_budget",
         help="max scenarios run through the detection head-to-head "
@@ -1105,14 +1130,14 @@ def make_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--detect-duration",
-        type=float,
+        type=_positive_float,
         default=0.3,
         dest="detect_duration",
         help="sim seconds per detection-matrix cell",
     )
     fuzz.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the scenario sweep; any count yields "
         "the identical report (modulo elapsed time)",
@@ -1166,7 +1191,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     deploy.add_argument(
         "--chaos",
-        type=int,
+        type=_count,
         default=0,
         metavar="N",
         help="sweep N seeded random fault schedules; exit 0 iff every "
@@ -1174,13 +1199,13 @@ def make_parser() -> argparse.ArgumentParser:
     )
     deploy.add_argument(
         "--time-budget",
-        type=float,
+        type=_positive_float,
         default=None,
         dest="time_budget",
         help="wall-clock cap in seconds for --chaos sweeps",
     )
-    deploy.add_argument("--max-attempts", type=int, default=8, dest="max_attempts")
-    deploy.add_argument("--wave-size", type=int, default=8, dest="wave_size")
+    deploy.add_argument("--max-attempts", type=_positive_int, default=8, dest="max_attempts")
+    deploy.add_argument("--wave-size", type=_positive_int, default=8, dest="wave_size")
     deploy.add_argument(
         "--no-quarantine",
         action="store_true",

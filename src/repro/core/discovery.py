@@ -84,12 +84,12 @@ def elp_under_failures(
     scenarios: Iterable[Iterable[LinkKey]],
     endpoints: Optional[Sequence[str]] = None,
     hashes: Iterable[int] = range(8),
-    include_healthy: bool = True,
 ) -> ElpSet:
     """Union of traced ELPs across simulated failure scenarios.
 
-    For each scenario the listed links are failed, forwarding state is
-    rebuilt via ``table_factory`` (model converged routing; compose with
+    The healthy fabric's traces come first. For each scenario the listed
+    links are then failed, forwarding state is rebuilt via
+    ``table_factory`` (model converged routing; compose with
     :func:`repro.routing.reroute.apply_local_reroute` inside the factory
     to model transients), traces are collected, and the topology is
     restored. The result is the operator's "paths that must stay lossless
@@ -104,9 +104,8 @@ def elp_under_failures(
                 seen.add(path)
                 merged.paths.append(path)
 
-    if include_healthy:
-        topo.restore_all()
-        absorb(trace_elp(topo, table_factory(topo), endpoints, hashes))
+    topo.restore_all()
+    absorb(trace_elp(topo, table_factory(topo), endpoints, hashes))
     for scenario in scenarios:
         topo.restore_all()
         for a, b in scenario:
@@ -116,15 +115,10 @@ def elp_under_failures(
     return merged
 
 
-def single_link_failure_scenarios(
-    topo: Topology, switch_links_only: bool = True
-) -> List[List[LinkKey]]:
-    """Every single-link failure — the classic planning sweep."""
+def single_link_failure_scenarios(topo: Topology) -> List[List[LinkKey]]:
+    """Every single switch-to-switch link failure — the classic sweep."""
     scenarios: List[List[LinkKey]] = []
     for link in topo.iter_links(include_failed=True):
-        if switch_links_only and not (
-            topo.node(link.a).is_switch and topo.node(link.b).is_switch
-        ):
-            continue
-        scenarios.append([link.key])
+        if topo.node(link.a).is_switch and topo.node(link.b).is_switch:
+            scenarios.append([link.key])
     return scenarios

@@ -210,7 +210,6 @@ class UpDownElpProvider(PairwiseElpProvider):
     """
 
     explicit_endpoints: Optional[Sequence[str]] = None
-    shortest_only: bool = True
     description: str = "shortest up-down paths"
 
     def endpoints(self, topo: Topology) -> List[str]:
@@ -220,7 +219,7 @@ class UpDownElpProvider(PairwiseElpProvider):
 
     def pair_paths(self, topo: Topology, src: str, dst: str) -> Tuple[Path, ...]:
         try:
-            found = updown_paths_by_pair(topo, [(src, dst)], self.shortest_only)
+            found = updown_paths_by_pair(topo, [(src, dst)])
         except RoutingError as exc:
             # Only "no up-down path" is an empty answer; a host or
             # unlayered endpoint is a misconfigured ELP.

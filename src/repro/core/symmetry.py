@@ -483,8 +483,8 @@ def certify(topo: Topology, provider: Any) -> Optional[SymmetryCertificate]:
     following hold:
 
     - ``provider`` is exactly :class:`~repro.core.elp.UpDownElpProvider`
-      (a subclass may override ``pair_paths``), with ``shortest_only``
-      and endpoints equal to the sorted layer-0 switch set, each once;
+      (a subclass may override ``pair_paths``), with endpoints equal to
+      the sorted layer-0 switch set, each once;
     - every switch carries a layer in {0, 1, 2};
     - the ToR/leaf adjacency partitions into disjoint complete-bipartite
       pods (every ToR of a pod links to every leaf of that pod);
@@ -495,8 +495,6 @@ def certify(topo: Topology, provider: Any) -> Optional[SymmetryCertificate]:
     from repro.core.elp import UpDownElpProvider
 
     if type(provider) is not UpDownElpProvider:
-        return None
-    if not provider.shortest_only:
         return None
     tors = sorted(topo.switches_at_layer(TOR_LAYER))
     if provider.explicit_endpoints is not None:

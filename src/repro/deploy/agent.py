@@ -145,15 +145,12 @@ class SwitchAgent:
         rules: The live TCAM content (match key -> rewrite tag). This is
             the deployed reality the linter and the readback verifier
             consume.
-        ignore_epoch: Buggy-agent knob — skip the stale-epoch guard
-            (fuzz self-test only).
         op_filter: Buggy-agent knob — transform or drop each op while
             still acking the batch (fuzz self-test only).
     """
 
     switch: str
     rules: Dict[MatchKey, int] = field(default_factory=dict)
-    ignore_epoch: bool = False
     op_filter: Optional[OpFilter] = None
 
     #: Soft state: lost on crash.
@@ -181,7 +178,7 @@ class SwitchAgent:
             raise DeploymentError(
                 f"batch for {batch.switch!r} delivered to {self.switch!r}"
             )
-        if not self.ignore_epoch and batch.epoch < self.last_epoch:
+        if batch.epoch < self.last_epoch:
             return self._reply(batch, ACK_STALE)
         if batch.batch_id in self.seen_batches:
             return self._reply(batch, ACK_DUPLICATE)

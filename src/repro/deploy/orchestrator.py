@@ -89,40 +89,38 @@ FAILED = "failed"  # budget exhausted with the fleet in limbo
 SAFE_OUTCOMES = (CONVERGED, DEGRADED, ROLLED_BACK, REFUSED)
 
 
+#: Retry budget of the rollback path, the last-ditch safety action. It
+#: is generous and runs with the circuit breaker suspended, so a tight
+#: rollout budget cannot starve the restore that follows its failure.
+ROLLBACK_ATTEMPTS = 16
+#: Consecutive failures that open a switch's circuit breaker.
+BREAKER_THRESHOLD = 6
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+JITTER = 0.1
+
+
+def _backoff(attempt: int, rng: random.Random) -> float:
+    """Delay before retry ``attempt`` (1-based): capped exponential with
+    multiplicative jitter, on the virtual clock."""
+    base = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
+    return base * (1.0 + JITTER * rng.random())
+
+
 @dataclass(frozen=True)
 class RolloutConfig:
-    """Retry, backoff, wave and degradation policy."""
+    """Retry budget, wave size, degradation policy and RNG seed."""
 
     max_attempts: int = 8
-    #: Retry budget for the rollback path. Rollback is the last-ditch
-    #: safety action: it runs with its own (deliberately generous)
-    #: budget and with the circuit breaker suspended, so a tight rollout
-    #: budget cannot starve the restore that follows its own failure.
-    rollback_attempts: int = 16
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    jitter: float = 0.1
     max_wave_size: int = 8
-    breaker_threshold: int = 6
     quarantine: bool = True
-    lint_boundaries: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise DeploymentError("max_attempts must be >= 1")
-        if self.rollback_attempts < 1:
-            raise DeploymentError("rollback_attempts must be >= 1")
         if self.max_wave_size < 1:
             raise DeploymentError("max_wave_size must be >= 1")
-        if self.backoff_base < 0 or self.backoff_cap < 0 or self.jitter < 0:
-            raise DeploymentError("backoff parameters must be >= 0")
-
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        """Delay before retry ``attempt`` (1-based): capped exponential
-        with multiplicative jitter, on the virtual clock."""
-        base = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
-        return base * (1.0 + self.jitter * rng.random())
 
 
 @dataclass
@@ -293,7 +291,7 @@ class RolloutOrchestrator:
         )
 
     def _breaker_is_open(self, switch: str) -> bool:
-        return self._breaker_fails.get(switch, 0) >= self.config.breaker_threshold
+        return self._breaker_fails.get(switch, 0) >= BREAKER_THRESHOLD
 
     def _count(self, name: str, help_text: str, **labels: object) -> None:
         if self.telemetry is None:
@@ -305,7 +303,7 @@ class RolloutOrchestrator:
     def _note_failure(self, switch: str) -> None:
         failures = self._breaker_fails.get(switch, 0) + 1
         self._breaker_fails[switch] = failures
-        if failures == self.config.breaker_threshold:
+        if failures == BREAKER_THRESHOLD:
             self._emit(EV_DEPLOY_BREAKER_OPEN, switch=switch, failures=failures)
             self._count(
                 "deploy_breaker_opens_total",
@@ -314,7 +312,7 @@ class RolloutOrchestrator:
             )
 
     def _note_success(self, switch: str) -> None:
-        if self._breaker_fails.get(switch, 0) >= self.config.breaker_threshold:
+        if self._breaker_fails.get(switch, 0) >= BREAKER_THRESHOLD:
             self._emit(EV_DEPLOY_BREAKER_CLOSE, switch=switch)
         self._breaker_fails[switch] = 0
 
@@ -372,7 +370,7 @@ class RolloutOrchestrator:
                 outcome.detail = "superseded by a newer epoch"
                 return False
             if attempt < budget:
-                self._clock += self.config.backoff(attempt, self._rng)
+                self._clock += _backoff(attempt, self._rng)
         outcome.detail = f"retry budget exhausted ({budget})"
         return False
 
@@ -398,7 +396,7 @@ class RolloutOrchestrator:
                     outcome.breaker_open = True
                     outcome.detail = "circuit breaker open during readback"
                     return False
-                self._clock += self.config.backoff(attempt, self._rng)
+                self._clock += _backoff(attempt, self._rng)
                 continue
             self._note_success(switch)
             if snapshot == target:
@@ -456,7 +454,7 @@ class RolloutOrchestrator:
         batches are rejected as stale. The op set is unconditional
         (set every old rule, remove every new-only key), hence correct
         from *any* intermediate state without needing a readback first.
-        Uses the dedicated ``rollback_attempts`` budget with the circuit
+        Uses the dedicated ``ROLLBACK_ATTEMPTS`` budget with the circuit
         breaker suspended: any *finite* fault schedule shorter than that
         budget is guaranteed a clean slot, so converge-or-rollback holds
         whenever switches are not wedged forever.
@@ -488,7 +486,7 @@ class RolloutOrchestrator:
                     ]
                 )
                 self._breaker_fails[switch] = 0  # fresh budget for rollback
-                budget = self.config.rollback_attempts
+                budget = ROLLBACK_ATTEMPTS
                 if self._push_batch(
                     switch, ops, outcome, attempts=budget, use_breaker=False
                 ) and self._readback_verify(
@@ -540,7 +538,6 @@ class RolloutOrchestrator:
                 self.old,
                 self.new,
                 waves,
-                lint_boundaries=self.config.lint_boundaries,
                 sections=sections,
             )
             if not cert.ok and any(len(w) > 1 for w in waves):
@@ -550,7 +547,6 @@ class RolloutOrchestrator:
                     self.old,
                     self.new,
                     singleton,
-                    lint_boundaries=self.config.lint_boundaries,
                     sections=sections,
                 )
                 if retry.ok:

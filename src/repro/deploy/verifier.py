@@ -224,7 +224,6 @@ def certify_rollout(
     old: Tables,
     new: Tables,
     waves: Sequence[Sequence[str]],
-    lint_boundaries: bool = True,
     sections: Optional[LintSections] = None,
 ) -> TransitionCertificate:
     """Certify every state reachable under ``waves`` ordering.
@@ -237,12 +236,9 @@ def certify_rollout(
 
     Each boundary whose graph certified then gets the error findings
     :func:`~repro.lint.lint_tables` would report for it, built from
-    per-switch sections (:func:`_boundary_lint_errors`).
-    ``lint_boundaries=False`` skips that and keeps only the (sound and
-    much faster) union-graph R1/R2 certification — the fuzz harness uses
-    it for throughput. ``sections`` lets a caller that lints this
-    transition again share the per-switch stage; like
-    :func:`~repro.lint.lint_artifact`, it raises
+    per-switch sections (:func:`_boundary_lint_errors`). ``sections``
+    lets a caller that lints this transition again share the per-switch
+    stage; like :func:`~repro.lint.lint_artifact`, it raises
     :class:`~repro.exceptions.LintError` when they were built for
     another topology.
     """
@@ -263,15 +259,14 @@ def certify_rollout(
     else:
         graph_errors = _certify_wave_order(topo, old, new, boundaries, cert)
 
-    if lint_boundaries:
-        _boundary_lint_errors(
-            topo,
-            old,
-            new,
-            boundaries,
-            graph_errors,
-            sections if sections is not None else LintSections(topo),
-        )
+    _boundary_lint_errors(
+        topo,
+        old,
+        new,
+        boundaries,
+        graph_errors,
+        sections if sections is not None else LintSections(topo),
+    )
     cert.boundary_errors = graph_errors
 
     if cert.covers_stragglers:

@@ -84,7 +84,7 @@ class RolloutDriver:
             self.topo,
             old,
             new,
-            config=RolloutConfig(lint_boundaries=False, seed=self.seed),
+            config=RolloutConfig(seed=self.seed),
             agents=agents,
             telemetry=self.telemetry,
         ).run()

@@ -539,7 +539,7 @@ def _run_deploy(ctx: _Context, inject: Injector) -> Optional[str]:
         topo,
         old,
         new,
-        config=RolloutConfig(lint_boundaries=False, seed=seed),
+        config=RolloutConfig(seed=seed),
         agents=agents,
         faults=random_fault_plan(sorted(diffs), seed=seed, rate=0.3),
     ).run()

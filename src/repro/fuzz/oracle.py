@@ -69,19 +69,19 @@ def find_cbd_pairs(
     topo: Topology,
     paths: Sequence[Path],
     max_pairs: int = 8,
-    max_checks: int = 600,
 ) -> List[Tuple[Path, Path]]:
     """Up to ``max_pairs`` distinct ELP path pairs whose buffers form a CBD.
 
     Longer paths are tried first (bounce paths are what close cycles in
-    practice); the search is capped so pathological ELPs stay cheap.
+    practice); the search stops after 600 pairs so pathological ELPs stay
+    cheap.
     """
     ranked = sorted(set(paths), key=lambda p: (-len(p), p))
     found: List[Tuple[Path, Path]] = []
     checks = 0
     for p1, p2 in combinations(ranked, 2):
         checks += 1
-        if checks > max_checks or len(found) >= max_pairs:
+        if checks > 600 or len(found) >= max_pairs:
             break
         if has_cbd(topo, [p1, p2]):
             found.append((p1, p2))

@@ -40,17 +40,14 @@ def _still_fails(
     return bool(targets.intersection(result.invariants_violated()))
 
 
-def ddmin(
-    items: Sequence,
-    predicate: Callable[[List], bool],
-    max_rounds: int = 64,
-) -> List:
+def ddmin(items: Sequence, predicate: Callable[[List], bool]) -> List:
     """Classic ddmin: smallest sublist (not necessarily minimal set) for
-    which ``predicate`` still holds. ``predicate(items)`` must be True."""
+    which ``predicate`` still holds. ``predicate(items)`` must be True.
+    Returns what it has after 64 rounds."""
     current = list(items)
     granularity = 2
     rounds = 0
-    while len(current) >= 2 and rounds < max_rounds:
+    while len(current) >= 2 and rounds < 64:
         rounds += 1
         chunk = max(1, len(current) // granularity)
         reduced = False

@@ -17,7 +17,6 @@ from repro.lint.diagnostics import (
     make_diagnostic,
 )
 from repro.lint.linter import (
-    LintConfig,
     LintSections,
     lint_artifact,
     lint_plan,
@@ -29,7 +28,6 @@ __all__ = [
     "CodeInfo",
     "DeploymentArtifact",
     "Diagnostic",
-    "LintConfig",
     "LintReport",
     "LintSections",
     "Severity",

@@ -45,6 +45,8 @@ class DeploymentArtifact:
     )
 
     def __post_init__(self) -> None:
+        if self.tcam_budget is not None and self.tcam_budget < 0:
+            raise LintError(f"tcam_budget must be >= 0, got {self.tcam_budget}")
         for switch, table in self.tables.items():
             if table.policy is not None and not table.rules:
                 raise LintError(

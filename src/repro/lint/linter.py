@@ -37,7 +37,6 @@ compressed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.core.compression import TcamEntry, tcam_program
@@ -56,15 +55,6 @@ from repro.topology.base import Topology
 #: ``RuleTable`` object (tables are mutable, and a rollout's final lint
 #: reads fresh objects back from the agents).
 RuleContent = FrozenSet[Tuple[MatchKey, int]]
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Knobs for one lint run (all checks on by default)."""
-
-    tcam_budget: Optional[int] = None
-    check_tcam: bool = True
-    check_reach: bool = True
 
 
 class LintSections:
@@ -91,12 +81,11 @@ class LintSections:
         self,
         switch: str,
         table: Optional[RuleTable],
-        with_program: bool = True,
         given: Optional[Tuple[TcamEntry, ...]] = None,
-    ) -> Tuple[Optional[RuleSection], Optional[ProgramSection]]:
+    ) -> Tuple[Optional[RuleSection], ProgramSection]:
         """One switch's rule section (None without a table) and program
-        section (None unless ``with_program``), looked up by content
-        before either is built — the per-switch stage of a lint.
+        section, looked up by content before either is built — the
+        per-switch stage of a lint.
 
         ``given`` is the switch's explicit program; without it the
         program section certifies the one compiled from ``table``.
@@ -109,16 +98,14 @@ class LintSections:
         if entry is None:
             entry = self._sections[key] = (rule_section(reference.rules, ports), {})
         rule, programs = entry
-        program: Optional[ProgramSection] = None
-        if with_program:
-            program = programs.get(given)
-            if program is None:
-                program = programs[given] = program_section(
-                    reference.rules,
-                    tcam_program(reference, ports or ()) if given is None else given,
-                    ports or frozenset(),
-                )
-                built = True
+        program = programs.get(given)
+        if program is None:
+            program = programs[given] = program_section(
+                reference.rules,
+                tcam_program(reference, ports or ()) if given is None else given,
+                ports or frozenset(),
+            )
+            built = True
         if built:
             self.built += 1
         else:
@@ -127,16 +114,14 @@ class LintSections:
 
 
 def _switch_sections(
-    artifact: DeploymentArtifact, with_programs: bool, sections: LintSections
+    artifact: DeploymentArtifact, sections: LintSections
 ) -> Tuple[Dict[str, RuleSection], Dict[str, ProgramSection]]:
     """The per-switch stage, in sorted switch order: every switch's
     sections, resolved through ``sections`` (looked up by content, built
     once per distinct content, kept)."""
     tables = artifact.tables
     explicit = artifact.programs
-    programmed: Set[str] = set()
-    if with_programs:
-        programmed.update(tables if explicit is None else explicit)
+    programmed: Set[str] = set(tables if explicit is None else explicit)
     rule_sections: Dict[str, RuleSection] = {}
     program_sections: Dict[str, ProgramSection] = {}
     for switch in sorted(programmed.union(tables)):
@@ -145,19 +130,16 @@ def _switch_sections(
             if explicit is not None and switch in programmed
             else None
         )
-        rule, program = sections.resolve(
-            switch, tables.get(switch), switch in programmed, given
-        )
+        rule, program = sections.resolve(switch, tables.get(switch), given)
         if rule is not None:
             rule_sections[switch] = rule
-        if program is not None:
+        if switch in programmed:
             program_sections[switch] = program
     return rule_sections, program_sections
 
 
 def lint_artifact(
     artifact: DeploymentArtifact,
-    config: Optional[LintConfig] = None,
     sections: Optional[LintSections] = None,
 ) -> LintReport:
     """Run every check family over a deployment artifact.
@@ -165,7 +147,6 @@ def lint_artifact(
     ``sections`` lets the lints of one rollout share their per-switch
     stage; without it the lint keys its own. The report is the same.
     """
-    config = config or LintConfig()
     topo = artifact.topo
     if sections is None:
         sections = LintSections(topo)
@@ -175,39 +156,27 @@ def lint_artifact(
     tables = artifact.tables
     report.stats["switches"] = len(tables)
     report.stats["rules"] = sum(len(t.rules) for t in tables.values())
-    rule_sections, program_sections = _switch_sections(
-        artifact, config.check_tcam, sections
-    )
+    rule_sections, program_sections = _switch_sections(artifact, sections)
 
     graph_diags, graph_stats = check_graph(topo, tables, rule_sections)
     report.extend(graph_diags)
     report.stats.update(graph_stats)
 
-    if config.check_tcam:
-        programs: Dict[str, Sequence[TcamEntry]] = {
-            switch: section.program
-            for switch, section in program_sections.items()
-        }
-        # Port sets are a per-switch-stage input; every section exists.
-        tcam_diags, tcam_stats = check_tcam(
-            {}, tables, programs, program_sections
-        )
-        report.extend(tcam_diags)
-        report.stats.update(tcam_stats)
-        budget = (
-            config.tcam_budget
-            if config.tcam_budget is not None
-            else artifact.tcam_budget
-        )
-        report.extend(check_budget(programs, budget))
+    programs: Dict[str, Sequence[TcamEntry]] = {
+        switch: section.program for switch, section in program_sections.items()
+    }
+    # Port sets are a per-switch-stage input; every section exists.
+    tcam_diags, tcam_stats = check_tcam({}, tables, programs, program_sections)
+    report.extend(tcam_diags)
+    report.stats.update(tcam_stats)
+    report.extend(check_budget(programs, artifact.tcam_budget))
 
-    if config.check_reach:
-        reach_diags, reach_stats, live_tags = check_reachability(
-            topo, tables, artifact.queue_map, rule_sections
-        )
-        report.extend(reach_diags)
-        report.stats.update(reach_stats)
-        report.extend(check_queue_fit(live_tags, artifact.queue_map))
+    reach_diags, reach_stats, live_tags = check_reachability(
+        topo, tables, artifact.queue_map, rule_sections
+    )
+    report.extend(reach_diags)
+    report.stats.update(reach_stats)
+    report.extend(check_queue_fit(live_tags, artifact.queue_map))
 
     return report
 
@@ -216,20 +185,18 @@ def lint_tables(
     topo: Topology,
     tables: Dict[str, RuleTable],
     queue_map: Optional[QueueMap] = None,
-    config: Optional[LintConfig] = None,
     sections: Optional[LintSections] = None,
 ) -> LintReport:
     """Convenience wrapper: lint bare rule tables."""
     artifact = DeploymentArtifact(
         topo=topo, tables=tables, queue_map=queue_map
     )
-    return lint_artifact(artifact, config, sections)
+    return lint_artifact(artifact, sections)
 
 
 def lint_plan(
     plan: TaggerPlanLike,
     tcam_budget: Optional[int] = None,
-    config: Optional[LintConfig] = None,
 ) -> LintReport:
     """Lint the deployable artifact of a planner result.
 
@@ -237,4 +204,4 @@ def lint_plan(
     its tagged graph is deliberately ignored.
     """
     artifact = DeploymentArtifact.from_plan(plan, tcam_budget=tcam_budget)
-    return lint_artifact(artifact, config)
+    return lint_artifact(artifact)

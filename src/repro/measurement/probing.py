@@ -113,7 +113,6 @@ class ProbeCampaign:
     probes_per_measurement: int = 100
     initial_ttl: int = 64
     seed: int = 1
-    local_repair: bool = True
 
     def run(self, measurements: int) -> MeasurementStats:
         rng = random.Random(self.seed)
@@ -170,8 +169,6 @@ class ProbeCampaign:
     def _table_after_failures(
         self, healthy: ForwardingTable, failed
     ) -> ForwardingTable:
-        if not self.local_repair:
-            return shortest_path_tables(self.topo)
         # Transient state: copy healthy tables, locally repair around each
         # failed link (this is what creates bounce paths / longer TTLs).
         table = ForwardingTable(

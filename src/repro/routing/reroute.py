@@ -28,16 +28,14 @@ def apply_local_reroute(
     topo: Topology,
     table: ForwardingTable,
     failed: LinkKey,
-    prefer_up: bool = True,
 ) -> List[Tuple[str, str, str]]:
     """Detour around one failed link by editing only the adjacent switches.
 
     For every ``(switch, dst)`` entry whose next-hop set crosses the failed
     link, the dead next hop is removed; if the ECMP set becomes empty the
     switch installs a detour via some other active neighbor that can still
-    reach ``dst`` (excluding the failed peer). With ``prefer_up`` (default)
-    upward neighbors are tried first, which in a Clos produces exactly the
-    canonical 1-bounce detour.
+    reach ``dst`` (excluding the failed peer). Upward neighbors are tried
+    first, which in a Clos produces exactly the canonical 1-bounce detour.
 
     The topology must already have the link marked failed (so the detour
     search does not use it). Returns the list of edits as
@@ -63,7 +61,7 @@ def apply_local_reroute(
             if remaining:
                 table.set_next_hops(switch, dst, remaining)
                 continue
-            detour = _pick_detour(topo, switch, dead_peer, dst, distance_cache, prefer_up)
+            detour = _pick_detour(topo, switch, dead_peer, dst, distance_cache)
             if detour is None:
                 raise RoutingError(
                     f"{switch!r} has no detour to {dst!r} after losing "
@@ -80,7 +78,6 @@ def _pick_detour(
     dead_peer: str,
     dst: str,
     distance_cache: Dict[str, Dict[str, int]],
-    prefer_up: bool,
 ) -> Optional[str]:
     """Choose a live neighbor of ``switch`` that can still reach ``dst``."""
     if dst not in distance_cache:
@@ -99,7 +96,7 @@ def _pick_detour(
         my_layer = topo.node(switch).layer
         goes_up = (
             0
-            if (prefer_up and layer is not None and my_layer is not None and layer > my_layer)
+            if (layer is not None and my_layer is not None and layer > my_layer)
             else 1
         )
         return (goes_up, dist[peer], peer)

@@ -15,15 +15,13 @@ from repro.routing.base import ForwardingTable, Path, as_path
 from repro.topology.base import Topology
 
 
-def bfs_distances(topo: Topology, root: str, switches_only: bool = False) -> Dict[str, int]:
+def bfs_distances(topo: Topology, root: str) -> Dict[str, int]:
     """Hop distances from ``root`` over active links."""
     dist = {root: 0}
     queue = deque([root])
     while queue:
         node = queue.popleft()
         for peer in topo.neighbors(node):
-            if switches_only and not topo.node(peer).is_switch:
-                continue
             if peer not in dist:
                 dist[peer] = dist[node] + 1
                 queue.append(peer)
@@ -175,13 +173,12 @@ def random_loopfree_paths(
     topo: Topology,
     count: int,
     endpoints: Optional[Sequence[str]] = None,
-    max_stretch: int = 3,
     seed: int = 7,
 ) -> List[Path]:
     """Random loop-free paths (for the "extra random paths" row of Table 5).
 
     Each path is a random walk between two random endpoints that never
-    revisits a node and gives up beyond ``shortest + max_stretch`` hops.
+    revisits a node and gives up beyond the shortest distance plus 3 hops.
     """
     import random
 
@@ -196,7 +193,7 @@ def random_loopfree_paths(
         dist = bfs_distances(topo, dst)
         if src not in dist:
             continue
-        budget = dist[src] + max_stretch
+        budget = dist[src] + 3
         node, walk, visited = src, [src], {src}
         while node != dst and len(walk) <= budget:
             candidates = [

@@ -52,14 +52,11 @@ def _join(
     topo: Topology,
     ups: Dict[str, List[Path]],
     tails: Dict[str, List[Path]],
-    shortest_only: bool,
 ) -> List[Path]:
-    """Up-down paths from the source's up-DAG ``ups`` to the destination
-    whose up-DAG, reversed and without the ancestor, is ``tails``: every
-    up path joined to every tail at a common ancestor, loop-free, sorted.
-
-    With ``shortest_only`` only ancestors of the *lowest* common layer
-    join, and only the shortest of those paths are kept.
+    """Shortest up-down paths from the source's up-DAG ``ups`` to the
+    destination whose up-DAG, reversed and without the ancestor, is
+    ``tails``: every up path joined to every tail at a common ancestor of
+    the *lowest* common layer, loop-free, the shortest of them, sorted.
 
     No candidate repeats: the fabric has no parallel links, so the
     up-DAG's paths are distinct, and a joined path's strict climb and
@@ -73,18 +70,17 @@ def _join(
     best_layer: Optional[int] = None
     for ancestor in ancestors:
         layer = topo.layer_of(ancestor)
-        if shortest_only:
-            if best_layer is None:
-                best_layer = layer
-            elif layer > best_layer:
-                break
+        if best_layer is None:
+            best_layer = layer
+        elif layer > best_layer:
+            break
         joins = tails[ancestor]
         for up_path in ups[ancestor]:
             climbed = set(up_path)
             results.extend(
                 [up_path + tail for tail in joins if climbed.isdisjoint(tail)]
             )
-    if shortest_only and results:
+    if results:
         shortest = min(map(len, results))
         results = [p for p in results if len(p) == shortest]
     results.sort()
@@ -92,7 +88,7 @@ def _join(
 
 
 def updown_paths_by_pair(
-    topo: Topology, pairs: Iterable[Pair], shortest_only: bool = True
+    topo: Topology, pairs: Iterable[Pair]
 ) -> Dict[Pair, List[Path]]:
     """:func:`updown_paths` for many pairs at the cost of one up-DAG per
     distinct endpoint: the top layer is found once, each endpoint's
@@ -135,26 +131,17 @@ def updown_paths_by_pair(
                         for ancestor, paths in dag.items()
                     },
                 )
-        found[(src, dst)] = _join(
-            topo, dags[src][0], dags[dst][1], shortest_only
-        )
+        found[(src, dst)] = _join(topo, dags[src][0], dags[dst][1])
     return found
 
 
-def updown_paths(
-    topo: Topology,
-    src: str,
-    dst: str,
-    shortest_only: bool = True,
-) -> List[Path]:
-    """All up-down switch paths between two switches (typically ToRs).
+def updown_paths(topo: Topology, src: str, dst: str) -> List[Path]:
+    """The shortest up-down switch paths between two switches.
 
-    With ``shortest_only`` (the default, matching the paper's ELP), only
-    paths through the *lowest* common ancestor layer are returned; set it to
-    False to also include paths that climb higher than necessary (still
-    up-down, hence still valley-free).
+    The switches are typically ToRs; the paths are those through the
+    *lowest* common ancestor layer, matching the paper's ELP.
     """
-    paths = updown_paths_by_pair(topo, [(src, dst)], shortest_only)[(src, dst)]
+    paths = updown_paths_by_pair(topo, [(src, dst)])[(src, dst)]
     if not paths:
         raise RoutingError(f"no up-down path {src!r} -> {dst!r}")
     return paths
@@ -163,7 +150,6 @@ def updown_paths(
 def all_updown_paths(
     topo: Topology,
     endpoints: Optional[Sequence[str]] = None,
-    shortest_only: bool = True,
 ) -> List[Path]:
     """Up-down paths between every ordered pair of endpoints.
 
@@ -175,7 +161,7 @@ def all_updown_paths(
     if endpoints is None:
         endpoints = sorted(topo.switches_at_layer(0))
     pairs = [(s, d) for s in endpoints for d in endpoints if s != d]
-    found = updown_paths_by_pair(topo, pairs, shortest_only)
+    found = updown_paths_by_pair(topo, pairs)
     return [path for pair in pairs for path in found[pair]]
 
 

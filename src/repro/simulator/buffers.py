@@ -56,7 +56,7 @@ class IngressAccounting:
       fills, XON follows at a fixed offset. Under sustained pressure
       every account on the switch pauses earlier and resumes later.
 
-    Account ``(port, queue)`` lives at index ``port * stride + queue``.
+    Account ``(port, queue)`` lives at index ``port * 16 + queue``.
     The switch datapath calls the int-code entry points
     (:meth:`charge_code` / :meth:`release_code`); :meth:`charge` /
     :meth:`release` wrap them for the callers that want a
@@ -64,14 +64,14 @@ class IngressAccounting:
     recovery).
     """
 
-    def __init__(self, config: SimConfig, stride: int = 16) -> None:
+    def __init__(self, config: SimConfig) -> None:
         self.config = config
         self.lossless_total = 0
         # Queue indexes are PFC priorities (0..8 in practice); a
         # power-of-two stride keeps the flat index a shift+add.
-        self._stride = stride
-        self._occ: List[int] = [0] * (stride * 8)
-        self._paused: List[bool] = [False] * (stride * 8)
+        self._stride = 16
+        self._occ: List[int] = [0] * (16 * 8)
+        self._paused: List[bool] = [False] * (16 * 8)
         # Static-mode thresholds never move; skip the property calls.
         self._static = not config.dynamic_thresholds
         self._xoff = config.xoff_bytes

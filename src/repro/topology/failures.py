@@ -75,16 +75,15 @@ class RandomLinkFailures:
     """IID per-link failure sampler.
 
     Every switch-to-switch link independently fails with probability
-    ``prob`` when :meth:`sample` is called. Host uplinks are excluded by
-    default — a failed host uplink disconnects the host rather than causing
-    a reroute, which is not the phenomenon Table 1 measures.
+    ``prob`` when :meth:`sample` is called. Host uplinks never fail — a
+    failed host uplink disconnects the host rather than causing a reroute,
+    which is not the phenomenon Table 1 measures.
     """
 
     def __init__(
         self,
         topo: Topology,
         prob: float,
-        include_host_links: bool = False,
         seed: Optional[int] = None,
     ) -> None:
         if not 0.0 <= prob <= 1.0:
@@ -95,8 +94,7 @@ class RandomLinkFailures:
         self._candidates: List[LinkKey] = [
             link.key
             for link in topo.iter_links(include_failed=True)
-            if include_host_links
-            or (topo.node(link.a).is_switch and topo.node(link.b).is_switch)
+            if topo.node(link.a).is_switch and topo.node(link.b).is_switch
         ]
 
     @property
@@ -271,7 +269,6 @@ def random_delta_sequence(
     topo: Topology,
     length: int,
     seed: int,
-    include_drains: bool = True,
 ) -> List[TopologyDelta]:
     """A reproducible churn sequence for differential replan testing.
 
@@ -294,7 +291,7 @@ def random_delta_sequence(
     deltas: List[TopologyDelta] = []
     for _ in range(length):
         roll = rng.random()
-        if include_drains and roll < 0.15:
+        if roll < 0.15:
             if drained and rng.random() < 0.6:
                 name = rng.choice(sorted(drained))
                 drained.discard(name)

@@ -304,3 +304,75 @@ def test_the_one_class_decision_is_not_its_own_checker():
     called = {name for fn in seen for name in _called_names(functions[fn])}
     assert not called & checkers, sorted(called & checkers)
     assert not _imported("determinize.py") & checkers
+
+
+def test_a_knob_needs_a_caller():
+    """No settable value survives that only tests, or nobody, set: lint
+    runs every family at the artifact's own budget, every rollout lints
+    its wave boundaries, the up-down ELP is the shortest one, and the
+    retry policy's tuning is a set of module constants."""
+    import dataclasses
+
+    import repro.lint
+    from repro.core import UpDownElpProvider
+    from repro.core.discovery import elp_under_failures, single_link_failure_scenarios
+    from repro.deploy import RolloutConfig, SwitchAgent, certify_rollout
+    from repro.fuzz.oracle import find_cbd_pairs
+    from repro.fuzz.shrink import ddmin
+    from repro.lint import LintSections, lint_artifact, lint_plan, lint_tables
+    from repro.measurement.probing import ProbeCampaign
+    from repro.routing import (
+        all_updown_paths,
+        apply_local_reroute,
+        bfs_distances,
+        random_loopfree_paths,
+        updown_paths,
+    )
+    from repro.routing.updown import _join, updown_paths_by_pair
+    from repro.simulator.buffers import IngressAccounting
+    from repro.topology import Topology
+    from repro.topology.failures import RandomLinkFailures, random_delta_sequence
+
+    assert not hasattr(repro.lint, "LintConfig")
+    for function, dropped in (
+        (lint_artifact, {"config"}),
+        (lint_tables, {"config"}),
+        (lint_plan, {"config"}),
+        (LintSections.resolve, {"with_program"}),
+        (certify_rollout, {"lint_boundaries"}),
+        (updown_paths, {"shortest_only"}),
+        (all_updown_paths, {"shortest_only"}),
+        (updown_paths_by_pair, {"shortest_only"}),
+        (_join, {"shortest_only"}),
+        (apply_local_reroute, {"prefer_up"}),
+        (bfs_distances, {"switches_only"}),
+        (Topology.to_networkx, {"switches_only"}),
+        (random_loopfree_paths, {"max_stretch"}),
+        (RandomLinkFailures.__init__, {"include_host_links"}),
+        (random_delta_sequence, {"include_drains"}),
+        (elp_under_failures, {"include_healthy"}),
+        (single_link_failure_scenarios, {"switch_links_only"}),
+        (ddmin, {"max_rounds"}),
+        (find_cbd_pairs, {"max_checks"}),
+        (IngressAccounting.__init__, {"stride"}),
+    ):
+        params = set(inspect.signature(function).parameters)
+        assert not params & dropped, f"{function.__qualname__} takes {dropped}"
+    for cls, dropped in (
+        (
+            RolloutConfig,
+            {
+                "lint_boundaries",
+                "rollback_attempts",
+                "backoff_base",
+                "backoff_cap",
+                "jitter",
+                "breaker_threshold",
+            },
+        ),
+        (SwitchAgent, {"ignore_epoch"}),
+        (UpDownElpProvider, {"shortest_only"}),
+        (ProbeCampaign, {"local_repair"}),
+    ):
+        fields = {field.name for field in dataclasses.fields(cls)}
+        assert not fields & dropped, f"{cls.__qualname__} has {fields & dropped}"

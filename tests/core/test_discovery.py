@@ -113,7 +113,3 @@ class TestElpUnderFailures:
     def test_single_link_scenarios_enumeration(self, testbed):
         scenarios = single_link_failure_scenarios(testbed)
         assert len(scenarios) == 16  # switch-to-switch links only
-        with_hosts = single_link_failure_scenarios(
-            testbed, switch_links_only=False
-        )
-        assert len(with_hosts) == 32

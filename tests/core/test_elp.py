@@ -150,7 +150,7 @@ class TestProviderEnumeration:
             if any(topo.layer_of(s) is None for s in topo.switches):
                 continue
             tors = sorted(topo.switches_at_layer(0))
-            graph = topo.to_networkx(switches_only=True)
+            graph = topo.to_networkx().subgraph(topo.switches)
             reference = []
             for src in tors:
                 for dst in tors:
@@ -176,9 +176,9 @@ class TestProviderEnumeration:
         roots = []
         real = shortest_module.bfs_distances
 
-        def counting(topo, root, switches_only=False):
+        def counting(topo, root):
             roots.append(root)
-            return real(topo, root, switches_only)
+            return real(topo, root)
 
         monkeypatch.setattr(shortest_module, "bfs_distances", counting)
         monkeypatch.setattr(elp_module, "bfs_distances", counting)

@@ -42,11 +42,6 @@ def test_provider_subclass_refused():
     assert certify(clos3(SMALL), TweakedProvider()) is None
 
 
-def test_non_shortest_enumeration_refused():
-    provider = UpDownElpProvider(shortest_only=False)
-    assert certify(clos3(SMALL), provider) is None
-
-
 def test_failed_link_certifies_with_its_residue():
     """A failed link keeps the pristine certificate; the residue is the
     ToR's pairs, all of which had a pristine path through that link."""

@@ -56,9 +56,7 @@ def _verdict(report: VerificationReport) -> Optional[str]:
     return f"R1 violated: cycle of {len(report.tag_cycle)} nodes"
 
 
-def oracle_certify_rollout(
-    topo, old, new, waves, lint_boundaries: bool = True
-) -> TransitionCertificate:
+def oracle_certify_rollout(topo, old, new, waves) -> TransitionCertificate:
     cert = TransitionCertificate(waves=[list(w) for w in waves])
     cert.switches_touched = sum(len(w) for w in waves)
     queue_map = transition_queue_map(old, new)
@@ -80,7 +78,7 @@ def oracle_certify_rollout(
             verdict = _verdict(verify_tagged_graph(graph))
             if verdict is not None:
                 errors.append(verdict)
-        if lint_boundaries and not errors:
+        if not errors:
             report = lint_tables(topo, tables, queue_map)
             errors.extend(d.render() for d in report.errors)
         cert.boundary_errors.append(errors)

@@ -71,15 +71,6 @@ class TestHandle:
         assert not reply.acked
         assert agent.rules[K1] == 2  # late write rejected
 
-    def test_ignore_epoch_knob_bypasses_guard(self):
-        agent = SwitchAgent(switch="S1", ignore_epoch=True)
-        agent.handle(batch(batch_id="new", epoch=5, ops=[ApplyOp(OP_SET, K1, 2)]))
-        reply = agent.handle(
-            batch(batch_id="late", epoch=3, ops=[ApplyOp(OP_SET, K1, 7)])
-        )
-        assert reply.status == ACK_OK
-        assert agent.rules[K1] == 7
-
     def test_partial_applies_prefix_then_nacks(self):
         agent = SwitchAgent(switch="S1")
         reply = agent.handle(

@@ -39,9 +39,9 @@ CLOS16 = ClosParams(
 FLAPS = (("L1", "S1"), ("L3", "S2"), ("T1", "L1"), ("T6", "L4"))
 
 
-def assert_same_certificate(topo, old, new, waves, lint_boundaries=True):
-    got = certify_rollout(topo, old, new, waves, lint_boundaries)
-    want = oracle_certify_rollout(topo, old, new, waves, lint_boundaries)
+def assert_same_certificate(topo, old, new, waves):
+    got = certify_rollout(topo, old, new, waves)
+    want = oracle_certify_rollout(topo, old, new, waves)
     assert got.to_dict() == want.to_dict()
     assert got.states_covered == want.states_covered
     assert got.switches_touched == want.switches_touched
@@ -101,11 +101,6 @@ class TestSafeTransitions:
         assert_same_certificate(topo, old, {}, waves)
         assert_same_certificate(topo, old, old, [])
 
-    def test_union_graph_only(self, flap_transitions):
-        topo, old, new = flap_transitions[1]
-        waves = plan_waves(topo, diff_tables(old, new), 8)
-        assert_same_certificate(topo, old, new, waves, lint_boundaries=False)
-
     @settings(
         max_examples=25,
         deadline=None,
@@ -153,11 +148,8 @@ class TestUnsafeTransitions:
             "B": _loop_rule(triangle, "B", "A"),
         }
         for waves in ([["A"], ["B"]], [["A", "B"]], [["B"], ["A"]]):
-            for lint_boundaries in (True, False):
-                cert = assert_same_certificate(
-                    triangle, {}, new, waves, lint_boundaries
-                )
-                assert not cert.ok
+            cert = assert_same_certificate(triangle, {}, new, waves)
+            assert not cert.ok
 
     def test_unsafe_start(self, triangle):
         """Leaving an unsafe plan: boundary 0 fails, the last passes."""

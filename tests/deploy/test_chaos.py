@@ -55,14 +55,14 @@ class TestChaosSweep:
     def test_benign_schedules_always_converge(self, transition):
         """Finite fault schedules (no wedged switches) leave the
         orchestrator no excuse: every run converges exactly."""
-        config = RolloutConfig(lint_boundaries=False)
+        config = RolloutConfig()
         outcomes = _sweep(transition, config, stuck_prob=0.0)
         assert outcomes == {CONVERGED: NUM_SCHEDULES}
 
     def test_wedged_switches_degrade_or_converge(self, transition):
         """With permanently stuck switches in the mix, quarantine keeps
         the rollout moving; every terminal state is certified."""
-        config = RolloutConfig(lint_boundaries=False)
+        config = RolloutConfig()
         outcomes = _sweep(transition, config, stuck_prob=0.25)
         assert set(outcomes) <= {CONVERGED, DEGRADED}
         assert outcomes.get(DEGRADED, 0) > 0  # the sweep exercised sticking
@@ -72,12 +72,7 @@ class TestChaosSweep:
         A tight rollout budget makes rollbacks actually happen; the
         dedicated (larger) rollback budget guarantees the restore always
         outlasts any finite fault schedule."""
-        config = RolloutConfig(
-            max_attempts=2,
-            breaker_threshold=2,
-            quarantine=False,
-            lint_boundaries=False,
-        )
+        config = RolloutConfig(max_attempts=2, quarantine=False)
         outcomes = _sweep(transition, config, stuck_prob=0.0, rate=0.5)
         assert set(outcomes) <= {CONVERGED, ROLLED_BACK}
         assert outcomes.get(ROLLED_BACK, 0) > 0  # the budget actually bit

@@ -21,6 +21,7 @@ from repro.deploy import (
     plan_waves,
     run_rollout,
 )
+from repro.deploy.orchestrator import BREAKER_THRESHOLD, _backoff
 from repro.exceptions import DeploymentError
 
 
@@ -59,20 +60,15 @@ class TestConfig:
             RolloutConfig(max_attempts=0)
         with pytest.raises(DeploymentError):
             RolloutConfig(max_wave_size=0)
-        with pytest.raises(DeploymentError):
-            RolloutConfig(backoff_base=-1.0)
 
     def test_backoff_is_capped_exponential_with_jitter(self):
         import random
 
-        config = RolloutConfig(backoff_base=0.1, backoff_cap=0.5, jitter=0.0)
-        rng = random.Random(0)
-        delays = [config.backoff(a, rng) for a in range(1, 6)]
-        assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
-        jittered = RolloutConfig(backoff_base=0.1, backoff_cap=0.5, jitter=0.5)
-        seen = {round(jittered.backoff(1, random.Random(s)), 6) for s in range(20)}
-        assert len(seen) > 1  # jitter actually varies
-        assert all(0.1 <= d <= 0.15 for d in seen)
+        # 0.05 s doubling per attempt, capped at 2 s, plus up to 10 %.
+        for attempt, base in ((1, 0.05), (2, 0.1), (3, 0.2), (7, 2.0), (9, 2.0)):
+            seen = {round(_backoff(attempt, random.Random(s)), 6) for s in range(20)}
+            assert len(seen) > 1  # jitter actually varies
+            assert all(base <= d <= base * 1.1 for d in seen)
 
 
 class TestHappyPath:
@@ -151,13 +147,14 @@ class TestRetries:
     def test_breaker_threshold_bounds_attempts(self, transition):
         topo, old, new = transition
         victim = sorted(diff_tables(old, new))[0]
-        config = RolloutConfig(max_attempts=20, breaker_threshold=3)
+        config = RolloutConfig(max_attempts=20)
         faults = FaultPlan(stuck_from={victim: 0})
         report = run_rollout(topo, old, new, config=config, faults=faults)
         outcome = report.switch_outcomes[victim]
-        # The breaker opened long before the 20-attempt budget.
+        # The breaker cut both the push and the quarantine wipe short,
+        # long before the 20-attempt budget.
         assert outcome.breaker_open or outcome.quarantined
-        assert outcome.attempts <= 10
+        assert outcome.attempts <= 2 * BREAKER_THRESHOLD < 20
 
 
 class TestDegradation:

@@ -126,16 +126,12 @@ class TestCertifyRollout:
         assert cert.boundary_errors[-1]
         assert cert.first_error() is not None
 
-    def test_lint_boundaries_off_still_catches_graph_violations(
-        self, triangle
-    ):
+    def test_one_wave_into_a_cycle_is_refused(self, triangle):
         new = {
             "A": _loop_rule(triangle, "A", "B"),
             "B": _loop_rule(triangle, "B", "A"),
         }
-        cert = certify_rollout(
-            triangle, {}, new, [["A", "B"]], lint_boundaries=False
-        )
+        cert = certify_rollout(triangle, {}, new, [["A", "B"]])
         assert not cert.ok
 
     def test_to_dict_is_json_shaped(self, transition):

@@ -26,7 +26,7 @@ import pytest
 from repro.core import TaggerPlan, UpDownElpProvider
 from repro.core.rules import RuleTable
 from repro.fuzz.faults import FAULT_TABLE
-from repro.lint import DeploymentArtifact, LintConfig, lint_artifact, lint_tables
+from repro.lint import DeploymentArtifact, lint_artifact, lint_tables
 from repro.topology import ClosParams, Topology, clos3, testbed_clos
 
 GOLDEN = Path(__file__).parent / "lint-reports.json"
@@ -60,9 +60,7 @@ def _malformed_rules():
     victim.rules[(-1, in_port, out_port)] = 1
     victim.rules[(tag + 1, in_port, out_port)] = tag
     tables["GHOST"] = RuleTable(switch="GHOST", rules={(1, 1, 2): 1})
-    return lint_tables(
-        plan.topo, tables, plan.queue_map, LintConfig(check_tcam=False)
-    )
+    return lint_tables(plan.topo, tables, plan.queue_map)
 
 
 def _provider_plan(params: ClosParams):

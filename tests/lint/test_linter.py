@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ClosTagger, RuleTable, TaggerPlan, jellyfish_elp
 from repro.exceptions import LintError
-from repro.lint import DeploymentArtifact, LintConfig, lint_artifact, lint_plan
+from repro.lint import DeploymentArtifact, lint_artifact, lint_plan
 from repro.topology import jellyfish
 
 
@@ -43,6 +43,10 @@ class TestArtifactContract:
         with pytest.raises(LintError, match="policy-backed"):
             DeploymentArtifact(topo=testbed, tables=tables)
 
+    def test_negative_tcam_budget_rejected(self, testbed):
+        with pytest.raises(LintError, match="tcam_budget must be >= 0"):
+            DeploymentArtifact(topo=testbed, tables={}, tcam_budget=-1)
+
     def test_lint_ignores_planner_graph(self, testbed):
         """The artifact carries no TaggedGraph: certification is
         re-derived from the tables alone."""
@@ -58,11 +62,3 @@ class TestLintConfig:
         report = lint_plan(plan, tcam_budget=1)
         assert not report.ok
         assert "B301" in report.codes()
-
-    def test_families_can_be_disabled(self, testbed):
-        plan = TaggerPlan.for_clos(testbed, max_bounces=1)
-        config = LintConfig(check_tcam=False, check_reach=False)
-        report = lint_plan(plan, config=config)
-        assert "tcam_entries" not in report.stats
-        assert "reachable_states" not in report.stats
-        assert "graph_nodes" in report.stats

@@ -18,7 +18,6 @@ from repro.exceptions import LintError
 from repro.fuzz.faults import FAULT_TABLE
 from repro.lint import (
     DeploymentArtifact,
-    LintConfig,
     LintSections,
     lint_artifact,
     lint_tables,
@@ -47,9 +46,9 @@ def distinct(topo, tables):
     )
 
 
-def assert_reuse_matches_fresh(artifact, sections, config=None):
-    shared = lint_artifact(artifact, config, sections).to_dict()
-    assert shared == lint_artifact(artifact, config).to_dict()
+def assert_reuse_matches_fresh(artifact, sections):
+    shared = lint_artifact(artifact, sections).to_dict()
+    assert shared == lint_artifact(artifact).to_dict()
     return shared
 
 
@@ -94,16 +93,23 @@ class TestReuseEqualsFresh:
             assert_reuse_matches_fresh(artifact, sections)
 
     def test_configs_share_one_object(self, plan):
-        artifact = DeploymentArtifact.from_plan(plan, tcam_budget=2)
+        """Budgets and queue maps are fabric-wide inputs: artifacts that
+        differ only in them resolve the same sections."""
         sections = LintSections(plan.topo)
-        for config in (
-            LintConfig(check_tcam=False),
-            None,
-            LintConfig(check_reach=False),
-            LintConfig(tcam_budget=1),
-            LintConfig(check_tcam=False, check_reach=False),
+        for budget, queue_map in (
+            (2, plan.queue_map),
+            (None, None),
+            (1, plan.queue_map),
+            (None, plan.queue_map),
         ):
-            assert_reuse_matches_fresh(artifact, sections, config)
+            artifact = DeploymentArtifact(
+                topo=plan.topo,
+                tables=plan.tables,
+                queue_map=queue_map,
+                tcam_budget=budget,
+            )
+            assert_reuse_matches_fresh(artifact, sections)
+        assert sections.built == distinct(plan.topo, plan.tables)
 
     def test_program_for_a_switch_without_a_table(self, plan):
         artifact = DeploymentArtifact.from_plan(plan)
@@ -132,8 +138,7 @@ class TestReuseEqualsFresh:
             for s, t in plan.tables.items()
         }
         sections = LintSections(plan.topo)
-        config = LintConfig(check_tcam=False)  # GHOST has no ports to compile
-        lint_tables(plan.topo, tables, plan.queue_map, config, sections)
+        lint_tables(plan.topo, tables, plan.queue_map, sections=sections)
         victim = tables[sorted(tables)[0]]
         tag, in_port, out_port = sorted(victim.rules)[0]
         victim.rules[(tag, 99, out_port)] = tag  # T004 ingress
@@ -142,9 +147,9 @@ class TestReuseEqualsFresh:
         victim.rules[(tag + 1, in_port, out_port)] = tag  # T002
         tables["GHOST"] = RuleTable(switch="GHOST", rules={(1, 1, 2): 1})
         shared = lint_tables(
-            plan.topo, tables, plan.queue_map, config, sections
+            plan.topo, tables, plan.queue_map, sections=sections
         ).to_dict()
-        fresh = lint_tables(plan.topo, tables, plan.queue_map, config)
+        fresh = lint_tables(plan.topo, tables, plan.queue_map)
         assert shared == fresh.to_dict()
         assert {"T002", "T003", "T004"} <= set(fresh.codes())
 

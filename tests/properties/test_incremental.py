@@ -9,9 +9,9 @@ graph and queue map. Two layers enforce that here:
   sequences (link down/up, drains, ELP path pins), equivalence checked
   after every single delta;
 - hypothesis: Clos and fat-tree fabrics with and without ToR-ToR
-  express links, both ``shortest_only`` modes, explicit endpoint subsets
-  and deltas that partition pairs, driven through the planner and
-  checked against ``scratch_plan()``;
+  express links, explicit endpoint subsets and deltas that partition
+  pairs, driven through the planner and checked against
+  ``scratch_plan()``;
 - hypothesis: a certified planner and a walked one (same ELP, a
   provider :func:`~repro.core.symmetry.certify` refuses) answer the same
   deltas with the same plans and diffs;
@@ -283,9 +283,7 @@ def layered_churn(draw):
         endpoints = sorted(
             draw(st.lists(st.sampled_from(tors), min_size=2, unique=True))
         )
-    provider = UpDownElpProvider(
-        explicit_endpoints=endpoints, shortest_only=draw(st.booleans())
-    )
+    provider = UpDownElpProvider(explicit_endpoints=endpoints)
     deltas = random_delta_sequence(
         topo,
         draw(st.integers(min_value=1, max_value=6)),

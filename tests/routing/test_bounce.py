@@ -17,7 +17,7 @@ class TestBouncePaths:
         from repro.routing import updown_paths
 
         zero = bounce_paths(testbed, "T1", "T3", max_bounces=0)
-        updown = updown_paths(testbed, "T1", "T3", shortest_only=False)
+        updown = updown_paths(testbed, "T1", "T3")
         assert set(updown) <= set(zero)
         for path in zero:
             assert count_bounces(testbed, path) == 0

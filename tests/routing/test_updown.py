@@ -50,14 +50,6 @@ class TestUpdownPaths:
         with pytest.raises(RoutingError, match="no up-down path"):
             updown_paths(testbed, "T1", "T3")
 
-    def test_non_shortest_allowed(self, testbed):
-        # Intra-pod pair: allowing higher ancestors adds spine paths.
-        short = updown_paths(testbed, "T1", "T2", shortest_only=True)
-        longer = updown_paths(testbed, "T1", "T2", shortest_only=False)
-        assert set(short) < set(longer)
-        for path in longer:
-            assert is_up_down(testbed, path)
-
     def test_unlayered_endpoint_rejected(self, testbed):
         with pytest.raises(RoutingError):
             updown_paths(testbed, "H1", "T1")

@@ -159,7 +159,7 @@ class TestVectorAccountingDifferential:
         assert str(exc_ref.value) == str(exc_fast.value)
 
     def test_grows_past_initial_stride(self, config):
-        fast = IngressAccounting(config, stride=4)
+        fast = IngressAccounting(config)
         result = fast.charge(40, 1, 1_000)  # far beyond the initial arena
         assert result.accepted
         assert fast.occupancy_of(40, 1) == 1_000

@@ -228,6 +228,36 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fuzz", "--iterations", "-3"], "--iterations"),
+            (["fuzz", "--iterations", "0"], "--iterations"),
+            (["fuzz", "--workers", "0"], "--workers"),
+            (["fuzz", "--oracle-budget", "-1"], "--oracle-budget"),
+            (["fuzz", "--time-budget", "nan"], "--time-budget"),
+            (["demo", "fig10", "--duration", "-1"], "--duration"),
+            (["demo", "fig10", "--duration", "inf"], "--duration"),
+            (["lint", "plan.json", "--tcam-budget", "-1"], "--tcam-budget"),
+            (["plan", "--extra-paths", "-2"], "--extra-paths"),
+            (["deploy", "--delta", "down:L1:S1", "--chaos", "-1"], "--chaos"),
+            (["deploy", "--delta", "down:L1:S1", "--max-attempts", "0"],
+             "--max-attempts"),
+        ],
+    )
+    def test_out_of_range_number_is_a_usage_error(self, argv, flag, capsys):
+        """A negative count or duration used to run as an empty, "clean"
+        campaign; it is refused before any command runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {flag}: must be" in errors[0]
+        assert argv[-1] in errors[0]
+
     def test_missing_plan_file_exits_1_without_traceback(self, capsys):
         code = main(["verify", "/nonexistent/plan.json"])
         assert code == 1
