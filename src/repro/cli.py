@@ -899,6 +899,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    """A number in [0, 1]: a per-send or per-switch fault probability."""
+    value = float(text)
+    if not 0 <= value <= 1:  # also refuses NaN
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-tagger",
@@ -1176,7 +1184,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     deploy.add_argument(
         "--fault-rate",
-        type=float,
+        type=_probability,
         default=0.0,
         dest="fault_rate",
         help="seeded random fault probability per send (used when no "
@@ -1184,7 +1192,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     deploy.add_argument(
         "--stuck-prob",
-        type=float,
+        type=_probability,
         default=0.0,
         dest="stuck_prob",
         help="probability a switch is permanently wedged (random plans)",

@@ -149,11 +149,12 @@ def _merge(topo: Topology, bruteforce: TaggedGraph) -> DeterministicTagging:
     sandboxes: Dict[int, _Sandbox] = {}
     current = INITIAL_TAG
     contradictions = 0
+    predecessors = bruteforce.predecessor_map()
     for old_tag in range(INITIAL_TAG, bruteforce.max_tag + 1):
         bumped = False
         for node in sorted(bruteforce.nodes_with_tag(old_tag)):
             port = node[0]
-            preds = sorted(bruteforce.predecessors(node))
+            preds = sorted(predecessors[node])
             pred_ports = [(pred, pred[0], node_class[pred]) for pred in preds]
             keys = [
                 (pred_port, pred_cls, port)

@@ -75,6 +75,7 @@ def _greedy_classes(bruteforce: TaggedGraph) -> Dict[TNode, int]:
     new_tag: Dict[TNode, int] = {}
     current = INITIAL_TAG
     sandbox = _Sandbox()
+    predecessors = bruteforce.predecessor_map()
 
     for old_tag in range(INITIAL_TAG, bruteforce.max_tag + 1):
         bumped: Set[PortKey] = set()
@@ -82,7 +83,7 @@ def _greedy_classes(bruteforce: TaggedGraph) -> Dict[TNode, int]:
             port = node[0]
             intra_preds = [
                 pred[0]
-                for pred in bruteforce.predecessors(node)
+                for pred in predecessors[node]
                 if new_tag.get(pred) == current
             ]
             if sandbox.would_cycle(port, intra_preds):

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from operator import itemgetter
 from typing import (
     Any,
     Dict,
+    ItemsView,
     Iterator,
     KeysView,
     List,
@@ -60,18 +60,20 @@ class TaggedGraph:
     """Mutable tagged graph with per-tag views and structural queries.
 
     Nodes and edges are plain tuples (hashable, cheap); the class maintains
-    forward/backward adjacency and a per-tag node index so the
-    deadlock-freedom requirements (R1 per-tag acyclicity, R2 monotone
-    transitions) can be checked efficiently. Each node is stored as one
-    tuple object: :attr:`nodes` views the keys of a map from a node to
-    its stored object, and :meth:`add_edge` swaps each endpoint for that
-    object, so the adjacency sets never hold an equal copy.
+    forward adjacency (each edge held once, in its source's successor
+    set) and a per-tag node index so the deadlock-freedom requirements
+    (R1 per-tag acyclicity, R2 monotone transitions) can be checked
+    efficiently: both need only forward edges. The few scans that walk
+    edges backwards build :meth:`predecessor_map` once. Each node is
+    stored as one tuple object: :attr:`nodes` views the keys of a map
+    from a node to its stored object, and :meth:`add_edge` swaps each
+    endpoint for that object, so the adjacency sets never hold an equal
+    copy.
     """
 
     def __init__(self) -> None:
         self._node: Dict[TNode, TNode] = {}
         self._out: Dict[TNode, Set[TNode]] = {}
-        self._in: Dict[TNode, Set[TNode]] = {}
         self._by_tag: Dict[int, Set[TNode]] = {}
 
     # ------------------------------------------------------------------
@@ -85,7 +87,6 @@ class TaggedGraph:
             raise TaggingError(f"invalid tag {tag} in node {node}")
         self._node[node] = node
         self._out[node] = set()
-        self._in[node] = set()
         self._by_tag.setdefault(tag, set()).add(node)
 
     @classmethod
@@ -97,10 +98,6 @@ class TaggedGraph:
         node = {port: (port, INITIAL_TAG) for port in adjacency}
         graph._node = {stored: stored for stored in node.values()}
         graph._out = {node[port]: {node[dst] for dst in succs} for port, succs in adjacency.items()}
-        graph._in = {stored: set() for stored in graph._node}
-        for src, dsts in graph._out.items():
-            for dst in dsts:
-                graph._in[dst].add(src)
         graph._by_tag[INITIAL_TAG] = set(graph._node)
         return graph
 
@@ -124,7 +121,6 @@ class TaggedGraph:
         else:
             self.add_node(dst)
         self._out[src].add(dst)
-        self._in[dst].add(src)
 
     # ------------------------------------------------------------------
     # Queries
@@ -137,14 +133,27 @@ class TaggedGraph:
     def successors(self, node: TNode) -> Set[TNode]:
         return set(self._out.get(node, ()))
 
-    def predecessors(self, node: TNode) -> Set[TNode]:
-        return set(self._in.get(node, ()))
+    def predecessor_map(self) -> Dict[TNode, List[TNode]]:
+        """Every node's predecessors, built in one pass over the edges.
+
+        The graph holds each edge once, forward; a scan that walks edges
+        backwards (the merge, Algorithm 2) builds this map once per run.
+        """
+        preds: Dict[TNode, List[TNode]] = {node: [] for node in self._node}
+        for src, dsts in self._out.items():
+            for dst in dsts:
+                preds[dst].append(src)
+        return preds
 
     def has_node(self, node: TNode) -> bool:
         return node in self._node
 
     def has_edge(self, src: TNode, dst: TNode) -> bool:
         return dst in self._out.get(src, ())
+
+    def adjacency(self) -> ItemsView[TNode, Set[TNode]]:
+        """Each node with its successor set, as a live view (read only)."""
+        return self._out.items()
 
     def edges(self) -> Iterator[TEdge]:
         for src in self._out:
@@ -204,7 +213,8 @@ class TaggedGraph:
     def find_tag_cycle(self, tag: int) -> Optional[List[TNode]]:
         """Return one directed cycle within ``G_k``, or None.
 
-        One Kahn pass first: count in-degrees over same-tag edges and peel
+        One Kahn pass first: count in-degrees over same-tag edges (from
+        the members' successor sets, so no predecessor index) and peel
         nodes of in-degree 0, a whole frontier at a time. ``G_k`` is
         acyclic iff every node peels, so the common (certified) case ends
         there, in linear time and without sorting anything. Otherwise the
@@ -217,11 +227,11 @@ class TaggedGraph:
         members = self._by_tag.get(tag)
         if not members:
             return None
-        out, into = self._out, self._in
-        tag_of = itemgetter(1)
-        indegree = {
-            node: list(map(tag_of, into[node])).count(tag) for node in members
-        }
+        out = self._out
+        # Only members' successor sets are counted, so a member's count
+        # is its in-degree within ``G_k``.
+        hits = Counter(chain.from_iterable([out[node] for node in members]))
+        indegree = {node: hits[node] for node in members}
         frontier = [node for node, degree in indegree.items() if not degree]
         peeled = 0
         while frontier:

@@ -16,6 +16,7 @@ counterexample (the offending cycle or edge) when a requirement fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from repro.core.tags import TaggedGraph, TEdge, TNode
@@ -66,24 +67,31 @@ class VerificationReport:
 def verify_tagged_graph(graph: TaggedGraph) -> VerificationReport:
     """Check requirements R1 and R2; never raises on violation.
 
-    One pass over the edges classifies each as intra-tag, cross-tag or
-    tag-decreasing. The R2 witness is the smallest decreasing edge; the
-    R1 witness, when there is one, comes from the lowest violating tag
-    (tags are scanned in ascending order). Both are therefore the same
-    in every process, whatever the hash seed.
+    One pass over the successor sets classifies each edge as intra-tag,
+    cross-tag or tag-decreasing: a set's tags are counted in C, and its
+    edges are walked one by one only when one of them decreases the tag.
+    The R2 witness is the smallest decreasing edge; the R1 witness, when
+    there is one, comes from the lowest violating tag (tags are scanned
+    in ascending order). Both are therefore the same in every process,
+    whatever the hash seed.
     """
     tags = graph.tags()
     intra_per_tag: Dict[int, int] = dict.fromkeys(tags, 0)
     decreasing: Optional[TEdge] = None
     cross = 0
-    for src, dst in graph.edges():
-        src_tag, dst_tag = src[1], dst[1]
-        if dst_tag == src_tag:
-            intra_per_tag[src_tag] += 1
-        elif dst_tag > src_tag:
-            cross += 1
-        elif decreasing is None or (src, dst) < decreasing:
-            decreasing = (src, dst)
+    tag_of = itemgetter(1)
+    for src, dsts in graph.adjacency():
+        src_tag = src[1]
+        dst_tags = list(map(tag_of, dsts))
+        intra = dst_tags.count(src_tag)
+        intra_per_tag[src_tag] += intra
+        cross += len(dst_tags) - intra
+        if min(dst_tags, default=src_tag) < src_tag:
+            for dst in dsts:
+                if dst[1] < src_tag:
+                    cross -= 1
+                    if decreasing is None or (src, dst) < decreasing:
+                        decreasing = (src, dst)
 
     nodes_per_tag = {tag: len(graph.nodes_with_tag(tag)) for tag in tags}
     tag_cycle: Optional[List[TNode]] = None

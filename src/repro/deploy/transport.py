@@ -117,6 +117,8 @@ def random_fault_plan(
     """
     if not 0.0 <= rate <= 1.0:
         raise DeploymentError(f"fault rate out of range: {rate}")
+    if not 0.0 <= stuck_prob <= 1.0:
+        raise DeploymentError(f"stuck probability out of range: {stuck_prob}")
     rng = random.Random(seed)
     plan = FaultPlan()
     for switch in sorted(switches):

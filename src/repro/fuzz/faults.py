@@ -56,7 +56,6 @@ def _rebuild_unchecked(graph: TaggedGraph, remap) -> TaggedGraph:
     for src, dst in graph.edges():
         new_src, new_dst = mapping[src], mapping[dst]
         out._out[new_src].add(new_dst)
-        out._in[new_dst].add(new_src)
     return out
 
 

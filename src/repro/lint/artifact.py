@@ -72,20 +72,14 @@ class DeploymentArtifact:
         return replace(self, programs=programs)
 
     @staticmethod
-    def from_plan(
-        plan: "TaggerPlanLike",
-        tcam_budget: Optional[int] = None,
-    ) -> "DeploymentArtifact":
+    def from_plan(plan: "TaggerPlanLike") -> "DeploymentArtifact":
         """Strip a planner result down to its deployable artifact.
 
         Accepts anything exposing ``topo``, ``tables`` and ``queue_map``
         (duck-typed so :mod:`repro.lint` never imports the planner).
         """
         return DeploymentArtifact(
-            topo=plan.topo,
-            tables=plan.tables,
-            queue_map=plan.queue_map,
-            tcam_budget=tcam_budget,
+            topo=plan.topo, tables=plan.tables, queue_map=plan.queue_map
         )
 
 

@@ -56,6 +56,10 @@ from repro.topology.base import Topology
 #: reads fresh objects back from the agents).
 RuleContent = FrozenSet[Tuple[MatchKey, int]]
 
+#: A content's program sections per explicit program (``None``: the
+#: compiled one).
+Programs = Dict[Optional[Tuple[TcamEntry, ...]], ProgramSection]
+
 
 class LintSections:
     """Sections keyed by content, shared by every switch and every lint
@@ -70,12 +74,8 @@ class LintSections:
         self.topo = topo
         self.built = 0
         self.reused = 0
-        #: (rules, port set) -> its rule section and its program
-        #: sections per explicit program (``None``: the compiled one).
-        self._sections: Dict[
-            Tuple[RuleContent, Ports],
-            Tuple[RuleSection, Dict[Optional[Tuple[TcamEntry, ...]], ProgramSection]],
-        ] = {}
+        #: (rules, port set) -> its rule section and program sections.
+        self._sections: Dict[Tuple[RuleContent, Ports], Tuple[RuleSection, Programs]] = {}
 
     def resolve(
         self,
@@ -91,13 +91,7 @@ class LintSections:
         program section certifies the one compiled from ``table``.
         """
         reference = table if table is not None else RuleTable(switch=switch)
-        ports = switch_ports(self.topo, switch)
-        key = (frozenset(reference.rules.items()), ports)
-        entry = self._sections.get(key)
-        built = entry is None
-        if entry is None:
-            entry = self._sections[key] = (rule_section(reference.rules, ports), {})
-        rule, programs = entry
+        rule, programs, ports, built = self._entry(switch, reference)
         program = programs.get(given)
         if program is None:
             program = programs[given] = program_section(
@@ -106,11 +100,30 @@ class LintSections:
                 ports or frozenset(),
             )
             built = True
-        if built:
-            self.built += 1
-        else:
-            self.reused += 1
+        self.built += built
+        self.reused += not built
         return (rule if table is not None else None), program
+
+    def resolve_rules(self, switch: str, table: RuleTable) -> RuleSection:
+        """The rule section alone, for a switch whose table is linted
+        but whose program is not under test: no program is compiled."""
+        rule, _programs, _ports, built = self._entry(switch, table)
+        self.built += built
+        self.reused += not built
+        return rule
+
+    def _entry(
+        self, switch: str, reference: RuleTable
+    ) -> Tuple[RuleSection, Programs, Ports, bool]:
+        """The content's rule section and program sections, and whether
+        the rule section was built now."""
+        ports = switch_ports(self.topo, switch)
+        key = (frozenset(reference.rules.items()), ports)
+        entry = self._sections.get(key)
+        built = entry is None
+        if entry is None:
+            entry = self._sections[key] = (rule_section(reference.rules, ports), {})
+        return entry[0], entry[1], ports, built
 
 
 def _switch_sections(
@@ -125,16 +138,14 @@ def _switch_sections(
     rule_sections: Dict[str, RuleSection] = {}
     program_sections: Dict[str, ProgramSection] = {}
     for switch in sorted(programmed.union(tables)):
-        given = (
-            tuple(explicit[switch])
-            if explicit is not None and switch in programmed
-            else None
-        )
+        if switch not in programmed:
+            rule_sections[switch] = sections.resolve_rules(switch, tables[switch])
+            continue
+        given = tuple(explicit[switch]) if explicit is not None else None
         rule, program = sections.resolve(switch, tables.get(switch), given)
         if rule is not None:
             rule_sections[switch] = rule
-        if switch in programmed:
-            program_sections[switch] = program
+        program_sections[switch] = program
     return rule_sections, program_sections
 
 
@@ -194,14 +205,10 @@ def lint_tables(
     return lint_artifact(artifact, sections)
 
 
-def lint_plan(
-    plan: TaggerPlanLike,
-    tcam_budget: Optional[int] = None,
-) -> LintReport:
+def lint_plan(plan: TaggerPlanLike) -> LintReport:
     """Lint the deployable artifact of a planner result.
 
     Only the plan's *artifacts* (tables, queue map, topology) are read;
     its tagged graph is deliberately ignored.
     """
-    artifact = DeploymentArtifact.from_plan(plan, tcam_budget=tcam_budget)
-    return lint_artifact(artifact)
+    return lint_artifact(DeploymentArtifact.from_plan(plan))

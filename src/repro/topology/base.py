@@ -310,14 +310,14 @@ class Topology:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def to_networkx(self, include_failed: bool = False) -> "nx.Graph":
+    def to_networkx(self) -> "nx.Graph":
         """Export the (active) topology to an undirected networkx graph."""
         import networkx as nx
 
         graph = nx.Graph()
         for node in self.nodes.values():
             graph.add_node(node.name, kind=node.kind, layer=node.layer)
-        for link in self.iter_links(include_failed=include_failed):
+        for link in self.iter_links():
             graph.add_edge(link.a, link.b, port_a=link.port_a, port_b=link.port_b)
         return graph
 

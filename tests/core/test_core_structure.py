@@ -306,6 +306,54 @@ def test_the_one_class_decision_is_not_its_own_checker():
     assert not _imported("determinize.py") & checkers
 
 
+def _adjacency_entries(graph):
+    """Endpoints held in the node-keyed maps of node collections that a
+    :class:`~repro.core.tags.TaggedGraph` keeps. Its node index maps a
+    node to one node and its tag index is keyed by tag: neither counts."""
+    return sum(
+        len(neighbours)
+        for attribute in vars(graph).values()
+        if isinstance(attribute, dict)
+        for key, neighbours in attribute.items()
+        if isinstance(key, tuple) and isinstance(neighbours, (set, frozenset, list))
+    )
+
+
+def test_a_tagged_graph_holds_each_edge_once(testbed):
+    """R1 and R2 need only forward edges, so a tagged graph keeps one
+    adjacency map: its adjacency sets hold ``num_edges`` endpoints in
+    all, not two copies of every edge. Scans that walk edges backwards
+    build ``predecessor_map`` once."""
+    from repro.core import TaggedGraph, TaggerPlan, bruteforce_tagging, clos_bounce_elp
+
+    elp = clos_bounce_elp(testbed, 1)
+    bruteforce = bruteforce_tagging(testbed, elp)
+    plan = TaggerPlan.from_elp(testbed, elp)
+    pristine = TaggedGraph.from_port_graph({("A", 1): [("B", 1)], ("B", 1): []})
+    for graph in (bruteforce, plan.graph, pristine):
+        assert graph.num_edges > 0
+        assert _adjacency_entries(graph) == graph.num_edges
+    assert not hasattr(TaggedGraph, "predecessors")
+
+
+def test_the_merge_builds_one_predecessor_map(testbed, monkeypatch):
+    """A bounce ELP's port collapse has a cycle, so the plan runs the
+    merge; the merge reads predecessors from one map per run."""
+    from repro.core import TaggedGraph, TaggerPlan, clos_bounce_elp
+
+    calls = []
+    build = TaggedGraph.predecessor_map
+
+    def counted(graph):
+        calls.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(TaggedGraph, "predecessor_map", counted)
+    plan = TaggerPlan.from_elp(testbed, clos_bounce_elp(testbed, 1))
+    assert plan.graph.num_tags > 1  # not the one-class closed form
+    assert len(calls) == 1
+
+
 def test_a_knob_needs_a_caller():
     """No settable value survives that only tests, or nobody, set: lint
     runs every family at the artifact's own budget, every rollout lints
@@ -319,7 +367,7 @@ def test_a_knob_needs_a_caller():
     from repro.deploy import RolloutConfig, SwitchAgent, certify_rollout
     from repro.fuzz.oracle import find_cbd_pairs
     from repro.fuzz.shrink import ddmin
-    from repro.lint import LintSections, lint_artifact, lint_plan, lint_tables
+    from repro.lint import DeploymentArtifact, LintSections, lint_artifact, lint_plan, lint_tables
     from repro.measurement.probing import ProbeCampaign
     from repro.routing import (
         all_updown_paths,
@@ -337,7 +385,8 @@ def test_a_knob_needs_a_caller():
     for function, dropped in (
         (lint_artifact, {"config"}),
         (lint_tables, {"config"}),
-        (lint_plan, {"config"}),
+        (lint_plan, {"config", "tcam_budget"}),
+        (DeploymentArtifact.from_plan, {"tcam_budget"}),
         (LintSections.resolve, {"with_program"}),
         (certify_rollout, {"lint_boundaries"}),
         (updown_paths, {"shortest_only"}),
@@ -346,7 +395,7 @@ def test_a_knob_needs_a_caller():
         (_join, {"shortest_only"}),
         (apply_local_reroute, {"prefer_up"}),
         (bfs_distances, {"switches_only"}),
-        (Topology.to_networkx, {"switches_only"}),
+        (Topology.to_networkx, {"switches_only", "include_failed"}),
         (random_loopfree_paths, {"max_stretch"}),
         (RandomLinkFailures.__init__, {"include_host_links"}),
         (random_delta_sequence, {"include_drains"}),

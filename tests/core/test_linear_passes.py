@@ -332,7 +332,6 @@ for name in reversed(NAMES[1:]):
     dst = ((name, 1), 1)
     decreasing.add_node(dst)
     decreasing._out[src].add(dst)
-    decreasing._in[dst].add(src)
 
 topo = Topology(name="ring6")
 for name in NAMES:

@@ -3,7 +3,7 @@
 A scratch plan must hold each structure once:
 
 - a :class:`~repro.core.tags.TaggedGraph` keeps one tuple object per
-  node, so every endpoint in its adjacency *is* the stored node, however
+  node, so every endpoint in its successor sets *is* the stored node, however
   many equal tuples the builder passed in (fresh tuples, the symmetry
   certificate's ``populate_graph``, ``deterministic_minimize``, lint's
   ``_effective_graph``);
@@ -13,8 +13,12 @@ A scratch plan must hold each structure once:
   edges kept their own endpoint tuples, and 25.3 MB with both held once.
   The ceiling sat at 34.0 MB, between those two readings, so either copy
   coming back trips it. Since an acyclic port collapse skips the merge
-  (one-class closed form, no sandbox or transition dict) it reads
+  (one-class closed form, no sandbox or transition dict) it read
   22.2 MB, and the ceiling moved to halfway between that and 34.0.
+  Since a tagged graph holds each edge once (successor sets only, no
+  predecessor index) it reads 16.7 MB, and the ceiling sits halfway
+  between that and 22.2, so a predecessor index that comes back trips
+  it.
 """
 
 import pickle
@@ -32,20 +36,19 @@ from repro.core.symmetry import certify
 from repro.lint.graph_checks import _effective_graph, port_maps, rule_sections
 from repro.topology import ClosParams, clos3
 
-#: Halfway between the one-class reading (22.2 MB) and the old 34.0 MB
-#: ceiling; see the module docstring.
-PEAK_CEILING_MB = 28.1
+#: Halfway between the one-edge-copy reading (16.7 MB) and the
+#: two-copy one (22.2 MB); see the module docstring.
+PEAK_CEILING_MB = 19.5
 
 FATTREE16 = ClosParams(16, 16, 4, 4, hosts_per_tor=0)
 
 
 def assert_one_object_per_node(graph: TaggedGraph) -> None:
     stored = {node: node for node in graph.nodes}
-    for adjacency in (graph._out, graph._in):
-        for node, neighbours in adjacency.items():
-            assert node is stored[node]
-            for other in neighbours:
-                assert other is stored[other], other
+    for node, successors in graph._out.items():
+        assert node is stored[node]
+        for other in successors:
+            assert other is stored[other], other
     for members in graph._by_tag.values():
         for node in members:
             assert node is stored[node]

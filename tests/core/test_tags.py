@@ -19,7 +19,7 @@ class TestTaggedGraphBasics:
         assert graph.has_node(a) and graph.has_node(b)
         assert graph.has_edge(a, b)
         assert graph.successors(a) == {b}
-        assert graph.predecessors(b) == {a}
+        assert graph.predecessor_map() == {a: [], b: [a]}
         assert graph.num_nodes == 2 and graph.num_edges == 1
 
     def test_duplicate_adds_are_idempotent(self):
@@ -97,7 +97,6 @@ class TestCycleDetection:
         a = node("A", 0, 1)
         graph.add_node(a)
         graph._out[a].add(a)  # forced; add_edge would allow it (same tag)
-        graph._in[a].add(a)
         assert not graph.tag_subgraph_is_acyclic(1)
 
 

@@ -60,10 +60,12 @@ class TestVerify:
         # Bypass add_edge's guard to simulate a corrupted scheme.
         src, dst = node("C", 0, 2), node("B", 0, 1)
         graph._out[src].add(dst)
-        graph._in[dst].add(src)
         report = verify_tagged_graph(graph)
         assert not report.deadlock_free
         assert report.decreasing_edge == (src, dst)
+        # A decreasing edge is neither intra-tag nor cross-tag.
+        assert report.cross_edges == 1
+        assert report.intra_edges_per_tag == {1: 1, 2: 1}
 
     def test_counts_per_tag(self):
         report = verify_tagged_graph(build_safe_graph())
@@ -84,6 +86,5 @@ class TestAssertDeadlockFree:
         graph = build_safe_graph()
         src, dst = node("C", 0, 2), node("B", 0, 1)
         graph._out[src].add(dst)
-        graph._in[dst].add(src)
         with pytest.raises(VerificationError, match="R2"):
             assert_deadlock_free(graph)

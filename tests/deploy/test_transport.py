@@ -86,6 +86,11 @@ class TestFaultPlan:
         with pytest.raises(DeploymentError):
             random_fault_plan(["A"], seed=1, rate=1.5)
 
+    @pytest.mark.parametrize("stuck_prob", [-3.0, 1.5])
+    def test_bad_stuck_prob_rejected(self, stuck_prob):
+        with pytest.raises(DeploymentError, match="stuck probability"):
+            random_fault_plan(["A"], seed=1, stuck_prob=stuck_prob)
+
 
 class TestFates:
     def test_ok_applies_and_acks(self):

@@ -59,6 +59,9 @@ class TestArtifactContract:
 class TestLintConfig:
     def test_tcam_budget_enforced(self, testbed):
         plan = TaggerPlan.for_clos(testbed, max_bounces=1)
-        report = lint_plan(plan, tcam_budget=1)
+        artifact = DeploymentArtifact(
+            topo=plan.topo, tables=plan.tables, queue_map=plan.queue_map, tcam_budget=1
+        )
+        report = lint_artifact(artifact)
         assert not report.ok
         assert "B301" in report.codes()

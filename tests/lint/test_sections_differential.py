@@ -132,6 +132,31 @@ class TestReuseEqualsFresh:
         assert assert_reuse_matches_fresh(partial, sections) == report
         assert assert_reuse_matches_fresh(artifact, sections)["ok"]
 
+    def test_unprogrammed_switch_compiles_no_program(self, plan, monkeypatch):
+        """A switch with a table but no entry in the artifact's explicit
+        programs has only its rules linted: no program is compiled for
+        it, and the report is what linting its rules says."""
+        import repro.lint.linter as linter
+
+        artifact = DeploymentArtifact.from_plan(plan)
+        programs = dict(artifact.ensure_programs())
+        del programs[sorted(programs)[0]]
+        partial = artifact.with_programs(programs)
+        compiled = []
+        compile_program = linter.tcam_program
+
+        def counted(table, ports):
+            compiled.append(table.switch)
+            return compile_program(table, ports)
+
+        monkeypatch.setattr(linter, "tcam_program", counted)
+        report = assert_reuse_matches_fresh(partial, LintSections(plan.topo))
+        assert compiled == []
+        assert report["ok"]
+        assert report["stats"]["tcam_entries"] == sum(map(len, programs.values()))
+        lint_artifact(artifact)
+        assert len(compiled) == distinct(plan.topo, plan.tables)
+
     def test_malformed_rules(self, plan):
         tables = {
             s: RuleTable(switch=s, rules=dict(t.rules))

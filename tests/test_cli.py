@@ -243,6 +243,12 @@ class TestErrors:
             (["deploy", "--delta", "down:L1:S1", "--chaos", "-1"], "--chaos"),
             (["deploy", "--delta", "down:L1:S1", "--max-attempts", "0"],
              "--max-attempts"),
+            (["deploy", "--delta", "down:L1:S1", "--stuck-prob", "-3"],
+             "--stuck-prob"),
+            (["deploy", "--delta", "down:L1:S1", "--fault-rate", "1.5"],
+             "--fault-rate"),
+            (["deploy", "--delta", "down:L1:S1", "--fault-rate", "nan"],
+             "--fault-rate"),
         ],
     )
     def test_out_of_range_number_is_a_usage_error(self, argv, flag, capsys):

@@ -137,8 +137,6 @@ class TestQueries:
         two_switches.fail_link("A", "B")
         graph = two_switches.to_networkx()
         assert graph.number_of_edges() == 0
-        graph_all = two_switches.to_networkx(include_failed=True)
-        assert graph_all.number_of_edges() == 1
 
     def test_validate_passes(self, two_switches):
         two_switches.validate()
