@@ -155,8 +155,8 @@ class PairwiseElpProvider:
     depends only on the active topology, never on other pairs, so a pair
     can be derived in isolation and the result is bit-identical to what
     a from-scratch :meth:`build` would hold. The symmetry certificate
-    (:mod:`repro.core.symmetry`) relies on it to re-derive only the
-    residue pairs of a damaged Clos. A pair's paths are ``()`` when it
+    (:mod:`repro.core.symmetry`) relies on it to enumerate only the
+    cut pairs of a damaged Clos. A pair's paths are ``()`` when it
     has none; a bad endpoint raises
     :class:`~repro.exceptions.TaggingError` naming it.
     """

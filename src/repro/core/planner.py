@@ -16,8 +16,8 @@ Three constructors mirror the paper:
 - :meth:`TaggerPlan.for_multiclass_clos` — §6's staggered classes.
 
 They mirror it in code as well: every Algorithm-1 plan — ``from_elp``
-and :meth:`TaggerPlan.from_provider` (closed form, residue-corrected
-closed form or per-pair walk), which every
+and :meth:`TaggerPlan.from_provider` (liveness-aware closed form or
+per-pair walk), which every
 :class:`~repro.core.replan.IncrementalPlanner` replan is — is
 finished by the one :func:`compile_plan` tail (rule-realizable minimize,
 verify, queue map), and both policy plans by one materialise-and-wrap body.
@@ -140,9 +140,9 @@ class TaggerPlan:
         certifies as a symmetric Clos (:mod:`repro.core.symmetry`), the
         tagged graph is built in closed form from one representative per
         pod/spine equivalence class, skipping per-pair path enumeration;
-        on a fabric with failed links or drains that cut up-down paths,
-        the closed-form counts are corrected for the certificate's
-        residue pairs only. A provider other than
+        failed links or drains filter the closed form's edges by link
+        liveness, and only the residue pairs they leave with no pristine
+        path are enumerated and walked. A provider other than
         :class:`~repro.core.elp.UpDownElpProvider` or a fabric that is
         not a symmetric Clos degrades to streaming the provider's paths
         lazily into Algorithm 1. Both compile plans byte-identical to
@@ -150,7 +150,8 @@ class TaggerPlan:
 
         ``meta`` records ``certified``, ``elp_paths`` and the pairs and
         paths the plan walked (``walked_pairs``, ``walked_paths``): the
-        residue and its difference when certified, else all, plus extras.
+        residue and its cut pairs' paths when certified, else all, plus
+        extras.
         """
         if timer is None:
             timer = StageTimer()
@@ -161,12 +162,8 @@ class TaggerPlan:
             extras.extend(extra_paths)
         if cert is not None:
             with timer.stage("bruteforce"):
-                if cert.residue:
-                    graph, enumerated, walked = cert.damaged_graph()
-                else:
-                    graph = TaggedGraph()
-                    cert.populate_graph(graph)
-                    enumerated, walked = cert.path_count(), 0
+                graph = TaggedGraph()
+                enumerated, walked = cert.populate_graph(graph)
                 for path in extras:
                     add_tagged_path(graph, topo, path)
                 if not graph.nodes and not extras.paths:
@@ -307,8 +304,8 @@ def compile_plan(
     """Minimize + verify + queue-map a brute-force tagged graph.
 
     The one tail of every Algorithm-1 construction path — explicit ELP,
-    streamed provider, symmetry-certified closed form with or without a
-    residue — so all of them produce byte-identical plans from equal
+    streamed provider, symmetry-certified closed form with or without
+    failed links — so all of them produce byte-identical plans from equal
     graphs because they run the same code, not because two copies are
     kept in step.
 

@@ -9,11 +9,11 @@ A replan is a plan. :class:`IncrementalPlanner` applies each
 the result with :meth:`~repro.core.planner.TaggerPlan.from_provider` and
 ships the minimal per-switch rule diff against the previous plan. It
 keeps no state between deltas beyond that plan and the pinned extra
-paths. The work is proportional to the event because the planning is:
-on a symmetric Clos the certificate (:mod:`repro.core.symmetry`) covers
-the fabric with every link up, and a failed link or drain re-derives
-only its *residue* — the pairs with a pristine path through a failed
-link — against the closed-form refcounts. Any other fabric is walked
+paths. No path is walked that the event did not cut: on a symmetric
+Clos the certificate (:mod:`repro.core.symmetry`) covers the fabric
+with every link up, a failed link or drain filters the closed form's
+edges by link liveness, and the only paths walked are those of the
+pairs it leaves with no pristine path. Any other fabric is walked
 whole: no benchmark workload replans one, so nothing keeps a cache to
 avoid that walk (docs/PERFORMANCE.md, "A replan is a plan").
 
@@ -50,8 +50,8 @@ from repro.topology.failures import (
     apply_delta,
 )
 
-#: Replan modes: the delta changed nothing; a certified plan whose work
-#: is proportional to the residue; an uncertified plan (the provider's
+#: Replan modes: the delta changed nothing; a certified plan (the closed
+#: form filtered by link liveness); an uncertified plan (the provider's
 #: whole walk).
 MODE_NOOP = "noop"
 MODE_INCREMENTAL = "incremental"
@@ -63,9 +63,11 @@ class ReplanResult:
     """Outcome of one :meth:`IncrementalPlanner.apply` call.
 
     ``dirty_pairs`` and ``changed_paths`` are the plan's
-    ``walked_pairs`` and ``walked_paths``: the residue and its
-    difference from the pristine paths (plus the pinned extras) when
-    certified, every pair and path when not, and 0 for a noop.
+    ``walked_pairs`` and ``walked_paths``. When certified they are the
+    residue (the pairs with a pristine path through a failed link) and
+    the damaged paths of its cut pairs — those left with no pristine
+    path — plus the pinned extras; a flap that cuts no pair walks none.
+    When not certified they are every pair and path; 0 for a noop.
     """
 
     delta: TopologyDelta
@@ -148,8 +150,8 @@ class IncrementalPlanner:
 
         The ELP is the provider's fresh enumeration of the current
         topology plus the pinned extras, through Algorithm 1 on the
-        explicit path list — never the certificate's closed form or
-        residue, so a wrong residue shows as a divergence.
+        explicit path list — never the certificate's closed form, so a
+        wrong liveness filter or residue shows as a divergence.
         """
         return TaggerPlan.from_elp(
             self.topo,

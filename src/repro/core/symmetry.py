@@ -12,9 +12,10 @@ and build the Algorithm-1 tagged graph — from the closed form instead
 of per-path search.
 
 A fabric that differs from a certifiable one only by failed links (a
-drain fails every link of a switch) certifies too, with a *residue*:
-the ordered pairs with a pristine up-down path through a failed link,
-the only pairs :meth:`SymmetryCertificate.damaged_graph` re-derives.
+drain fails every link of a switch) certifies too: the closed form reads
+which links are up, and the certificate's *residue* — the ordered pairs
+with a pristine up-down path through a failed link — is only counted,
+never walked, except for the pairs it leaves with no pristine path.
 
 Soundness contract (property-tested in
 ``tests/properties/test_symmetry_equivalence.py`` and fuzz-checked as
@@ -25,14 +26,10 @@ the ``symmetry-divergence`` invariant):
   every ordered pair, and on the damaged one for every pair outside the
   residue;
 - :meth:`SymmetryCertificate.populate_graph` emits exactly the node and
-  edge set Algorithm 1 derives from the exhaustive pristine path set
-  (the :class:`~repro.core.tags.TaggedGraph` is set-structured, so
-  equality is order-free);
-- :meth:`SymmetryCertificate.path_counts` returns the reference counts
-  of those nodes and edges, equal to counting every pair's paths
-  through :func:`~repro.core.tags.tagged_walk`;
-- :meth:`SymmetryCertificate.damaged_graph` emits the node and edge set
-  Algorithm 1 derives from the damaged fabric's exhaustive path set;
+  edge set Algorithm 1 derives from the exhaustive path set of the
+  fabric as it stands, failed links included (the
+  :class:`~repro.core.tags.TaggedGraph` is set-structured, so equality
+  is order-free), and returns that path set's size;
 - :func:`certify` returns ``None`` — degrading callers to per-pair
   enumeration — on *any* structural irregularity of the fabric with
   every link up: unlayered or >3-layer switches, incomplete pods, or
@@ -49,7 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.tags import TaggedGraph, TEdge, TNode, tagged_walk
+from repro.core.bruteforce import add_tagged_path
+from repro.core.tags import TaggedGraph
 from repro.routing.base import Path
 from repro.routing.updown import updown_paths_by_pair
 from repro.topology.base import Topology
@@ -131,194 +129,166 @@ class SymmetryCertificate:
     # ------------------------------------------------------------------
     # Closed-form Algorithm-1 graph
     # ------------------------------------------------------------------
-    def populate_graph(self, graph: TaggedGraph) -> None:
-        """Emit the Algorithm-1 node/edge set of the full up-down ELP.
+    def populate_graph(self, graph: TaggedGraph) -> Tuple[int, int]:
+        """Emit the Algorithm-1 node/edge set of the topology's up-down
+        ELP; return that ELP's path count and the number of paths walked.
 
         Equivalent to running :func:`~repro.core.bruteforce.bruteforce_tagging`
-        over every pair's paths, without materializing any path: each
-        orbit of isomorphic (source, leaf, spine, leaf, dest) hops is
-        replicated directly as tagged-graph edges. ``add_edge`` creates
-        endpoint nodes, and every up-down ingress hop lies on an edge,
-        so edge emission alone reconstructs the exact graph.
+        over every pair's paths on the topology as it stands, failed
+        links included, without materializing a path: each orbit of
+        isomorphic hops is replicated directly as edges. ``add_edge``
+        creates endpoint nodes, and every up-down ingress hop lies on an
+        edge. Removing links never creates an up-down path, so a pair
+        that keeps a pristine path has exactly its surviving pristine
+        paths, and a pristine edge survives iff one of them crosses it —
+        a question about links, read once per ToR-leaf and leaf-spine
+        link, never per path:
+
+        - an intra-pod edge ``(L<-s,1)->(d<-L,2)`` survives iff ``s-L``
+          and ``L-d`` are up;
+        - an up edge ``(L<-s,1)->(S<-L,2)`` survives iff ``s-L`` and
+          ``L-S`` are up and spine ``S`` has, in another pod of its
+          color, a leaf with a live link to ``S`` and a live ToR; a down
+          edge ``(L<-S,3)->(d<-L,4)`` is the mirror case;
+        - a spine edge ``(S<-L,2)->(L2<-S,3)`` survives iff ``L-S`` and
+          ``S-L2`` are up and both leaves keep a live ToR.
+
+        A residue pair left with no pristine path (a *cut* pair) may
+        climb higher on the damaged fabric: the cut pairs are enumerated
+        in one :func:`~repro.routing.updown.updown_paths_by_pair` call
+        and their paths walked onto the graph — the only paths walked.
         """
         port = self.topo.port_to
+        failed = {
+            pair
+            for a, b in self.topo.failed_links
+            for pair in ((a, b), (b, a))
+        }
+        live_tors = {
+            leaf: [tor for tor in pod.tors if (leaf, tor) not in failed]
+            for pod in self.pods
+            for leaf in pod.leaves
+        }
         for pod in self.pods:
             for leaf in pod.leaves:
-                for src in pod.tors:
+                tors = live_tors[leaf]
+                for src in tors:
                     src_node = ((leaf, port(leaf, src)), 1)
-                    for dst in pod.tors:
+                    for dst in tors:
                         if dst != src:
                             graph.add_edge(
                                 src_node, ((dst, port(dst, leaf)), 2)
                             )
         for color, spines in enumerate(self.spine_groups):
-            eligible = [
-                pod
+            # Per pod of the color: its leaves with a live ToR, the
+            # tag-2 node of each of their live spine uplinks, and per
+            # spine the tag-3 node of each leaf it reaches.
+            fed = [
+                [leaf for leaf in pod.color_leaves(color) if live_tors[leaf]]
                 for pod in self.pods
-                if pod.tors and pod.color_leaves(color)
+                if pod.color_leaves(color)
             ]
-            if len(eligible) < 2:
-                continue
-            for pod in eligible:
+            mids = [
+                [
+                    (leaf, spine, ((spine, port(spine, leaf)), 2))
+                    for leaf in leaves
+                    for spine in spines
+                    if (leaf, spine) not in failed
+                ]
+                for leaves in fed
+            ]
+            lows = [
+                {
+                    spine: [
+                        ((leaf, port(leaf, spine)), 3)
+                        for leaf in leaves
+                        if (leaf, spine) not in failed
+                    ]
+                    for spine in spines
+                }
+                for leaves in fed
+            ]
+            # A spine carries cross-pod paths iff two pods reach it.
+            crossed = {
+                spine
+                for spine in spines
+                if sum(1 for pod_lows in lows if pod_lows[spine]) > 1
+            }
+            for pod_mids in mids:
                 # Up (tag 1 -> 2) and down (tag 3 -> 4) legs depend on
                 # one pod only: emit them once per pod, not per pair.
-                for leaf in pod.color_leaves(color):
-                    for spine in spines:
-                        up_node = ((spine, port(spine, leaf)), 2)
-                        down_node = ((leaf, port(leaf, spine)), 3)
-                        for tor in pod.tors:
-                            graph.add_edge(
-                                ((leaf, port(leaf, tor)), 1), up_node
-                            )
-                            graph.add_edge(
-                                down_node, ((tor, port(tor, leaf)), 4)
-                            )
-            for src_pod in eligible:
-                for dst_pod in eligible:
-                    if src_pod is dst_pod:
+                for leaf, spine, up_node in pod_mids:
+                    if spine not in crossed:
                         continue
-                    for leaf in src_pod.color_leaves(color):
-                        for spine in spines:
-                            mid_node = ((spine, port(spine, leaf)), 2)
-                            for leaf2 in dst_pod.color_leaves(color):
-                                graph.add_edge(
-                                    mid_node,
-                                    ((leaf2, port(leaf2, spine)), 3),
-                                )
-
-    def path_counts(self) -> Tuple[Dict[TNode, int], Dict[TEdge, int]]:
-        """Algorithm-1 reference counts of the full up-down ELP.
-
-        Equal, as dicts, to counting every path of every pair's
-        :meth:`pair_paths` through :func:`~repro.core.tags.tagged_walk`
-        in O(nodes + edges) and without a path. Each count is a
-        function of the certified pod structure: with ``t`` a pod's ToR
-        count, ``s`` a color's spine count and ``other`` the ToR x
-        color-leaf product summed over the color's other eligible pods,
-
-        - an intra-pod path ``(src, leaf, dst)`` enters ``leaf`` from
-          ``src`` once per other ToR (``t - 1``), ``dst`` from ``leaf``
-          once per other source (``t - 1``), and each edge once;
-        - a cross-pod path ``(src, leaf, spine, leaf2, dst)`` of one
-          color enters ``leaf`` from ``src`` and ``dst`` from ``leaf2``
-          ``s * other`` times (once per spine and remote ToR/leaf), the
-          spine from ``leaf`` and ``leaf`` from the spine ``t * other``
-          times, crosses each 1->2 and 3->4 edge ``other`` times and
-          each 2->3 edge from pod ``p`` into pod ``q`` ``t_p * t_q``
-          times.
-
-        The key sets are the nodes and edges :meth:`populate_graph`
-        emits; both closed forms are property-tested against the
-        per-path walk.
-        """
-        port = self.topo.port_to
-        nodes: Dict[TNode, int] = {}
-        edges: Dict[TEdge, int] = {}
-        for pod in self.pods:
-            peers = len(pod.tors) - 1
-            if peers < 1:
-                continue
-            for leaf in pod.leaves:
-                up = [((leaf, port(leaf, tor)), 1) for tor in pod.tors]
-                down = [((tor, port(tor, leaf)), 2) for tor in pod.tors]
-                for src_node in up:
-                    nodes[src_node] = peers
-                for dst_node in down:
-                    nodes[dst_node] = peers
-                for i, src_node in enumerate(up):
-                    for j, dst_node in enumerate(down):
-                        if i != j:
-                            edges[(src_node, dst_node)] = 1
-        for color, spines in enumerate(self.spine_groups):
-            eligible = [
-                (pod, pod.color_leaves(color))
-                for pod in self.pods
-                if pod.tors and pod.color_leaves(color)
-            ]
-            if len(eligible) < 2:
-                continue
-            total = sum(len(pod.tors) * len(leaves) for pod, leaves in eligible)
-            # Tag-2 and tag-3 nodes of each (leaf, spine), per eligible
-            # pod: the 2->3 edges join one pod's to another's.
-            mids: List[List[List[TNode]]] = []
-            lows: List[List[List[TNode]]] = []
-            for pod, leaves in eligible:
-                tors = len(pod.tors)
-                other = total - tors * len(leaves)
-                fan_in = len(spines) * other
-                pod_mids = []
-                pod_lows = []
-                for leaf in leaves:
-                    up = [((leaf, port(leaf, tor)), 1) for tor in pod.tors]
-                    down = [((tor, port(tor, leaf)), 4) for tor in pod.tors]
-                    for node in up:
-                        nodes[node] = nodes.get(node, 0) + fan_in
-                    for node in down:
-                        nodes[node] = fan_in
-                    leaf_mids = []
-                    leaf_lows = []
-                    for spine in spines:
-                        mid = ((spine, port(spine, leaf)), 2)
-                        low = ((leaf, port(leaf, spine)), 3)
-                        nodes[mid] = nodes[low] = tors * other
-                        for node in up:
-                            edges[(node, mid)] = other
-                        for node in down:
-                            edges[(low, node)] = other
-                        leaf_mids.append(mid)
-                        leaf_lows.append(low)
-                    pod_mids.append(leaf_mids)
-                    pod_lows.append(leaf_lows)
-                mids.append(pod_mids)
-                lows.append(pod_lows)
-            for p, (src_pod, _leaves) in enumerate(eligible):
-                for q, (dst_pod, _leaves) in enumerate(eligible):
-                    if p == q:
-                        continue
-                    weight = len(src_pod.tors) * len(dst_pod.tors)
-                    for leaf_mids in mids[p]:
-                        for k, mid in enumerate(leaf_mids):
-                            for leaf_lows in lows[q]:
-                                edges[(mid, leaf_lows[k])] = weight
-        return nodes, edges
-
-    def damaged_graph(self) -> Tuple[TaggedGraph, int, int]:
-        """The Algorithm-1 graph of the damaged fabric's up-down ELP, that
-        ELP's path count and the number of paths walked to get there.
-
-        Starts from :meth:`path_counts` and walks, through
-        :func:`~repro.core.tags.tagged_walk`, only the difference between
-        each residue pair's pristine and damaged paths: the pristine
-        paths that cross a failed link come off; a pair left with none
-        is enumerated on the damaged fabric (one
-        :func:`~repro.routing.updown.updown_paths_by_pair` call for all
-        such pairs) and its paths go on. Removing links never creates an
-        up-down path, so a pair's pristine survivors are exactly its
-        damaged paths (docs/PERFORMANCE.md, "What a delta re-derives").
-        """
-        failed: Set[Pair] = set()
-        for a, b in self.topo.failed_links:
-            failed.update(((a, b), (b, a)))
-        nodes, edges = self.path_counts()
-        paths = self.path_count()
-        walked = 0
-        cut: List[Pair] = []
-        for pair in self.residue:
-            pristine = self.pair_paths(*pair)
-            gone = [p for p in pristine if not failed.isdisjoint(zip(p, p[1:]))]
-            if len(gone) == len(pristine):
-                cut.append(pair)
-            for path in gone:
-                _shift_counts(self.topo, nodes, edges, path, -1)
-            paths -= len(gone)
-            walked += len(gone)
+                    down_node = ((leaf, port(leaf, spine)), 3)
+                    for tor in live_tors[leaf]:
+                        graph.add_edge(((leaf, port(leaf, tor)), 1), up_node)
+                        graph.add_edge(down_node, ((tor, port(tor, leaf)), 4))
+            for p, pod_mids in enumerate(mids):
+                for q, pod_lows in enumerate(lows):
+                    if p != q:
+                        for _leaf, spine, mid_node in pod_mids:
+                            for low_node in pod_lows[spine]:
+                                graph.add_edge(mid_node, low_node)
+        paths, cut = self._surviving_paths(failed, live_tors)
         found = updown_paths_by_pair(self.topo, cut)
+        walked = 0
         for pair in cut:
             for path in found[pair]:
-                _shift_counts(self.topo, nodes, edges, path, +1)
-            paths += len(found[pair])
+                add_tagged_path(graph, self.topo, path)
             walked += len(found[pair])
-        return _graph_of(nodes, edges), paths, walked
+        return paths + walked, walked
+
+    def _surviving_paths(
+        self, failed: Set[Pair], live_tors: Dict[str, List[str]]
+    ) -> Tuple[int, List[Pair]]:
+        """The pristine path count less each residue pair's pristine
+        paths plus its surviving ones, and the residue pairs left with
+        none (the cut pairs, in residue order).
+
+        A pair's survivors are its live leaves (same pod) or the sum over
+        spines of the product of its two ToRs' live (leaf, spine) chains.
+        """
+        paths = self.path_count()
+        if not self.residue:
+            return paths, []
+        chains: Dict[str, Dict[str, int]] = {}
+        for pod in self.pods:
+            for color, leaves in pod.leaves_by_color:
+                for leaf in leaves:
+                    for spine in self.spine_groups[color]:
+                        if (leaf, spine) in failed:
+                            continue
+                        for tor in live_tors[leaf]:
+                            counts = chains.setdefault(tor, {})
+                            counts[spine] = counts.get(spine, 0) + 1
+        cut: List[Pair] = []
+        for src, dst in self.residue:
+            p = self.pods[self._pod_index[src]]
+            q = self.pods[self._pod_index[dst]]
+            if p is q:
+                pristine = len(p.leaves)
+                survivors = sum(
+                    1
+                    for leaf in p.leaves
+                    if (src, leaf) not in failed and (leaf, dst) not in failed
+                )
+            else:
+                pristine = sum(
+                    len(spines)
+                    * len(p.color_leaves(color))
+                    * len(q.color_leaves(color))
+                    for color, spines in enumerate(self.spine_groups)
+                )
+                down = chains.get(dst, {})
+                survivors = sum(
+                    count * down.get(spine, 0)
+                    for spine, count in chains.get(src, {}).items()
+                )
+            if not survivors:
+                cut.append((src, dst))
+            paths += survivors - pristine
+        return paths, cut
 
     # ------------------------------------------------------------------
     # Accounting
@@ -382,43 +352,6 @@ class SymmetryCertificate:
             "cross_pod_paths": self.path_count() - intra,
             "total_paths": self.path_count(),
         }
-
-
-def _shift_counts(
-    topo: Topology,
-    nodes: Dict[TNode, int],
-    edges: Dict[TEdge, int],
-    path: Path,
-    delta: int,
-) -> None:
-    """Add ``delta`` (+1 or -1) to the count of every node and edge of the
-    path's :func:`~repro.core.tags.tagged_walk`; a count that reaches zero
-    leaves its dict, so the dicts hold exactly the live graph."""
-    last: Optional[TNode] = None
-    for node in tagged_walk(topo, path):
-        count = nodes.get(node, 0) + delta
-        if count:
-            nodes[node] = count
-        else:
-            del nodes[node]
-        if last is not None:
-            edge = (last, node)
-            count = edges.get(edge, 0) + delta
-            if count:
-                edges[edge] = count
-            else:
-                del edges[edge]
-        last = node
-
-
-def _graph_of(nodes: Dict[TNode, int], edges: Dict[TEdge, int]) -> TaggedGraph:
-    """The tagged graph of the counted nodes and edges."""
-    graph = TaggedGraph()
-    for node in nodes:
-        graph.add_node(node)
-    for src, dst in edges:
-        graph.add_edge(src, dst)
-    return graph
 
 
 def _residue(topo: Topology, pods: Tuple[Pod, ...]) -> Tuple[Pair, ...]:

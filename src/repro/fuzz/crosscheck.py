@@ -321,7 +321,7 @@ def _run_symmetry(ctx: _Context, inject: Injector) -> Optional[str]:
     Plans the scenario, and the scenario with one connectivity-safe ELP
     link failed and one switch drained, through
     :meth:`TaggerPlan.from_provider` (the closed form when the fabric
-    certifies, corrected for the residue of its failed links; the
+    certifies, its edges filtered by which links are up; the
     per-pair walk otherwise) and through :meth:`TaggerPlan.from_elp` on
     the provider's explicit ELP of the same fabric, and demands
     byte-identical rule tables and tagged graphs. Refusals must also

@@ -15,7 +15,6 @@ not by construction alone.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -30,6 +29,7 @@ from typing import (
 if TYPE_CHECKING:
     from repro.deploy.agent import ApplyOp, SwitchAgent
 
+from repro.core.bruteforce import add_tagged_path
 from repro.core.clos import ClosTagger
 from repro.core.compression import TcamEntry
 from repro.core.elp import PairwiseElpProvider
@@ -218,17 +218,19 @@ def symmetry_residue_drop(
     """Plan a damaged Clos with its first residue pair left at its
     pristine paths.
 
-    Models a residue computation that misses a pair a failed link cuts:
-    the plan keeps tagging that pair's dead paths through the failed
-    link. Identity on fabrics that do not certify or whose failed links
-    cut no up-down path.
+    Models a liveness filter that misses a pair a failed link cuts: the
+    certified graph is built, then that pair's pristine paths — the dead
+    ones through the failed link among them — are walked back onto it,
+    so the plan keeps tagging them. Identity on fabrics that do not
+    certify or whose failed links cut no up-down path.
     """
     cert = certify(topo, provider)
     if cert is None or not cert.residue:
         return TaggerPlan.from_provider(topo, provider)
-    graph, _paths, _walked = replace(
-        cert, residue=cert.residue[1:]
-    ).damaged_graph()
+    graph = TaggedGraph()
+    cert.populate_graph(graph)
+    for path in cert.pair_paths(*cert.residue[0]):
+        add_tagged_path(graph, topo, path)
     return compile_plan(topo, graph, 8, StageTimer())
 
 
@@ -342,7 +344,8 @@ FAULT_TABLE: Tuple[Fault, ...] = (
         "symmetry",
         symmetry_residue_drop,
         ("symmetry-divergence",),
-        "leaves one residue pair of a damaged Clos at its pristine paths",
+        "walks one residue pair's pristine paths, dead ones included, "
+        "back onto a damaged Clos's liveness-filtered graph",
     ),
     Fault(
         "replan-drop-rule",

@@ -142,9 +142,24 @@ def test_one_algorithm_1_walk():
     assert _core_callers("ingress_hops") == ["bruteforce.py:longest_path_hops"]
     assert _core_callers("tagged_walk") == [
         "bruteforce.py:add_tagged_path",
-        "symmetry.py:_shift_counts",
         "tags.py:ingress_hops",
     ]
+
+
+def test_one_certified_graph_builder():
+    """A damaged Clos is the pristine closed form with its edges filtered
+    by link liveness: no refcount machinery (``path_counts``,
+    ``damaged_graph``, ``_shift_counts``, ``_graph_of``) comes back, the
+    planner's certified branch builds through ``populate_graph`` alone,
+    and nothing in the certificate scans a pair's pristine paths."""
+    from repro.core.symmetry import SymmetryCertificate
+
+    deleted = {"path_counts", "damaged_graph", "_shift_counts", "_graph_of"}
+    assert not deleted & _defined_names("symmetry.py")
+    assert not [name for name in deleted if hasattr(SymmetryCertificate, name)]
+    assert _core_callers("populate_graph") == ["planner.py:TaggerPlan.from_provider"]
+    scans = [site for site in _core_callers("pair_paths") if "symmetry" in site]
+    assert not scans, scans
 
 
 def test_plans_are_constructed_at_three_sites():

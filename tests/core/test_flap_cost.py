@@ -6,8 +6,10 @@ A flap must cost what it changes. Four counts say so without a clock:
   endpoint per ``apply``, however many residue pairs the delta has —
   pairs that lost a link keep their surviving pristine paths, and the
   rest share the endpoints' DAGs in one batched enumeration;
-- a certified replan walks (``tagged_walk``) only the difference between
-  its residue pairs' pristine and damaged paths, never the whole ELP;
+- a certified replan reads link liveness, not paths: it walks
+  (``tagged_walk``) only the damaged paths of its cut pairs (residue
+  pairs left with no pristine path), so a flap that cuts no pair walks
+  nothing and reads no pair's pristine paths;
 - a rollout's certificate runs no fabric-wide lint stage (``check_graph``,
   ``check_reachability``): its boundary verdicts come from per-switch
   sections, and the one full lint of a rollout is ``verify-final``;
@@ -55,6 +57,12 @@ DELTAS = (
     TopologyDelta.undrain("L4"),
     TopologyDelta.drain("T1"),
     TopologyDelta.undrain("T1"),
+)
+#: Two ToR uplink failures that leave (T2, T3) no shared leaf: the pair
+#: is cut and climbs to a spine, so the second delta walks its paths.
+CUT_DELTAS = (
+    TopologyDelta.link_down("L1", "T2"),
+    TopologyDelta.link_down("L2", "T3"),
 )
 #: Ceiling on the references the collector walks in what the planner
 #: holds besides its inputs and current plan, after init plus
@@ -145,15 +153,25 @@ def test_warm_state_stays_out_of_the_collector():
     )
 
 
-def test_certified_replan_walks_only_the_residue_difference():
+def test_certified_replan_walks_only_its_cut_pairs():
     topo = clos3(PARAMS)
     planner = IncrementalPlanner(topo, UpDownElpProvider())
     elp = planner.plan.meta["elp_paths"]
-    for delta in DELTAS:
+    walked = {}
+    for delta in DELTAS + CUT_DELTAS:
         result, profile = _profiled(lambda: planner.apply(delta))
         walks = _calls(profile, "core/tags", "tagged_walk")
-        assert result.mode == "incremental", delta.describe()
-        assert walks == result.changed_paths < elp, delta.describe()
+        label = delta.describe()
+        assert result.mode == "incremental", label
+        assert walks == result.changed_paths < elp, label
+        if delta.kind in ("link-down", "link-up"):
+            assert _calls(profile, "core/symmetry", "pair_paths") == 0, label
+        walked[label] = walks
+    # No link flap of the churn episode cuts a pair, and neither does
+    # the ToR drain: its cut pairs are enumerated (up-DAGs above) but
+    # have no path left to walk.
+    assert not any(walked[delta.describe()] for delta in DELTAS), walked
+    assert walked[CUT_DELTAS[-1].describe()] > 0, walked
 
 
 def test_rollout_lints_the_fabric_once():

@@ -3,11 +3,9 @@
 The property suite (tests/properties/test_incremental.py) establishes
 equivalence with from-scratch planning under random churn; these tests
 pin the engine's *mechanics*: mode selection (noop / incremental /
-full), minimal rule diffs, path-delta validation atomicity, error
-recovery, and the refcount arithmetic the residue correction runs on.
+full), minimal rule diffs, path-delta validation atomicity and error
+recovery.
 """
-
-import random
 
 import pytest
 
@@ -16,12 +14,10 @@ from repro.core import (
     ShortestPathElpProvider,
     TaggerPlan,
     UpDownElpProvider,
-    bruteforce_tagging,
     tables_equal,
 )
 from repro.core.replan import MODE_FULL, MODE_INCREMENTAL, MODE_NOOP
 from repro.core.rules import canonical_tables
-from repro.core.symmetry import _graph_of, _shift_counts
 from repro.exceptions import TaggingError
 from repro.obs import Telemetry
 from repro.topology import ClosParams, Topology, TopologyDelta, clos3, testbed_clos
@@ -237,33 +233,6 @@ def test_result_summary_and_counters(planner):
     assert result.total_rule_touches == sum(
         d.touch_count for d in result.diffs.values()
     )
-
-
-# ----------------------------------------------------------------------
-# Refcount arithmetic of the residue correction
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [3, 11])
-def test_refcounted_graph_tracks_algorithm_1_at_every_prefix(seed):
-    """Adding paths one by one equals Algorithm 1 on the prefix; removing
-    them all (in another order) returns to empty."""
-    topo = clos3(ClosParams(2, 2, 2, 2, hosts_per_tor=1))
-    topo.fail_link("L1", "S1")
-    paths = UpDownElpProvider().build(topo).paths + [
-        ("H1", "T1", "L1", "S2", "L3", "T3", "H3"),
-        ("T1", "L2", "S1", "L4"),
-        ("T2",),
-    ]
-    random.Random(seed).shuffle(paths)
-    nodes, edges = {}, {}
-    for i, path in enumerate(paths, 1):
-        _shift_counts(topo, nodes, edges, path, +1)
-        assert _graph_of(nodes, edges) == bruteforce_tagging(topo, paths[:i])
-    random.Random(seed + 1).shuffle(paths)
-    while paths:
-        _shift_counts(topo, nodes, edges, paths.pop(), -1)
-        if paths:
-            assert _graph_of(nodes, edges) == bruteforce_tagging(topo, paths)
-    assert (nodes, edges) == ({}, {})
 
 
 # ----------------------------------------------------------------------

@@ -12,21 +12,23 @@ tables, tagged graph, queue map and description. The suite sweeps:
   wrong provider type);
 - leaf-spine (2-layer) and express-augmented Clos (certified — express
   links are invisible to up-down routing);
-- damaged Clos fabrics — one or several failed links, drained leaves,
-  spines and ToR endpoints, a pair cut off from every pristine path, a
-  residue that empties the ELP — planned from the certificate's residue;
+- damaged Clos fabrics — one to three failed links, four to eight
+  failed links plus a drained switch, drained leaves, spines and ToR
+  endpoints, a pair cut off from every pristine path, a failure set
+  that empties the ELP — planned from the liveness-aware closed form;
 - endpoint subsets, where symmetry must *safely* degrade, and pinned
   extra paths, which ride the certified path.
 
-On every certified fabric it also pins the certificate's two closed
-forms to the per-path walk: ``path_counts()`` equals the Algorithm-1
-reference counts of every ``pair_paths`` path counted through
-``tagged_walk``, and its key sets are the nodes and edges
-``populate_graph`` emits.
+On every healthy certified fabric it also pins the closed form to the
+per-path walk: the nodes and edges ``populate_graph`` emits are those
+of every ``pair_paths`` path walked through ``tagged_walk``, and the
+path count it returns is their number.
 
 The same oracle runs continuously inside the fuzz harness as the
 ``symmetry-divergence`` invariant (:mod:`repro.fuzz.crosscheck`).
 """
+
+import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -127,36 +129,23 @@ def assert_matches_explicit_elp(
     return got
 
 
-def assert_counts_match_walk(topo, label: str) -> None:
-    """The certificate's closed-form refcounts equal the per-path walk
-    over its own pair paths, and their keys are ``populate_graph``'s
-    node and edge sets."""
+def assert_graph_matches_walk(topo, label: str) -> None:
+    """The certificate's closed-form graph is the per-path walk over its
+    own pair paths, and its path count is theirs."""
     provider = UpDownElpProvider()
     cert = certify(topo, provider)
     assert cert is not None, f"{label}: expected a certificate"
-    walked_nodes, walked_edges = {}, {}
+    walked = TaggedGraph()
+    count = 0
     for pair in provider.ordered_pairs(topo):
         for path in cert.pair_paths(*pair):
             walk = tagged_walk(topo, path)
-            for node in walk:
-                walked_nodes[node] = walked_nodes.get(node, 0) + 1
             for edge in zip(walk, walk[1:]):
-                walked_edges[edge] = walked_edges.get(edge, 0) + 1
-    node_counts, edge_counts = cert.path_counts()
-    assert node_counts == walked_nodes, (
-        f"{label}: closed-form node refcounts diverged from the walk"
-    )
-    assert edge_counts == walked_edges, (
-        f"{label}: closed-form edge refcounts diverged from the walk"
-    )
+                walked.add_edge(*edge)
+            count += 1
     graph = TaggedGraph()
-    cert.populate_graph(graph)
-    assert set(graph.nodes) == node_counts.keys(), (
-        f"{label}: path_counts and populate_graph disagree on nodes"
-    )
-    assert set(graph.edges()) == edge_counts.keys(), (
-        f"{label}: path_counts and populate_graph disagree on edges"
-    )
+    assert cert.populate_graph(graph) == (count, 0), label
+    assert graph == walked, f"{label}: populate_graph diverged from the walk"
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +172,7 @@ def test_healthy_clos_certifies_and_matches(params):
         # clos3 always wires disjoint complete-bipartite pods, so every
         # healthy instance must take the closed-form path.
         assert sym.meta["certified"] is True
-    assert_counts_match_walk(clos3(params), f"clos {params}")
+    assert_graph_matches_walk(clos3(params), f"clos {params}")
 
 
 @given(
@@ -199,7 +188,7 @@ def test_leaf_spine_certifies_and_matches(leaves, spines, hosts):
         f"leaf_spine({leaves},{spines})",
         expect_certified=True,
     )
-    assert_counts_match_walk(
+    assert_graph_matches_walk(
         leaf_spine(leaves, spines, hosts), f"leaf_spine({leaves},{spines})"
     )
 
@@ -226,7 +215,7 @@ def test_express_links_stay_certified(params, seed):
         f"express clos {params}",
         expect_certified=True,
     )
-    assert_counts_match_walk(make_topo(), f"express clos {params}")
+    assert_graph_matches_walk(make_topo(), f"express clos {params}")
 
 
 @given(clos_params(), st.integers(min_value=0, max_value=2**20))
@@ -255,7 +244,7 @@ def test_pinned_extras_ride_the_certified_path(params, seed):
 
 
 # ----------------------------------------------------------------------
-# Damaged fabrics: the closed form corrected for the residue
+# Damaged fabrics: the closed form filtered by link liveness
 # ----------------------------------------------------------------------
 def _switch_links(topo):
     return sorted(
@@ -273,8 +262,9 @@ def drain(topo, switch):
 
 
 def assert_damaged_matches(make_topo, label):
-    """A damaged Clos plans certified, walks its residue pairs only, and
-    matches ``from_elp`` on the provider's ELP byte for byte."""
+    """A damaged Clos plans certified, reports its residue pairs as the
+    pairs it walked, and matches ``from_elp`` on the provider's ELP byte
+    for byte, path count included."""
     cert = certify(make_topo(), UpDownElpProvider())
     assert cert is not None, f"{label}: damaged Clos refused"
     plan = assert_matches_explicit_elp(
@@ -305,6 +295,34 @@ def test_failed_links_plan_from_the_residue(params, seed, count):
         return topo
 
     assert_damaged_matches(make_topo, f"failed {failed} clos {params}")
+
+
+@given(
+    clos_params(),
+    st.integers(min_value=0, max_value=2**20),
+    st.integers(min_value=4, max_value=8),
+)
+@SETTINGS
+def test_many_failed_links_and_a_drain_plan_exactly(params, seed, count):
+    """Four to eight failed switch links plus a drained switch: the
+    liveness filter and the cut pairs' walk compose exactly."""
+    links = _switch_links(clos3(params))
+    if not links:
+        return
+    rng = random.Random(seed)
+    failed = rng.sample(links, min(count, len(links)))
+    drained = rng.choice(sorted(clos3(params).switches))
+
+    def make_topo():
+        topo = clos3(params)
+        for link in failed:
+            topo.fail_link(*link)
+        drain(topo, drained)
+        return topo
+
+    assert_damaged_matches(
+        make_topo, f"failed {failed} drained {drained} clos {params}"
+    )
 
 
 @given(clos_params(), st.integers(min_value=0, max_value=2**20))
