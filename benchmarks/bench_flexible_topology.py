@@ -4,11 +4,12 @@ Paper: "Tagger can support architectures like Helios, Flyways or
 Projector, as long as the ELP set is specified." We augment the testbed
 Clos with ToR-to-ToR express links and show:
 
-1. the naive up-down bounce rule is *provably unsafe* there (the generic
+1. the §4.3 bounce rule alone is *provably unsafe* there (the generic
    verifier exhibits a per-tag CBD) — flat hops need their own handling;
-2. the phase-ordered Flyways tagger verifies deadlock-free at every
-   budget and prices each path family correctly (express hop free,
-   express-after-descent +1, express ring hops +1 each);
+2. ClosTagger's turn rule, which also raises the tag around flat hops,
+   verifies deadlock-free at every budget and prices each path family
+   correctly (express hop free, express-after-descent +1, express ring
+   hops +1 each);
 3. under simulation with express-preferring routes and a back-pressure
    transient, the protected fabric neither deadlocks nor drops.
 """
@@ -16,10 +17,13 @@ Clos with ToR-to-ToR express links and show:
 import pytest
 
 from conftest import format_table
-from repro.core import ClosTagger, FlywaysTagger, verify_tagged_graph
-from repro.core.pipeline import QueueMap
-from repro.core.planner import TaggerPlan
-from repro.core.rules import materialize_policy_rules
+from repro.core import (
+    LOSSY_TAG,
+    ClosTagger,
+    TaggerPlan,
+    policy_tagged_graph,
+    verify_tagged_graph,
+)
 from repro.routing import shortest_path_tables
 from repro.simulator import Flow, SimNetwork, find_deadlock_cycle
 from repro.topology import add_express_link, testbed_clos
@@ -41,39 +45,41 @@ def build_fabric():
     return topo
 
 
+def bounce_only(topo, max_bounces):
+    """The §4.3 rule alone: raise the tag only when both the ingress and
+    the egress peer sit above the switch."""
+
+    def rewrite(switch, in_port, out_port, tag):
+        layer = topo.layer_of(switch)
+        peers = (topo.peer_on_port(switch, port) for port in (in_port, out_port))
+        tag += all(topo.layer_of(peer) > layer for peer in peers)
+        return tag if tag <= 1 + max_bounces else LOSSY_TAG
+
+    return rewrite
+
+
 def run_analysis():
     topo = build_fabric()
     naive = verify_tagged_graph(
-        ClosTagger(topo, max_bounces=1).tagged_graph()
+        policy_tagged_graph(topo, bounce_only(topo, 1), (1, 2))
     )
     budget_rows = []
     for k in (0, 1, 2, 3):
         report = verify_tagged_graph(
-            FlywaysTagger(topo, max_increments=k).tagged_graph()
+            ClosTagger(topo, max_bounces=k).tagged_graph()
         )
         budget_rows.append((k, report.num_tags, report.deadlock_free))
-    tagger = FlywaysTagger(topo, max_increments=2)
+    tagger = ClosTagger(topo, max_bounces=2)
     path_rows = [
         (name, " ".join(str(t) for t in tagger.tag_along_path(path)))
         for name, path in PATH_FAMILIES
     ]
-    sim = run_simulation(topo, tagger)
+    sim = run_simulation(topo)
     return naive, budget_rows, path_rows, sim
 
 
-def run_simulation(topo, tagger):
-    tags = list(range(1, tagger.max_lossless_tag + 1))
-    tables = {
-        switch: materialize_policy_rules(topo, switch, tagger.rewrite, tags)
-        for switch in topo.switches
-    }
-    plan = TaggerPlan(
-        topo=topo,
-        graph=tagger.tagged_graph(),
-        tables=tables,
-        queue_map=QueueMap.identity(tagger.num_lossless_tags),
-        description="flyways k=2",
-    )
+def run_simulation(topo):
+    plan = TaggerPlan.for_clos(topo, max_bounces=2)
     net = SimNetwork.with_plan(topo, shortest_path_tables(topo), plan)
     flows = [
         net.add_flow(Flow(src=src, dst=dst, flow_id=fid))

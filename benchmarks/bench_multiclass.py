@@ -12,11 +12,11 @@ import pytest
 
 from conftest import format_table
 from repro.core import (
-    MultiClassClosTagger,
     TrafficClass,
     TaggerPlan,
     clos_bounce_elp,
     naive_priority_count,
+    staggered_tagger,
     verify_tagged_graph,
 )
 from repro.topology import testbed_clos
@@ -31,7 +31,7 @@ def run_multiclass():
             classes = [
                 TrafficClass(f"class{i}", bounces) for i in range(num_classes)
             ]
-            tagger = MultiClassClosTagger(topo, classes)
+            tagger = staggered_tagger(topo, classes)
             safe = verify_tagged_graph(tagger.tagged_graph()).deadlock_free
             rows.append(
                 (

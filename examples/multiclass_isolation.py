@@ -13,11 +13,11 @@ Run:  python examples/multiclass_isolation.py
 
 from repro import testbed_clos
 from repro.core import (
-    MultiClassClosTagger,
     TaggerPlan,
     TrafficClass,
     clos_bounce_elp,
     naive_priority_count,
+    staggered_tagger,
 )
 
 BOUNCED_PATH = ("T3", "L3", "S2", "L1", "S1", "L2", "T1")
@@ -29,7 +29,9 @@ def main() -> None:
         TrafficClass("data", max_bounces=1),
         TrafficClass("cnp", max_bounces=1),
     ]
-    tagger = MultiClassClosTagger(topo, classes)
+    # One shared rule table: class c injects tag 1 + c.
+    tagger = staggered_tagger(topo, classes)
+    data_tag, cnp_tag = tagger.initial_tags
 
     print("priority budget:")
     print(f"  naive per-class isolation: {naive_priority_count(classes)} "
@@ -38,18 +40,18 @@ def main() -> None:
           "lossless priorities")
 
     print("\ninjection tags:")
-    for cls in classes:
+    for cls, tag in zip(classes, tagger.initial_tags):
         print(
-            f"  {cls.name}: starts at tag {tagger.initial_tag(cls.name)}, "
-            f"survives {tagger.guaranteed_bounces(cls.name)} bounce(s)"
+            f"  {cls.name}: starts at tag {tag}, "
+            f"survives {tagger.max_lossless_tag - tag} bounce(s)"
         )
 
     # The isolation leak: a bounced data packet lands in CNP's priority.
-    data_tags = tagger.tag_along_path("data", BOUNCED_PATH)
+    data_tags = tagger.tag_along_path(BOUNCED_PATH, initial_tag=data_tag)
     print(
         f"\na data packet bouncing at L1 carries tags {data_tags}; "
         f"after the bounce it shares priority with fresh CNP traffic "
-        f"(tag {tagger.initial_tag('cnp')}) — the paper's documented "
+        f"(tag {cnp_tag}) — the paper's documented "
         "trade-off."
     )
 
@@ -58,8 +60,8 @@ def main() -> None:
     elp = clos_bounce_elp(topo, max_bounces=1)
     print(f"\n{plan.summary()}")
     print(f"verification: {plan.verify().summary()}")
-    for cls in classes:
-        coverage = plan.coverage(elp, initial_tag=tagger.initial_tag(cls.name))
+    for cls, tag in zip(classes, tagger.initial_tags):
+        coverage = plan.coverage(elp, initial_tag=tag)
         print(f"  {cls.name} ELP coverage: {coverage:.1%}")
 
 

@@ -5,8 +5,10 @@ The package implements the paper's primary contribution:
 - :class:`~repro.core.tags.TaggedGraph` and helpers (§5 formalization);
 - :func:`~repro.core.bruteforce.bruteforce_tagging` — Algorithm 1;
 - :func:`~repro.core.greedy.greedy_minimize` — Algorithm 2;
-- :class:`~repro.core.clos.ClosTagger` — the optimal Clos scheme (§4);
-- :class:`~repro.core.multiclass.MultiClassClosTagger` — §6;
+- :class:`~repro.core.clos.ClosTagger` — the optimal layered-fabric
+  scheme (§4.3), one turn rule that also covers §6's express links and,
+  with several initial tags, its staggered traffic classes
+  (:func:`~repro.core.multiclass.staggered_tagger`);
 - rule generation and TCAM compression (§5.2, §7);
 - Theorem 5.1 verification;
 - :class:`~repro.core.planner.TaggerPlan` — the high-level entry point.
@@ -46,9 +48,8 @@ from repro.core.discovery import (
     single_link_failure_scenarios,
     trace_elp,
 )
-from repro.core.flyways import FlywaysTagger
 from repro.core.greedy import greedy_minimize
-from repro.core.multiclass import MultiClassClosTagger, TrafficClass, naive_priority_count
+from repro.core.multiclass import TrafficClass, naive_priority_count, staggered_tagger
 from repro.core.pipeline import LOSSY_QUEUE, PipelineConfig, QueueMap
 from repro.core.queuefit import (
     apply_tag_mapping,
@@ -116,7 +117,6 @@ __all__ = [
     "jellyfish_elp",
     "shortest_path_elp",
     "greedy_minimize",
-    "FlywaysTagger",
     "TtlFallback",
     "deterministic_minimize",
     "DeterministicTagging",
@@ -125,9 +125,9 @@ __all__ = [
     "trace_elp",
     "elp_under_failures",
     "single_link_failure_scenarios",
-    "MultiClassClosTagger",
     "TrafficClass",
     "naive_priority_count",
+    "staggered_tagger",
     "LOSSY_QUEUE",
     "PipelineConfig",
     "QueueMap",

@@ -31,14 +31,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.core.bruteforce import add_tagged_path, bruteforce_tagging
 from repro.core.clos import ClosTagger
 from repro.core.determinize import deterministic_minimize
 from repro.core.elp import ElpSet, PairwiseElpProvider
 from repro.core.symmetry import certify
-from repro.core.multiclass import MultiClassClosTagger, TrafficClass
+from repro.core.multiclass import TrafficClass, staggered_tagger
 from repro.core.pipeline import PipelineConfig, QueueMap
 from repro.core.rules import RuleTable, coverage_report, materialize_policy_rules
 from repro.core.tags import INITIAL_TAG, TaggedGraph
@@ -196,7 +196,8 @@ class TaggerPlan:
         max_bounces: int = 1,
         max_lossless_queues: int = 8,
     ) -> "TaggerPlan":
-        """Topology-aware Clos plan: ``max_bounces + 1`` lossless tags."""
+        """Topology-aware plan for a layered fabric (§4.3; express
+        links, §6, included): ``max_bounces + 1`` lossless tags."""
         tagger = ClosTagger(topo, max_bounces=max_bounces)
         return _policy_plan(
             topo,
@@ -211,8 +212,10 @@ class TaggerPlan:
         classes: Sequence[TrafficClass],
         max_lossless_queues: int = 8,
     ) -> "TaggerPlan":
-        """§6's staggered multi-class plan over a layered fabric."""
-        tagger = MultiClassClosTagger(topo, classes)
+        """§6's staggered multi-class plan over a layered fabric: one
+        :class:`ClosTagger` whose hosts inject one tag per class
+        (:func:`~repro.core.multiclass.staggered_tagger`)."""
+        tagger = staggered_tagger(topo, classes)
         return _policy_plan(
             topo,
             tagger,
@@ -330,7 +333,7 @@ def compile_plan(
 
 def _policy_plan(
     topo: Topology,
-    tagger: Union[ClosTagger, MultiClassClosTagger],
+    tagger: ClosTagger,
     max_lossless_queues: int,
     description: str,
 ) -> TaggerPlan:
@@ -340,7 +343,7 @@ def _policy_plan(
     tags = range(INITIAL_TAG, INITIAL_TAG + tagger.num_lossless_tags)
     tables = {
         switch: materialize_policy_rules(
-            topo, switch, tagger.rewrite, tags, host_tags=tagger.host_tags
+            topo, switch, tagger.rewrite, tags, host_tags=tagger.initial_tags
         )
         for switch in topo.switches
     }

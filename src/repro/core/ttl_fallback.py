@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.pipeline import PipelineConfig, QueueMap
-from repro.core.rules import RuleTable
+from repro.core.rules import RuleTable, policy_tagged_graph
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.exceptions import TaggingError
 from repro.topology.base import Topology
@@ -86,22 +86,15 @@ class TtlFallback:
         """The induced dependency structure, for the verifier.
 
         All hop-count tags share one priority queue, so for deadlock
-        analysis they are ONE tag class: the graph places every reachable
-        ingress port in tag 1 with an edge for every transit that stays
-        under the hop bound. On any fabric with a physical cycle shorter
-        than ``max_hops`` this contains a CBD — which is the point.
+        analysis they are ONE tag class: the graph places every ingress
+        port in tag 1 with an edge for every transit (the policy graph of
+        a rewrite that always answers tag 1). On any fabric with a
+        physical cycle shorter than ``max_hops`` this contains a CBD —
+        which is the point.
         """
-        graph = TaggedGraph()
-        for switch in self.topo.switches:
-            ports = self.topo.ports(switch)
-            for in_port, in_peer in ports.items():
-                node = ((switch, in_port), 1)
-                graph.add_node(node)
-                for out_port, out_peer in ports.items():
-                    if out_port == in_port:
-                        continue
-                    if not self.topo.node(out_peer).is_switch:
-                        continue
-                    peer_in = self.topo.port_to(out_peer, switch)
-                    graph.add_edge(node, ((out_peer, peer_in), 1))
-        return graph
+        return policy_tagged_graph(
+            self.topo,
+            lambda switch, in_port, out_port, tag: INITIAL_TAG,
+            (INITIAL_TAG,),
+            (INITIAL_TAG,),
+        )

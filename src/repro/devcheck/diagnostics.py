@@ -1,6 +1,7 @@
 """Diagnostic model for the repo self-check analyzer.
 
-Mirrors :mod:`repro.lint.diagnostics` deliberately: every finding
+Mirrors :mod:`repro.lint.diagnostics` deliberately, and shares its
+catalog entry (``CodeInfo``) and ``Severity``: every finding
 carries a stable code (``DET001``, ``PUR101``, ...), a severity, and a
 source location (module + line + enclosing symbol) so tools and humans
 consume the same report. :data:`CATALOG` is the single source of truth
@@ -18,17 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.lint.diagnostics import Severity
-
-
-@dataclass(frozen=True)
-class CodeInfo:
-    """Catalog entry for one self-check diagnostic code."""
-
-    code: str
-    title: str
-    default_severity: Severity
-    summary: str
+from repro.lint.diagnostics import CodeInfo, Severity
 
 
 #: The complete self-check code space, grouped by family: ``DET``

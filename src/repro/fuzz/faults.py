@@ -82,14 +82,14 @@ def collapse_tags(graph: TaggedGraph) -> TaggedGraph:
 
 
 class _NoBounceClosTagger(ClosTagger):
-    """Clos tagger that fails to recognize bounces (never increments)."""
+    """Clos tagger whose turn rule never fires (never increments)."""
 
-    def is_bounce(self, switch: str, in_port: int, out_port: int) -> bool:
+    def raises_tag(self, switch: str, in_port: int, out_port: int) -> bool:
         return False
 
 
 def clos_ignore_bounce(tagger: ClosTagger) -> ClosTagger:
-    return _NoBounceClosTagger(topo=tagger.topo, max_bounces=tagger.max_bounces)
+    return _NoBounceClosTagger(tagger.topo, tagger.max_bounces, tagger.initial_tags)
 
 
 def copy_tables(tables: Dict[str, RuleTable]) -> Dict[str, RuleTable]:
@@ -330,7 +330,7 @@ FAULT_TABLE: Tuple[Fault, ...] = (
         "clos",
         clos_ignore_bounce,
         ("clos-unsafe",),
-        "Clos tagger stops counting bounces",
+        "Clos tagger's turn rule never fires (`raises_tag` always false)",
     ),
     Fault(
         "symmetry-drop-rule",

@@ -4,9 +4,9 @@
 long as the ELP set is specified." Those systems augment a static Clos
 with reconfigurable *express links* directly connecting ToR switches
 (optical circuit switches in Helios/Projector, 60 GHz wireless in
-Flyways). Express links are same-layer, so the strict up-down reasoning
-of :mod:`repro.core.clos` no longer applies; the companion tagger lives
-in :mod:`repro.core.flyways`.
+Flyways). Express links are same-layer, so the §4.3 bounce rule alone
+no longer suffices; the turn rule of :class:`~repro.core.clos.ClosTagger`
+also raises the tag around flat hops.
 """
 
 from __future__ import annotations

@@ -13,32 +13,32 @@ class TestBounceDetection:
         tagger = ClosTagger(testbed, max_bounces=1)
         in_port = testbed.port_to("L1", "S2")
         out_port = testbed.port_to("L1", "S1")
-        assert tagger.is_bounce("L1", in_port, out_port)
+        assert tagger.raises_tag("L1", in_port, out_port)
 
     def test_bounce_at_tor(self, testbed):
         tagger = ClosTagger(testbed, max_bounces=1)
         in_port = testbed.port_to("T1", "L1")
         out_port = testbed.port_to("T1", "L2")
-        assert tagger.is_bounce("T1", in_port, out_port)
+        assert tagger.raises_tag("T1", in_port, out_port)
 
     def test_up_down_transit_is_not_bounce(self, testbed):
         tagger = ClosTagger(testbed, max_bounces=1)
         # Leaf apex: in from ToR, out to ToR.
-        assert not tagger.is_bounce(
+        assert not tagger.raises_tag(
             "L1", testbed.port_to("L1", "T1"), testbed.port_to("L1", "T2")
         )
         # Climbing: in from ToR, out to spine.
-        assert not tagger.is_bounce(
+        assert not tagger.raises_tag(
             "L1", testbed.port_to("L1", "T1"), testbed.port_to("L1", "S1")
         )
         # Spine turn-around is the apex, not a bounce.
-        assert not tagger.is_bounce(
+        assert not tagger.raises_tag(
             "S1", testbed.port_to("S1", "L1"), testbed.port_to("S1", "L3")
         )
 
     def test_host_facing_ports_never_bounce(self, testbed):
         tagger = ClosTagger(testbed, max_bounces=1)
-        assert not tagger.is_bounce(
+        assert not tagger.raises_tag(
             "T1", testbed.port_to("T1", "H1"), testbed.port_to("T1", "L1")
         )
 
@@ -148,9 +148,9 @@ class TestTaggedGraph:
         with pytest.raises(TaggingError):
             ClosTagger(testbed, max_bounces=-1)
 
-    def test_host_tags_parameter(self, testbed):
-        tagger = ClosTagger(testbed, max_bounces=2)
-        graph = tagger.tagged_graph(host_tags=[1, 2])
+    def test_host_ports_are_live_for_initial_tags(self, testbed):
+        tagger = ClosTagger(testbed, max_bounces=2, initial_tags=(1, 2))
+        graph = tagger.tagged_graph()
         host_port = ("T1", testbed.port_to("T1", "H1"))
         tags = graph.tags_on_port(host_port)
         assert tags == [1, 2]
@@ -162,10 +162,10 @@ class TestPolicyDispatch:
     injectors rely on this)."""
 
     class _NeverBounces(ClosTagger):
-        def is_bounce(self, switch, in_port, out_port):
+        def raises_tag(self, switch, in_port, out_port):
             return False
 
-    def test_is_bounce_override_reaches_path_tags_and_graph(
+    def test_raises_tag_override_reaches_path_tags_and_graph(
         self, testbed, bounce_paths
     ):
         green, _blue = bounce_paths

@@ -169,7 +169,8 @@ def test_plans_are_constructed_at_three_sites():
 
 def test_one_policy_path_walk_and_one_policy_graph():
     """Resolving ports and applying a rewrite policy happens in
-    ``core/rules.py`` only; the taggers dispatch ``self.rewrite`` into it."""
+    ``core/rules.py`` only; the taggers dispatch ``self.rewrite`` into it,
+    and no function elsewhere wires a policy graph port by port."""
     walkers = sorted(
         f"{path.name}:{name}"
         for path in CORE_DIR.glob("*.py")
@@ -181,6 +182,37 @@ def test_one_policy_path_walk_and_one_policy_graph():
         "rules.py:policy_tagged_graph",
         "rules.py:policy_tags_along_path",
     ]
+    wirers = sorted(
+        f"{path.name}:{name}"
+        for path in CORE_DIR.glob("*.py")
+        for name, node in _functions(path)
+        if {"port_to", "add_edge"} <= set(_called_names(node))
+    )
+    assert wirers == [
+        "rules.py:policy_tagged_graph",
+        "rules.py:rules_to_tagged_graph",
+    ]
+
+
+def test_one_turn_rule_for_every_layered_fabric():
+    """Bounces, express links and staggered classes are one
+    :class:`ClosTagger`: no second tagger class or module comes back, and
+    only it and the TTL strawman define a policy ``rewrite(switch,
+    in_port, out_port, tag)`` (a pipeline's ``rewrite`` is a rule-table
+    lookup)."""
+    import repro.core
+
+    assert not (CORE_DIR / "flyways.py").exists()
+    for name in ("FlywaysTagger", "MultiClassClosTagger"):
+        assert not hasattr(repro.core, name), name
+    rewriters = sorted(
+        path.name
+        for path in CORE_DIR.glob("*.py")
+        for name, node in _functions(path)
+        if name.endswith(".rewrite")
+        and [arg.arg for arg in node.args.args][1:2] == ["switch"]
+    )
+    assert rewriters == ["clos.py", "ttl_fallback.py"]
 
 
 def test_one_elp_path_validity_check():
@@ -372,12 +404,14 @@ def test_the_merge_builds_one_predecessor_map(testbed, monkeypatch):
 def test_a_knob_needs_a_caller():
     """No settable value survives that only tests, or nobody, set: lint
     runs every family at the artifact's own budget, every rollout lints
-    its wave boundaries, the up-down ELP is the shortest one, and the
-    retry policy's tuning is a set of module constants."""
+    its wave boundaries, the up-down ELP is the shortest one, the
+    retry policy's tuning is a set of module constants, and a layered
+    tagger takes a turn budget and the tags its hosts inject, nothing
+    more."""
     import dataclasses
 
     import repro.lint
-    from repro.core import UpDownElpProvider
+    from repro.core import ClosTagger, UpDownElpProvider
     from repro.core.discovery import elp_under_failures, single_link_failure_scenarios
     from repro.deploy import RolloutConfig, SwitchAgent, certify_rollout
     from repro.fuzz.oracle import find_cbd_pairs
@@ -419,6 +453,8 @@ def test_a_knob_needs_a_caller():
         (ddmin, {"max_rounds"}),
         (find_cbd_pairs, {"max_checks"}),
         (IngressAccounting.__init__, {"stride"}),
+        (ClosTagger.__init__, {"max_increments", "classes"}),
+        (ClosTagger.tagged_graph, {"host_tags"}),
     ):
         params = set(inspect.signature(function).parameters)
         assert not params & dropped, f"{function.__qualname__} takes {dropped}"

@@ -1,8 +1,15 @@
-"""Tests for express links and the phase-ordered Flyways tagger (§6)."""
+"""Tests for express links and the turn rule on them (§6)."""
 
 import pytest
 
-from repro.core import ClosTagger, FlywaysTagger, verify_tagged_graph
+from repro.core import (
+    LOSSY_TAG,
+    ClosTagger,
+    TaggerPlan,
+    policy_tagged_graph,
+    policy_tags_along_path,
+    verify_tagged_graph,
+)
 from repro.exceptions import TaggingError, TopologyError
 from repro.topology import (
     add_express_link,
@@ -19,6 +26,19 @@ def express_fabric(testbed):
     add_express_link(testbed, "T2", "T4")
     add_express_link(testbed, "T1", "T4")
     return testbed
+
+
+def bounce_only(topo, max_bounces):
+    """The §4.3 rule alone: raise the tag only when both the ingress and
+    the egress peer sit above the switch."""
+
+    def rewrite(switch, in_port, out_port, tag):
+        layer = topo.layer_of(switch)
+        peers = (topo.peer_on_port(switch, port) for port in (in_port, out_port))
+        tag += all(topo.layer_of(peer) > layer for peer in peers)
+        return tag if tag <= 1 + max_bounces else LOSSY_TAG
+
+    return rewrite
 
 
 class TestExpressTopology:
@@ -48,38 +68,41 @@ class TestExpressTopology:
 
 class TestPhaseOrder:
     def test_updown_behaviour_matches_clos_tagger(self, testbed):
-        """On a pure Clos (no express links) the phase rule degenerates
+        """On a pure Clos (no express links) the turn rule degenerates
         to the classic bounce rule."""
-        flyways = FlywaysTagger(testbed, max_increments=1)
-        clos = ClosTagger(testbed, max_bounces=1)
+        tagger = ClosTagger(testbed, max_bounces=1)
+        bounce = bounce_only(testbed, 1)
         for path in (
             ("H1", "T1", "L1", "S1", "L3", "T3", "H9"),
             ("H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H2"),
         ):
-            assert flyways.tag_along_path(path) == clos.tag_along_path(path)
+            assert tagger.tag_along_path(path) == policy_tags_along_path(
+                testbed, bounce, path
+            )
+        assert tagger.tagged_graph() == policy_tagged_graph(testbed, bounce, (1, 2))
 
     def test_single_express_hop_free(self, express_fabric):
-        tagger = FlywaysTagger(express_fabric, max_increments=2)
+        tagger = ClosTagger(express_fabric, max_bounces=2)
         assert tagger.tag_along_path(("H1", "T1", "T3", "H9")) == [1, 1, 1]
 
     def test_down_then_express_increments(self, express_fabric):
-        tagger = FlywaysTagger(express_fabric, max_increments=2)
+        tagger = ClosTagger(express_fabric, max_bounces=2)
         tags = tagger.tag_along_path(("H5", "T2", "L1", "T1", "T3", "H9"))
         assert tags == [1, 1, 1, 2, 2]
 
     def test_express_then_up_increments(self, express_fabric):
-        tagger = FlywaysTagger(express_fabric, max_increments=2)
+        tagger = ClosTagger(express_fabric, max_bounces=2)
         tags = tagger.tag_along_path(("H1", "T1", "T3", "L3", "T4", "H13"))
         assert tags == [1, 1, 2, 2, 2]
 
     def test_consecutive_express_hops_increment(self, express_fabric):
-        tagger = FlywaysTagger(express_fabric, max_increments=2)
+        tagger = ClosTagger(express_fabric, max_bounces=2)
         # T3 -> T1 -> T4 uses two express hops back to back.
         tags = tagger.tag_along_path(("H9", "T3", "T1", "T4", "H13"))
         assert tags == [1, 1, 2, 2]
 
     def test_budget_exhaustion_demotes(self, express_fabric):
-        tagger = FlywaysTagger(express_fabric, max_increments=0)
+        tagger = ClosTagger(express_fabric, max_bounces=0)
         assert not tagger.path_stays_lossless(
             ("H5", "T2", "L1", "T1", "T3", "H9")
         )
@@ -89,7 +112,7 @@ class TestPhaseOrder:
 class TestSafety:
     def test_flyways_graph_verifies_for_all_budgets(self, express_fabric):
         for k in (0, 1, 2, 3):
-            tagger = FlywaysTagger(express_fabric, max_increments=k)
+            tagger = ClosTagger(express_fabric, max_bounces=k)
             report = verify_tagged_graph(tagger.tagged_graph())
             assert report.deadlock_free
             assert report.num_tags == k + 1
@@ -98,33 +121,16 @@ class TestSafety:
         """The motivation: the up-down bounce rule misses flat hops, and
         the generic verifier catches the resulting per-tag cycle."""
         report = verify_tagged_graph(
-            ClosTagger(express_fabric, max_bounces=1).tagged_graph()
+            policy_tagged_graph(express_fabric, bounce_only(express_fabric, 1), (1, 2))
         )
         assert not report.deadlock_free
         assert report.tag_cycle is not None
 
     def test_simulated_express_traffic_safe(self, express_fabric):
-        from repro.core.pipeline import QueueMap
-        from repro.core.planner import TaggerPlan
-        from repro.core.rules import materialize_policy_rules
         from repro.routing import shortest_path_tables
         from repro.simulator import Flow, SimNetwork, is_deadlocked
 
-        tagger = FlywaysTagger(express_fabric, max_increments=2)
-        tags = list(range(1, tagger.max_lossless_tag + 1))
-        tables = {
-            switch: materialize_policy_rules(
-                express_fabric, switch, tagger.rewrite, tags
-            )
-            for switch in express_fabric.switches
-        }
-        plan = TaggerPlan(
-            topo=express_fabric,
-            graph=tagger.tagged_graph(),
-            tables=tables,
-            queue_map=QueueMap.identity(tagger.num_lossless_tags),
-            description="flyways k=2",
-        )
+        plan = TaggerPlan.for_clos(express_fabric, max_bounces=2)
         net = SimNetwork.with_plan(
             express_fabric, shortest_path_tables(express_fabric), plan
         )
@@ -145,9 +151,9 @@ class TestSafety:
 
     def test_unlayered_rejected(self):
         topo = jellyfish(8, 4, hosts_per_switch=0, seed=1)
-        with pytest.raises(TaggingError):
-            FlywaysTagger(topo)
+        with pytest.raises(TaggingError, match="layer"):
+            ClosTagger(topo)
 
     def test_negative_budget_rejected(self, testbed):
         with pytest.raises(TaggingError):
-            FlywaysTagger(testbed, max_increments=-1)
+            ClosTagger(testbed, max_bounces=-1)

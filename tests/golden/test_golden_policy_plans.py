@@ -1,8 +1,10 @@
 """Golden digests of the topology-aware (policy) plans.
 
 ``for_clos`` and ``for_multiclass_clos`` materialise a turn policy into
-rule tables and a complete tagged graph; the express-link fabric of
-§6 runs the same turn rule with flat hops. Each case freezes the
+rule tables and a complete tagged graph; on the express-link fabric of
+§6 the same turn rule also raises the tag around flat hops. The
+express cases were recorded from the phase-ordered express tagger that
+the turn rule replaced, so they pin the two as equal. Each case freezes the
 SHA-256 of the canonical rule tables, of the graph's nodes in insertion
 order and of its sorted edges, plus the headline counts, so a change to
 the policy, its port classification or the graph walk that moves one
@@ -44,32 +46,16 @@ def _sha256(value) -> str:
 
 
 def digest(plan: TaggerPlan) -> dict:
-    return _digest(plan.tables, plan.graph)
-
-
-def _digest(tables, graph) -> dict:
+    graph = plan.graph
     return {
-        "tables_sha256": _sha256(canonical_tables(tables)),
+        "tables_sha256": _sha256(canonical_tables(plan.tables)),
         "nodes_sha256": _sha256(list(graph.nodes)),
         "edges_sha256": _sha256(sorted(graph.edges())),
         "num_nodes": graph.num_nodes,
         "num_edges": graph.num_edges,
         "num_tags": graph.num_tags,
-        "total_rules": sum(len(table) for table in tables.values()),
+        "total_rules": plan.total_rules,
     }
-
-
-def _flyways(k: int) -> dict:
-    from repro.core import INITIAL_TAG, FlywaysTagger, materialize_policy_rules
-
-    topo = express_testbed()
-    tagger = FlywaysTagger(topo, max_increments=k)
-    tags = range(INITIAL_TAG, tagger.max_lossless_tag + 1)
-    tables = {
-        switch: materialize_policy_rules(topo, switch, tagger.rewrite, tags)
-        for switch in topo.switches
-    }
-    return _digest(tables, tagger.tagged_graph())
 
 
 def snapshot() -> dict:
@@ -83,7 +69,9 @@ def snapshot() -> dict:
         )
     )
     for k in (0, 1, 2, 3):
-        cases[f"express-testbed-k{k}"] = _flyways(k)
+        cases[f"express-testbed-k{k}"] = digest(
+            TaggerPlan.for_clos(express_testbed(), k)
+        )
     return cases
 
 

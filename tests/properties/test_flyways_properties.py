@@ -1,10 +1,10 @@
-"""Property-based tests for the phase-ordered Flyways tagger."""
+"""Property-based tests for the turn rule on express-link (Flyways) fabrics."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FlywaysTagger, LOSSY_TAG, verify_tagged_graph
+from repro.core import LOSSY_TAG, ClosTagger, verify_tagged_graph
 from repro.topology import ClosParams, add_express_link, clos3
 
 SETTINGS = settings(
@@ -41,9 +41,8 @@ def express_fabrics(draw):
 @given(express_fabrics(), st.integers(min_value=0, max_value=3))
 @SETTINGS
 def test_flyways_graph_always_deadlock_free(topo, budget):
-    """For ANY express wiring and budget, the phase-ordered scheme
-    satisfies both Theorem 5.1 requirements."""
-    tagger = FlywaysTagger(topo, max_increments=budget)
+    """For ANY express wiring and budget, the turn rule satisfies both Theorem 5.1 requirements."""
+    tagger = ClosTagger(topo, max_bounces=budget)
     report = verify_tagged_graph(tagger.tagged_graph())
     assert report.deadlock_free
     assert report.num_tags == budget + 1
@@ -56,7 +55,7 @@ def test_tags_monotone_along_random_walks(topo):
     lossy a packet stays lossy."""
     import random
 
-    tagger = FlywaysTagger(topo, max_increments=2)
+    tagger = ClosTagger(topo, max_bounces=2)
     rng = random.Random(17)
     for _ in range(20):
         switches = sorted(topo.switches)
@@ -90,7 +89,7 @@ def test_updown_paths_never_pay(topo):
     """Express links in the fabric never tax traffic that avoids them."""
     from repro.routing import updown_paths
 
-    tagger = FlywaysTagger(topo, max_increments=0)
+    tagger = ClosTagger(topo, max_bounces=0)
     tors = sorted(topo.switches_at_layer(0))
     for src in tors[:2]:
         for dst in tors[2:]:
