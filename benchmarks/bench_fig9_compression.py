@@ -10,7 +10,7 @@ step from in-port aggregation.
 import pytest
 
 from conftest import format_table
-from repro.core import ClosTagger, compression_stats, materialize_policy_rules
+from repro.core import ClosTagger, compression_stats, materialize_policy
 from repro.topology import ClosParams, clos3
 
 
@@ -27,10 +27,10 @@ def run_compression():
     )
     tagger = ClosTagger(topo, max_bounces=2)
     tags = list(range(1, tagger.max_lossless_tag + 1))
+    _, tables = materialize_policy(topo, tagger.rewrite, tags)
     rows = []
     for switch in ("T1", "L1", "S1"):
-        table = materialize_policy_rules(topo, switch, tagger.rewrite, tags)
-        stats = compression_stats(table)
+        stats = compression_stats(tables[switch])
         rows.append(
             (
                 switch,

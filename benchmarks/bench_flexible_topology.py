@@ -21,7 +21,7 @@ from repro.core import (
     LOSSY_TAG,
     ClosTagger,
     TaggerPlan,
-    policy_tagged_graph,
+    materialize_policy,
     verify_tagged_graph,
 )
 from repro.routing import shortest_path_tables
@@ -61,7 +61,7 @@ def bounce_only(topo, max_bounces):
 def run_analysis():
     topo = build_fabric()
     naive = verify_tagged_graph(
-        policy_tagged_graph(topo, bounce_only(topo, 1), (1, 2))
+        materialize_policy(topo, bounce_only(topo, 1), (1, 2))[0]
     )
     budget_rows = []
     for k in (0, 1, 2, 3):

@@ -13,23 +13,21 @@ no dependency, which is exactly how Tagger removes CBDs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from repro.core.rules import RewriteFn, policy_tags_along_path
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG
 from repro.topology.base import Topology
 
 Buffer = Tuple  # (switch, in_port) or (switch, in_port, tag)
 
-#: Signature of a tag policy: (switch, in_port, out_port, tag) -> new tag.
-TagPolicy = Callable[[str, int, int, int], int]
-
 
 def cbd_graph(
     topo: Topology,
     paths: Iterable[Sequence[str]],
-    tag_policy: Optional[TagPolicy] = None,
+    tag_policy: Optional[RewriteFn] = None,
     initial_tag: int = INITIAL_TAG,
 ) -> nx.DiGraph:
     """Buffer-dependency graph of a path set.
@@ -47,7 +45,11 @@ def cbd_graph(
     graph = nx.DiGraph()
     for path in paths:
         nodes = list(path)
-        tag = initial_tag
+        tags = (
+            None
+            if tag_policy is None
+            else policy_tags_along_path(topo, tag_policy, nodes, initial_tag)
+        )
         prev_buffer: Optional[Buffer] = None
         for i in range(len(nodes) - 1):
             prev_node, node = nodes[i], nodes[i + 1]
@@ -55,16 +57,10 @@ def cbd_graph(
                 prev_buffer = None
                 continue
             in_port = topo.port_to(node, prev_node)
-            if tag_policy is None:
+            if tags is None:
                 buffer: Optional[Buffer] = (node, in_port)
             else:
-                if i > 0 and topo.node(prev_node).is_switch:
-                    out_port = topo.port_to(prev_node, node)
-                    prev_in = topo.port_to(prev_node, nodes[i - 1])
-                    tag = tag_policy(prev_node, prev_in, out_port, tag)
-                buffer = (
-                    None if tag == LOSSY_TAG else (node, in_port, tag)
-                )
+                buffer = None if tags[i] == LOSSY_TAG else (node, in_port, tags[i])
             if buffer is not None:
                 graph.add_node(buffer)
                 if prev_buffer is not None:
@@ -85,7 +81,7 @@ def find_cbd(graph: nx.DiGraph) -> Optional[List[Buffer]]:
 def has_cbd(
     topo: Topology,
     paths: Iterable[Sequence[str]],
-    tag_policy: Optional[TagPolicy] = None,
+    tag_policy: Optional[RewriteFn] = None,
 ) -> bool:
     """Convenience: does this path set create a CBD?"""
     return find_cbd(cbd_graph(topo, paths, tag_policy=tag_policy)) is not None

@@ -67,8 +67,7 @@ from repro.core.rules import (
     canonical_tables,
     coverage_report,
     diff_tables,
-    materialize_policy_rules,
-    policy_tagged_graph,
+    materialize_policy,
     policy_tags_along_path,
     rules_from_tagged_graph,
     rules_to_tagged_graph,
@@ -145,8 +144,7 @@ __all__ = [
     "diff_tables",
     "tables_equal",
     "RuleDiff",
-    "materialize_policy_rules",
-    "policy_tagged_graph",
+    "materialize_policy",
     "policy_tags_along_path",
     "rules_from_tagged_graph",
     "rules_to_tagged_graph",

@@ -28,9 +28,9 @@ initial tags (:func:`repro.core.multiclass.staggered_tagger`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.rules import policy_tagged_graph, policy_tags_along_path
+from repro.core.rules import RuleTable, materialize_policy, policy_tags_along_path
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.exceptions import TaggingError
 from repro.topology.base import Topology
@@ -124,10 +124,15 @@ class ClosTagger:
     # ------------------------------------------------------------------
     def tagged_graph(self) -> TaggedGraph:
         """The complete tagged graph induced by this policy
-        (:func:`~repro.core.rules.policy_tagged_graph` over
-        :meth:`rewrite` and every lossless tag; host ports are live for
+        (:func:`~repro.core.rules.materialize_policy` over :meth:`rewrite`
+        and every lossless tag; host ports are live for
         :attr:`initial_tags`)."""
-        return policy_tagged_graph(
+        return self.materialize()[0]
+
+    def materialize(self) -> Tuple[TaggedGraph, Dict[str, RuleTable]]:
+        """This policy's tagged graph and per-switch rule tables, from one
+        evaluation of :meth:`rewrite` per transit."""
+        return materialize_policy(
             self.topo,
             self.rewrite,
             range(INITIAL_TAG, self.max_lossless_tag + 1),

@@ -20,7 +20,9 @@ and :meth:`TaggerPlan.from_provider` (liveness-aware closed form or
 per-pair walk), which every
 :class:`~repro.core.replan.IncrementalPlanner` replan is — is
 finished by the one :func:`compile_plan` tail (rule-realizable minimize,
-verify, queue map), and both policy plans by one materialise-and-wrap body.
+verify, queue map), and both policy plans by one body that takes the
+graph it verifies and the tables it ships from a single walk of the
+policy (:func:`~repro.core.rules.materialize_policy`).
 Algorithm 2 as printed (:func:`~repro.core.greedy.greedy_minimize`) is not
 on this path: it can demand two rewrites for one match key, so it is kept
 for the reproductions and the fuzzer only.
@@ -40,7 +42,7 @@ from repro.core.elp import ElpSet, PairwiseElpProvider
 from repro.core.symmetry import certify
 from repro.core.multiclass import TrafficClass, staggered_tagger
 from repro.core.pipeline import PipelineConfig, QueueMap
-from repro.core.rules import RuleTable, coverage_report, materialize_policy_rules
+from repro.core.rules import RuleTable, coverage_report
 from repro.core.tags import INITIAL_TAG, TaggedGraph
 from repro.core.verification import VerificationReport, assert_deadlock_free, verify_tagged_graph
 from repro.exceptions import TaggingError
@@ -200,7 +202,6 @@ class TaggerPlan:
         links, §6, included): ``max_bounces + 1`` lossless tags."""
         tagger = ClosTagger(topo, max_bounces=max_bounces)
         return _policy_plan(
-            topo,
             tagger,
             max_lossless_queues,
             f"clos k={max_bounces} ({tagger.num_lossless_tags} tags)",
@@ -217,7 +218,6 @@ class TaggerPlan:
         (:func:`~repro.core.multiclass.staggered_tagger`)."""
         tagger = staggered_tagger(topo, classes)
         return _policy_plan(
-            topo,
             tagger,
             max_lossless_queues,
             f"multiclass clos ({len(classes)} classes, "
@@ -271,7 +271,7 @@ class TaggerPlan:
         Safely merges adjacent tag classes (see
         :mod:`repro.core.queuefit`) and renumbers the rule tables to
         match. Raises :class:`~repro.exceptions.CapacityError` when the
-        ELP genuinely does not fit the hardware.
+        greedy merge finds no safe fit, which proves no lower bound.
         """
         from repro.core.queuefit import fit_to_queues, remap_tables
 
@@ -332,23 +332,16 @@ def compile_plan(
 
 
 def _policy_plan(
-    topo: Topology,
     tagger: ClosTagger,
     max_lossless_queues: int,
     description: str,
 ) -> TaggerPlan:
-    """Verify a topology-aware tagger's induced graph and wrap its rules."""
-    graph = tagger.tagged_graph()
+    """Verify a topology-aware tagger's induced graph and wrap its rules,
+    both from one walk of the policy."""
+    graph, tables = tagger.materialize()
     assert_deadlock_free(graph)
-    tags = range(INITIAL_TAG, INITIAL_TAG + tagger.num_lossless_tags)
-    tables = {
-        switch: materialize_policy_rules(
-            topo, switch, tagger.rewrite, tags, host_tags=tagger.initial_tags
-        )
-        for switch in topo.switches
-    }
     return TaggerPlan(
-        topo=topo,
+        topo=tagger.topo,
         graph=graph,
         tables=tables,
         queue_map=QueueMap.identity(

@@ -94,9 +94,11 @@ def fit_to_queues(
     pair. Returns the fused graph plus the total old-tag -> new-tag
     mapping (identity if the graph already fits).
 
-    Raises :class:`CapacityError` when no sequence of safe adjacent
-    merges reaches the budget — the honest "this ELP does not fit this
-    hardware" signal.
+    Raises :class:`CapacityError` when the greedy scan finds no safe
+    adjacent merge before the budget is reached. That is a search that
+    gave up, not a proof that the ELP needs more tags: another tagging
+    of the same ELP may fit (``for_clos`` carries the testbed's 1-bounce
+    ELP in 2 tags; its 3-tag Algorithm-1 plan is refused here at 2).
     """
     if max_tags < 1:
         raise TaggingError("max_tags must be >= 1")
@@ -124,8 +126,9 @@ def fit_to_queues(
                 break
         if not fused:
             raise CapacityError(
-                f"cannot fit {graph.num_tags} tags into {max_tags} lossless "
-                "queues: no adjacent tag classes can merge without a CBD"
+                f"{graph.num_tags} tags into {max_tags} lossless queues "
+                "not fitted: greedy adjacent merging found no safe merge; "
+                "no lower bound proved"
             )
     report = verify_tagged_graph(current)
     if not report.deadlock_free:

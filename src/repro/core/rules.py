@@ -16,6 +16,11 @@ the same key (possible in principle after greedy minimization, see
 larger tag — safety (deadlock freedom) is preserved, a few packets may be
 demoted to lossy earlier than strictly necessary, and the effective graph
 can be re-verified via :func:`rules_to_tagged_graph`.
+
+A topology-aware policy (``ClosTagger.rewrite``) needs no graph to start
+from: :func:`materialize_policy` asks the policy once per transit and
+records the rule and the graph edge from that one answer, so the tables
+a policy plan ships and the graph it verifies are one object.
 """
 
 from __future__ import annotations
@@ -158,38 +163,6 @@ def rules_to_tagged_graph(
     return graph
 
 
-def materialize_policy_rules(
-    topo: Topology,
-    switch: str,
-    policy: RewriteFn,
-    tags: Sequence[int],
-    host_tags: Sequence[int] = (INITIAL_TAG,),
-) -> RuleTable:
-    """Expand a functional policy into explicit rules for one switch.
-
-    Enumerates all (tag, in_port, out_port) combinations over the switch's
-    ports; entries whose policy answer is :data:`LOSSY_TAG` are omitted
-    (the safeguard default already demotes). Switch-facing ingress ports
-    get a rule for every tag in ``tags``; host-facing ones for the tags
-    hosts inject, ``host_tags`` (as in :func:`policy_tagged_graph`).
-    Used to count hardware rules for topology-aware taggers and to feed
-    the TCAM compressor.
-    """
-    table = RuleTable(switch=switch)
-    ports = topo.ports(switch)
-    for in_port, in_peer in ports.items():
-        live_tags = host_tags if topo.node(in_peer).is_host else tags
-        for out_port in ports:
-            if in_port == out_port:
-                continue
-            for tag in live_tags:
-                new_tag = policy(switch, in_port, out_port, tag)
-                if new_tag == LOSSY_TAG:
-                    continue
-                table.rules[(tag, in_port, out_port)] = new_tag
-    return table
-
-
 def policy_tags_along_path(
     topo: Topology,
     policy: RewriteFn,
@@ -203,7 +176,8 @@ def policy_tags_along_path(
     ``initial_tag`` and every transit switch applies ``policy``; once
     demoted, it stays :data:`LOSSY_TAG` (policies map lossy to lossy).
     This is the one path walk behind every topology-aware tagger's
-    ``tag_along_path``.
+    ``tag_along_path`` and the tagged buffers of
+    :func:`repro.analysis.cbd.cbd_graph`.
     """
     tags: List[int] = []
     tag = initial_tag
@@ -222,42 +196,53 @@ def policy_tags_along_path(
     return tags
 
 
-def policy_tagged_graph(
+def materialize_policy(
     topo: Topology,
     policy: RewriteFn,
     tags: Sequence[int],
     host_tags: Sequence[int] = (INITIAL_TAG,),
-) -> TaggedGraph:
-    """The complete tagged graph a functional policy induces.
+) -> Tuple[TaggedGraph, Dict[str, RuleTable]]:
+    """The tagged graph and per-switch rule tables a policy induces.
 
-    Covers *every* physical trajectory the fabric allows (not just an
-    enumerated ELP): for each transit pattern ``A -> B -> C`` and each
-    live tag, an edge with the rewritten tag — unless the rewrite
-    demotes the packet, in which case it leaves the lossless world and
-    contributes no dependency. Switch-facing ingress ports are live for
-    every tag in ``tags``; host-facing ones for ``host_tags`` only
-    (hosts inject fresh packets; multi-class deployments inject one
-    staggered tag per class).
+    One walk asks ``policy`` once per transit for both. It covers
+    *every* physical trajectory the fabric allows (not just an enumerated
+    ELP). Switch-facing ingress ports are live for every tag in ``tags``;
+    host-facing ones for ``host_tags`` only (hosts inject fresh packets;
+    multi-class deployments inject one staggered tag per class). Each
+    live ``(switch, in_port, tag)`` is a graph node. For every other port
+    of the switch the policy is asked once: a :data:`LOSSY_TAG` answer
+    contributes nothing (the safeguard default already demotes, and a
+    demoted packet leaves the lossless world); any other answer is the
+    rule ``(tag, in_port, out_port) -> new tag`` and, when ``out_port``
+    faces a switch, the edge into that switch's ingress at the new tag.
+    Every switch gets a table, empty or not.
     """
     graph = TaggedGraph()
+    tables: Dict[str, RuleTable] = {}
     for switch in topo.switches:
         ports = topo.ports(switch)
+        peer_ingress = {
+            out_port: (peer, topo.port_to(peer, switch))
+            for out_port, peer in ports.items()
+            if topo.node(peer).is_switch
+        }
+        rules: Dict[MatchKey, int] = {}
         for in_port, in_peer in ports.items():
             live_tags = host_tags if topo.node(in_peer).is_host else tags
             for tag in live_tags:
                 node = ((switch, in_port), tag)
                 graph.add_node(node)
-                for out_port, out_peer in ports.items():
+                for out_port in ports:
                     if out_port == in_port:
-                        continue
-                    if not topo.node(out_peer).is_switch:
                         continue
                     new_tag = policy(switch, in_port, out_port, tag)
                     if new_tag == LOSSY_TAG:
                         continue
-                    peer_in_port = topo.port_to(out_peer, switch)
-                    graph.add_edge(node, ((out_peer, peer_in_port), new_tag))
-    return graph
+                    rules[(tag, in_port, out_port)] = new_tag
+                    if out_port in peer_ingress:
+                        graph.add_edge(node, (peer_ingress[out_port], new_tag))
+        tables[switch] = RuleTable(switch=switch, rules=rules)
+    return graph, tables
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.pipeline import PipelineConfig, QueueMap
-from repro.core.rules import RuleTable, policy_tagged_graph
+from repro.core.rules import RuleTable, materialize_policy
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.exceptions import TaggingError
 from repro.topology.base import Topology
@@ -92,9 +92,9 @@ class TtlFallback:
         physical cycle shorter than ``max_hops`` this contains a CBD —
         which is the point.
         """
-        return policy_tagged_graph(
+        graph, _ = materialize_policy(
             self.topo,
             lambda switch, in_port, out_port, tag: INITIAL_TAG,
             (INITIAL_TAG,),
-            (INITIAL_TAG,),
         )
+        return graph

@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.core import INITIAL_TAG, LOSSY_TAG, ClosTagger, verify_tagged_graph
+from repro.core import (
+    INITIAL_TAG,
+    LOSSY_TAG,
+    ClosTagger,
+    TaggerPlan,
+    rules_to_tagged_graph,
+    verify_tagged_graph,
+)
 from repro.exceptions import TaggingError
 from repro.routing import all_bounce_paths, count_bounces
-from repro.topology import fattree, jellyfish
+from repro.topology import ClosParams, clos3, fattree, jellyfish
 
 
 class TestBounceDetection:
@@ -178,3 +185,31 @@ class TestPolicyDispatch:
         assert broken_graph != honest.tagged_graph()
         assert not any(src[1] != dst[1] for src, dst in broken_graph.edges())
         assert not verify_tagged_graph(broken_graph).deadlock_free
+
+
+class TestOnePolicyWalk:
+    """A policy plan's graph and tables come from one walk of the policy."""
+
+    def test_for_clos_asks_the_policy_once_per_transit(self, monkeypatch):
+        """On CLOS64 at k = 1, ``rewrite`` runs once per live
+        ``(switch, in_port, out_port, tag)``: 18 688 calls. A graph walk
+        and a table walk asked it 18 176 + 18 688 = 36 864 times."""
+        calls = []
+        rewrite = ClosTagger.rewrite
+
+        def counted(self, switch, in_port, out_port, tag):
+            calls.append((switch, in_port, out_port, tag))
+            return rewrite(self, switch, in_port, out_port, tag)
+
+        monkeypatch.setattr(ClosTagger, "rewrite", counted)
+        TaggerPlan.for_clos(clos3(ClosParams(8, 8, 4, 4, hosts_per_tor=1)), 1)
+        assert len(calls) == len(set(calls)) == 18688
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_graph_edges_are_the_tables_edges(self, testbed, k):
+        """Every switch-facing rule is an edge of the graph and every edge
+        is a rule: the graph the plan verifies is the one its tables
+        induce."""
+        plan = TaggerPlan.for_clos(testbed, k)
+        induced = rules_to_tagged_graph(testbed, plan.tables)
+        assert sorted(induced.edges()) == sorted(plan.graph.edges())

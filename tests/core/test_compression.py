@@ -11,7 +11,7 @@ from repro.core import (
     compression_stats,
     expand,
     first_match,
-    materialize_policy_rules,
+    materialize_policy,
     safeguard_entry,
     tcam_program,
 )
@@ -67,21 +67,17 @@ class TestJointAggregation:
 
     def test_round_trip_on_real_tables(self, testbed):
         tagger = ClosTagger(testbed, max_bounces=1)
-        for switch in testbed.switches:
-            table = materialize_policy_rules(
-                testbed, switch, tagger.rewrite, tags=[1, 2]
-            )
+        _, tables = materialize_policy(testbed, tagger.rewrite, [1, 2])
+        for table in tables.values():
             rules = table.as_rules()
             assert expand(compress_joint(rules)) == rules
             assert expand(compress_in_ports(rules)) == rules
 
     def test_monotone_improvement(self, testbed):
         tagger = ClosTagger(testbed, max_bounces=1)
+        _, tables = materialize_policy(testbed, tagger.rewrite, [1, 2])
         for switch in ("T1", "L1", "S1"):
-            table = materialize_policy_rules(
-                testbed, switch, tagger.rewrite, tags=[1, 2]
-            )
-            stats = compression_stats(table)
+            stats = compression_stats(tables[switch])
             assert (
                 stats.joint_aggregated
                 <= stats.in_port_aggregated
@@ -172,10 +168,8 @@ class TestOrderedPrograms:
 
     def test_program_round_trip_on_real_tables(self, testbed):
         tagger = ClosTagger(testbed, max_bounces=1)
-        for switch in testbed.switches:
-            table = materialize_policy_rules(
-                testbed, switch, tagger.rewrite, tags=[1, 2]
-            )
+        _, tables = materialize_policy(testbed, tagger.rewrite, [1, 2])
+        for switch, table in tables.items():
             ports = set(testbed.ports(switch))
             program = tcam_program(table, ports)
             assert expand(program) == table.as_rules()

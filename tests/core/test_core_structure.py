@@ -16,6 +16,7 @@ from pathlib import Path
 
 SRC_DIR = Path(__file__).parents[2] / "src"
 CORE_DIR = SRC_DIR / "repro" / "core"
+ANALYSIS_DIR = SRC_DIR / "repro" / "analysis"
 
 
 def _functions(path):
@@ -117,14 +118,14 @@ def test_the_input_picks_the_enumeration():
     certificate decides closed form vs per-pair walk, a policy plan is
     always materialized, and a full recompute follows from the input."""
     import repro.core
-    from repro.core import IncrementalPlanner, TaggerPlan, materialize_policy_rules
+    from repro.core import IncrementalPlanner, TaggerPlan, materialize_policy
 
     for function, dropped in (
         (TaggerPlan.from_provider, {"strategy"}),
         (IncrementalPlanner.__init__, {"strategy"}),
         (IncrementalPlanner.apply, {"force_full"}),
         (TaggerPlan.for_clos, {"materialize"}),
-        (materialize_policy_rules, {"include_host_ports"}),
+        (materialize_policy, {"include_host_ports"}),
     ):
         params = set(inspect.signature(function).parameters)
         assert not params & dropped, f"{function.__qualname__} takes {dropped}"
@@ -169,29 +170,40 @@ def test_plans_are_constructed_at_three_sites():
 
 def test_one_policy_path_walk_and_one_policy_graph():
     """Resolving ports and applying a rewrite policy happens in
-    ``core/rules.py`` only; the taggers dispatch ``self.rewrite`` into it,
-    and no function elsewhere wires a policy graph port by port."""
+    ``core/rules.py`` only, in ``core`` and ``analysis`` alike: the
+    taggers and the CBD builder dispatch their policy into it, one walk
+    of a policy yields both its graph and its tables, and no function
+    elsewhere wires a policy graph port by port."""
+    functions = [
+        (path, name, _called_names(node))
+        for path in sorted(CORE_DIR.glob("*.py")) + sorted(ANALYSIS_DIR.glob("*.py"))
+        for name, node in _functions(path)
+    ]
     walkers = sorted(
         f"{path.name}:{name}"
-        for path in CORE_DIR.glob("*.py")
-        for name, node in _functions(path)
-        if "port_to" in _called_names(node)
-        and {"policy", "rewrite"} & set(_called_names(node))
+        for path, name, called in functions
+        if "port_to" in called and {"policy", "rewrite", "tag_policy"} & set(called)
     )
     assert walkers == [
-        "rules.py:policy_tagged_graph",
+        "rules.py:materialize_policy",
         "rules.py:policy_tags_along_path",
     ]
+    # ``cbd_graph`` wires a path set's buffers hop by hop; its tags come
+    # from ``policy_tags_along_path``.
     wirers = sorted(
         f"{path.name}:{name}"
-        for path in CORE_DIR.glob("*.py")
-        for name, node in _functions(path)
-        if {"port_to", "add_edge"} <= set(_called_names(node))
+        for path, name, called in functions
+        if {"port_to", "add_edge"} <= set(called)
     )
     assert wirers == [
-        "rules.py:policy_tagged_graph",
+        "cbd.py:cbd_graph",
+        "rules.py:materialize_policy",
         "rules.py:rules_to_tagged_graph",
     ]
+    import repro.core.rules
+
+    for gone in ("materialize_policy_rules", "policy_tagged_graph"):
+        assert not hasattr(repro.core.rules, gone), gone
 
 
 def test_one_turn_rule_for_every_layered_fabric():

@@ -6,7 +6,7 @@ from repro.core import (
     LOSSY_TAG,
     ClosTagger,
     TaggerPlan,
-    policy_tagged_graph,
+    materialize_policy,
     policy_tags_along_path,
     verify_tagged_graph,
 )
@@ -79,7 +79,7 @@ class TestPhaseOrder:
             assert tagger.tag_along_path(path) == policy_tags_along_path(
                 testbed, bounce, path
             )
-        assert tagger.tagged_graph() == policy_tagged_graph(testbed, bounce, (1, 2))
+        assert tagger.tagged_graph() == materialize_policy(testbed, bounce, (1, 2))[0]
 
     def test_single_express_hop_free(self, express_fabric):
         tagger = ClosTagger(express_fabric, max_bounces=2)
@@ -120,9 +120,10 @@ class TestSafety:
     def test_plain_clos_tagger_is_unsafe_with_express_links(self, express_fabric):
         """The motivation: the up-down bounce rule misses flat hops, and
         the generic verifier catches the resulting per-tag cycle."""
-        report = verify_tagged_graph(
-            policy_tagged_graph(express_fabric, bounce_only(express_fabric, 1), (1, 2))
+        graph, _ = materialize_policy(
+            express_fabric, bounce_only(express_fabric, 1), (1, 2)
         )
+        report = verify_tagged_graph(graph)
         assert not report.deadlock_free
         assert report.tag_cycle is not None
 

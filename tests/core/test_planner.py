@@ -6,6 +6,7 @@ from repro.core import (
     QueueMap,
     TaggerPlan,
     TrafficClass,
+    UpDownElpProvider,
     bruteforce_tagging,
     clos_bounce_elp,
     clos_updown_elp,
@@ -14,6 +15,7 @@ from repro.core import (
 )
 from repro.exceptions import CapacityError, TaggingError
 from repro.routing import all_bounce_paths
+from repro.topology import ClosParams, clos3
 
 
 class TestForClos:
@@ -145,3 +147,41 @@ class TestMulticlassPlan:
             )
             assert total == len(paths)
             assert lossless == total, (cls.name, demoted[:3])
+
+
+class TestHostTraffic:
+    """Host paths on a hosted 16-ToR Clos: one shortest up-down path per
+    ordered ToR pair, with each ToR's host at either end (240 paths),
+    replayed from the host port through :func:`coverage_report`."""
+
+    @pytest.fixture(scope="class")
+    def fabric(self):
+        topo = clos3(ClosParams(4, 4, 2, 2, hosts_per_tor=1))
+        provider = UpDownElpProvider()
+        paths = []
+        for src, dst in provider.ordered_pairs(topo):
+            path = provider.pair_paths(topo, src, dst)[0]
+            paths.append((topo.hosts_under(src)[0], *path, topo.hosts_under(dst)[0]))
+        assert len(paths) == 240
+        return topo, paths
+
+    def test_for_clos_carries_every_host_path(self, fabric):
+        topo, paths = fabric
+        lossless, total, demoted = coverage_report(
+            topo, TaggerPlan.for_clos(topo, 1).tables, paths
+        )
+        assert (lossless, total) == (240, 240), demoted[:1]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1b: no host-ingress rules",
+    )
+    def test_from_provider_carries_every_host_path(self, fabric):
+        """Today 0 of 240 stay lossless: the first demotion is
+        ``H1 T1 L1 S1 L5 T10 H10`` at hop 1, the ToR's host ingress."""
+        topo, paths = fabric
+        lossless, total, demoted = coverage_report(
+            topo, TaggerPlan.from_provider(topo, UpDownElpProvider()).tables, paths
+        )
+        assert (lossless, total) == (240, 240), demoted[:1]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     ClosTagger,
+    TaggerPlan,
     bruteforce_tagging,
     clos_bounce_elp,
     clos_updown_elp,
@@ -92,6 +93,18 @@ class TestFitToQueues:
             fit_to_queues(det.graph, 2)
         # ... while the topology-aware scheme does it with 2.
         assert ClosTagger(testbed, max_bounces=1).num_lossless_tags == 2
+
+    def test_refusal_claims_no_lower_bound(self, testbed):
+        """The greedy fit gives up on the testbed bounce ELP at 2 queues,
+        yet 2 tags carry that ELP under ``for_clos``: the refusal must
+        not read as a proof of impossibility."""
+        elp = clos_bounce_elp(testbed, 1)
+        plan = TaggerPlan.from_elp(testbed, elp)
+        with pytest.raises(CapacityError, match="no lower bound proved"):
+            plan.fit_to_queues(2)
+        clos = TaggerPlan.for_clos(testbed, 1)
+        assert clos.num_lossless_queues == 2
+        assert clos.coverage(elp) == 1.0
 
     def test_bad_budget(self, testbed):
         bf = bruteforce_tagging(testbed, clos_updown_elp(testbed))

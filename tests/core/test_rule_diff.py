@@ -7,7 +7,7 @@ from repro.core import (
     MatchActionRule,
     RuleTable,
     diff_tables,
-    materialize_policy_rules,
+    materialize_policy,
 )
 from repro.topology import ClosParams, clos3, expand_clos
 
@@ -62,12 +62,8 @@ class TestExpansionDiff:
 
         def snapshot():
             tagger = ClosTagger(topo, max_bounces=1)
-            return {
-                switch: materialize_policy_rules(
-                    topo, switch, tagger.rewrite, tags=[1, 2]
-                )
-                for switch in old_switches
-            }
+            _, tables = materialize_policy(topo, tagger.rewrite, [1, 2])
+            return {switch: tables[switch] for switch in old_switches}
 
         before = snapshot()
         expand_clos(topo, params, extra_pods=1)

@@ -11,7 +11,7 @@ from repro.core import (
     bruteforce_tagging,
     clos_updown_elp,
     coverage_report,
-    materialize_policy_rules,
+    materialize_policy,
     rules_from_tagged_graph,
     rules_to_tagged_graph,
     verify_tagged_graph,
@@ -77,9 +77,7 @@ class TestRulesFromGraph:
 class TestMaterializePolicy:
     def test_clos_policy_materialization(self, testbed):
         tagger = ClosTagger(testbed, max_bounces=1)
-        table = materialize_policy_rules(
-            testbed, "L1", tagger.rewrite, tags=[1, 2]
-        )
+        table = materialize_policy(testbed, tagger.rewrite, [1, 2])[1]["L1"]
         # Bounce rule present: in from S2, out to S1, tag 1 -> 2.
         in_port = testbed.port_to("L1", "S2")
         out_port = testbed.port_to("L1", "S1")
@@ -89,9 +87,7 @@ class TestMaterializePolicy:
 
     def test_host_ingress_restricted_to_initial_tag(self, testbed):
         tagger = ClosTagger(testbed, max_bounces=1)
-        table = materialize_policy_rules(
-            testbed, "T1", tagger.rewrite, tags=[1, 2]
-        )
+        table = materialize_policy(testbed, tagger.rewrite, [1, 2])[1]["T1"]
         host_port = testbed.port_to("T1", "H1")
         tags_from_host = {
             tag for (tag, in_port, _) in table.rules if in_port == host_port
@@ -101,10 +97,9 @@ class TestMaterializePolicy:
     def test_materialized_equals_policy(self, testbed):
         """Explicit rules and the functional policy agree everywhere."""
         tagger = ClosTagger(testbed, max_bounces=1)
+        _, tables = materialize_policy(testbed, tagger.rewrite, [1, 2])
         for switch in ("T1", "L1", "S1"):
-            table = materialize_policy_rules(
-                testbed, switch, tagger.rewrite, tags=[1, 2]
-            )
+            table = tables[switch]
             ports = testbed.ports(switch)
             for in_port in ports:
                 for out_port in ports:

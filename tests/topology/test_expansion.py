@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ClosTagger, materialize_policy_rules, verify_tagged_graph
+from repro.core import ClosTagger, materialize_policy, verify_tagged_graph
 from repro.exceptions import TopologyError
 from repro.topology import ClosParams, clos3, expand_clos
 
@@ -47,19 +47,16 @@ class TestExpandClos:
         rules on spines."""
         topo = clos3(params)
         old_switches = list(topo.switches)
-        tagger_before = ClosTagger(topo, max_bounces=1)
-        rules_before = {
-            switch: materialize_policy_rules(
-                topo, switch, tagger_before.rewrite, tags=[1, 2]
-            ).rules
-            for switch in old_switches
-        }
+        _, before = materialize_policy(
+            topo, ClosTagger(topo, max_bounces=1).rewrite, [1, 2]
+        )
+        rules_before = {switch: before[switch].rules for switch in old_switches}
         expand_clos(topo, params, extra_pods=1)
-        tagger_after = ClosTagger(topo, max_bounces=1)
+        _, tables_after = materialize_policy(
+            topo, ClosTagger(topo, max_bounces=1).rewrite, [1, 2]
+        )
         for switch in old_switches:
-            after = materialize_policy_rules(
-                topo, switch, tagger_after.rewrite, tags=[1, 2]
-            ).rules
+            after = tables_after[switch].rules
             if switch.startswith("S"):
                 # Spines gain rules for their new ports; nothing changes
                 # or disappears among pre-existing entries.
