@@ -8,8 +8,9 @@ Usage (also available as ``python -m repro``)::
     # Plan an unstructured fabric from traced shortest paths.
     repro-tagger plan --topology jellyfish --switches 50 --ports 12
 
-    # Re-verify a previously exported plan (Theorem 5.1 on the rules).
-    repro-tagger verify plan.json
+    # Re-verify a previously exported plan (Theorem 5.1 on the rules);
+    # --hosts also replays its host paths through the programs (R204).
+    repro-tagger verify plan.json --hosts
 
     # Statically certify the compiled artifact (rules, TCAM, queues).
     repro-tagger lint plan.json --json lint-report.json
@@ -48,11 +49,14 @@ if TYPE_CHECKING:
 from repro.core import (
     TaggerPlan,
     assert_deadlock_free,
+    clos_bounce_elp,
     jellyfish_elp,
     rules_to_tagged_graph,
 )
 from repro.core.rules import MatchActionRule, RuleTable
 from repro.exceptions import ReproError
+from repro.potential import check_potential
+from repro.replay import fabric_digest, host_paths, replay_hosts
 from repro.topology import (
     TESTBED_BLUE_PATH,
     TESTBED_GREEN_PATH,
@@ -123,11 +127,32 @@ def build_plan(args: argparse.Namespace, topo: Topology) -> TaggerPlan:
     return TaggerPlan.from_elp(topo, elp)
 
 
+def _elp_name(args: argparse.Namespace) -> str:
+    """The ELP a plan built from ``args`` covers, by name: the pairwise
+    provider's (``plan --elp updown`` and every replan), else the Clos
+    bounce set or the Jellyfish shortest paths and their extras."""
+    if getattr(args, "elp", "updown") == "updown":
+        return "updown" if args.topology == "clos" else "shortest"
+    if args.topology == "clos":
+        return f"clos bounces={args.bounces}"
+    return f"jellyfish extra_paths={args.extra_paths} seed={args.seed}"
+
+
+def _elp_paths(args: argparse.Namespace, topo: Topology) -> Sequence[Sequence[str]]:
+    """The paths of :func:`_elp_name`'s ELP on ``topo``."""
+    if getattr(args, "elp", "updown") == "updown":
+        return _pairwise_provider(args).build(topo).paths
+    if args.topology == "clos":
+        return clos_bounce_elp(topo, args.bounces).paths
+    return jellyfish_elp(topo, extra_random_paths=args.extra_paths, seed=args.seed).paths
+
+
 # ----------------------------------------------------------------------
 # Plan export / import
 # ----------------------------------------------------------------------
 def plan_to_dict(args: argparse.Namespace, plan: TaggerPlan) -> Dict[str, Any]:
     return {
+        "fabric_digest": fabric_digest(plan.topo, _elp_name(args)),
         "generator": {
             key: getattr(args, key)
             for key in (
@@ -297,6 +322,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     print(f"fabric: {topo}")
     print(f"verification: {report.summary()}")
+    print(f"potential: {_potential_line(topo, tables)}")
+    if args.hosts and not _verify_hosts(args.plan_file, blob, topo, tables):
+        return EXIT_ERROR
     if args.lint:
         lint_report = _lint_blob(blob, topo, tables, tcam_budget=None)
         print(f"lint: {lint_report.summary()}")
@@ -305,6 +333,49 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 print(diag.render(), file=sys.stderr)
             return EXIT_ERROR
     return EXIT_OK
+
+
+def _potential_line(topo: Topology, tables: Dict[str, RuleTable]) -> str:
+    """The rank potential's verdict on ``tables`` (informational: the
+    cycle search above decides the exit code)."""
+    found = check_potential(topo, tables)
+    if found is None:
+        return "every rule raises φ"
+    switch, rule = found
+    if rule is None:
+        return "no layers: cycle search only"
+    (tag, in_port, out_port), new_tag = rule
+    return f"{switch} rule ({tag},{in_port},{out_port})->{new_tag} lowers φ"
+
+
+def _verify_hosts(
+    plan_file: str, blob: Dict[str, Any], topo: Topology, tables: Dict[str, RuleTable]
+) -> bool:
+    """R204 on an export: replay every host path of the ELP the plan was
+    made for through the compiled programs. A plan whose fabric digest
+    does not name this fabric is refused (:class:`ReproError`)."""
+    from repro.core.compression import tcam_program
+    from repro.core.pipeline import QueueMap
+
+    args = argparse.Namespace(**blob["generator"])
+    try:
+        expected = fabric_digest(topo, _elp_name(args))
+    except AttributeError as exc:
+        raise ReproError(f'{plan_file}: incomplete "generator": {exc}') from exc
+    if blob.get("fabric_digest") != expected:
+        raise ReproError(
+            f'{plan_file}: "fabric_digest" does not name the fabric and ELP '
+            'its "generator" and "failed_links" describe; the plan was made '
+            "for another fabric (re-export it)"
+        )
+    paths = host_paths(topo, _elp_paths(args, topo))
+    if not paths:
+        raise ReproError(f"{plan_file}: no ELP path joins two switches that face hosts")
+    programs = {switch: tcam_program(table, topo.ports(switch)) for switch, table in tables.items()}
+    queue_map = QueueMap.identity(int(blob.get("num_lossless_queues", 0)))
+    replay = replay_hosts(topo, programs, queue_map, paths)
+    print(f"hosts: {replay.summary()}")
+    return replay.ok
 
 
 def _lint_blob(
@@ -960,6 +1031,12 @@ def make_parser() -> argparse.ArgumentParser:
         "--lint",
         action="store_true",
         help="also run the deployment linter on the plan's artifacts",
+    )
+    verify.add_argument(
+        "--hosts",
+        action="store_true",
+        help="also replay every host path of the plan's ELP through the "
+        "compiled programs (R204); exit 1 unless all stay lossless",
     )
     verify.set_defaults(func=cmd_verify)
 

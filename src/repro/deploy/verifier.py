@@ -27,6 +27,12 @@ relevant switches — certifies R1/R2, then *every* reachable transitional
 state does, including arbitrary per-key partial batches, reorderings,
 and stragglers. :func:`certify_rollout` checks, in this order,
 
+- the **rank potential** (:mod:`repro.potential`) of every old and
+  every new table: φ depends on the fabric alone, so when each table
+  respects it on its switch, every edge of the global union below
+  raises φ and the union certifies without being built. Each distinct
+  content is judged once, in the :class:`~repro.lint.LintSections` the
+  boundaries and the final lint share;
 - the **global union** (old ∪ new everywhere): when safe, any
   old/new/partial mixture whatsoever is safe, which is what lets the
   orchestrator quarantine an unreachable switch instead of wedging.
@@ -130,6 +136,21 @@ def _union(graphs: Sequence[TaggedGraph]) -> TaggedGraph:
     return union
 
 
+def _potential_certifies(old: Tables, new: Tables, switches: "_SwitchVerdicts") -> bool:
+    """Does the rank potential certify the global union? It does when
+    every old table and every new table whose rules differ is certified
+    by φ on its switch (an unchanged table has its old verdict): φ
+    depends on the fabric alone, so every edge of old ∪ new raises it,
+    and no tag of the union holds a cycle or falls. Each distinct
+    content is judged once, in the sections the boundaries and the
+    final lint share."""
+    return all(switches.certified(switch, False) for switch in old) and all(
+        switches.certified(switch, True)
+        for switch, table in new.items()
+        if switch not in old or table.rules != old[switch].rules
+    )
+
+
 def _global_union_certifies(topo: Topology, old: Tables, new: Tables) -> bool:
     """R1/R2 on the old ∪ new graph, at the cost of one graph build plus
     the transition's delta: a table both plans share contributes the
@@ -228,10 +249,12 @@ def certify_rollout(
 ) -> TransitionCertificate:
     """Certify every state reachable under ``waves`` ordering.
 
-    The global union (old ∪ new everywhere) is verified first: every
-    boundary graph and every per-wave union is a subgraph of it, and
-    R1/R2 are downward closed, so when it certifies they are all safe by
-    implication and none of them is built. Only when it fails does the
+    The global union (old ∪ new everywhere) is verified first — by the
+    rank potential of each old and new table when every one respects
+    it, else by building the union graph. Every boundary graph and every
+    per-wave union is a subgraph of it, and R1/R2 are downward closed,
+    so when it certifies they are all safe by implication and none of
+    them is built. Only when it fails does the
     fine-grained path run: one graph per boundary, one union per wave.
 
     Each boundary whose graph certified then gets the error findings
@@ -253,20 +276,14 @@ def certify_rollout(
         updated = updated | set(wave)
         boundaries.append(set(updated))
 
-    if _global_union_certifies(topo, old, new):
+    switches = _SwitchVerdicts(sections if sections is not None else LintSections(topo), old, new)
+    if _potential_certifies(old, new, switches) or _global_union_certifies(topo, old, new):
         graph_errors: List[List[str]] = [[] for _ in boundaries]
         cert.wave_errors = [None] * len(waves)
     else:
         graph_errors = _certify_wave_order(topo, old, new, boundaries, cert)
 
-    _boundary_lint_errors(
-        topo,
-        old,
-        new,
-        boundaries,
-        graph_errors,
-        sections if sections is not None else LintSections(topo),
-    )
+    _boundary_lint_errors(topo, old, new, boundaries, graph_errors, switches)
     cert.boundary_errors = graph_errors
 
     if cert.covers_stragglers:
@@ -283,13 +300,47 @@ def certify_rollout(
 _Verdict = Optional[Tuple[str, ...]]
 
 
+class _SwitchVerdicts:
+    """Each switch's old and new table, resolved once per certificate
+    through the shared sections: whether φ certifies it, and its part
+    of a boundary's lint errors."""
+
+    def __init__(self, sections: LintSections, old: Tables, new: Tables) -> None:
+        self.sections = sections
+        self._tables = {False: old, True: new}
+        self._judged: Dict[Tuple[str, bool], Tuple[bool, _Verdict]] = {}
+
+    def _judge(self, switch: str, updated: bool) -> Tuple[bool, _Verdict]:
+        key = (switch, updated)
+        if key not in self._judged:
+            rule, program, verdict = self.sections.resolve(switch, self._tables[updated][switch])
+            assert rule is not None
+            self._judged[key] = (
+                not rule.diagnostics and verdict is None,
+                None
+                if rule.diagnostics
+                else tuple(
+                    d.render()
+                    for d in stamp(program.diagnostics, switch)
+                    if d.severity is Severity.ERROR
+                ),
+            )
+        return self._judged[key]
+
+    def certified(self, switch: str, updated: bool) -> bool:
+        return self._judge(switch, updated)[0]
+
+    def lint_errors(self, switch: str, updated: bool) -> _Verdict:
+        return self._judge(switch, updated)[1]
+
+
 def _boundary_lint_errors(
     topo: Topology,
     old: Tables,
     new: Tables,
     boundaries: Sequence[Set[str]],
     graph_errors: List[List[str]],
-    sections: LintSections,
+    switches: _SwitchVerdicts,
 ) -> None:
     """Append to each boundary whose graph certified the error findings
     a full :func:`~repro.lint.lint_tables` of it would report.
@@ -308,41 +359,22 @@ def _boundary_lint_errors(
     A boundary holding a rule T002-T004 rejects — malformed input, where
     a negative rewrite can be a live unmapped tag — is linted in full.
     """
-    verdicts: Dict[Tuple[str, bool], _Verdict] = {}
-
-    def verdict(switch: str, table: RuleTable, updated: bool) -> _Verdict:
-        key = (switch, updated)
-        if key not in verdicts:
-            rule, program = sections.resolve(switch, table)
-            assert rule is not None and program is not None
-            verdicts[key] = (
-                None
-                if rule.diagnostics
-                else tuple(
-                    d.render()
-                    for d in stamp(program.diagnostics, switch)
-                    if d.severity is Severity.ERROR
-                )
-            )
-        return verdicts[key]
-
-    switches = sorted(set(old) | set(new))
+    names = sorted(set(old) | set(new))
     for done, errors in zip(boundaries, graph_errors):
         if errors:
             continue
         found: List[str] = []
-        for switch in switches:
+        for switch in names:
             updated = switch in done
-            table = (new if updated else old).get(switch)
-            if table is None:
+            if switch not in (new if updated else old):
                 continue
-            program_errors = verdict(switch, table, updated)
+            program_errors = switches.lint_errors(switch, updated)
             if program_errors is None:
                 report = lint_tables(
                     topo,
                     mixed_tables(old, new, done),
                     transition_queue_map(old, new),
-                    sections=sections,
+                    sections=switches.sections,
                 )
                 found = [d.render() for d in report.errors]
                 break

@@ -12,10 +12,13 @@ planner state is consulted — in two stages:
   wiring, no switch name — so equal tables on equally numbered switches
   share one;
 - **fabric-wide** (:func:`check_graph`): each section's findings are
-  stamped with its switch, its edges are joined into one graph through
-  that switch's :data:`PortMap` (violating rules are excluded so one bad
-  rule cannot mask a cycle elsewhere) and **T001** runs the R1 per-tag
-  cycle search on it.
+  stamped with its switch. When every section is well formed and every
+  switch's rules respect the rank potential φ (:mod:`repro.potential`),
+  every edge raises φ, so **T001** cannot fire: the graph's stats are
+  counted from the sections and no graph is built. Otherwise the edges
+  are joined into one graph through each switch's :data:`PortMap`
+  (violating rules are excluded so one bad rule cannot mask a cycle
+  elsewhere) and **T001** runs the R1 per-tag cycle search on it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.rules import MatchKey, RuleTable
-from repro.core.tags import INITIAL_TAG, LOSSY_TAG, PortKey, TaggedGraph
+from repro.core.tags import INITIAL_TAG, LOSSY_TAG, PortKey, TaggedGraph, TNode
 from repro.lint.diagnostics import THIS_SWITCH, Diagnostic, make_diagnostic, stamp
 from repro.topology.base import Topology
 
@@ -203,22 +206,104 @@ def _effective_graph(
     return graph
 
 
+def _potential_certifies(
+    sections: Mapping[str, RuleSection], verdicts: Optional[Mapping[str, object]]
+) -> bool:
+    """Does the rank potential rule T001 out? Only when every section is
+    free of T002-T004 findings and rejections and every switch's φ
+    verdict is None (it has a rise vector under which no rule lowers
+    φ): every edge of the graph then raises φ, so no tag holds a cycle
+    (docs/THEORY.md §8)."""
+    if verdicts is None:
+        return False
+    for switch, section in sections.items():
+        if section.diagnostics or section.rejected:
+            return False
+        if switch not in verdicts or verdicts[switch] is not None:
+            return False
+    return True
+
+
+#: A section's live match states, emitted ``(out_port, new_tag)`` pairs
+#: and lossless rules per egress port (see :func:`_edge_summary`).
+_Summary = Tuple[Set[Tuple[int, int]], Set[Continuation], Dict[int, int]]
+
+
+def _edge_summary(section: RuleSection) -> _Summary:
+    """What a section adds to the graph, before it meets the wiring: its
+    live match states (``(tag, in_port)`` with a lossless rule), the
+    ``(out_port, new_tag)`` pairs those rules emit, and how many lossless
+    rules leave by each egress port."""
+    live: Set[Tuple[int, int]] = set()
+    emits: Set[Continuation] = set()
+    per_port: Dict[int, int] = {}
+    for state, continuations in section.transitions.items():
+        for continuation in continuations:
+            out_port, new_tag = continuation
+            if new_tag == LOSSY_TAG:
+                continue
+            live.add(state)
+            emits.add(continuation)
+            per_port[out_port] = per_port.get(out_port, 0) + 1
+    return live, emits, per_port
+
+
+def _graph_stats(
+    sections: Mapping[str, RuleSection], wiring: Mapping[str, PortMap]
+) -> Dict[str, int]:
+    """The stats of :func:`_effective_graph`'s graph, counted without
+    building it, for sections with no rejected rule: a node per live
+    match state and per ``(far end, new_tag)`` a switch-facing rule
+    emits, an edge per switch-facing lossless rule (each leaves by its
+    own port, so no two share a far end). Each distinct section is
+    summarised once per call."""
+    summaries: Dict[int, _Summary] = {}
+    nodes: Set[TNode] = set()
+    edges = 0
+    for switch, section in sections.items():
+        summary = summaries.get(id(section))
+        if summary is None:
+            summary = summaries[id(section)] = _edge_summary(section)
+        live, emits, per_port = summary
+        far_ends = wiring[switch]
+        nodes.update(((switch, in_port), tag) for tag, in_port in live)
+        for out_port, new_tag in emits:
+            far_end = far_ends.get(out_port)
+            if far_end is not None:
+                nodes.add((far_end, new_tag))
+        edges += sum(count for out_port, count in per_port.items() if far_ends.get(out_port) is not None)
+    return {
+        "graph_nodes": len(nodes),
+        "graph_edges": edges,
+        "graph_tags": len({tag for _port, tag in nodes}),
+    }
+
+
 def check_graph(
     topo: Topology,
     tables: Mapping[str, RuleTable],
     sections: Optional[Mapping[str, RuleSection]] = None,
+    verdicts: Optional[Mapping[str, object]] = None,
 ) -> Tuple[List[Diagnostic], Dict[str, int]]:
     """Run the T-family checks; returns (diagnostics, graph stats).
 
     ``sections`` are the tables' per-switch sections when the caller
     already holds them (sorted switch order); otherwise built here.
+    ``verdicts`` are the switches' φ verdicts (:mod:`repro.potential`;
+    None where φ certifies the switch). When they certify every switch,
+    T001 cannot fire: the graph is neither built nor searched, and its
+    stats are counted from the sections. Otherwise the effective graph
+    is built and every tag searched for a cycle.
     """
     if sections is None:
         sections = rule_sections(topo, tables)
     diagnostics: List[Diagnostic] = []
     for switch, section in sections.items():
         diagnostics.extend(stamp(section.diagnostics, switch))
-    graph = _effective_graph(sections, port_maps(topo, sections))
+    wiring = port_maps(topo, sections)
+    if _potential_certifies(sections, verdicts):
+        return diagnostics, _graph_stats(sections, wiring)
+    graph = _effective_graph(sections, wiring)
     for tag in graph.tags():
         cycle = graph.find_tag_cycle(tag)
         if cycle is None:

@@ -6,8 +6,10 @@ TCAM programs, queue map, topology — and re-derives every safety and
 hygiene property from those artifacts alone, without trusting the
 planner that produced them:
 
-1. **T-family** (:mod:`repro.lint.graph_checks`) reconstructs the
-   effective tagged graph and certifies Theorem 5.1's R1 + R2;
+1. **T-family** (:mod:`repro.lint.graph_checks`) certifies Theorem
+   5.1's R1 + R2: by the rank potential (:mod:`repro.potential`) when
+   every table respects it, else by reconstructing the effective tagged
+   graph and searching every tag for a cycle;
 2. **S-family** (:mod:`repro.lint.tcam_checks`) checks first-match TCAM
    order semantics and round-trip equivalence;
 3. **R-family** (:mod:`repro.lint.reach_checks`) explores reachable
@@ -28,7 +30,10 @@ equal tables is validated and compiled once, and a rollout's
 wave-boundary verdicts and final ground-truth lint share one object
 across switches and lints alike. The **fabric-wide stage** stamps each
 section's findings with its switch and joins the sections through the
-wiring: T001's cycle search, the R201-R203 closure and B302.
+wiring: T001, the R201-R203 closure and B302. Each content also keeps
+its φ verdict per rise vector, so a fabric whose every table respects
+φ settles T001 without building a graph; any other runs the cycle
+search.
 
 A report with zero error-severity findings is a certificate that the
 deployed configuration is deadlock-free and faithful to its own
@@ -37,7 +42,7 @@ compressed form.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.compression import TcamEntry, tcam_program
 from repro.core.pipeline import QueueMap
@@ -49,6 +54,7 @@ from repro.lint.diagnostics import LintReport
 from repro.lint.graph_checks import Ports, RuleSection, check_graph, rule_section, switch_ports
 from repro.lint.reach_checks import check_reachability
 from repro.lint.tcam_checks import ProgramSection, check_tcam, program_section
+from repro.potential import Rule, port_rise, table_violation
 from repro.topology.base import Topology
 
 #: What a section is keyed by: the rules themselves, never the
@@ -60,6 +66,16 @@ RuleContent = FrozenSet[Tuple[MatchKey, int]]
 #: compiled one).
 Programs = Dict[Optional[Tuple[TcamEntry, ...]], ProgramSection]
 
+#: A rise vector as a key: ``(port, rise)`` pairs in port order.
+RiseKey = Tuple[Tuple[int, int], ...]
+
+#: The verdict of a switch with no rise vector: φ cannot judge it.
+NO_RISE = "no rise vector"
+
+#: A switch's φ verdict: None when every rule respects φ, the first rule
+#: that lowers it, or :data:`NO_RISE`.
+Verdict = Union[None, Rule, str]
+
 
 class LintSections:
     """Sections keyed by content, shared by every switch and every lint
@@ -68,85 +84,125 @@ class LintSections:
     Valid for one topology whose wiring does not change while the
     object lives. ``built`` / ``reused`` count per-switch resolutions
     that built a section vs found every one it needed, for telemetry.
+
+    Each content also keeps its φ verdicts (:mod:`repro.potential`),
+    one per rise vector it was judged under: a table is checked against
+    the rank potential once per (rules, port set, rise vector), however
+    many switches and lints hold it. Every cache here lives exactly as
+    long as the object.
     """
 
     def __init__(self, topo: Topology) -> None:
         self.topo = topo
         self.built = 0
         self.reused = 0
-        #: (rules, port set) -> its rule section and program sections.
-        self._sections: Dict[Tuple[RuleContent, Ports], Tuple[RuleSection, Programs]] = {}
+        #: (rules, port set) -> its sections and φ verdicts.
+        self._sections: Dict[Tuple[RuleContent, Ports], _Entry] = {}
+        #: switch -> its rise vector (None: the switch has no layer, or
+        #: faces a node without one).
+        self._rises: Dict[str, Optional[RiseKey]] = {}
 
     def resolve(
         self,
         switch: str,
         table: Optional[RuleTable],
         given: Optional[Tuple[TcamEntry, ...]] = None,
-    ) -> Tuple[Optional[RuleSection], ProgramSection]:
-        """One switch's rule section (None without a table) and program
-        section, looked up by content before either is built — the
-        per-switch stage of a lint.
+    ) -> Tuple[Optional[RuleSection], ProgramSection, Verdict]:
+        """One switch's rule section (None without a table), program
+        section and φ verdict, looked up by content before any is built
+        — the per-switch stage of a lint.
 
         ``given`` is the switch's explicit program; without it the
         program section certifies the one compiled from ``table``.
         """
         reference = table if table is not None else RuleTable(switch=switch)
-        rule, programs, ports, built = self._entry(switch, reference)
-        program = programs.get(given)
+        entry, ports, built = self._entry(switch, reference)
+        program = entry.programs.get(given)
         if program is None:
-            program = programs[given] = program_section(
+            program = entry.programs[given] = program_section(
                 reference.rules,
                 tcam_program(reference, ports or ()) if given is None else given,
                 ports or frozenset(),
             )
             built = True
+        self._count(built)
+        rule = entry.rule if table is not None else None
+        return rule, program, self._verdict(switch, entry, reference.rules)
+
+    def resolve_rules(self, switch: str, table: RuleTable) -> Tuple[RuleSection, Verdict]:
+        """The rule section and φ verdict alone, for a switch whose
+        table is linted but whose program is not under test: no program
+        is compiled."""
+        entry, _ports, built = self._entry(switch, table)
+        self._count(built)
+        return entry.rule, self._verdict(switch, entry, table.rules)
+
+    def _count(self, built: bool) -> None:
         self.built += built
         self.reused += not built
-        return (rule if table is not None else None), program
 
-    def resolve_rules(self, switch: str, table: RuleTable) -> RuleSection:
-        """The rule section alone, for a switch whose table is linted
-        but whose program is not under test: no program is compiled."""
-        rule, _programs, _ports, built = self._entry(switch, table)
-        self.built += built
-        self.reused += not built
-        return rule
+    def _verdict(self, switch: str, entry: "_Entry", rules: Mapping[MatchKey, int]) -> Verdict:
+        """The φ verdict of ``rules`` (``entry``'s content) on ``switch``."""
+        if switch not in self._rises:
+            rise = port_rise(self.topo, switch)
+            self._rises[switch] = None if rise is None else tuple(sorted(rise.items()))
+        rise_key = self._rises[switch]
+        if rise_key is None:
+            return NO_RISE
+        if rise_key not in entry.verdicts:
+            entry.verdicts[rise_key] = table_violation(rules, dict(rise_key))
+        return entry.verdicts[rise_key]
 
-    def _entry(
-        self, switch: str, reference: RuleTable
-    ) -> Tuple[RuleSection, Programs, Ports, bool]:
-        """The content's rule section and program sections, and whether
-        the rule section was built now."""
+    def _entry(self, switch: str, reference: RuleTable) -> Tuple["_Entry", Ports, bool]:
+        """The content's entry, and whether its rule section was built
+        now."""
         ports = switch_ports(self.topo, switch)
         key = (frozenset(reference.rules.items()), ports)
         entry = self._sections.get(key)
         built = entry is None
         if entry is None:
-            entry = self._sections[key] = (rule_section(reference.rules, ports), {})
-        return entry[0], entry[1], ports, built
+            entry = self._sections[key] = _Entry(rule_section(reference.rules, ports))
+        return entry, ports, built
+
+
+class _Entry:
+    """One content's rule section, its program sections and its φ
+    verdicts per rise vector."""
+
+    __slots__ = ("rule", "programs", "verdicts")
+
+    def __init__(self, rule: RuleSection) -> None:
+        self.rule = rule
+        self.programs: Programs = {}
+        self.verdicts: Dict[RiseKey, Verdict] = {}
 
 
 def _switch_sections(
     artifact: DeploymentArtifact, sections: LintSections
-) -> Tuple[Dict[str, RuleSection], Dict[str, ProgramSection]]:
+) -> Tuple[Dict[str, RuleSection], Dict[str, ProgramSection], Dict[str, Verdict]]:
     """The per-switch stage, in sorted switch order: every switch's
     sections, resolved through ``sections`` (looked up by content, built
-    once per distinct content, kept)."""
+    once per distinct content, kept), and every tabled switch's φ
+    verdict."""
     tables = artifact.tables
     explicit = artifact.programs
     programmed: Set[str] = set(tables if explicit is None else explicit)
     rule_sections: Dict[str, RuleSection] = {}
     program_sections: Dict[str, ProgramSection] = {}
+    verdicts: Dict[str, Verdict] = {}
     for switch in sorted(programmed.union(tables)):
         if switch not in programmed:
-            rule_sections[switch] = sections.resolve_rules(switch, tables[switch])
+            rule_sections[switch], verdicts[switch] = sections.resolve_rules(
+                switch, tables[switch]
+            )
             continue
         given = tuple(explicit[switch]) if explicit is not None else None
-        rule, program = sections.resolve(switch, tables.get(switch), given)
+        rule, program, verdict = sections.resolve(switch, tables.get(switch), given)
         if rule is not None:
             rule_sections[switch] = rule
+            verdicts[switch] = verdict
         program_sections[switch] = program
-    return rule_sections, program_sections
+    return rule_sections, program_sections, verdicts
 
 
 def lint_artifact(
@@ -167,9 +223,9 @@ def lint_artifact(
     tables = artifact.tables
     report.stats["switches"] = len(tables)
     report.stats["rules"] = sum(len(t.rules) for t in tables.values())
-    rule_sections, program_sections = _switch_sections(artifact, sections)
+    rule_sections, program_sections, verdicts = _switch_sections(artifact, sections)
 
-    graph_diags, graph_stats = check_graph(topo, tables, rule_sections)
+    graph_diags, graph_stats = check_graph(topo, tables, rule_sections, verdicts)
     report.extend(graph_diags)
     report.stats.update(graph_stats)
 

@@ -6,8 +6,9 @@ count is deterministic, so the guard needs no wall clock: a compile
 that goes back through ``as_rules()`` objects, an S104 check that scans
 the program once per key, a minimizer that re-resolves its rules
 through the wiring, a one-tag ELP that goes back through the per-node
-merge, or a lint that validates each of a Clos layer's equal tables
-again fails here before any benchmark sees it.
+merge, a lint that validates each of a Clos layer's equal tables
+again, or a lint that rebuilds the tagged graph of a plan the rank
+potential already certifies, fails here before any benchmark sees it.
 """
 
 import cProfile
@@ -23,11 +24,13 @@ from repro.topology import ClosParams, clos3
 #: passes read 38.1, then 35.9; linting each distinct table once read
 #: 29.7, the minimizer's one-class closed form (no per-node merge on
 #: an up-down ELP) read 17.6, a tagged graph that holds each edge once
-#: (in-degrees counted from successor sets) read 13.8, and a closed form
-#: that builds each spine's tag-3 nodes once per pod reads 13.1
-#: (CPython 3.11). The ceiling sits between 13.8 and 17.6, so the
-#: per-node merge coming back on this ELP trips it.
-MAX_CALLS_PER_RULE = 16
+#: (in-degrees counted from successor sets) read 13.8, a closed form
+#: that builds each spine's tag-3 nodes once per pod read 13.1, and a
+#: lint whose T001 the rank potential settles (no tagged graph is built
+#: for a plan whose every table respects φ) reads 10.4, lint alone 7.9
+#: -> 5.2 (CPython 3.11). The ceiling sits between 10.4 and 13.1, so a
+#: lint that rebuilds the graph of a φ-certified plan trips it.
+MAX_CALLS_PER_RULE = 12
 
 
 def _calls(profile: cProfile.Profile, name: str = "") -> int:

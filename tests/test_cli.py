@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -122,6 +123,78 @@ class TestLint:
         out = capsys.readouterr().out
         assert "DEADLOCK-FREE" in out
         assert "lint: CLEAN" in out
+
+
+class TestVerifyPotentialAndHosts:
+    """``verify`` prints the rank potential's verdict beside the cycle
+    search (which alone decides the exit code), and ``--hosts`` replays
+    the plan's host paths (R204) on the fabric its digest names."""
+
+    def _export(self, tmp_path, *argv):
+        plan_file = tmp_path / "plan.json"
+        assert main(["plan", *argv, "--out", str(plan_file)]) == 0
+        return plan_file
+
+    def test_layered_plan_raises_phi_and_carries_its_hosts(self, tmp_path, capsys):
+        plan_file = self._export(tmp_path, "--bounces", "1")
+        capsys.readouterr()
+        assert main(["verify", str(plan_file), "--hosts"]) == 0
+        out = capsys.readouterr().out
+        assert "potential: every rule raises φ" in out
+        assert "hosts: 7040 of 7040 host path(s) lossless" in out
+
+    def test_merged_bounce_plan_lowers_phi_yet_verifies(self, tmp_path, capsys):
+        """The 3-tag Algorithm-1 plan of the 1-bounce ELP: the merge's
+        tags are not rank-monotone (14 of its 150 edges lower φ), but no
+        tag holds a cycle."""
+        from repro.cli import build_topology, plan_to_dict
+        from repro.core import TaggerPlan, clos_bounce_elp
+
+        args = argparse.Namespace(**CLOS_GENERATOR, bounces=1, elp="clos")
+        topo = build_topology(args)
+        plan = TaggerPlan.from_elp(topo, clos_bounce_elp(topo, 1))
+        assert plan.num_lossless_queues == 3
+        plan_file = tmp_path / "merged.json"
+        plan_file.write_text(json.dumps(plan_to_dict(args, plan)))
+        assert main(["verify", str(plan_file)]) == 0
+        out = capsys.readouterr().out
+        assert "DEADLOCK-FREE: 3 tag(s)" in out
+        assert "potential: L1 rule (1,1,0)->1 lowers φ" in out
+
+    def test_unlayered_plan_is_left_to_the_cycle_search(self, tmp_path, capsys):
+        plan_file = self._export(
+            tmp_path, "--topology", "jellyfish", "--switches", "12", "--ports", "5"
+        )
+        capsys.readouterr()
+        assert main(["verify", str(plan_file)]) == 0
+        assert "potential: no layers: cycle search only" in capsys.readouterr().out
+
+    def test_provider_plan_drops_its_hosts_at_hop_one(self, tmp_path, capsys):
+        plan_file = self._export(tmp_path, "--elp", "updown", "--hosts", "1")
+        capsys.readouterr()
+        assert main(["verify", str(plan_file), "--hosts"]) == 1
+        assert "first demoted: H1 T1 L1 T2 H2 at hop 1 (T1)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda blob: blob.update(fabric_digest="0" * 64),
+            lambda blob: blob.pop("fabric_digest"),
+            lambda blob: blob["generator"].update(bounces=2),
+            lambda blob: blob.update(failed_links=[["L1", "S1"]]),
+        ],
+    )
+    def test_plan_for_another_fabric_is_refused(self, tmp_path, capsys, tamper):
+        plan_file = self._export(tmp_path, "--bounces", "1")
+        blob = json.loads(plan_file.read_text())
+        tamper(blob)
+        plan_file.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert main(["verify", str(plan_file), "--hosts"]) == 1
+        captured = capsys.readouterr()
+        assert "hosts:" not in captured.out
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(f"error: {plan_file}: ") and "another fabric" in line
 
 
 class TestDemo:

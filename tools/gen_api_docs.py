@@ -27,6 +27,8 @@ PACKAGES = [
     "repro.analysis",
     "repro.measurement",
     "repro.workloads",
+    "repro.potential",
+    "repro.replay",
     "repro.cli",
 ]
 
