@@ -8,7 +8,7 @@ the dependency graph from the exact Fig. 3 paths and exhibit the cycle.
 import pytest
 
 from conftest import format_table
-from repro.analysis import all_cbd_cycles, cbd_graph, find_cbd
+from repro.analysis import cbd_graph, find_cbd
 from repro.routing import count_bounces, is_loop_free
 from repro.topology import TESTBED_BLUE_PATH, TESTBED_GREEN_PATH, testbed_clos
 
@@ -20,19 +20,18 @@ def run_analysis():
     topo = testbed_clos()
     graph = cbd_graph(topo, [GREEN, BLUE])
     cycle = find_cbd(graph)
-    cycles = all_cbd_cycles(graph)
-    return topo, graph, cycle, cycles
+    return topo, graph, cycle
 
 
 def test_fig3_bounce_cbd(report):
-    topo, graph, cycle, cycles = run_analysis()
+    topo, graph, cycle = run_analysis()
     lines = [
         f"green path: {' -> '.join(GREEN)} "
         f"(loop-free={is_loop_free(GREEN)}, bounces={count_bounces(topo, GREEN)})",
         f"blue path:  {' -> '.join(BLUE)} "
         f"(loop-free={is_loop_free(BLUE)}, bounces={count_bounces(topo, BLUE)})",
-        f"buffer-dependency graph: {graph.number_of_nodes()} buffers, "
-        f"{graph.number_of_edges()} dependencies",
+        f"buffer-dependency graph: {graph.num_nodes} buffers, "
+        f"{graph.num_edges} dependencies",
         f"CBD cycle: {' -> '.join(f'{sw}:{port}' for sw, port in cycle)}",
     ]
     report("fig3_bounce_cbd", "\n".join(lines))

@@ -1,7 +1,6 @@
 """Static analysis: buffer-dependency graphs, CBD detection, optimality."""
 
 from repro.analysis.cbd import (
-    all_cbd_cycles,
     cbd_graph,
     find_cbd,
     has_cbd,
@@ -17,7 +16,6 @@ __all__ = [
     "cbd_graph",
     "find_cbd",
     "has_cbd",
-    "all_cbd_cycles",
     "min_lossless_priorities",
     "find_pigeonhole_cbd",
     "witness_path_hops",

@@ -8,20 +8,30 @@ tagging scheme — and finds cycles.
 
 Without tags, a buffer is an ingress port ``(switch, in_port)``; with
 tags it is ``(switch, in_port, tag)`` and demoted (lossy) hops contribute
-no dependency, which is exactly how Tagger removes CBDs.
+no dependency, which is exactly how Tagger removes CBDs. The graph is a
+:class:`~repro.core.tags.TaggedGraph`, untagged buffers at
+:data:`~repro.core.tags.INITIAL_TAG`, so a CBD is a cycle within one tag.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.rules import RewriteFn, policy_tags_along_path
-from repro.core.tags import INITIAL_TAG, LOSSY_TAG
+from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph, TNode
 from repro.topology.base import Topology
 
 Buffer = Tuple  # (switch, in_port) or (switch, in_port, tag)
+
+
+class BufferGraph(TaggedGraph):
+    """A path set's buffer-dependency graph. ``tagged`` says whether a
+    buffer is named with its tag; untagged buffers all sit at
+    :data:`~repro.core.tags.INITIAL_TAG`."""
+
+    def __init__(self, tagged: bool) -> None:
+        super().__init__()
+        self.tagged = tagged
 
 
 def cbd_graph(
@@ -29,20 +39,22 @@ def cbd_graph(
     paths: Iterable[Sequence[str]],
     tag_policy: Optional[RewriteFn] = None,
     initial_tag: int = INITIAL_TAG,
-) -> nx.DiGraph:
+) -> BufferGraph:
     """Buffer-dependency graph of a path set.
 
     Args:
         topo: The topology.
         paths: Flow paths (may include host endpoints).
         tag_policy: Optional Tagger rewrite function. When given, buffers
-            are per-tag and lossy hops break the dependency chain.
+            are per-tag and lossy hops break the dependency chain; a
+            policy that lowers a tag raises
+            :class:`~repro.exceptions.TaggingError` (requirement R2).
         initial_tag: Tag packets carry entering the first switch.
 
-    Returns a directed graph whose nodes are ingress buffers and whose
-    edges are wait-for dependencies along the given paths.
+    Returns a graph whose nodes are ingress buffers and whose edges are
+    wait-for dependencies along the given paths.
     """
-    graph = nx.DiGraph()
+    graph = BufferGraph(tagged=tag_policy is not None)
     for path in paths:
         nodes = list(path)
         tags = (
@@ -50,17 +62,17 @@ def cbd_graph(
             if tag_policy is None
             else policy_tags_along_path(topo, tag_policy, nodes, initial_tag)
         )
-        prev_buffer: Optional[Buffer] = None
+        prev_buffer: Optional[TNode] = None
         for i in range(len(nodes) - 1):
             prev_node, node = nodes[i], nodes[i + 1]
             if not topo.node(node).is_switch:
                 prev_buffer = None
                 continue
-            in_port = topo.port_to(node, prev_node)
+            port = (node, topo.port_to(node, prev_node))
             if tags is None:
-                buffer: Optional[Buffer] = (node, in_port)
+                buffer: Optional[TNode] = (port, INITIAL_TAG)
             else:
-                buffer = None if tags[i] == LOSSY_TAG else (node, in_port, tags[i])
+                buffer = None if tags[i] == LOSSY_TAG else (port, tags[i])
             if buffer is not None:
                 graph.add_node(buffer)
                 if prev_buffer is not None:
@@ -69,13 +81,17 @@ def cbd_graph(
     return graph
 
 
-def find_cbd(graph: nx.DiGraph) -> Optional[List[Buffer]]:
-    """One dependency cycle, or None if the graph is CBD-free."""
-    try:
-        cycle = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle]
+def find_cbd(graph: BufferGraph) -> Optional[List[Buffer]]:
+    """One dependency cycle, or None if the graph is CBD-free: the
+    :meth:`~repro.core.tags.TaggedGraph.find_tag_cycle` witness of the
+    lowest tag that holds a cycle, starting at its smallest buffer."""
+    for tag in graph.tags():
+        cycle = graph.find_tag_cycle(tag)
+        if cycle is not None:
+            if graph.tagged:
+                return [(switch, port, tag) for (switch, port), _tag in cycle]
+            return [port for port, _tag in cycle]
+    return None
 
 
 def has_cbd(
@@ -85,15 +101,3 @@ def has_cbd(
 ) -> bool:
     """Convenience: does this path set create a CBD?"""
     return find_cbd(cbd_graph(topo, paths, tag_policy=tag_policy)) is not None
-
-
-def all_cbd_cycles(
-    graph: nx.DiGraph, limit: int = 100
-) -> List[List[Buffer]]:
-    """Up to ``limit`` simple dependency cycles (diagnostics)."""
-    cycles = []
-    for cycle in nx.simple_cycles(graph):
-        cycles.append(cycle)
-        if len(cycles) >= limit:
-            break
-    return cycles

@@ -101,7 +101,7 @@ def build_topology(args: argparse.Namespace) -> Topology:
         return jellyfish(
             num_switches=args.switches,
             ports_per_switch=args.ports,
-            hosts_per_switch=0,
+            hosts_per_switch=args.hosts,
             seed=args.seed,
         )
     raise ReproError(f"unknown topology {args.topology!r}")

@@ -83,8 +83,6 @@ from repro.core.tags import (
     TNode,
     ingress_hops,
     tagged_walk,
-    tnode,
-    transit_triples,
 )
 from repro.core.verification import (
     VerificationReport,
@@ -155,8 +153,6 @@ __all__ = [
     "TNode",
     "ingress_hops",
     "tagged_walk",
-    "tnode",
-    "transit_triples",
     "VerificationReport",
     "assert_deadlock_free",
     "verify_tagged_graph",

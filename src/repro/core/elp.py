@@ -229,14 +229,16 @@ class UpDownElpProvider(PairwiseElpProvider):
 
 @dataclass
 class ShortestPathElpProvider(PairwiseElpProvider):
-    """Per-pair view of :func:`shortest_path_elp` (Jellyfish default).
+    """Per-pair view of :func:`shortest_path_elp` (Jellyfish default),
+    and the library's one shortest-path enumerator.
 
-    The enumeration is :func:`repro.routing.shortest.pairwise_shortest_paths`:
-    with ``per_pair == 1`` the deterministic greedy downhill walk,
-    otherwise the first ``per_pair`` ECMP alternatives in DFS order.
-    :meth:`build` and :meth:`iter_paths` run its batch form (one BFS per
-    destination); :meth:`pair_paths` runs the same per-pair step on one
-    fresh BFS.
+    A pair's paths are the deterministic greedy downhill walk with
+    ``per_pair == 1``, otherwise the first ``per_pair`` ECMP
+    alternatives in DFS order; a pair the active links do not join has
+    none. :meth:`build` and :meth:`iter_paths` run
+    :func:`~repro.routing.shortest.iter_pairwise_shortest_paths` (one
+    BFS per destination); :meth:`pair_paths` runs its per-pair step,
+    :func:`~repro.routing.shortest.downhill_paths`, on one fresh BFS.
     """
 
     explicit_endpoints: Optional[Sequence[str]] = None

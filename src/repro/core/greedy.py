@@ -70,8 +70,16 @@ class _Sandbox:
                 self.out.setdefault(pred, set()).add(port)
 
 
-def _greedy_classes(bruteforce: TaggedGraph) -> Dict[TNode, int]:
-    """Algorithm 2's scan: the new tag of every brute-force node."""
+def greedy_minimize(bruteforce: TaggedGraph) -> TaggedGraph:
+    """Run Algorithm 2 on a brute-force tagged graph.
+
+    Returns a new :class:`TaggedGraph` over the same ports whose tag count
+    is at most (usually much less than) the input's. Every brute-force
+    node maps to exactly one output node and every brute-force edge to one
+    output edge, so ELP coverage is preserved exactly.
+    """
+    if bruteforce.num_nodes == 0:
+        raise TaggingError("cannot minimize an empty tagged graph")
     new_tag: Dict[TNode, int] = {}
     current = INITIAL_TAG
     sandbox = _Sandbox()
@@ -98,43 +106,10 @@ def _greedy_classes(bruteforce: TaggedGraph) -> Dict[TNode, int]:
             # between them yet and the fresh sandbox starts acyclic.
             current += 1
             sandbox = _Sandbox(bumped)
-    return new_tag
 
-
-def greedy_minimize(bruteforce: TaggedGraph) -> TaggedGraph:
-    """Run Algorithm 2 on a brute-force tagged graph.
-
-    Returns a new :class:`TaggedGraph` over the same ports whose tag count
-    is at most (usually much less than) the input's. Every brute-force
-    node maps to exactly one output node and every brute-force edge to one
-    output edge, so ELP coverage is preserved exactly.
-    """
-    if bruteforce.num_nodes == 0:
-        raise TaggingError("cannot minimize an empty tagged graph")
-    new_tag = _greedy_classes(bruteforce)
     result = TaggedGraph()
     for node in bruteforce.nodes:
         result.add_node((node[0], new_tag[node]))
     for src, dst in bruteforce.edges():
         result.add_edge((src[0], new_tag[src]), (dst[0], new_tag[dst]))
     return result
-
-
-def tag_mapping(
-    bruteforce: TaggedGraph, minimized: TaggedGraph
-) -> Dict[TNode, TNode]:
-    """Recompute the node mapping between a brute-force graph and its
-    minimized counterpart by re-running the greedy pass.
-
-    Provided for diagnostics/tests; :func:`greedy_minimize` is
-    deterministic so the mapping is well-defined.
-    """
-    new_tag = _greedy_classes(bruteforce)
-    mapping = {node: (node[0], new_tag[node]) for node in bruteforce.nodes}
-    for target in mapping.values():
-        if not minimized.has_node(target):
-            raise TaggingError(
-                f"mapping target {target} missing from minimized graph; "
-                "was it produced by greedy_minimize on this input?"
-            )
-    return mapping

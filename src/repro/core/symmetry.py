@@ -7,9 +7,9 @@ though the fabric is made of eight *isomorphic* pods. This module
 exploits that regularity the way production routing engines configure
 structured fabrics: certify once, in O(links), that the topology is a
 disjoint union of complete-bipartite ToR/leaf pods whose leaves attach
-to pairwise-disjoint spine groups, then answer every per-pair query —
-and build the Algorithm-1 tagged graph — from the closed form instead
-of per-path search.
+to pairwise-disjoint spine groups, then count the ELP and build the
+Algorithm-1 tagged graph from the closed form instead of per-path
+search.
 
 A fabric that differs from a certifiable one only by failed links (a
 drain fails every link of a switch) certifies too: the closed form reads
@@ -21,10 +21,6 @@ Soundness contract (property-tested in
 ``tests/properties/test_symmetry_equivalence.py`` and fuzz-checked as
 the ``symmetry-divergence`` invariant):
 
-- :meth:`SymmetryCertificate.pair_paths` returns *byte-identical*
-  tuples to ``UpDownElpProvider.pair_paths`` on the pristine fabric for
-  every ordered pair, and on the damaged one for every pair outside the
-  residue;
 - :meth:`SymmetryCertificate.populate_graph` emits exactly the node and
   edge set Algorithm 1 derives from the exhaustive path set of the
   fabric as it stands, failed links included (the
@@ -48,7 +44,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.bruteforce import add_tagged_path
 from repro.core.tags import TaggedGraph
-from repro.routing.base import Path
 from repro.routing.updown import updown_paths_by_pair
 from repro.topology.base import Topology
 from repro.topology.clos import LEAF_LAYER, SPINE_LAYER, TOR_LAYER
@@ -98,33 +93,6 @@ class SymmetryCertificate:
         for idx, pod in enumerate(self.pods):
             for tor in pod.tors:
                 self._pod_index[tor] = idx
-
-    # ------------------------------------------------------------------
-    # Closed-form per-pair enumeration
-    # ------------------------------------------------------------------
-    def pair_paths(self, src: str, dst: str) -> Tuple[Path, ...]:
-        """Byte-identical to ``UpDownElpProvider.pair_paths(topo, ...)``
-        on the fabric with every link up."""
-        if src == dst:
-            return ((src,),)
-        p = self._pod_index.get(src)
-        q = self._pod_index.get(dst)
-        if p is None or q is None:
-            return ()
-        if p == q:
-            # Same pod: every pod leaf is a lowest common ancestor, and
-            # shortest-only stops at the leaf layer. Leaves are sorted,
-            # so the (src, leaf, dst) tuples come out already sorted.
-            return tuple((src, leaf, dst) for leaf in self.pods[p].leaves)
-        paths: List[Path] = []
-        for color, spines in enumerate(self.spine_groups):
-            up = self.pods[p].color_leaves(color)
-            down = self.pods[q].color_leaves(color)
-            for leaf in up:
-                for spine in spines:
-                    for leaf2 in down:
-                        paths.append((src, leaf, spine, leaf2, dst))
-        return tuple(sorted(paths))
 
     # ------------------------------------------------------------------
     # Closed-form Algorithm-1 graph
@@ -308,50 +276,6 @@ class SymmetryCertificate:
             square = sum(f * f for f in fanouts)
             total += len(spines) * (linear * linear - square)
         return total
-
-    def orbit_decomposition(self) -> Dict[str, Any]:
-        """JSON-able summary of the pod equivalence classes.
-
-        Two pods are in the same orbit when they have the same ToR
-        count and the same per-color leaf counts — plans are invariant
-        under swapping such pods, which is exactly the symmetry the
-        closed forms exploit.
-        """
-        classes: Dict[
-            Tuple[int, int, Tuple[Tuple[int, int], ...]], List[int]
-        ] = {}
-        for idx, pod in enumerate(self.pods):
-            signature = (
-                len(pod.tors),
-                len(pod.leaves),
-                tuple(
-                    (color, len(leaves))
-                    for color, leaves in pod.leaves_by_color
-                ),
-            )
-            classes.setdefault(signature, []).append(idx)
-        intra = sum(
-            len(pod.leaves) * len(pod.tors) * (len(pod.tors) - 1)
-            for pod in self.pods
-        )
-        return {
-            "pod_count": len(self.pods),
-            "pod_classes": [
-                {
-                    "pods": members,
-                    "tors_per_pod": signature[0],
-                    "leaves_per_pod": signature[1],
-                    "leaves_by_color": {
-                        str(color): count for color, count in signature[2]
-                    },
-                }
-                for signature, members in sorted(classes.items())
-            ],
-            "spine_groups": [len(group) for group in self.spine_groups],
-            "intra_pod_paths": intra,
-            "cross_pod_paths": self.path_count() - intra,
-            "total_paths": self.path_count(),
-        }
 
 
 def _residue(topo: Topology, pods: Tuple[Pod, ...]) -> Tuple[Pair, ...]:

@@ -46,16 +46,6 @@ INITIAL_TAG = 1
 LOSSY_TAG = 0
 
 
-def port_key(switch: str, port: int) -> PortKey:
-    return (switch, port)
-
-
-def tnode(switch: str, port: int, tag: int) -> TNode:
-    if tag < INITIAL_TAG:
-        raise TaggingError(f"tag must be >= {INITIAL_TAG}; got {tag}")
-    return ((switch, port), tag)
-
-
 class TaggedGraph:
     """Mutable tagged graph with per-tag views and structural queries.
 
@@ -342,23 +332,3 @@ def ingress_hops(topo: Topology, path: Sequence[str]) -> List[PortKey]:
     """Per-hop ingress ``PortKey`` sequence for a path: the ports of its
     :func:`tagged_walk`, without the tags."""
     return [port for port, _tag in tagged_walk(topo, path)]
-
-
-def transit_triples(
-    topo: Topology, path: Sequence[str]
-) -> List[Tuple[str, int, int]]:
-    """``(switch, in_port, out_port)`` for every transit switch on a path.
-
-    The final switch is included when the path terminates at a host (its
-    out_port faces the host); a path ending at a switch has no egress
-    there, so that switch is excluded.
-    """
-    triples = []
-    for i in range(1, len(path) - 1):
-        prev, cur, nxt = path[i - 1], path[i], path[i + 1]
-        if not topo.node(cur).is_switch:
-            continue
-        triples.append(
-            (cur, topo.port_to(cur, prev), topo.port_to(cur, nxt))
-        )
-    return triples

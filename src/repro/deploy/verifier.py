@@ -122,17 +122,13 @@ def _graph_or_error(
         return None, f"R2 violated while rebuilding graph: {exc}"
 
 
-def _merge(into: TaggedGraph, graph: TaggedGraph) -> None:
-    for node in graph.nodes:
-        into.add_node(node)
-    for src, dst in graph.edges():
-        into.add_edge(src, dst)
-
-
 def _union(graphs: Sequence[TaggedGraph]) -> TaggedGraph:
     union = TaggedGraph()
     for graph in graphs:
-        _merge(union, graph)
+        for node in graph.nodes:
+            union.add_node(node)
+        for src, dst in graph.edges():
+            union.add_edge(src, dst)
     return union
 
 
@@ -149,24 +145,6 @@ def _potential_certifies(old: Tables, new: Tables, switches: "_SwitchVerdicts") 
         for switch, table in new.items()
         if switch not in old or table.rules != old[switch].rules
     )
-
-
-def _global_union_certifies(topo: Topology, old: Tables, new: Tables) -> bool:
-    """R1/R2 on the old ∪ new graph, at the cost of one graph build plus
-    the transition's delta: a table both plans share contributes the
-    same edges twice, so only ``new`` tables whose rules differ are
-    added on top of the old graph."""
-    changed = {
-        switch: table
-        for switch, table in new.items()
-        if switch not in old or table.rules != old[switch].rules
-    }
-    try:
-        union = rules_to_tagged_graph(topo, old)
-        _merge(union, rules_to_tagged_graph(topo, changed))
-    except ReproError:
-        return False
-    return verify_tagged_graph(union).deadlock_free
 
 
 @dataclass
@@ -277,7 +255,7 @@ def certify_rollout(
         boundaries.append(set(updated))
 
     switches = _SwitchVerdicts(sections if sections is not None else LintSections(topo), old, new)
-    if _potential_certifies(old, new, switches) or _global_union_certifies(topo, old, new):
+    if _potential_certifies(old, new, switches):
         graph_errors: List[List[str]] = [[] for _ in boundaries]
         cert.wave_errors = [None] * len(waves)
     else:
@@ -389,14 +367,36 @@ def _certify_wave_order(
     boundaries: Sequence[Set[str]],
     cert: TransitionCertificate,
 ) -> List[List[str]]:
-    """The fine-grained certificate, for a transition whose global union
-    does not certify: R1/R2 on every boundary graph and every per-wave
-    union, and the global union's own verdict for the record. Fills
-    ``cert.wave_errors`` and ``cert.global_error``; returns the
-    per-boundary graph verdicts."""
-    built = [
+    """The graph certificate, for a transition φ does not certify.
+
+    The global union goes first, as boundary 0's graph (the old fleet)
+    plus the graph of the new tables whose rules differ: a table both
+    plans share contributes the same edges twice. When it certifies,
+    every boundary graph and per-wave union is a subgraph of it and none
+    is built. Otherwise its verdict is ``cert.global_error``, and R1/R2
+    are checked on every boundary graph and every per-wave union. Fills
+    ``cert.wave_errors``; returns the per-boundary graph verdicts."""
+    first = _graph_or_error(topo, mixed_tables(old, new, boundaries[0]))
+    old_graph, global_error = first
+    if old_graph is not None:
+        # Sorted, as mixed_tables orders them, so an R2 witness names
+        # the rule the all-new fleet's graph would have raised on.
+        changed = {
+            switch: new[switch]
+            for switch in sorted(new)
+            if switch not in old or new[switch].rules != old[switch].rules
+        }
+        delta, global_error = _graph_or_error(topo, changed)
+        if delta is not None:
+            global_error = verify_tagged_graph(_union([old_graph, delta])).violation()
+    if global_error is None:
+        cert.wave_errors = [None] * (len(boundaries) - 1)
+        return [[] for _ in boundaries]
+    cert.global_error = global_error
+
+    built = [first] + [
         _graph_or_error(topo, mixed_tables(old, new, done))
-        for done in boundaries
+        for done in boundaries[1:]
     ]
     boundary_graphs = [graph for graph, _ in built]
     boundary_errors: List[List[str]] = []
@@ -425,20 +425,4 @@ def _certify_wave_order(
             cert.wave_errors.append(f"R2 violated in wave union: {exc}")
             continue
         cert.wave_errors.append(verify_tagged_graph(union).violation())
-
-    # Global union: why arbitrary straggler mixes are not covered.
-    # Boundary 0 is the old fleet.
-    old_graph, old_error = built[0]
-    new_graph, new_error = _graph_or_error(
-        topo, mixed_tables(old, new, set(old) | set(new))
-    )
-    if old_error or new_error or old_graph is None or new_graph is None:
-        cert.global_error = old_error or new_error
-    else:
-        try:
-            cert.global_error = verify_tagged_graph(
-                _union([old_graph, new_graph])
-            ).violation()
-        except ReproError as exc:
-            cert.global_error = f"R2 violated in global union: {exc}"
     return boundary_errors

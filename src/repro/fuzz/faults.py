@@ -15,6 +15,7 @@ not by construction alone.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -31,7 +32,7 @@ if TYPE_CHECKING:
 
 from repro.core.bruteforce import add_tagged_path
 from repro.core.clos import ClosTagger
-from repro.core.compression import TcamEntry
+from repro.core.compression import TcamEntry, tcam_program
 from repro.core.elp import PairwiseElpProvider
 from repro.core.planner import TaggerPlan, compile_plan
 from repro.core.rules import RuleTable
@@ -101,6 +102,15 @@ def copy_tables(tables: Dict[str, RuleTable]) -> Dict[str, RuleTable]:
     }
 
 
+def _compiled_programs(artifact: DeploymentArtifact) -> Dict[str, List[TcamEntry]]:
+    """Each tabled switch's TCAM program, compiled as the linter does."""
+    topo = artifact.topo
+    return {
+        switch: tcam_program(table, topo.ports(switch))
+        for switch, table in artifact.tables.items()
+    }
+
+
 def tcam_shadow(artifact: DeploymentArtifact) -> DeploymentArtifact:
     """Swap the safeguard with the entry before it on one switch.
 
@@ -110,16 +120,13 @@ def tcam_shadow(artifact: DeploymentArtifact) -> DeploymentArtifact:
     report S101 (and the S104 round-trip divergence). Identity when every
     program holds only the safeguard.
     """
-    programs = {
-        switch: list(entries)
-        for switch, entries in artifact.ensure_programs().items()
-    }
+    programs = _compiled_programs(artifact)
     for switch in sorted(programs):
         program = programs[switch]
         if len(program) >= 2:
             program[-1], program[-2] = program[-2], program[-1]
             break
-    return artifact.with_programs(programs)
+    return replace(artifact, programs=programs)
 
 
 def tcam_drop_safeguard(artifact: DeploymentArtifact) -> DeploymentArtifact:
@@ -129,13 +136,11 @@ def tcam_drop_safeguard(artifact: DeploymentArtifact) -> DeploymentArtifact:
     in the TCAM rule list"): unmatched packets keep an undefined tag
     instead of demoting. The linter must report S105.
     """
-    programs: Dict[str, List[TcamEntry]] = {}
-    for switch, entries in artifact.ensure_programs().items():
-        kept = list(entries)
-        if kept and kept[-1].is_wildcard:
-            kept.pop()
-        programs[switch] = kept
-    return artifact.with_programs(programs)
+    programs = _compiled_programs(artifact)
+    for program in programs.values():
+        if program and program[-1].is_wildcard:
+            program.pop()
+    return replace(artifact, programs=programs)
 
 
 def rule_decrease_tag(artifact: DeploymentArtifact) -> DeploymentArtifact:
@@ -227,9 +232,14 @@ def symmetry_residue_drop(
     cert = certify(topo, provider)
     if cert is None or not cert.residue:
         return TaggerPlan.from_provider(topo, provider)
+    failed = topo.failed_links
+    topo.restore_all()
+    pristine = provider.pair_paths(topo, *cert.residue[0])
+    for a, b in failed:
+        topo.fail_link(a, b)
     graph = TaggedGraph()
     cert.populate_graph(graph)
-    for path in cert.pair_paths(*cert.residue[0]):
+    for path in pristine:
         add_tagged_path(graph, topo, path)
     return compile_plan(topo, graph, 8, StageTimer())
 

@@ -56,11 +56,6 @@ class OracleOutcome:
     tagged_lossless_drops: int = 0
 
     @property
-    def sensitive(self) -> bool:
-        """Did some untagged control run reproduce the deadlock?"""
-        return self.control_deadlocked
-
-    @property
     def tagged_deadlocked(self) -> bool:
         return any(self.tagged_deadlocks)
 

@@ -9,10 +9,10 @@ configuration even if the planner that produced it is buggy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol
 
-from repro.core.compression import TcamEntry, tcam_program
+from repro.core.compression import TcamEntry
 from repro.core.pipeline import QueueMap
 from repro.core.rules import RuleTable
 from repro.exceptions import LintError
@@ -28,8 +28,8 @@ class DeploymentArtifact:
         tables: Per-switch exact-match rewrite rules (the reference
             semantics; the safeguard default is implicit in lookup).
         programs: Optional ordered first-match TCAM programs per switch.
-            When absent, :meth:`ensure_programs` compiles them from the
-            tables — linting then certifies the compiler's own output.
+            When absent, the linter compiles them from the tables —
+            linting then certifies the compiler's own output.
         queue_map: Tag -> priority queue assignment (``None`` skips the
             queue-fit checks).
         tcam_budget: Per-switch entry budget (``None`` skips B301).
@@ -40,9 +40,6 @@ class DeploymentArtifact:
     programs: Optional[Dict[str, List[TcamEntry]]] = None
     queue_map: Optional[QueueMap] = None
     tcam_budget: Optional[int] = None
-    _compiled: Dict[str, List[TcamEntry]] = field(
-        default_factory=dict, repr=False, init=False
-    )
 
     def __post_init__(self) -> None:
         if self.tcam_budget is not None and self.tcam_budget < 0:
@@ -53,23 +50,6 @@ class DeploymentArtifact:
                     f"table for {switch!r} is policy-backed with no "
                     "explicit rules; materialize it before linting"
                 )
-
-    def ensure_programs(self) -> Dict[str, List[TcamEntry]]:
-        """The programs under test: provided ones, else compiled now."""
-        if self.programs is not None:
-            return self.programs
-        if not self._compiled:
-            for switch, table in self.tables.items():
-                self._compiled[switch] = tcam_program(
-                    table, self.topo.ports(switch)
-                )
-        return self._compiled
-
-    def with_programs(
-        self, programs: Dict[str, List[TcamEntry]]
-    ) -> "DeploymentArtifact":
-        """Copy of the artifact with explicit programs (fault injection)."""
-        return replace(self, programs=programs)
 
     @staticmethod
     def from_plan(plan: "TaggerPlanLike") -> "DeploymentArtifact":

@@ -10,8 +10,6 @@ from repro.obs.bus import TelemetryBus, TelemetryError
 from repro.obs.events import (
     EVENT_SCHEMA,
     Event,
-    event_kinds,
-    validate_event,
     validate_event_dict,
 )
 from repro.obs.instrument import (
@@ -49,7 +47,6 @@ __all__ = [
     "TelemetryError",
     "aggregate_jsonl",
     "derive_sim_counts",
-    "event_kinds",
     "iter_jsonl",
     "observe_plan",
     "observe_selfcheck",
@@ -57,6 +54,5 @@ __all__ = [
     "registry_from_aggregate",
     "sample_queue_gauges",
     "sim_metric_handles",
-    "validate_event",
     "validate_event_dict",
 ]

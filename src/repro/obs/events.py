@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 # ----------------------------------------------------------------------
 # Event kinds
@@ -190,13 +190,3 @@ def validate_fields(
         if name in RESERVED_FIELDS:
             return f"{kind}: field {name!r} shadows a reserved key"
     return validate_event_dict({"ts": time, "kind": kind, **fields})
-
-
-def validate_event(event: Event) -> Optional[str]:
-    """Schema-check a live :class:`Event`; None when valid."""
-    return validate_fields(event.time, event.kind, event.fields)
-
-
-def event_kinds() -> List[str]:
-    """Every registered kind, sorted (for docs and CLI help)."""
-    return sorted(EVENT_SCHEMA)

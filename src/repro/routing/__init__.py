@@ -17,9 +17,6 @@ from repro.routing.base import (
     count_bounces,
     hops,
     is_loop_free,
-    is_up_down,
-    path_ports,
-    switch_segment,
     validate_path,
 )
 from repro.routing.bounce import all_bounce_paths, bounce_paths, classify_by_bounces
@@ -29,16 +26,14 @@ from repro.routing.convergence import (
     transient_states,
 )
 from repro.routing.loops import find_forwarding_loops, install_loop
-from repro.routing.reroute import apply_local_reroute, rerouted_path
+from repro.routing.reroute import apply_local_reroute
 from repro.routing.shortest import (
-    all_shortest_paths,
     bfs_distances,
     pairwise_shortest_paths,
     random_loopfree_paths,
-    shortest_path,
     shortest_path_tables,
 )
-from repro.routing.updown import all_updown_paths, updown_paths, updown_tables_paths
+from repro.routing.updown import updown_paths
 
 __all__ = [
     "ForwardingTable",
@@ -47,9 +42,6 @@ __all__ = [
     "count_bounces",
     "hops",
     "is_loop_free",
-    "is_up_down",
-    "path_ports",
-    "switch_segment",
     "validate_path",
     "bounce_paths",
     "all_bounce_paths",
@@ -60,14 +52,9 @@ __all__ = [
     "install_loop",
     "find_forwarding_loops",
     "apply_local_reroute",
-    "rerouted_path",
-    "shortest_path",
-    "all_shortest_paths",
     "bfs_distances",
     "pairwise_shortest_paths",
     "random_loopfree_paths",
     "shortest_path_tables",
     "updown_paths",
-    "all_updown_paths",
-    "updown_tables_paths",
 ]

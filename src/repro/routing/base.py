@@ -67,43 +67,9 @@ def hops(path: Sequence[str]) -> Iterator[Tuple[str, str]]:
         yield path[i], path[i + 1]
 
 
-def switch_segment(topo: Topology, path: Sequence[str]) -> Path:
-    """Strip leading/trailing host hops, keeping the switch-level core.
-
-    ELP paths may be specified host-to-host; tagging operates on the switch
-    segment only. Interior hosts (BCube relay servers are modelled as
-    switches, so this does not affect BCube) are not allowed.
-    """
-    nodes = list(path)
-    while nodes and topo.node(nodes[0]).is_host:
-        nodes = nodes[1:]
-    while nodes and topo.node(nodes[-1]).is_host:
-        nodes = nodes[:-1]
-    for name in nodes:
-        if topo.node(name).is_host:
-            raise RoutingError(f"host {name!r} in the interior of path {path}")
-    if not nodes:
-        raise RoutingError(f"path {path} has no switch segment")
-    return as_path(nodes)
-
-
 def is_loop_free(path: Sequence[str]) -> bool:
     """True iff no node repeats."""
     return len(set(path)) == len(path)
-
-
-def path_ports(topo: Topology, path: Sequence[str]) -> List[Tuple[int, int]]:
-    """Per-hop ``(ingress_port, egress_port)`` pairs seen by each transit node.
-
-    For a path ``n0 -> n1 -> ... -> nk`` this returns one entry per interior
-    node ``ni`` (0 < i < k): the port facing ``n(i-1)`` and the port facing
-    ``n(i+1)``.
-    """
-    out = []
-    for i in range(1, len(path) - 1):
-        prev_node, node, next_node = path[i - 1], path[i], path[i + 1]
-        out.append((topo.port_to(node, prev_node), topo.port_to(node, next_node)))
-    return out
 
 
 @dataclass
@@ -223,8 +189,3 @@ def count_bounces(topo: Topology, path: Sequence[str]) -> int:
             bounces += 1
             descended = False
     return bounces
-
-
-def is_up_down(topo: Topology, path: Sequence[str]) -> bool:
-    """True iff the path never goes up after going down (0 bounces)."""
-    return count_bounces(topo, path) == 0

@@ -14,7 +14,7 @@ uses to force flows onto bounce paths.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import RoutingError
 from repro.routing.base import ForwardingTable
@@ -102,17 +102,3 @@ def _pick_detour(
         return (goes_up, dist[peer], peer)
 
     return sorted(candidates, key=sort_key)[0]
-
-
-def rerouted_path(
-    topo: Topology,
-    table: ForwardingTable,
-    src_host: str,
-    dst_host: str,
-    flow_hash: int = 0,
-    max_hops: int = 64,
-) -> Tuple[Sequence[str], bool]:
-    """Trace the actual (possibly bouncing) path a flow takes post-reroute."""
-    tor = topo.host_tor(src_host)
-    path, completed = table.trace(tor, dst_host, flow_hash=flow_hash, max_hops=max_hops)
-    return (src_host,) + tuple(path), completed

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.exceptions import RoutingError
 from repro.routing.base import ForwardingTable, Path, as_path
 from repro.topology.base import Topology
 
@@ -84,28 +83,6 @@ def downhill_paths(
     if per_pair == 1:
         return [_downhill_walk(topo, dist, src, dst)]
     return _downhill_ecmp(topo, dist, src, dst, per_pair)
-
-
-def shortest_path(topo: Topology, src: str, dst: str) -> Path:
-    """One deterministic shortest path (lexicographically smallest)."""
-    if src == dst:
-        return (src,)
-    dist = bfs_distances(topo, dst)
-    if src not in dist:
-        raise RoutingError(f"{src!r} cannot reach {dst!r}")
-    return _downhill_walk(topo, dist, src, dst)
-
-
-def all_shortest_paths(
-    topo: Topology, src: str, dst: str, limit: Optional[int] = None
-) -> List[Path]:
-    """Every shortest path between two nodes (ECMP set), optionally capped."""
-    if src == dst:
-        return [(src,)]
-    dist = bfs_distances(topo, dst)
-    if src not in dist:
-        raise RoutingError(f"{src!r} cannot reach {dst!r}")
-    return _downhill_ecmp(topo, dist, src, dst, limit)
 
 
 def iter_pairwise_shortest_paths(

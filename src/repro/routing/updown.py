@@ -12,7 +12,7 @@ unless stated otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import RoutingError
 from repro.routing.base import Path
@@ -144,47 +144,4 @@ def updown_paths(topo: Topology, src: str, dst: str) -> List[Path]:
     paths = updown_paths_by_pair(topo, [(src, dst)])[(src, dst)]
     if not paths:
         raise RoutingError(f"no up-down path {src!r} -> {dst!r}")
-    return paths
-
-
-def all_updown_paths(
-    topo: Topology,
-    endpoints: Optional[Sequence[str]] = None,
-) -> List[Path]:
-    """Up-down paths between every ordered pair of endpoints.
-
-    ``endpoints`` defaults to all ToR-layer switches. Pairs with no
-    up-down connectivity (partitioned fabric) are skipped silently — the
-    caller decides whether that is an error. A host or unlayered
-    endpoint raises :class:`~repro.exceptions.RoutingError`.
-    """
-    if endpoints is None:
-        endpoints = sorted(topo.switches_at_layer(0))
-    pairs = [(s, d) for s in endpoints for d in endpoints if s != d]
-    found = updown_paths_by_pair(topo, pairs)
-    return [path for pair in pairs for path in found[pair]]
-
-
-def updown_tables_paths(topo: Topology) -> List[Path]:
-    """Host-to-host shortest up-down paths (one ELP entry per path).
-
-    Convenience wrapper that extends every ToR-to-ToR up-down path with the
-    host stubs at both ends, plus the degenerate same-ToR host pairs.
-    """
-    paths: List[Path] = []
-    tors = sorted(topo.switches_at_layer(0))
-    tor_paths = updown_paths_by_pair(
-        topo, [(src, dst) for src in tors for dst in tors if src != dst]
-    )
-    for src_tor in tors:
-        for src_host in topo.hosts_under(src_tor):
-            for dst_tor in tors:
-                for dst_host in topo.hosts_under(dst_tor):
-                    if dst_host == src_host:
-                        continue
-                    if src_tor == dst_tor:
-                        paths.append((src_host, src_tor, dst_host))
-                        continue
-                    for core in tor_paths[(src_tor, dst_tor)]:
-                        paths.append((src_host,) + core + (dst_host,))
     return paths

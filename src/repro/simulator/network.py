@@ -333,9 +333,6 @@ class SimNetwork:
         for observer in self.pfc_observers:
             observer(sender, in_port, queue, pause)
 
-    def total_buffered_bytes(self) -> int:
-        return sum(s.accounting.total_bytes for s in self.switches.values())
-
     def conservation_check(self) -> Dict[str, int]:
         """Injected vs delivered vs dropped vs in-flight packet counts."""
         injected = sum(self.metrics.injected_packets.values())

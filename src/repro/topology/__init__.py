@@ -7,7 +7,7 @@ Public API:
 - :func:`repro.topology.fattree.fattree`
 - :func:`repro.topology.bcube.bcube`
 - :func:`repro.topology.jellyfish.jellyfish`
-- :mod:`repro.topology.failures` — failure schedules and samplers.
+- :mod:`repro.topology.failures` — failure sampler and topology deltas.
 """
 
 from repro.topology.base import HOST, SWITCH, Link, Node, Topology
@@ -20,19 +20,15 @@ from repro.topology.clos import (
     TOR_LAYER,
     ClosParams,
     clos3,
-    downward_neighbors,
     leaf_spine,
     pod_of,
     testbed_clos,
     upward_neighbors,
 )
 from repro.topology.failures import (
-    FailureEvent,
-    FailureSchedule,
     RandomLinkFailures,
     TopologyDelta,
     apply_delta,
-    fail_links,
     random_delta_sequence,
     switch_links,
 )
@@ -62,7 +58,6 @@ __all__ = [
     "leaf_spine",
     "pod_of",
     "upward_neighbors",
-    "downward_neighbors",
     "fattree",
     "expand_clos",
     "ExpansionResult",
@@ -73,12 +68,9 @@ __all__ = [
     "bcube_servers",
     "bcube_default_route",
     "jellyfish",
-    "FailureEvent",
-    "FailureSchedule",
     "RandomLinkFailures",
     "TopologyDelta",
     "apply_delta",
-    "fail_links",
     "random_delta_sequence",
     "switch_links",
 ]

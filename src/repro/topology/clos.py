@@ -156,15 +156,3 @@ def upward_neighbors(topo: Topology, switch: str) -> List[str]:
         for peer in topo.neighbors(switch)
         if topo.node(peer).is_switch and topo.node(peer).layer == layer + 1
     ]
-
-
-def downward_neighbors(topo: Topology, switch: str) -> List[str]:
-    """Active switch neighbors one layer below ``switch``."""
-    layer = topo.layer_of(switch)
-    if layer is None:
-        raise TopologyError(f"{switch!r} has no layer")
-    return [
-        peer
-        for peer in topo.neighbors(switch)
-        if topo.node(peer).is_switch and topo.node(peer).layer == layer - 1
-    ]

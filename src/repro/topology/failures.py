@@ -2,73 +2,22 @@
 
 Data center networks fail constantly: the paper measures hundreds of
 up-down violations per day (§3.2, Table 1) caused by link failures and port
-flaps. This module provides deterministic and randomized failure schedules
-used by the reroute-probing measurement (Table 1) and by the deadlock
-scenarios (Figs 3 and 10).
+flaps. This module provides the IID link-failure sampler that the
+reroute-probing measurement (Table 1) draws from, and the topology deltas
+(link churn, drains, pinned paths) that the incremental re-planner and the
+fuzzer apply (§6).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import TopologyError
 from repro.topology.base import Topology
 
 LinkKey = Tuple[str, str]
-
-
-@dataclass(frozen=True)
-class FailureEvent:
-    """A scheduled link state change at an absolute time (seconds)."""
-
-    time: float
-    link: LinkKey
-    down: bool  # True = fail, False = restore
-
-
-@dataclass
-class FailureSchedule:
-    """An ordered list of link up/down events.
-
-    Apply incrementally with :meth:`apply_until` as simulated time advances,
-    or all at once with :meth:`apply_all`.
-    """
-
-    events: List[FailureEvent] = field(default_factory=list)
-    _cursor: int = 0
-
-    def add(self, time: float, a: str, b: str, down: bool = True) -> None:
-        key = (a, b) if a <= b else (b, a)
-        self.events.append(FailureEvent(time=time, link=key, down=down))
-        self.events.sort(key=lambda e: e.time)
-        self._cursor = 0
-
-    def apply_until(self, topo: Topology, now: float) -> List[FailureEvent]:
-        """Apply every not-yet-applied event with ``time <= now``.
-
-        Returns the events applied, in order.
-        """
-        applied = []
-        while self._cursor < len(self.events):
-            event = self.events[self._cursor]
-            if event.time > now:
-                break
-            a, b = event.link
-            if event.down:
-                topo.fail_link(a, b)
-            else:
-                topo.restore_link(a, b)
-            applied.append(event)
-            self._cursor += 1
-        return applied
-
-    def apply_all(self, topo: Topology) -> List[FailureEvent]:
-        return self.apply_until(topo, float("inf"))
-
-    def reset(self) -> None:
-        self._cursor = 0
 
 
 class RandomLinkFailures:
@@ -126,12 +75,6 @@ class RandomLinkFailures:
         for a, b in failed:
             self.topo.fail_link(a, b)
         return failed
-
-
-def fail_links(topo: Topology, links: Iterable[Tuple[str, str]]) -> None:
-    """Convenience: fail a batch of links by endpoint pairs."""
-    for a, b in links:
-        topo.fail_link(a, b)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,7 @@
 """Workload generators for the evaluation scenarios."""
 
-from repro.workloads.random_flows import random_pairs, random_permutation_flows
-from repro.workloads.shuffle import many_to_one, one_to_many
+from repro.workloads.random_flows import random_permutation_flows
 
 __all__ = [
-    "many_to_one",
-    "one_to_many",
     "random_permutation_flows",
-    "random_pairs",
 ]

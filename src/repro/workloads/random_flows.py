@@ -33,24 +33,3 @@ def random_permutation_flows(
         Flow(src=s, dst=d, start=start, packet_size=packet_size, window=window)
         for s, d in zip(sources, destinations)
     ]
-
-
-def random_pairs(
-    hosts: Sequence[str],
-    num_flows: int,
-    start: float = 0.0,
-    packet_size: int = 4096,
-    window: int = 8,
-    seed: int = 1,
-) -> List[Flow]:
-    """``num_flows`` flows between uniformly random distinct host pairs."""
-    if len(hosts) < 2:
-        raise SimulationError("need at least two hosts")
-    rng = random.Random(seed)
-    flows = []
-    for _ in range(num_flows):
-        src, dst = rng.sample(list(hosts), 2)
-        flows.append(
-            Flow(src=src, dst=dst, start=start, packet_size=packet_size, window=window)
-        )
-    return flows

@@ -234,7 +234,8 @@ def test_one_elp_path_validity_check():
 def test_core_and_runtime_packages_import_without_networkx():
     code = (
         "import repro.core, repro.lint, repro.deploy, repro.detect, "
-        "repro.simulator, sys; assert 'networkx' not in sys.modules; "
+        "repro.simulator, repro.analysis, repro.fuzz, sys; "
+        "assert 'networkx' not in sys.modules; "
         "from repro.topology import jellyfish; jellyfish(8, 4); "
         "assert 'networkx' in sys.modules"
     )
@@ -431,7 +432,6 @@ def test_a_knob_needs_a_caller():
     from repro.lint import DeploymentArtifact, LintSections, lint_artifact, lint_plan, lint_tables
     from repro.measurement.probing import ProbeCampaign
     from repro.routing import (
-        all_updown_paths,
         apply_local_reroute,
         bfs_distances,
         random_loopfree_paths,
@@ -451,7 +451,6 @@ def test_a_knob_needs_a_caller():
         (LintSections.resolve, {"with_program"}),
         (certify_rollout, {"lint_boundaries"}),
         (updown_paths, {"shortest_only"}),
-        (all_updown_paths, {"shortest_only"}),
         (updown_paths_by_pair, {"shortest_only"}),
         (_join, {"shortest_only"}),
         (apply_local_reroute, {"prefer_up"}),

@@ -14,7 +14,6 @@ from repro.routing import (
     install_loop,
     is_loop_free,
     shortest_path_tables,
-    switch_segment,
 )
 
 
@@ -25,8 +24,7 @@ class TestTraceElp:
         assert len(elp) > 0
         for path in elp:
             assert is_loop_free(path)
-            core = switch_segment(testbed, path)
-            assert count_bounces(testbed, core) == 0
+            assert count_bounces(testbed, path) == 0
 
     def test_covers_all_host_pairs(self, testbed):
         table = shortest_path_tables(testbed)
@@ -103,9 +101,7 @@ class TestElpUnderFailures:
             endpoints=["H9", "H1"],
             hashes=range(16),
         )
-        bounces = {
-            count_bounces(testbed, switch_segment(testbed, p)) for p in merged
-        }
+        bounces = {count_bounces(testbed, p) for p in merged}
         assert 1 in bounces, "expected a discovered 1-bounce path"
         plan = TaggerPlan.from_elp(testbed, merged)
         assert plan.coverage(merged) == 1.0

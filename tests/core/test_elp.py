@@ -22,7 +22,6 @@ from repro.core import (
 )
 from repro.exceptions import TaggingError
 from repro.routing import (
-    all_updown_paths,
     count_bounces,
     is_loop_free,
     pairwise_shortest_paths,
@@ -167,7 +166,6 @@ class TestProviderEnumeration:
                     )
             built = UpDownElpProvider().build(topo).paths
             assert built == reference
-            assert built == all_updown_paths(topo)
             assert built == list(UpDownElpProvider().iter_paths(topo))
 
     @pytest.mark.parametrize("per_pair", [1, 3])

@@ -68,7 +68,6 @@ def test_residue_is_the_pairs_through_failed_links():
     """Per failed switch link, and for all of them at once, the residue is
     exactly the pairs with a pristine path through a failed link."""
     params = ClosParams(3, 2, 2, 2, hosts_per_tor=1)
-    pristine = certify(clos3(params), UpDownElpProvider())
     probe = clos3(params)
     links = sorted(
         (link.a, link.b)
@@ -87,7 +86,7 @@ def test_residue_is_the_pairs_through_failed_links():
             for pair in pairs
             if any(
                 hop in hops
-                for path in pristine.pair_paths(*pair)
+                for path in UpDownElpProvider().pair_paths(probe, *pair)
                 for hop in zip(path, path[1:])
             )
         )
@@ -174,18 +173,8 @@ def test_uplinkless_pod_certifies_with_no_spine_groups():
     cert = certify(topo, UpDownElpProvider())
     assert cert is not None
     assert cert.spine_groups == ()
-    assert cert.pair_paths("T1", "T2") == (
-        ("T1", "L1", "T2"),
-        ("T1", "L2", "T2"),
-    )
-    assert cert.pair_paths("T1", "T1") == (("T1",),)
-
-
-def test_pair_paths_for_unknown_endpoint_is_empty():
-    cert = certify(clos3(SMALL), UpDownElpProvider())
-    assert cert is not None
-    assert cert.pair_paths("T1", "NOPE") == ()
-    assert cert.pair_paths("NOPE", "T1") == ()
+    # T1 -> L1/L2 -> T2 and back.
+    assert cert.path_count() == 4
 
 
 def test_closed_form_matches_provider_pair_by_pair():
@@ -197,23 +186,7 @@ def test_closed_form_matches_provider_pair_by_pair():
     total = 0
     for src in tors:
         for dst in tors:
-            expected = provider.pair_paths(topo, src, dst)
-            assert cert.pair_paths(src, dst) == expected
             if src != dst:
-                total += len(expected)
+                total += len(provider.pair_paths(topo, src, dst))
     assert cert.path_count() == total
 
-
-def test_orbit_decomposition_is_consistent():
-    cert = certify(clos3(SMALL), UpDownElpProvider())
-    assert cert is not None
-    orbits = cert.orbit_decomposition()
-    assert orbits["pod_count"] == SMALL.num_pods
-    assert orbits["total_paths"] == cert.path_count()
-    assert (
-        orbits["intra_pod_paths"] + orbits["cross_pod_paths"]
-        == orbits["total_paths"]
-    )
-    # Both pods are isomorphic: one equivalence class covering them all.
-    assert len(orbits["pod_classes"]) == 1
-    assert orbits["pod_classes"][0]["pods"] == [0, 1]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import INITIAL_TAG, LOSSY_TAG, TaggedGraph, ingress_hops, tnode, transit_triples
+from repro.core import INITIAL_TAG, LOSSY_TAG, TaggedGraph, ingress_hops
 from repro.exceptions import TaggingError
 
 
@@ -39,9 +39,7 @@ class TestTaggedGraphBasics:
     def test_invalid_tag_rejected(self):
         graph = TaggedGraph()
         with pytest.raises(TaggingError):
-            graph.add_node(node("A", 0, 0))
-        with pytest.raises(TaggingError):
-            tnode("A", 0, LOSSY_TAG)
+            graph.add_node(node("A", 0, LOSSY_TAG))
 
     def test_tags_and_indexing(self):
         graph = TaggedGraph()
@@ -129,9 +127,3 @@ class TestPathHelpers:
         hops = ingress_hops(testbed, ("T1", "L1", "S1"))
         assert [sw for sw, _ in hops] == ["L1", "S1"]
 
-    def test_transit_triples(self, testbed):
-        triples = transit_triples(testbed, ("H1", "T1", "L1", "S1"))
-        assert [sw for sw, _, _ in triples] == ["T1", "L1"]
-        sw, in_port, out_port = triples[0]
-        assert testbed.peer_on_port(sw, in_port) == "H1"
-        assert testbed.peer_on_port(sw, out_port) == "L1"

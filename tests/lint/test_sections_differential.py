@@ -8,9 +8,12 @@ its own switches too, so the byte-for-byte oracle against linting each
 switch separately is ``tests/golden/test_golden_lint_reports.py``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import TaggerPlan
+from repro.core.compression import tcam_program
 from repro.core.pipeline import QueueMap
 from repro.core.rules import RuleTable
 from repro.deploy import certify_rollout
@@ -113,7 +116,9 @@ class TestReuseEqualsFresh:
 
     def test_program_for_a_switch_without_a_table(self, plan):
         artifact = DeploymentArtifact.from_plan(plan)
-        programs = dict(artifact.ensure_programs())
+        programs = {
+            s: tcam_program(t, plan.topo.ports(s)) for s, t in plan.tables.items()
+        }
         dropped = sorted(plan.tables)[0]
         tables = {s: t for s, t in plan.tables.items() if s != dropped}
         partial = DeploymentArtifact(
@@ -139,9 +144,11 @@ class TestReuseEqualsFresh:
         import repro.lint.linter as linter
 
         artifact = DeploymentArtifact.from_plan(plan)
-        programs = dict(artifact.ensure_programs())
+        programs = {
+            s: tcam_program(t, plan.topo.ports(s)) for s, t in plan.tables.items()
+        }
         del programs[sorted(programs)[0]]
-        partial = artifact.with_programs(programs)
+        partial = replace(artifact, programs=programs)
         compiled = []
         compile_program = linter.tcam_program
 
@@ -215,9 +222,9 @@ class TestNoStaleHit:
     def test_program_mutated_in_place_between_lints(self, plan):
         artifact = DeploymentArtifact.from_plan(plan)
         programs = {
-            s: list(p) for s, p in artifact.ensure_programs().items()
+            s: tcam_program(t, plan.topo.ports(s)) for s, t in plan.tables.items()
         }
-        explicit = artifact.with_programs(programs)
+        explicit = replace(artifact, programs=programs)
         sections = LintSections(plan.topo)
         assert assert_reuse_matches_fresh(explicit, sections)["ok"]
         programs[sorted(programs)[0]].pop()  # drop the safeguard in place

@@ -21,8 +21,8 @@ tables, tagged graph, queue map and description. The suite sweeps:
 
 On every healthy certified fabric it also pins the closed form to the
 per-path walk: the nodes and edges ``populate_graph`` emits are those
-of every ``pair_paths`` path walked through ``tagged_walk``, and the
-path count it returns is their number.
+of every path the provider's ``pair_paths`` enumerates, walked through
+``tagged_walk``, and the path count it returns is their number.
 
 The same oracle runs continuously inside the fuzz harness as the
 ``symmetry-divergence`` invariant (:mod:`repro.fuzz.crosscheck`).
@@ -130,15 +130,15 @@ def assert_matches_explicit_elp(
 
 
 def assert_graph_matches_walk(topo, label: str) -> None:
-    """The certificate's closed-form graph is the per-path walk over its
-    own pair paths, and its path count is theirs."""
+    """The certificate's closed-form graph is the per-path walk over the
+    provider's pair paths, and its path count is theirs."""
     provider = UpDownElpProvider()
     cert = certify(topo, provider)
     assert cert is not None, f"{label}: expected a certificate"
     walked = TaggedGraph()
     count = 0
     for pair in provider.ordered_pairs(topo):
-        for path in cert.pair_paths(*pair):
+        for path in provider.pair_paths(topo, *pair):
             walk = tagged_walk(topo, path)
             for edge in zip(walk, walk[1:]):
                 walked.add_edge(*edge)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    UpDownElpProvider,
     bruteforce_tagging,
     coverage_report,
     deterministic_minimize,
@@ -18,7 +19,7 @@ from repro.core import (
     verify_tagged_graph,
 )
 from repro.core.elp import clos_bounce_elp
-from repro.routing import all_updown_paths, bounce_paths
+from repro.routing import bounce_paths
 from repro.topology import ClosParams, clos3
 
 SETTINGS = settings(
@@ -44,7 +45,7 @@ def clos_topologies(draw):
 def topo_with_elp(draw):
     topo = draw(clos_topologies())
     tors = sorted(topo.switches_at_layer(0))
-    all_paths = all_updown_paths(topo, endpoints=tors)
+    all_paths = UpDownElpProvider().build(topo).paths
     src, dst = tors[0], tors[-1]
     all_paths = all_paths + bounce_paths(
         topo, src, dst, max_bounces=1, max_paths=20

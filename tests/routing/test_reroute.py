@@ -6,7 +6,6 @@ from repro.exceptions import RoutingError
 from repro.routing import (
     apply_local_reroute,
     count_bounces,
-    rerouted_path,
     shortest_path_tables,
 )
 
@@ -46,20 +45,6 @@ class TestLocalReroute:
                 bounced.append(path)
         assert bounced, "no hash produced a completed bounce path"
         assert any(count_bounces(testbed, p[:-1]) == 1 for p in bounced)
-
-    def test_rerouted_path_helper(self, testbed):
-        table = shortest_path_tables(testbed)
-        testbed.fail_link("L1", "T1")
-        apply_local_reroute(testbed, table, ("L1", "T1"))
-        done_any = False
-        for flow_hash in range(8):
-            path, done = rerouted_path(
-                testbed, table, "H9", "H1", flow_hash=flow_hash
-            )
-            if done:
-                done_any = True
-                assert path[0] == "H9" and path[-1] == "H1"
-        assert done_any
 
     def test_unreachable_destination_raises(self, testbed):
         table = shortest_path_tables(testbed)

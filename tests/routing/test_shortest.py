@@ -1,17 +1,13 @@
 """Tests for generic shortest-path routing."""
 
-import pytest
-
-from repro.exceptions import RoutingError
 from repro.routing import (
-    all_shortest_paths,
     bfs_distances,
     pairwise_shortest_paths,
     random_loopfree_paths,
-    shortest_path,
     shortest_path_tables,
     validate_path,
 )
+from repro.routing.shortest import downhill_paths
 from repro.topology import jellyfish
 
 
@@ -31,28 +27,32 @@ class TestBfs:
 
 
 class TestShortestPath:
+    """One pair's paths: :func:`downhill_paths` over the destination's BFS."""
+
     def test_deterministic(self, testbed):
-        a = shortest_path(testbed, "T1", "T3")
-        b = shortest_path(testbed, "T1", "T3")
+        (a,) = downhill_paths(testbed, bfs_distances(testbed, "T3"), "T1", "T3")
+        (b,) = downhill_paths(testbed, bfs_distances(testbed, "T3"), "T1", "T3")
         assert a == b
         assert len(a) == 5
 
     def test_identity(self, testbed):
-        assert shortest_path(testbed, "T1", "T1") == ("T1",)
+        dist = bfs_distances(testbed, "T1")
+        assert downhill_paths(testbed, dist, "T1", "T1") == [("T1",)]
 
     def test_unreachable(self, testbed):
         for leaf in ("L1", "L2"):
             testbed.fail_link("T1", leaf)
-        with pytest.raises(RoutingError):
-            shortest_path(testbed, "T1", "T3")
+        assert downhill_paths(testbed, bfs_distances(testbed, "T3"), "T1", "T3") == []
 
     def test_all_shortest_paths_ecmp(self, testbed):
-        paths = all_shortest_paths(testbed, "T1", "T3")
+        dist = bfs_distances(testbed, "T3")
+        paths = downhill_paths(testbed, dist, "T1", "T3", per_pair=100)
         assert len(paths) == 8
         assert all(len(p) == 5 for p in paths)
 
     def test_all_shortest_paths_limit(self, testbed):
-        paths = all_shortest_paths(testbed, "T1", "T3", limit=3)
+        dist = bfs_distances(testbed, "T3")
+        paths = downhill_paths(testbed, dist, "T1", "T3", per_pair=3)
         assert len(paths) == 3
 
 

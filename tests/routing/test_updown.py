@@ -2,15 +2,9 @@
 
 import pytest
 
+from repro.core import UpDownElpProvider
 from repro.exceptions import RoutingError
-from repro.routing import (
-    all_updown_paths,
-    count_bounces,
-    is_up_down,
-    updown_paths,
-    updown_tables_paths,
-    validate_path,
-)
+from repro.routing import count_bounces, updown_paths, validate_path
 
 
 class TestUpdownPaths:
@@ -23,16 +17,16 @@ class TestUpdownPaths:
         # 2 leaves up x 2 spines x 2 leaves down = 8 shortest paths.
         assert len(paths) == 8
         for path in paths:
-            assert is_up_down(testbed, path)
+            assert count_bounces(testbed, path) == 0
             assert len(path) == 5
             validate_path(testbed, path)
 
     def test_paths_are_valley_free(self, testbed):
-        for path in all_updown_paths(testbed):
+        for path in UpDownElpProvider().build(testbed).paths:
             assert count_bounces(testbed, path) == 0
 
     def test_all_pairs_count(self, testbed):
-        paths = all_updown_paths(testbed)
+        paths = UpDownElpProvider().build(testbed).paths
         # 4 intra-pod ordered pairs x 2 + 8 inter-pod ordered pairs x 8.
         assert len(paths) == 4 * 2 + 8 * 8
 
@@ -54,16 +48,3 @@ class TestUpdownPaths:
         with pytest.raises(RoutingError):
             updown_paths(testbed, "H1", "T1")
 
-
-class TestHostLevelElp:
-    def test_host_paths_have_host_endpoints(self, testbed):
-        paths = updown_tables_paths(testbed)
-        assert paths, "expected host-to-host paths"
-        for path in paths:
-            assert testbed.node(path[0]).is_host
-            assert testbed.node(path[-1]).is_host
-
-    def test_same_tor_pairs_use_tor_only(self, testbed):
-        paths = updown_tables_paths(testbed)
-        same_tor = [p for p in paths if p[0] == "H1" and p[-1] == "H2"]
-        assert same_tor == [("H1", "T1", "H2")]

@@ -175,6 +175,20 @@ class TestVerifyPotentialAndHosts:
         assert main(["verify", str(plan_file), "--hosts"]) == 1
         assert "first demoted: H1 T1 L1 T2 H2 at hop 1 (T1)" in capsys.readouterr().out
 
+    def test_jellyfish_plan_carries_its_hosts(self, tmp_path, capsys):
+        """``--hosts`` reaches ``jellyfish()``, so the replay has
+        host paths to walk. They demote at hop 1 and the exit code is 1
+        until the plan carries host-ingress rules (ROADMAP item 1b)."""
+        plan_file = self._export(
+            tmp_path, "--topology", "jellyfish", "--switches", "12",
+            "--ports", "5", "--hosts", "1",
+        )
+        capsys.readouterr()
+        assert main(["verify", str(plan_file), "--hosts"]) == 1
+        captured = capsys.readouterr()
+        assert "no ELP path joins" not in captured.err
+        assert "hosts: 0 of 132 host path(s) lossless" in captured.out
+
     @pytest.mark.parametrize(
         "tamper",
         [

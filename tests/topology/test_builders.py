@@ -11,7 +11,6 @@ from repro.topology import (
     bcube_default_route,
     bcube_servers,
     clos3,
-    downward_neighbors,
     fattree,
     jellyfish,
     leaf_spine,
@@ -39,7 +38,7 @@ class TestClos:
         for leaf in ("L1", "L2", "L3", "L4"):
             assert set(upward_neighbors(topo, leaf)) == {"S1", "S2"}
         # Spines reach all leaves.
-        assert set(downward_neighbors(topo, "S1")) == {"L1", "L2", "L3", "L4"}
+        assert set(topo.neighbors("S1")) == {"L1", "L2", "L3", "L4"}
 
     def test_hosts_per_tor(self):
         topo = testbed_clos()

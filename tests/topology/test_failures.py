@@ -1,48 +1,15 @@
-"""Tests for failure schedules and samplers."""
+"""Tests for the failure sampler and topology deltas."""
 
 import pytest
 
 from repro.exceptions import TopologyError
-from repro.topology import (
-    FailureSchedule,
-    RandomLinkFailures,
-    fail_links,
-    testbed_clos,
-)
+from repro.topology import RandomLinkFailures, testbed_clos
 from repro.topology.failures import (
     TopologyDelta,
     apply_delta,
     random_delta_sequence,
     switch_links,
 )
-
-
-class TestFailureSchedule:
-    def test_apply_until_in_order(self, testbed):
-        sched = FailureSchedule()
-        sched.add(2.0, "L1", "T1", down=True)
-        sched.add(1.0, "L3", "T4", down=True)
-        sched.add(3.0, "L3", "T4", down=False)
-
-        applied = sched.apply_until(testbed, 1.5)
-        assert [e.link for e in applied] == [("L3", "T4")]
-        assert testbed.is_failed("L3", "T4")
-        assert not testbed.is_failed("L1", "T1")
-
-        sched.apply_until(testbed, 2.5)
-        assert testbed.is_failed("L1", "T1")
-
-        sched.apply_until(testbed, 10.0)
-        assert not testbed.is_failed("L3", "T4")
-
-    def test_apply_all_and_reset(self, testbed):
-        sched = FailureSchedule()
-        sched.add(1.0, "L1", "T1")
-        sched.apply_all(testbed)
-        assert testbed.is_failed("L1", "T1")
-        testbed.restore_all()
-        sched.reset()
-        assert sched.apply_until(testbed, 5.0)  # replays after reset
 
 
 class TestRandomLinkFailures:
@@ -80,12 +47,6 @@ class TestRandomLinkFailures:
         a = RandomLinkFailures(testbed, 0.3, seed=9).sample()
         b = RandomLinkFailures(testbed, 0.3, seed=9).sample()
         assert a == b
-
-
-def test_fail_links_helper(testbed):
-    fail_links(testbed, [("L1", "T1"), ("L3", "T4")])
-    assert testbed.is_failed("T1", "L1")
-    assert testbed.is_failed("T4", "L3")
 
 
 class TestDeltaEdgeCases:

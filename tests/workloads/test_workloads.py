@@ -3,32 +3,7 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.workloads import (
-    many_to_one,
-    one_to_many,
-    random_pairs,
-    random_permutation_flows,
-)
-
-
-class TestShuffles:
-    def test_many_to_one(self):
-        flows = many_to_one(["H1", "H2", "H3"], "H9", start=1.0)
-        assert len(flows) == 3
-        assert all(f.dst == "H9" for f in flows)
-        assert all(f.start == 1.0 for f in flows)
-        assert {f.src for f in flows} == {"H1", "H2", "H3"}
-
-    def test_one_to_many(self):
-        flows = one_to_many("H9", ["H1", "H2"])
-        assert len(flows) == 2
-        assert all(f.src == "H9" for f in flows)
-
-    def test_sink_cannot_be_source(self):
-        with pytest.raises(SimulationError):
-            many_to_one(["H1", "H2"], "H1")
-        with pytest.raises(SimulationError):
-            one_to_many("H1", ["H1", "H2"])
+from repro.workloads import random_permutation_flows
 
 
 class TestRandomFlows:
@@ -46,16 +21,9 @@ class TestRandomFlows:
         b = random_permutation_flows(hosts, seed=5)
         assert [(f.src, f.dst) for f in a] == [(f.src, f.dst) for f in b]
 
-    def test_random_pairs(self):
-        flows = random_pairs(["H1", "H2", "H3"], num_flows=10, seed=1)
-        assert len(flows) == 10
-        assert all(f.src != f.dst for f in flows)
-
     def test_too_few_hosts(self):
         with pytest.raises(SimulationError):
             random_permutation_flows(["H1"])
-        with pytest.raises(SimulationError):
-            random_pairs(["H1"], 3)
 
 
 class TestFlowValidation:
