@@ -109,8 +109,9 @@ CATALOG: Dict[str, CodeInfo] = {
             "R201",
             "dead-rule",
             Severity.WARNING,
-            "A rule's (tag, ingress-port) state is unreachable from every "
-            "host injection point; the rule can never fire.",
+            "A (tag, ingress-port) match state is unreachable from every "
+            "host injection point; every rule under it is dead and can "
+            "never fire.",
         ),
         CodeInfo(
             "R202",

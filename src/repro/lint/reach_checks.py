@@ -10,7 +10,8 @@ switches) every switch-facing port doubles as an injection point.
 
 From the reachable set the linter flags:
 
-- **R201** rules whose match state never occurs (dead TCAM space);
+- **R201** match states that never occur, once per state with the
+  rules under it (dead TCAM space);
 - **R202** tags no reachable packet ever carries;
 - **R203** reachable states whose every continuation demotes and whose
   switch has no host to deliver to — packets there can only make
@@ -126,25 +127,25 @@ def check_reachability(
     diagnostics: List[Diagnostic] = []
     reachable, live_tags = _closure(topo, sections, port_maps(topo, sections))
 
-    # R201 — rules whose match state never occurs.
+    # R201 — match states that never occur: one finding per state,
+    # naming its rules' egress ports; the stat still counts rules.
     dead_rules = 0
     for switch, section in sections.items():
         for (tag, in_port), continuations in section.transitions.items():
             if (switch, in_port, tag) in reachable:
                 continue
             dead_rules += len(continuations)
-            message = (
-                f"no packet injected at a host ever arrives on port "
-                f"{in_port} carrying tag {tag}; the rule is dead TCAM space"
-            )
-            diagnostics.extend(
+            out_ports = ", ".join(str(out_port) for out_port, _ in continuations)
+            diagnostics.append(
                 make_diagnostic(
                     "R201",
-                    message,
+                    f"no packet injected at a host ever arrives on port "
+                    f"{in_port} carrying tag {tag}; its "
+                    f"{len(continuations)} rule(s) (out ports {out_ports}) "
+                    "are dead TCAM space",
                     switch=switch,
-                    location=f"({tag},{in_port},{out_port})",
+                    location=f"({tag},{in_port})",
                 )
-                for out_port, _ in continuations
             )
 
     # R202 — tags nobody can ever carry.

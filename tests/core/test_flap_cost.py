@@ -165,7 +165,7 @@ def test_certified_replan_walks_only_its_cut_pairs():
         assert result.mode == "incremental", label
         assert walks == result.changed_paths < elp, label
         if delta.kind in ("link-down", "link-up"):
-            assert _calls(profile, "core/symmetry", "pair_paths") == 0, label
+            assert _calls(profile, "core/elp", "pair_paths") == 0, label
         walked[label] = walks
     # No link flap of the churn episode cuts a pair, and neither does
     # the ToR drain: its cut pairs are enumerated (up-DAGs above) but

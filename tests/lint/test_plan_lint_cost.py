@@ -9,6 +9,9 @@ through the wiring, a one-tag ELP that goes back through the per-node
 merge, a lint that validates each of a Clos layer's equal tables
 again, or a lint that rebuilds the tagged graph of a plan the rank
 potential already certifies, fails here before any benchmark sees it.
+A second guard lints the hosted 64-ToR Clos ``from_provider`` plan,
+whose 7 424 rules sit under 512 dead match states: R201 builds one
+finding per state, never one per rule.
 """
 
 import cProfile
@@ -69,3 +72,27 @@ def test_plan_and_lint_calls_per_rule_stay_bounded():
     assert len(plan.tables) == 36
     assert _calls(linting, "rule_section") == 2
     assert _calls(linting, "program_section") == 2
+
+
+#: Dead ``(switch, tag, in_port)`` match states of the hosted 64-ToR
+#: Clos ``from_provider`` plan (ROADMAP 1b): none is reachable from a
+#: host, and R201 reports each one once. One finding per rule read
+#: 7 424 ``make_diagnostic`` calls.
+DEAD_STATES = 512
+
+
+def test_dead_rules_cost_one_finding_per_state():
+    topo = clos3(ClosParams(8, 8, 4, 4, hosts_per_tor=1))
+    plan = TaggerPlan.from_provider(topo, UpDownElpProvider())
+    linting = cProfile.Profile()
+    linting.enable()
+    try:
+        report = lint_plan(plan)
+    finally:
+        linting.disable()
+    assert report.stats["dead_rules"] == plan.total_rules == 7424
+    findings = _calls(linting, "make_diagnostic")
+    assert findings <= DEAD_STATES, (
+        f"{findings} make_diagnostic calls for {DEAD_STATES} dead match "
+        "states"
+    )
