@@ -15,13 +15,14 @@ show:
   constant per port, so deliveries fire in booking order;
 - :meth:`TxPort._complete_tx` calls the sender hook *before* booking
   the delivery: a host's closed-loop refill may inject from inside the
-  hook, and the sequence numbers the two bookings draw decide
-  same-instant tie order;
+  hook, and the order of the two bookings decides same-instant tie
+  order;
 - ``Simulator.schedule`` is written out in :meth:`TxPort._try_send` and
-  :meth:`TxPort._complete_tx` (1.25 M pushes per 100 k-packet storm,
-  about 3 % of its run time as a call — see docs/PERFORMANCE.md). It is
-  the only inlining in the stack, hence the exact-type check on ``sim``:
-  a subclass could override scheduling.
+  :meth:`TxPort._complete_tx`: an append to the time's callback list,
+  or a new list and a heap push when the time is new (1.25 M pushes per
+  100 k-packet storm — see docs/PERFORMANCE.md). It is the only
+  inlining in the stack, hence the exact-type check on ``sim``: a
+  subclass could override scheduling.
 
 ``tests/simulator/reference_stack.py`` keeps the naive port (closure
 per transmit, sorted round-robin) that the equivalence suite diffs this
@@ -30,7 +31,6 @@ one against.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from heapq import heappush
 from typing import Callable, Deque, Dict, List, Optional
@@ -189,21 +189,12 @@ class TxPort:
         # Simulator.schedule, inlined (the delay is always positive).
         wsim = self.sim
         time = wsim.now + packet.size * 8.0 / self._bw
-        seq = wsim._seq
-        wsim._seq = seq + 1
-        event = (time, seq, self._complete_cb)
-        slot = int(time / wsim._res)
-        cur = wsim._cur_slot
-        if slot <= cur:
-            insort(wsim._active, event, wsim._active_pos)
-        elif slot < cur + wsim._nslots:
-            cell = wsim._ring[slot % wsim._nslots]
-            if not cell:
-                heappush(wsim._slot_heap, slot)
-            cell.append(event)
-            wsim._ring_count += 1
+        due = wsim._due.get(time)
+        if due is None:
+            wsim._due[time] = [self._complete_cb]
+            heappush(wsim._times, time)
         else:
-            heappush(wsim._overflow, event)
+            due.append(self._complete_cb)
 
     def _complete_tx(self) -> None:
         packet = self._tx_packet
@@ -218,21 +209,12 @@ class TxPort:
         # Simulator.schedule, inlined.
         wsim = self.sim
         time = wsim.now + self._prop
-        seq = wsim._seq
-        wsim._seq = seq + 1
-        event = (time, seq, self._deliver_cb)
-        slot = int(time / wsim._res)
-        cur = wsim._cur_slot
-        if slot <= cur:
-            insort(wsim._active, event, wsim._active_pos)
-        elif slot < cur + wsim._nslots:
-            cell = wsim._ring[slot % wsim._nslots]
-            if not cell:
-                heappush(wsim._slot_heap, slot)
-            cell.append(event)
-            wsim._ring_count += 1
+        due = wsim._due.get(time)
+        if due is None:
+            wsim._due[time] = [self._deliver_cb]
+            heappush(wsim._times, time)
         else:
-            heappush(wsim._overflow, event)
+            due.append(self._deliver_cb)
         self._try_send()
 
     def _deliver_next(self) -> None:

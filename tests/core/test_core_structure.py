@@ -438,6 +438,7 @@ def test_a_knob_needs_a_caller():
         updown_paths,
     )
     from repro.routing.updown import _join, updown_paths_by_pair
+    from repro.simulator import Simulator
     from repro.simulator.buffers import IngressAccounting
     from repro.topology import Topology
     from repro.topology.failures import RandomLinkFailures, random_delta_sequence
@@ -464,6 +465,8 @@ def test_a_knob_needs_a_caller():
         (ddmin, {"max_rounds"}),
         (find_cbd_pairs, {"max_checks"}),
         (IngressAccounting.__init__, {"stride"}),
+        (Simulator.__init__, {"resolution", "slots"}),
+        (Simulator.run, {"max_events"}),
         (ClosTagger.__init__, {"max_increments", "classes"}),
         (ClosTagger.tagged_graph, {"host_tags"}),
     ):

@@ -1,7 +1,7 @@
 """The frozen reference simulator stack — a test fixture, not a product.
 
 ``repro.simulator`` ships one engine and one class per concept, each
-written for speed (event wheel, decision cache, flat accounting,
+written for speed (per-time event lists, decision cache, flat accounting,
 closure-free ports). This module keeps the naive implementation of every
 one of those hot paths — a binary-heap scheduler, an uncached route
 lookup per hop, dict-keyed accounting, a closure per transmit and a
@@ -176,7 +176,7 @@ class ReferenceTxPort(TxPort):
         self, sim, config, owner, port, peer, receive, recv_port=0, on_sent=None
     ):
         # Own fields, no super().__init__: the production constructor
-        # refuses any engine but the stock wheel (it inlines its push).
+        # refuses any engine but the stock one (it inlines its push).
         self.sim = sim
         self.config = config
         self.owner = owner

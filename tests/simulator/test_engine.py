@@ -1,14 +1,17 @@
 """Tests for the discrete-event engine and its heap reference.
 
-The scheduling contract — ``(time, seq)`` order, FIFO ties, run control —
-is parametrized over the production event wheel (``Simulator``) and the
-binary-heap reference the equivalence suite compares it with
-(``reference_stack.ReferenceSimulator``); wheel-only mechanics (ring
-bucketing, overflow migration, geometry validation) and the explicit
-per-instance sequence state get their own classes. Full-fabric byte
-identity lives in ``test_engine_equivalence.py``.
+The scheduling contract — time order, FIFO ties, run control — is
+parametrized over the production engine (``Simulator``, a heap of
+distinct times with a callback list per time; test id ``wheel``, kept
+from its calendar-queue days so test ids stay stable) and the
+``(time, seq)`` tuple heap the equivalence suite compares it with
+(``reference_stack.ReferenceSimulator``, id ``heap``). Only the
+reference offers ``max_events`` and ``stop``, and only the production
+engine refuses non-finite times.
+Full-fabric byte identity lives in ``test_engine_equivalence.py``.
 """
 
+import math
 import random
 
 import pytest
@@ -78,13 +81,17 @@ class TestRunControl:
         assert sim.pending_events == 1
         sim.run()
         assert log == [1, 5]
+        assert sim.now == 5.0
+        assert sim.pending_events == 0
 
+    @pytest.mark.parametrize("sim", [ReferenceSimulator()], ids=["heap"])
     def test_max_events(self, sim):
         for i in range(10):
             sim.schedule(float(i), lambda: None)
         assert sim.run(max_events=4) == 4
         assert sim.pending_events == 6
 
+    @pytest.mark.parametrize("sim", [ReferenceSimulator()], ids=["heap"])
     def test_stop(self, sim):
         log = []
         sim.schedule(1.0, lambda: (log.append(1), sim.stop()))
@@ -103,21 +110,20 @@ class TestRunControl:
 
 
 class TestSequenceState:
-    """The tie-break counter is explicit per-instance state.
+    """Tie-break state is per instance.
 
-    Regression for the module-level ``itertools.count`` it replaced:
-    with shared state, merely *constructing* a second fabric perturbed
-    the first one's same-time event ordering, which no differential
-    suite can tolerate.
+    Regression for a module-level ``itertools.count`` the engine once
+    used: with shared state, merely *constructing* a second fabric
+    perturbed the first one's same-time event ordering, which no
+    differential suite can tolerate.
     """
 
     def test_seq_starts_at_zero_and_counts_schedules(self):
-        for engine_cls in ENGINES.values():
-            sim = engine_cls()
-            assert sim._seq == 0
-            for _ in range(5):
-                sim.schedule(1.0, lambda: None)
-            assert sim._seq == 5
+        sim = ReferenceSimulator()
+        assert sim._seq == 0
+        for _ in range(5):
+            sim.schedule(1.0, lambda: None)
+        assert sim._seq == 5
 
     def test_instances_do_not_share_sequence_state(self):
         a, b = Simulator(), Simulator()
@@ -126,8 +132,8 @@ class TestSequenceState:
         log = []
         for name in "xyz":
             b.schedule(2.0, lambda n=name: log.append(n))
-        assert a._seq == 7
-        assert b._seq == 3
+        assert a.pending_events == 7
+        assert b.pending_events == 3
         b.run()
         assert log == ["x", "y", "z"]
 
@@ -160,80 +166,41 @@ class TestSequenceState:
         assert log == ["first", "spawner", "last", "nested"]
 
 
-class TestWheelMechanics:
-    def test_far_future_events_take_the_overflow_heap(self):
-        sim = Simulator(resolution=1.0, slots=4)
-        log = []
-        sim.schedule(100.0, lambda: log.append("far"))
-        sim.schedule(2.5, lambda: log.append("ring"))
-        sim.schedule(0.25, lambda: log.append("near"))
-        assert len(sim._overflow) == 1
-        assert sim._ring_count == 1
-        assert sim.pending_events == 3
-        sim.run()
-        assert log == ["near", "ring", "far"]
-        assert sim.now == 100.0
+class TestNonFiniteTimes:
+    """A NaN or infinite time is refused before it reaches the queue: a
+    NaN key compares false with everything and would silently misorder
+    the heap of times."""
 
-    def test_overflow_migrates_in_time_order(self):
-        """Overflow events interleave correctly with ring events as the
-        horizon advances past them."""
-        sim = Simulator(resolution=1.0, slots=2)
-        log = []
-        times = [9.0, 3.0, 6.5, 1.5, 6.25, 20.0, 0.5]
-        for t in times:
-            sim.schedule(t, lambda at=t: log.append(at))
-        sim.run()
-        assert log == sorted(times)
-
-    def test_same_slot_many_laps_apart(self):
-        """Times congruent modulo the ring size must not collide."""
-        sim = Simulator(resolution=1.0, slots=4)
-        log = []
-        for t in (1.5, 5.5, 9.5, 13.5):  # all slot 1 modulo 4 laps
-            sim.schedule(t, lambda at=t: log.append(at))
-        sim.run()
-        assert log == [1.5, 5.5, 9.5, 13.5]
-
-    def test_schedule_into_active_slot_during_run(self):
-        """A zero-ish delay inside a callback lands in the live heap."""
-        sim = Simulator(resolution=1.0, slots=4)
-        log = []
-
-        def first():
-            log.append("first")
-            sim.schedule(0.0, lambda: log.append("again"))
-
-        sim.schedule(1.2, first)
-        sim.schedule(1.8, lambda: log.append("later-same-slot"))
-        sim.run()
-        assert log == ["first", "again", "later-same-slot"]
-
-    def test_until_parks_clock_between_slots(self):
-        sim = Simulator(resolution=1.0, slots=4)
-        sim.schedule(0.5, lambda: None)
-        sim.schedule(50.0, lambda: None)  # overflow
-        sim.run(until=10.0)
-        assert sim.now == 10.0
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_schedule_at_and_run_refuse_non_finite(self, bad):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.at(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(until=bad)
         assert sim.pending_events == 1
-        sim.run()
-        assert sim.now == 50.0
-        assert sim.pending_events == 0
+        assert sim.now == 0.0
+        assert sim.run() == 1
 
-    def test_geometry_validation(self):
-        with pytest.raises(SimulationError):
-            Simulator(resolution=0.0)
-        with pytest.raises(SimulationError):
-            Simulator(resolution=-1e-6)
-        with pytest.raises(SimulationError):
-            Simulator(slots=1)
+
+#: Dyadic delays sum exactly in binary floating point, so many callbacks
+#: land on one float time, including ``now`` itself.
+DYADIC_DELAYS = (0.0, 0.25, 0.5, 1.0)
 
 
 class TestDifferential:
     """Seeded random schedules run identically on both engines.
 
-    The heavier Hypothesis-driven property (including full fabrics)
-    lives in ``test_engine_equivalence.py``; this is the cheap smoke
-    version exercising cross-lap and overflow traffic.
+    Delays are dyadic, so same-time ties are the common case: callbacks
+    pile onto one time from outside and from inside its own drain
+    (delay 0), ``at`` and ``schedule`` mix, and the run is cut into
+    ``run(until=t)`` slices whose ``t`` is a multiple of 0.25, so a
+    slice often ends exactly on a populated time. The heavier
+    Hypothesis-driven property (including full fabrics) lives in
+    ``test_engine_equivalence.py``.
     """
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -247,16 +214,24 @@ class TestDifferential:
                 token = counter[0]
                 counter[0] += 1
                 log.append((engine.now, token))
-                for _ in range(rng.randrange(0, 3)):
-                    # Mix sub-resolution, in-ring, and far-overflow
-                    # delays (wheel default: 1 us slots, ~4 ms horizon).
-                    delay = rng.choice([1e-7, 1e-6, 3e-4, 2e-2])
-                    if counter[0] < 400:
-                        engine.schedule(delay * rng.randrange(1, 9), fire)
+                for _ in range(rng.randrange(0, 4)):
+                    if counter[0] >= 400:
+                        break
+                    delay = rng.choice(DYADIC_DELAYS)
+                    if rng.random() < 0.25:
+                        engine.at(engine.now + delay, fire)
+                    else:
+                        engine.schedule(delay, fire)
 
             for _ in range(10):
-                engine.schedule(rng.random() * 0.01, fire)
-            engine.run()
-            return log, engine.now, engine.total_events_run
+                engine.schedule(rng.choice(DYADIC_DELAYS), fire)
+            slices = []
+            while engine.pending_events:
+                until = engine.now + rng.choice(DYADIC_DELAYS[1:])
+                ran = engine.run(until=until)
+                slices.append((ran, engine.now, engine.pending_events))
+            return log, slices, engine.now, engine.total_events_run
 
-        assert execute(ReferenceSimulator()) == execute(Simulator())
+        reference = execute(ReferenceSimulator())
+        assert len(reference[0]) > 100
+        assert reference == execute(Simulator())

@@ -1,7 +1,8 @@
 """Differential trace-equivalence: production stack vs the frozen reference.
 
 The headline guarantee behind every fast path in ``repro.simulator``
-(event wheel, decision cache, flat accounting, closure-free ports): it
+(per-time event lists, decision cache, flat accounting, closure-free
+ports): it
 produces **byte-identical** event traces, PFC frame logs and final
 metrics to the naive reference stack of
 ``tests/simulator/reference_stack.py`` — across the paper's deadlock

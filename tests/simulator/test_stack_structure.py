@@ -30,12 +30,14 @@ STACK_FILES = ("switch.py", "txport.py", "host.py", "network.py")
 #: The one inlining that measurably pays: ``Simulator.schedule`` written
 #: out at the two sites that book a transmit completion and a delivery
 #: (docs/PERFORMANCE.md has the per-inlining cost table).
-WHEEL_PUSH_SITES = {"TxPort._try_send", "TxPort._complete_tx"}
+PUSH_SITES = {"TxPort._try_send", "TxPort._complete_tx"}
 
-#: Names the one-stack fold deleted; none may come back under src/repro.
+#: Names the one-stack fold and the calendar queue's removal deleted;
+#: none may come back under src/repro.
 DELETED_NAMES = {
     "make_simulator", "SCHEDULERS", "WheelSimulator", "FastSimSwitch",
     "FastTxPort", "FastSimHost", "VectorAccounting",
+    "WHEEL_RESOLUTION", "WHEEL_SLOTS",
 }
 
 #: What each reference class may redefine of its production base: the
@@ -105,7 +107,7 @@ def _allowed(filename, scope, receiver, attr):
     if filename == "switch.py":
         return receiver == "net" and attr in ("_pinned", "_pinned_version")
     if filename == "txport.py":
-        return receiver == "wsim" and scope in WHEEL_PUSH_SITES
+        return receiver == "wsim" and scope in PUSH_SITES
     return False
 
 
@@ -167,7 +169,7 @@ def test_scheduler_primitives_stay_in_engine_and_txport():
     for path, tree in _trees(SIM_DIR):
         if path.name in ("engine.py", "txport.py"):
             continue
-        leaked = _identifiers(tree) & {"insort", "heappush"}
+        leaked = _identifiers(tree) & {"heappush"}
         assert not leaked, f"{path.name} uses {sorted(leaked)}"
 
 
@@ -175,9 +177,9 @@ def test_wheel_push_is_inlined_exactly_twice():
     pushes = [
         scope
         for scope, receiver, attr in _foreign_private_accesses(SIM_DIR / "txport.py")
-        if receiver == "wsim" and attr == "_overflow"
+        if receiver == "wsim" and attr == "_times"
     ]
-    assert sorted(pushes) == sorted(WHEEL_PUSH_SITES)
+    assert sorted(pushes) == sorted(PUSH_SITES)
 
 
 def test_reference_stack_is_hot_path_overrides_only():

@@ -142,7 +142,7 @@ class TestScheduling:
 
 class TestFastTxPort:
     def test_refuses_any_simulator_but_the_stock_wheel(self):
-        """The port inlines the wheel push, so a look-alike engine is refused."""
+        """The port inlines the engine's push, so a look-alike engine is refused."""
 
         class Subclassed(Simulator):
             pass

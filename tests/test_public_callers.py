@@ -60,6 +60,7 @@ DELETED_METHODS = (
     ("repro.lint.artifact", "DeploymentArtifact", "ensure_programs"),
     ("repro.lint.artifact", "DeploymentArtifact", "with_programs"),
     ("repro.lint.artifact", "DeploymentArtifact", "_compiled"),
+    ("repro.simulator.engine", "Simulator", "stop"),
 )
 
 
