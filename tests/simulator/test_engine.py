@@ -166,6 +166,28 @@ class TestSequenceState:
         assert log == ["first", "spawner", "last", "nested"]
 
 
+class TestWheelMechanics:
+    """Production-engine run control; the class keeps its calendar-queue
+    name so test ids stay stable."""
+
+    def test_until_parks_clock_between_slots(self):
+        """A horizon between two populated times parks the clock on the
+        horizon, leaves the later time pending, and a full run then moves
+        the clock to that later time."""
+        sim = Simulator()
+        log = []
+        sim.schedule(0.5, lambda: log.append(sim.now))
+        sim.schedule(50.0, lambda: log.append(sim.now))
+        assert sim.run(until=10.0) == 1
+        assert sim.now == 10.0
+        assert sim.pending_events == 1
+        sim.schedule(1.0, lambda: log.append(sim.now))  # lands at 11.0
+        assert sim.run() == 2
+        assert log == [0.5, 11.0, 50.0]
+        assert sim.now == 50.0
+        assert sim.pending_events == 0
+
+
 class TestNonFiniteTimes:
     """A NaN or infinite time is refused before it reaches the queue: a
     NaN key compares false with everything and would silently misorder
